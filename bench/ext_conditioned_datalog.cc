@@ -7,18 +7,16 @@
 // fixpoint on null-laden chains, reporting rows derived, subsumption and
 // duplicate-suppression work.
 //
-// Each workload runs under both strategies — the interned semi-naive
-// fixpoint (the default) and the naive seed strategy — as *_SemiNaive /
-// *_Naive pairs; CI parses the JSON output and fails when the fast path
-// regresses past 2x its seed pair (tools/check_bench_regression.py). The
-// SharedNullChain workload repeats the same few conditions across rows,
-// which is where interning (memoized And, duplicate ids) pays off most.
-// The *_Magic / *_FullFixpoint pair measures query-directed evaluation: a
-// selective point query answered through the magic-set rewrite against the
-// full fixpoint restricted afterwards. The *_Incremental / *_Recompute pair
-// measures incremental view maintenance: an update stream folded into a
-// maintained MaterializedView against rerunning the fixpoint from scratch
-// after every update.
+// The *_SemiNaive, *_PointQuery_Magic and *_StratumSched benchmarks are
+// ungated smoke runs of the fixpoint, the magic-set point query and the
+// stratum schedule. The SharedNullChain workload repeats the same few
+// conditions across rows, which is where interning (memoized And, duplicate
+// ids) pays off most. Two pairs are gated in CI on the JSON output
+// (tools/check_bench_regression.py): *_Incremental / *_Recompute measures
+// incremental view maintenance — an update stream folded into a maintained
+// MaterializedView against rerunning the fixpoint from scratch after every
+// update — and *_DDBackend / *_Antichain the condition backends on the
+// condition-diversity sweep.
 
 #include <benchmark/benchmark.h>
 
@@ -65,16 +63,11 @@ CDatabase NullChain(int n, int gap, bool shared = false) {
 }
 
 void RunFixpoint(benchmark::State& state, const CDatabase& db,
-                 bool semi_naive, const char* label, bool use_index = true,
-                 ConditionBackendKind backend = ConditionBackendKind::kDefault) {
+                 const char* label) {
   DatalogProgram tc = TransitiveClosure();
-  DatalogCTableOptions options;
-  options.semi_naive = semi_naive;
-  options.use_index = use_index;
-  options.condition_backend = backend;
   ConditionedFixpointStats stats;
   for (auto _ : state) {
-    CDatabase out = DatalogOnCTables(tc, db, &stats, options);
+    CDatabase out = DatalogOnCTables(tc, db, &stats);
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(stats.derived_rows);
@@ -88,102 +81,35 @@ void RunFixpoint(benchmark::State& state, const CDatabase& db,
 
 void BM_ConditionedTC_GroundChain_SemiNaive(benchmark::State& state) {
   CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
-  RunFixpoint(state, db, true, "ground chain, semi-naive interned");
+  RunFixpoint(state, db, "ground chain, semi-naive interned");
 }
 BENCHMARK(BM_ConditionedTC_GroundChain_SemiNaive)
     ->DenseRange(8, 32, 8)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ConditionedTC_GroundChain_Naive(benchmark::State& state) {
-  CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
-  RunFixpoint(state, db, false, "ground chain, naive seed strategy");
-}
-BENCHMARK(BM_ConditionedTC_GroundChain_Naive)
-    ->DenseRange(8, 32, 8)
-    ->Unit(benchmark::kMicrosecond);
-
 // Lineage growth is exponential in the number of nulls (every pair of null
-// endpoints yields conditional cross-paths); this semi-naive/naive pair
-// stays at the smoke sizes because the naive seed strategy pays the
-// exponential antichain twice over. The un-capped diversity sweep lives in
-// the *_NullChainDiversity_DDBackend / _Antichain pair below, where the
+// endpoints yields conditional cross-paths); this bench stays at the smoke
+// sizes. The un-capped diversity sweep lives in the
+// *_NullChainDiversity_DDBackend / _Antichain pair below, where the
 // decision-diagram backend keeps the large sizes tractable.
 void BM_ConditionedTC_NullChain_SemiNaive(benchmark::State& state) {
   CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/3);
-  RunFixpoint(state, db, true, "null chain, semi-naive interned");
+  RunFixpoint(state, db, "null chain, semi-naive interned");
 }
 BENCHMARK(BM_ConditionedTC_NullChain_SemiNaive)
     ->DenseRange(6, 9, 3)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ConditionedTC_NullChain_Naive(benchmark::State& state) {
-  CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/3);
-  RunFixpoint(state, db, false, "null chain, naive seed strategy");
-}
-BENCHMARK(BM_ConditionedTC_NullChain_Naive)
-    ->DenseRange(6, 9, 3)
-    ->Unit(benchmark::kMicrosecond);
-
-// Indexed vs scan-based body-atom matching, both semi-naive: the step rule
-// q(x,z) :- q(x,y), p(y,z) matches each delta row against p through the hash
-// index on p's first column instead of scanning all n edges — the
-// O(n + output) vs O(n * delta) join loop. Paired as *_IndexedJoin /
-// *_ScanJoin for the CI gate.
-void BM_ConditionedTC_GroundChain_IndexedJoin(benchmark::State& state) {
-  CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
-  RunFixpoint(state, db, true, "ground chain, semi-naive indexed join",
-              /*use_index=*/true);
-}
-BENCHMARK(BM_ConditionedTC_GroundChain_IndexedJoin)
-    ->DenseRange(8, 32, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedTC_GroundChain_ScanJoin(benchmark::State& state) {
-  CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
-  RunFixpoint(state, db, true, "ground chain, semi-naive scan join",
-              /*use_index=*/false);
-}
-BENCHMARK(BM_ConditionedTC_GroundChain_ScanJoin)
-    ->DenseRange(8, 32, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedTC_SharedNullChain_IndexedJoin(benchmark::State& state) {
-  CDatabase db =
-      NullChain(static_cast<int>(state.range(0)), /*gap=*/3, /*shared=*/true);
-  RunFixpoint(state, db, true, "shared-null chain, semi-naive indexed join",
-              /*use_index=*/true);
-}
-BENCHMARK(BM_ConditionedTC_SharedNullChain_IndexedJoin)
-    ->DenseRange(8, 24, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedTC_SharedNullChain_ScanJoin(benchmark::State& state) {
-  CDatabase db =
-      NullChain(static_cast<int>(state.range(0)), /*gap=*/3, /*shared=*/true);
-  RunFixpoint(state, db, true, "shared-null chain, semi-naive scan join",
-              /*use_index=*/false);
-}
-BENCHMARK(BM_ConditionedTC_SharedNullChain_ScanJoin)
-    ->DenseRange(8, 24, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-// Demand-driven (magic-set) point query: who does node 0 reach? The full
-// fixpoint derives all O(n^2) transitive-closure facts before restricting to
-// the goal; the magic-set rewrite (DatalogQueryOnCTables, use_magic) derives
-// only the O(n) demand-reachable ones. Paired as *_Magic / *_FullFixpoint
-// for the CI gate — the magic path must stay well under the 2x budget (it is
-// expected to be >= 10x faster at the largest smoke size).
-void RunPointQuery(benchmark::State& state, bool use_magic,
-                   const char* label) {
+// Demand-driven (magic-set) point query: who does node 0 reach? The
+// magic-set rewrite (DatalogQueryOnCTables) derives only the O(n)
+// demand-reachable transitive-closure facts, not all O(n^2) of them.
+void BM_ConditionedTC_PointQuery_Magic(benchmark::State& state) {
   CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
   DatalogProgram tc = TransitiveClosure();
   std::vector<std::optional<ConstId>> bindings{ConstId{0}, std::nullopt};
-  DatalogCTableOptions options;
-  options.use_magic = use_magic;
   ConditionedFixpointStats stats;
   for (auto _ : state) {
-    CTable out = DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, &stats,
-                                       options);
+    CTable out = DatalogQueryOnCTables(tc, db, /*goal=*/1, bindings, &stats);
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(stats.derived_rows);
@@ -191,22 +117,9 @@ void RunPointQuery(benchmark::State& state, bool use_magic,
   state.counters["magic_facts"] = static_cast<double>(stats.magic_facts);
   state.counters["rules_adorned"] = static_cast<double>(stats.rules_adorned);
   state.counters["demand_pruned"] = static_cast<double>(stats.demand_pruned);
-  state.SetLabel(label);
-}
-
-void BM_ConditionedTC_PointQuery_Magic(benchmark::State& state) {
-  RunPointQuery(state, /*use_magic=*/true,
-                "tc(0, ?) on a ground chain, magic-set demand evaluation");
+  state.SetLabel("tc(0, ?) on a ground chain, magic-set demand evaluation");
 }
 BENCHMARK(BM_ConditionedTC_PointQuery_Magic)
-    ->DenseRange(64, 256, 64)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedTC_PointQuery_FullFixpoint(benchmark::State& state) {
-  RunPointQuery(state, /*use_magic=*/false,
-                "tc(0, ?) on a ground chain, full fixpoint then restrict");
-}
-BENCHMARK(BM_ConditionedTC_PointQuery_FullFixpoint)
     ->DenseRange(64, 256, 64)
     ->Unit(benchmark::kMicrosecond);
 
@@ -293,8 +206,8 @@ BENCHMARK(BM_ConditionedTC_UpdateStream_Recompute)
 // patterns, and the conjunctive backend keeps each disjunct as its own
 // antichain row. The decision-diagram backend keeps ONE row per tuple whose
 // condition is a hash-consed diagram, so And/Or stay polynomial in diagram
-// size and the sweep runs un-capped past the sizes the *_SemiNaive/_Naive
-// pair above must stop at. Each iteration evaluates against a fresh private
+// size and the sweep runs un-capped past the sizes the *_NullChain bench
+// above must stop at. Each iteration evaluates against a fresh private
 // interner and freshly built base table, so both sides start cold — the
 // comparison is backend vs backend, not warm memo tables vs a per-query
 // diagram store. Paired as *_DDBackend / *_Antichain for the CI gate with a
@@ -339,14 +252,10 @@ BENCHMARK(BM_ConditionedTC_NullChainDiversity_Antichain)
 
 // Stratum scheduling on a layered multi-SCC program: transitive closure at
 // the bottom (the only recursive SCC), then a cascade of nonrecursive join
-// layers, plus a dead rule guarded by a rule-less predicate. The monolithic
-// schedule sweeps every rule in every delta round until the whole program
-// converges; the stratum schedule (the default) evaluates SCCs in
-// topological order — delta rounds confined to the bottom SCC, one pass per
-// nonrecursive layer, the dead rule skipped outright. Same rows either way
-// (the differential suite pins the identity); this pair measures the
-// scheduling overhead shed. Paired as *_StratumSched / *_Monolithic for the
-// CI gate.
+// layers, plus a dead rule guarded by a rule-less predicate. The stratum
+// schedule evaluates SCCs in topological order — delta rounds confined to
+// the bottom SCC, one pass per nonrecursive layer, the dead rule skipped
+// outright.
 DatalogProgram LayeredCascade() {
   constexpr int kLayers = 6;
   // Predicates: 0 = edge (EDB), 1 = tc (recursive), 2..1+kLayers the
@@ -381,14 +290,12 @@ DatalogProgram LayeredCascade() {
   return p;
 }
 
-void RunLayered(benchmark::State& state, bool stratum, const char* label) {
+void BM_ConditionedLayers_Cascade_StratumSched(benchmark::State& state) {
   CDatabase db = NullChain(static_cast<int>(state.range(0)), /*gap=*/0);
   DatalogProgram cascade = LayeredCascade();
-  DatalogCTableOptions options;
-  options.stratum_schedule = stratum;
   ConditionedFixpointStats stats;
   for (auto _ : state) {
-    CDatabase out = DatalogOnCTables(cascade, db, &stats, options);
+    CDatabase out = DatalogOnCTables(cascade, db, &stats);
     benchmark::DoNotOptimize(out);
   }
   state.counters["rows"] = static_cast<double>(stats.derived_rows);
@@ -396,22 +303,9 @@ void RunLayered(benchmark::State& state, bool stratum, const char* label) {
   state.counters["strata"] = static_cast<double>(stats.strata);
   state.counters["dead_skipped"] =
       static_cast<double>(stats.dead_rules_skipped);
-  state.SetLabel(label);
-}
-
-void BM_ConditionedLayers_Cascade_StratumSched(benchmark::State& state) {
-  RunLayered(state, /*stratum=*/true,
-             "layered cascade, SCC-scheduled semi-naive");
+  state.SetLabel("layered cascade, SCC-scheduled semi-naive");
 }
 BENCHMARK(BM_ConditionedLayers_Cascade_StratumSched)
-    ->DenseRange(8, 24, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedLayers_Cascade_Monolithic(benchmark::State& state) {
-  RunLayered(state, /*stratum=*/false,
-             "layered cascade, monolithic all-rules semi-naive");
-}
-BENCHMARK(BM_ConditionedLayers_Cascade_Monolithic)
     ->DenseRange(8, 24, 8)
     ->Unit(benchmark::kMicrosecond);
 
@@ -421,18 +315,9 @@ BENCHMARK(BM_ConditionedLayers_Cascade_Monolithic)
 void BM_ConditionedTC_SharedNullChain_SemiNaive(benchmark::State& state) {
   CDatabase db =
       NullChain(static_cast<int>(state.range(0)), /*gap=*/3, /*shared=*/true);
-  RunFixpoint(state, db, true, "shared-null chain, semi-naive interned");
+  RunFixpoint(state, db, "shared-null chain, semi-naive interned");
 }
 BENCHMARK(BM_ConditionedTC_SharedNullChain_SemiNaive)
-    ->DenseRange(8, 24, 8)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_ConditionedTC_SharedNullChain_Naive(benchmark::State& state) {
-  CDatabase db =
-      NullChain(static_cast<int>(state.range(0)), /*gap=*/3, /*shared=*/true);
-  RunFixpoint(state, db, false, "shared-null chain, naive seed strategy");
-}
-BENCHMARK(BM_ConditionedTC_SharedNullChain_Naive)
     ->DenseRange(8, 24, 8)
     ->Unit(benchmark::kMicrosecond);
 
@@ -443,9 +328,10 @@ int main(int argc, char** argv) {
   pw::benchutil::Header(
       "EXTENSION: conditioned DATALOG fixpoint on c-tables",
       "The paper: c-table images of DATALOG queries exist but 'this growth "
-      "may be unavoidable'. Compare semi-naive interned vs naive evaluation "
-      "on ground, null-laden, and shared-null chains under conditioned "
-      "transitive closure.");
+      "may be unavoidable'. Semi-naive interned evaluation on ground, "
+      "null-laden, and shared-null chains under conditioned transitive "
+      "closure, plus point queries, view maintenance and the condition "
+      "backends.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,27 +1,20 @@
 // EXTENSION — hash joins over the shared tuple-index layer.
 //
 // The Imielinski–Lipski algebra spends its time in joins: Theorem 5.2(1)'s
-// PTIME bound hides a |T1| x |T2| pair loop per product. This bench measures
-// the planned join execution (ilalgebra/join_plan.h, tables/tuple_index.h,
-// ilalgebra/ctable_eval.cc) against the paths it replaces, on wide equality
-// joins — interned and plain paths, ground rows and null-laden rows (nulls
-// at a join column land in the index's per-column wildcard levels and
-// prefix-matching probes must revisit them).
+// PTIME bound hides a |T1| x |T2| pair loop per product. This bench
+// measures the planned join execution (ilalgebra/join_plan.h,
+// tables/tuple_index.h, ilalgebra/ctable_eval.cc) as ungated smoke runs:
 //
-// Two kinds of pairs, both gated by tools/check_bench_regression.py on the
-// JSON output:
-//
-//   *_HashJoin / *_NestedLoop      binary planned join vs the seed nested
-//                                  loop (fails CI past 2x);
-//   *_PlannedJoin / *_BinaryFusion the n-ary planner (greedy reordering +
-//                                  projection sink over row-id combos) vs
-//                                  the PR 3 binary-only fusion baseline
-//                                  (CTableEvalOptions::binary_join_only) on
-//                                  a 4-way chain join whose written order
-//                                  is pessimal — the selective filter sits
-//                                  on the LAST relation, so the left-deep
-//                                  baseline materializes large
-//                                  intermediates the planner never builds.
+//   *_HashJoin     a binary equi-join, on ground rows and on null-laden rows
+//                  (nulls at a join column land in the index's per-column
+//                  wildcard levels and prefix-matching probes must revisit
+//                  them);
+//   *_PlannedJoin  the n-ary planner (greedy reordering + projection sink
+//                  over row-id combos) on a 4-way chain join whose written
+//                  order is pessimal — the selective filter sits on the
+//                  LAST relation, so a left-deep evaluation would
+//                  materialize large intermediates the planner never
+//                  builds.
 //
 // Build sides are relation refs, so across iterations the probes hit each
 // CTable's cached index — the steady-state of repeated queries over a live
@@ -54,19 +47,15 @@ CDatabase JoinInput(int n, int null_gap) {
   return CDatabase(std::vector<CTable>{std::move(l), std::move(r)});
 }
 
-void RunJoin(benchmark::State& state, const CDatabase& db, bool use_interner,
-             bool use_hash_join, const char* label) {
+void RunJoin(benchmark::State& state, const CDatabase& db, const char* label) {
   RaExpr q = RaExpr::Join(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2), {{1, 0}});
   CTableEvalStats stats;
-  CTableEvalOptions options;
-  options.use_interner = use_interner;
-  options.use_hash_join = use_hash_join;
   size_t rows = 0;
   for (auto _ : state) {
     stats = {};
-    CTableEvalOptions o = options;
-    o.stats = &stats;
-    auto out = EvalOnCTables(q, db, o);
+    CTableEvalOptions options;
+    options.stats = &stats;
+    auto out = EvalOnCTables(q, db, options);
     rows = out->num_rows();
     benchmark::DoNotOptimize(out);
   }
@@ -80,36 +69,9 @@ void RunJoin(benchmark::State& state, const CDatabase& db, bool use_interner,
 
 void BM_EquiJoin_Ground_Interned_HashJoin(benchmark::State& state) {
   CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/0);
-  RunJoin(state, db, true, true, "ground equi-join, interned hash join");
+  RunJoin(state, db, "ground equi-join, interned hash join");
 }
 BENCHMARK(BM_EquiJoin_Ground_Interned_HashJoin)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_EquiJoin_Ground_Interned_NestedLoop(benchmark::State& state) {
-  CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/0);
-  RunJoin(state, db, true, false, "ground equi-join, interned nested loop");
-}
-BENCHMARK(BM_EquiJoin_Ground_Interned_NestedLoop)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_EquiJoin_Ground_Plain_HashJoin(benchmark::State& state) {
-  CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/0);
-  RunJoin(state, db, false, true, "ground equi-join, plain hash join");
-}
-BENCHMARK(BM_EquiJoin_Ground_Plain_HashJoin)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_EquiJoin_Ground_Plain_NestedLoop(benchmark::State& state) {
-  CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/0);
-  RunJoin(state, db, false, false, "ground equi-join, plain nested loop");
-}
-BENCHMARK(BM_EquiJoin_Ground_Plain_NestedLoop)
     ->RangeMultiplier(2)
     ->Range(64, 512)
     ->Unit(benchmark::kMicrosecond);
@@ -119,34 +81,23 @@ BENCHMARK(BM_EquiJoin_Ground_Plain_NestedLoop)
 // and the interner carries more distinct conditions.
 void BM_EquiJoin_Nulls_Interned_HashJoin(benchmark::State& state) {
   CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/16);
-  RunJoin(state, db, true, true, "null-laden equi-join, interned hash join");
+  RunJoin(state, db, "null-laden equi-join, interned hash join");
 }
 BENCHMARK(BM_EquiJoin_Nulls_Interned_HashJoin)
     ->RangeMultiplier(2)
     ->Range(64, 256)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_EquiJoin_Nulls_Interned_NestedLoop(benchmark::State& state) {
-  CDatabase db = JoinInput(static_cast<int>(state.range(0)), /*null_gap=*/16);
-  RunJoin(state, db, true, false,
-          "null-laden equi-join, interned nested loop");
-}
-BENCHMARK(BM_EquiJoin_Nulls_Interned_NestedLoop)
-    ->RangeMultiplier(2)
-    ->Range(64, 256)
-    ->Unit(benchmark::kMicrosecond);
-
-// --- N-ary planner vs binary fusion ----------------------------------------
+// --- N-ary planner -----------------------------------------------------------
 
 /// 4-way chain join a.1 = b.0, b.1 = c.0, c.1 = d.0 over fan-out-8 edges
 /// (each join value is shared by n/m = 8 rows per side), with the selective
-/// filter d.1 = const on the LAST relation in written order. Written
-/// left-deep, the binary fusion executes Join(Join(Join(a,b),c),d) as
-/// given: a |><| b materializes ~8n rows, (a |><| b) |><| c ~64n, and only
-/// the final join meets the 1-row filtered d. The n-ary planner pushes the
-/// filter into d, seeds the greedy order there, and walks the chain
-/// backwards over row-id combinations — a few hundred probes, no
-/// intermediate materialization.
+/// filter d.1 = const on the LAST relation in written order. Executed
+/// left-deep as written, Join(Join(Join(a,b),c),d) would materialize ~8n
+/// rows for a |><| b and ~64n for (a |><| b) |><| c before meeting the
+/// 1-row filtered d. The n-ary planner pushes the filter into d, seeds the
+/// greedy order there, and walks the chain backwards over row-id
+/// combinations — a few hundred probes, no intermediate materialization.
 CDatabase Chain4Input(int n) {
   int m = std::max(1, n / 8);
   CTable a(2);
@@ -175,21 +126,17 @@ RaExpr Chain4Query(int n) {
       j, {SelectAtom::Eq(ColOrConst::Col(7), ColOrConst::Const(3 * m))});
 }
 
-void RunChain4(benchmark::State& state, bool use_interner, bool binary_only,
-               const char* label) {
+void BM_Chain4_SelectiveTail_Interned_PlannedJoin(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   CDatabase db = Chain4Input(n);
   RaExpr q = Chain4Query(n);
   CTableEvalStats stats;
-  CTableEvalOptions options;
-  options.use_interner = use_interner;
-  options.binary_join_only = binary_only;
   size_t rows = 0;
   for (auto _ : state) {
     stats = {};
-    CTableEvalOptions o = options;
-    o.stats = &stats;
-    auto out = EvalOnCTables(q, db, o);
+    CTableEvalOptions options;
+    options.stats = &stats;
+    auto out = EvalOnCTables(q, db, options);
     rows = out->num_rows();
     benchmark::DoNotOptimize(out);
   }
@@ -199,41 +146,9 @@ void RunChain4(benchmark::State& state, bool use_interner, bool binary_only,
   state.counters["probes"] = static_cast<double>(stats.index_probes);
   state.counters["join_pairs"] = static_cast<double>(stats.join_pairs);
   state.counters["sunk"] = static_cast<double>(stats.projections_sunk);
-  state.SetLabel(label);
-}
-
-void BM_Chain4_SelectiveTail_Interned_PlannedJoin(benchmark::State& state) {
-  RunChain4(state, true, false,
-            "4-way chain, selective tail, interned n-ary planner");
+  state.SetLabel("4-way chain, selective tail, interned n-ary planner");
 }
 BENCHMARK(BM_Chain4_SelectiveTail_Interned_PlannedJoin)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Chain4_SelectiveTail_Interned_BinaryFusion(benchmark::State& state) {
-  RunChain4(state, true, true,
-            "4-way chain, selective tail, interned binary-only fusion");
-}
-BENCHMARK(BM_Chain4_SelectiveTail_Interned_BinaryFusion)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Chain4_SelectiveTail_Plain_PlannedJoin(benchmark::State& state) {
-  RunChain4(state, false, false,
-            "4-way chain, selective tail, plain n-ary planner");
-}
-BENCHMARK(BM_Chain4_SelectiveTail_Plain_PlannedJoin)
-    ->RangeMultiplier(2)
-    ->Range(64, 512)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Chain4_SelectiveTail_Plain_BinaryFusion(benchmark::State& state) {
-  RunChain4(state, false, true,
-            "4-way chain, selective tail, plain binary-only fusion");
-}
-BENCHMARK(BM_Chain4_SelectiveTail_Plain_BinaryFusion)
     ->RangeMultiplier(2)
     ->Range(64, 512)
     ->Unit(benchmark::kMicrosecond);
@@ -245,10 +160,8 @@ int main(int argc, char** argv) {
   pw::benchutil::Header(
       "EXTENSION: planned joins on c-tables via the tuple-index layer",
       "Equality selections over products executed as planned hash joins "
-      "(conjunct pushdown, greedy n-ary ordering, projection sink) vs the "
-      "nested-loop product+select of the seed evaluator and vs the "
-      "binary-only fusion baseline, on ground and null-laden wide joins, "
-      "interned and plain paths.");
+      "(conjunct pushdown, greedy n-ary ordering, projection sink), on "
+      "ground and null-laden wide joins and a 4-way chain join.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

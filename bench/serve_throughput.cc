@@ -14,9 +14,12 @@
 //
 //   BM_ServeThroughput_Direct/1 — the same query sequence, single thread,
 //     against a plain (unfrozen, unshared) CDatabase with the thread-local
-//     interner: the seed path. Paired as *_Snapshot/1 vs *_Direct/1 in the
-//     regression gate, bounding the absolute overhead of the sharing
-//     machinery (shard locks, frozen-cache indirection) on one thread.
+//     interner, no sharing machinery anywhere. Between iterations it
+//     replays Snapshot's writer sequence on its plain table, so both answer
+//     queries over the same database at every iteration. Paired as
+//     *_Snapshot/1 vs *_Direct/1 in the regression gate, bounding the
+//     absolute overhead of the sharing machinery (shard locks, frozen-cache
+//     indirection, snapshot publication) on one thread.
 //
 // The writer is outside the timed region: mutations run between iterations
 // (publishing a fresh version each time) so reads hit live, recently-
@@ -80,6 +83,18 @@ size_t RunQuerySlot(const CDatabase& db, uint32_t seed) {
   return yes;
 }
 
+/// The untimed writer both families run between iterations: one draw from
+/// `writer_rng` (seeded with 7 by both) deletes or inserts one chain edge.
+void WriteEdge(CDatabase& db, std::mt19937& writer_rng) {
+  std::uniform_int_distribution<int> writer_node(0, kChain - 1);
+  int u = writer_node(writer_rng);
+  if (u % 4 == 3) {
+    DeleteFactInPlace(db.mutable_table(0), Fact{u, u + 1});
+  } else {
+    InsertFactInPlace(db.mutable_table(0), Fact{u, u + 1});
+  }
+}
+
 void BM_ServeThroughput_Snapshot(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
   ConditionInterner interner;
@@ -89,7 +104,6 @@ void BM_ServeThroughput_Snapshot(benchmark::State& state) {
 
   const size_t slots = kSlotsPerThread * threads;
   std::mt19937 writer_rng(7);
-  std::uniform_int_distribution<int> writer_node(0, kChain - 1);
   uint32_t round = 0;
   for (auto _ : state) {
     pool.ParallelFor(slots, [&](size_t slot, size_t) {
@@ -101,14 +115,7 @@ void BM_ServeThroughput_Snapshot(benchmark::State& state) {
     // Publish a fresh version between iterations (untimed): keeps the COW
     // and re-freeze paths hot without polluting the scaling signal.
     state.PauseTiming();
-    int u = writer_node(writer_rng);
-    versioned.Mutate([&](CDatabase& db) {
-      if (u % 4 == 3) {
-        DeleteFactInPlace(db.mutable_table(0), Fact{u, u + 1});
-      } else {
-        InsertFactInPlace(db.mutable_table(0), Fact{u, u + 1});
-      }
-    });
+    versioned.Mutate([&](CDatabase& db) { WriteEdge(db, writer_rng); });
     ++round;
     state.ResumeTiming();
   }
@@ -128,17 +135,21 @@ BENCHMARK(BM_ServeThroughput_Snapshot)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ServeThroughput_Direct(benchmark::State& state) {
-  // The seed path: same query sequence as Snapshot/1, single thread, plain
-  // tables, thread-local interner — no sharing machinery anywhere.
+  // Same query sequence and writer sequence as Snapshot/1, single thread,
+  // plain tables, thread-local interner — no sharing machinery anywhere.
   CDatabase db = EdgeChain(kChain, kNullGap);
   const size_t slots = kSlotsPerThread;
+  std::mt19937 writer_rng(7);
   uint32_t round = 0;
   for (auto _ : state) {
     for (size_t slot = 0; slot < slots; ++slot) {
       benchmark::DoNotOptimize(
           RunQuerySlot(db, round * 10007 + static_cast<uint32_t>(slot)));
     }
+    state.PauseTiming();
+    WriteEdge(db, writer_rng);
     ++round;
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(slots * kQueriesPerSlot));

@@ -48,17 +48,20 @@ void MaterializedView::Initialize() {
   fix_->Run();
 }
 
-bool MaterializedView::ValidBasePred(int pred) const {
+bool MaterializedView::ValidUpdate(int pred, const Fact& fact) const {
   // Unconditional (not assert-only): these are the public update entry
   // points, and an out-of-range predicate would otherwise index base_ and
-  // the fixpoint state out of bounds in NDEBUG builds.
+  // the fixpoint state out of bounds in NDEBUG builds, and a wrong-size fact
+  // would be seeded into the fixpoint as a malformed row.
   return pred >= 0 && static_cast<size_t>(pred) < evaluated_->num_edb() &&
-         static_cast<size_t>(pred) < base_.num_tables();
+         static_cast<size_t>(pred) < base_.num_tables() &&
+         static_cast<int>(fact.size()) ==
+             base_.table(static_cast<size_t>(pred)).arity();
 }
 
 void MaterializedView::Insert(int pred, const Fact& fact) {
-  assert(ValidBasePred(pred));
-  if (!ValidBasePred(pred)) return;
+  assert(ValidUpdate(pred, fact));
+  if (!ValidUpdate(pred, fact)) return;
   ++stats_.updates_applied;
   InsertFactInPlace(base_.mutable_table(static_cast<size_t>(pred)), fact);
   if (fix_->Seed(pred, ToTuple(fact), ConditionInterner::kTrueConj)) {
@@ -71,11 +74,11 @@ void MaterializedView::Insert(int pred, const Fact& fact) {
 
 bool MaterializedView::InsertIf(int pred, const Fact& fact,
                                 const Conjunction& condition) {
-  assert(ValidBasePred(pred));
-  if (!ValidBasePred(pred)) return false;
+  assert(ValidUpdate(pred, fact));
+  if (!ValidUpdate(pred, fact)) return false;
   ++stats_.updates_applied;
   ConditionInterner& interner = fix_->interner();
-  UpdateOptions update{.use_interner = true, .interner = &interner};
+  UpdateOptions update{.interner = &interner};
   if (!InsertFactIfInPlace(base_.mutable_table(static_cast<size_t>(pred)),
                            fact, condition, update)) {
     return false;
@@ -88,11 +91,11 @@ bool MaterializedView::InsertIf(int pred, const Fact& fact,
 }
 
 void MaterializedView::Delete(int pred, const Fact& fact) {
-  assert(ValidBasePred(pred));
-  if (!ValidBasePred(pred)) return;
+  assert(ValidUpdate(pred, fact));
+  if (!ValidUpdate(pred, fact)) return;
   ++stats_.updates_applied;
   ConditionInterner& interner = fix_->interner();
-  UpdateOptions update{.use_interner = true, .interner = &interner};
+  UpdateOptions update{.interner = &interner};
   DeleteDelta delta = DeleteFactInPlace(
       base_.mutable_table(static_cast<size_t>(pred)), fact, update);
   if (!delta.changed) return;  // no row could match: state untouched

@@ -108,8 +108,9 @@ class MaterializedView {
 
   /// Inserts the unconditioned ground fact into base predicate `pred` and
   /// folds the insertion forward through the view. An out-of-range `pred`
-  /// (not a base/EDB predicate) is a no-op in all build modes (asserts in
-  /// debug); the same holds for InsertIf (returns false) and Delete.
+  /// (not a base/EDB predicate) or a fact whose size is not the table's
+  /// arity is a no-op in all build modes (asserts in debug); the same holds
+  /// for InsertIf (returns false) and Delete.
   void Insert(int pred, const Fact& fact);
 
   /// Conditional insertion (rep-wise: the fact joins exactly the worlds
@@ -155,9 +156,10 @@ class MaterializedView {
 
  private:
   void Initialize();
-  /// True iff `pred` names a base (EDB) predicate with a backing table —
-  /// the unconditional precondition of the public update entry points.
-  bool ValidBasePred(int pred) const;
+  /// True iff `pred` names a base (EDB) predicate with a backing table and
+  /// `fact` has that table's arity — the unconditional precondition of the
+  /// public update entry points.
+  bool ValidUpdate(int pred, const Fact& fact) const;
   /// Head predicates transitively derivable from `pred` (the fixpoint
   /// analysis's precomputed reachability cone, minus the reseeded `pred`
   /// itself), as a num_predicates mask.

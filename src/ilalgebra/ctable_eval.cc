@@ -36,18 +36,6 @@ bool ApplySelectAtom(const SelectAtom& atom, const Tuple& tuple,
                         ResolveTerm(atom.rhs, tuple), local);
 }
 
-/// True iff no atom instantiates to a trivially false ground atom on
-/// `tuple` — a row failing this can never survive the selection, whatever
-/// the other leaves contribute. (Pre-filter only: appended condition atoms
-/// are discarded; the replay re-applies every atom in query order.)
-bool PassesFilter(const std::vector<SelectAtom>& atoms, const Tuple& tuple) {
-  Conjunction scratch;
-  for (const SelectAtom& a : atoms) {
-    if (!ApplySelectAtom(a, tuple, scratch)) return false;
-  }
-  return true;
-}
-
 // --- Planned n-ary join execution -------------------------------------------
 //
 // Conjunctive prefixes (select*/project* over an n-ary product tree) are
@@ -64,20 +52,15 @@ bool PassesFilter(const std::vector<SelectAtom>& atoms, const Tuple& tuple) {
 //     conjunct, or the output is never touched;
 //   - each step probes the new leaf's index with the key resolved from the
 //     partial combination (non-ground keys fall back to a scan of the
-//     leaf), applies the conjuncts that became decidable, and (interned)
-//     conjoins conditions with unsatisfiable-prefix pruning;
+//     leaf), applies the conjuncts that became decidable, and conjoins
+//     conditions with unsatisfiable-prefix pruning;
 //   - finally the surviving combinations are sorted lexicographically by
-//     their leaf-id vector — exactly the order the nested loops enumerate —
-//     and emitted through the plan's output spec (and, on the plain path,
-//     the replay event list, which rebuilds each local condition
-//     byte-identically: leaf locals and instantiated atoms in tree order).
+//     their leaf-id vector — exactly the order the nested loops over the
+//     written tree enumerate — and emitted through the plan's output spec.
 //
 // The join machinery is pure candidate pruning: a skipped combination is
 // one the nested loops would have dropped on a trivially-false ground atom
-// or (interned) an unsatisfiable condition, so planned output == nested
-// output, row for row.
-
-// --- Interned fast path ----------------------------------------------------
+// or an unsatisfiable condition.
 //
 // Local conditions travel as ConjIds through the whole expression tree and
 // are materialized exactly once at the end; every conjoin is a memoized
@@ -96,23 +79,20 @@ struct InternedTable {
   std::vector<InternedRow> rows;
 };
 
-std::optional<InternedTable> EvalInterned(const RaExpr& expr,
-                                          const CDatabase& database,
-                                          ConditionInterner& interner,
-                                          const CTableEvalOptions& options,
-                                          CTableEvalStats& stats,
-                                          bool skip_plan = false);
+std::optional<InternedTable> EvalExpr(const RaExpr& expr,
+                                      const CDatabase& database,
+                                      ConditionInterner& interner,
+                                      CTableEvalStats& stats,
+                                      bool skip_plan = false);
 
 /// Conjoins the instantiated pushdown atoms onto a leaf row's condition.
 /// Returns false when the row can never pair (a trivially false atom, or an
 /// unsatisfiable strengthened condition). Pushing leaf atoms into leaf
-/// conditions is output-preserving on this path: the per-combination
-/// condition is canonicalized from the union of all contributed atoms, so
-/// it interns to the same id whether a leaf atom joined before or during
-/// pairing.
-bool StrengthenInterned(const std::vector<SelectAtom>& atoms,
-                        const Tuple& tuple, ConditionInterner& interner,
-                        ConjId& cond) {
+/// conditions is output-preserving: the per-combination condition is
+/// canonicalized from the union of all contributed atoms, so it interns to
+/// the same id whether a leaf atom joined before or during pairing.
+bool Strengthen(const std::vector<SelectAtom>& atoms, const Tuple& tuple,
+                ConditionInterner& interner, ConjId& cond) {
   Conjunction sel;
   for (const SelectAtom& a : atoms) {
     if (!ApplySelectAtom(a, tuple, sel)) return false;
@@ -121,12 +101,12 @@ bool StrengthenInterned(const std::vector<SelectAtom>& atoms,
   return interner.Satisfiable(cond);
 }
 
-/// One evaluated, pushdown-filtered leaf of an interned planned join. Rows
-/// keep their ids (kFalseConj marks a dropped row) so a relation-ref leaf
-/// can probe the source CTable's cached, stamp-invalidated index — reused
-/// across queries and fixpoint rounds; any other subexpression is evaluated
-/// and indexed ephemerally.
-struct PlannedLeafInterned {
+/// One evaluated, pushdown-filtered leaf of a planned join. Rows keep their
+/// ids (kFalseConj marks a dropped row) so a relation-ref leaf can probe the
+/// source CTable's cached, stamp-invalidated index — reused across queries
+/// and fixpoint rounds; any other subexpression is evaluated and indexed
+/// ephemerally.
+struct PlannedLeaf {
   const CTable* table = nullptr;  // relation-ref leaves: cached index owner
   InternedTable owned;            // other leaves: the evaluated subtree
   std::vector<const Tuple*> tuples;
@@ -134,15 +114,16 @@ struct PlannedLeafInterned {
   size_t live = 0;
 };
 
-std::optional<InternedTable> EvalPlannedInterned(
-    const RaExpr& expr, const JoinPlan& plan, const CDatabase& database,
-    ConditionInterner& interner, const CTableEvalOptions& options,
-    CTableEvalStats& stats) {
+std::optional<InternedTable> EvalPlanned(const RaExpr& expr,
+                                         const JoinPlan& plan,
+                                         const CDatabase& database,
+                                         ConditionInterner& interner,
+                                         CTableEvalStats& stats) {
   const size_t n = plan.leaves.size();
-  std::vector<PlannedLeafInterned> leaves(n);
+  std::vector<PlannedLeaf> leaves(n);
   for (size_t k = 0; k < n; ++k) {
     const JoinLeaf& spec = plan.leaves[k];
-    PlannedLeafInterned& leaf = leaves[k];
+    PlannedLeaf& leaf = leaves[k];
     if (spec.expr.op() == RaOp::kRel) {
       // Row ids must stay aligned with the table (its cached index covers
       // every row), so dropped rows keep their slot, marked kFalseConj.
@@ -155,8 +136,7 @@ std::optional<InternedTable> EvalPlannedInterned(
           // An unsatisfiable base condition is not a pushdown drop — the
           // nested kRel path skips these rows without counting either.
           cond = ConditionInterner::kFalseConj;
-        } else if (!StrengthenInterned(plan.pushdown[k], row.tuple, interner,
-                                       cond)) {
+        } else if (!Strengthen(plan.pushdown[k], row.tuple, interner, cond)) {
           ++stats.pushdown_dropped_rows;
           cond = ConditionInterner::kFalseConj;
         }
@@ -167,15 +147,14 @@ std::optional<InternedTable> EvalPlannedInterned(
       // An evaluated subtree is indexed ephemerally, so filtered rows can
       // be compacted out before indexing (relative order — and with it the
       // output's lexicographic order — is preserved).
-      auto r = EvalInterned(spec.expr, database, interner, options, stats);
+      auto r = EvalExpr(spec.expr, database, interner, stats);
       if (!r) return std::nullopt;
       leaf.owned = std::move(*r);
       leaf.tuples.reserve(leaf.owned.rows.size());
       leaf.conds.reserve(leaf.owned.rows.size());
       for (InternedRow& row : leaf.owned.rows) {
         ConjId cond = row.cond;
-        if (!StrengthenInterned(plan.pushdown[k], row.tuple, interner,
-                                cond)) {
+        if (!Strengthen(plan.pushdown[k], row.tuple, interner, cond)) {
           ++stats.pushdown_dropped_rows;
           continue;
         }
@@ -220,7 +199,7 @@ std::optional<InternedTable> EvalPlannedInterned(
   std::vector<ConjId> conds;
   {
     const int seed = steps[0].leaf;
-    const PlannedLeafInterned& sl = leaves[seed];
+    const PlannedLeaf& sl = leaves[seed];
     for (size_t i = 0; i < sl.conds.size(); ++i) {
       if (sl.conds[i] == ConditionInterner::kFalseConj) continue;
       size_t at = combos.size();
@@ -235,7 +214,7 @@ std::optional<InternedTable> EvalPlannedInterned(
   std::vector<uint32_t> scratch(n);
   for (size_t si = 1; si < steps.size(); ++si) {
     const JoinStep& step = steps[si];
-    const PlannedLeafInterned& bl = leaves[step.leaf];
+    const PlannedLeaf& bl = leaves[step.leaf];
     const size_t num_build = bl.tuples.size();
     const TupleIndex* index = nullptr;
     std::unique_ptr<TupleIndex> ephemeral;
@@ -332,20 +311,16 @@ std::optional<InternedTable> EvalPlannedInterned(
 /// the same select*/project*/product prefix already planned and failed, a
 /// descendant sees a subset of its conjuncts over the same leaves, so it
 /// cannot fuse either — re-flattening would be quadratic rework.
-std::optional<InternedTable> EvalInterned(const RaExpr& expr,
-                                          const CDatabase& database,
-                                          ConditionInterner& interner,
-                                          const CTableEvalOptions& options,
-                                          CTableEvalStats& stats,
-                                          bool skip_plan) {
-  if (!skip_plan && options.use_hash_join &&
-      (expr.op() == RaOp::kSelect || expr.op() == RaOp::kProject ||
-       expr.op() == RaOp::kProduct)) {
-    JoinPlan plan =
-        PlanJoin(expr, JoinPlanOptions{options.binary_join_only});
+std::optional<InternedTable> EvalExpr(const RaExpr& expr,
+                                      const CDatabase& database,
+                                      ConditionInterner& interner,
+                                      CTableEvalStats& stats, bool skip_plan) {
+  if (!skip_plan && (expr.op() == RaOp::kSelect ||
+                     expr.op() == RaOp::kProject ||
+                     expr.op() == RaOp::kProduct)) {
+    JoinPlan plan = PlanJoin(expr);
     if (plan.fused) {
-      return EvalPlannedInterned(expr, plan, database, interner, options,
-                                 stats);
+      return EvalPlanned(expr, plan, database, interner, stats);
     }
   }
   switch (expr.op()) {
@@ -370,8 +345,8 @@ std::optional<InternedTable> EvalInterned(const RaExpr& expr,
       return out;
     }
     case RaOp::kProject: {
-      auto in = EvalInterned(expr.input(), database, interner, options, stats,
-                             /*skip_plan=*/true);
+      auto in = EvalExpr(expr.input(), database, interner, stats,
+                         /*skip_plan=*/true);
       if (!in) return std::nullopt;
       InternedTable out{expr.arity(), {}};
       out.rows.reserve(in->rows.size());
@@ -386,8 +361,8 @@ std::optional<InternedTable> EvalInterned(const RaExpr& expr,
       return out;
     }
     case RaOp::kSelect: {
-      auto in = EvalInterned(expr.input(), database, interner, options, stats,
-                             /*skip_plan=*/true);
+      auto in = EvalExpr(expr.input(), database, interner, stats,
+                         /*skip_plan=*/true);
       if (!in) return std::nullopt;
       InternedTable out{expr.arity(), {}};
       for (InternedRow& row : in->rows) {
@@ -407,14 +382,10 @@ std::optional<InternedTable> EvalInterned(const RaExpr& expr,
       return out;
     }
     case RaOp::kProduct: {
-      // In binary-only mode the product operands were atomic leaves of the
-      // failed plan — their inner structure was never flattened, so they
-      // must still get their own planning attempt.
-      bool skip = !options.binary_join_only;
-      auto l = EvalInterned(expr.left(), database, interner, options, stats,
-                            skip);
-      auto r = EvalInterned(expr.right(), database, interner, options, stats,
-                            skip);
+      auto l = EvalExpr(expr.left(), database, interner, stats,
+                        /*skip_plan=*/true);
+      auto r = EvalExpr(expr.right(), database, interner, stats,
+                        /*skip_plan=*/true);
       if (!l || !r) return std::nullopt;
       ++stats.nested_loop_products;
       stats.scan_pairs += l->rows.size() * r->rows.size();
@@ -431,303 +402,13 @@ std::optional<InternedTable> EvalInterned(const RaExpr& expr,
       return out;
     }
     case RaOp::kUnion: {
-      auto l = EvalInterned(expr.left(), database, interner, options, stats);
-      auto r = EvalInterned(expr.right(), database, interner, options, stats);
+      auto l = EvalExpr(expr.left(), database, interner, stats);
+      auto r = EvalExpr(expr.right(), database, interner, stats);
       if (!l || !r) return std::nullopt;
       InternedTable out{expr.arity(), std::move(l->rows)};
       out.rows.insert(out.rows.end(),
                       std::make_move_iterator(r->rows.begin()),
                       std::make_move_iterator(r->rows.end()));
-      return out;
-    }
-    case RaOp::kDiff:
-      return std::nullopt;  // not positive existential
-  }
-  return std::nullopt;
-}
-
-// --- Plain seed path -------------------------------------------------------
-
-std::optional<CTable> EvalPlain(const RaExpr& expr, const CDatabase& database,
-                                const CTableEvalOptions& options,
-                                CTableEvalStats& stats,
-                                bool skip_plan = false);
-
-/// One evaluated, pushdown-filtered leaf of a plain planned join. All rows
-/// keep their ids (`dropped` marks) so a relation-ref leaf probes the
-/// source CTable's cached index; other subexpressions are evaluated and
-/// indexed ephemerally.
-struct PlannedLeafPlain {
-  const CTable* table = nullptr;  // relation-ref leaves: cached index owner
-  std::optional<CTable> owned;    // other leaves: the evaluated subtree
-  std::vector<const CRow*> rows;  // all rows, id-aligned
-  std::vector<char> dropped;      // pushdown-dropped marks
-  size_t live = 0;
-};
-
-std::optional<CTable> EvalPlannedPlain(const RaExpr& expr,
-                                       const JoinPlan& plan,
-                                       const CDatabase& database,
-                                       const CTableEvalOptions& options,
-                                       CTableEvalStats& stats) {
-  const size_t n = plan.leaves.size();
-  std::vector<PlannedLeafPlain> leaves(n);
-  for (size_t k = 0; k < n; ++k) {
-    const JoinLeaf& spec = plan.leaves[k];
-    PlannedLeafPlain& leaf = leaves[k];
-    if (spec.expr.op() == RaOp::kRel) {
-      // Id-aligned with the table (cached index); dropped rows are marked.
-      leaf.table = &database.table(spec.expr.rel_index());
-      leaf.rows.reserve(leaf.table->num_rows());
-      leaf.dropped.reserve(leaf.table->num_rows());
-      for (const CRow& row : leaf.table->rows()) {
-        bool ok = PassesFilter(plan.pushdown[k], row.tuple);
-        if (!ok) ++stats.pushdown_dropped_rows;
-        leaf.rows.push_back(&row);
-        leaf.dropped.push_back(!ok);
-        leaf.live += ok;
-      }
-    } else {
-      // Ephemeral index: compact filtered rows out before indexing
-      // (relative order, and with it the output order, is preserved).
-      auto r = EvalPlain(spec.expr, database, options, stats);
-      if (!r) return std::nullopt;
-      leaf.owned = std::move(*r);
-      leaf.rows.reserve(leaf.owned->num_rows());
-      for (const CRow& row : leaf.owned->rows()) {
-        if (!PassesFilter(plan.pushdown[k], row.tuple)) {
-          ++stats.pushdown_dropped_rows;
-          continue;
-        }
-        leaf.rows.push_back(&row);
-      }
-      leaf.dropped.assign(leaf.rows.size(), 0);
-      leaf.live = leaf.rows.size();
-    }
-  }
-  ++stats.planned_joins;
-  stats.planned_join_leaves += n;
-  stats.conjuncts_pushed += plan.conjuncts_pushed;
-  stats.projections_sunk += plan.projections_sunk;
-
-  std::vector<size_t> live(n);
-  for (size_t k = 0; k < n; ++k) live[k] = leaves[k].live;
-  std::vector<JoinStep> steps = OrderJoinSteps(plan, live);
-
-  auto term_at = [&](const uint32_t* ids, int col) -> Term {
-    int k = plan.col_leaf[col];
-    return leaves[k].rows[ids[k]]->tuple[col - plan.leaves[k].base];
-  };
-  auto resolve = [&](const uint32_t* ids, const ColOrConst& o) -> Term {
-    return o.is_column ? term_at(ids, o.column) : Term::Const(o.constant);
-  };
-
-  {
-    Conjunction scratch;
-    for (int ci : steps[0].conjuncts) {
-      const SelectAtom& a = plan.conjuncts[ci].atom;
-      if (!ApplyAtomTerms(a.is_equality, Term::Const(a.lhs.constant),
-                          Term::Const(a.rhs.constant), scratch)) {
-        return CTable(expr.arity());
-      }
-    }
-  }
-
-  std::vector<uint32_t> combos;  // stride n; unjoined leaves hold 0
-  {
-    const int seed = steps[0].leaf;
-    const PlannedLeafPlain& sl = leaves[seed];
-    for (size_t i = 0; i < sl.rows.size(); ++i) {
-      if (sl.dropped[i]) continue;
-      size_t at = combos.size();
-      combos.resize(at + n, 0);
-      combos[at + seed] = static_cast<uint32_t>(i);
-    }
-  }
-
-  Tuple key;
-  std::vector<size_t> candidates;
-  std::vector<uint32_t> scratch(n);
-  for (size_t si = 1; si < steps.size(); ++si) {
-    const JoinStep& step = steps[si];
-    const PlannedLeafPlain& bl = leaves[step.leaf];
-    const size_t num_build = bl.rows.size();
-    const TupleIndex* index = nullptr;
-    std::unique_ptr<TupleIndex> ephemeral;
-    if (!step.build_cols.empty()) {
-      ++stats.hash_joins;
-      if (bl.table != nullptr) {
-        bool built = false;
-        bool extended = false;
-        index = &bl.table->Index(step.build_cols, &built, &extended);
-        stats.index_builds += built;
-        stats.index_extends += extended;
-      } else {
-        ephemeral = std::make_unique<TupleIndex>(step.build_cols);
-        ++stats.index_builds;
-        for (size_t i = 0; i < num_build; ++i) {
-          ephemeral->Add(bl.rows[i]->tuple, i);
-        }
-        index = ephemeral.get();
-      }
-    }
-    std::vector<uint32_t> next;
-    const size_t num_combos = combos.size() / n;
-    for (size_t c = 0; c < num_combos; ++c) {
-      const uint32_t* ids = combos.data() + c * n;
-      bool keyed = false;
-      if (index != nullptr) {
-        key.clear();
-        for (int col : step.probe_cols) key.push_back(term_at(ids, col));
-        keyed = TupleIndex::IsGroundKey(key);
-        if (keyed) {
-          ++stats.index_probes;
-          candidates = index->Candidates(key, 0, num_build);
-          stats.index_hits += candidates.size();
-        }
-      }
-      size_t count = keyed ? candidates.size() : num_build;
-      (keyed ? stats.join_pairs : stats.scan_pairs) += count;
-      std::copy(ids, ids + n, scratch.begin());
-      for (size_t t = 0; t < count; ++t) {
-        size_t id = keyed ? candidates[t] : t;
-        if (bl.dropped[id]) continue;
-        scratch[step.leaf] = static_cast<uint32_t>(id);
-        Conjunction sel;
-        bool keep = true;
-        for (int ci : step.conjuncts) {
-          const SelectAtom& a = plan.conjuncts[ci].atom;
-          if (!ApplyAtomTerms(a.is_equality, resolve(scratch.data(), a.lhs),
-                              resolve(scratch.data(), a.rhs), sel)) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        next.insert(next.end(), scratch.begin(), scratch.end());
-      }
-    }
-    combos.swap(next);
-  }
-
-  // Emit in nested-loop order; the replay events rebuild each local
-  // condition byte-identically (leaf locals and instantiated atoms in the
-  // order the original tree conjoins them).
-  const size_t num_out = combos.size() / n;
-  std::vector<uint32_t> order(num_out);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const uint32_t* ra = combos.data() + static_cast<size_t>(a) * n;
-    const uint32_t* rb = combos.data() + static_cast<size_t>(b) * n;
-    return std::lexicographical_compare(ra, ra + n, rb, rb + n);
-  });
-  CTable out(expr.arity());
-  for (uint32_t oi : order) {
-    const uint32_t* ids = combos.data() + static_cast<size_t>(oi) * n;
-    Tuple t;
-    t.reserve(plan.outputs.size());
-    for (const ColOrConst& o : plan.outputs) t.push_back(resolve(ids, o));
-    Conjunction local;
-    bool keep = true;
-    for (const ReplayEvent& e : plan.replay) {
-      if (e.kind == ReplayEvent::kLeafLocal) {
-        local.AddAll(leaves[e.leaf].rows[ids[e.leaf]]->local());
-      } else if (!ApplyAtomTerms(e.atom.is_equality,
-                                 resolve(ids, e.atom.lhs),
-                                 resolve(ids, e.atom.rhs), local)) {
-        keep = false;  // unreachable: every atom was applied during a step
-        break;
-      }
-    }
-    if (keep) out.AddRow(std::move(t), std::move(local));
-  }
-  return out;
-}
-
-/// `skip_plan`: see EvalInterned.
-std::optional<CTable> EvalPlain(const RaExpr& expr, const CDatabase& database,
-                                const CTableEvalOptions& options,
-                                CTableEvalStats& stats, bool skip_plan) {
-  if (!skip_plan && options.use_hash_join &&
-      (expr.op() == RaOp::kSelect || expr.op() == RaOp::kProject ||
-       expr.op() == RaOp::kProduct)) {
-    JoinPlan plan =
-        PlanJoin(expr, JoinPlanOptions{options.binary_join_only});
-    if (plan.fused) {
-      return EvalPlannedPlain(expr, plan, database, options, stats);
-    }
-  }
-  switch (expr.op()) {
-    case RaOp::kRel: {
-      CTable out(expr.arity());
-      const CTable& in = database.table(expr.rel_index());
-      // Row copies keep their memoized condition-id caches.
-      for (const CRow& row : in.rows()) out.AddRow(row);
-      return out;
-    }
-    case RaOp::kConstRel: {
-      CTable out(expr.arity());
-      for (const Fact& f : expr.const_relation()) out.AddRow(ToTuple(f));
-      return out;
-    }
-    case RaOp::kProject: {
-      auto in = EvalPlain(expr.input(), database, options, stats,
-                          /*skip_plan=*/true);
-      if (!in) return std::nullopt;
-      CTable out(expr.arity());
-      for (const CRow& row : in->rows()) {
-        Tuple t;
-        t.reserve(expr.outputs().size());
-        for (const ColOrConst& o : expr.outputs()) {
-          t.push_back(ResolveTerm(o, row.tuple));
-        }
-        out.AddRow(row.WithTuple(std::move(t)));
-      }
-      return out;
-    }
-    case RaOp::kSelect: {
-      auto in = EvalPlain(expr.input(), database, options, stats,
-                          /*skip_plan=*/true);
-      if (!in) return std::nullopt;
-      CTable out(expr.arity());
-      for (const CRow& row : in->rows()) {
-        Conjunction local = row.local();
-        bool keep = true;
-        for (const SelectAtom& a : expr.atoms()) {
-          if (!ApplySelectAtom(a, row.tuple, local)) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) out.AddRow(row.tuple, std::move(local));
-      }
-      return out;
-    }
-    case RaOp::kProduct: {
-      bool skip = !options.binary_join_only;  // see the interned arm
-      auto l = EvalPlain(expr.left(), database, options, stats, skip);
-      auto r = EvalPlain(expr.right(), database, options, stats, skip);
-      if (!l || !r) return std::nullopt;
-      ++stats.nested_loop_products;
-      stats.scan_pairs += l->num_rows() * r->num_rows();
-      CTable out(expr.arity());
-      for (const CRow& rl : l->rows()) {
-        for (const CRow& rr : r->rows()) {
-          Tuple t = rl.tuple;
-          t.insert(t.end(), rr.tuple.begin(), rr.tuple.end());
-          out.AddRow(std::move(t), Conjunction::And(rl.local(), rr.local()));
-        }
-      }
-      return out;
-    }
-    case RaOp::kUnion: {
-      auto l = EvalPlain(expr.left(), database, options, stats);
-      auto r = EvalPlain(expr.right(), database, options, stats);
-      if (!l || !r) return std::nullopt;
-      CTable out(expr.arity());
-      // Union carries rows through unchanged — cache-preserving copies.
-      for (const CRow& row : l->rows()) out.AddRow(row);
-      for (const CRow& row : r->rows()) out.AddRow(row);
       return out;
     }
     case RaOp::kDiff:
@@ -753,21 +434,19 @@ void Accumulate(CTableEvalStats* sink, const CTableEvalStats& s) {
   sink->pushdown_dropped_rows += s.pushdown_dropped_rows;
 }
 
+ConditionInterner& InternerOf(const CTableEvalOptions& options) {
+  return options.interner != nullptr ? *options.interner
+                                     : ConditionInterner::Global();
+}
+
 }  // namespace
 
 std::optional<CTable> EvalOnCTables(const RaExpr& expr,
                                     const CDatabase& database,
                                     const CTableEvalOptions& options) {
+  ConditionInterner& interner = InternerOf(options);
   CTableEvalStats stats;
-  if (!options.use_interner) {
-    auto out = EvalPlain(expr, database, options, stats);
-    Accumulate(options.stats, stats);
-    return out;
-  }
-  ConditionInterner& interner = options.interner != nullptr
-                                    ? *options.interner
-                                    : ConditionInterner::Global();
-  auto interned = EvalInterned(expr, database, interner, options, stats);
+  auto interned = EvalExpr(expr, database, interner, stats);
   Accumulate(options.stats, stats);
   if (!interned) return std::nullopt;
   CTable out(interned->arity);
@@ -782,18 +461,12 @@ std::optional<CTable> EvalOnCTables(const RaExpr& expr,
 std::optional<CDatabase> EvalQueryOnCTables(const RaQuery& query,
                                             const CDatabase& database,
                                             const CTableEvalOptions& options) {
-  // The carried global condition keeps the input's materialized form; on the
-  // interned path its id cache is seeded from the members' cached ids.
+  // The carried global condition keeps the input's materialized form; its
+  // id cache is seeded from the members' cached ids.
+  ConditionInterner& interner = InternerOf(options);
   auto set_global = [&](CTable& table) {
-    if (options.use_interner) {
-      ConditionInterner& interner = options.interner != nullptr
-                                        ? *options.interner
-                                        : ConditionInterner::Global();
-      table.SetGlobal(database.CombinedGlobal(),
-                      database.CombinedGlobalId(interner), interner);
-    } else {
-      table.SetGlobal(database.CombinedGlobal());
-    }
+    table.SetGlobal(database.CombinedGlobal(),
+                    database.CombinedGlobalId(interner), interner);
   };
   CDatabase out;
   for (size_t i = 0; i < query.size(); ++i) {

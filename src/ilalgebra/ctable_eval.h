@@ -21,6 +21,10 @@
 // (We do not merge duplicate projected rows, so no disjunctions arise; set
 // semantics is recovered at instantiation time.)
 //
+// Local conditions travel as interned ids (condition/interner.h): every
+// conjoin is a memoized pairwise And, and a row whose condition can never
+// hold is dropped on the spot.
+//
 // Conjunctive shapes — any select*/project* prefix over an n-ary product
 // tree, including RaExpr::Join chains, nested selections, and selections
 // above projections of products — are normalized by the join planner
@@ -29,9 +33,8 @@
 // conjuncts are pushed down into the leaves, cross-leaf equalities key the
 // probes, and projections are sunk below the joins (intermediate state is
 // row-id combinations; a column not needed by a later key, a conjunct, or
-// the output is never materialized). The planned execution is
-// output-identical to the nested loops it replaces on both the interned
-// and the plain path; see CTableEvalOptions::use_hash_join.
+// the output is never materialized). Rows are emitted in the order the
+// nested loops over the written product tree would enumerate them.
 
 #ifndef PW_ILALGEBRA_CTABLE_EVAL_H_
 #define PW_ILALGEBRA_CTABLE_EVAL_H_
@@ -72,40 +75,8 @@ struct CTableEvalStats {
                                      // pushdown before pairing
 };
 
-/// Evaluation knobs. The default routes every conjoin of local conditions
-/// through the executing thread's global ConditionInterner: combined
-/// conditions are memoized pairwise, canonicalized (sorted, deduplicated,
-/// equality-congruence closed), and rows whose local condition can never
-/// hold are dropped on the spot. Both paths produce tables with the same
-/// rep(); the interned one is what the decision procedures consume.
+/// Evaluation knobs.
 struct CTableEvalOptions {
-  /// False selects the plain path (raw conjunction concatenation, no
-  /// pruning) — chiefly for differential tests and benchmarks.
-  bool use_interner = true;
-
-  /// True (the default) routes every select*/project*/product prefix
-  /// through the n-ary join planner (ilalgebra/join_plan.h): the prefix is
-  /// flattened into leaves + a normalized conjunct set, one-leaf conjuncts
-  /// are pushed into the leaves, the n-way join is ordered greedily by live
-  /// cardinality, each step probes a hash index of the new leaf on the
-  /// cross-leaf equality columns (a relation-ref leaf reuses the CTable's
-  /// cached index across queries), and projections are sunk below the
-  /// joins. Applies to both the interned and the plain path and is
-  /// output-identical to the nested loops it replaces: the index and the
-  /// pushdown only skip combinations the selection would have dropped on a
-  /// trivially-false ground atom (or, interned, an unsatisfiable
-  /// condition), and results are emitted in nested-loop order. False keeps
-  /// the seed nested loops — chiefly for differential tests and the join
-  /// benchmarks.
-  bool use_hash_join = true;
-
-  /// With use_hash_join, restricts the planner to the binary fusion shape
-  /// of PR 3 (the flattening collapses at the first product; product
-  /// operands stay atomic leaves and re-enter the planner when evaluated).
-  /// A benchmarking baseline for the n-ary planner — see
-  /// bench/join_index.cc's *_PlannedJoin / *_BinaryFusion pairs.
-  bool binary_join_only = false;
-
   /// Optional interner override. Leave null to use the executing thread's
   /// ConditionInterner::Global() (interners are not thread-safe, so the
   /// override must not be shared across threads).

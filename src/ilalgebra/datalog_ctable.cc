@@ -60,7 +60,6 @@ struct EvalState {
   ConditionBackend* backend = nullptr;
   bool dd = false;
   ConjId global_id = ConditionInterner::kTrueConj;
-  bool use_index = true;
   // Predicates at or past this id are magic (demand) predicates of a
   // magic-rewritten program; their rows are attributed to the demand
   // counters. -1: none.
@@ -252,19 +251,26 @@ void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
   *cond = out;
 }
 
-/// Fires one rule, inserting head derivations. With `delta_pos < 0` (naive)
-/// every body position ranges over the full row list as of loop entry. With
-/// `delta_pos >= 0` (semi-naive) position delta_pos ranges over its
-/// predicate's delta, earlier positions over pre-delta rows only and later
-/// ones over everything up to the delta end — so each combination with at
-/// least one delta row is enumerated exactly once per round. A body atom
-/// with bound, constant-valued positions enumerates its range through the
-/// predicate's hash index on those positions instead of scanning it (same
-/// rows, same order; positions bound to a null fall back to the scan since
-/// a null matches any row under a condition). The local condition travels
-/// as an interned id: conjunction is the memoized And and a branch whose
-/// partial condition cannot hold (on its own or with the global condition)
-/// is cut immediately. Returns true if anything was added.
+/// Fires one empty-body rule (a ground fact) into the pending delta.
+void FireGroundRule(EvalState& state, const DatalogRule& rule) {
+  Tuple head;
+  CondId cond = ConditionBackend::kTrueCond;
+  CanonicalLeaf(rule, *state.backend, {}, {}, &head, &cond);
+  Insert(state, rule.head.predicate, std::move(head), cond);
+}
+
+/// Fires one rule semi-naively, inserting head derivations: body position
+/// `delta_pos` ranges over its predicate's delta, earlier positions over
+/// pre-delta rows only and later ones over everything up to the delta end —
+/// so each combination with at least one delta row is enumerated exactly
+/// once per round. A body atom with bound, constant-valued positions
+/// enumerates its range through the predicate's hash index on those
+/// positions instead of scanning it (the rows a scan would match, in row
+/// order; positions bound to a null are not keyed, since a null matches any
+/// row under a condition). The local condition travels as an interned id:
+/// conjunction is the memoized And and a branch whose partial condition
+/// cannot hold (on its own or with the global condition) is cut
+/// immediately. Returns true if anything was added.
 bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
   ConditionInterner& interner = *state.interner;
   ConditionBackend& backend = *state.backend;
@@ -282,10 +288,8 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
   // unchanged.
   std::vector<size_t> order(rule.body.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (delta_pos > 0) {
-    std::rotate(order.begin(), order.begin() + delta_pos,
-                order.begin() + delta_pos + 1);
-  }
+  std::rotate(order.begin(), order.begin() + delta_pos,
+              order.begin() + delta_pos + 1);
 
   // The matched row (tuple pointer and condition) per *body* position —
   // tuple pointers are stable (they point at by_tuple keys, a node-based
@@ -309,9 +313,7 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
     PredState& ps = state.preds[atom.predicate];
     size_t lo = 0;
     size_t hi;
-    if (delta_pos < 0) {
-      hi = ps.rows.size();
-    } else if (static_cast<int>(pos) == delta_pos) {
+    if (static_cast<int>(pos) == delta_pos) {
       lo = ps.delta_begin;
       hi = ps.delta_end;
     } else if (static_cast<int>(pos) < delta_pos) {
@@ -326,7 +328,7 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
     // condition instead of filtering).
     std::vector<size_t> candidates;
     bool keyed = false;
-    if (state.use_index && lo < hi) {
+    if (lo < hi) {
       AtomProbePlan probe = PlanAtomProbe(atom.args, binding);
       if (!probe.cols.empty()) {
         // Snapshot the candidate ids: a Insert deeper in the recursion may
@@ -442,7 +444,6 @@ struct Firing {
   std::vector<size_t> outer;
 
   size_t OuterCount() const { return keyed ? outer.size() : hi - lo; }
-  size_t OuterId(size_t k) const { return keyed ? outer[k] : lo + k; }
 };
 
 /// A contiguous chunk of one firing's outer range, the unit of work
@@ -470,10 +471,8 @@ void GenerateSlice(EvalState& state, WorkerScratch& ws, const Firing& firing,
 
   std::vector<size_t> order(rule.body.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  if (delta_pos > 0) {
-    std::rotate(order.begin(), order.begin() + delta_pos,
-                order.begin() + delta_pos + 1);
-  }
+  std::rotate(order.begin(), order.begin() + delta_pos,
+              order.begin() + delta_pos + 1);
 
   std::vector<const Tuple*> matched(rule.body.size(), nullptr);
   std::vector<CondId> matched_cond(rule.body.size(),
@@ -491,48 +490,24 @@ void GenerateSlice(EvalState& state, WorkerScratch& ws, const Firing& firing,
     const size_t pos = order[depth];
     const DatalogAtom& atom = rule.body[pos];
     PredState& ps = state.preds[atom.predicate];
-    size_t lo = 0;
-    size_t hi;
-    if (static_cast<int>(pos) == delta_pos) {
-      lo = ps.delta_begin;
-      hi = ps.delta_end;
-    } else if (static_cast<int>(pos) < delta_pos) {
-      hi = ps.delta_begin;
-    } else {
-      hi = ps.delta_end;
-    }
+    // The row ids this depth walks: `ids[k]` when keyed, else `lo + k`.
     std::vector<size_t> candidates;
-    bool keyed = false;
+    const size_t* ids = nullptr;
+    size_t lo = 0;
+    size_t count = 0;
     if (depth == 0) {
       // The dispatcher already planned (and probed) the outer range; this
       // slice walks its [begin, end) chunk.
-      for (size_t k = begin; k < end; ++k) {
-        size_t idx = firing.OuterId(k);
-        if (!ps.rows[idx].alive) continue;
-        CondId row_cond = ps.rows[idx].cond;
-        auto saved_binding = binding;
-        Conjunction eqs;
-        if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-          CondId next = backend.And(acc, row_cond);
-          if (eqs.size() > 0) {
-            next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
-          }
-          if (!backend.SatisfiableWith(state.global_id, next)) {
-            ++ws.pruned_branches;
-            if (magic_head) ++ws.demand_pruned;
-          } else {
-            matched[pos] = ps.rows[idx].tuple;
-            matched_cond[pos] = row_cond;
-            sources[depth] = {atom.predicate, idx};
-            go(depth + 1, next);
-          }
-        }
-        binding = std::move(saved_binding);
-      }
-      return;
-    }
-    if (state.use_index && lo < hi) {
-      AtomProbePlan probe = PlanAtomProbe(atom.args, binding);
+      lo = firing.lo + begin;
+      count = end - begin;
+      if (firing.keyed) ids = firing.outer.data() + begin;
+    } else {
+      // Only the delta atom sits at depth 0, so this position ranges over
+      // pre-delta rows (earlier in the body) or up to the delta end (later).
+      count = static_cast<int>(pos) < delta_pos ? ps.delta_begin
+                                                : ps.delta_end;
+      AtomProbePlan probe;
+      if (count > 0) probe = PlanAtomProbe(atom.args, binding);
       if (!probe.cols.empty()) {
         TupleIndexCache& cache = ws.indexes[atom.predicate];
         size_t builds_before = cache.stats().builds;
@@ -543,17 +518,17 @@ void GenerateSlice(EvalState& state, WorkerScratch& ws, const Firing& firing,
                      [&ps](size_t i) -> const Tuple& {
                        return *ps.rows[i].tuple;
                      })
-                .Candidates(probe.key, lo, hi);
+                .Candidates(probe.key, 0, count);
         ws.index_builds += cache.stats().builds - builds_before;
         ws.index_extends += cache.stats().extends - extends_before;
         ++ws.index_probes;
         ws.index_hits += candidates.size();
-        keyed = true;
+        ids = candidates.data();
+        count = candidates.size();
       }
     }
-    size_t count = keyed ? candidates.size() : hi - lo;
     for (size_t k = 0; k < count; ++k) {
-      size_t idx = keyed ? candidates[k] : lo + k;
+      size_t idx = ids != nullptr ? ids[k] : lo + k;
       if (!ps.rows[idx].alive) continue;
       CondId row_cond = ps.rows[idx].cond;
       auto saved_binding = binding;
@@ -657,17 +632,15 @@ bool ParallelRound(EvalState& state, const DatalogProgram& program,
       // range is always the delta window.
       f.lo = ps.delta_begin;
       f.hi = ps.delta_end;
-      if (state.use_index) {
-        // Depth-0 probe plan under the empty binding, through the shared
-        // per-predicate cache — one probe per firing, like FireRule.
-        AtomProbePlan probe = PlanAtomProbe(rule.body[pos].args, {});
-        if (!probe.cols.empty()) {
-          f.outer = IndexFor(state, rule.body[pos].predicate, probe.cols)
-                        .Candidates(probe.key, f.lo, f.hi);
-          ++state.stats.index_probes;
-          state.stats.index_hits += f.outer.size();
-          f.keyed = true;
-        }
+      // Depth-0 probe plan under the empty binding, through the shared
+      // per-predicate cache — one probe per firing, like FireRule.
+      AtomProbePlan probe = PlanAtomProbe(rule.body[pos].args, {});
+      if (!probe.cols.empty()) {
+        f.outer = IndexFor(state, rule.body[pos].predicate, probe.cols)
+                      .Candidates(probe.key, f.lo, f.hi);
+        ++state.stats.index_probes;
+        state.stats.index_hits += f.outer.size();
+        f.keyed = true;
       }
       total_outer += f.OuterCount();
       firings.push_back(std::move(f));
@@ -720,16 +693,13 @@ bool ParallelRound(EvalState& state, const DatalogProgram& program,
 
 struct ConditionedFixpoint::Impl {
   const DatalogProgram* program = nullptr;
-  bool semi_naive = true;
-  bool stratum = true;
   // Static analysis of `program` (SCC strata in topological order, dead
   // rules, cones), computed once at construction; the stratum schedule and
   // IVM both run off it.
   std::unique_ptr<ProgramAnalysis> analysis;
   // seen[scc][pred]: how many of `pred`'s rows SCC `scc`'s rules have
   // already consumed (joined against every relevant combination). The SCC's
-  // delta on the next Run() is [seen, rows.size()) — the stratum-schedule
-  // equivalent of the monolithic delta windows, kept per SCC because
+  // delta on the next Run() is [seen, rows.size()) — kept per SCC because
   // different strata consume the same predicate at different times.
   // ClearPredicate resets a predicate's column.
   std::vector<std::vector<size_t>> seen;
@@ -759,7 +729,7 @@ struct ConditionedFixpoint::Impl {
   /// parallel. Checked per round: eligibility depends on the interner being
   /// in shared mode, which the caller may enable between Run() calls.
   bool UseParallelRound() {
-    if (num_threads <= 1 || !semi_naive || state.max_derived_rows != 0 ||
+    if (num_threads <= 1 || state.max_derived_rows != 0 ||
         !state.interner->shared()) {
       return false;
     }
@@ -788,11 +758,11 @@ struct ConditionedFixpoint::Impl {
   /// textual duplicates) are skipped up front. With `cone_heads` set
   /// (RunCone), rules are additionally restricted to cone heads and every
   /// window opens at 0 — the cleared predicates' derivations are gone, so
-  /// each stratum re-enumerates all combinations, exactly like the
-  /// monolithic RunCone. Emits the same row set as the monolithic schedule:
-  /// the per-tuple antichain (or DD Or-merge) is a function of the set of
-  /// derivable conditions, not of the order they arrive in, and
-  /// CanonicalLeaf makes each combination's emission order-canonical.
+  /// each stratum re-enumerates all combinations. The emitted row set does
+  /// not depend on the schedule: the per-tuple antichain (or DD Or-merge) is
+  /// a function of the set of derivable conditions, not of the order they
+  /// arrive in, and CanonicalLeaf makes each combination's emission
+  /// order-canonical.
   void StratifiedRun(const std::vector<bool>* cone_heads) {
     EvalState& st = state;
     const ProgramAnalysis& an = *analysis;
@@ -908,8 +878,6 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
                                          const DatalogCTableOptions& options)
     : impl_(std::make_unique<Impl>()) {
   impl_->program = &program;
-  impl_->semi_naive = options.semi_naive;
-  impl_->stratum = options.stratum_schedule;
   impl_->analysis = std::make_unique<ProgramAnalysis>(program);
   impl_->seen.assign(
       static_cast<size_t>(impl_->analysis->num_sccs()),
@@ -921,7 +889,6 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
       MakeConditionBackend(options.condition_backend, *state.interner);
   state.backend = impl_->backend.get();
   state.dd = state.backend->disjunctive();
-  state.use_index = options.use_index;
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
@@ -973,49 +940,15 @@ void ConditionedFixpoint::FireGroundRules() {
   // delta.
   for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
-    if (rule.body.empty()) FireRule(state, rule, /*delta_pos=*/-1);
+    if (rule.body.empty()) FireGroundRule(state, rule);
   }
 }
 
 void ConditionedFixpoint::Run() {
-  EvalState& state = impl_->state;
-  if (impl_->semi_naive && impl_->stratum) {
-    // The stratum schedule tracks consumption per SCC as watermarks, not
-    // windows: rows seeded (or ground-fired) since the last convergence sit
-    // past each SCC's seen mark and become its delta when its turn comes.
-    impl_->StratifiedRun(nullptr);
-    return;
-  }
-  // Rows seeded (or ground-fired) since the last convergence sit past every
-  // delta window; advancing makes them the pending delta, so a re-entered
-  // run fires rules only against combinations involving the new rows.
-  AdvanceDeltas(state);
-  if (impl_->semi_naive) {
-    std::vector<size_t> all_rules(impl_->program->rules().size());
-    for (size_t r = 0; r < all_rules.size(); ++r) all_rules[r] = r;
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      if (impl_->UseParallelRound()) {
-        changed = ParallelRound(state, *impl_->program, all_rules,
-                                *impl_->pool, impl_->scratch);
-      } else {
-        changed = SequentialRound(state, *impl_->program, all_rules);
-      }
-      AdvanceDeltas(state);
-    }
-  } else {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      for (const DatalogRule& rule : impl_->program->rules()) {
-        if (state.aborted) break;
-        changed |= FireRule(state, rule, /*delta_pos=*/-1);
-      }
-    }
-  }
+  // The stratum schedule tracks consumption per SCC as watermarks, not
+  // windows: rows seeded (or ground-fired) since the last convergence sit
+  // past each SCC's seen mark and become its delta when its turn comes.
+  impl_->StratifiedRun(nullptr);
 }
 
 void ConditionedFixpoint::ClearPredicate(int pred) {
@@ -1037,71 +970,22 @@ void ConditionedFixpoint::ClearPredicate(int pred) {
 
 void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
   EvalState& state = impl_->state;
+  // Unconditional (not assert-only): a mask of the wrong size would be
+  // indexed out of bounds by predicate id in NDEBUG builds.
   assert(cone_heads.size() == state.preds.size());
+  if (cone_heads.size() != state.preds.size()) return;
   // The cone's ground facts first: ClearPredicate dropped them along with
-  // everything else, and only body atoms drive the loops below. They must
-  // land BEFORE the windows are snapshotted — fired after, they would sit
-  // past delta_end, and a first round that derives nothing else would exit
-  // without ever advancing them into a window, losing every derivation
-  // that joins through them (the next Run()'s leading AdvanceDeltas would
-  // discard the pending rows).
+  // everything else, and only body atoms drive the strata below.
   for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
     if (rule.body.empty() && cone_heads[rule.head.predicate]) {
-      FireRule(state, rule, /*delta_pos=*/-1);
+      FireGroundRule(state, rule);
     }
   }
-  if (impl_->semi_naive && impl_->stratum) {
-    // Stratified re-derivation: same cone-head restriction, with each
-    // stratum's windows opened at 0 (the cleared predicates' derivations
-    // are gone, so every combination re-enumerates) in topological order.
-    impl_->StratifiedRun(&cone_heads);
-    return;
-  }
-  // Every current row becomes the pending delta: with the window at
-  // [0, rows.size()), a rule's delta_pos=0 firing enumerates exactly the
-  // combinations a fresh first round would (earlier-position windows are
-  // empty), so cleared predicates re-derive from the surviving state.
-  for (PredState& ps : state.preds) {
-    ps.delta_begin = 0;
-    ps.delta_end = ps.rows.size();
-    state.stats.delta_rows += ps.delta_end;
-  }
-  // Only cone-head rules fire: the cone is closed under head-reachability,
-  // so a rule with a non-cone head has no cone predicate in its body — its
-  // derivations are all still present and re-firing it could add nothing.
-  std::vector<size_t> cone_rules;
-  for (size_t r = 0; r < impl_->program->rules().size(); ++r) {
-    if (cone_heads[impl_->program->rules()[r].head.predicate]) {
-      cone_rules.push_back(r);
-    }
-  }
-  if (impl_->semi_naive) {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      if (impl_->UseParallelRound()) {
-        changed = ParallelRound(state, *impl_->program, cone_rules,
-                                *impl_->pool, impl_->scratch);
-      } else {
-        changed = SequentialRound(state, *impl_->program, cone_rules);
-      }
-      AdvanceDeltas(state);
-    }
-  } else {
-    bool changed = true;
-    while (changed && !state.aborted) {
-      changed = false;
-      ++state.stats.rounds;
-      for (const DatalogRule& rule : impl_->program->rules()) {
-        if (state.aborted) break;
-        if (!cone_heads[rule.head.predicate]) continue;
-        changed |= FireRule(state, rule, /*delta_pos=*/-1);
-      }
-    }
-    AdvanceDeltas(state);
-  }
+  // Stratified re-derivation restricted to cone heads, with each stratum's
+  // windows opened at 0 (the cleared predicates' derivations are gone, so
+  // every combination re-enumerates) in topological order.
+  impl_->StratifiedRun(&cone_heads);
 }
 
 CTable ConditionedFixpoint::Export(int pred) const {
@@ -1288,25 +1172,18 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
                                     ? *options.interner
                                     : ConditionInterner::Global();
   ConjId global_id = database.CombinedGlobalId(interner);
-  ConditionedFixpointStats local;
+  MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
   DatalogCTableOptions inner = options;
-  CDatabase fixpoint;
-  size_t goal_table;
-  if (options.use_magic) {
-    MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
-    inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-    fixpoint = DatalogOnCTables(rewrite.program, database, &local, inner);
-    local.rules_adorned = rewrite.rules_adorned;
-    local.magic_rules = rewrite.magic_rules;
-    local.rules_pruned = rewrite.rules_pruned;
-    goal_table = static_cast<size_t>(rewrite.goal_predicate);
-  } else {
-    inner.magic_pred_begin = -1;
-    fixpoint = DatalogOnCTables(program, database, &local, inner);
-    goal_table = static_cast<size_t>(goal);
-  }
-  CTable result = RestrictTableToGoal(fixpoint.table(goal_table), bindings,
-                                      global_id, interner);
+  inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
+  ConditionedFixpointStats local;
+  CDatabase fixpoint =
+      DatalogOnCTables(rewrite.program, database, &local, inner);
+  local.rules_adorned = rewrite.rules_adorned;
+  local.magic_rules = rewrite.magic_rules;
+  local.rules_pruned = rewrite.rules_pruned;
+  CTable result = RestrictTableToGoal(
+      fixpoint.table(static_cast<size_t>(rewrite.goal_predicate)), bindings,
+      global_id, interner);
   result.SetGlobal(database.CombinedGlobal(), global_id, interner);
   if (stats != nullptr) *stats = local;
   return result;

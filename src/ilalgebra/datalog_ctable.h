@@ -16,9 +16,17 @@
 // Rows travel as interned condition ids (ConditionInterner): conjoining body
 // conditions is the memoized pairwise And, duplicate derivations die on an
 // id comparison, unsatisfiable branches are cut inside the join loop, and
-// subsumption is the memoized pairwise implication. The default evaluation
-// is semi-naive — each round fires rules only against row combinations with
-// at least one row from the previous round's delta.
+// subsumption is the memoized pairwise implication. Evaluation is
+// semi-naive — each round fires rules only against row combinations with at
+// least one row from the previous round's delta — and scheduled stratum by
+// stratum: the program's SCC condensation (datalog/analysis.h) runs in
+// topological order, nonrecursive strata in a single pass and delta rounds
+// confined to the current SCC's rules, and rules that cannot fire this run
+// (a body predicate with no rows and no rule chain that could give it any,
+// or a textual duplicate of an earlier rule) are skipped up front. Body
+// atoms with bound, constant-valued positions are matched through a
+// per-predicate hash index on those positions (tables/tuple_index.h), built
+// lazily and extended across rounds.
 
 #ifndef PW_ILALGEBRA_DATALOG_CTABLE_H_
 #define PW_ILALGEBRA_DATALOG_CTABLE_H_
@@ -40,11 +48,10 @@ namespace pw {
 struct ConditionedFixpointStats {
   size_t rounds = 0;
   size_t strata = 0;              // SCC strata that fired at least one round
-                                  // (stratum schedule only; cumulative
-                                  // across Run()/RunCone() calls)
+                                  // (cumulative across Run()/RunCone() calls)
   size_t dead_rules_skipped = 0;  // rules skipped per Run as unable to fire
                                   // (underivable body predicate or textual
-                                  // duplicate; stratum schedule only)
+                                  // duplicate)
   size_t derived_rows = 0;        // rows kept across all predicates
   size_t subsumed_rows = 0;       // derivations dropped by subsumption
   size_t unsatisfiable_rows = 0;  // derivations dropped as inconsistent
@@ -60,8 +67,8 @@ struct ConditionedFixpointStats {
                                   // extend, they do not rebuild)
   size_t index_probes = 0;        // keyed probes during body-atom matching
   size_t index_hits = 0;          // candidate rows returned by those probes
-  // Demand counters of the magic-set path (DatalogQueryOnCTables with
-  // use_magic; all zero on a plain fixpoint).
+  // Demand counters of the magic-set path (DatalogQueryOnCTables; all zero
+  // on a plain fixpoint).
   size_t magic_facts = 0;     // demand rows kept across all magic predicates
   size_t rules_adorned = 0;   // guarded rules the rewrite emitted
   size_t magic_rules = 0;     // demand rules emitted, the seed included
@@ -77,40 +84,6 @@ struct ConditionedFixpointStats {
 
 /// Evaluation knobs for the conditioned fixpoint.
 struct DatalogCTableOptions {
-  /// Semi-naive (the default) fires each rule only against combinations
-  /// containing at least one row derived in the previous round; naive
-  /// re-fires everything every round. Both converge to the same c-tables
-  /// (up to row order): rows travel as interned condition ids either way,
-  /// so duplicate derivations are suppressed by id equality and subsumption
-  /// is the interner's memoized pairwise implication.
-  bool semi_naive = true;
-
-  /// True (the default) schedules the semi-naive fixpoint stratum by
-  /// stratum: the program's SCC condensation (datalog/analysis.h) is
-  /// evaluated in topological order — nonrecursive strata in a single pass,
-  /// delta rounds confined to the current SCC's rules — and rules that
-  /// cannot fire this run (a body predicate with no rows and no rule chain
-  /// that could give it any, or a textual duplicate of an earlier rule) are
-  /// skipped up front. Emits exactly the same row set (tuples + interned
-  /// condition ids) as the monolithic schedule; row ORDER within a
-  /// predicate can differ on multi-SCC programs, and on conditioned data
-  /// upper strata join only against the converged antichain of lower ones
-  /// instead of churning through intermediate conditions that later
-  /// subsumption kills. False keeps the monolithic all-rules-every-round
-  /// schedule — the differential baseline. Ignored when semi_naive is off.
-  bool stratum_schedule = true;
-
-  /// True (the default) matches each body atom whose arguments have bound,
-  /// constant-valued positions through a per-predicate hash index on those
-  /// positions (tables/tuple_index.h) — built lazily on first use and
-  /// extended incrementally across fixpoint rounds — instead of scanning the
-  /// predicate's full row range. Positions bound to a null cannot key a
-  /// probe (a null matches any row under a condition) and fall back to the
-  /// scan, as do atoms with no bound position. Enumerates exactly the rows
-  /// the scan would have matched, in the same order. False keeps the
-  /// per-row scan — chiefly for differential tests and benchmarks.
-  bool use_index = true;
-
   /// Optional interner override. Leave null to use
   /// ConditionInterner::Global(). A single-threaded interner must not be
   /// shared across evaluator threads; one in shared mode
@@ -142,20 +115,12 @@ struct DatalogCTableOptions {
   /// schedule would have — so the emitted rows (content AND order) are
   /// byte-identical to `num_threads = 1`. Requires an interner in shared
   /// mode; silently falls back to sequential when the interner is not
-  /// shared, when `semi_naive` is off, or when a `max_derived_rows` budget
-  /// is set (the budget's early-abort point depends on interleaving).
+  /// shared or when a `max_derived_rows` budget is set (the budget's
+  /// early-abort point depends on interleaving).
   /// Join-side stats (pruned_branches, index counters) may differ from the
   /// sequential run — workers speculate past rows a sequential schedule
   /// would already have killed; the result rows never differ.
   int num_threads = 1;
-
-  /// DatalogQueryOnCTables only: true (the default) evaluates the goal
-  /// through the magic-set rewrite (datalog/magic.h), so only
-  /// demand-reachable (tuple, condition-id) facts are derived; false runs
-  /// the full fixpoint and restricts its goal table afterwards — the
-  /// differential baseline. Both return identical c-tables (same tuples,
-  /// interned-id-identical conditions, up to row order).
-  bool use_magic = true;
 
   /// Predicates at or past this id are magic (demand) predicates, so the
   /// fixpoint attributes their rows to the demand counters (magic_facts,
@@ -240,8 +205,8 @@ class ConditionedFixpoint {
   /// fresh state before the first Run(); RunCone re-fires the cone's own.
   void FireGroundRules();
 
-  /// Runs the fixpoint loop to convergence over the pending deltas (the
-  /// configured strategy: semi-naive by default, naive re-fires everything).
+  /// Runs the stratum-scheduled semi-naive loop to convergence over the
+  /// pending deltas.
   void Run();
 
   /// Over-delete: drops every row of `pred` — storage, dedup map, delta
@@ -251,7 +216,8 @@ class ConditionedFixpoint {
   /// Re-derivation pass after over-deletes: every current row of every
   /// predicate becomes the pending delta, the cone's empty-body rules
   /// re-fire, and the loop runs with only the rules whose head predicate is
-  /// marked in `cone_heads` (size num_predicates).
+  /// marked in `cone_heads`. A mask whose size is not num_predicates is
+  /// rejected: the call does nothing (and asserts in debug builds).
   void RunCone(const std::vector<bool>& cone_heads);
 
   /// The live rows of `pred` as a c-table with hot id caches (no global
@@ -315,14 +281,13 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// antichain the fixpoint keeps). The input's combined global condition is
 /// attached.
 ///
-/// With `options.use_magic` (the default) the goal is evaluated through the
-/// magic-set rewrite (datalog/magic.h): the semi-naive conditioned fixpoint
-/// runs on the rewritten program, deriving only demand-reachable facts —
-/// conditions flow into the magic facts, so demand that cannot hold is
-/// pruned via the interner before guarded rule bodies fire. The result is
-/// identical (up to row order) to the restricted full fixpoint, which stays
-/// available as the differential baseline behind `use_magic = false`.
-/// `stats` additionally reports the demand counters.
+/// The goal is evaluated through the magic-set rewrite (datalog/magic.h):
+/// the conditioned fixpoint runs on the rewritten program, deriving only
+/// demand-reachable facts — conditions flow into the magic facts, so demand
+/// that cannot hold is pruned via the interner before guarded rule bodies
+/// fire. The result is identical (up to row order) to RestrictTableToGoal
+/// over DatalogOnCTables' goal table. `stats` additionally reports the
+/// demand counters.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

@@ -9,9 +9,8 @@ namespace {
 
 struct FlattenState {
   std::vector<JoinLeaf> leaves;
-  std::vector<ReplayEvent> events;
+  std::vector<SelectAtom> atoms;  // concatenated coordinates, tree order
   int width = 0;
-  bool binary_only = false;
 };
 
 /// Registers `expr` as an atomic leaf and returns its identity output view.
@@ -20,10 +19,6 @@ std::vector<ColOrConst> MakeLeaf(const RaExpr& expr, FlattenState& s) {
   int arity = expr.arity();
   s.leaves.push_back(JoinLeaf{expr, base, arity});
   s.width += arity;
-  ReplayEvent e;
-  e.kind = ReplayEvent::kLeafLocal;
-  e.leaf = static_cast<int>(s.leaves.size()) - 1;
-  s.events.push_back(std::move(e));
   std::vector<ColOrConst> view;
   view.reserve(arity);
   for (int c = 0; c < arity; ++c) view.push_back(ColOrConst::Col(base + c));
@@ -34,8 +29,8 @@ std::vector<ColOrConst> MakeLeaf(const RaExpr& expr, FlattenState& s) {
 /// output column, in concatenated leaf coordinates. Selection atoms are
 /// composed through the view of their input (so atoms written against a
 /// projection land on the underlying leaf columns, or collapse to the
-/// constants the projection emits) and appended to the replay in tree
-/// order; leaves are registered left to right.
+/// constants the projection emits) and collected in tree order; leaves are
+/// registered left to right.
 std::vector<ColOrConst> FlattenNode(const RaExpr& expr, FlattenState& s) {
   switch (expr.op()) {
     case RaOp::kProject: {
@@ -49,23 +44,16 @@ std::vector<ColOrConst> FlattenNode(const RaExpr& expr, FlattenState& s) {
     }
     case RaOp::kSelect: {
       std::vector<ColOrConst> in = FlattenNode(expr.input(), s);
-      for (const SelectAtom& a : expr.atoms()) {
-        ReplayEvent e;
-        e.kind = ReplayEvent::kAtom;
-        e.atom = a;
-        if (a.lhs.is_column) e.atom.lhs = in[a.lhs.column];
-        if (a.rhs.is_column) e.atom.rhs = in[a.rhs.column];
-        s.events.push_back(std::move(e));
+      for (SelectAtom a : expr.atoms()) {
+        if (a.lhs.is_column) a.lhs = in[a.lhs.column];
+        if (a.rhs.is_column) a.rhs = in[a.rhs.column];
+        s.atoms.push_back(a);
       }
       return in;
     }
     case RaOp::kProduct: {
-      std::vector<ColOrConst> left =
-          s.binary_only ? MakeLeaf(expr.left(), s)
-                        : FlattenNode(expr.left(), s);
-      std::vector<ColOrConst> right =
-          s.binary_only ? MakeLeaf(expr.right(), s)
-                        : FlattenNode(expr.right(), s);
+      std::vector<ColOrConst> left = FlattenNode(expr.left(), s);
+      std::vector<ColOrConst> right = FlattenNode(expr.right(), s);
       left.insert(left.end(), right.begin(), right.end());
       return left;
     }
@@ -86,17 +74,15 @@ std::vector<int> LeavesOf(const SelectAtom& a, const std::vector<int>& col_leaf)
 
 }  // namespace
 
-JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options) {
+JoinPlan PlanJoin(const RaExpr& expr) {
   JoinPlan plan;
   RaOp op = expr.op();
   if (op != RaOp::kSelect && op != RaOp::kProject && op != RaOp::kProduct) {
     return plan;
   }
   FlattenState s;
-  s.binary_only = options.binary_only;
   plan.outputs = FlattenNode(expr, s);
   plan.leaves = std::move(s.leaves);
-  plan.replay = std::move(s.events);
   plan.total_width = s.width;
   if (plan.leaves.size() < 2) return plan;
 
@@ -110,11 +96,10 @@ JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options) {
 
   plan.pushdown.resize(plan.leaves.size());
   bool any_key = false;
-  for (const ReplayEvent& e : plan.replay) {
-    if (e.kind != ReplayEvent::kAtom) continue;
+  for (const SelectAtom& atom : s.atoms) {
     JoinConjunct c;
-    c.atom = e.atom;
-    c.leaves = LeavesOf(e.atom, plan.col_leaf);
+    c.atom = atom;
+    c.leaves = LeavesOf(atom, plan.col_leaf);
     if (c.leaves.empty()) {
       c.kind = ConjunctKind::kConstant;
       ++plan.conjuncts_pushed;
@@ -122,12 +107,12 @@ JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options) {
       c.kind = ConjunctKind::kPushdown;
       ++plan.conjuncts_pushed;
       int base = plan.leaves[c.leaves[0]].base;
-      SelectAtom local = e.atom;
+      SelectAtom local = atom;
       if (local.lhs.is_column) local.lhs.column -= base;
       if (local.rhs.is_column) local.rhs.column -= base;
       plan.pushdown[c.leaves[0]].push_back(local);
-    } else if (e.atom.is_equality && e.atom.lhs.is_column &&
-               e.atom.rhs.is_column) {
+    } else if (atom.is_equality && atom.lhs.is_column &&
+               atom.rhs.is_column) {
       c.kind = ConjunctKind::kJoinKey;
       any_key = true;
     } else {

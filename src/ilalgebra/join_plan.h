@@ -30,19 +30,15 @@
 //      leaf column not needed by a join key, a conjunct, or the output spec
 //      is never materialized above its leaf (`JoinPlan::needed`).
 //
-// Execution (ilalgebra/ctable_eval.cc) must stay output-*identical* to the
-// nested-loop evaluation of the original tree — same rows, same order, and
-// on the plain path byte-identical local conditions. Two facts make that
-// reachable despite the reordering: the nested loops enumerate surviving
-// leaf-row combinations in lexicographic order of the leaf-id vector (each
-// product iterates its left side outer), so sorting the planned
-// combinations by that vector restores the order; and the local condition
-// of a combination is a deterministic in-order traversal of the tree — leaf
-// locals and instantiated selection atoms in tree order — which
-// `JoinPlan::replay` records so the executor can rebuild it exactly. The
-// join machinery itself is pure candidate pruning: it only skips
-// combinations the selection would have dropped on a trivially-false ground
-// atom (or, interned, an unsatisfiable condition).
+// Execution (ilalgebra/ctable_eval.cc) emits the same rows, in the same
+// order, as the nested-loop evaluation of the original tree. The nested
+// loops enumerate surviving leaf-row combinations in lexicographic order of
+// the leaf-id vector (each product iterates its left side outer), so
+// sorting the planned combinations by that vector restores the order; the
+// interned condition of a combination does not depend on the order its
+// atoms are conjoined in. The join machinery itself is pure candidate
+// pruning: it only skips combinations the selection would have dropped on a
+// trivially-false ground atom or an unsatisfiable condition.
 //
 // The conditioned Datalog fixpoint's body-atom matcher plans its probes
 // through this layer too (`PlanAtomProbe`): the bound, constant-valued
@@ -86,25 +82,6 @@ struct JoinConjunct {
   std::vector<int> leaves;  // distinct leaves referenced, ascending
 };
 
-/// One event of the exact-output replay: the in-order tree traversal that
-/// rebuilds a combination's local condition — leaf locals and instantiated
-/// selection atoms in exactly the order the nested loops conjoin them.
-struct ReplayEvent {
-  enum Kind { kLeafLocal, kAtom };
-  Kind kind = kLeafLocal;
-  int leaf = 0;      // kLeafLocal: which leaf's local condition
-  SelectAtom atom;   // kAtom: concatenated coordinates
-};
-
-struct JoinPlanOptions {
-  /// Collapse the flattening at the first product: its two operands stay
-  /// atomic leaves, whatever they are — the PR 3 binary-fusion shape, kept
-  /// as a benchmarking baseline for the n-ary planner. Leaves that are
-  /// themselves select/product subtrees re-enter the planner when they are
-  /// evaluated, so binary fusion still recurses into product subtrees.
-  bool binary_only = false;
-};
-
 /// A normalized, partitioned n-way join. `fused` is false when the shape is
 /// not worth planning (fewer than two leaves, or no cross-leaf equi-join
 /// key); everything else is meaningful only when `fused`.
@@ -115,7 +92,6 @@ struct JoinPlan {
   std::vector<int> col_leaf;            // concatenated column -> leaf index
   std::vector<ColOrConst> outputs;      // output spec, concatenated coords
   std::vector<JoinConjunct> conjuncts;  // normalized selection, tree order
-  std::vector<ReplayEvent> replay;      // in-order traversal of the prefix
   // Per leaf: its pushdown conjuncts rebased to leaf-local coordinates.
   std::vector<std::vector<SelectAtom>> pushdown;
   // Concatenated columns needed above the leaves (by a key, a conjunct, or
@@ -131,7 +107,7 @@ struct JoinPlan {
 /// `expr`. Returns fused == false when `expr` is not a select/project/
 /// product node, flattens to fewer than two leaves, or yields no cross-leaf
 /// equi-join key (a pure product stays a nested loop).
-JoinPlan PlanJoin(const RaExpr& expr, const JoinPlanOptions& options = {});
+JoinPlan PlanJoin(const RaExpr& expr);
 
 /// One step of the greedy join order. `steps[0]` is the seed (no key; its
 /// `conjuncts` are the plan's constant conjuncts); every later step joins

@@ -5,9 +5,8 @@
 // a DRAT-style clausal proof on UNSAT so every verdict can be re-verified by
 // the independent checker in solvers/proof.h. The seed recursive DPLL
 // survives behind SatOptions{.use_cdcl = false} as the differential
-// baseline, matching the repo's every-fast-path-keeps-its-slow-baseline
-// convention. Reference oracle for the NP-hardness reductions
-// (Theorems 3.1, 5.1, 5.2).
+// baseline and as the denominator of the CI gate's CDCL speedup floor.
+// Reference oracle for the NP-hardness reductions (Theorems 3.1, 5.1, 5.2).
 
 #ifndef PW_SOLVERS_SAT_H_
 #define PW_SOLVERS_SAT_H_

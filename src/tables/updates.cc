@@ -12,9 +12,17 @@ ConditionInterner& InternerOf(const UpdateOptions& options) {
                                      : ConditionInterner::Global();
 }
 
+/// True iff `fact` has the table's arity. Unconditional (not assert-only):
+/// these are public entry points, and in NDEBUG builds a wrong-size fact
+/// would otherwise be read past (delete) or appended as a malformed row.
+bool FitsTable(const CTable& table, const Fact& fact) {
+  assert(static_cast<int>(fact.size()) == table.arity());
+  return static_cast<int>(fact.size()) == table.arity();
+}
+
 /// One guarded deletion copy under construction: the row with `cond`
-/// conjoined (interned path) — `gcond` is the copy's condition together
-/// with the table's global condition, the key the antichain compares on.
+/// conjoined — `gcond` is the copy's condition together with the table's
+/// global condition, the key the antichain compares on.
 struct GuardedCopy {
   ConjId cond = ConditionInterner::kTrueConj;
   ConjId gcond = ConditionInterner::kTrueConj;
@@ -62,21 +70,19 @@ std::vector<ConjId> PrunedGuardedCopies(const CRow& row, const Fact& fact,
 }  // namespace
 
 CTable InsertFact(const CTable& table, const Fact& fact) {
-  assert(static_cast<int>(fact.size()) == table.arity());
   CTable out = table;
   InsertFactInPlace(out, fact);
   return out;
 }
 
 void InsertFactInPlace(CTable& table, const Fact& fact) {
-  assert(static_cast<int>(fact.size()) == table.arity());
+  if (!FitsTable(table, fact)) return;
   table.AddRow(ToTuple(fact));
 }
 
 CTable InsertFactIf(const CTable& table, const Fact& fact,
                     const Conjunction& condition,
                     const UpdateOptions& options) {
-  assert(static_cast<int>(fact.size()) == table.arity());
   CTable out = table;
   InsertFactIfInPlace(out, fact, condition, options);
   return out;
@@ -85,14 +91,11 @@ CTable InsertFactIf(const CTable& table, const Fact& fact,
 bool InsertFactIfInPlace(CTable& table, const Fact& fact,
                          const Conjunction& condition,
                          const UpdateOptions& options) {
-  assert(static_cast<int>(fact.size()) == table.arity());
-  if (options.use_interner) {
-    ConditionInterner& interner = InternerOf(options);
-    ConjId cond = interner.Intern(condition);
-    if (!interner.Satisfiable(
-            interner.And(table.GlobalId(interner), cond))) {
-      return false;  // the fact would be present in no world
-    }
+  if (!FitsTable(table, fact)) return false;
+  ConditionInterner& interner = InternerOf(options);
+  ConjId cond = interner.Intern(condition);
+  if (!interner.Satisfiable(interner.And(table.GlobalId(interner), cond))) {
+    return false;  // the fact would be present in no world
   }
   table.AddRow(ToTuple(fact), condition);
   return true;
@@ -107,11 +110,10 @@ CTable DeleteFact(const CTable& table, const Fact& fact,
 
 DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
                               const UpdateOptions& options) {
-  assert(static_cast<int>(fact.size()) == table.arity());
-  ConditionInterner& interner = InternerOf(options);
-  ConjId global_id =
-      options.use_interner ? table.GlobalId(interner) : ConditionInterner::kTrueConj;
   DeleteDelta delta;
+  if (!FitsTable(table, fact)) return delta;
+  ConditionInterner& interner = InternerOf(options);
+  ConjId global_id = table.GlobalId(interner);
   std::vector<CRow> rows;
   rows.reserve(table.num_rows());
   for (const CRow& row : table.rows()) {
@@ -126,35 +128,22 @@ DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
       rows.push_back(row);
       continue;
     }
-    // Otherwise emit one guarded copy per escapable position. A
-    // fully-ground row equal to the fact emits nothing: deleted everywhere.
-    if (options.use_interner) {
-      std::vector<ConjId> copies =
-          PrunedGuardedCopies(row, fact, global_id, interner);
-      if (copies.size() == 1 && copies[0] == row.LocalId(interner)) {
-        // The guards collapsed onto the row's own condition (e.g. the row's
-        // forced equalities already contradict the fact): nothing changed.
-        delta.kept.push_back(row);
-        rows.push_back(row);
-        continue;
-      }
-      delta.removed.push_back(row);
-      for (ConjId cond : copies) {
-        CRow copy(row.tuple, cond, interner);
-        delta.added.push_back(copy);
-        rows.push_back(std::move(copy));
-      }
-    } else {
-      delta.removed.push_back(row);
-      for (size_t i = 0; i < row.tuple.size(); ++i) {
-        CondAtom differs = Neq(row.tuple[i], Term::Const(fact[i]));
-        if (IsTriviallyFalse(differs)) continue;
-        Conjunction local = row.local();
-        local.Add(differs);
-        CRow copy(row.tuple, std::move(local));
-        delta.added.push_back(copy);
-        rows.push_back(std::move(copy));
-      }
+    // Otherwise emit the pruned guarded copies. A fully-ground row equal to
+    // the fact emits nothing: deleted everywhere.
+    std::vector<ConjId> copies =
+        PrunedGuardedCopies(row, fact, global_id, interner);
+    if (copies.size() == 1 && copies[0] == row.LocalId(interner)) {
+      // The guards collapsed onto the row's own condition (e.g. the row's
+      // forced equalities already contradict the fact): nothing changed.
+      delta.kept.push_back(row);
+      rows.push_back(row);
+      continue;
+    }
+    delta.removed.push_back(row);
+    for (ConjId cond : copies) {
+      CRow copy(row.tuple, cond, interner);
+      delta.added.push_back(copy);
+      rows.push_back(std::move(copy));
     }
   }
   delta.changed = !delta.removed.empty() || !delta.added.empty();

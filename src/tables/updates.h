@@ -13,16 +13,17 @@
 // f somewhere. Conditions stay conjunctions, so the result remains a
 // c-table of the same class-or-higher.
 //
-// The naive per-position expansion over-produces: a guarded copy whose
+// The per-position expansion over-produces: a guarded copy whose
 // condition contradicts the row's forced equalities (or the table's global
 // condition) holds in no world, and sibling copies frequently subsume each
 // other (e.g. deleting (1,1) from the row (x,x) emits the guard x != 1
-// twice). The default path prunes both through the interner — unsatisfiable
-// copies are dropped, and per source row only the antichain of weakest
-// guard conditions survives — which preserves rep() exactly and keeps
-// repeated deletes idempotent at the row level. The plain expansion stays
-// available behind `UpdateOptions{.use_interner = false}` as the
-// differential baseline.
+// twice). Deletion prunes both through the interner — unsatisfiable copies
+// are dropped, and per source row only the antichain of weakest guard
+// conditions survives — which preserves rep() exactly and keeps repeated
+// deletes idempotent at the row level.
+//
+// Every entry point checks that the fact has the table's arity; a fact of
+// any other size leaves the table untouched (and asserts in debug builds).
 //
 // Two API families:
 //   - the copy-based `InsertFact`/`DeleteFact`/`InsertFactIf` return a new
@@ -46,15 +47,6 @@ namespace pw {
 
 /// Knobs for the update path.
 struct UpdateOptions {
-  /// True (the default) prunes guarded deletion copies through the interner:
-  /// copies unsatisfiable together with the row's local and the table's
-  /// global condition are dropped, and per source row only the antichain of
-  /// weakest conditions survives (memoized Implies). Conditional inserts
-  /// whose condition cannot hold with the global condition are skipped.
-  /// False keeps the plain per-position expansion — the differential
-  /// baseline, which represents the same worlds with redundant rows.
-  bool use_interner = true;
-
   /// Interner override; null uses ConditionInterner::Global(). Not
   /// thread-safe, like every interner use.
   ConditionInterner* interner = nullptr;
@@ -64,12 +56,17 @@ struct UpdateOptions {
 CTable InsertFact(const CTable& table, const Fact& fact);
 
 /// The table representing { I minus {fact} : I in rep(table) }. Row count
-/// grows at most by a factor of the arity (less under the default pruning).
+/// grows at most by a factor of the arity: guarded copies unsatisfiable
+/// together with the row's local and the table's global condition are
+/// dropped, and per source row only the antichain of weakest conditions
+/// survives (memoized Implies).
 CTable DeleteFact(const CTable& table, const Fact& fact,
                   const UpdateOptions& options = {});
 
 /// Conditional insertion: the fact is present exactly in the worlds whose
-/// valuations satisfy `condition` (in addition to the global condition).
+/// valuations satisfy `condition` (in addition to the global condition). A
+/// condition that cannot hold together with the global condition adds no
+/// row.
 CTable InsertFactIf(const CTable& table, const Fact& fact,
                     const Conjunction& condition,
                     const UpdateOptions& options = {});
@@ -78,10 +75,9 @@ CTable InsertFactIf(const CTable& table, const Fact& fact,
 /// cached tuple indexes extend on next use instead of rebuilding.
 void InsertFactInPlace(CTable& table, const Fact& fact);
 
-/// In-place conditional insertion. Under the default options a condition
-/// that cannot hold together with the table's global condition adds no row
-/// (the fact would be present in no world). Returns true iff a row was
-/// appended.
+/// In-place conditional insertion. A condition that cannot hold together
+/// with the table's global condition adds no row (the fact would be present
+/// in no world). Returns true iff a row was appended.
 bool InsertFactIfInPlace(CTable& table, const Fact& fact,
                          const Conjunction& condition,
                          const UpdateOptions& options = {});
@@ -101,8 +97,9 @@ struct DeleteDelta {
 
 /// In-place deletion: rewrites the table to represent
 /// { I minus {fact} : I in rep(table) } and reports the row-level delta.
-/// When no row can match the fact the table (and all its caches) is left
-/// untouched; otherwise the rows are replaced wholesale and cached indexes
+/// When no row can match the fact (or the fact has the wrong arity) the
+/// table (and all its caches) is left untouched and `changed` is false;
+/// otherwise the rows are replaced wholesale and cached indexes
 /// rebuild on next use.
 DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
                               const UpdateOptions& options = {});

@@ -217,8 +217,8 @@ TEST(ProgramAnalysisTest, ConesMatchLegacyTaintClosure) {
 
 TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
   // Layered program with a dead rule riding along: the scheduled run must
-  // fire multiple strata, skip the dead rule, and still produce the same
-  // rows as the monolithic schedule.
+  // fire multiple strata, skip the dead rule, and still produce the
+  // per-world fixpoint.
   DatalogProgram p({2, 2, 2, 2}, /*num_edb=*/1);
   p.AddRule(Rule({1, {V(0), V(1)}}, {{0, {V(0), V(1)}}}));
   p.AddRule(Rule({1, {V(0), V(1)}},
@@ -230,30 +230,12 @@ TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
       2, std::vector<Tuple>{{C(1), C(2)}, {C(2), C(3)}, {C(3), C(4)}});
   CDatabase db{edges};
 
-  ConditionedFixpointStats stratum_stats;
-  ConditionedFixpointStats mono_stats;
-  DatalogCTableOptions mono;
-  mono.stratum_schedule = false;
-  CDatabase via_stratum = DatalogOnCTables(p, db, &stratum_stats);
-  CDatabase via_mono = DatalogOnCTables(p, db, &mono_stats, mono);
-
-  EXPECT_GE(stratum_stats.strata, 2u);  // path's SCC and reach's SCC fired
-  EXPECT_GE(stratum_stats.dead_rules_skipped, 1u);
-  EXPECT_EQ(mono_stats.strata, 0u);  // monolithic never enters the scheduler
-  ASSERT_EQ(via_stratum.num_tables(), via_mono.num_tables());
-  for (size_t pred = 0; pred < via_stratum.num_tables(); ++pred) {
-    std::vector<Tuple> a_rows;
-    std::vector<Tuple> b_rows;
-    for (const CRow& r : via_stratum.table(pred).rows()) {
-      a_rows.push_back(r.tuple);
-    }
-    for (const CRow& r : via_mono.table(pred).rows()) {
-      b_rows.push_back(r.tuple);
-    }
-    std::sort(a_rows.begin(), a_rows.end());
-    std::sort(b_rows.begin(), b_rows.end());
-    EXPECT_EQ(a_rows, b_rows) << "schedules diverged on predicate " << pred;
-  }
+  ConditionedFixpointStats stats;
+  CDatabase image = DatalogOnCTables(p, db, &stats);
+  EXPECT_GE(stats.strata, 2u);  // path's SCC and reach's SCC fired
+  EXPECT_GE(stats.dead_rules_skipped, 1u);
+  EXPECT_TRUE(testutil::RepresentsFixpointOfEveryWorld(p, db, image))
+      << image.ToString();
   // The fixpoint exposes its analysis; consumers (ivm.cc's ConeOf) read the
   // precomputed cones off it.
   ConditionedFixpoint fix(p, {});

@@ -343,25 +343,18 @@ TEST(ParallelFixpointTest, IdenticalToSequentialOnChains) {
     int n;
     int gap;
     bool shared;
-    bool use_index;
   };
-  const Case cases[] = {
-      {64, 0, false, true},  {64, 0, false, false}, {24, 3, true, true},
-      {24, 3, true, false},  {12, 4, false, true},
-  };
+  const Case cases[] = {{64, 0, false}, {24, 3, true}, {12, 4, false}};
   DatalogProgram tc = TransitiveClosure();
   for (const Case& c : cases) {
     CDatabase db = Chain(c.n, c.gap, c.shared);
 
-    DatalogCTableOptions seq;
-    seq.use_index = c.use_index;
     ConditionedFixpointStats seq_stats;
-    CDatabase seq_out = DatalogOnCTables(tc, db, &seq_stats, seq);
+    CDatabase seq_out = DatalogOnCTables(tc, db, &seq_stats);
 
     ConditionInterner shared_interner;
     shared_interner.EnableSharing();
     DatalogCTableOptions par;
-    par.use_index = c.use_index;
     par.interner = &shared_interner;
     par.num_threads = 4;
     ConditionedFixpointStats par_stats;

@@ -108,34 +108,37 @@ TEST(DatalogCTableTest, CyclicDataTerminates) {
 }
 
 TEST(DatalogCTableTest, SemiNaiveSkipsRederivations) {
-  // On a chain the naive strategy re-derives every path each round;
-  // semi-naive only fires combinations touching the previous delta, so its
-  // duplicate count must be strictly smaller while the kept rows coincide.
-  // The null edge makes the run intern fresh conditions; private per-run
-  // interners keep the growth counter deterministic.
-  CTable t(2);
-  for (int i = 0; i < 6; ++i) t.AddRow(Tuple{C(i), C(i + 1)});
+  // Semi-naive fires each rule only against combinations touching the
+  // previous round's delta, so every combination is enumerated exactly
+  // once. On a ground chain each path has a single derivation: nothing is
+  // re-derived (a naive schedule would re-derive every known path each
+  // round).
+  CTable ground(2);
+  for (int i = 0; i < 6; ++i) ground.AddRow(Tuple{C(i), C(i + 1)});
+  ConditionedFixpointStats stats;
+  CDatabase out =
+      DatalogOnCTables(TransitiveClosure(), CDatabase{ground}, &stats);
+  EXPECT_EQ(out.table(1).num_rows(), 21u);  // 6 + 5 + ... + 1 paths
+  EXPECT_EQ(stats.derived_rows, 6u + 21u);  // seeds + paths
+  EXPECT_EQ(stats.duplicate_rows, 0u);
+  EXPECT_GT(stats.delta_rows, 0u);
+
+  // The null edges make the run intern fresh conditions; a private
+  // interner keeps the growth counter deterministic.
+  CTable t = ground;
   t.AddRow(Tuple{C(6), V(0)});
   t.AddRow(Tuple{V(1), C(7)});
   CDatabase db{t};
-  ConditionInterner semi_interner;
-  ConditionInterner naive_interner;
-  DatalogCTableOptions semi_options;
-  semi_options.interner = &semi_interner;
-  DatalogCTableOptions naive_options;
-  naive_options.semi_naive = false;
-  naive_options.interner = &naive_interner;
-  ConditionedFixpointStats semi;
-  ConditionedFixpointStats naive;
-  CDatabase fast =
-      DatalogOnCTables(TransitiveClosure(), db, &semi, semi_options);
-  CDatabase seed =
-      DatalogOnCTables(TransitiveClosure(), db, &naive, naive_options);
-  EXPECT_EQ(fast.table(1).num_rows(), seed.table(1).num_rows());
-  EXPECT_EQ(semi.derived_rows, naive.derived_rows);
-  EXPECT_LT(semi.duplicate_rows, naive.duplicate_rows);
-  EXPECT_GT(semi.delta_rows, 0u);
-  EXPECT_GT(semi.interner_conjunctions, 0u);
+  ConditionInterner interner;
+  DatalogCTableOptions options;
+  options.interner = &interner;
+  ConditionedFixpointStats null_stats;
+  CDatabase image =
+      DatalogOnCTables(TransitiveClosure(), db, &null_stats, options);
+  EXPECT_GT(null_stats.interner_conjunctions, 0u);
+  EXPECT_TRUE(
+      testutil::RepresentsFixpointOfEveryWorld(TransitiveClosure(), db, image))
+      << image.table(1).ToString();
 }
 
 TEST(DatalogCTableTest, InsertReallocationMidFireRuleIsSafe) {
@@ -146,7 +149,7 @@ TEST(DatalogCTableTest, InsertReallocationMidFireRuleIsSafe) {
   // whose candidates are being consumed. A 48-edge chain pushes ~1.2k rows
   // through many vector growths; the loop must address rows by id and
   // snapshot candidate lists, never hold references across Insert. Verified
-  // against the ordinary ground fixpoint, with the index on and off.
+  // against the ordinary ground fixpoint.
   DatalogProgram p({2, 2}, /*num_edb=*/1);
   DatalogRule base;
   base.head = {1, Tuple{V(100), V(101)}};
@@ -162,62 +165,41 @@ TEST(DatalogCTableTest, InsertReallocationMidFireRuleIsSafe) {
   Instance expected = SemiNaiveEval(p, Instance({edges}));
   CDatabase db(CTable::FromRelation(edges));
 
-  for (bool use_index : {true, false}) {
-    DatalogCTableOptions options;
-    options.use_index = use_index;
-    ConditionedFixpointStats stats;
-    CDatabase out = DatalogOnCTables(p, db, &stats, options);
-    Relation result(2);
-    for (const CRow& row : out.table(1).rows()) {
-      EXPECT_TRUE(row.local().IsTautology());
-      result.Insert(ToFact(row.tuple));
-    }
-    EXPECT_EQ(result, expected.relation(1)) << "use_index=" << use_index;
-    EXPECT_EQ(stats.index_probes > 0, use_index);
+  ConditionedFixpointStats stats;
+  CDatabase out = DatalogOnCTables(p, db, &stats);
+  Relation result(2);
+  for (const CRow& row : out.table(1).rows()) {
+    EXPECT_TRUE(row.local().IsTautology());
+    result.Insert(ToFact(row.tuple));
   }
+  EXPECT_EQ(result, expected.relation(1));
+  EXPECT_GT(stats.index_probes, 0u);
 }
 
-TEST(DatalogCTableTest, IndexedMatchingIsIdenticalToScan) {
-  // Indexed body-atom matching enumerates exactly the rows the scan visits,
-  // in the same order, so the result tables must be identical — on input
-  // with nulls at join positions (wildcard rows) and local conditions.
+TEST(DatalogCTableTest, IndexedMatchingMatchesPerWorldFixpoint) {
+  // Indexed body-atom matching on input with nulls at join positions
+  // (wildcard rows) and local conditions: the result must represent the
+  // per-world fixpoint exactly.
   CTable t(2);
   for (int i = 0; i < 10; ++i) t.AddRow(Tuple{C(i), C(i + 1)});
   t.AddRow(Tuple{C(10), V(0)});
   t.AddRow(Tuple{V(0), C(11)}, Conjunction{Neq(V(0), C(3))});
   CDatabase db{t};
 
-  DatalogCTableOptions indexed;
-  DatalogCTableOptions scan;
-  scan.use_index = false;
-  ConditionedFixpointStats indexed_stats;
-  ConditionedFixpointStats scan_stats;
-  CDatabase fast = DatalogOnCTables(TransitiveClosure(), db, &indexed_stats,
-                                    indexed);
-  CDatabase seed = DatalogOnCTables(TransitiveClosure(), db, &scan_stats,
-                                    scan);
-  ASSERT_EQ(fast.num_tables(), seed.num_tables());
-  for (size_t p = 0; p < fast.num_tables(); ++p) {
-    EXPECT_EQ(fast.table(p), seed.table(p));
-  }
-  // Identical derivations, drops, and rounds — the index changes only how
-  // candidates are found.
-  EXPECT_EQ(indexed_stats.derived_rows, scan_stats.derived_rows);
-  EXPECT_EQ(indexed_stats.subsumed_rows, scan_stats.subsumed_rows);
-  EXPECT_EQ(indexed_stats.duplicate_rows, scan_stats.duplicate_rows);
-  EXPECT_EQ(indexed_stats.rounds, scan_stats.rounds);
+  ConditionedFixpointStats stats;
+  CDatabase image = DatalogOnCTables(TransitiveClosure(), db, &stats);
+  EXPECT_TRUE(
+      testutil::RepresentsFixpointOfEveryWorld(TransitiveClosure(), db, image))
+      << image.table(1).ToString();
   // One index per (predicate, bound-column subset), built once and extended
   // across rounds — a mid-query catch-up after an append is an *extend*,
   // never another build, so the build counter stays flat however many
   // rounds the fixpoint runs.
-  EXPECT_GT(indexed_stats.index_probes, 0u);
-  EXPECT_GT(indexed_stats.index_hits, 0u);
-  EXPECT_LE(indexed_stats.index_builds, 4u);
-  EXPECT_LT(indexed_stats.index_builds, indexed_stats.rounds);
-  EXPECT_GT(indexed_stats.rounds, 3u);
-  EXPECT_EQ(scan_stats.index_probes, 0u);
-  EXPECT_EQ(scan_stats.index_builds, 0u);
-  EXPECT_EQ(scan_stats.index_extends, 0u);
+  EXPECT_GT(stats.index_probes, 0u);
+  EXPECT_GT(stats.index_hits, 0u);
+  EXPECT_LE(stats.index_builds, 4u);
+  EXPECT_LT(stats.index_builds, stats.rounds);
+  EXPECT_GT(stats.rounds, 3u);
 }
 
 TEST(DatalogCTableTest, ProbedIndexExtendsButNeverRebuildsMidQuery) {
@@ -253,20 +235,15 @@ TEST(DatalogCTableTest, ProbedIndexExtendsButNeverRebuildsMidQuery) {
 
 TEST(DatalogCTableTest, EmptyBodyRuleFiresOnce) {
   // A ground-fact rule has no body atom to carry a delta; it must still
-  // appear in the fixpoint under both strategies.
+  // appear in the fixpoint, exactly once.
   DatalogProgram p({2, 2}, /*num_edb=*/1);
   DatalogRule fact;
   fact.head = {1, Tuple{C(7), C(8)}};
   p.AddRule(fact);
   CDatabase db(CTable::FromRelation(Relation(2, {{1, 2}})));
-  DatalogCTableOptions naive_options;
-  naive_options.semi_naive = false;
-  for (const DatalogCTableOptions& options :
-       {DatalogCTableOptions{}, naive_options}) {
-    CDatabase out = DatalogOnCTables(p, db, nullptr, options);
-    ASSERT_EQ(out.table(1).num_rows(), 1u);
-    EXPECT_EQ(out.table(1).row(0).tuple, (Tuple{C(7), C(8)}));
-  }
+  CDatabase out = DatalogOnCTables(p, db);
+  ASSERT_EQ(out.table(1).num_rows(), 1u);
+  EXPECT_EQ(out.table(1).row(0).tuple, (Tuple{C(7), C(8)}));
 }
 
 // Regression for the deleted ad-hoc canonicalizer: datalog_ctable.cc used to
@@ -357,6 +334,29 @@ TEST_P(DatalogCTablePropertyTest, RepresentsFixpointOfEveryWorld) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DatalogCTablePropertyTest,
                          ::testing::Range(1, 25));
+
+#ifdef NDEBUG
+TEST(DatalogCTableTest, RunConeRejectsWrongSizeMask) {
+  // RunCone indexes its cone mask by predicate id, so the size check must
+  // hold in release builds too: a mask that is not num_predicates long
+  // makes the call a no-op. (Debug builds assert instead, so this only runs
+  // under NDEBUG.)
+  DatalogProgram tc = TransitiveClosure();
+  ConditionedFixpoint fix(tc);
+  fix.SeedTable(0, CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}})));
+  fix.FireGroundRules();
+  fix.Run();
+  ASSERT_EQ(fix.NumLiveRows(1), 3u);
+  fix.ClearPredicate(1);
+  const size_t rounds = fix.stats().rounds;
+  fix.RunCone(std::vector<bool>(tc.num_predicates() + 1, true));
+  EXPECT_EQ(fix.NumLiveRows(1), 0u);
+  EXPECT_EQ(fix.stats().rounds, rounds);
+  // The well-formed mask re-derives the cleared predicate.
+  fix.RunCone({false, true});
+  EXPECT_EQ(fix.NumLiveRows(1), 3u);
+}
+#endif
 
 }  // namespace
 }  // namespace pw

@@ -91,20 +91,33 @@ CDatabase JoinableTables() {
   return CDatabase(std::vector<CTable>{l, r});
 }
 
+/// The per-world oracle: rep(q^(db)) must equal q applied to every world of
+/// rep(db).
+void ExpectRepresentsImage(const RaExpr& q, const CDatabase& db) {
+  auto image = EvalQueryOnCTables({q}, db);
+  ASSERT_TRUE(image.has_value());
+  std::vector<ConstId> extra = db.Constants();
+  for (ConstId c : image->table(0).Constants()) extra.push_back(c);
+  EXPECT_EQ(testutil::CanonicalWorlds(*image, extra),
+            testutil::CanonicalImageWorlds({q}, db, extra))
+      << q.ToString();
+}
+
 TEST(IlAlgebraTest, HashJoinIsOutputIdenticalToNestedLoop) {
   CDatabase db = JoinableTables();
   RaExpr q = RaExpr::Join(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2), {{1, 0}});
-  for (bool use_interner : {true, false}) {
-    CTableEvalOptions fused;
-    fused.use_interner = use_interner;
-    CTableEvalOptions nested = fused;
-    nested.use_hash_join = false;
-    auto a = EvalOnCTables(q, db, fused);
-    auto b = EvalOnCTables(q, db, nested);
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(*a, *b) << (use_interner ? "interned" : "plain");
-    EXPECT_GT(a->num_rows(), 0u);
-  }
+  CTableEvalStats nested_stats;
+  CTableEvalOptions nested;
+  nested.stats = &nested_stats;
+  auto a = EvalOnCTables(q, db);
+  auto b = EvalOnCTables(testutil::WithoutJoinPlanning(q), db, nested);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  // The fenced query really ran as a nested loop.
+  EXPECT_EQ(nested_stats.planned_joins, 0u);
+  EXPECT_EQ(nested_stats.nested_loop_products, 1u);
+  EXPECT_EQ(*a, *b);
+  EXPECT_GT(a->num_rows(), 0u);
+  ExpectRepresentsImage(q, db);
 }
 
 TEST(IlAlgebraTest, HashJoinProbesIndexAndSkipsMismatches) {
@@ -150,11 +163,10 @@ TEST(IlAlgebraTest, HashJoinPushesSelectionsIntoSides) {
   EXPECT_EQ(stats.hash_joins, 1u);
   EXPECT_GE(stats.pushdown_dropped_rows, 2u);
 
-  CTableEvalOptions nested;
-  nested.use_hash_join = false;
-  auto reference = EvalOnCTables(q, db, nested);
+  auto reference = EvalOnCTables(testutil::WithoutJoinPlanning(q), db);
   ASSERT_TRUE(reference.has_value());
   EXPECT_EQ(*out, *reference);
+  ExpectRepresentsImage(q, db);
 }
 
 // --- N-ary planned joins --------------------------------------------------
@@ -178,8 +190,7 @@ CDatabase ThreeChainTables() {
 TEST(IlAlgebraTest, TernaryJoinPlansAllLeavesAndMatchesNestedLoop) {
   // select over product(product(a, b), c) — the shape the binary fusion
   // never fused. The planner must fuse all three leaves; the output must be
-  // identical to the nested loops on both paths, and to the binary-only
-  // baseline.
+  // identical to the nested loops and represent the per-world image.
   CDatabase db = ThreeChainTables();
   RaExpr prod = RaExpr::Product(
       RaExpr::Product(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)),
@@ -187,30 +198,20 @@ TEST(IlAlgebraTest, TernaryJoinPlansAllLeavesAndMatchesNestedLoop) {
   RaExpr q = RaExpr::Select(
       prod, {SelectAtom::Eq(ColOrConst::Col(1), ColOrConst::Col(2)),
              SelectAtom::Eq(ColOrConst::Col(3), ColOrConst::Col(4))});
-  for (bool use_interner : {true, false}) {
-    CTableEvalOptions planned;
-    planned.use_interner = use_interner;
-    CTableEvalStats stats;
-    planned.stats = &stats;
-    CTableEvalOptions nested = planned;
-    nested.use_hash_join = false;
-    nested.stats = nullptr;
-    CTableEvalOptions binary = planned;
-    binary.binary_join_only = true;
-    binary.stats = nullptr;
-    auto p = EvalOnCTables(q, db, planned);
-    auto n = EvalOnCTables(q, db, nested);
-    auto b = EvalOnCTables(q, db, binary);
-    ASSERT_TRUE(p.has_value() && n.has_value() && b.has_value());
-    EXPECT_EQ(*p, *n) << (use_interner ? "interned" : "plain");
-    EXPECT_EQ(*b, *n) << (use_interner ? "interned" : "plain");
-    EXPECT_GT(p->num_rows(), 0u);
-    // Plan shape: one 3-leaf plan, two keyed join steps, no nested loop.
-    EXPECT_EQ(stats.planned_joins, 1u);
-    EXPECT_EQ(stats.planned_join_leaves, 3u);
-    EXPECT_EQ(stats.hash_joins, 2u);
-    EXPECT_EQ(stats.nested_loop_products, 0u);
-  }
+  CTableEvalOptions planned;
+  CTableEvalStats stats;
+  planned.stats = &stats;
+  auto p = EvalOnCTables(q, db, planned);
+  auto n = EvalOnCTables(testutil::WithoutJoinPlanning(q), db);
+  ASSERT_TRUE(p.has_value() && n.has_value());
+  EXPECT_EQ(*p, *n);
+  EXPECT_GT(p->num_rows(), 0u);
+  // Plan shape: one 3-leaf plan, two keyed join steps, no nested loop.
+  EXPECT_EQ(stats.planned_joins, 1u);
+  EXPECT_EQ(stats.planned_join_leaves, 3u);
+  EXPECT_EQ(stats.hash_joins, 2u);
+  EXPECT_EQ(stats.nested_loop_products, 0u);
+  ExpectRepresentsImage(q, db);
 }
 
 TEST(IlAlgebraTest, NestedSelectionsAndProjectionPrefixesFuse) {
@@ -227,21 +228,16 @@ TEST(IlAlgebraTest, NestedSelectionsAndProjectionPrefixesFuse) {
           RaExpr::Product(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)), {3, 0, 2}),
       {SelectAtom::Eq(ColOrConst::Col(1), ColOrConst::Col(2))});
   for (const RaExpr& q : {join_then_filter, over_projection}) {
-    for (bool use_interner : {true, false}) {
-      CTableEvalOptions planned;
-      planned.use_interner = use_interner;
-      CTableEvalStats stats;
-      planned.stats = &stats;
-      CTableEvalOptions nested = planned;
-      nested.use_hash_join = false;
-      nested.stats = nullptr;
-      auto p = EvalOnCTables(q, db, planned);
-      auto n = EvalOnCTables(q, db, nested);
-      ASSERT_TRUE(p.has_value() && n.has_value());
-      EXPECT_EQ(*p, *n) << q.ToString();
-      EXPECT_EQ(stats.planned_joins, 1u) << q.ToString();
-      EXPECT_EQ(stats.nested_loop_products, 0u) << q.ToString();
-    }
+    CTableEvalOptions planned;
+    CTableEvalStats stats;
+    planned.stats = &stats;
+    auto p = EvalOnCTables(q, db, planned);
+    auto n = EvalOnCTables(testutil::WithoutJoinPlanning(q), db);
+    ASSERT_TRUE(p.has_value() && n.has_value());
+    EXPECT_EQ(*p, *n) << q.ToString();
+    EXPECT_EQ(stats.planned_joins, 1u) << q.ToString();
+    EXPECT_EQ(stats.nested_loop_products, 0u) << q.ToString();
+    ExpectRepresentsImage(q, db);
   }
 }
 
@@ -266,11 +262,10 @@ TEST(IlAlgebraTest, PlannerSinksProjectionsAndCountsPushdown) {
   EXPECT_EQ(stats.conjuncts_pushed, 1u);   // the a.0 = 1 filter
   EXPECT_EQ(stats.projections_sunk, 1u);   // column 5 (c.1) never needed
   EXPECT_GE(stats.pushdown_dropped_rows, 2u);  // a rows (2,3) and (3,x0)
-  CTableEvalOptions nested;
-  nested.use_hash_join = false;
-  auto n = EvalOnCTables(q, db, nested);
+  auto n = EvalOnCTables(testutil::WithoutJoinPlanning(q), db);
   ASSERT_TRUE(n.has_value());
   EXPECT_EQ(*p, *n);
+  ExpectRepresentsImage(q, db);
 }
 
 // --- Interned-id seeding through the operators ----------------------------
@@ -302,31 +297,6 @@ TEST(IlAlgebraTest, InternedEvalSeedsOutputIdCaches) {
   uint64_t interns_before = interner.stats().intern_calls;
   for (const CRow& row : out->table(0).rows()) row.LocalId(interner);
   out->table(0).GlobalId(interner);
-  EXPECT_EQ(interner.stats().intern_calls, interns_before);
-}
-
-TEST(IlAlgebraTest, PlainEvalPreservesRowIdCachesThroughUnionProject) {
-  // The plain path copies rows wholesale (union, relation refs) or rewrites
-  // only the tuple (project), so rows whose condition ids were already
-  // memoized keep them across the evaluation.
-  ConditionInterner interner;
-  CTable t(2);
-  t.AddRow(Tuple{C(1), V(0)}, Conjunction{Neq(V(0), C(2))});
-  t.AddRow(Tuple{V(1), C(3)}, Conjunction{Eq(V(1), C(1))});
-  CDatabase db{t};
-  for (const CRow& row : db.table(0).rows()) row.LocalId(interner);
-
-  RaExpr r = RaExpr::Rel(0, 2);
-  RaExpr q = RaExpr::Union(
-      r, RaExpr::Project(r, {ColOrConst::Col(1), ColOrConst::Col(0)}));
-  CTableEvalOptions plain;
-  plain.use_interner = false;
-  auto out = EvalOnCTables(q, db, plain);
-  ASSERT_TRUE(out.has_value());
-  ASSERT_EQ(out->num_rows(), 4u);
-
-  uint64_t interns_before = interner.stats().intern_calls;
-  for (const CRow& row : out->rows()) row.LocalId(interner);
   EXPECT_EQ(interner.stats().intern_calls, interns_before);
 }
 

@@ -248,6 +248,19 @@ TEST(IvmTest, OutOfRangePredicateUpdateIsNoOp) {
   EXPECT_EQ(view.stats().updates_applied, 0u);
   ExpectMatchesRecompute(view);
 }
+
+TEST(IvmTest, WrongArityUpdateIsNoOp) {
+  // Same contract for a fact whose size is not the base table's arity: it
+  // must neither reach the base table nor be seeded into the fixpoint.
+  // (Debug builds assert instead, so this only runs under NDEBUG.)
+  MaterializedView view(TransitiveClosure(), Chain(3));
+  view.Insert(0, Fact{2, 3, 4});
+  EXPECT_FALSE(view.InsertIf(0, Fact{2, 3, 4}, Conjunction{}));
+  view.Delete(0, Fact{0, 1, 2});  // its first two values match edge (0,1)
+  EXPECT_EQ(view.stats().updates_applied, 0u);
+  EXPECT_EQ(view.base().table(0).num_rows(), 2u);
+  ExpectMatchesRecompute(view);
+}
 #endif
 
 TEST(IvmTest, VariableRowDeleteStaysIdentical) {

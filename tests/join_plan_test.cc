@@ -135,10 +135,10 @@ TEST(JoinPlanTest, PureProductDoesNotFuse) {
   EXPECT_FALSE(PlanJoin(filtered).fused);
 }
 
-TEST(JoinPlanTest, ReplayEventsFollowTreeOrder) {
-  // product(select(a, f_a), b) then an outer select: the replay must
-  // interleave leaf locals and atoms exactly as the nested loops conjoin
-  // them — a's local, f_a, b's local, outer atom.
+TEST(JoinPlanTest, ConjunctsFollowTreeOrder) {
+  // product(select(a, f_a), b) then an outer select: the conjuncts are
+  // collected in tree order and composed into concatenated coordinates —
+  // the inner filter f_a (a pushdown on leaf 0) before the outer join key.
   RaExpr left = RaExpr::Select(
       RaExpr::Rel(0, 2),
       {SelectAtom::Eq(ColOrConst::Col(0), ColOrConst::Const(1))});
@@ -146,31 +146,11 @@ TEST(JoinPlanTest, ReplayEventsFollowTreeOrder) {
       RaExpr::Select(RaExpr::Product(left, RaExpr::Rel(1, 2)), {EqCols(1, 2)});
   JoinPlan plan = PlanJoin(q);
   ASSERT_TRUE(plan.fused);
-  ASSERT_EQ(plan.replay.size(), 4u);
-  EXPECT_EQ(plan.replay[0].kind, ReplayEvent::kLeafLocal);
-  EXPECT_EQ(plan.replay[0].leaf, 0);
-  EXPECT_EQ(plan.replay[1].kind, ReplayEvent::kAtom);
-  EXPECT_EQ(plan.replay[2].kind, ReplayEvent::kLeafLocal);
-  EXPECT_EQ(plan.replay[2].leaf, 1);
-  EXPECT_EQ(plan.replay[3].kind, ReplayEvent::kAtom);
-}
-
-TEST(JoinPlanTest, BinaryOnlyCollapsesAtFirstProduct) {
-  // In the PR 3 baseline mode the product operands stay atomic leaves,
-  // whatever their shape; the prefix above still flattens.
-  RaExpr inner = RaExpr::Select(TwoRelProduct(), {EqCols(1, 2)});
-  RaExpr q = RaExpr::Select(RaExpr::Product(inner, RaExpr::Rel(2, 2)),
-                            {EqCols(3, 4)});
-  JoinPlanOptions binary;
-  binary.binary_only = true;
-  JoinPlan plan = PlanJoin(q, binary);
-  ASSERT_TRUE(plan.fused);
-  ASSERT_EQ(plan.leaves.size(), 2u);
-  EXPECT_EQ(plan.leaves[0].expr.op(), RaOp::kSelect);  // subtree, unflattened
-  EXPECT_EQ(plan.leaves[0].arity, 4);
-  EXPECT_EQ(plan.leaves[1].expr.op(), RaOp::kRel);
-  // The full planner sees three leaves in the same tree.
-  EXPECT_EQ(PlanJoin(q).leaves.size(), 3u);
+  ASSERT_EQ(plan.conjuncts.size(), 2u);
+  EXPECT_EQ(plan.conjuncts[0].kind, ConjunctKind::kPushdown);
+  EXPECT_EQ(plan.conjuncts[0].leaves, std::vector<int>{0});
+  EXPECT_EQ(plan.conjuncts[1].kind, ConjunctKind::kJoinKey);
+  EXPECT_EQ(plan.conjuncts[1].leaves, (std::vector<int>{0, 1}));
 }
 
 TEST(JoinPlanTest, GreedyOrderSeedsSmallestAndPrefersConnected) {

@@ -171,19 +171,15 @@ TEST(MagicRewriteTest, ExtensionalGoalNeedsNoRules) {
   EXPECT_EQ(rewrite.magic_begin, program.num_predicates());
 }
 
-/// Magic and full paths of DatalogQueryOnCTables must return identical row
-/// sets (same tuples, interned-id-identical conditions).
+/// The magic path of DatalogQueryOnCTables and the restricted full fixpoint
+/// must return identical row sets (same tuples, interned-id-identical
+/// conditions).
 void ExpectMagicMatchesFull(const DatalogProgram& program, const CDatabase& db,
                             int goal, const Bindings& bindings) {
-  DatalogCTableOptions magic;
-  DatalogCTableOptions full;
-  full.use_magic = false;
-  ConditionedFixpointStats magic_stats;
   ConditionedFixpointStats full_stats;
-  CTable via_magic =
-      DatalogQueryOnCTables(program, db, goal, bindings, &magic_stats, magic);
-  CTable via_full =
-      DatalogQueryOnCTables(program, db, goal, bindings, &full_stats, full);
+  CTable via_magic = DatalogQueryOnCTables(program, db, goal, bindings);
+  CTable via_full = testutil::RestrictedFullFixpoint(program, db, goal,
+                                                     bindings, &full_stats);
   EXPECT_EQ(RowsWithIds(via_magic), RowsWithIds(via_full))
       << program.ToString() << db.ToString();
   EXPECT_EQ(via_magic.global(), via_full.global());
@@ -217,9 +213,7 @@ TEST(DatalogQueryTest, RecursiveTransitiveClosurePointQuery) {
   EXPECT_EQ(magic_stats.rules_adorned, 2u);
   EXPECT_GT(magic_stats.magic_facts, 0u);
   ConditionedFixpointStats full_stats;
-  DatalogCTableOptions full;
-  full.use_magic = false;
-  DatalogQueryOnCTables(tc, db, 1, bindings, &full_stats, full);
+  DatalogOnCTables(tc, db, &full_stats);
   EXPECT_LT(magic_stats.derived_rows, full_stats.derived_rows);
 
   ExpectMagicMatchesFull(tc, db, 1, bindings);

@@ -10,11 +10,15 @@
 #define PW_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/tuple.h"
+#include "datalog/eval.h"
+#include "datalog/program.h"
+#include "ilalgebra/datalog_ctable.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
 #include "tables/ctable.h"
@@ -160,6 +164,68 @@ inline std::vector<std::string> CanonicalImageWorlds(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// The per-world oracle of the conditioned DATALOG fixpoint: true iff for
+/// every valuation sigma satisfying db's global condition, sigma(image) is
+/// the fixpoint of `program` over sigma(db), as computed by `eval` (the
+/// complete-information evaluator, semi-naive by default).
+inline bool RepresentsFixpointOfEveryWorld(
+    const DatalogProgram& program, const CDatabase& db, const CDatabase& image,
+    Instance (*eval)(const DatalogProgram&, const Instance&) = SemiNaiveEval) {
+  bool all_match = true;
+  ForEachSatisfyingValuation(db, WorldEnumOptions{}, [&](const Valuation& v) {
+    all_match = v.Apply(image) == eval(program, v.Apply(db));
+    return all_match;
+  });
+  return all_match;
+}
+
+/// The full fixpoint's goal table restricted to the binding, with the
+/// input's global condition attached, composed from the public calls — the
+/// reference DatalogQueryOnCTables' magic-set path must reproduce row for
+/// row. `stats` (optional) receives the full fixpoint's counters.
+inline CTable RestrictedFullFixpoint(
+    const DatalogProgram& program, const CDatabase& db, int goal,
+    const std::vector<std::optional<ConstId>>& bindings,
+    ConditionedFixpointStats* stats = nullptr) {
+  ConditionInterner& interner = ConditionInterner::Global();
+  ConjId global_id = db.CombinedGlobalId(interner);
+  CDatabase full = DatalogOnCTables(program, db, stats);
+  CTable restricted = RestrictTableToGoal(
+      full.table(static_cast<size_t>(goal)), bindings, global_id, interner);
+  restricted.SetGlobal(db.CombinedGlobal(), global_id, interner);
+  return restricted;
+}
+
+/// `expr` with every product fenced off from the join planner: each
+/// product is wrapped in a union with the empty constant relation, which
+/// the planner treats as an atomic leaf, so no select/project prefix above
+/// it can fuse and the product evaluates as a nested loop. Same query, and
+/// the rows and row order a planned join must reproduce exactly.
+inline RaExpr WithoutJoinPlanning(const RaExpr& expr) {
+  switch (expr.op()) {
+    case RaOp::kProject:
+      return RaExpr::Project(WithoutJoinPlanning(expr.input()),
+                             expr.outputs());
+    case RaOp::kSelect:
+      return RaExpr::Select(WithoutJoinPlanning(expr.input()), expr.atoms());
+    case RaOp::kProduct:
+      return RaExpr::Union(
+          RaExpr::Product(WithoutJoinPlanning(expr.left()),
+                          WithoutJoinPlanning(expr.right())),
+          RaExpr::ConstRel(Relation(expr.arity())));
+    case RaOp::kUnion:
+      return RaExpr::Union(WithoutJoinPlanning(expr.left()),
+                           WithoutJoinPlanning(expr.right()));
+    case RaOp::kDiff:
+      return RaExpr::Diff(WithoutJoinPlanning(expr.left()),
+                          WithoutJoinPlanning(expr.right()));
+    case RaOp::kRel:
+    case RaOp::kConstRel:
+      return expr;
+  }
+  return expr;
 }
 
 }  // namespace testutil

@@ -113,16 +113,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UpdatesPropertyTest, ::testing::Range(1, 25));
 // --- Guard pruning (the interned delete path) --------------------------------
 
 TEST(UpdatesTest, DeleteDedupesCollapsedSiblingGuards) {
-  // Deleting (1,1) from the row (x,x): the naive expansion emits the guard
-  // x != 1 once per position — identical conditions. The pruned path keeps
-  // one; the plain path keeps the historical two; both represent the same
-  // worlds.
+  // Deleting (1,1) from the row (x,x): the per-position expansion emits the
+  // guard x != 1 once per position — identical conditions. Only one copy
+  // survives.
   CTable t(2);
   t.AddRow(Tuple{V(0), V(0)});
   CTable pruned = DeleteFact(t, Fact{1, 1});
   EXPECT_EQ(pruned.num_rows(), 1u);
-  CTable plain = DeleteFact(t, Fact{1, 1}, {.use_interner = false});
-  EXPECT_EQ(plain.num_rows(), 2u);
   for (const Instance& w : EnumerateWorlds(CDatabase{pruned}, {{1}, 0})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{1, 1}));
   }
@@ -215,13 +212,7 @@ TEST(UpdatesTest, InsertFactIfUnsatisfiableConditionAddsNothing) {
   // The condition contradicts the global: the fact would join no world.
   CTable out = InsertFactIf(t, Fact{9}, Conjunction{Neq(V(0), C(1))});
   EXPECT_EQ(out.num_rows(), 1u);
-  // The plain path keeps the dead row (the historical behavior — same
-  // rep(), redundant storage).
-  CTable plain =
-      InsertFactIf(t, Fact{9}, Conjunction{Neq(V(0), C(1))},
-                   {.use_interner = false});
-  EXPECT_EQ(plain.num_rows(), 2u);
-  for (const Instance& w : EnumerateWorlds(CDatabase{plain})) {
+  for (const Instance& w : EnumerateWorlds(CDatabase{out})) {
     EXPECT_FALSE(w.relation(0).Contains(Fact{9}));
   }
 }
@@ -314,6 +305,31 @@ TEST(UpdatesTest, InPlaceVariantsMatchCopyBasedResults) {
               by_copy.row(i).LocalId(interner));
   }
 }
+
+#ifdef NDEBUG
+TEST(UpdatesTest, WrongArityFactLeavesTableUntouched) {
+  // Every update entry point checks the fact's size unconditionally: in
+  // release builds the asserts are compiled out, and a wrong-size fact
+  // would otherwise be appended as a malformed row or matched on a prefix.
+  // (Debug builds assert instead, so this only runs under NDEBUG.)
+  CTable t(2);
+  t.AddRow(Tuple{C(1), C(2)});
+  t.AddRow(Tuple{V(0), C(3)});
+  const CTable before = t;
+  const Fact wide{1, 2, 3};  // its first two values match the row (1,2)
+  const Fact narrow{1};
+
+  InsertFactInPlace(t, wide);
+  InsertFactInPlace(t, narrow);
+  EXPECT_FALSE(InsertFactIfInPlace(t, wide, Conjunction{}));
+  EXPECT_FALSE(DeleteFactInPlace(t, wide).changed);
+  EXPECT_EQ(t, before);
+
+  EXPECT_EQ(InsertFact(before, narrow), before);
+  EXPECT_EQ(InsertFactIf(before, wide, Conjunction{}), before);
+  EXPECT_EQ(DeleteFact(before, wide), before);
+}
+#endif
 
 }  // namespace
 }  // namespace pw

@@ -1,20 +1,9 @@
 #!/usr/bin/env python3
-"""Gate the interned fast paths against their seed pairs.
+"""Gate the benchmark pairs whose two halves are both production paths.
 
 Reads google-benchmark JSON files (--benchmark_out_format=json) and pairs
-each fast-path benchmark with its seed-path twin by name:
+each benchmark with its reference by name:
 
-    *_SemiNaive/N      vs  *_Naive/N         (conditioned Datalog fixpoint)
-    *_InternedPath/N   vs  *_SeedPath/N      (Imielinski-Lipski image)
-    *_HashJoin/N       vs  *_NestedLoop/N    (RA select-over-product fusion)
-    *_IndexedJoin/N    vs  *_ScanJoin/N      (indexed body-atom matching)
-    *_PlannedJoin/N    vs  *_BinaryFusion/N  (n-ary join planner vs the
-                                              binary-only fusion baseline)
-    *_Magic/N          vs  *_FullFixpoint/N  (magic-set demand evaluation vs
-                                              full fixpoint + restriction)
-    *_StratumSched/N   vs  *_Monolithic/N    (SCC-scheduled semi-naive
-                                              fixpoint vs the monolithic
-                                              all-rules round schedule)
     *_Incremental/N    vs  *_Recompute/N     (maintained materialized view vs
                                               full fixpoint per update)
     *_Snapshot/N       vs  *_Direct/N        (versioned snapshot reads over
@@ -27,8 +16,8 @@ each fast-path benchmark with its seed-path twin by name:
     *_Cdcl/N           vs  *_Dpll/N          (trail-based CDCL SAT core vs
                                               the seed recursive DPLL)
 
-Exits nonzero when any fast path takes more than --max-ratio times its seed
-pair (default 2.0, the CI regression budget; pairs may carry a tighter
+Exits nonzero when any benchmark takes more than --max-ratio times its
+reference (default 2.0, the CI regression budget; pairs may carry a tighter
 per-pair limit), or when no pair was found at all (which means the bench
 names drifted and the gate is vacuous).
 
@@ -64,12 +53,7 @@ import sys
 # (fast_tag, seed_tag, per-pair max ratio or None for the --max-ratio
 # default). The DDBackend pair runs tighter: the diagram backend must never
 # lose the low-diversity end of its sweep by more than 1.2x.
-PAIRS = [("SemiNaive", "Naive", None), ("InternedPath", "SeedPath", None),
-         ("HashJoin", "NestedLoop", None), ("IndexedJoin", "ScanJoin", None),
-         ("PlannedJoin", "BinaryFusion", None),
-         ("Magic", "FullFixpoint", None),
-         ("StratumSched", "Monolithic", None),
-         ("Incremental", "Recompute", None), ("Snapshot", "Direct", None),
+PAIRS = [("Incremental", "Recompute", None), ("Snapshot", "Direct", None),
          ("DDBackend", "Antichain", 1.2), ("Cdcl", "Dpll", None)]
 
 THREADED_NAME = re.compile(r"^(?P<base>.+)/(?P<n>\d+)(?:/real_time)?$")
