@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdlib>
 #include <deque>
-#include <mutex>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -140,18 +139,11 @@ class ConjunctiveBackend final : public ConditionBackend {
  private:
   static bool IsDisj(CondId id) { return (id & kDisjBit) != 0; }
 
-  std::unique_lock<std::mutex> SetLock() const {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (interner().shared()) lock.lock();
-    return lock;
-  }
-
   std::vector<ConjId> MembersOf(CondId id) const {
     if (!IsDisj(id)) {
       if (id == kFalseCond) return {};
       return {id};
     }
-    auto lock = SetLock();
     return disj_sets_[id & ~kDisjBit];
   }
 
@@ -183,7 +175,6 @@ class ConjunctiveBackend final : public ConditionBackend {
     }
     if (kept.empty()) return kFalseCond;
     if (kept.size() == 1) return kept[0];
-    auto lock = SetLock();
     auto [it, inserted] =
         disj_ids_.try_emplace(kept, static_cast<CondId>(disj_sets_.size()));
     if (inserted) disj_sets_.push_back(kept);
@@ -201,7 +192,6 @@ class ConjunctiveBackend final : public ConditionBackend {
     }
   };
 
-  mutable std::mutex mutex_;  // locked only when the interner is shared
   std::deque<std::vector<ConjId>> disj_sets_;
   std::unordered_map<std::vector<ConjId>, CondId, VecHash> disj_ids_;
 };

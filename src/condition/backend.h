@@ -23,10 +23,13 @@
 // backends align their sentinels with the interner's, so kTrueCond/kFalseCond
 // mean true/false everywhere, and the conjunctive backend's CondIds for
 // conjunctions simply ARE the interner's ConjIds (its fixpoint fast path is
-// a passthrough). Ids are append-only for the backend's lifetime; backends
-// are as thread-safe as their interner (safe from many threads iff
-// `interner().shared()`), with the same deferred-lock zero cost when it is
-// not.
+// a passthrough). Ids are append-only for the backend's lifetime.
+//
+// Threading: a backend is single-owner. Its tables and caches are plain
+// maps, so drive it from one thread; each ConditionedFixpoint owns its own.
+// The interner it sits on may be shared: backends on different threads can
+// use one interner once it is in shared mode
+// (ConditionInterner::EnableSharing).
 
 #ifndef PW_CONDITION_BACKEND_H_
 #define PW_CONDITION_BACKEND_H_

@@ -7,47 +7,28 @@
 
 namespace pw {
 
-BindingEnv& DDBackend::ScratchEnv() {
-  if (!interner().shared()) return scratch_env_;
-  static thread_local BindingEnv env;
-  return env;
-}
-
 CondId DDBackend::MakeNode(AtomId var, CondId lo, CondId hi) {
   if (lo == hi) return lo;
-  NodeKey key{var, lo, hi};
-  auto& shard = unique_.ShardFor(NodeKeyHash{}(key));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) return it->second;
-  }
-  auto lock = WriteLock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(key, CondId{0});
+  auto [it, inserted] = unique_.try_emplace(NodeKey{var, lo, hi}, CondId{0});
   if (inserted) {
-    auto storage = StorageLock(node_storage_mutex_);
     it->second = static_cast<CondId>(nodes_.Append(Node{var, lo, hi})) + 2;
   }
   return it->second;
 }
 
 bool DDBackend::CacheLookup(const OpKey& key, CondId* out) {
-  auto& shard = ops_.ShardFor(OpKeyHash{}(key));
-  auto lock = ReadLock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end()) return false;
+  auto it = ops_.find(key);
+  if (it == ops_.end()) return false;
   *out = it->second;
   return true;
 }
 
 void DDBackend::CacheStore(const OpKey& key, CondId value) {
-  auto& shard = ops_.ShardFor(OpKeyHash{}(key));
-  auto lock = WriteLock(shard.mutex);
-  if (op_cache_capacity_ != 0 && shard.map.size() >= op_cache_capacity_) {
-    shard.map.clear();
-    op_cache_evictions_.fetch_add(1, std::memory_order_relaxed);
+  if (op_cache_capacity_ != 0 && ops_.size() >= op_cache_capacity_) {
+    ops_.clear();
+    ++op_cache_evictions_;
   }
-  shard.map.emplace(key, value);
+  ops_.emplace(key, value);
 }
 
 bool DDBackend::VarBefore(AtomId a, AtomId b) const {
@@ -62,12 +43,8 @@ bool DDBackend::VarBefore(AtomId a, AtomId b) const {
 
 CondId DDBackend::FromConj(ConjId id) {
   if (id <= kFalseCond) return id;  // sentinels coincide by construction
-  auto& shard = from_conj_.ShardFor(std::hash<ConjId>{}(id));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(id);
-    if (it != shard.map.end()) return it->second;
-  }
+  auto it = from_conj_.find(id);
+  if (it != from_conj_.end()) return it->second;
   // A conjunction's diagram is the chain asserting each atom in variable
   // order: later variables sit deeper, so build bottom-up from the last.
   std::vector<AtomId> atoms = interner().AtomIdsOf(id);
@@ -77,8 +54,7 @@ CondId DDBackend::FromConj(ConjId id) {
   for (auto it = atoms.rbegin(); it != atoms.rend(); ++it) {
     acc = MakeNode(*it, kFalseCond, acc);
   }
-  auto lock = WriteLock(shard.mutex);
-  shard.map.emplace(id, acc);
+  from_conj_.emplace(id, acc);
   return acc;
 }
 
@@ -159,10 +135,9 @@ bool DDBackend::Satisfiable(CondId id) {
   OpKey key{Op::kSat, id, 0};
   CondId cached;
   if (CacheLookup(key, &cached)) return cached != 0;
-  BindingEnv& env = ScratchEnv();
-  env.Revert(0);
-  bool out = SatSearch(id, env);
-  env.Revert(0);
+  scratch_env_.Revert(0);
+  bool out = SatSearch(id, scratch_env_);
+  scratch_env_.Revert(0);
   CacheStore(key, out ? 1 : 0);
   return out;
 }

@@ -10,8 +10,8 @@
 // atoms under a semantic order (see VarBefore). And/Or/Not are then the classic
 // polynomial Apply recursion over a node unique-table and a memoized
 // operation cache — the same hash-consing pattern the interner already uses
-// for conjunctions, sharded 16 ways with deferred locks so it is free
-// single-threaded and safe under PR 7's shared mode.
+// for conjunctions, in plain single-owner maps (see backend.h's threading
+// contract).
 //
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
@@ -31,11 +31,8 @@
 #ifndef PW_CONDITION_DD_BACKEND_H_
 #define PW_CONDITION_DD_BACKEND_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -71,17 +68,15 @@ class DDBackend final : public ConditionBackend {
   /// Diagram nodes allocated so far (excluding the two sentinels).
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Bounds every op-cache shard (Apply results, implication and
-  /// satisfiability verdicts) to `per_shard` entries; a shard at capacity is
-  /// dropped wholesale before the next insert, like the interner's memo
-  /// eviction. 0 (the default) means unbounded. The node unique-table is
-  /// NEVER evicted — ids stay valid for the backend's lifetime.
-  void SetOpCacheCapacity(size_t per_shard) { op_cache_capacity_ = per_shard; }
+  /// Bounds the op cache (Apply results, implication and satisfiability
+  /// verdicts) to `capacity` entries; a full cache is dropped wholesale
+  /// before the next insert, like the interner's memo eviction. 0 (the
+  /// default) means unbounded. The node unique-table is NEVER evicted — ids
+  /// stay valid for the backend's lifetime.
+  void SetOpCacheCapacity(size_t capacity) { op_cache_capacity_ = capacity; }
 
-  /// Number of op-cache shard drops since construction.
-  uint64_t op_cache_evictions() const {
-    return op_cache_evictions_.load(std::memory_order_relaxed);
-  }
+  /// Number of op-cache drops since construction.
+  uint64_t op_cache_evictions() const { return op_cache_evictions_; }
 
  private:
   enum class Op : uint32_t { kAnd, kOr, kNot, kImplies, kSat };
@@ -126,36 +121,7 @@ class DDBackend final : public ConditionBackend {
     }
   };
 
-  static constexpr size_t kNumShards = 16;
   static constexpr AtomId kTerminalVar = UINT32_MAX;
-
-  template <typename Key, typename Value, typename Hash>
-  struct ShardedMap {
-    struct Shard {
-      mutable std::shared_mutex mutex;
-      std::unordered_map<Key, Value, Hash> map;
-    };
-    Shard shards[kNumShards];
-    Shard& ShardFor(size_t hash) { return shards[hash % kNumShards]; }
-  };
-
-  std::shared_lock<std::shared_mutex> ReadLock(std::shared_mutex& m) const {
-    std::shared_lock<std::shared_mutex> lock(m, std::defer_lock);
-    if (interner().shared()) lock.lock();
-    return lock;
-  }
-  std::unique_lock<std::shared_mutex> WriteLock(std::shared_mutex& m) const {
-    std::unique_lock<std::shared_mutex> lock(m, std::defer_lock);
-    if (interner().shared()) lock.lock();
-    return lock;
-  }
-  std::unique_lock<std::mutex> StorageLock(std::mutex& m) const {
-    std::unique_lock<std::mutex> lock(m, std::defer_lock);
-    if (interner().shared()) lock.lock();
-    return lock;
-  }
-
-  BindingEnv& ScratchEnv();
 
   const Node& NodeOf(CondId id) const { return nodes_[id - 2]; }
   static bool IsTerminal(CondId id) { return id <= kFalseCond; }
@@ -194,16 +160,17 @@ class DDBackend final : public ConditionBackend {
   void ExpandPaths(CondId id, BindingEnv& env, std::vector<CondAtom>* path,
                    std::unordered_set<ConjId>* seen, std::vector<ConjId>* out);
 
+  // Stable addresses, not just stable ids: Not holds a `const Node&` across
+  // its recursive calls, which append nodes through MakeNode.
   StableStore<Node> nodes_;
-  std::mutex node_storage_mutex_;
-  ShardedMap<NodeKey, CondId, NodeKeyHash> unique_;
-  ShardedMap<OpKey, CondId, OpKeyHash> ops_;  // verdicts stored as 0/1
-  ShardedMap<ConjId, CondId, std::hash<ConjId>> from_conj_;
+  std::unordered_map<NodeKey, CondId, NodeKeyHash> unique_;
+  std::unordered_map<OpKey, CondId, OpKeyHash> ops_;  // verdicts stored 0/1
+  std::unordered_map<ConjId, CondId> from_conj_;
 
-  BindingEnv scratch_env_;  // shared mode uses a thread_local instead
+  BindingEnv scratch_env_;  // Satisfiable's search environment
 
   size_t op_cache_capacity_ = 0;
-  std::atomic<uint64_t> op_cache_evictions_{0};
+  uint64_t op_cache_evictions_ = 0;
 };
 
 }  // namespace pw

@@ -88,9 +88,8 @@ struct MaterializedViewOptions {
 /// apply an update to the owned base database *and* fold it into the live
 /// state. Move-only; the interner (options or the thread-local global) must
 /// outlive the view, and the view is single-owner: drive it from one
-/// thread. `options.eval.num_threads > 1` (with a shared interner) only
-/// parallelizes the *internal* fixpoint rounds — the maintained state stays
-/// byte-identical to sequential maintenance.
+/// thread. A base table whose arity differs from its extensional
+/// predicate's contributes no rows to the view.
 class MaterializedView {
  public:
   /// Full view: maintains every predicate of `program` over `base`.

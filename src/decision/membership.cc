@@ -91,7 +91,6 @@ struct SearchState {
   std::vector<int> uncovered;
   // tasks_left[k] = number of unprocessed tasks of table k (for pruning).
   std::vector<int> tasks_left;
-  MembershipSearchOptions options;
   BindingEnv env;
 };
 
@@ -130,11 +129,12 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
   }
 
   // Forward checking: viable options per pending task, and the set of
-  // facts still coverable by some pending task.
+  // facts still coverable by some pending task. The block frees
+  // `coverable` before the recursion below.
   int best = -1;
-  bool forced = false;
   std::vector<SearchState::Option> best_options;
-  if (s.options.forward_checking) {
+  {
+    bool forced = false;
     std::vector<std::set<Fact>> coverable(s.uncovered.size());
     for (size_t i = 0; i < s.tasks.size(); ++i) {
       SearchState::RowTask& task = s.tasks[i];
@@ -166,7 +166,7 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
         }
       }
     }
-    if (!forced && s.options.coverage_pruning) {
+    if (!forced) {
       // Coverage dead-end check: every still-uncovered fact must be
       // mappable by some pending task under the current bindings.
       for (size_t t = 0; t < s.uncovered.size(); ++t) {
@@ -176,18 +176,6 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
           // scan visits exactly the uncovered ones via count == 0.
           if (count == 0 && coverable[t].count(fact) == 0) return false;
         }
-      }
-    }
-  } else {
-    // Ablation mode: first pending task, raw option list.
-    for (size_t i = 0; i < s.tasks.size() && best == -1; ++i) {
-      if (s.tasks[i].done) continue;
-      best = static_cast<int>(i);
-      for (const Fact* fact : s.tasks[i].candidates) {
-        best_options.push_back({fact, nullptr});
-      }
-      for (const CondAtom& atom : s.tasks[i].suppress_atoms) {
-        best_options.push_back({nullptr, &atom});
       }
     }
   }
@@ -236,12 +224,10 @@ std::optional<bool> MembershipCoddTables(const CDatabase& database,
   return true;
 }
 
-bool MembershipSearch(const CDatabase& database, const Instance& instance,
-                      const MembershipSearchOptions& options) {
+bool MembershipSearch(const CDatabase& database, const Instance& instance) {
   if (!ShapesMatch(database, instance)) return false;
 
   SearchState s;
-  s.options = options;
   if (!s.env.Assert(database.CombinedGlobal())) {
     return false;  // rep(database) is empty
   }

@@ -28,24 +28,15 @@ namespace pw {
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance);
 
-/// Tuning knobs for MembershipSearch — exposed for the ablation benchmarks;
-/// the defaults are what every caller should use.
-struct MembershipSearchOptions {
-  /// Recompute per-row viable options at every node, fail on empty, and
-  /// branch on the most constrained row (MRV). Off: static first-pending
-  /// order with options checked only when taken.
-  bool forward_checking = true;
-  /// Fail when some uncovered instance fact is mappable by no pending row.
-  bool coverage_pruning = true;
-};
-
 /// Exact membership for arbitrary c-databases: backtracking over per-row
 /// choices (map the row onto a fact of the instance, or suppress it by
 /// violating one local-condition atom), with consistency maintained in a
-/// revertible binding environment. Worst case exponential (the problem is
-/// NP-complete already for a single e-table or i-table).
-bool MembershipSearch(const CDatabase& database, const Instance& instance,
-                      const MembershipSearchOptions& options = {});
+/// revertible binding environment. Every node recomputes each pending row's
+/// viable choices, branches on the most constrained row, and fails as soon
+/// as some uncovered instance fact is mappable by no pending row. Worst case
+/// exponential (the problem is NP-complete already for a single e-table or
+/// i-table).
+bool MembershipSearch(const CDatabase& database, const Instance& instance);
 
 /// Dispatcher: matching-based PTIME algorithm when the database is a vector
 /// of Codd-tables, exact search otherwise.

@@ -12,7 +12,6 @@
 #include "datalog/magic.h"
 #include "ilalgebra/join_plan.h"
 #include "tables/tuple_index.h"
-#include "util/thread_pool.h"
 
 namespace pw {
 
@@ -218,15 +217,14 @@ const TupleIndex& IndexFor(EvalState& state, int pred,
 }
 
 /// The order-canonical (head, condition) of one matched body combination —
-/// the leaf computation of the join, shared by the sequential FireRule and
-/// the parallel generator. Re-derives the binding and equality conditions
-/// in *body order* from the matched rows: which atom a shared variable's
-/// representative term comes from depends on the order the atoms were
-/// matched, and rows with nulls make rep-equivalent representatives
-/// syntactically different — so the emitted pair must be computed
-/// order-canonically, or evaluation schedules with different delta windows
-/// (incremental resume vs from-scratch, parallel slices) would derive
-/// different rows and break their identity.
+/// the leaf computation of the join, shared by FireRule and the ground-rule
+/// path. Re-derives the binding and equality conditions in *body order* from
+/// the matched rows: which atom a shared variable's representative term
+/// comes from depends on the order the atoms were matched, and rows with
+/// nulls make rep-equivalent representatives syntactically different — so
+/// the emitted pair must be computed order-canonically, or evaluation
+/// schedules with different delta windows (incremental resume vs
+/// from-scratch) would derive different rows and break their identity.
 void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
                    const std::vector<const Tuple*>& matched,
                    const std::vector<CondId>& matched_cond, Tuple* head,
@@ -380,219 +378,6 @@ void AdvanceDeltas(EvalState& state) {
   }
 }
 
-// --- Parallel semi-naive rounds ---------------------------------------------
-//
-// A round with num_threads > 1 splits into two phases:
-//
-//   *Generate* (parallel): each rule/delta-position firing's outer (delta)
-//   range is sliced across the worker pool. Workers enumerate the join
-//   exactly like FireRule — same windows, same index probes (through
-//   per-worker index caches), same satisfiability cuts — but instead of
-//   inserting at the leaf they record a Candidate: the order-canonical
-//   (head, condition) plus the source row per enumeration depth. The round
-//   state is frozen during this phase (inserts only happen in replay), so
-//   workers race on nothing; the interner must be in shared mode.
-//
-//   *Replay* (sequential): candidates are applied through the unchanged
-//   Insert in canonical order — firing order, then ascending outer ids,
-//   then enumeration order — which is exactly the sequential schedule.
-//
-// One subtlety keeps the replayed row sequence byte-identical to the
-// sequential engine rather than merely row-set-equal: sequential FireRule
-// checks `alive` at *visit time*. A mid-round Insert can kill an in-window
-// row; enumeration subtrees already entered through that row continue, but
-// subtrees entered later skip it. Workers generated against the round-start
-// flags (a superset). Replay therefore re-derives each candidate's
-// admissibility from its sources: per enumeration depth it keeps the last
-// liveness decision made for the current source prefix, re-evaluating from
-// the first depth whose source differs from the previous candidate's —
-// evaluating depth d's liveness exactly when the sequential enumeration
-// would have descended into that subtree (the first candidate carrying that
-// prefix), and reusing the decision for the rest of the subtree just as the
-// sequential loop never re-checks it. Candidates with a dead source depth
-// are dropped; the survivors are exactly the sequential insert sequence.
-
-/// One candidate derivation: the order-canonical head row plus the source
-/// row per enumeration (rotated) depth it was derived through.
-struct Candidate {
-  Tuple head;
-  CondId cond = ConditionBackend::kTrueCond;
-  std::vector<std::pair<int, size_t>> sources;  // (pred, row idx) per depth
-};
-
-/// Per-worker generation state: private index caches (sharing the
-/// PredState caches would race their lazy builds) and local stat counters,
-/// merged after the generation barrier.
-struct WorkerScratch {
-  std::vector<TupleIndexCache> indexes;  // one per predicate
-  size_t pruned_branches = 0;
-  size_t demand_pruned = 0;
-  size_t index_probes = 0;
-  size_t index_hits = 0;
-  size_t index_builds = 0;
-  size_t index_extends = 0;
-};
-
-/// One rule/delta-position firing of the round: the depth-0 enumeration is
-/// either the keyed candidate list `outer` or the scan range [lo, hi).
-struct Firing {
-  const DatalogRule* rule = nullptr;
-  int delta_pos = 0;
-  bool keyed = false;
-  size_t lo = 0;
-  size_t hi = 0;
-  std::vector<size_t> outer;
-
-  size_t OuterCount() const { return keyed ? outer.size() : hi - lo; }
-};
-
-/// A contiguous chunk of one firing's outer range, the unit of work
-/// stealing; `out` receives the chunk's candidates in enumeration order.
-struct GenSlice {
-  size_t firing = 0;
-  size_t begin = 0;
-  size_t end = 0;
-  std::vector<Candidate> out;
-};
-
-/// Generation-phase FireRule: enumerates outer ids [begin, end) of `firing`
-/// with the same windows, probe plans, and satisfiability cuts as the
-/// sequential engine, emitting Candidates instead of inserting. Read-only
-/// on the round state. Runs with the budget disabled (parallel mode forces
-/// max_derived_rows == 0), so there is no work metering here.
-void GenerateSlice(EvalState& state, WorkerScratch& ws, const Firing& firing,
-                   size_t begin, size_t end, std::vector<Candidate>& out) {
-  ConditionInterner& interner = *state.interner;
-  ConditionBackend& backend = *state.backend;
-  const DatalogRule& rule = *firing.rule;
-  const int delta_pos = firing.delta_pos;
-  const bool magic_head = state.IsMagicPred(rule.head.predicate);
-  std::map<VarId, Term> binding;
-
-  std::vector<size_t> order(rule.body.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::rotate(order.begin(), order.begin() + delta_pos,
-              order.begin() + delta_pos + 1);
-
-  std::vector<const Tuple*> matched(rule.body.size(), nullptr);
-  std::vector<CondId> matched_cond(rule.body.size(),
-                                   ConditionBackend::kTrueCond);
-  std::vector<std::pair<int, size_t>> sources(rule.body.size());
-
-  std::function<void(size_t, CondId)> go = [&](size_t depth, CondId acc) {
-    if (depth == rule.body.size()) {
-      Candidate c;
-      CanonicalLeaf(rule, backend, matched, matched_cond, &c.head, &c.cond);
-      c.sources = sources;
-      out.push_back(std::move(c));
-      return;
-    }
-    const size_t pos = order[depth];
-    const DatalogAtom& atom = rule.body[pos];
-    PredState& ps = state.preds[atom.predicate];
-    // The row ids this depth walks: `ids[k]` when keyed, else `lo + k`.
-    std::vector<size_t> candidates;
-    const size_t* ids = nullptr;
-    size_t lo = 0;
-    size_t count = 0;
-    if (depth == 0) {
-      // The dispatcher already planned (and probed) the outer range; this
-      // slice walks its [begin, end) chunk.
-      lo = firing.lo + begin;
-      count = end - begin;
-      if (firing.keyed) ids = firing.outer.data() + begin;
-    } else {
-      // Only the delta atom sits at depth 0, so this position ranges over
-      // pre-delta rows (earlier in the body) or up to the delta end (later).
-      count = static_cast<int>(pos) < delta_pos ? ps.delta_begin
-                                                : ps.delta_end;
-      AtomProbePlan probe;
-      if (count > 0) probe = PlanAtomProbe(atom.args, binding);
-      if (!probe.cols.empty()) {
-        TupleIndexCache& cache = ws.indexes[atom.predicate];
-        size_t builds_before = cache.stats().builds;
-        size_t extends_before = cache.stats().extends;
-        candidates =
-            cache
-                .Get(probe.cols, ps.rows.size(), ps.stamp,
-                     [&ps](size_t i) -> const Tuple& {
-                       return *ps.rows[i].tuple;
-                     })
-                .Candidates(probe.key, 0, count);
-        ws.index_builds += cache.stats().builds - builds_before;
-        ws.index_extends += cache.stats().extends - extends_before;
-        ++ws.index_probes;
-        ws.index_hits += candidates.size();
-        ids = candidates.data();
-        count = candidates.size();
-      }
-    }
-    for (size_t k = 0; k < count; ++k) {
-      size_t idx = ids != nullptr ? ids[k] : lo + k;
-      if (!ps.rows[idx].alive) continue;
-      CondId row_cond = ps.rows[idx].cond;
-      auto saved_binding = binding;
-      Conjunction eqs;
-      if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-        CondId next = backend.And(acc, row_cond);
-        if (eqs.size() > 0) {
-          next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
-        }
-        if (!backend.SatisfiableWith(state.global_id, next)) {
-          ++ws.pruned_branches;
-          if (magic_head) ++ws.demand_pruned;
-        } else {
-          matched[pos] = ps.rows[idx].tuple;
-          matched_cond[pos] = row_cond;
-          sources[depth] = {atom.predicate, idx};
-          go(depth + 1, next);
-        }
-      }
-      binding = std::move(saved_binding);
-    }
-  };
-  go(0, ConditionBackend::kTrueCond);
-}
-
-/// The visit-time liveness protocol of the replay phase (see the section
-/// comment): per-depth decisions cached against the previous candidate's
-/// source prefix, re-evaluated from the first differing depth.
-struct ReplayLiveness {
-  std::vector<std::pair<int, size_t>> prev;
-  std::vector<char> decision;  // decision[d]: source d alive when visited
-
-  bool Admit(const EvalState& state, const Candidate& c) {
-    size_t same = 0;
-    while (same < prev.size() && same < c.sources.size() &&
-           prev[same] == c.sources[same]) {
-      ++same;
-    }
-    prev.assign(c.sources.begin(), c.sources.end());
-    decision.resize(c.sources.size());
-    for (size_t d = same; d < c.sources.size(); ++d) {
-      const auto& [pred, idx] = c.sources[d];
-      decision[d] = state.preds[pred].rows[idx].alive ? 1 : 0;
-    }
-    for (size_t d = 0; d < c.sources.size(); ++d) {
-      if (!decision[d]) return false;
-    }
-    return true;
-  }
-};
-
-/// Replays one firing's candidates (concatenated slices, already in
-/// enumeration order) through the unchanged Insert. Returns true if any row
-/// was added.
-bool ReplaySlice(EvalState& state, const DatalogRule& rule,
-                 std::vector<Candidate>& candidates, ReplayLiveness& live) {
-  bool added = false;
-  for (Candidate& c : candidates) {
-    if (!live.Admit(state, c)) continue;
-    added |= Insert(state, rule.head.predicate, std::move(c.head), c.cond);
-  }
-  return added;
-}
-
 /// One sequential semi-naive round over the listed rules (in list order):
 /// fires each rule once per body position whose predicate has a nonempty
 /// delta window. Returns true if any row was added.
@@ -605,85 +390,6 @@ bool SequentialRound(EvalState& state, const DatalogProgram& program,
       const PredState& ps = state.preds[rule.body[pos].predicate];
       if (ps.delta_begin == ps.delta_end) continue;
       changed |= FireRule(state, rule, static_cast<int>(pos));
-    }
-  }
-  return changed;
-}
-
-/// One parallel semi-naive round over the listed rules. Mirrors
-/// SequentialRound exactly: same firing enumeration in the same order, same
-/// depth-0 probe planning (counted into the same stats), with generation
-/// fanned out over `pool` and a sequential replay. Returns true if any row
-/// was added.
-bool ParallelRound(EvalState& state, const DatalogProgram& program,
-                   const std::vector<size_t>& rule_ids, ThreadPool& pool,
-                   std::vector<WorkerScratch>& scratch) {
-  std::vector<Firing> firings;
-  size_t total_outer = 0;
-  for (size_t r : rule_ids) {
-    const DatalogRule& rule = program.rules()[r];
-    for (size_t pos = 0; pos < rule.body.size(); ++pos) {
-      PredState& ps = state.preds[rule.body[pos].predicate];
-      if (ps.delta_begin == ps.delta_end) continue;
-      Firing f;
-      f.rule = &rule;
-      f.delta_pos = static_cast<int>(pos);
-      // The rotated order puts the delta atom at depth 0, so the outer
-      // range is always the delta window.
-      f.lo = ps.delta_begin;
-      f.hi = ps.delta_end;
-      // Depth-0 probe plan under the empty binding, through the shared
-      // per-predicate cache — one probe per firing, like FireRule.
-      AtomProbePlan probe = PlanAtomProbe(rule.body[pos].args, {});
-      if (!probe.cols.empty()) {
-        f.outer = IndexFor(state, rule.body[pos].predicate, probe.cols)
-                      .Candidates(probe.key, f.lo, f.hi);
-        ++state.stats.index_probes;
-        state.stats.index_hits += f.outer.size();
-        f.keyed = true;
-      }
-      total_outer += f.OuterCount();
-      firings.push_back(std::move(f));
-    }
-  }
-
-  // Slice for work stealing: enough chunks to balance skew, large enough
-  // that per-slice overhead stays noise.
-  std::vector<GenSlice> slices;
-  size_t target = pool.num_threads() * 4;
-  size_t chunk = total_outer / target + 1;
-  for (size_t fi = 0; fi < firings.size(); ++fi) {
-    size_t n = firings[fi].OuterCount();
-    for (size_t b = 0; b < n; b += chunk) {
-      slices.push_back(GenSlice{fi, b, std::min(b + chunk, n), {}});
-    }
-  }
-
-  pool.ParallelFor(slices.size(), [&](size_t si, size_t worker) {
-    GenSlice& s = slices[si];
-    GenerateSlice(state, scratch[worker], firings[s.firing], s.begin, s.end,
-                  s.out);
-  });
-  for (WorkerScratch& ws : scratch) {
-    state.stats.pruned_branches += ws.pruned_branches;
-    state.stats.demand_pruned += ws.demand_pruned;
-    state.stats.index_probes += ws.index_probes;
-    state.stats.index_hits += ws.index_hits;
-    state.stats.index_builds += ws.index_builds;
-    state.stats.index_extends += ws.index_extends;
-    ws.pruned_branches = ws.demand_pruned = 0;
-    ws.index_probes = ws.index_hits = 0;
-    ws.index_builds = ws.index_extends = 0;
-  }
-
-  bool changed = false;
-  size_t si = 0;
-  for (size_t fi = 0; fi < firings.size(); ++fi) {
-    // The liveness cache spans one firing — one sequential FireRule call —
-    // and resets across firings (a new call re-visits every row afresh).
-    ReplayLiveness live;
-    for (; si < slices.size() && slices[si].firing == fi; ++si) {
-      changed |= ReplaySlice(state, *firings[fi].rule, slices[si].out, live);
     }
   }
   return changed;
@@ -713,39 +419,19 @@ struct ConditionedFixpoint::Impl {
   // constructing the fixpoint).
   size_t interner_baseline = 0;
 
-  // Parallel rounds (options.num_threads > 1): the pool and per-worker
-  // scratch are created lazily on the first round big enough to use them,
-  // so small evaluations never pay the thread spawn. Worker index caches
-  // persist across rounds — PredState stamps invalidate them after a
-  // ClearPredicate exactly like the shared caches.
-  int num_threads = 1;
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<WorkerScratch> scratch;
+  /// True iff `pred` is a predicate of the program. Checked unconditionally
+  /// at the public entry points: a bad id would index the state out of
+  /// bounds.
+  bool ValidPred(int pred) const {
+    return pred >= 0 && static_cast<size_t>(pred) < state.preds.size();
+  }
 
-  // A round's delta must clear this before fan-out pays for itself.
-  static constexpr size_t kMinParallelDelta = 16;
-
-  /// True (creating the pool on first use) when this round should run
-  /// parallel. Checked per round: eligibility depends on the interner being
-  /// in shared mode, which the caller may enable between Run() calls.
-  bool UseParallelRound() {
-    if (num_threads <= 1 || state.max_derived_rows != 0 ||
-        !state.interner->shared()) {
-      return false;
-    }
-    size_t delta = 0;
-    for (const PredState& ps : state.preds) {
-      delta += ps.delta_end - ps.delta_begin;
-    }
-    if (delta < kMinParallelDelta) return false;
-    if (pool == nullptr) {
-      pool = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads));
-      scratch.resize(pool->num_threads());
-      for (WorkerScratch& ws : scratch) {
-        ws.indexes.resize(state.preds.size());
-      }
-    }
-    return true;
+  /// True iff `tuple` can be a row of `pred`: a row narrower than the
+  /// predicate's arity would be read past its end when a rule body matches
+  /// it.
+  bool Fits(int pred, const Tuple& tuple) const {
+    return ValidPred(pred) &&
+           static_cast<int>(tuple.size()) == program->arity(pred);
   }
 
   /// Stratum-scheduled semi-naive evaluation: the SCCs of the predicate
@@ -843,21 +529,12 @@ struct ConditionedFixpoint::Impl {
             // Nonrecursive stratum: none of its rules read what it derives,
             // so one pass over the delta is the fixpoint.
             ++st.stats.rounds;
-            if (UseParallelRound()) {
-              ParallelRound(st, *program, live, *pool, scratch);
-            } else {
-              SequentialRound(st, *program, live);
-            }
+            SequentialRound(st, *program, live);
           } else {
             bool changed = true;
             while (changed && !st.aborted) {
-              changed = false;
               ++st.stats.rounds;
-              if (UseParallelRound()) {
-                changed = ParallelRound(st, *program, live, *pool, scratch);
-              } else {
-                changed = SequentialRound(st, *program, live);
-              }
+              changed = SequentialRound(st, *program, live);
               AdvanceDeltas(st);
             }
           }
@@ -892,7 +569,6 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
-  impl_->num_threads = options.num_threads > 1 ? options.num_threads : 1;
   impl_->interner_baseline = state.interner->num_conjunctions();
 }
 
@@ -919,7 +595,7 @@ void ConditionedFixpoint::SetGlobal(ConjId global_id) {
 }
 
 bool ConditionedFixpoint::Seed(int pred, const Tuple& tuple, ConjId cond) {
-  if (impl_->state.aborted) return false;
+  if (impl_->state.aborted || !impl_->Fits(pred, tuple)) return false;
   return Insert(impl_->state, pred, tuple,
                 impl_->backend->FromConj(cond));
 }
@@ -928,6 +604,7 @@ void ConditionedFixpoint::SeedTable(int pred, const CTable& table) {
   EvalState& state = impl_->state;
   for (const CRow& row : table.rows()) {
     if (state.aborted) break;
+    if (!impl_->Fits(pred, row.tuple)) continue;
     Insert(state, pred, row.tuple,
            state.backend->FromConj(row.LocalId(*state.interner)));
   }
@@ -952,6 +629,7 @@ void ConditionedFixpoint::Run() {
 }
 
 void ConditionedFixpoint::ClearPredicate(int pred) {
+  if (!impl_->ValidPred(pred)) return;
   PredState& ps = impl_->state.preds[pred];
   ps.rows.clear();
   ps.by_tuple.clear();
@@ -1013,6 +691,7 @@ CTable ConditionedFixpoint::Export(int pred) const {
 }
 
 size_t ConditionedFixpoint::NumLiveRows(int pred) const {
+  if (!impl_->ValidPred(pred)) return 0;
   size_t n = 0;
   for (const IRow& row : impl_->state.preds[pred].rows) {
     if (row.alive) ++n;

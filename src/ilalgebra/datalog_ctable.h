@@ -87,8 +87,8 @@ struct DatalogCTableOptions {
   /// Optional interner override. Leave null to use
   /// ConditionInterner::Global(). A single-threaded interner must not be
   /// shared across evaluator threads; one in shared mode
-  /// (ConditionInterner::EnableSharing) may be, and is required for
-  /// `num_threads > 1`.
+  /// (ConditionInterner::EnableSharing) may be, so concurrent readers can
+  /// each run their own fixpoint over one interner.
   ConditionInterner* interner = nullptr;
 
   /// Which condition representation the fixpoint's rows travel in
@@ -105,22 +105,6 @@ struct DatalogCTableOptions {
   /// differ. kDefault resolves through the PW_CONDITION_BACKEND environment
   /// variable ("dd" selects diagrams), falling back to kConjunctions.
   ConditionBackendKind condition_backend = ConditionBackendKind::kDefault;
-
-  /// Number of worker threads for the semi-naive fixpoint rounds. With
-  /// N > 1 each round's rule firings are sliced across a worker pool: the
-  /// workers *generate* candidate derivations against the frozen round
-  /// state (thread-local output buffers, per-worker index caches), and a
-  /// sequential *replay* then applies them through the usual
-  /// insert/subsume/kill pipeline in the exact order the sequential
-  /// schedule would have — so the emitted rows (content AND order) are
-  /// byte-identical to `num_threads = 1`. Requires an interner in shared
-  /// mode; silently falls back to sequential when the interner is not
-  /// shared or when a `max_derived_rows` budget is set (the budget's
-  /// early-abort point depends on interleaving).
-  /// Join-side stats (pruned_branches, index counters) may differ from the
-  /// sequential run — workers speculate past rows a sequential schedule
-  /// would already have killed; the result rows never differ.
-  int num_threads = 1;
 
   /// Predicates at or past this id are magic (demand) predicates, so the
   /// fixpoint attributes their rows to the demand counters (magic_facts,
@@ -160,9 +144,9 @@ struct DatalogCTableOptions {
 ///
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
 /// tuple indexes all persist across Run() calls; the program and the
-/// options' interner must outlive the fixpoint. The fixpoint object itself
-/// is single-owner (drive it from one thread); `num_threads > 1` only fans
-/// the internal rounds out over a private worker pool.
+/// options' interner must outlive the fixpoint. The fixpoint and its
+/// condition backend are single-owner: drive them from one thread. Only the
+/// interner may be shared, when it is in shared mode.
 class ConditionedFixpoint {
  public:
   explicit ConditionedFixpoint(const DatalogProgram& program,
@@ -194,11 +178,15 @@ class ConditionedFixpoint {
   /// Seeds one row into `pred`, duplicate/subsumption-checked like any
   /// derivation; seeded rows join the pending delta of the next Run().
   /// Returns true iff the row was admitted (not a duplicate, not subsumed,
-  /// not unsatisfiable with the global condition).
+  /// not unsatisfiable with the global condition). An out-of-range `pred`
+  /// or a tuple whose size is not `pred`'s arity is rejected (returns
+  /// false) in all build modes.
   bool Seed(int pred, const Tuple& tuple, ConjId cond);
 
   /// Seeds every row of `table` into `pred` (the rows' interned ids are
   /// memoized on the rows, so re-seeding the same table costs hash lookups).
+  /// Rows Seed would reject for their width or predicate are skipped, so a
+  /// table whose arity differs from `pred`'s contributes no rows.
   void SeedTable(int pred, const CTable& table);
 
   /// Fires the program's empty-body rules (ground facts). Call once on a
@@ -210,7 +198,7 @@ class ConditionedFixpoint {
   void Run();
 
   /// Over-delete: drops every row of `pred` — storage, dedup map, delta
-  /// windows, and cached indexes.
+  /// windows, and cached indexes. An out-of-range `pred` is a no-op.
   void ClearPredicate(int pred);
 
   /// Re-derivation pass after over-deletes: every current row of every
@@ -224,7 +212,8 @@ class ConditionedFixpoint {
   /// condition attached).
   CTable Export(int pred) const;
 
-  /// Live rows of `pred` (cheaper than Export for size checks).
+  /// Live rows of `pred` (cheaper than Export for size checks); 0 for an
+  /// out-of-range `pred`.
   size_t NumLiveRows(int pred) const;
 
   /// True once a max_derived_rows budget tripped; the state is a partial
@@ -261,7 +250,8 @@ CTable RestrictTableToGoal(const CTable& table,
 /// i.e. any c-database works.
 ///
 /// The result carries the input's combined global condition. `stats` is
-/// optional.
+/// optional. A table whose arity differs from its extensional predicate's
+/// contributes no rows (see ConditionedFixpoint::SeedTable).
 CDatabase DatalogOnCTables(const DatalogProgram& program,
                            const CDatabase& database,
                            ConditionedFixpointStats* stats = nullptr,

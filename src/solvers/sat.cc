@@ -106,6 +106,11 @@ constexpr int8_t kUnassigned = 2;
 
 constexpr int kNoClause = -1;
 
+// VSIDS variable-activity decay per conflict.
+constexpr double kVarDecay = 0.95;
+// Base restart interval in conflicts; scaled by the Luby sequence.
+constexpr int64_t kLubyBase = 64;
+
 /// The i-th element (0-based) of the Luby restart sequence 1,1,2,1,1,2,4,...
 int64_t Luby(int64_t i) {
   int64_t size = 1;
@@ -306,7 +311,7 @@ struct SatSolver::Impl {
     order.Increased(var, activity);
   }
 
-  void DecayActivity() { var_inc *= 1.0 / options.var_decay; }
+  void DecayActivity() { var_inc *= 1.0 / kVarDecay; }
 
   void AddClauseAtRoot(const Clause& input) {
     originals.push_back(input);
@@ -445,12 +450,10 @@ struct SatSolver::Impl {
   void AttachLearnt(const std::vector<int>& learnt) {
     ++stats.learned_clauses;
     stats.learned_literals += static_cast<int64_t>(learnt.size());
-    if (options.log_proof) {
-      Clause logged;
-      logged.reserve(learnt.size());
-      for (int lit : learnt) logged.push_back(DecodeLit(lit));
-      log.added.push_back(std::move(logged));
-    }
+    Clause logged;
+    logged.reserve(learnt.size());
+    for (int lit : learnt) logged.push_back(DecodeLit(lit));
+    log.added.push_back(std::move(logged));
     if (learnt.size() == 1) {
       Enqueue(learnt[0], kNoClause);
       return;
@@ -549,21 +552,19 @@ struct SatSolver::Impl {
     result.sat = false;
     result.core = std::move(core);
     result.stats = stats;
-    if (options.log_proof) {
-      result.proof.added = log.added;
-      Clause final_clause;
-      final_clause.reserve(result.core.size());
-      for (const Literal& lit : result.core) {
-        final_clause.push_back({lit.var, !lit.negated});
-      }
-      result.proof.added.push_back(std::move(final_clause));
-      if (CertificateCheckingForced()) {
-        std::string error;
-        if (!CheckUnsatProof(OriginalFormula(), assumptions, result.proof,
-                             &error)) {
-          DieSelfCheck("UNSAT proof rejected by the independent checker",
-                       error);
-        }
+    result.proof.added = log.added;
+    Clause final_clause;
+    final_clause.reserve(result.core.size());
+    for (const Literal& lit : result.core) {
+      final_clause.push_back({lit.var, !lit.negated});
+    }
+    result.proof.added.push_back(std::move(final_clause));
+    if (CertificateCheckingForced()) {
+      std::string error;
+      if (!CheckUnsatProof(OriginalFormula(), assumptions, result.proof,
+                           &error)) {
+        DieSelfCheck("UNSAT proof rejected by the independent checker",
+                     error);
       }
     }
     return result;
@@ -576,7 +577,7 @@ struct SatSolver::Impl {
     if (!ok) return UnsatAnswer({}, assumptions);
     int64_t restart_run = 0;
     int64_t conflicts_in_run = 0;
-    int64_t budget = Luby(restart_run) * options.luby_base;
+    int64_t budget = Luby(restart_run) * kLubyBase;
     std::vector<int> learnt;
     for (;;) {
       int confl = PropagateWatched();
@@ -595,7 +596,7 @@ struct SatSolver::Impl {
           ++stats.restarts;
           ++restart_run;
           conflicts_in_run = 0;
-          budget = Luby(restart_run) * options.luby_base;
+          budget = Luby(restart_run) * kLubyBase;
           CancelUntil(0);
         }
         continue;

@@ -26,13 +26,6 @@ struct SatOptions {
   /// recursion depth scales with the variable count) — kept as the
   /// differential baseline.
   bool use_cdcl = true;
-  /// Record learned clauses into a DRAT-style proof so UNSAT answers carry a
-  /// checkable certificate (solvers/proof.h). CDCL only.
-  bool log_proof = true;
-  /// VSIDS variable-activity decay per conflict.
-  double var_decay = 0.95;
-  /// Base restart interval in conflicts; scaled by the Luby sequence.
-  int luby_base = 64;
 };
 
 struct SatStats {
@@ -48,7 +41,7 @@ struct SatResult {
   bool sat = false;
   /// Total assignment over the solver's variables when sat.
   std::vector<bool> model;
-  /// DRAT-style derivation when !sat and proof logging is on: checkable via
+  /// DRAT-style derivation when !sat on the CDCL engine: checkable via
   /// CheckUnsatProof against the clauses the caller added, under the
   /// assumptions of the failing Solve call.
   DratProof proof;

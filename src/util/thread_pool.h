@@ -1,16 +1,16 @@
 // A small persistent worker pool with an indexed parallel-for.
 //
-// The parallel semi-naive fixpoint (ilalgebra/datalog_ctable.cc) fires each
-// round's rule/delta slices across workers and then merges sequentially;
-// it needs (a) persistent threads so per-worker scratch (index caches)
-// survives across rounds, and (b) a worker index handed to the task body so
-// scratch can be picked without locks. ParallelFor gives both: tasks are
-// claimed from a shared atomic counter (work stealing, so skewed slice
-// costs still balance) and the calling thread participates as worker 0.
+// Its one user is the serve bench's reader fan-out
+// (bench/serve_throughput.cc, BM_ServeThroughput_Snapshot/T), which spreads
+// each timed iteration's query slots over T threads. Persistent threads keep
+// thread spawns out of the timed region. Tasks are claimed from a shared
+// atomic counter (work stealing, so skewed task costs still balance), the
+// calling thread participates as worker 0, and the worker index handed to
+// the task body lets a caller pick per-thread scratch without locks.
 //
-// ParallelFor is a barrier: it returns only after every task ran, which is
-// the happens-before edge the fixpoint's generate/replay phases rely on.
-// Task bodies must not throw and must not call ParallelFor reentrantly.
+// ParallelFor is a barrier: it returns only after every task ran, so every
+// task's writes happen-before the caller's next step. Task bodies must not
+// throw and must not call ParallelFor reentrantly.
 
 #ifndef PW_UTIL_THREAD_POOL_H_
 #define PW_UTIL_THREAD_POOL_H_

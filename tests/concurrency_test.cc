@@ -1,6 +1,6 @@
-// Concurrency suite: the shared interner, the parallel semi-naive
-// fixpoint, and versioned snapshot reads, each checked against its
-// sequential twin.
+// Concurrency suite: the shared interner, per-reader conditioned fixpoints
+// over it, and versioned snapshot reads, each checked against a
+// single-threaded reference.
 //
 // Three layers, mirroring the threading model (README "Threading model"):
 //
@@ -11,14 +11,15 @@
 //     conjunction pools must agree on every id (hash-consing is a pure
 //     function of the input, so agreement is exact, not just semantic),
 //     and And-folds over shuffled orders must land on the same canonical
-//     id.
+//     id. Reader threads that each run their own single-owner fixpoint —
+//     own ConditionedFixpoint, own condition backend, on both backends —
+//     through the one shared interner must emit *identical* tables to a
+//     private-interner run (same rows, same order, same conditions).
 //
-//  3. Whole-engine differentials — the parallel fixpoint
-//     (DatalogCTableOptions::num_threads) must emit *identical* tables to
-//     the sequential schedule (same rows, same order, same conditions);
-//     a VersionedCDatabase driven by a writer thread while readers take
-//     snapshots and run conditioned queries must hand every reader a
-//     state identical to the sequential recompute of the version it read.
+//  3. Whole-engine service shape — a VersionedCDatabase driven by a writer
+//     thread while readers take snapshots and run conditioned queries must
+//     hand every reader a state identical to the sequential recompute of
+//     the version it read.
 //
 // The randomized families reproduce like the differential suite: every
 // case logs its seed, and setting PW_DIFF_SEED reruns exactly that case.
@@ -38,12 +39,10 @@
 #include <utility>
 #include <vector>
 
-#include "condition/dd_backend.h"
 #include "condition/interner.h"
 #include "decision/certainty.h"
 #include "decision/possibility.h"
 #include "ilalgebra/datalog_ctable.h"
-#include "datalog/ivm.h"
 #include "tables/ctable.h"
 #include "tables/snapshot.h"
 #include "tables/updates.h"
@@ -297,7 +296,7 @@ TEST(SharedInternerStressTest, ConcurrentImpliesAndSatisfiable) {
   for (std::thread& t : threads) t.join();
 }
 
-// --- Parallel fixpoint vs the sequential schedule ---------------------------
+// --- Per-reader fixpoints over one shared interner --------------------------
 
 DatalogProgram TransitiveClosure() {
   DatalogProgram p({2, 2}, 1);
@@ -313,8 +312,8 @@ DatalogProgram TransitiveClosure() {
 }
 
 /// Chain 0 -> 1 -> ... -> n with every `gap`-th edge through a null
-/// (shared: the same null each time), like the bench workload — large
-/// enough deltas to actually engage the parallel rounds.
+/// (shared: the same null each time, else a fresh one per gap), like the
+/// bench workload.
 CDatabase Chain(int n, int gap, bool shared) {
   CTable t(2);
   for (int i = 0; i < n; ++i) {
@@ -332,182 +331,76 @@ CDatabase Chain(int n, int gap, bool shared) {
 void ExpectIdenticalDatabases(const CDatabase& a, const CDatabase& b) {
   ASSERT_EQ(a.num_tables(), b.num_tables());
   for (size_t i = 0; i < a.num_tables(); ++i) {
-    // Row-for-row, condition-for-condition: the parallel schedule promises
-    // byte-identity, not just set equality.
+    // Row-for-row, condition-for-condition: byte-identity, not just set
+    // equality.
     ASSERT_EQ(a.table(i), b.table(i)) << "table " << i;
   }
 }
 
-TEST(ParallelFixpointTest, IdenticalToSequentialOnChains) {
+TEST(SharedInternerStressTest, PerReaderFixpointsMatchPrivateRuns) {
+  // The shape concurrent fixpoints take in production (pwserve, the serve
+  // workload): every reader thread runs its own DatalogOnCTables — its own
+  // single-owner ConditionedFixpoint and condition backend — and all of
+  // them intern through one shared interner. Null-laden chains on both
+  // backends put real conditions through the interner's shared tables while
+  // the readers race; each reader's result must be byte-identical to the
+  // same run on a private interner.
   struct Case {
+    ConditionBackendKind backend;
     int n;
     int gap;
     bool shared;
   };
-  const Case cases[] = {{64, 0, false}, {24, 3, true}, {12, 4, false}};
+  constexpr ConditionBackendKind kAntichain =
+      ConditionBackendKind::kConjunctions;
+  constexpr ConditionBackendKind kDD = ConditionBackendKind::kDecisionDiagrams;
+  // Distinct nulls grow the conditions (on either backend) exponentially
+  // with chain length, so the fresh-null chains stay short.
+  const std::vector<Case> cases = {
+      {kAntichain, 64, 0, false}, {kAntichain, 24, 3, true},
+      {kAntichain, 12, 4, false}, {kDD, 24, 0, false},
+      {kDD, 9, 3, false}};
   DatalogProgram tc = TransitiveClosure();
+
+  std::vector<CDatabase> reference;
   for (const Case& c : cases) {
-    CDatabase db = Chain(c.n, c.gap, c.shared);
-
-    ConditionedFixpointStats seq_stats;
-    CDatabase seq_out = DatalogOnCTables(tc, db, &seq_stats);
-
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions par;
-    par.interner = &shared_interner;
-    par.num_threads = 4;
-    ConditionedFixpointStats par_stats;
-    CDatabase par_out = DatalogOnCTables(tc, db, &par_stats, par);
-
-    ExpectIdenticalDatabases(par_out, seq_out);
-    // The insert sequence is identical, so every row-level counter matches;
-    // only join-side counters (pruned branches, index probes) may differ.
-    EXPECT_EQ(par_stats.derived_rows, seq_stats.derived_rows);
-    EXPECT_EQ(par_stats.duplicate_rows, seq_stats.duplicate_rows);
-    EXPECT_EQ(par_stats.subsumed_rows, seq_stats.subsumed_rows);
-    EXPECT_EQ(par_stats.unsatisfiable_rows, seq_stats.unsatisfiable_rows);
-    EXPECT_EQ(par_stats.rounds, seq_stats.rounds);
+    ConditionInterner private_interner;
+    DatalogCTableOptions options;
+    options.interner = &private_interner;
+    options.condition_backend = c.backend;
+    reference.push_back(
+        DatalogOnCTables(tc, Chain(c.n, c.gap, c.shared), nullptr, options));
   }
-}
 
-TEST(ParallelFixpointTest, FallsBackWhenInternerNotShared) {
-  // num_threads > 1 without EnableSharing: silently sequential, same
-  // result (the option documents this fallback).
-  DatalogProgram tc = TransitiveClosure();
-  CDatabase db = Chain(48, 0, false);
-  ConditionInterner plain;
-  DatalogCTableOptions options;
-  options.interner = &plain;
-  options.num_threads = 4;
-  CDatabase out = DatalogOnCTables(tc, db, nullptr, options);
-  CDatabase seq_out = DatalogOnCTables(tc, db, nullptr, {});
-  ExpectIdenticalDatabases(out, seq_out);
-}
-
-TEST(ParallelFixpointTest, MaterializedViewMaintainsIdenticallyInParallel) {
-  // The IVM resume paths (Run() re-entry and RunCone after deletes) under
-  // num_threads=4 against the sequential view, over an update stream.
-  DatalogProgram tc = TransitiveClosure();
-  CDatabase db = Chain(32, 0, false);
-
-  MaterializedView seq_view(tc, db);
-
-  ConditionInterner shared_interner;
-  shared_interner.EnableSharing();
-  MaterializedViewOptions par_options;
-  par_options.eval.interner = &shared_interner;
-  par_options.eval.num_threads = 4;
-  MaterializedView par_view(tc, db, par_options);
-
-  for (int u = 0; u < 32; ++u) {
-    if (u % 8 == 7) {
-      Fact edge{u, u + 1};
-      seq_view.Delete(0, edge);
-      par_view.Delete(0, edge);
-    } else {
-      Fact edge{32 + u, 32 + u + 1};
-      seq_view.Insert(0, edge);
-      par_view.Insert(0, edge);
-    }
-    CDatabase seq_mat = seq_view.Materialized();
-    CDatabase par_mat = par_view.Materialized();
-    ExpectIdenticalDatabases(par_mat, seq_mat);
-  }
-}
-
-// --- Shared decision-diagram backend ----------------------------------------
-
-TEST(SharedDDBackendStressTest, ThreadsAgreeOnEveryIdAndVerdict) {
-  // Many threads drive one DDBackend over a shared interner through the
-  // same (And/Or/Implies/Satisfiable) workload in their own orders. Diagram
-  // ids are hash-consed — a pure function of the operands — so every thread
-  // must land on the SAME CondId for each combination and the same verdict
-  // for each query, while the unique-table and op-cache insertions race.
-  for (uint32_t seed : Seeds(7500, 3)) {
-    SCOPED_TRACE("PW_DIFF_SEED=" + std::to_string(seed));
-    std::mt19937 rng(seed);
-    ConditionInterner interner;
-    interner.EnableSharing();
-    DDBackend dd(interner);
-    std::vector<CondId> leaves;
-    for (int i = 0; i < 40; ++i) {
-      leaves.push_back(dd.FromConj(interner.Intern(RandomConjunction(rng))));
-    }
-
-    constexpr int kThreads = 8;
-    const size_t n = leaves.size();
-    struct PairResult {
-      CondId and_id;
-      CondId or_id;
-      bool implies;
-      bool sat_and;
-    };
-    std::vector<std::vector<PairResult>> results(
-        kThreads, std::vector<PairResult>(n * n));
-    std::vector<std::thread> threads;
-    for (int th = 0; th < kThreads; ++th) {
-      threads.emplace_back([&, th] {
-        std::mt19937 order_rng(seed + 500 + th);
-        std::vector<size_t> order(n * n);
-        for (size_t k = 0; k < order.size(); ++k) order[k] = k;
-        std::shuffle(order.begin(), order.end(), order_rng);
-        for (size_t k : order) {
-          size_t i = k / n;
-          size_t j = k % n;
-          PairResult r;
-          r.and_id = dd.And(leaves[i], leaves[j]);
-          r.or_id = dd.Or(leaves[i], leaves[j]);
-          r.implies = dd.Implies(leaves[i], leaves[j]);
-          r.sat_and = dd.Satisfiable(r.and_id);
-          results[th][k] = r;
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    for (int th = 1; th < kThreads; ++th) {
-      for (size_t k = 0; k < n * n; ++k) {
-        ASSERT_EQ(results[th][k].and_id, results[0][k].and_id)
-            << "thread " << th << " pair " << k;
-        ASSERT_EQ(results[th][k].or_id, results[0][k].or_id)
-            << "thread " << th << " pair " << k;
-        ASSERT_EQ(results[th][k].implies, results[0][k].implies)
-            << "thread " << th << " pair " << k;
-        ASSERT_EQ(results[th][k].sat_and, results[0][k].sat_and)
-            << "thread " << th << " pair " << k;
+  ConditionInterner interner;
+  interner.EnableSharing();
+  constexpr int kReaders = 4;
+  std::vector<std::vector<CDatabase>> results(
+      kReaders, std::vector<CDatabase>(cases.size()));
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      // Each reader starts at a different case, so different chains and
+      // both backends overlap in time.
+      for (size_t k = 0; k < cases.size(); ++k) {
+        size_t i = (static_cast<size_t>(r) + k) % cases.size();
+        const Case& c = cases[i];
+        DatalogCTableOptions options;
+        options.interner = &interner;  // the shared one
+        options.condition_backend = c.backend;
+        results[r][i] = DatalogOnCTables(tc, Chain(c.n, c.gap, c.shared),
+                                         nullptr, options);
       }
-    }
+    });
   }
-}
+  for (std::thread& th : readers) th.join();
 
-TEST(ParallelFixpointTest, DDBackendIdenticalToSequentialOnChains) {
-  // The parallel fixpoint on the decision-diagram backend: workers race
-  // into the diagram unique-table and op caches while the round schedule
-  // Or-merges each tuple's derivations, yet the deterministic insert replay
-  // must make the parallel run byte-identical to the sequential one — same
-  // rows, same order, same exported conditions.
-  DatalogProgram tc = TransitiveClosure();
-  // Ground chain, then a null-gapped one at a size whose condition
-  // diversity stays feasible (distinct nulls grow the diagrams — and any
-  // other representation — exponentially with chain length).
-  for (auto [n, gap] : {std::pair{24, 0}, std::pair{9, 3}}) {
-    CDatabase db = Chain(n, gap, /*shared=*/false);
-
-    ConditionInterner seq_interner;
-    DatalogCTableOptions seq;
-    seq.interner = &seq_interner;
-    seq.condition_backend = ConditionBackendKind::kDecisionDiagrams;
-    CDatabase seq_out = DatalogOnCTables(tc, db, nullptr, seq);
-
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions par = seq;
-    par.interner = &shared_interner;
-    par.num_threads = 4;
-    CDatabase par_out = DatalogOnCTables(tc, db, nullptr, par);
-
-    ExpectIdenticalDatabases(par_out, seq_out);
+  for (int r = 0; r < kReaders; ++r) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE("reader " + std::to_string(r) + " case " +
+                   std::to_string(i));
+      ExpectIdenticalDatabases(results[r][i], reference[i]);
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
+#include <string>
 
 #include "ilalgebra/datalog_ctable.h"
 #include "datalog/eval.h"
@@ -334,6 +336,53 @@ TEST_P(DatalogCTablePropertyTest, RepresentsFixpointOfEveryWorld) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DatalogCTablePropertyTest,
                          ::testing::Range(1, 25));
+
+TEST(DatalogCTableTest, MismatchedBaseTableContributesNoRows) {
+  // A base table whose arity differs from its extensional predicate's is
+  // skipped at seeding, in all build modes: the join would read a narrower
+  // row past its end, and a wider row does not fit the predicate's table.
+  // The full fixpoint and the demand path both see an empty edge relation.
+  DatalogProgram tc = TransitiveClosure();
+  for (int arity : {1, 3}) {
+    SCOPED_TRACE("table arity " + std::to_string(arity));
+    CTable edges(arity);
+    edges.AddRow(Tuple(static_cast<size_t>(arity), C(1)));
+    edges.AddRow(Tuple(static_cast<size_t>(arity), V(0)));
+    CDatabase db{edges};
+    CDatabase out = DatalogOnCTables(tc, db);
+    ASSERT_EQ(out.num_tables(), 2u);
+    EXPECT_EQ(out.table(0).num_rows(), 0u);
+    EXPECT_EQ(out.table(1).num_rows(), 0u);
+    CTable answers =
+        DatalogQueryOnCTables(tc, db, 1, {ConstId{1}, std::nullopt});
+    EXPECT_EQ(answers.num_rows(), 0u);
+  }
+}
+
+TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
+  // The public seeding and inspection entry points check the predicate id
+  // and the row width in all build modes: a bad call changes nothing.
+  DatalogProgram tc = TransitiveClosure();
+  ConditionedFixpoint fix(tc);
+  const ConjId t = ConditionInterner::kTrueConj;
+  EXPECT_FALSE(fix.Seed(7, Tuple{C(1), C(2)}, t));
+  EXPECT_FALSE(fix.Seed(-1, Tuple{C(1), C(2)}, t));
+  EXPECT_FALSE(fix.Seed(0, Tuple{C(1)}, t));
+  EXPECT_FALSE(fix.Seed(0, Tuple{C(1), C(2), C(3)}, t));
+  fix.SeedTable(7, CTable::FromRelation(Relation(2, {{1, 2}})));
+  fix.ClearPredicate(7);
+  fix.ClearPredicate(-1);
+  EXPECT_EQ(fix.NumLiveRows(7), 0u);
+  EXPECT_EQ(fix.NumLiveRows(-1), 0u);
+  EXPECT_EQ(fix.NumLiveRows(0), 0u);
+  EXPECT_EQ(fix.stats().derived_rows, 0u);
+  // Well-formed seeds still go through.
+  EXPECT_TRUE(fix.Seed(0, Tuple{C(1), C(2)}, t));
+  EXPECT_TRUE(fix.Seed(0, Tuple{C(2), C(3)}, t));
+  fix.FireGroundRules();
+  fix.Run();
+  EXPECT_EQ(fix.NumLiveRows(1), 3u);
+}
 
 #ifdef NDEBUG
 TEST(DatalogCTableTest, RunConeRejectsWrongSizeMask) {

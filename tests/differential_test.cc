@@ -64,11 +64,12 @@
 //     boolean combinations of =/!= atoms over the infinite domain).
 //
 //  8. Decision-diagram fixpoints — the conditioned DATALOG fixpoint on the
-//     decision-diagram backend must be row-identical to the shared-interner
-//     parallel runner (each tuple's derivations merge into ONE canonical
-//     diagram, so the exported DNF is schedule-independent), must represent
-//     the same worlds as the antichain backend's fixpoint, and must satisfy
-//     the per-world oracle directly.
+//     decision-diagram backend must be row-identical to the same fixpoint
+//     resumed incrementally, one seeded base row per Run() as a maintained
+//     view does (each tuple's derivations merge into ONE canonical diagram,
+//     so the exported DNF is schedule-independent), must represent the same
+//     worlds as the antichain backend's fixpoint, and must satisfy the
+//     per-world oracle directly.
 //
 //  9. Certainty across backends — CertainFactInTable must return the same
 //     verdict through both backends (the DD tautology check vs the exact
@@ -1302,12 +1303,13 @@ class DDFixpointDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DDFixpointDifferentialTest, StrategiesConfluentAndWorldsMatch) {
   // On the decision-diagram backend each tuple's derivations merge into one
-  // canonical diagram, so the schedule (sequential, or the shared-interner
-  // parallel runner) must not even reorder the exported DNF's disjuncts per
-  // tuple — the row sets are identical. Against the antichain backend the
-  // comparison is per-world (the two backends pick different covering DNFs
-  // of the same world-set), and the dd image must satisfy the per-world
-  // fixpoint oracle directly.
+  // canonical diagram, so the strategy (one from-scratch run, or the
+  // incremental resume a maintained view drives: ground rules first, then
+  // one seeded base row per Run()) must not even reorder the exported DNF's
+  // disjuncts per tuple — the row sets are identical. Against the antichain
+  // backend the comparison is per-world (the two backends pick different
+  // covering DNFs of the same world-set), and the dd image must satisfy the
+  // per-world fixpoint oracle directly.
   const unsigned case_seed = 12000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
@@ -1324,22 +1326,24 @@ TEST_P(DDFixpointDifferentialTest, StrategiesConfluentAndWorldsMatch) {
     dd_semi.condition_backend = ConditionBackendKind::kDecisionDiagrams;
     CDatabase semi = DatalogOnCTables(program, db, nullptr, dd_semi);
 
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions dd_par = dd_semi;
-    dd_par.interner = &shared_interner;
-    dd_par.num_threads = 4;
-    CDatabase parallel = DatalogOnCTables(program, db, nullptr, dd_par);
+    ConditionedFixpoint resumed(program, dd_semi);
+    resumed.SetGlobal(db.CombinedGlobalId(resumed.interner()));
+    resumed.FireGroundRules();
+    resumed.Run();
+    for (const CRow& row : t.rows()) {
+      resumed.Seed(0, row.tuple, row.LocalId(resumed.interner()));
+      resumed.Run();
+    }
 
     DatalogCTableOptions antichain;
     antichain.condition_backend = ConditionBackendKind::kConjunctions;
     CDatabase anti = DatalogOnCTables(program, db, nullptr, antichain);
 
-    ASSERT_EQ(semi.num_tables(), parallel.num_tables());
+    ASSERT_EQ(semi.num_tables(), program.num_predicates());
     for (size_t p = 0; p < semi.num_tables(); ++p) {
       EXPECT_EQ(CanonicalRowSet(semi.table(p)),
-                CanonicalRowSet(parallel.table(p)))
-          << "dd parallel runner diverged from sequential on predicate " << p
+                CanonicalRowSet(resumed.Export(static_cast<int>(p))))
+          << "dd incremental resume diverged from one run on predicate " << p
           << "\n"
           << program.ToString() << FormatCTable(t);
     }
@@ -1477,9 +1481,8 @@ DatalogProgram RandomLayeredProgram(std::mt19937& rng, int num_edb = 2) {
 // statically dead and duplicate rules skipped) must represent the per-world
 // fixpoints computed by the complete-information evaluator, which runs every
 // rule in every round (a monolithic schedule) — on the antichain and
-// decision-diagram backends alike; the parallel runner must produce the same
-// row set, and the demand (magic) path must return the restricted full
-// fixpoint's rows.
+// decision-diagram backends alike — and the demand (magic) path must return
+// the restricted full fixpoint's rows.
 class StratumDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
@@ -1502,28 +1505,6 @@ TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
 
     CDatabase via_stratum = DatalogOnCTables(program, db);
     ExpectRepresentsFixpointOfEveryWorld(program, db, via_stratum);
-
-    // The parallel runner under the stratum schedule (shared interner).
-    ConditionInterner shared_interner;
-    shared_interner.EnableSharing();
-    DatalogCTableOptions par;
-    par.interner = &shared_interner;
-    par.num_threads = 4;
-    CDatabase via_par = DatalogOnCTables(program, db, nullptr, par);
-    for (size_t p = 0; p < via_par.num_tables(); ++p) {
-      // A private interner assigns different ids, so compare world sets via
-      // the canonical conjunction rendering of each row.
-      std::vector<std::string> par_rows;
-      for (const CRow& row : via_par.table(p).rows()) {
-        par_rows.push_back(
-            ToString(row.tuple) + " :: " +
-            shared_interner.Resolve(row.LocalId(shared_interner)).ToString());
-      }
-      std::sort(par_rows.begin(), par_rows.end());
-      EXPECT_EQ(par_rows, CanonicalRowSet(via_stratum.table(p)))
-          << "parallel stratum runner diverged on predicate " << p << "\n"
-          << label;
-    }
 
     // Decision-diagram backend.
     DatalogCTableOptions dd;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -262,6 +263,33 @@ TEST(IvmTest, WrongArityUpdateIsNoOp) {
   ExpectMatchesRecompute(view);
 }
 #endif
+
+TEST(IvmTest, MismatchedBaseTableContributesNoRows) {
+  // A base table whose arity differs from its extensional predicate's
+  // contributes no rows, in all build modes. Updates that fit the table
+  // (ValidUpdate checks the table's own arity) still change the base, but
+  // the fixpoint rejects their unfit rows at seeding, so the full and the
+  // demand view stay empty.
+  DatalogProgram tc = TransitiveClosure();
+  CTable narrow(1);
+  narrow.AddRow(Tuple{C(0)});
+  narrow.AddRow(Tuple{V(0)});
+  MaterializedView view(tc, CDatabase{narrow});
+  MaterializedView demand(tc, CDatabase{narrow},
+                          DatalogGoal{1, {ConstId{0}, std::nullopt}});
+  for (MaterializedView* v : {&view, &demand}) {
+    v->Insert(0, Fact{1});
+    EXPECT_TRUE(v->InsertIf(0, Fact{2}, Conjunction{Neq(V(0), C(2))}));
+    v->Delete(0, Fact{0});
+    EXPECT_EQ(v->stats().updates_applied, 3u);
+  }
+  CDatabase live = view.Materialized();
+  EXPECT_EQ(live.table(0).num_rows(), 0u);
+  EXPECT_EQ(live.table(1).num_rows(), 0u);
+  EXPECT_EQ(demand.Answers().num_rows(), 0u);
+  ExpectMatchesRecompute(view);
+  ExpectMatchesRecompute(demand);
+}
 
 TEST(IvmTest, VariableRowDeleteStaysIdentical) {
   // Guarded copies produced by deleting through a variable row must seed

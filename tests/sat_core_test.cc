@@ -147,14 +147,6 @@ TEST(CdclTest, LegacySolveSatApiStillWorks) {
   EXPECT_FALSE(IsSatisfiable(PigeonholeCnf(2)));
 }
 
-TEST(CdclTest, ProofLoggingCanBeDisabled) {
-  SatOptions options;
-  options.log_proof = false;
-  SatResult result = SolveCnf(PigeonholeCnf(3), options);
-  EXPECT_FALSE(result.sat);
-  EXPECT_TRUE(result.proof.empty());
-}
-
 // --- Regression: recursion-depth hazard in the seed DPLL --------------------
 
 TEST(DeepInstanceTest, DecisionLadderOnBothEngines) {
