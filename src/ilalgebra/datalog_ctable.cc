@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/magic.h"
 #include "ilalgebra/join_plan.h"
 #include "tables/tuple_index.h"
 
@@ -741,131 +740,6 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
   }
   if (stats != nullptr) *stats = fix.stats();
   return out;
-}
-
-namespace {
-
-struct RestrictedRow {
-  Tuple tuple;
-  ConjId cond;
-  bool alive = true;
-};
-
-/// True iff row (a_tuple, a_cond) *covers* row (b_tuple, b_cond): in every
-/// world satisfying b's condition, a is present too and denotes the same
-/// fact — b's condition implies a's, and forces each pair of differing
-/// tuple positions equal. This generalizes the fixpoint's same-tuple
-/// subsumption across tuples: the magic path derives instances whose tuples
-/// carry demand values (e.g. (x,x) under x = 0) where the full path derives
-/// the general row (0, x) — the instance's strictly stronger condition
-/// forces the tuples to coincide, so it is redundant.
-bool Covers(const Tuple& a_tuple, ConjId a_cond, const Tuple& b_tuple,
-            ConjId b_cond, ConditionInterner& interner) {
-  if (!interner.Implies(b_cond, a_cond)) return false;
-  for (size_t i = 0; i < a_tuple.size(); ++i) {
-    if (a_tuple[i] == b_tuple[i]) continue;
-    CondAtom eq = Eq(a_tuple[i], b_tuple[i]);
-    if (IsTriviallyFalse(eq) ||
-        !interner.Implies(b_cond, interner.Intern(Conjunction{eq}))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-/// Rows whose tuple clashes with a bound constant are dropped, matching a
-/// bound constant against a non-constant term conjoins the equality onto the
-/// row's condition, rows unsatisfiable together with `global_id` are
-/// dropped, every tuple term is resolved to its representative under the
-/// condition's forced equalities (the interner's canonical form emits one
-/// `rep = member` atom per class membership, `rep` on the left, so a bound
-/// null position becomes the goal constant), and only rows not covered by
-/// another row survive. Resolution plus the covering antichain make the
-/// result canonical: mutually covering rows have equal condition ids and
-/// therefore identical resolved tuples, so insertion order cannot matter —
-/// which is exactly why the magic and full paths (and a maintained view and
-/// its recomputation) restrict to *identical* row sets.
-CTable RestrictTableToGoal(const CTable& table,
-                           const std::vector<std::optional<ConstId>>& bindings,
-                           ConjId global_id, ConditionInterner& interner) {
-  std::vector<RestrictedRow> rows;
-
-  for (const CRow& row : table.rows()) {
-    ConjId cond = row.LocalId(interner);
-    Tuple tuple = row.tuple;
-    Conjunction eqs;
-    bool mismatch = false;
-    for (size_t i = 0; i < bindings.size() && i < tuple.size(); ++i) {
-      if (!bindings[i].has_value()) continue;
-      CondAtom eq = Eq(Term::Const(*bindings[i]), tuple[i]);
-      if (IsTriviallyFalse(eq)) {
-        mismatch = true;
-        break;
-      }
-      if (!IsTriviallyTrue(eq)) eqs.Add(eq);
-    }
-    if (mismatch) continue;
-    if (eqs.size() > 0) cond = interner.And(cond, interner.Intern(eqs));
-    if (!interner.Satisfiable(interner.And(global_id, cond))) continue;
-    // Resolve tuple terms through the condition's equality classes.
-    for (const CondAtom& atom : interner.Resolve(cond).atoms()) {
-      if (!atom.is_equality) continue;
-      for (Term& t : tuple) {
-        if (t == atom.rhs) t = atom.lhs;
-      }
-    }
-
-    bool covered = false;
-    for (const RestrictedRow& existing : rows) {
-      if (existing.alive &&
-          Covers(existing.tuple, existing.cond, tuple, cond, interner)) {
-        covered = true;  // duplicates included: a row covers itself
-        break;
-      }
-    }
-    if (covered) continue;
-    for (RestrictedRow& existing : rows) {
-      if (existing.alive &&
-          Covers(tuple, cond, existing.tuple, existing.cond, interner)) {
-        existing.alive = false;
-      }
-    }
-    rows.push_back(RestrictedRow{std::move(tuple), cond, true});
-  }
-
-  CTable out(table.arity());
-  for (RestrictedRow& row : rows) {
-    if (row.alive) out.AddRow(std::move(row.tuple), row.cond, interner);
-  }
-  return out;
-}
-
-CTable DatalogQueryOnCTables(const DatalogProgram& program,
-                             const CDatabase& database, int goal,
-                             const std::vector<std::optional<ConstId>>& bindings,
-                             ConditionedFixpointStats* stats,
-                             const DatalogCTableOptions& options) {
-  ConditionInterner& interner = options.interner != nullptr
-                                    ? *options.interner
-                                    : ConditionInterner::Global();
-  ConjId global_id = database.CombinedGlobalId(interner);
-  MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
-  DatalogCTableOptions inner = options;
-  inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-  ConditionedFixpointStats local;
-  CDatabase fixpoint =
-      DatalogOnCTables(rewrite.program, database, &local, inner);
-  local.rules_adorned = rewrite.rules_adorned;
-  local.magic_rules = rewrite.magic_rules;
-  local.rules_pruned = rewrite.rules_pruned;
-  CTable result = RestrictTableToGoal(
-      fixpoint.table(static_cast<size_t>(rewrite.goal_predicate)), bindings,
-      global_id, interner);
-  result.SetGlobal(database.CombinedGlobal(), global_id, interner);
-  if (stats != nullptr) *stats = local;
-  return result;
 }
 
 }  // namespace pw
