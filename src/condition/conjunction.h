@@ -34,6 +34,10 @@ class Conjunction {
   void Add(const CondAtom& atom) { atoms_.push_back(atom); }
   void AddAll(const Conjunction& other);
 
+  /// Empties the conjunction back to `true`, keeping its capacity, so a
+  /// scratch conjunction can be refilled without allocating.
+  void Clear() { atoms_.clear(); }
+
   const std::vector<CondAtom>& atoms() const { return atoms_; }
   size_t size() const { return atoms_.size(); }
 

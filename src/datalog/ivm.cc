@@ -208,8 +208,18 @@ CDatabase MaterializedView::Materialized() const {
 }
 
 CTable MaterializedView::Answers() const {
-  assert(goal_.has_value());
   ConditionInterner& interner = fix_->interner();
+  // Unconditional (not assert-only): a full view has no goal, and a goal
+  // that names no predicate of the program leaves goal_table_ out of range
+  // (the rewrite demands nothing for it). Either way there are no answers.
+  if (!goal_.has_value() || goal_table_ < 0 ||
+      static_cast<size_t>(goal_table_) >= evaluated_->num_predicates()) {
+    CTable empty(goal_.has_value()
+                     ? static_cast<int>(goal_->bindings.size())
+                     : 0);
+    empty.SetGlobal(base_.CombinedGlobal(), global_id_, interner);
+    return empty;
+  }
   CTable result = RestrictTableToGoal(fix_->Export(goal_table_),
                                       goal_->bindings, global_id_, interner);
   result.SetGlobal(base_.CombinedGlobal(), global_id_, interner);

@@ -129,7 +129,9 @@ class MaterializedView {
   CDatabase Materialized() const;
 
   /// Demand views only: the goal's restricted answers, identical to
-  /// DatalogQueryOnCTables on the current base.
+  /// DatalogQueryOnCTables on the current base. A full view, or a demand
+  /// view whose goal names no predicate of the program, has no answers: an
+  /// empty table (as wide as the goal's bindings), in all build modes.
   CTable Answers() const;
 
   /// The maintained base database (updates applied in place).

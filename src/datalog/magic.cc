@@ -104,6 +104,14 @@ void AppendRuleUnlessDuplicate(std::vector<DatalogRule>& rules,
   ++counter;
 }
 
+/// True iff the goal names an intensional predicate of `program`: the only
+/// goals with demand to propagate. Checked in all build modes, since the
+/// discovery looks up the goal predicate's arity.
+bool HasDemand(const DatalogProgram& program, const DatalogGoal& goal) {
+  return program.IsIdb(goal.predicate) &&
+         static_cast<size_t>(goal.predicate) < program.num_predicates();
+}
+
 }  // namespace
 
 std::string ToAdornmentString(Adornment adornment, int arity) {
@@ -140,8 +148,9 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
   // An extensional goal needs no demand machinery: its answers are the
   // extensional table itself, so the "rewritten" program is the predicate
   // space with no rules (the conditioned fixpoint then just carries the
-  // extensional rows through).
-  if (!program.IsIdb(goal.predicate)) {
+  // extensional rows through). A goal outside the predicate space demands
+  // nothing either.
+  if (!HasDemand(program, goal)) {
     std::vector<int> arities;
     for (size_t p = 0; p < program.num_predicates(); ++p) {
       arities.push_back(program.arity(static_cast<int>(p)));
@@ -256,7 +265,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
 }
 
 bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal) {
-  if (!program.IsIdb(goal.predicate)) return true;
+  if (!HasDemand(program, goal)) return true;
   const ProgramAnalysis analysis(program);
   std::map<std::pair<int, Adornment>, size_t> pair_index;
   for (auto [pred, adornment] :

@@ -105,8 +105,9 @@ struct MagicRewriteResult {
 /// goal predicate's arity. Only rules reachable from the goal's demand are
 /// kept. An extensional goal needs no demand: the result is a program with
 /// the same predicates and no rules (the goal's answers are the extensional
-/// table itself). The rewritten program always passes
-/// DatalogProgram::Validate().
+/// table itself). So does a goal that names no predicate of `program`; its
+/// `goal_predicate` is then out of range too, and callers check it. The
+/// rewritten program always passes DatalogProgram::Validate().
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal);
 
@@ -117,7 +118,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
 /// recursive body atoms that receive no bindings), so speculative callers
 /// (the demand-path possibility procedure) check this before evaluating.
 /// Runs only the adornment discovery, not the rule emission. Extensional
-/// goals trivially qualify.
+/// goals, and goals that name no predicate, trivially qualify.
 bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal);
 
 }  // namespace pw

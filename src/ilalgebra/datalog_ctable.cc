@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <map>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -89,7 +88,8 @@ struct EvalState {
 /// Inserts a derived row unless a duplicate (same tuple, same condition id)
 /// or subsumed; kills live rows the new one covers. Rows whose condition
 /// cannot hold together with the global condition are dropped. Returns true
-/// if the row was added.
+/// if the row was added. The tuple is copied only when it is new to the
+/// predicate, so a duplicate or subsumed derivation allocates nothing.
 ///
 /// Antichain backend: a live row whose condition the new one implies makes
 /// it redundant, and it in turn kills every live row implying it — per tuple
@@ -105,7 +105,7 @@ struct EvalState {
 /// played before. Termination: every non-dropped insert strictly enlarges
 /// the tuple's condition in the finite lattice of boolean functions over the
 /// program's atom universe.
-bool Insert(EvalState& state, int pred, Tuple tuple, CondId cond) {
+bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
   ConditionBackend& backend = *state.backend;
   if (!backend.SatisfiableWith(state.global_id, cond)) {
     ++state.stats.unsatisfiable_rows;
@@ -115,7 +115,7 @@ bool Insert(EvalState& state, int pred, Tuple tuple, CondId cond) {
     return false;
   }
   PredState& ps = state.preds[pred];
-  auto [it, inserted] = ps.by_tuple.try_emplace(std::move(tuple));
+  auto [it, inserted] = ps.by_tuple.try_emplace(tuple);
   std::vector<size_t>& bucket = it->second;
   state.ChargeWork(1 + bucket.size());
   if (!inserted && state.dd) {
@@ -173,28 +173,59 @@ bool Insert(EvalState& state, int pred, Tuple tuple, CondId cond) {
   return true;
 }
 
-/// Matches rule argument terms against a row tuple, extending the rule-scope
-/// binding (rule variable -> table term) and accumulating equality atoms
-/// between table terms where needed. Returns false on hard mismatch.
-bool MatchArgs(const Tuple& args, const Tuple& row,
-               std::map<VarId, Term>& binding, Conjunction& cond) {
+/// Matches rule argument terms against a row tuple, extending the flat
+/// rule-scope binding (rule variable -> table term; a first occurrence is
+/// appended, so the caller backtracks by truncating the binding to its size
+/// before the call) and accumulating equality atoms between table terms
+/// into `cond` where needed. Returns false on a hard mismatch: two
+/// different constants.
+bool MatchArgs(const Tuple& args, const Tuple& row, RuleBinding& binding,
+               Conjunction& cond) {
   for (size_t i = 0; i < args.size(); ++i) {
     Term need = args[i];
-    Term have = row[i];
-    if (need.is_constant()) {
-      CondAtom eq = Eq(need, have);
-      if (IsTriviallyFalse(eq)) return false;
-      if (!IsTriviallyTrue(eq)) cond.Add(eq);
-      continue;
+    if (need.is_variable()) {
+      const Term* bound = FindBound(binding, need.variable());
+      if (bound == nullptr) {
+        binding.emplace_back(need.variable(), row[i]);
+        continue;
+      }
+      need = *bound;
     }
-    auto [it, inserted] = binding.emplace(need.variable(), have);
-    if (!inserted) {
-      CondAtom eq = Eq(it->second, have);
-      if (IsTriviallyFalse(eq)) return false;
-      if (!IsTriviallyTrue(eq)) cond.Add(eq);
-    }
+    CondAtom eq = Eq(need, row[i]);
+    if (IsTriviallyFalse(eq)) return false;
+    if (!IsTriviallyTrue(eq)) cond.Add(eq);
   }
   return true;
+}
+
+/// The constant `t` denotes under the canonical conjunction `forced`: `t`
+/// itself if it is a constant; for a null, the constant of its canonical
+/// `c = x` atom (the interner emits one per null forced to a constant,
+/// constant on the left), if there is one.
+std::optional<ConstId> ForcedConstant(const Conjunction& forced, Term t) {
+  if (t.is_constant()) return t.constant();
+  for (const CondAtom& atom : forced.atoms()) {
+    if (atom.is_equality && atom.rhs == t && atom.lhs.is_constant()) {
+      return atom.lhs.constant();
+    }
+  }
+  return std::nullopt;
+}
+
+/// True iff one of a candidate's match equalities `eqs` is already decided
+/// false by the canonical conjunction `acc`: both of its sides are forced
+/// onto different constants (say acc holds x0 = 3 and the candidate needs
+/// x0 = 4). acc AND eqs is then unsatisfiable, so the interner path would
+/// cut the candidate as an unsatisfiable branch; this decides it without
+/// an interner call.
+bool ForcedClash(const Conjunction& acc, const Conjunction& eqs) {
+  for (const CondAtom& eq : eqs.atoms()) {
+    std::optional<ConstId> lhs = ForcedConstant(acc, eq.lhs);
+    if (!lhs.has_value()) continue;
+    std::optional<ConstId> rhs = ForcedConstant(acc, eq.rhs);
+    if (rhs.has_value() && *lhs != *rhs) return true;
+  }
+  return false;
 }
 
 /// The up-to-date index of `pred`'s rows on `cols`. Rows are append-only
@@ -215,45 +246,60 @@ const TupleIndex& IndexFor(EvalState& state, int pred,
   return index;
 }
 
+/// Scratch buffers of CanonicalLeaf, reused across the leaves of one
+/// FireRule call: the canonical binding and equalities, and the head tuple
+/// the leaf emits.
+struct LeafScratch {
+  RuleBinding binding;
+  Conjunction eqs;
+  Tuple head;
+};
+
 /// The order-canonical (head, condition) of one matched body combination —
 /// the leaf computation of the join, shared by FireRule and the ground-rule
-/// path. Re-derives the binding and equality conditions in *body order* from
-/// the matched rows: which atom a shared variable's representative term
-/// comes from depends on the order the atoms were matched, and rows with
-/// nulls make rep-equivalent representatives syntactically different — so
-/// the emitted pair must be computed order-canonically, or evaluation
-/// schedules with different delta windows (incremental resume vs
-/// from-scratch) would derive different rows and break their identity.
+/// path — into `scratch.head` and `*cond`. Re-derives the binding and
+/// equality conditions in *body order* from the matched rows: which atom a
+/// shared variable's representative term comes from depends on the order
+/// the atoms were matched, and rows with nulls make rep-equivalent
+/// representatives syntactically different — so the emitted pair must be
+/// computed order-canonically, or evaluation schedules with different delta
+/// windows (incremental resume vs from-scratch) would derive different rows
+/// and break their identity.
 void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
                    const std::vector<const Tuple*>& matched,
-                   const std::vector<CondId>& matched_cond, Tuple* head,
-                   CondId* cond) {
-  std::map<VarId, Term> canon;
-  Conjunction eqs;
+                   const std::vector<CondId>& matched_cond,
+                   LeafScratch& scratch, CondId* cond) {
+  scratch.binding.clear();
+  scratch.eqs.Clear();
   CondId out = ConditionBackend::kTrueCond;
   for (size_t p = 0; p < rule.body.size(); ++p) {
-    bool ok = MatchArgs(rule.body[p].args, *matched[p], canon, eqs);
+    bool ok =
+        MatchArgs(rule.body[p].args, *matched[p], scratch.binding, scratch.eqs);
     (void)ok;
     assert(ok);  // constant conflicts fail in every match order
     out = backend.And(out, matched_cond[p]);
   }
-  if (eqs.size() > 0) {
-    out = backend.And(out, backend.FromConj(backend.interner().Intern(eqs)));
+  if (scratch.eqs.size() > 0) {
+    out = backend.And(out,
+                      backend.FromConj(backend.interner().Intern(scratch.eqs)));
   }
-  head->clear();
-  head->reserve(rule.head.args.size());
+  scratch.head.clear();
   for (const Term& t : rule.head.args) {
-    head->push_back(t.is_constant() ? t : canon.at(t.variable()));
+    // A head variable missing from the body (a rule that is not
+    // range-restricted, which ProgramAnalysis reports) stays a null.
+    const Term* bound =
+        t.is_constant() ? nullptr : FindBound(scratch.binding, t.variable());
+    scratch.head.push_back(bound != nullptr ? *bound : t);
   }
   *cond = out;
 }
 
 /// Fires one empty-body rule (a ground fact) into the pending delta.
 void FireGroundRule(EvalState& state, const DatalogRule& rule) {
-  Tuple head;
+  LeafScratch scratch;
   CondId cond = ConditionBackend::kTrueCond;
-  CanonicalLeaf(rule, *state.backend, {}, {}, &head, &cond);
-  Insert(state, rule.head.predicate, std::move(head), cond);
+  CanonicalLeaf(rule, *state.backend, {}, {}, scratch, &cond);
+  Insert(state, rule.head.predicate, scratch.head, cond);
 }
 
 /// Fires one rule semi-naively, inserting head derivations: body position
@@ -268,6 +314,22 @@ void FireGroundRule(EvalState& state, const DatalogRule& rule) {
 /// conjunction is the memoized And and a branch whose partial condition
 /// cannot hold (on its own or with the global condition) is cut
 /// immediately. Returns true if anything was added.
+///
+/// Each candidate row is cheap to reject. The rule-scope binding is flat
+/// (RuleBinding) and backtracking truncates it to its size on entry to the
+/// depth; the candidate's equality atoms go into one scratch conjunction,
+/// cleared per candidate; CanonicalLeaf reuses per-call buffers. Matching a
+/// candidate therefore allocates nothing once those buffers have grown.
+///
+/// On the antichain backend a CondId is an interned conjunction, so the
+/// nulls the accumulated condition forces to constants can be read off its
+/// canonical form: a candidate whose match equalities put a forced null
+/// against a different constant is cut right there, counted like any
+/// unsatisfiable branch, without the Intern/And/SatisfiableWith calls the
+/// interner path would spend on it. That is the common case on null-heavy
+/// tables: wildcard rows (x0, ...) come back from every probe and clash
+/// with the x0 = c a derivation already carries. On the DD backend a CondId
+/// is a diagram and the cut is skipped.
 bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
   ConditionInterner& interner = *state.interner;
   ConditionBackend& backend = *state.backend;
@@ -275,7 +337,6 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
   // Branches cut while deriving a magic (demand) predicate are demand that
   // can never hold — counted separately as demand_pruned.
   const bool magic_head = state.IsMagicPred(rule.head.predicate);
-  std::map<VarId, Term> binding;
 
   // Enumerate the delta atom first, then the rest in body order. The delta
   // window is the smallest range by construction (often a single seeded
@@ -296,13 +357,19 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
   std::vector<CondId> matched_cond(rule.body.size(),
                                    ConditionBackend::kTrueCond);
 
-  std::function<void(size_t, CondId)> go = [&](size_t depth, CondId acc) {
+  // Per-call scratch, reused across candidates: the binding, one candidate's
+  // match equalities (interned before the recursion reuses them) and the
+  // leaf's buffers.
+  RuleBinding binding;
+  Conjunction eqs;
+  LeafScratch leaf;
+
+  auto go = [&](auto& self, size_t depth, CondId acc) -> void {
     if (state.aborted) return;
     if (depth == rule.body.size()) {
-      Tuple head;
       CondId cond = ConditionBackend::kTrueCond;
-      CanonicalLeaf(rule, backend, matched, matched_cond, &head, &cond);
-      added |= Insert(state, rule.head.predicate, std::move(head), cond);
+      CanonicalLeaf(rule, backend, matched, matched_cond, leaf, &cond);
+      added |= Insert(state, rule.head.predicate, leaf.head, cond);
       return;
     }
     const size_t pos = order[depth];
@@ -337,33 +404,42 @@ bool FireRule(EvalState& state, const DatalogRule& rule, int delta_pos) {
         keyed = true;
       }
     }
+    // The nulls `acc` forces to constants, as its canonical conjunction
+    // (antichain backend only; the interner's storage is stable, so the
+    // reference survives the recursion's interning).
+    const Conjunction* forced = state.dd ? nullptr : &interner.Resolve(acc);
+    const size_t bound_before = binding.size();
     // Index-based: Insert may append to (and reallocate) any row vector.
     size_t count = keyed ? candidates.size() : hi - lo;
     for (size_t k = 0; k < count && !state.aborted; ++k) {
       size_t idx = keyed ? candidates[k] : lo + k;
       state.ChargeWork(1);
       if (!ps.rows[idx].alive) continue;
+      const Tuple* row_tuple = ps.rows[idx].tuple;
       CondId row_cond = ps.rows[idx].cond;
-      auto saved_binding = binding;
-      Conjunction eqs;
-      if (MatchArgs(atom.args, *ps.rows[idx].tuple, binding, eqs)) {
-        CondId next = backend.And(acc, row_cond);
-        if (eqs.size() > 0) {
-          next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
+      eqs.Clear();
+      if (MatchArgs(atom.args, *row_tuple, binding, eqs)) {
+        CondId next = ConditionBackend::kFalseCond;
+        if (forced == nullptr || !ForcedClash(*forced, eqs)) {
+          next = backend.And(acc, row_cond);
+          if (eqs.size() > 0) {
+            next = backend.And(next, backend.FromConj(interner.Intern(eqs)));
+          }
         }
-        if (!backend.SatisfiableWith(state.global_id, next)) {
+        if (next != ConditionBackend::kFalseCond &&
+            backend.SatisfiableWith(state.global_id, next)) {
+          matched[pos] = row_tuple;
+          matched_cond[pos] = row_cond;
+          self(self, depth + 1, next);
+        } else {
           ++state.stats.pruned_branches;  // never-on prefix: cut the subtree
           if (magic_head) ++state.stats.demand_pruned;
-        } else {
-          matched[pos] = ps.rows[idx].tuple;
-          matched_cond[pos] = row_cond;
-          go(depth + 1, next);
         }
       }
-      binding = std::move(saved_binding);
+      binding.resize(bound_before);
     }
   };
-  go(0, ConditionBackend::kTrueCond);
+  go(go, 0, ConditionBackend::kTrueCond);
   return added;
 }
 

@@ -56,7 +56,11 @@ struct ConditionedFixpointStats {
   size_t subsumed_rows = 0;       // derivations dropped by subsumption
   size_t unsatisfiable_rows = 0;  // derivations dropped as inconsistent
   size_t duplicate_rows = 0;      // derivations suppressed by id equality
-  size_t pruned_branches = 0;     // join subtrees cut by an unsat prefix
+  size_t pruned_branches = 0;     // join subtrees cut by an unsat prefix,
+                                  // including the antichain backend's
+                                  // forced-null cuts, decided from the
+                                  // accumulated condition's canonical form
+                                  // without an interner call
   size_t delta_rows = 0;          // delta rows consumed across all rounds
   size_t interner_conjunctions = 0;  // interner growth during this run
   size_t index_builds = 0;        // body-atom indexes built from scratch
@@ -75,8 +79,8 @@ struct ConditionedFixpointStats {
   size_t rules_pruned = 0;    // source rules the rewrite dropped before
                               // adorning (dead or duplicate, per analysis)
   size_t demand_pruned = 0;   // magic derivations dropped as unsatisfiable —
-                              // demand that can never hold, cut via the
-                              // interner before any guarded body fires on it
+                              // demand that can never hold, cut before any
+                              // guarded body fires on it
   bool budget_exhausted = false;  // the max_derived_rows budget tripped: the
                                   // run stopped early and the result is a
                                   // partial under-approximation
@@ -277,7 +281,10 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// that cannot hold is pruned via the interner before guarded rule bodies
 /// fire. The result is identical (up to row order) to RestrictTableToGoal
 /// over DatalogOnCTables' goal table. `stats` additionally reports the
-/// demand counters.
+/// demand counters. A `goal` that names no predicate of `program` (negative,
+/// or at least num_predicates) is checked in all build modes: the result is
+/// an empty table as wide as `bindings`, with the global attached, and
+/// `stats` is zeroed.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

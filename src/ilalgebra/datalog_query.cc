@@ -3,11 +3,14 @@
 // Declared in ilalgebra/datalog_ctable.h beside the fixpoint they drive.
 #include "ilalgebra/datalog_ctable.h"
 
+#include <algorithm>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "datalog/magic.h"
+#include "tables/tuple_index.h"
 
 namespace pw {
 
@@ -55,10 +58,25 @@ bool Covers(const Tuple& a_tuple, ConjId a_cond, const Tuple& b_tuple,
 /// therefore identical resolved tuples, so insertion order cannot matter —
 /// which is exactly why the magic and full paths (and a maintained view and
 /// its recomputation) restrict to *identical* row sets.
+///
+/// The antichain is bucketed by what resolution leaves in a tuple. A null
+/// left in a resolved tuple is one the row's (satisfiable) condition does
+/// not force to any constant, so it cannot force that null equal to a
+/// constant either. Hence a ground row covers only rows with its identical
+/// tuple (any differing position would pair its constant with a different
+/// constant or with such a null), and a non-ground row is covered only by
+/// non-ground rows. Kept rows are filed under their ground tuple or in one
+/// non-ground list: a ground row is checked against its bucket and the
+/// non-ground list and can kill only rows of its bucket; a non-ground row
+/// is checked against the non-ground list and kills by a full scan. Only
+/// pairs whose Covers is provably false are skipped, so the kept rows and
+/// their order are those of the all-pairs antichain.
 CTable RestrictTableToGoal(const CTable& table,
                            const std::vector<std::optional<ConstId>>& bindings,
                            ConjId global_id, ConditionInterner& interner) {
   std::vector<RestrictedRow> rows;
+  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground;
+  std::vector<size_t> non_ground;
 
   for (const CRow& row : table.rows()) {
     ConjId cond = row.LocalId(interner);
@@ -85,20 +103,34 @@ CTable RestrictTableToGoal(const CTable& table,
       }
     }
 
-    bool covered = false;
-    for (const RestrictedRow& existing : rows) {
-      if (existing.alive &&
-          Covers(existing.tuple, existing.cond, tuple, cond, interner)) {
-        covered = true;  // duplicates included: a row covers itself
-        break;
-      }
-    }
-    if (covered) continue;
-    for (RestrictedRow& existing : rows) {
+    // Duplicates included: a row covers itself.
+    auto covers_new = [&](size_t i) {
+      const RestrictedRow& existing = rows[i];
+      return existing.alive &&
+             Covers(existing.tuple, existing.cond, tuple, cond, interner);
+    };
+    auto kill_covered = [&](size_t i) {
+      RestrictedRow& existing = rows[i];
       if (existing.alive &&
           Covers(tuple, cond, existing.tuple, existing.cond, interner)) {
         existing.alive = false;
       }
+    };
+    const bool is_ground = std::all_of(
+        tuple.begin(), tuple.end(), [](Term t) { return t.is_constant(); });
+    std::vector<size_t>* bucket =
+        is_ground ? &ground.try_emplace(tuple).first->second : nullptr;
+    bool covered =
+        is_ground && std::any_of(bucket->begin(), bucket->end(), covers_new);
+    covered = covered ||
+              std::any_of(non_ground.begin(), non_ground.end(), covers_new);
+    if (covered) continue;
+    if (is_ground) {
+      std::for_each(bucket->begin(), bucket->end(), kill_covered);
+      bucket->push_back(rows.size());
+    } else {
+      for (size_t i = 0; i < rows.size(); ++i) kill_covered(i);
+      non_ground.push_back(rows.size());
     }
     rows.push_back(RestrictedRow{std::move(tuple), cond, true});
   }
@@ -119,6 +151,15 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
                                     ? *options.interner
                                     : ConditionInterner::Global();
   ConjId global_id = database.CombinedGlobalId(interner);
+  // Unconditional (not assert-only): the rewrite and the fixpoint's tables
+  // are indexed by the goal, so a goal that names no predicate answers with
+  // no rows instead.
+  if (goal < 0 || static_cast<size_t>(goal) >= program.num_predicates()) {
+    CTable empty(static_cast<int>(bindings.size()));
+    empty.SetGlobal(database.CombinedGlobal(), global_id, interner);
+    if (stats != nullptr) *stats = ConditionedFixpointStats{};
+    return empty;
+  }
   MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
   DatalogCTableOptions inner = options;
   inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);

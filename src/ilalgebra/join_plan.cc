@@ -232,15 +232,14 @@ std::vector<JoinStep> OrderJoinSteps(const JoinPlan& plan,
   return steps;
 }
 
-AtomProbePlan PlanAtomProbe(const Tuple& args,
-                            const std::map<VarId, Term>& binding) {
+AtomProbePlan PlanAtomProbe(const Tuple& args, const RuleBinding& binding) {
   AtomProbePlan plan;
   for (size_t i = 0; i < args.size(); ++i) {
     Term need = args[i];
     if (need.is_variable()) {
-      auto it = binding.find(need.variable());
-      if (it == binding.end() || !it->second.is_constant()) continue;
-      need = it->second;
+      const Term* bound = FindBound(binding, need.variable());
+      if (bound == nullptr || !bound->is_constant()) continue;
+      need = *bound;
     }
     plan.cols.push_back(static_cast<int>(i));
     plan.key.push_back(need);

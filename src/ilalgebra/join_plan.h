@@ -49,7 +49,7 @@
 #define PW_ILALGEBRA_JOIN_PLAN_H_
 
 #include <cstddef>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/term.h"
@@ -132,6 +132,20 @@ struct JoinStep {
 std::vector<JoinStep> OrderJoinSteps(const JoinPlan& plan,
                                      const std::vector<size_t>& leaf_rows);
 
+/// A partial rule binding of the conditioned fixpoint's body-atom matcher:
+/// rule variable -> table term, in binding order. A rule binds a handful of
+/// variables, so the binding is a flat vector with a linear lookup, and
+/// the matcher backtracks by truncating it to a saved size.
+using RuleBinding = std::vector<std::pair<VarId, Term>>;
+
+/// The term `var` is bound to, or nullptr if it is unbound.
+inline const Term* FindBound(const RuleBinding& binding, VarId var) {
+  for (const auto& [bound_var, term] : binding) {
+    if (bound_var == var) return &term;
+  }
+  return nullptr;
+}
+
 /// The bound-position probe of one Datalog body atom under a partial rule
 /// binding: `cols` are the atom positions whose value is a constant (a
 /// constant argument, or a variable the binding maps to a constant — a
@@ -142,8 +156,7 @@ struct AtomProbePlan {
   std::vector<int> cols;
   Tuple key;
 };
-AtomProbePlan PlanAtomProbe(const Tuple& args,
-                            const std::map<VarId, Term>& binding);
+AtomProbePlan PlanAtomProbe(const Tuple& args, const RuleBinding& binding);
 
 }  // namespace pw
 

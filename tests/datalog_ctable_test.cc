@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "ilalgebra/datalog_ctable.h"
 #include "datalog/eval.h"
@@ -406,6 +408,220 @@ TEST(DatalogCTableTest, RunConeRejectsWrongSizeMask) {
   EXPECT_EQ(fix.NumLiveRows(1), 3u);
 }
 #endif
+
+TEST(DatalogCTableTest, QueryOnNegativeGoalIsEmpty) {
+  // The goal predicate is checked in all build modes: a goal that names no
+  // predicate of the program has no answers, an empty table as wide as the
+  // bindings. Regression: the goal restriction read the fixpoint's tables
+  // at index -1.
+  DatalogProgram tc = TransitiveClosure();
+  CDatabase db(CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}})));
+  ConditionedFixpointStats stats;
+  stats.rounds = 5;
+  CTable answers =
+      DatalogQueryOnCTables(tc, db, -1, {ConstId{1}, std::nullopt}, &stats);
+  EXPECT_EQ(answers.arity(), 2);
+  EXPECT_EQ(answers.num_rows(), 0u);
+  EXPECT_EQ(stats.rounds, 0u);
+}
+
+TEST(DatalogCTableTest, QueryOnOutOfRangeGoalIsEmpty) {
+  // A goal past the last predicate answers with no rows, whatever the
+  // bindings' width. Regression: the rewrite looked the goal's arity up out
+  // of range (an assert, or std::out_of_range in NDEBUG builds).
+  DatalogProgram tc = TransitiveClosure();
+  CDatabase db(CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}})));
+  for (int goal : {2, 7}) {
+    SCOPED_TRACE("goal " + std::to_string(goal));
+    CTable answers = DatalogQueryOnCTables(tc, db, goal, {std::nullopt});
+    EXPECT_EQ(answers.arity(), 1);
+    EXPECT_EQ(answers.num_rows(), 0u);
+  }
+  // The valid goal still answers.
+  EXPECT_EQ(DatalogQueryOnCTables(tc, db, 1, {ConstId{1}, std::nullopt})
+                .num_rows(),
+            2u);
+}
+
+using testutil::CanonicalRows;
+
+/// `rows` added to a fresh table in the order `order` gives.
+CTable InOrder(int arity, const std::vector<CRow>& rows,
+               const std::vector<size_t>& order) {
+  CTable t(arity);
+  for (size_t i : order) t.AddRow(rows[i]);
+  return t;
+}
+
+TEST(RestrictTableToGoalTest, NonGroundRowCoversGroundRowForcedOntoIt) {
+  // (0, x1) | true covers (0, 5) | x1 = 5: wherever the instance holds, the
+  // general row denotes the same fact. A ground row is covered from the
+  // non-ground list, and a non-ground row's kill scan reaches the ground
+  // buckets — in either insertion order.
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::vector<CRow> rows = {
+      CRow{Tuple{C(0), V(1)}, Conjunction{}},
+      CRow{Tuple{C(0), C(5)}, Conjunction{Eq(V(1), C(5))}},
+  };
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+    CTable out = RestrictTableToGoal(InOrder(2, rows, order),
+                                     {ConstId{0}, std::nullopt},
+                                     ConditionInterner::kTrueConj, interner);
+    ASSERT_EQ(out.num_rows(), 1u) << out.ToString();
+    EXPECT_EQ(out.row(0).tuple, (Tuple{C(0), V(1)}));
+    EXPECT_TRUE(out.row(0).local().IsTautology());
+  }
+}
+
+TEST(RestrictTableToGoalTest, GroundRowNeverCoversNonGroundRow) {
+  // (0, 5) | true and (0, x1) | x1 != 7: the ground row's constant cannot
+  // be forced onto the unforced null, and the general row's condition is
+  // not implied by true — neither covers the other, in either order.
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::vector<CRow> rows = {
+      CRow{Tuple{C(0), C(5)}, Conjunction{}},
+      CRow{Tuple{C(0), V(1)}, Conjunction{Neq(V(1), C(7))}},
+  };
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{0, 1}, std::vector<size_t>{1, 0}}) {
+    CTable out = RestrictTableToGoal(InOrder(2, rows, order),
+                                     {std::nullopt, std::nullopt},
+                                     ConditionInterner::kTrueConj, interner);
+    EXPECT_EQ(out.num_rows(), 2u) << out.ToString();
+    EXPECT_EQ(CanonicalRows(out), CanonicalRows(InOrder(2, rows, {0, 1})));
+  }
+}
+
+TEST(RestrictTableToGoalTest, SameTupleDuplicatesCollapse) {
+  // Duplicates, a stronger condition on the same tuple, and a null the
+  // condition forces onto that tuple (resolved to (0, 5) before the
+  // antichain sees it) all collapse into the one weakest row — whichever
+  // arrives first.
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::vector<CRow> rows = {
+      CRow{Tuple{C(0), C(5)}, Conjunction{Eq(V(2), C(1))}},
+      CRow{Tuple{C(0), C(5)}, Conjunction{}},
+      CRow{Tuple{C(0), C(5)}, Conjunction{}},
+      CRow{Tuple{C(0), V(1)}, Conjunction{Eq(V(1), C(5))}},
+  };
+  std::vector<size_t> order = {0, 1, 2, 3};
+  do {
+    CTable out = RestrictTableToGoal(InOrder(2, rows, order),
+                                     {ConstId{0}, std::nullopt},
+                                     ConditionInterner::kTrueConj, interner);
+    ASSERT_EQ(out.num_rows(), 1u) << out.ToString();
+    EXPECT_EQ(out.row(0).tuple, (Tuple{C(0), C(5)}));
+    EXPECT_TRUE(out.row(0).local().IsTautology());
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(RestrictTableToGoalTest, ShuffledInputYieldsIdenticalTable) {
+  // The covering antichain is canonical: any input order restricts to the
+  // same rows (tuples and condition ids), only their order follows the
+  // input's.
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::mt19937 rng(20261017);
+  for (int round = 0; round < 60; ++round) {
+    RandomCTableOptions options = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/8, /*num_constants=*/3,
+        /*num_variables=*/3, /*num_local_atoms=*/2);
+    CTable t = RandomCTable(options, rng);
+    std::vector<std::optional<ConstId>> bindings = {std::nullopt,
+                                                    std::nullopt};
+    if (round % 2 == 1) bindings[0] = ConstId{round % 3};
+    CTable reference = RestrictTableToGoal(
+        t, bindings, ConditionInterner::kTrueConj, interner);
+    std::vector<size_t> order(t.num_rows());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (int shuffle = 0; shuffle < 4; ++shuffle) {
+      std::shuffle(order.begin(), order.end(), rng);
+      CTable out = RestrictTableToGoal(InOrder(2, t.rows(), order), bindings,
+                                       ConditionInterner::kTrueConj, interner);
+      EXPECT_EQ(CanonicalRows(out), CanonicalRows(reference))
+          << t.ToString();
+    }
+  }
+}
+
+/// A chain 0 -> 1 -> ... -> n whose every `gap`-th edge runs through the
+/// one shared null x0 (i -> x0 -> i + 1), under the global x0 != 0: the
+/// serving benchmark's table in miniature. tc rows that reach a gap carry
+/// x0 = k, and every probe on a ground node also returns the wildcard
+/// (x0, i + 1) rows, which that condition rules out.
+CDatabase SharedNullChain(int n, int gap) {
+  CTable t(2);
+  for (int i = 0; i < n; ++i) {
+    if (i % gap == gap - 1) {
+      t.AddRow(Tuple{C(i), V(0)});
+      t.AddRow(Tuple{V(0), C(i + 1)});
+    } else {
+      t.AddRow(Tuple{C(i), C(i + 1)});
+    }
+  }
+  t.SetGlobal(Conjunction{Neq(V(0), C(0))});
+  return CDatabase{t};
+}
+
+TEST(DatalogCTableTest, ForcedNullClashesAreCutAsUnsatisfiableBranches) {
+  // Derived rows carry x0 = k, then meet the wildcard (x0, .) rows: each
+  // such candidate is an unsatisfiable branch. The fixpoint and the goal
+  // query must represent every world on both backends, and on the
+  // antichain backend, where the join loop decides these clashes from the
+  // accumulated condition's canonical form, the branch counters must read
+  // exactly what the interner path counted. The right-linear closure
+  // derives its demand through the wildcard rows, so its clashes are
+  // demand that can never hold.
+  DatalogProgram right_linear({2, 2}, /*num_edb=*/1);
+  DatalogRule base;
+  base.head = {1, Tuple{V(100), V(101)}};
+  base.body = {{0, Tuple{V(100), V(101)}}};
+  right_linear.AddRule(base);
+  DatalogRule step;
+  step.head = {1, Tuple{V(100), V(102)}};
+  step.body = {{0, Tuple{V(100), V(101)}}, {1, Tuple{V(101), V(102)}}};
+  right_linear.AddRule(step);
+  struct Case {
+    const char* name;
+    DatalogProgram program;
+    size_t pruned, goal_pruned, goal_demand_pruned;  // the interner path's
+  };
+  const Case cases[] = {
+      {"left-linear", TransitiveClosure(), 421, 57, 0},
+      {"right-linear", right_linear, 787, 6070, 57},
+  };
+  ConditionInterner& interner = ConditionInterner::Global();
+  CDatabase db = SharedNullChain(12, 3);
+  const std::vector<std::optional<ConstId>> bindings = {ConstId{0},
+                                                        std::nullopt};
+  for (const Case& c : cases) {
+    for (ConditionBackendKind kind :
+         {ConditionBackendKind::kConjunctions,
+          ConditionBackendKind::kDecisionDiagrams}) {
+      const bool antichain = kind == ConditionBackendKind::kConjunctions;
+      SCOPED_TRACE(std::string(c.name) + (antichain ? ", antichain" : ", dd"));
+      DatalogCTableOptions options;
+      options.condition_backend = kind;
+      ConditionedFixpointStats stats;
+      CDatabase image = DatalogOnCTables(c.program, db, &stats, options);
+      EXPECT_TRUE(
+          testutil::RepresentsFixpointOfEveryWorld(c.program, db, image))
+          << image.table(1).ToString();
+      ConditionedFixpointStats goal_stats;
+      CTable answers = DatalogQueryOnCTables(c.program, db, 1, bindings,
+                                             &goal_stats, options);
+      EXPECT_EQ(CanonicalRows(answers),
+                CanonicalRows(RestrictTableToGoal(
+                    image.table(1), bindings, db.CombinedGlobalId(interner),
+                    interner)));
+      if (antichain) {
+        EXPECT_EQ(stats.pruned_branches, c.pruned);
+        EXPECT_EQ(goal_stats.pruned_branches, c.goal_pruned);
+        EXPECT_EQ(goal_stats.demand_pruned, c.goal_demand_pruned);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace pw

@@ -485,18 +485,7 @@ DatalogProgram RandomDatalogProgram(std::mt19937& rng, int num_edb = 1) {
   return p;
 }
 
-/// Rows of a table rendered canonically (tuple + interner-canonical local
-/// condition), sorted — the "identical up to row order" comparison key.
-std::vector<std::string> CanonicalRowSet(const CTable& t) {
-  ConditionInterner& interner = ConditionInterner::Global();
-  std::vector<std::string> out;
-  for (const CRow& row : t.rows()) {
-    out.push_back(ToString(row.tuple) + " :: " +
-                  interner.Resolve(row.LocalId(interner)).ToString());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
+using testutil::CanonicalRows;
 
 /// Asserts the full per-world identity of a conditioned fixpoint: for every
 /// satisfying valuation, sigma(image) == DATALOG fixpoint of sigma(db), as
@@ -648,7 +637,7 @@ TEST_P(MagicDifferentialTest, MagicEqualsRestrictedFullFixpoint) {
           << "magic diverged (per-world) from restricted full fixpoint on "
           << label;
     } else {
-      EXPECT_EQ(CanonicalRowSet(via_magic), CanonicalRowSet(via_full))
+      EXPECT_EQ(CanonicalRows(via_magic), CanonicalRows(via_full))
           << "magic diverged from restricted full fixpoint on " << label;
     }
     EXPECT_EQ(via_magic.global(), via_full.global());
@@ -1043,8 +1032,8 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
       CDatabase scratch = DatalogOnCTables(program, view.base());
       ASSERT_EQ(maintained.num_tables(), scratch.num_tables());
       for (size_t p = 0; p < maintained.num_tables(); ++p) {
-        EXPECT_EQ(CanonicalRowSet(maintained.table(p)),
-                  CanonicalRowSet(scratch.table(p)))
+        EXPECT_EQ(CanonicalRows(maintained.table(p)),
+                  CanonicalRows(scratch.table(p)))
             << "maintained view diverged from recompute on predicate " << p
             << " after update " << u << "\n"
             << program.ToString() << FormatCDatabase(view.base());
@@ -1053,7 +1042,7 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
       CTable answers = demand.Answers();
       CTable scratch_answers = DatalogQueryOnCTables(
           program, demand.base(), goal.predicate, goal.bindings);
-      EXPECT_EQ(CanonicalRowSet(answers), CanonicalRowSet(scratch_answers))
+      EXPECT_EQ(CanonicalRows(answers), CanonicalRows(scratch_answers))
           << "demand view diverged from query-from-scratch with bindings "
           << BindingsString(goal.bindings) << " after update " << u << "\n"
           << program.ToString() << FormatCDatabase(demand.base());
@@ -1079,8 +1068,8 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
         DatalogOnCTables(tc, CDatabase{scratch.table(num_edb)});
     ASSERT_EQ(over_maintained.num_tables(), over_scratch.num_tables());
     for (size_t p = 0; p < over_maintained.num_tables(); ++p) {
-      EXPECT_EQ(CanonicalRowSet(over_maintained.table(p)),
-                CanonicalRowSet(over_scratch.table(p)))
+      EXPECT_EQ(CanonicalRows(over_maintained.table(p)),
+                CanonicalRows(over_scratch.table(p)))
           << "nested program over maintained output diverged on predicate "
           << p << "\n"
           << program.ToString() << FormatCDatabase(view.base());
@@ -1341,8 +1330,8 @@ TEST_P(DDFixpointDifferentialTest, StrategiesConfluentAndWorldsMatch) {
 
     ASSERT_EQ(semi.num_tables(), program.num_predicates());
     for (size_t p = 0; p < semi.num_tables(); ++p) {
-      EXPECT_EQ(CanonicalRowSet(semi.table(p)),
-                CanonicalRowSet(resumed.Export(static_cast<int>(p))))
+      EXPECT_EQ(CanonicalRows(semi.table(p)),
+                CanonicalRows(resumed.Export(static_cast<int>(p))))
           << "dd incremental resume diverged from one run on predicate " << p
           << "\n"
           << program.ToString() << FormatCTable(t);
@@ -1531,7 +1520,7 @@ TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
           << "demand path diverged (per-world) on goal P" << goal << "\n"
           << label;
     } else {
-      EXPECT_EQ(CanonicalRowSet(via_magic), CanonicalRowSet(via_full))
+      EXPECT_EQ(CanonicalRows(via_magic), CanonicalRows(via_full))
           << "demand path diverged on goal P" << goal << "\n"
           << label;
     }

@@ -22,18 +22,7 @@
 namespace pw {
 namespace {
 
-/// Rows rendered canonically (tuple + interner-canonical local condition),
-/// sorted — the "identical up to row order" comparison key.
-std::vector<std::string> Canon(const CTable& t) {
-  ConditionInterner& interner = ConditionInterner::Global();
-  std::vector<std::string> out;
-  for (const CRow& row : t.rows()) {
-    out.push_back(ToString(row.tuple) + " :: " +
-                  interner.Resolve(row.LocalId(interner)).ToString());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
+using testutil::CanonicalRows;
 
 bool HasTuple(const CTable& t, const Tuple& want) {
   for (const CRow& row : t.rows()) {
@@ -50,7 +39,7 @@ void ExpectMatchesRecompute(const MaterializedView& view) {
       DatalogOnCTables(view.evaluated_program(), view.base());
   ASSERT_EQ(live.num_tables(), scratch.num_tables());
   for (size_t p = 0; p < live.num_tables(); ++p) {
-    EXPECT_EQ(Canon(live.table(p)), Canon(scratch.table(p)))
+    EXPECT_EQ(CanonicalRows(live.table(p)), CanonicalRows(scratch.table(p)))
         << "view diverged from recompute on predicate " << p;
   }
 }
@@ -315,7 +304,7 @@ TEST(IvmTest, DemandViewServesGoalAnswersUnderUpdates) {
   auto check = [&]() {
     CTable live = view.Answers();
     CTable scratch = DatalogQueryOnCTables(tc, view.base(), 1, bindings);
-    EXPECT_EQ(Canon(live), Canon(scratch));
+    EXPECT_EQ(CanonicalRows(live), CanonicalRows(scratch));
   };
   check();
   view.Insert(0, Fact{3, 4});
@@ -344,6 +333,37 @@ TEST(IvmTest, IncrementalBeatsRecomputeOnDerivedRowWork) {
       view.stats().fixpoint.derived_rows - init_derived;
   EXPECT_LT(incremental_derived * 2, recompute_derived);
   ExpectMatchesRecompute(view);
+}
+
+TEST(IvmTest, DemandViewOnOutOfRangeGoalHasNoAnswers) {
+  // The goal predicate is checked in all build modes: a demand view whose
+  // goal names no predicate of the program demands nothing. It still
+  // maintains its base, and answers with no rows. Regression: the rewrite
+  // looked the goal's arity up out of range and threw from the constructor.
+  DatalogProgram tc = TransitiveClosure();
+  for (int pred : {7, -1}) {
+    SCOPED_TRACE("goal " + std::to_string(pred));
+    MaterializedView view(tc, Chain(4),
+                          DatalogGoal{pred, {ConstId{0}, std::nullopt}});
+    EXPECT_TRUE(view.is_demand_view());
+    CTable answers = view.Answers();
+    EXPECT_EQ(answers.arity(), 2);
+    EXPECT_EQ(answers.num_rows(), 0u);
+    view.Insert(0, Fact{3, 4});
+    EXPECT_EQ(view.Answers().num_rows(), 0u);
+    EXPECT_EQ(view.base().table(0).num_rows(), 4u);
+  }
+}
+
+TEST(IvmTest, FullViewHasNoAnswers) {
+  // Answers() serves a demand view's goal; a full view has none, so it
+  // answers with an empty table in all build modes. Regression: the goal
+  // was checked only by an assert, and NDEBUG builds threw from Export(-1).
+  MaterializedView view(TransitiveClosure(), Chain(4));
+  ASSERT_FALSE(view.is_demand_view());
+  CTable answers = view.Answers();
+  EXPECT_EQ(answers.num_rows(), 0u);
+  EXPECT_EQ(view.Materialized().table(1).num_rows(), 6u);
 }
 
 }  // namespace

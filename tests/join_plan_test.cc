@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <vector>
 
 #include "ilalgebra/join_plan.h"
@@ -209,9 +208,8 @@ TEST(JoinPlanTest, EveryConjunctIsAppliedExactlyOnce) {
 }
 
 TEST(JoinPlanTest, PlanAtomProbeUsesBoundConstantPositions) {
-  std::map<VarId, Term> binding;
-  binding.emplace(100, C(5));
-  binding.emplace(101, V(3));  // bound to a null: cannot key a probe
+  RuleBinding binding{{100, C(5)},
+                      {101, V(3)}};  // bound to a null: cannot key a probe
   Tuple args{V(100), C(2), V(101), V(102)};
   AtomProbePlan plan = PlanAtomProbe(args, binding);
   EXPECT_EQ(plan.cols, (std::vector<int>{0, 1}));

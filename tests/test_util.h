@@ -166,6 +166,19 @@ inline std::vector<std::string> CanonicalImageWorlds(
   return out;
 }
 
+/// Rows of a table rendered canonically (tuple + interner-canonical local
+/// condition), sorted: the "identical up to row order" comparison key.
+inline std::vector<std::string> CanonicalRows(const CTable& t) {
+  ConditionInterner& interner = ConditionInterner::Global();
+  std::vector<std::string> out;
+  for (const CRow& row : t.rows()) {
+    out.push_back(ToString(row.tuple) + " :: " +
+                  interner.Resolve(row.LocalId(interner)).ToString());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 /// The per-world oracle of the conditioned DATALOG fixpoint: true iff for
 /// every valuation sigma satisfying db's global condition, sigma(image) is
 /// the fixpoint of `program` over sigma(db), as computed by `eval` (the
