@@ -25,8 +25,8 @@
 // conjunctions simply ARE the interner's ConjIds (its fixpoint fast path is
 // a passthrough). Ids are append-only for the backend's lifetime.
 //
-// Threading: a backend is single-owner. Its tables and caches are plain
-// maps, so drive it from one thread; each ConditionedFixpoint owns its own.
+// Threading: a backend is single-owner. Its tables and caches have no locks,
+// so drive it from one thread; each ConditionedFixpoint owns its own.
 // The interner it sits on may be shared: backends on different threads can
 // use one interner once it is in shared mode
 // (ConditionInterner::EnableSharing).

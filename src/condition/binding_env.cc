@@ -12,7 +12,8 @@ void BindingEnv::Revert(size_t mark) {
     trail_.pop_back();
     switch (e.kind) {
       case TrailEntry::kNodeAdded:
-        node_of_.erase(term_of_[e.a]);
+        // Nodes leave in reverse creation order, so e.a is the newest.
+        node_of_.EraseLast(TermHash(term_of_[e.a]));
         term_of_.pop_back();
         parent_.pop_back();
         rank_.pop_back();
@@ -31,10 +32,11 @@ void BindingEnv::Revert(size_t mark) {
 }
 
 int BindingEnv::NodeOf(Term t) {
-  auto it = node_of_.find(t);
-  if (it != node_of_.end()) return it->second;
-  int id = static_cast<int>(term_of_.size());
-  node_of_.emplace(t, id);
+  auto [node, inserted] = node_of_.FindOrInsert(
+      TermHash(t), [&](uint32_t n) { return term_of_[n] == t; },
+      [this](uint32_t n) { return TermHash(term_of_[n]); });
+  int id = static_cast<int>(node);
+  if (!inserted) return id;
   term_of_.push_back(t);
   parent_.push_back(id);
   rank_.push_back(0);
@@ -45,9 +47,10 @@ int BindingEnv::NodeOf(Term t) {
 }
 
 std::optional<int> BindingEnv::FindNode(Term t) const {
-  auto it = node_of_.find(t);
-  if (it == node_of_.end()) return std::nullopt;
-  return it->second;
+  uint32_t node = node_of_.Find(
+      TermHash(t), [&](uint32_t n) { return term_of_[n] == t; });
+  if (node == IdTable::kNone) return std::nullopt;
+  return static_cast<int>(node);
 }
 
 int BindingEnv::Root(int node) const {

@@ -10,17 +10,26 @@
 // satisfiable state. A trail enables O(1)-amortized rollback to an earlier
 // mark — this is the backbone of all backtracking decision procedures in
 // src/decision/.
+//
+// Storage is flat: a term's node is an index into parallel vectors, and the
+// term -> node map is an IdTable (util/hash_cons.h) whose keys are term_of_.
+// Nodes are created in trail order and leave in reverse trail order, so
+// Revert only ever removes the newest node. That is the one erase IdTable
+// supports, and clearing that node's slot is exact under linear probing:
+// every older node found its slot before the newest existed. Revert keeps
+// every vector's capacity, so an env that has grown allocates nothing on
+// Assert* or Revert.
 
 #ifndef PW_CONDITION_BINDING_ENV_H_
 #define PW_CONDITION_BINDING_ENV_H_
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "condition/atom.h"
 #include "core/term.h"
+#include "util/hash_cons.h"
 
 namespace pw {
 
@@ -95,7 +104,11 @@ class BindingEnv {
   int Root(int node) const;
   bool ViolatesDiseq(int root_a, int root_b) const;
 
-  std::unordered_map<Term, int> node_of_;
+  static uint64_t TermHash(Term t) {
+    return HashCombine(t.is_variable() ? 1 : 0, static_cast<uint32_t>(t.id()));
+  }
+
+  IdTable node_of_;  // keys are term_of_[node]; nodes leave LIFO (Revert)
   std::vector<Term> term_of_;
   std::vector<int> parent_;
   std::vector<int> rank_;

@@ -1,34 +1,52 @@
 #include "condition/dd_backend.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-
-#include "condition/conjunction.h"
 
 namespace pw {
 
+namespace {
+
+uint64_t NodeHash(AtomId var, CondId lo, CondId hi) {
+  return HashCombine(HashCombine(var, lo), hi);
+}
+
+}  // namespace
+
 CondId DDBackend::MakeNode(AtomId var, CondId lo, CondId hi) {
   if (lo == hi) return lo;
-  auto [it, inserted] = unique_.try_emplace(NodeKey{var, lo, hi}, CondId{0});
+  auto [index, inserted] = unique_.FindOrInsert(
+      NodeHash(var, lo, hi),
+      [&](uint32_t i) {
+        const Node& n = nodes_[i];
+        return n.var == var && n.lo == lo && n.hi == hi;
+      },
+      [this](uint32_t i) {
+        const Node& n = nodes_[i];
+        return NodeHash(n.var, n.lo, n.hi);
+      });
   if (inserted) {
-    it->second = static_cast<CondId>(nodes_.Append(Node{var, lo, hi})) + 2;
+    nodes_.push_back(Node{var, lo, hi});
+    if (nodes_.size() > ops_.slots()) {
+      size_t target = OpCacheTarget();
+      if (target != ops_.slots()) ops_.Resize(target);
+    }
   }
-  return it->second;
+  return index + 2;
 }
 
-bool DDBackend::CacheLookup(const OpKey& key, CondId* out) {
-  auto it = ops_.find(key);
-  if (it == ops_.end()) return false;
-  *out = it->second;
-  return true;
+size_t DDBackend::OpCacheTarget() const {
+  size_t target = std::max(kInitialOpSlots, std::bit_ceil(nodes_.size()));
+  if (op_cache_capacity_ != 0) {
+    target = std::min(target, std::bit_floor(op_cache_capacity_));
+  }
+  return target;
 }
 
-void DDBackend::CacheStore(const OpKey& key, CondId value) {
-  if (op_cache_capacity_ != 0 && ops_.size() >= op_cache_capacity_) {
-    ops_.clear();
-    ++op_cache_evictions_;
-  }
-  ops_.emplace(key, value);
+void DDBackend::SetOpCacheCapacity(size_t capacity) {
+  op_cache_capacity_ = capacity;
+  ops_.Resize(OpCacheTarget());
 }
 
 bool DDBackend::VarBefore(AtomId a, AtomId b) const {
@@ -43,8 +61,9 @@ bool DDBackend::VarBefore(AtomId a, AtomId b) const {
 
 CondId DDBackend::FromConj(ConjId id) {
   if (id <= kFalseCond) return id;  // sentinels coincide by construction
-  auto it = from_conj_.find(id);
-  if (it != from_conj_.end()) return it->second;
+  if (id < from_conj_.size() && from_conj_[id] != kNoCond) {
+    return from_conj_[id];
+  }
   // A conjunction's diagram is the chain asserting each atom in variable
   // order: later variables sit deeper, so build bottom-up from the last.
   std::vector<AtomId> atoms = interner().AtomIdsOf(id);
@@ -54,7 +73,8 @@ CondId DDBackend::FromConj(ConjId id) {
   for (auto it = atoms.rbegin(); it != atoms.rend(); ++it) {
     acc = MakeNode(*it, kFalseCond, acc);
   }
-  from_conj_.emplace(id, acc);
+  if (id >= from_conj_.size()) from_conj_.resize(id + 1, kNoCond);
+  from_conj_[id] = acc;
   return acc;
 }
 
@@ -71,26 +91,26 @@ CondId DDBackend::Apply(Op op, CondId a, CondId b) {
   }
   if (a == b) return a;
 
-  OpKey key{op, std::min(a, b), std::max(a, b)};
+  LossyCache::Key key = OpKey(op, std::min(a, b), std::max(a, b));
   CondId cached;
-  if (CacheLookup(key, &cached)) return cached;
+  if (ops_.Find(key, &cached)) return cached;
 
   AtomId va = VarOf(a);
   AtomId vb = VarOf(b);
   AtomId var = VarBefore(vb, va) ? vb : va;
   CondId a_lo = a, a_hi = a, b_lo = b, b_hi = b;
   if (va == var) {
-    const Node& n = NodeOf(a);
+    Node n = NodeOf(a);
     a_lo = n.lo;
     a_hi = n.hi;
   }
   if (vb == var) {
-    const Node& n = NodeOf(b);
+    Node n = NodeOf(b);
     b_lo = n.lo;
     b_hi = n.hi;
   }
   CondId out = MakeNode(var, Apply(op, a_lo, b_lo), Apply(op, a_hi, b_hi));
-  CacheStore(key, out);
+  ops_.Store(key, out);
   return out;
 }
 
@@ -101,12 +121,12 @@ CondId DDBackend::Or(CondId a, CondId b) { return Apply(Op::kOr, a, b); }
 CondId DDBackend::Not(CondId id) {
   if (id == kTrueCond) return kFalseCond;
   if (id == kFalseCond) return kTrueCond;
-  OpKey key{Op::kNot, id, 0};
+  LossyCache::Key key = OpKey(Op::kNot, id, 0);
   CondId cached;
-  if (CacheLookup(key, &cached)) return cached;
-  const Node& n = NodeOf(id);
+  if (ops_.Find(key, &cached)) return cached;
+  Node n = NodeOf(id);
   CondId out = MakeNode(n.var, Not(n.lo), Not(n.hi));
-  CacheStore(key, out);
+  ops_.Store(key, out);
   return out;
 }
 
@@ -115,11 +135,11 @@ bool DDBackend::SatSearch(CondId id, BindingEnv& env) {
   if (id == kFalseCond) return false;
   // A context-free UNSAT verdict holds under any path context.
   CondId cached;
-  if (CacheLookup(OpKey{Op::kSat, id, 0}, &cached) && cached == 0) {
+  if (ops_.Find(OpKey(Op::kSat, id, 0), &cached) && cached == 0) {
     return false;
   }
-  const Node& n = NodeOf(id);
-  const CondAtom& atom = interner().AtomOf(n.var);
+  Node n = NodeOf(id);
+  CondAtom atom = interner().AtomOf(n.var);
   size_t mark = env.Mark();
   if (env.AssertAtom(atom) && SatSearch(n.hi, env)) return true;
   env.Revert(mark);
@@ -132,13 +152,13 @@ bool DDBackend::SatSearch(CondId id, BindingEnv& env) {
 bool DDBackend::Satisfiable(CondId id) {
   if (id == kTrueCond) return true;
   if (id == kFalseCond) return false;
-  OpKey key{Op::kSat, id, 0};
+  LossyCache::Key key = OpKey(Op::kSat, id, 0);
   CondId cached;
-  if (CacheLookup(key, &cached)) return cached != 0;
+  if (ops_.Find(key, &cached)) return cached != 0;
   scratch_env_.Revert(0);
   bool out = SatSearch(id, scratch_env_);
   scratch_env_.Revert(0);
-  CacheStore(key, out ? 1 : 0);
+  ops_.Store(key, out ? 1 : 0);
   return out;
 }
 
@@ -154,11 +174,11 @@ bool DDBackend::Implies(CondId a, CondId b) {
   // theory-coupled (x = y and x != y are different decision variables), so
   // even Implies(true, node) can hold. Decide via a AND NOT b unsatisfiable,
   // memoized on the ordered pair — implication is not symmetric.
-  OpKey key{Op::kImplies, a, b};
+  LossyCache::Key key = OpKey(Op::kImplies, a, b);
   CondId cached;
-  if (CacheLookup(key, &cached)) return cached != 0;
+  if (ops_.Find(key, &cached)) return cached != 0;
   bool out = !Satisfiable(And(a, Not(b)));
-  CacheStore(key, out ? 1 : 0);
+  ops_.Store(key, out ? 1 : 0);
   return out;
 }
 
@@ -169,37 +189,37 @@ bool DDBackend::TautologyUnder(ConjId global, CondId id) {
   return !Satisfiable(And(FromConj(global), negated));
 }
 
-void DDBackend::ExpandPaths(CondId id, BindingEnv& env,
-                            std::vector<CondAtom>* path,
-                            std::unordered_set<ConjId>* seen,
-                            std::vector<ConjId>* out) {
+void DDBackend::ExpandPaths(CondId id, std::vector<ConjId>* out) {
   if (id == kFalseCond) return;
   if (id == kTrueCond) {
-    Conjunction conj;
-    for (const CondAtom& a : *path) conj.Add(a);
-    ConjId cid = interner().Intern(conj);
+    path_conj_.Clear();
+    for (const CondAtom& a : path_) path_conj_.Add(a);
+    ConjId cid = interner().Intern(path_conj_);
     // The env kept every emitted path consistent, so cid is satisfiable.
     assert(cid != ConditionInterner::kFalseConj);
-    if (seen->insert(cid).second) out->push_back(cid);
+    if (cid >= seen_.size()) seen_.resize(cid + 1);
+    if (!seen_[cid]) {
+      seen_[cid] = true;
+      out->push_back(cid);
+    }
     return;
   }
-  const Node& n = NodeOf(id);
-  const CondAtom& atom = interner().AtomOf(n.var);
-  size_t mark = env.Mark();
-  if (env.AssertAtom(atom)) {
-    path->push_back(atom);
-    ExpandPaths(n.hi, env, path, seen, out);
-    path->pop_back();
+  Node n = NodeOf(id);
+  CondAtom atom = interner().AtomOf(n.var);
+  size_t mark = scratch_env_.Mark();
+  if (scratch_env_.AssertAtom(atom)) {
+    path_.push_back(atom);
+    ExpandPaths(n.hi, out);
+    path_.pop_back();
   }
-  env.Revert(mark);
-  mark = env.Mark();
+  scratch_env_.Revert(mark);
   CondAtom negated = Negate(atom);
-  if (env.AssertAtom(negated)) {
-    path->push_back(negated);
-    ExpandPaths(n.lo, env, path, seen, out);
-    path->pop_back();
+  if (scratch_env_.AssertAtom(negated)) {
+    path_.push_back(negated);
+    ExpandPaths(n.lo, out);
+    path_.pop_back();
   }
-  env.Revert(mark);
+  scratch_env_.Revert(mark);
 }
 
 void DDBackend::AppendDisjuncts(CondId id, std::vector<ConjId>* out) {
@@ -208,10 +228,11 @@ void DDBackend::AppendDisjuncts(CondId id, std::vector<ConjId>* out) {
     out->push_back(ConditionInterner::kTrueConj);
     return;
   }
-  BindingEnv env;  // local: ExpandPaths interns, which uses the scratch env
-  std::vector<CondAtom> path;
-  std::unordered_set<ConjId> seen;
-  ExpandPaths(id, env, &path, &seen, out);
+  size_t first = out->size();
+  scratch_env_.Revert(0);
+  ExpandPaths(id, out);
+  // Leave the bitmap empty for the next call: clear only what this one set.
+  for (size_t i = first; i < out->size(); ++i) seen_[(*out)[i]] = false;
 }
 
 }  // namespace pw

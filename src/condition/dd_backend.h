@@ -8,10 +8,9 @@
 // *boolean function* of condition atoms one canonical id: a reduced ordered
 // decision diagram (ROBDD discipline) whose decision variables are condition
 // atoms under a semantic order (see VarBefore). And/Or/Not are then the classic
-// polynomial Apply recursion over a node unique-table and a memoized
-// operation cache — the same hash-consing pattern the interner already uses
-// for conjunctions, in plain single-owner maps (see backend.h's threading
-// contract).
+// polynomial Apply recursion over a node unique table and a memoized
+// operation cache, both flat (util/hash_cons.h) and single-owner (see
+// backend.h's threading contract).
 //
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
@@ -23,31 +22,40 @@
 // an UNSAT id is unsatisfiable under any path context, so the cache also
 // prunes inner recursion.
 //
-// Node and id layout: ids 0/1 are the shared true/false sentinels
-// (kTrueCond/kFalseCond, matching ConjId); id >= 2 denotes nodes_[id - 2].
-// Nodes are append-only for the backend's lifetime — the op caches may be
-// bounded (SetOpCacheCapacity) and evicted, the unique-table never.
+// Node layout: ids 0/1 are the shared true/false sentinels
+// (kTrueCond/kFalseCond, matching ConjId); id >= 2 denotes nodes_[id - 2], a
+// 12-byte (var, lo, hi) triple in one std::vector. The unique table is an
+// IdTable over that vector, so nodes are append-only for the backend's
+// lifetime and the unique table never evicts. A node append may move the
+// vector, so the recursions copy a node before they recurse and never hold a
+// reference across MakeNode.
+//
+// Op cache: Apply results, negations and the implication and satisfiability
+// verdicts share one direct-mapped LossyCache. It starts at 1024 slots and
+// doubles to stay at least as large as the node count, up to the cap set by
+// SetOpCacheCapacity. A store overwrites its slot, so a result may be
+// forgotten; a miss recomputes it from nodes that all still exist, which
+// re-finds the same ids. The cache can cost recomputation, never change an
+// id or a verdict.
 
 #ifndef PW_CONDITION_DD_BACKEND_H_
 #define PW_CONDITION_DD_BACKEND_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "condition/backend.h"
 #include "condition/binding_env.h"
-#include "util/stable_store.h"
+#include "condition/conjunction.h"
+#include "util/hash_cons.h"
 
 namespace pw {
 
 class DDBackend final : public ConditionBackend {
  public:
   explicit DDBackend(ConditionInterner& interner)
-      : ConditionBackend(interner) {}
+      : ConditionBackend(interner), ops_(kInitialOpSlots) {}
 
   const char* name() const override { return "dd"; }
   bool disjunctive() const override { return true; }
@@ -68,15 +76,17 @@ class DDBackend final : public ConditionBackend {
   /// Diagram nodes allocated so far (excluding the two sentinels).
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Bounds the op cache (Apply results, implication and satisfiability
-  /// verdicts) to `capacity` entries; a full cache is dropped wholesale
-  /// before the next insert, like the interner's memo eviction. 0 (the
-  /// default) means unbounded. The node unique-table is NEVER evicted — ids
-  /// stay valid for the backend's lifetime.
-  void SetOpCacheCapacity(size_t capacity) { op_cache_capacity_ = capacity; }
+  /// Caps the op cache (Apply results, implication and satisfiability
+  /// verdicts) at `capacity` slots, rounded down to a power of two; the
+  /// cache is resized at once. 0 (the default) means no cap: the cache
+  /// starts at 1024 slots and doubles to stay at least as large as the node
+  /// count. The node unique table is NEVER evicted — ids stay valid for the
+  /// backend's lifetime.
+  void SetOpCacheCapacity(size_t capacity);
 
-  /// Number of op-cache drops since construction.
-  uint64_t op_cache_evictions() const { return op_cache_evictions_; }
+  /// Number of op-cache stores that overwrote a live entry with a different
+  /// key.
+  uint64_t op_cache_evictions() const { return ops_.overwrites(); }
 
  private:
   enum class Op : uint32_t { kAnd, kOr, kNot, kImplies, kSat };
@@ -87,43 +97,13 @@ class DDBackend final : public ConditionBackend {
     CondId hi;   // successor when the atom is true
   };
 
-  struct NodeKey {
-    AtomId var;
-    CondId lo;
-    CondId hi;
-    bool operator==(const NodeKey& o) const {
-      return var == o.var && lo == o.lo && hi == o.hi;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const noexcept {
-      uint64_t h = k.var;
-      h = h * 1099511628211ull ^ k.lo;
-      h = h * 1099511628211ull ^ k.hi;
-      return static_cast<size_t>(h);
-    }
-  };
-
-  struct OpKey {
-    Op op;
-    CondId a;
-    CondId b;
-    bool operator==(const OpKey& o) const {
-      return op == o.op && a == o.a && b == o.b;
-    }
-  };
-  struct OpKeyHash {
-    size_t operator()(const OpKey& k) const noexcept {
-      uint64_t h = static_cast<uint32_t>(k.op);
-      h = h * 1099511628211ull ^ k.a;
-      h = h * 1099511628211ull ^ k.b;
-      return static_cast<size_t>(h);
-    }
-  };
+  static constexpr size_t kInitialOpSlots = 1024;
+  static constexpr CondId kNoCond = UINT32_MAX;  // from_conj_: not built yet
 
   static constexpr AtomId kTerminalVar = UINT32_MAX;
 
-  const Node& NodeOf(CondId id) const { return nodes_[id - 2]; }
+  /// A copy: the recursions append nodes, which may move nodes_.
+  Node NodeOf(CondId id) const { return nodes_[id - 2]; }
   static bool IsTerminal(CondId id) { return id <= kFalseCond; }
   AtomId VarOf(CondId id) const {
     return IsTerminal(id) ? kTerminalVar : NodeOf(id).var;
@@ -150,27 +130,31 @@ class DDBackend final : public ConditionBackend {
   /// the canonical (min, max) pair — both are commutative).
   CondId Apply(Op op, CondId a, CondId b);
 
-  /// Cached op-cache read / capacity-evicting write.
-  bool CacheLookup(const OpKey& key, CondId* out);
-  void CacheStore(const OpKey& key, CondId value);
+  /// The op-cache size SetOpCacheCapacity and node growth call for.
+  size_t OpCacheTarget() const;
+
+  static LossyCache::Key OpKey(Op op, CondId a, CondId b) {
+    return {static_cast<uint32_t>(op), a, b};
+  }
 
   /// Theory-pruned path DFS under the assertions already in `env`.
   bool SatSearch(CondId id, BindingEnv& env);
 
-  void ExpandPaths(CondId id, BindingEnv& env, std::vector<CondAtom>* path,
-                   std::unordered_set<ConjId>* seen, std::vector<ConjId>* out);
+  /// Emits each consistent path to true as an interned conjunction, once
+  /// per ConjId (seen_ is a bitmap over ConjIds).
+  void ExpandPaths(CondId id, std::vector<ConjId>* out);
 
-  // Stable addresses, not just stable ids: Not holds a `const Node&` across
-  // its recursive calls, which append nodes through MakeNode.
-  StableStore<Node> nodes_;
-  std::unordered_map<NodeKey, CondId, NodeKeyHash> unique_;
-  std::unordered_map<OpKey, CondId, OpKeyHash> ops_;  // verdicts stored 0/1
-  std::unordered_map<ConjId, CondId> from_conj_;
+  std::vector<Node> nodes_;
+  IdTable unique_;  // keys are nodes_[id]
+  LossyCache ops_;  // verdicts stored 0/1
+  std::vector<CondId> from_conj_;  // by ConjId; kNoCond until built
 
-  BindingEnv scratch_env_;  // Satisfiable's search environment
+  BindingEnv scratch_env_;  // Satisfiable's and AppendDisjuncts' search env
+  std::vector<CondAtom> path_;  // AppendDisjuncts: literals on the path
+  Conjunction path_conj_;       // AppendDisjuncts: path_ to intern
+  std::vector<bool> seen_;      // AppendDisjuncts: ConjId bitmap
 
   size_t op_cache_capacity_ = 0;
-  uint64_t op_cache_evictions_ = 0;
 };
 
 }  // namespace pw

@@ -90,6 +90,10 @@ class StableStore {
     *offset = shifted - (size_t{1} << high);
     size_t block = high - kBaseBits;
     assert(block < kNumBlocks);
+    // The same bound for the optimizer, which cannot see that `high` is at
+    // least kBaseBits and otherwise warns of a read before blocks_[0]
+    // (-Wstringop-overflow) once NDEBUG drops the assert.
+    if (block >= kNumBlocks) __builtin_unreachable();
     return block;
   }
 

@@ -1,7 +1,7 @@
 // The ConditionBackend seam itself: disjunction-set normalization in the
 // conjunctive backend, node canonicity in the decision-diagram backend, and
 // the bounded-memo contracts — eviction (interner memo shards, DD op-cache
-// shards) may cost recomputation but can never change a verdict or an id,
+// overwrites) may cost recomputation but can never change a verdict or an id,
 // and implication memos keyed on the ordered pair stay consistent across
 // RebaseInto generations.
 
@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "condition/backend.h"
@@ -109,6 +110,89 @@ TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   EXPECT_EQ(disjuncts, std::vector<ConjId>{both});
 }
 
+TEST(DDBackendTest, UniqueTableGrowthKeepsIdsCanonical) {
+  // Two diagram backends over one interner; the second has a one-slot op
+  // cache, so it forgets almost every result and recomputes it. Driven
+  // through the same operations while the unique table grows from its first
+  // 16 slots past 10k nodes, they must agree on every id, the node count and
+  // every verdict; and within each, one function reached by two different
+  // operation orders must get one id. The node vector moves as it grows, so
+  // a recursion that held a node reference across it would read freed
+  // memory (ASan reports it).
+  std::mt19937 rng(60606);
+  std::uniform_int_distribution<int> natoms(3, 5);
+  std::uniform_int_distribution<int> var(0, 47);
+  std::uniform_int_distribution<int> constant(0, 11);
+  std::uniform_int_distribution<int> kind(0, 3);
+  auto random_conj = [&] {
+    Conjunction c;
+    for (int i = natoms(rng); i > 0; --i) {
+      int k = kind(rng);
+      Term lhs = V(var(rng));
+      Term rhs = k < 2 ? C(constant(rng)) : V(var(rng));
+      c.Add(k % 2 == 0 ? Eq(lhs, rhs) : Neq(lhs, rhs));
+    }
+    return c;
+  };
+
+  ConditionInterner interner;
+  DDBackend cached(interner);
+  DDBackend forgetful(interner);
+  forgetful.SetOpCacheCapacity(1);
+
+  std::vector<CondId> sums;
+  while (cached.num_nodes() <= 10000) {
+    SCOPED_TRACE("group " + std::to_string(sums.size()));
+    CondId leaf[4];
+    for (CondId& l : leaf) {
+      ConjId conj = interner.Intern(random_conj());
+      l = cached.FromConj(conj);
+      ASSERT_EQ(forgetful.FromConj(conj), l);
+    }
+    for (DDBackend* dd : {&cached, &forgetful}) {
+      // Left fold against right fold in the opposite order.
+      CondId left = dd->Or(dd->Or(dd->Or(leaf[0], leaf[1]), leaf[2]), leaf[3]);
+      CondId right = dd->Or(leaf[3], dd->Or(leaf[2], dd->Or(leaf[1], leaf[0])));
+      ASSERT_EQ(left, right);
+      // (l0 | l1) & (l2 | l3), factored and distributed.
+      CondId factored =
+          dd->And(dd->Or(leaf[0], leaf[1]), dd->Or(leaf[2], leaf[3]));
+      CondId distributed =
+          dd->Or(dd->Or(dd->And(leaf[0], leaf[2]), dd->And(leaf[0], leaf[3])),
+                 dd->Or(dd->And(leaf[1], leaf[2]), dd->And(leaf[1], leaf[3])));
+      ASSERT_EQ(factored, distributed);
+      // Negation builds new nodes inside its own recursion.
+      CondId negated = dd->Not(factored);
+      ASSERT_EQ(dd->Not(negated), factored);
+      ASSERT_EQ(dd->And(factored, negated), ConditionBackend::kFalseCond);
+      ASSERT_EQ(dd->Or(left, dd->Not(left)), ConditionBackend::kTrueCond);
+      if (dd == &cached) {
+        sums.push_back(left);
+        sums.push_back(factored);
+      } else {
+        ASSERT_EQ(left, sums[sums.size() - 2]);
+        ASSERT_EQ(factored, sums.back());
+      }
+    }
+    ASSERT_EQ(forgetful.num_nodes(), cached.num_nodes());
+  }
+  EXPECT_GT(cached.num_nodes(), 10000u);
+
+  for (size_t i = 1; i < sums.size(); ++i) {
+    ASSERT_EQ(cached.Satisfiable(sums[i]), forgetful.Satisfiable(sums[i]))
+        << "sum " << i;
+    ASSERT_EQ(cached.Implies(sums[i], sums[i - 1]),
+              forgetful.Implies(sums[i], sums[i - 1]))
+        << "sum " << i;
+    ASSERT_EQ(cached.Not(sums[i]), forgetful.Not(sums[i])) << "sum " << i;
+  }
+  EXPECT_EQ(forgetful.num_nodes(), cached.num_nodes());
+  // Every factored product implies its own sum.
+  for (size_t i = 1; i < sums.size(); i += 2) {
+    EXPECT_TRUE(cached.Implies(sums[i], sums[i - 1]));
+  }
+}
+
 TEST(ConditionBackendTest, InternerMemoEvictionNeverChangesVerdicts) {
   // Same Intern sequence on both sides, so the pools get identical ids; the
   // unlimited interner keeps every And/Implies memo entry, the bounded one
@@ -190,7 +274,7 @@ TEST(ConditionBackendTest, DDOpCacheEvictionNeverChangesVerdicts) {
     }
   }
   EXPECT_GT(bounded.op_cache_evictions(), 0u);
-  EXPECT_EQ(unlimited.op_cache_evictions(), 0u);
+  EXPECT_LT(unlimited.op_cache_evictions(), bounded.op_cache_evictions());
 }
 
 TEST(ConditionBackendTest, ImpliesMemoStableAcrossRebaseGenerations) {

@@ -3,12 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "condition/atom.h"
 #include "condition/atom_cnf.h"
 #include "condition/binding_env.h"
 #include "condition/conjunction.h"
 #include "condition/formula.h"
-#include "condition/union_find.h"
 #include "core/tuple.h"
 
 namespace pw {
@@ -44,24 +51,6 @@ TEST(AtomTest, VariablesDeduplicated) {
   EXPECT_EQ(AtomVariables(Eq(V(3), V(3))), (std::vector<VarId>{3}));
   EXPECT_EQ(AtomVariables(Eq(V(1), V(2))).size(), 2u);
   EXPECT_TRUE(AtomVariables(Eq(C(1), C(2))).empty());
-}
-
-TEST(UnionFindTest, BasicUnions) {
-  UnionFind uf(4);
-  EXPECT_FALSE(uf.Same(0, 1));
-  EXPECT_TRUE(uf.Union(0, 1));
-  EXPECT_TRUE(uf.Same(0, 1));
-  EXPECT_FALSE(uf.Union(0, 1));
-  uf.Union(2, 3);
-  uf.Union(1, 2);
-  EXPECT_TRUE(uf.Same(0, 3));
-}
-
-TEST(UnionFindTest, AddGrows) {
-  UnionFind uf(1);
-  int id = uf.Add();
-  EXPECT_EQ(id, 1);
-  EXPECT_FALSE(uf.Same(0, 1));
 }
 
 TEST(ConjunctionTest, EmptyIsTautologyAndSatisfiable) {
@@ -217,6 +206,148 @@ TEST(BindingEnvTest, AssertConjunction) {
   BindingEnv env;
   EXPECT_TRUE(env.Assert(Conjunction{Eq(V(0), V(1)), Neq(V(1), C(4))}));
   EXPECT_FALSE(env.AssertEqual(V(0), C(4)));
+}
+
+// Reference model for BindingEnv: the live atoms as a plain list, closed
+// from scratch by relabeling — no union-find, no trail.
+struct NaiveAtom {
+  size_t lhs;  // indexes into the term pool
+  size_t rhs;
+  bool is_equality;
+};
+
+struct NaiveClosure {
+  std::vector<size_t> label;  // equal labels = same class
+  bool satisfiable = true;
+};
+
+NaiveClosure CloseNaively(const std::vector<Term>& pool,
+                          const std::vector<NaiveAtom>& atoms) {
+  NaiveClosure out;
+  out.label.resize(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) out.label[i] = i;
+  for (const NaiveAtom& a : atoms) {
+    if (!a.is_equality) continue;
+    size_t from = out.label[a.rhs];
+    size_t to = out.label[a.lhs];
+    for (size_t& l : out.label) {
+      if (l == from) l = to;
+    }
+  }
+  for (size_t i = 0; i < pool.size(); ++i) {
+    for (size_t j = i + 1; j < pool.size(); ++j) {
+      if (out.label[i] == out.label[j] && pool[i].is_constant() &&
+          pool[j].is_constant() && pool[i] != pool[j]) {
+        out.satisfiable = false;
+      }
+    }
+  }
+  for (const NaiveAtom& a : atoms) {
+    if (!a.is_equality && out.label[a.lhs] == out.label[a.rhs]) {
+      out.satisfiable = false;
+    }
+  }
+  return out;
+}
+
+TEST(BindingEnvTest, RandomAssertRevertMatchesNaiveClosure) {
+  // 34 variables and 10 constants, with the extreme ids of both kinds.
+  std::vector<Term> pool;
+  for (VarId v = 0; v < 33; ++v) pool.push_back(V(v));
+  pool.push_back(V(INT32_MAX));
+  for (ConstId c : {0, 1, 2, 3, 4, 5, 6, 7, 8, INT32_MAX}) pool.push_back(C(c));
+
+  for (uint32_t seed : {5u, 77u, 2024u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+    std::uniform_int_distribution<int> action(0, 9);
+    BindingEnv env;
+    std::vector<NaiveAtom> atoms;
+    // Open marks: the env's mark and the live-atom count it corresponds to.
+    // Every step runs with at least one mark open, so the env's tables grow
+    // under open marks.
+    std::vector<std::pair<size_t, size_t>> marks;
+    size_t peak_terms = 0;  // most distinct terms in the live atoms at once
+
+    for (int step = 0; step < 250; ++step) {
+      int a = action(rng);
+      if (a == 0 || marks.empty()) {
+        marks.emplace_back(env.Mark(), atoms.size());
+      }
+      if (a <= 7) {
+        // Assert one random atom under its own mark; a refused atom is
+        // reverted, as the BindingEnv contract asks of callers.
+        NaiveAtom atom{pick(rng), pick(rng), a % 2 == 0};
+        std::vector<NaiveAtom> with = atoms;
+        with.push_back(atom);
+        bool expected = CloseNaively(pool, with).satisfiable;
+        size_t mark = env.Mark();
+        bool ok = atom.is_equality
+                      ? env.AssertEqual(pool[atom.lhs], pool[atom.rhs])
+                      : env.AssertNotEqual(pool[atom.lhs], pool[atom.rhs]);
+        ASSERT_EQ(ok, expected) << "step " << step;
+        if (ok) {
+          atoms.push_back(atom);
+        } else {
+          env.Revert(mark);
+        }
+      } else if (a == 8) {
+        // Revert to a random open mark, closing it and every later one.
+        std::uniform_int_distribution<size_t> which(0, marks.size() - 1);
+        size_t m = which(rng);
+        env.Revert(marks[m].first);
+        atoms.resize(marks[m].second);
+        marks.resize(m);
+      }
+
+      // Recompute the closure of the live atoms; a = b can be added iff it
+      // joins no two classes bound to different constants or separated by
+      // a live disequality.
+      NaiveClosure closure = CloseNaively(pool, atoms);
+      ASSERT_TRUE(closure.satisfiable);
+      const size_t n = pool.size();
+      std::vector<bool> live(n);
+      for (const NaiveAtom& atom : atoms) {
+        live[atom.lhs] = live[atom.rhs] = true;
+      }
+      peak_terms = std::max<size_t>(
+          peak_terms, std::count(live.begin(), live.end(), true));
+      std::vector<std::optional<ConstId>> class_const(n);
+      for (size_t j = 0; j < n; ++j) {
+        if (pool[j].is_constant()) {
+          class_const[closure.label[j]] = pool[j].constant();
+        }
+      }
+      std::vector<std::vector<bool>> separated(n, std::vector<bool>(n));
+      for (const NaiveAtom& atom : atoms) {
+        if (atom.is_equality) continue;
+        size_t l = closure.label[atom.lhs];
+        size_t r = closure.label[atom.rhs];
+        separated[l][r] = separated[r][l] = true;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        size_t li = closure.label[i];
+        std::optional<ConstId> value = class_const[li];
+        ASSERT_EQ(env.ValueOf(pool[i]), value)
+            << "step " << step << " term " << ToString(pool[i]);
+        for (size_t j = 0; j < n; ++j) {
+          size_t lj = closure.label[j];
+          ASSERT_EQ(env.SameClass(pool[i], pool[j]), li == lj)
+              << "step " << step << " terms " << ToString(pool[i]) << ", "
+              << ToString(pool[j]);
+          bool clash = class_const[li] && class_const[lj] &&
+                       *class_const[li] != *class_const[lj];
+          bool can_equal = li == lj || (!clash && !separated[li][lj]);
+          ASSERT_EQ(env.CanEqual(pool[i], pool[j]), can_equal)
+              << "step " << step << " terms " << ToString(pool[i]) << ", "
+              << ToString(pool[j]);
+        }
+      }
+    }
+    // Past 32 live terms the term table has grown from 16 to 128 slots.
+    EXPECT_GT(peak_terms, 32u);
+  }
 }
 
 TEST(AtomCnfTest, EmptyCnfIsSatisfiable) {
