@@ -99,6 +99,7 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   DeleteDelta delta = DeleteFactInPlace(
       base_.mutable_table(static_cast<size_t>(pred)), fact, update);
   if (!delta.changed) return;  // no row could match: state untouched
+  const CTable& table = base_.table(static_cast<size_t>(pred));
 
   // Covered fast path. A removed row left no live trace in the fixpoint iff
   // it was unsatisfiable under the global condition (dropped at seed time)
@@ -125,7 +126,8 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
       CondId removed_cond = backend.FromConj(removed.LocalId(interner));
       if (!backend.SatisfiableWith(global_id_, removed_cond)) continue;
       CondId kept_or = ConditionBackend::kFalseCond;
-      for (const CRow& kept : delta.kept) {
+      for (size_t k : delta.kept) {
+        const CRow& kept = table.row(k);
         if (kept.tuple != removed.tuple) continue;
         kept_or = backend.Or(kept_or,
                              backend.FromConj(kept.LocalId(interner)));
@@ -142,7 +144,8 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
         continue;
       }
       bool has_cover = false;
-      for (const CRow& kept : delta.kept) {
+      for (size_t k : delta.kept) {
+        const CRow& kept = table.row(k);
         if (kept.tuple != removed.tuple) continue;
         if (interner.Implies(removed_id, kept.LocalId(interner))) {
           has_cover = true;
@@ -178,7 +181,7 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
     fix_->ClearPredicate(static_cast<int>(p));
   }
   fix_->ClearPredicate(pred);
-  fix_->SeedTable(pred, base_.table(static_cast<size_t>(pred)));
+  fix_->SeedTable(pred, table);
   fix_->RunCone(cone);
 }
 

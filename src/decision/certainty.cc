@@ -87,8 +87,9 @@ bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
 std::optional<bool> CertDatalogGTables(
     const View& view, const CDatabase& database,
     const std::vector<LocatedFact>& pattern) {
-  if (HasLocalConditions(database)) return std::nullopt;
+  // The O(1) view test first: an RA view declines without the O(rows) scan.
   if (!view.is_datalog() && !view.is_identity()) return std::nullopt;
+  if (HasLocalConditions(database)) return std::nullopt;
   if (RepIsEmpty(database)) return true;  // vacuous
 
   const DatalogProgram* program = nullptr;

@@ -36,6 +36,15 @@ bool ApplySelectAtom(const SelectAtom& atom, const Tuple& tuple,
                         ResolveTerm(atom.rhs, tuple), local);
 }
 
+/// The table a relation reference names, or null when it names no table of
+/// `database` or a table of another arity. Checked in every build mode: the
+/// operators index tuples by the reference's arity.
+const CTable* Referenced(const RaExpr& rel, const CDatabase& database) {
+  if (rel.rel_index() >= database.num_tables()) return nullptr;
+  const CTable& table = database.table(rel.rel_index());
+  return table.arity() == rel.arity() ? &table : nullptr;
+}
+
 // --- Planned n-ary join execution -------------------------------------------
 //
 // Conjunctive prefixes (select*/project* over an n-ary product tree) are
@@ -127,7 +136,8 @@ std::optional<InternedTable> EvalPlanned(const RaExpr& expr,
     if (spec.expr.op() == RaOp::kRel) {
       // Row ids must stay aligned with the table (its cached index covers
       // every row), so dropped rows keep their slot, marked kFalseConj.
-      leaf.table = &database.table(spec.expr.rel_index());
+      leaf.table = Referenced(spec.expr, database);
+      if (leaf.table == nullptr) return std::nullopt;
       leaf.tuples.reserve(leaf.table->num_rows());
       leaf.conds.reserve(leaf.table->num_rows());
       for (const CRow& row : leaf.table->rows()) {
@@ -325,10 +335,11 @@ std::optional<InternedTable> EvalExpr(const RaExpr& expr,
   }
   switch (expr.op()) {
     case RaOp::kRel: {
+      const CTable* in = Referenced(expr, database);
+      if (in == nullptr) return std::nullopt;
       InternedTable out{expr.arity(), {}};
-      const CTable& in = database.table(expr.rel_index());
-      out.rows.reserve(in.num_rows());
-      for (const CRow& row : in.rows()) {
+      out.rows.reserve(in->num_rows());
+      for (const CRow& row : in->rows()) {
         // The row's memoized id: no re-canonicalization when the table was
         // produced by an interned pipeline (or queried before).
         ConjId cond = row.LocalId(interner);
@@ -417,6 +428,25 @@ std::optional<InternedTable> EvalExpr(const RaExpr& expr,
   return std::nullopt;
 }
 
+/// True iff the table EvalOnCTables builds for a bare reference to `table`
+/// equals it row for row, so a query image can share the table instead of
+/// copying it. The copy drops the rows whose condition is unsatisfiable and
+/// re-materializes every condition in its canonical form. One pass over the
+/// rows that allocates nothing once their ids are memoized.
+bool ImageIsTable(const CTable& table, ConditionInterner& interner) {
+  for (const CRow& row : table.rows()) {
+    ConjId cond = row.LocalId(interner);
+    // `true` is the empty conjunction. Most rows of a ground table are
+    // unconditioned, and for them this test is much cheaper than a lookup.
+    bool kept_as_is = cond == ConditionInterner::kTrueConj
+                          ? row.local().size() == 0
+                          : interner.Satisfiable(cond) &&
+                                row.local() == interner.Resolve(cond);
+    if (!kept_as_is) return false;
+  }
+  return true;
+}
+
 void Accumulate(CTableEvalStats* sink, const CTableEvalStats& s) {
   if (sink == nullptr) return;
   sink->planned_joins += s.planned_joins;
@@ -464,12 +494,24 @@ std::optional<CDatabase> EvalQueryOnCTables(const RaQuery& query,
   // The carried global condition keeps the input's materialized form; its
   // id cache is seeded from the members' cached ids.
   ConditionInterner& interner = InternerOf(options);
+  const Conjunction global = database.CombinedGlobal();
+  const Conjunction no_global;
   auto set_global = [&](CTable& table) {
-    table.SetGlobal(database.CombinedGlobal(),
-                    database.CombinedGlobalId(interner), interner);
+    table.SetGlobal(global, database.CombinedGlobalId(interner), interner);
   };
   CDatabase out;
   for (size_t i = 0; i < query.size(); ++i) {
+    // A bare reference whose copy would equal the table, global included,
+    // shares the table itself: rows, id caches and indexes come along.
+    const CTable* base = query[i].op() == RaOp::kRel
+                             ? Referenced(query[i], database)
+                             : nullptr;
+    const Conjunction& carried = i == 0 ? global : no_global;
+    if (base != nullptr && base->global() == carried &&
+        ImageIsTable(*base, interner)) {
+      out.AddSharedTable(database, query[i].rel_index());
+      continue;
+    }
     auto table = EvalOnCTables(query[i], database, options);
     if (!table) return std::nullopt;
     if (i == 0) set_global(*table);

@@ -11,7 +11,8 @@
 // Theorem 5.2(1) and the uniqueness algorithm of Theorem 3.2(2). Our
 // transformation rules keep local conditions in conjunction form:
 //
-//   relation ref : copy rows
+//   relation ref : copy rows (a query image shares the table instead when
+//                  the copy would equal it; see EvalQueryOnCTables)
 //   select       : conjoin the instantiated select atoms onto each local
 //   project      : rewrite each tuple through the output spec
 //   product      : pair rows, conjoin locals
@@ -89,9 +90,11 @@ struct CTableEvalOptions {
 /// Evaluates one positive existential expression on a c-database, producing
 /// a c-table whose rep is the image of rep(database) under the expression
 /// (the result table carries no global condition of its own; combine with
-/// `database.CombinedGlobal()`). Returns std::nullopt if the expression is
-/// not positive existential (contains difference). != select atoms are
-/// allowed (they become inequality atoms in local conditions).
+/// `database.CombinedGlobal()`). != select atoms are allowed (they become
+/// inequality atoms in local conditions). Returns std::nullopt if the
+/// expression is not positive existential (contains difference), or if a
+/// relation reference RaExpr::Rel(k, a) does not fit the database: table k
+/// must exist and have arity a. That check holds in every build mode.
 std::optional<CTable> EvalOnCTables(const RaExpr& expr,
                                     const CDatabase& database,
                                     const CTableEvalOptions& options = {});
@@ -99,7 +102,19 @@ std::optional<CTable> EvalOnCTables(const RaExpr& expr,
 /// Evaluates a whole query. The resulting c-database carries the input's
 /// combined global condition (attached to its first table, or to an empty
 /// sentinel table when the query is empty). Returns std::nullopt if any
-/// expression is not positive existential.
+/// expression is not positive existential or has a relation reference that
+/// does not fit the database (see EvalOnCTables).
+///
+/// Slot i of the result may be the input's table k itself, shared by
+/// pointer, when query[i] is a bare RaExpr::Rel(k, a) and the copy
+/// EvalOnCTables would build equals table k (operator==): no row's local
+/// condition is unsatisfiable, every local is already the interner's
+/// canonical form of its id, and table k's global is the one slot i
+/// carries (the combined global in slot 0, none elsewhere). Otherwise the
+/// slot is a copy. Sharing keeps value semantics through copy-on-write: the
+/// result's mutable_table clones a shared or frozen table before writing.
+/// An image of a snapshot (tables/snapshot.h) can thus hold that snapshot's
+/// frozen tables, read-only, and outlive it.
 std::optional<CDatabase> EvalQueryOnCTables(
     const RaQuery& query, const CDatabase& database,
     const CTableEvalOptions& options = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <utility>
 
 #include "condition/interner.h"
 #include "core/instance.h"
@@ -90,6 +91,12 @@ void CTable::ReplaceRows(std::vector<CRow> rows) {
 #endif
   rows_ = std::move(rows);
   ++rows_stamp_;  // wholesale replacement: any cached index must rebuild
+}
+
+std::vector<CRow> CTable::TakeRows() {
+  assert(!frozen_ && "mutating a table frozen for sharing");
+  ++rows_stamp_;  // the cached indexes describe rows that are leaving
+  return std::exchange(rows_, {});
 }
 
 const TupleIndex& CTable::Index(const std::vector<int>& columns,
@@ -294,7 +301,7 @@ CDatabase::CDatabase(std::vector<CTable> tables) {
 }
 
 CTable& CDatabase::mutable_table(size_t i) {
-  if (tables_[i].use_count() > 1) {
+  if (tables_[i].use_count() > 1 || tables_[i]->frozen()) {
     tables_[i] = std::make_shared<CTable>(*tables_[i]);
   }
   return *tables_[i];
@@ -302,6 +309,11 @@ CTable& CDatabase::mutable_table(size_t i) {
 
 size_t CDatabase::AddTable(CTable table) {
   tables_.push_back(std::make_shared<CTable>(std::move(table)));
+  return tables_.size() - 1;
+}
+
+size_t CDatabase::AddSharedTable(const CDatabase& other, size_t i) {
+  tables_.push_back(other.tables_[i]);
   return tables_.size() - 1;
 }
 

@@ -174,6 +174,12 @@ class CTable {
   /// keep their caches.
   void ReplaceRows(std::vector<CRow> rows);
 
+  /// Moves the row storage out, leaving the table empty, and bumps the index
+  /// stamp like ReplaceRows. Paired with ReplaceRows, a rewrite moves the
+  /// rows it keeps (tuples, conditions and id caches) instead of copying
+  /// them.
+  std::vector<CRow> TakeRows();
+
   /// Replaces the global condition.
   void SetGlobal(Conjunction global) {
     assert(!frozen_ && "mutating a table frozen for sharing");
@@ -300,9 +306,10 @@ class CTable {
 ///
 /// Tables are held behind shared pointers with copy-on-write semantics:
 /// copying a CDatabase is a cheap shallow copy (the basis of the snapshot
-/// reads in tables/snapshot.h), and `mutable_table` clones a table lazily
-/// when it is shared with another copy. Value semantics are unchanged for
-/// callers — mutating one copy never affects another.
+/// reads in tables/snapshot.h), `AddSharedTable` appends another database's
+/// table the same way, and `mutable_table` clones a table lazily when it is
+/// shared with another database or frozen for readers. Value semantics are
+/// unchanged for callers — mutating one database never affects another.
 class CDatabase {
  public:
   CDatabase() = default;
@@ -314,12 +321,20 @@ class CDatabase {
   size_t num_tables() const { return tables_.size(); }
   const CTable& table(size_t i) const { return *tables_[i]; }
 
-  /// The table, cloned first if it is shared with another CDatabase copy
-  /// (copy-on-write). The reference is invalidated by the next copy-and-
-  /// mutate cycle, so re-fetch it rather than holding it across copies.
+  /// The table, cloned first if it is shared with another CDatabase or
+  /// frozen for readers (copy-on-write; the clone is not frozen). A frozen
+  /// table can be the only reference left, e.g. in a query image that
+  /// outlived its snapshot, and it is never handed out for writing. The
+  /// reference is invalidated by the next copy-and-mutate cycle, so re-fetch
+  /// it rather than holding it across copies.
   CTable& mutable_table(size_t i);
 
   size_t AddTable(CTable table);
+
+  /// Appends table `i` of `other` by pointer: the two databases share it
+  /// (rows, id caches and tuple indexes) until either side asks for
+  /// mutable_table. Returns the new table's index.
+  size_t AddSharedTable(const CDatabase& other, size_t i);
 
   /// Freezes every table for concurrent readers (see
   /// CTable::PrepareForSharing); tables already frozen under the current

@@ -1,6 +1,7 @@
 #include "tables/updates.h"
 
 #include <cassert>
+#include <numeric>
 #include <utility>
 
 namespace pw {
@@ -114,42 +115,64 @@ DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
   if (!FitsTable(table, fact)) return delta;
   ConditionInterner& interner = InternerOf(options);
   ConjId global_id = table.GlobalId(interner);
-  std::vector<CRow> rows;
-  rows.reserve(table.num_rows());
-  for (const CRow& row : table.rows()) {
-    // If some position can never match the fact, the row can never equal
-    // it: keep it unchanged (caches included).
+  // Read-only pass: the rows the delete rewrites, with their guarded copies.
+  struct Rewrite {
+    size_t row;
+    std::vector<ConjId> copies;
+  };
+  std::vector<Rewrite> rewrites;
+  size_t num_copies = 0;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const CRow& row = table.row(r);
+    // If some position holds another constant, the row can never equal the
+    // fact: it passes through unchanged. This is IsTriviallyTrue(Neq(row[i],
+    // fact[i])) tested inline, because it runs for every row and column of
+    // every delete and building the atom costs more than the test.
     bool never_matches = false;
     for (size_t i = 0; i < row.tuple.size() && !never_matches; ++i) {
-      never_matches = IsTriviallyTrue(Neq(row.tuple[i], Term::Const(fact[i])));
+      never_matches =
+          row.tuple[i].is_constant() && row.tuple[i].constant() != fact[i];
     }
-    if (never_matches) {
-      delta.kept.push_back(row);
-      rows.push_back(row);
-      continue;
-    }
-    // Otherwise emit the pruned guarded copies. A fully-ground row equal to
-    // the fact emits nothing: deleted everywhere.
+    if (never_matches) continue;
+    // Otherwise the row becomes its pruned guarded copies. A fully-ground
+    // row equal to the fact has none: deleted everywhere.
     std::vector<ConjId> copies =
         PrunedGuardedCopies(row, fact, global_id, interner);
-    if (copies.size() == 1 && copies[0] == row.LocalId(interner)) {
-      // The guards collapsed onto the row's own condition (e.g. the row's
-      // forced equalities already contradict the fact): nothing changed.
-      delta.kept.push_back(row);
-      rows.push_back(row);
+    // Guards that collapsed onto the row's own condition (e.g. its forced
+    // equalities already contradict the fact) leave it unchanged.
+    if (copies.size() == 1 && copies[0] == row.LocalId(interner)) continue;
+    num_copies += copies.size();
+    rewrites.push_back({r, std::move(copies)});
+  }
+  if (rewrites.empty()) {
+    // An untouched table keeps its row storage and caches.
+    delta.kept.resize(table.num_rows());
+    std::iota(delta.kept.begin(), delta.kept.end(), size_t{0});
+    return delta;
+  }
+  // Rewrite in row order: untouched rows move over with their id caches,
+  // and only the rewritten rows' tuples are copied, into their guarded
+  // copies. The indexes rebuild on next use.
+  std::vector<CRow> old_rows = table.TakeRows();
+  std::vector<CRow> rows;
+  rows.reserve(old_rows.size() - rewrites.size() + num_copies);
+  delta.kept.reserve(old_rows.size() - rewrites.size());
+  auto next = rewrites.begin();
+  for (size_t r = 0; r < old_rows.size(); ++r) {
+    if (next == rewrites.end() || next->row != r) {
+      delta.kept.push_back(rows.size());
+      rows.push_back(std::move(old_rows[r]));
       continue;
     }
-    delta.removed.push_back(row);
-    for (ConjId cond : copies) {
-      CRow copy(row.tuple, cond, interner);
-      delta.added.push_back(copy);
-      rows.push_back(std::move(copy));
+    for (ConjId cond : next->copies) {
+      rows.emplace_back(old_rows[r].tuple, cond, interner);
+      delta.added.push_back(rows.back());
     }
+    delta.removed.push_back(std::move(old_rows[r]));
+    ++next;
   }
-  delta.changed = !delta.removed.empty() || !delta.added.empty();
-  // An untouched table keeps its row storage and caches; a rewrite replaces
-  // the rows wholesale (indexes rebuild on next use).
-  if (delta.changed) table.ReplaceRows(std::move(rows));
+  delta.changed = true;
+  table.ReplaceRows(std::move(rows));
   return delta;
 }
 

@@ -33,7 +33,9 @@
 //     extend the index cache; a delete that touches no row keeps every
 //     cache; only a delete that actually rewrites rows forces a rebuild),
 //     and report the row-level delta — the input incremental view
-//     maintenance (datalog/ivm.h) runs on.
+//     maintenance (datalog/ivm.h) runs on. A delete costs what it touches:
+//     it copies only the tuples of the rows it rewrites and moves every
+//     other row (id cache included) into the rewritten table.
 
 #ifndef PW_TABLES_UPDATES_H_
 #define PW_TABLES_UPDATES_H_
@@ -83,12 +85,14 @@ bool InsertFactIfInPlace(CTable& table, const Fact& fact,
                          const UpdateOptions& options = {});
 
 /// The row-level delta of an in-place deletion, in terms of (tuple, local
-/// condition) rows. `kept` rows passed through unchanged; `removed` rows
-/// were dropped or replaced by guarded copies; `added` holds those copies.
-/// A row whose guarded copies collapse back onto it (the guard is implied
-/// by its own condition) counts as kept, not as removed-and-re-added.
+/// condition) rows. `kept` holds the positions, in the rewritten table and
+/// in ascending order, of the rows that passed through unchanged (read them
+/// with table.row(k)); `removed` rows were dropped or replaced by guarded
+/// copies; `added` holds copies of those guarded rows. A row whose guarded
+/// copies collapse back onto it (the guard is implied by its own condition)
+/// counts as kept, not as removed-and-re-added.
 struct DeleteDelta {
-  std::vector<CRow> kept;
+  std::vector<size_t> kept;
   std::vector<CRow> removed;
   std::vector<CRow> added;
   /// True iff the table was rewritten (removed or added is nonempty).
@@ -97,10 +101,13 @@ struct DeleteDelta {
 
 /// In-place deletion: rewrites the table to represent
 /// { I minus {fact} : I in rep(table) } and reports the row-level delta.
-/// When no row can match the fact (or the fact has the wrong arity) the
-/// table (and all its caches) is left untouched and `changed` is false;
-/// otherwise the rows are replaced wholesale and cached indexes
-/// rebuild on next use.
+/// A read-only pass first finds the rows the fact can match and their
+/// guarded copies. When no row changes the table (and all its caches) is
+/// left untouched, `changed` is false and `kept` lists every row; a fact of
+/// the wrong arity leaves the table untouched and reports an empty delta.
+/// Otherwise each rewritten row is replaced, in place in the row order, by
+/// its guarded copies; every other row is moved, not copied, so its tuple
+/// storage and id cache carry over. Cached indexes rebuild on next use.
 DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
                               const UpdateOptions& options = {});
 

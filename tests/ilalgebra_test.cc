@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
 
 #include "ilalgebra/ctable_eval.h"
 #include "ra/eval.h"
+#include "tables/snapshot.h"
 #include "tables/world_enum.h"
 #include "test_util.h"
 #include "workload/random_gen.h"
@@ -308,6 +310,131 @@ TEST(IlAlgebraTest, QueryCarriesGlobalCondition) {
   auto out = EvalQueryOnCTables({RaExpr::Rel(0, 1)}, db);
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out->CombinedGlobal().size(), 1u);
+}
+
+TEST(IlAlgebraTest, RelationReferenceMustFitTheDatabase) {
+  // A reference naming no table, or a table of another arity, is rejected
+  // in every build mode instead of reading past the table's storage.
+  CTable t(2);
+  t.AddRow(Tuple{C(1), C(2)});
+  t.AddRow(Tuple{C(2), V(0)});
+  CDatabase db{t};
+  EXPECT_FALSE(EvalQueryOnCTables({RaExpr::Rel(3, 2)}, db).has_value());
+  EXPECT_FALSE(EvalOnCTables(RaExpr::Rel(3, 2), db).has_value());
+  EXPECT_FALSE(EvalQueryOnCTables({RaExpr::Rel(0, 3)}, db).has_value());
+  // Inside a planned join, and below an operator that does not plan.
+  RaExpr join = RaExpr::Join(RaExpr::Rel(0, 3), RaExpr::Rel(0, 3), {{2, 0}});
+  EXPECT_FALSE(EvalOnCTables(join, db).has_value());
+  EXPECT_FALSE(EvalQueryOnCTables({RaExpr::Rel(0, 2), join}, db).has_value());
+  EXPECT_FALSE(
+      EvalOnCTables(RaExpr::Union(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)), db)
+          .has_value());
+  // A fitting reference still evaluates.
+  auto image = EvalQueryOnCTables({RaExpr::Rel(0, 2)}, db);
+  ASSERT_TRUE(image.has_value());
+  EXPECT_EQ(image->table(0).num_rows(), 2u);
+}
+
+/// What EvalQueryOnCTables builds in slot `slot` for a bare reference to
+/// table k when it copies: the copy EvalOnCTables makes, plus the combined
+/// global in slot 0.
+CTable CopiedImageSlot(const CDatabase& db, size_t k, size_t slot) {
+  CTable copy = *EvalOnCTables(RaExpr::Rel(k, db.table(k).arity()), db);
+  if (slot == 0) copy.SetGlobal(db.CombinedGlobal());
+  return copy;
+}
+
+TEST(IlAlgebraTest, BareRelationImageSharesQualifyingTables) {
+  // The shape of a served database: an edge chain through a shared null
+  // under a global inequality, and a ground label table with no global.
+  CTable edges(2);
+  edges.AddRow(Tuple{C(0), C(1)});
+  edges.AddRow(Tuple{C(1), V(0)});
+  edges.AddRow(Tuple{V(0), C(2)});
+  edges.AddRow(Tuple{C(2), C(3)}, Conjunction{Neq(V(0), C(3))});
+  edges.SetGlobal(Conjunction{Neq(V(0), C(0))});
+  CTable labels(2);
+  for (int i = 0; i < 4; ++i) labels.AddRow(Tuple{C(i), C(10 + i)});
+  const RaQuery identity = {RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)};
+
+  // Every slot's copy would equal its table: both slots share.
+  {
+    CDatabase db(std::vector<CTable>{edges, labels});
+    auto image = EvalQueryOnCTables(identity, db);
+    ASSERT_TRUE(image.has_value());
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(&image->table(i), &db.table(i)) << "slot " << i;
+      EXPECT_EQ(image->table(i), CopiedImageSlot(db, i, i)) << "slot " << i;
+    }
+  }
+
+  // Each case where the copy differs from the table: the slot is a copy,
+  // equal to what copying builds.
+  auto expect_copied = [&](const CDatabase& db, size_t slot,
+                           const char* why) {
+    auto image = EvalQueryOnCTables(identity, db);
+    ASSERT_TRUE(image.has_value()) << why;
+    EXPECT_NE(&image->table(slot), &db.table(slot)) << why;
+    EXPECT_EQ(image->table(slot), CopiedImageSlot(db, slot, slot)) << why;
+  };
+  {
+    CTable unsat = labels;
+    unsat.AddRow(Tuple{C(9), V(1)},
+                 Conjunction{Eq(V(1), C(1)), Neq(V(1), C(1))});
+    CDatabase db(std::vector<CTable>{edges, unsat});
+    expect_copied(db, 1, "a row whose local is unsatisfiable");
+  }
+  {
+    CTable redundant = labels;
+    redundant.AddRow(Tuple{C(9), V(1)},
+                     Conjunction{Neq(V(1), C(1)), Neq(V(1), C(1))});
+    CDatabase db(std::vector<CTable>{edges, redundant});
+    expect_copied(db, 1, "a satisfiable local not in canonical form");
+  }
+  {
+    CTable trivial = labels;
+    trivial.AddRow(Tuple{C(9), V(1)}, Conjunction{Eq(V(1), V(1))});
+    CDatabase db(std::vector<CTable>{edges, trivial});
+    expect_copied(db, 1, "a local that is true but not the empty conjunction");
+  }
+  {
+    CTable guarded = labels;
+    guarded.SetGlobal(Conjunction{Neq(V(0), C(5))});
+    CDatabase db(std::vector<CTable>{edges, guarded});
+    expect_copied(db, 0, "slot 0 carries both tables' globals");
+    expect_copied(db, 1, "slot 1 carries no global");
+  }
+
+  // An image of a snapshot holds the frozen table itself and can outlive
+  // the snapshot; writing through it clones instead of thawing the table.
+  ConditionInterner interner;
+  std::optional<CDatabase> image;
+  std::optional<CDatabase> other;
+  {
+    VersionedCDatabase versioned(CDatabase(std::vector<CTable>{edges, labels}),
+                                 interner);
+    VersionedCDatabase::Snapshot snap = versioned.Read();
+    CTableEvalOptions options{.interner = &interner};
+    image = EvalQueryOnCTables(identity, snap.db, options);
+    other = EvalQueryOnCTables(identity, snap.db, options);
+    ASSERT_TRUE(image.has_value() && other.has_value());
+    EXPECT_EQ(&image->table(1), &snap.db.table(1));
+  }
+  const CTable& frozen = other->table(1);
+  ASSERT_EQ(&image->table(1), &frozen);
+  ASSERT_TRUE(frozen.frozen());
+  const CTable before = frozen;
+  CTable& writable = image->mutable_table(1);
+  EXPECT_NE(&writable, &frozen);
+  EXPECT_FALSE(writable.frozen());
+  writable.AddRow(Tuple{C(8), C(9)});
+  EXPECT_EQ(image->table(1).num_rows(), before.num_rows() + 1);
+  EXPECT_EQ(frozen, before);  // the old table is unchanged
+  EXPECT_TRUE(frozen.frozen());
+  // `other` is now the frozen table's only owner, and it still clones.
+  CTable& clone = other->mutable_table(1);
+  EXPECT_FALSE(clone.frozen());
+  EXPECT_EQ(clone, before);
 }
 
 // --- The representation-system property, randomized ----------------------

@@ -232,6 +232,52 @@ TEST(UpdatesTest, InPlaceDeleteReportsRowLevelDelta) {
   EXPECT_EQ(t.num_rows(), 3u);        // kept + 2 guarded copies
 }
 
+TEST(UpdatesTest, InPlaceDeleteMovesUntouchedRows) {
+  // 1,000 ground rows (i, 5) with the null row (x0, 5) at position 600.
+  // Deleting (300, 5) drops one ground row and rewrites the null row; every
+  // other row is moved into the rewritten table, not copied.
+  constexpr int kGround = 1000;
+  constexpr size_t kNullAt = 600;
+  CTable t(2);
+  for (int i = 0; i < kGround; ++i) {
+    if (static_cast<size_t>(i) == kNullAt) t.AddRow(Tuple{V(0), C(5)});
+    t.AddRow(Tuple{C(i), C(5)});
+  }
+  std::vector<const Term*> storage;
+  for (const CRow& row : t.rows()) storage.push_back(row.tuple.data());
+
+  DeleteDelta delta = DeleteFactInPlace(t, Fact{300, 5});
+  EXPECT_TRUE(delta.changed);
+  ASSERT_EQ(t.num_rows(), static_cast<size_t>(kGround));
+  ASSERT_EQ(delta.removed.size(), 2u);
+  EXPECT_EQ(delta.removed[0].tuple, (Tuple{C(300), C(5)}));
+  EXPECT_EQ(delta.removed[1].tuple, (Tuple{V(0), C(5)}));
+  ASSERT_EQ(delta.added.size(), 1u);
+
+  // Today's order: the ground row is gone, and the guarded copy sits where
+  // the null row was (one position earlier, after the removed row).
+  const size_t guarded_at = kNullAt - 1;
+  EXPECT_EQ(t.row(guarded_at).tuple, (Tuple{V(0), C(5)}));
+  EXPECT_EQ(t.row(guarded_at).local(), (Conjunction{Neq(V(0), C(300))}));
+  EXPECT_EQ(t.row(guarded_at), delta.added[0]);
+
+  // `kept` lists exactly the other positions, and each of those rows kept
+  // its tuple storage.
+  std::vector<size_t> expected_kept;
+  for (size_t k = 0; k < t.num_rows(); ++k) {
+    if (k != guarded_at) expected_kept.push_back(k);
+  }
+  ASSERT_EQ(delta.kept, expected_kept);
+  for (size_t k : delta.kept) {
+    size_t old = k < 300 ? k : k + 1;  // old position before the delete
+    EXPECT_EQ(t.row(k).tuple.data(), storage[old]) << "position " << k;
+    EXPECT_EQ(t.row(k).tuple,
+              (Tuple{C(static_cast<int>(old < kNullAt ? old : old - 1)),
+                     C(5)}))
+        << "position " << k;
+  }
+}
+
 TEST(UpdatesTest, InPlaceDeleteOfUnmatchableFactPreservesIndexCache) {
   // No row can match: the delete must not touch the table, so a cached
   // tuple index stays valid (no rebuild, no extend).

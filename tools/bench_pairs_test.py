@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Self-test of tools/bench_pairs.py on canned benchmark runs.
+
+Checks the verdict rules on synthetic pairs (gain, regression, unresolved,
+no worse, ties, higher-is-better metrics), the parent/change alternation,
+the run length and workload names taken from BENCHMARK.json, the written
+report, and the digest and failed-op flags. Runs nothing: the benchmark
+runner is replaced by canned pwbench/run.py output. Run directly or through
+ctest:
+
+    python3 tools/bench_pairs_test.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+import unittest
+from unittest import mock
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import bench_pairs  # noqa: E402
+
+PARENT_SHA = "1" * 40
+CHANGE_SHA = "2" * 40
+
+
+def run_output(metrics, git, answers="00c0ffee00c0ffee", failed=0):
+    """What pwbench/run.py prints on stdout for one run."""
+    result = {"correct": failed == 0, "attempted": 1200, "failed": failed,
+              "metrics": {name: {"value": value, "unit": "ms"}
+                          for name, value in metrics.items()}}
+    return "\n".join([
+        f'# machine: cpu="Test CPU" nproc=4 compiler="gcc 12.2.0" '
+        f"build=Release git={git}",
+        "# workload=serve seed=1 blocks=300 ops=1200 trace=0",
+        f"# ops_digest=0123456789abcdef answers_digest={answers}",
+        "# k1_p50_ms    POSS/CERT verdict on a snapshot  0.1 ms",
+        json.dumps(result),
+    ]) + "\n"
+
+
+class CompareTest(unittest.TestCase):
+
+    PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+
+    def test_gain_needs_nine_of_ten_wins_and_a_gap_over_the_iqr(self):
+        change = [0.5] * 10
+        s = bench_pairs.compare(self.PARENT, change, "lower", 0.25)
+        self.assertEqual((s["wins"], s["verdict"]), (10, "gain"))
+        # Two lost pairs leave 8 of 10: no gain, though the median moved.
+        change = [0.5] * 8 + [1.5, 1.5]
+        s = bench_pairs.compare(self.PARENT, change, "lower", 0.25)
+        self.assertEqual((s["wins"], s["verdict"]), (8, "no worse"))
+
+    def test_gain_needs_the_median_gap_beyond_the_parent_iqr(self):
+        # Wins every pair, but by less than the parent's own spread.
+        change = [p - 0.005 for p in self.PARENT]
+        s = bench_pairs.compare(self.PARENT, change, "lower", 0.25)
+        self.assertEqual((s["wins"], s["verdict"]), (10, "no worse"))
+
+    def test_ties_count_for_neither_side(self):
+        s = bench_pairs.compare(self.PARENT, list(self.PARENT), "lower", 0.25)
+        self.assertEqual((s["wins"], s["verdict"]), (0, "no worse"))
+
+    def test_regression_is_a_median_worse_by_more_than_the_bound(self):
+        change = [p * 1.3 for p in self.PARENT]
+        s = bench_pairs.compare(self.PARENT, change, "lower", 0.25)
+        self.assertEqual(s["verdict"], "regression")
+        change = [p * 1.2 for p in self.PARENT]
+        s = bench_pairs.compare(self.PARENT, change, "lower", 0.25)
+        self.assertEqual(s["verdict"], "no worse")
+
+    def test_higher_is_better_metrics_flip_the_direction(self):
+        change = [p * 2 for p in self.PARENT]
+        s = bench_pairs.compare(self.PARENT, change, "higher", 0.25)
+        self.assertEqual((s["wins"], s["verdict"]), (10, "gain"))
+        change = [p * 0.7 for p in self.PARENT]
+        s = bench_pairs.compare(self.PARENT, change, "higher", 0.25)
+        self.assertEqual(s["verdict"], "regression")
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [1.0, 0.5, 1.5, 1.0, 0.6, 1.4, 1.0, 0.7, 1.3, 1.0]
+        change = [1.05, 0.55, 1.45, 1.1, 0.6, 1.5, 0.95, 0.75, 1.3, 1.0]
+        s = bench_pairs.compare(parent, change, "lower", 0.25)
+        self.assertEqual(s["verdict"], "unresolved")
+        # Unless every change run beats every parent run.
+        parent = [10.0, 5.0, 15.0, 10.0, 6.0, 14.0, 10.0, 7.0, 13.0, 10.0]
+        change = [4.0, 2.0, 4.5, 3.0, 2.5, 4.0, 3.5, 2.0, 4.9, 3.0]
+        s = bench_pairs.compare(parent, change, "lower", 0.25)
+        self.assertNotEqual(s["verdict"], "unresolved")
+
+    def test_quartiles_of_one_run(self):
+        self.assertEqual(bench_pairs.quartiles([2.0]), (2.0, 2.0, 2.0))
+
+
+class PairsTest(unittest.TestCase):
+
+    def fake_runner(self, change_k1, calls, answers=None, failed=None):
+        """A run_once stand-in: the parent reads k1 = 1.0, the change reads
+        change_k1; `answers`/`failed` override the change side per seed."""
+        answers = answers or {}
+        failed = failed or {}
+
+        def run(checkout, workload, seed, seconds):
+            calls.append((checkout, seed, seconds))
+            is_change = checkout == "change-dir"
+            metrics = {"k1_p50_ms": change_k1 if is_change else 1.0,
+                       "throughput_ops": 2000.0 + seed % 7}
+            return bench_pairs.parse_run(run_output(
+                metrics, CHANGE_SHA if is_change else PARENT_SHA,
+                answers=answers.get(seed, "00c0ffee00c0ffee")
+                if is_change else "00c0ffee00c0ffee",
+                failed=failed.get(seed, 0) if is_change else 0))
+        return run
+
+    def run_main(self, argv, runner):
+        out = io.StringIO()
+        with mock.patch.object(sys, "argv", ["bench_pairs.py"] + argv), \
+                mock.patch.object(bench_pairs, "run_once", runner), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = bench_pairs.main()
+        return code, out.getvalue()
+
+    def test_pairs_alternate_and_report_is_written(self):
+        with open(os.path.join(bench_pairs.ROOT, "BENCHMARK.json")) as f:
+            seconds = json.load(f)["run_seconds"]
+        calls = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCH_test.json")
+            code, out = self.run_main(
+                ["--parent", "parent-dir", "--change", "change-dir",
+                 "--workload", "serve", "--seeds", "7,4101-4103",
+                 "--out", path],
+                self.fake_runner(0.5, calls))
+            self.assertEqual(code, 0, out)
+            # Every run lasts BENCHMARK.json's run_seconds.
+            self.assertEqual(calls, [
+                ("parent-dir", 7, seconds), ("change-dir", 7, seconds),
+                ("change-dir", 4101, seconds), ("parent-dir", 4101, seconds),
+                ("parent-dir", 4102, seconds), ("change-dir", 4102, seconds),
+                ("change-dir", 4103, seconds), ("parent-dir", 4103, seconds)])
+            self.assertIn(f"# parent: git={PARENT_SHA} machine: "
+                          'cpu="Test CPU"', out)
+            self.assertIn(f"# change: git={CHANGE_SHA}", out)
+            self.assertRegex(out, r"k1_p50_ms .* 4/4 +gain")
+            with open(path) as f:
+                report = json.load(f)
+            self.assertEqual(report["seconds"], seconds)
+            serve = report["workloads"]["serve"]
+            self.assertEqual([p["first"] for p in serve["pairs"]],
+                             ["parent", "change", "parent", "change"])
+            self.assertEqual(serve["summary"]["k1_p50_ms"]["verdict"], "gain")
+            # Metrics the benchmark does not declare are not summarized.
+            self.assertEqual(set(serve["summary"]),
+                             {"k1_p50_ms", "throughput_ops"})
+
+    def test_a_workload_the_benchmark_lacks_is_rejected(self):
+        with self.assertRaises(SystemExit):
+            self.run_main(["--parent", "parent-dir", "--change", "change-dir",
+                           "--workload", "nosuch", "--seeds", "1"],
+                          self.fake_runner(0.5, []))
+
+    def test_digest_and_failed_mismatches_are_flagged(self):
+        calls = []
+        code, out = self.run_main(
+            ["--parent", "parent-dir", "--change", "change-dir",
+             "--workload", "serve", "--seeds", "1-3"],
+            self.fake_runner(0.5, calls, answers={2: "badbadbadbadbad0"},
+                             failed={3: 4}))
+        self.assertEqual(code, 1, out)
+        self.assertIn("FLAG seed 2: answers_digest parent 00c0ffee00c0ffee "
+                      "change badbadbadbadbad0", out)
+        self.assertIn("FLAG seed 3: failed parent 0 change 4", out)
+        self.assertIn("FLAG seed 3: change failed 4 ops", out)
+
+    def test_seed_lists(self):
+        self.assertEqual(bench_pairs.parse_seeds("7,4101-4103,9"),
+                         [7, 4101, 4102, 4103, 9])
+
+
+if __name__ == "__main__":
+    unittest.main()
