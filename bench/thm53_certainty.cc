@@ -79,7 +79,7 @@ BENCHMARK(BM_Thm53_FirstOrderCertainty_CoNP)
     ->DenseRange(1, 2)
     ->Unit(benchmark::kMillisecond);
 
-// (3) coNP: identity on c-tables (through the clause-CSP procedure).
+// (3) coNP: identity on c-tables (through the certain-fact implication).
 void BM_Thm53_CTableCertainty_CoNP(benchmark::State& state) {
   auto rng = benchutil::Rng(83 + static_cast<uint32_t>(state.range(0)));
   int vars = static_cast<int>(state.range(0));

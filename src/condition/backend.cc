@@ -15,16 +15,76 @@ namespace pw {
 
 namespace {
 
-/// Backtracking step of ConjImpliesDisjunction: find one falsifiable atom
-/// per remaining disjunct, consistently with everything asserted so far.
-bool CnfSearch(BindingEnv& env, const std::vector<const Conjunction*>& negs,
-               size_t i) {
-  if (i == negs.size()) return true;
-  for (const CondAtom& atom : negs[i]->atoms()) {
-    CondAtom negated = Negate(atom);
-    if (IsTriviallyFalse(negated)) continue;
+/// lhs AND NOT d1 AND ... AND NOT dk as a CNF over atoms: clause i is
+/// atoms[ends[i - 1], ends[i]), the negations of disjunct i's atoms.
+/// may_hold[i] is false when no atom of clause i can already hold when the
+/// search reaches it.
+struct AtomCnf {
+  std::vector<CondAtom> atoms;
+  std::vector<uint32_t> ends;
+  std::vector<char> may_hold;
+};
+
+/// Sets cnf.may_hold. An atom can hold before its clause is reached only if
+/// lhs or an earlier clause mentions one of its variables — in an equality,
+/// for an equality atom, since disequalities never force one over the
+/// infinite domain. A one-atom clause needs no check: asserting an atom that
+/// holds adds nothing, and there is no other atom to try.
+void MarkMayHold(const Conjunction& lhs, AtomCnf& cnf) {
+  struct Use {
+    VarId var;
+    uint32_t pos;  // 0 for lhs, i + 1 for clause i
+    bool eq;
+  };
+  std::vector<Use> uses;
+  uses.reserve(2 * (lhs.size() + cnf.atoms.size()));
+  auto add = [&uses](const CondAtom& atom, size_t pos) {
+    for (Term t : {atom.lhs, atom.rhs}) {
+      if (!t.is_variable()) continue;
+      uses.push_back(
+          {t.variable(), static_cast<uint32_t>(pos), atom.is_equality});
+    }
+  };
+  for (const CondAtom& atom : lhs.atoms()) add(atom, 0);
+  for (size_t i = 0, k = 0; i < cnf.ends.size(); ++i) {
+    for (; k < cnf.ends[i]; ++k) add(cnf.atoms[k], i + 1);
+  }
+  std::sort(uses.begin(), uses.end(), [](const Use& a, const Use& b) {
+    return a.var != b.var ? a.var < b.var : a.pos < b.pos;
+  });
+  cnf.may_hold.assign(cnf.ends.size(), 0);
+  for (size_t begin = 0, end = 0; begin < uses.size(); begin = end) {
+    uint32_t first_any = uses[begin].pos;
+    uint32_t first_eq = UINT32_MAX;
+    for (end = begin; end < uses.size() && uses[end].var == uses[begin].var;
+         ++end) {
+      if (uses[end].eq) first_eq = std::min(first_eq, uses[end].pos);
+    }
+    for (size_t u = begin; u < end; ++u) {
+      uint32_t pos = uses[u].pos;
+      if (pos == 0 || (uses[u].eq ? first_eq : first_any) >= pos) continue;
+      uint32_t start = pos == 1 ? 0 : cnf.ends[pos - 2];
+      if (cnf.ends[pos - 1] - start > 1) cnf.may_hold[pos - 1] = 1;
+    }
+  }
+}
+
+/// Backtracking step of ConjImpliesDisjunction: find one atom per remaining
+/// clause, consistently with everything asserted so far.
+bool CnfSearch(BindingEnv& env, const AtomCnf& cnf, size_t i) {
+  if (i == cnf.ends.size()) return true;
+  const CondAtom* begin = cnf.atoms.data() + (i == 0 ? 0 : cnf.ends[i - 1]);
+  const CondAtom* end = cnf.atoms.data() + cnf.ends[i];
+  // A clause that already holds needs no choice, and trying its atoms could
+  // only add constraints.
+  if (cnf.may_hold[i]) {
+    for (const CondAtom* atom = begin; atom != end; ++atom) {
+      if (env.Entails(*atom)) return CnfSearch(env, cnf, i + 1);
+    }
+  }
+  for (const CondAtom* atom = begin; atom != end; ++atom) {
     size_t mark = env.Mark();
-    if (env.AssertAtom(negated) && CnfSearch(env, negs, i + 1)) return true;
+    if (env.AssertAtom(*atom) && CnfSearch(env, cnf, i + 1)) return true;
     env.Revert(mark);
   }
   return false;
@@ -35,24 +95,69 @@ bool CnfSearch(BindingEnv& env, const std::vector<const Conjunction*>& negs,
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts) {
   if (lhs == ConditionInterner::kFalseConj) return true;
-  std::vector<const Conjunction*> negs;
-  negs.reserve(disjuncts.size());
-  for (ConjId d : disjuncts) {
+  struct Disjunct {
+    ConjId id;
+    uint32_t pos;  // first position in `disjuncts`
+    const Conjunction* conj;
+  };
+  std::vector<Disjunct> kept;
+  kept.reserve(disjuncts.size());
+  for (size_t i = 0; i < disjuncts.size(); ++i) {
+    ConjId d = disjuncts[i];
     if (d == ConditionInterner::kFalseConj) continue;
     if (d == ConditionInterner::kTrueConj) return true;
     // Memoized pairwise fast path: implying any single disjunct suffices.
     if (interner.Implies(lhs, d)) return true;
-    negs.push_back(&interner.Resolve(d));
+    kept.push_back({d, static_cast<uint32_t>(i), nullptr});
   }
-  if (negs.empty()) return false;  // lhs satisfiable, empty disjunction
-  // lhs /\ NOT d1 /\ ... /\ NOT dk is a conjunction of literals plus a CNF
-  // with one clause per disjunct (the negated atoms). Over the infinite
+  // A repeated id adds no clause: keep its first occurrence.
+  std::sort(kept.begin(), kept.end(), [](const Disjunct& a, const Disjunct& b) {
+    return a.id != b.id ? a.id < b.id : a.pos < b.pos;
+  });
+  kept.erase(std::unique(kept.begin(), kept.end(),
+                         [](const Disjunct& a, const Disjunct& b) {
+                           return a.id == b.id;
+                         }),
+             kept.end());
+  // lhs is satisfiable (interned, not kFalseConj). With no disjunct left, or
+  // one that the pairwise check already refuted, the implication fails.
+  if (kept.size() < 2) return false;
+  size_t num_atoms = 0;
+  for (Disjunct& d : kept) {
+    d.conj = &interner.Resolve(d.id);
+    num_atoms += d.conj->size();
+  }
+  // Smallest clauses first: they fail fastest. Ties keep the input order.
+  std::sort(kept.begin(), kept.end(), [](const Disjunct& a, const Disjunct& b) {
+    return a.conj->size() != b.conj->size() ? a.conj->size() < b.conj->size()
+                                            : a.pos < b.pos;
+  });
+  // lhs AND NOT d1 AND ... AND NOT dk is a conjunction of literals plus a
+  // CNF with one clause per disjunct (the negated atoms). Over the infinite
   // domain it is satisfiable iff some choice of one negated atom per clause
   // is congruence-consistent with lhs — which the backtracking search
-  // decides exactly. No such valuation means the implication holds.
+  // decides exactly. No such valuation means the implication holds. Within
+  // a clause, equalities come first: a bound value settles more of the later
+  // clauses than a disequality does.
+  AtomCnf cnf;
+  cnf.atoms.reserve(num_atoms);
+  cnf.ends.reserve(kept.size());
+  for (const Disjunct& d : kept) {
+    for (bool equality : {true, false}) {
+      for (const CondAtom& atom : d.conj->atoms()) {
+        CondAtom negated = Negate(atom);
+        if (negated.is_equality == equality && !IsTriviallyFalse(negated)) {
+          cnf.atoms.push_back(negated);
+        }
+      }
+    }
+    cnf.ends.push_back(static_cast<uint32_t>(cnf.atoms.size()));
+  }
+  const Conjunction& lhs_conj = interner.Resolve(lhs);
+  MarkMayHold(lhs_conj, cnf);
   BindingEnv env;
-  if (!env.Assert(interner.Resolve(lhs))) return true;
-  return !CnfSearch(env, negs, 0);
+  if (!env.Assert(lhs_conj)) return true;
+  return !CnfSearch(env, cnf, 0);
 }
 
 namespace {
@@ -120,11 +225,6 @@ class ConjunctiveBackend final : public ConditionBackend {
       if (interner().Satisfiable(interner().And(global, m))) return true;
     }
     return false;
-  }
-
-  bool TautologyUnder(ConjId global, CondId id) override {
-    if (!IsDisj(id)) return interner().Implies(global, id);
-    return ConjImpliesDisjunction(interner(), global, MembersOf(id));
   }
 
   void AppendDisjuncts(CondId id, std::vector<ConjId>* out) override {

@@ -1,8 +1,7 @@
 // Condition backends: pluggable representations of row conditions.
 //
-// The conditioned fixpoint and the decision procedures manipulate row
-// conditions through four operations — conjoin, disjoin, implication,
-// satisfiability — plus a tautology check against a global condition. The
+// The conditioned fixpoint manipulates row conditions through four
+// operations — conjoin, disjoin, implication, satisfiability. The
 // paper's c-tables make every row condition a conjunction, so the original
 // implementation works on interned conjunction ids (ConditionInterner) and
 // keeps "a row's condition" as a *set* of conjunctions (an implicit DNF,
@@ -15,8 +14,8 @@
 // a second implementation — hash-consed ordered decision diagrams over
 // condition atoms (condition/dd_backend.h) — can represent a row's condition
 // as ONE canonical id for an arbitrary boolean combination of atoms, making
-// And/Or/Implies polynomial diagram operations and certainty a tautology
-// check without DNF expansion. Both backends stay live behind an option flag
+// And/Or/Implies polynomial diagram operations. Both backends stay live
+// behind an option flag
 // and are differentially cross-checked (tests/differential_test.cc).
 //
 // A CondId is meaningful only within the backend that produced it. Both
@@ -105,11 +104,6 @@ class ConditionBackend {
   /// fixpoint's per-derivation admission test.
   virtual bool SatisfiableWith(ConjId global, CondId id) = 0;
 
-  /// True iff every valuation satisfying `global` satisfies the condition —
-  /// the certainty tautology check (the DD backend answers this without DNF
-  /// expansion; the conjunctive backend via an exact backtracking check).
-  virtual bool TautologyUnder(ConjId global, CondId id) = 0;
-
   /// Appends a finite set of satisfiable interned conjunctions whose union
   /// is exactly the condition — the export path back into conjunctive
   /// c-table rows. Deterministic for a given id. May be exponential in the
@@ -127,8 +121,10 @@ std::unique_ptr<ConditionBackend> MakeConditionBackend(
 /// True iff `lhs` implies the disjunction of `disjuncts` over the infinite
 /// domain — exact, via a backtracking search for a valuation of lhs that
 /// falsifies one atom of every disjunct (the coNP check, exponential only in
-/// the number of disjuncts). Shared by the conjunctive backend's tautology
-/// path and usable as an independent oracle in tests.
+/// the number of disjuncts). The library's one atom-CNF search: the
+/// conjunctive backend's implication between disjunction sets, the
+/// certain-fact test (decision/certainty.h) and UNIQ's "some world differs
+/// from I" (decision/uniqueness.cc) all run on it.
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts);
 

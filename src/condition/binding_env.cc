@@ -133,6 +133,18 @@ bool BindingEnv::SameClass(Term a, Term b) const {
   return Root(*na) == Root(*nb);
 }
 
+bool BindingEnv::Entails(const CondAtom& atom) const {
+  std::optional<ConstId> a = ValueOf(atom.lhs);
+  std::optional<ConstId> b = ValueOf(atom.rhs);
+  if (a && b) return (*a == *b) == atom.is_equality;
+  // A class bound to a constant holds that constant's node, so a bound and
+  // an unbound term are in different classes.
+  if (atom.is_equality) return !a && !b && SameClass(atom.lhs, atom.rhs);
+  auto na = FindNode(atom.lhs);
+  auto nb = FindNode(atom.rhs);
+  return na && nb && ViolatesDiseq(Root(*na), Root(*nb));
+}
+
 bool BindingEnv::CanEqual(Term a, Term b) {
   size_t mark = Mark();
   bool ok = AssertEqual(a, b);

@@ -85,6 +85,11 @@ class BindingEnv {
   /// True iff asserting a = b would succeed (non-mutating check).
   bool CanEqual(Term a, Term b);
 
+  /// True iff the asserted atoms imply `atom` over the infinite domain: an
+  /// equality within one class, or a disequality between classes bound to
+  /// distinct constants or separated by a recorded disequality.
+  bool Entails(const CondAtom& atom) const;
+
   /// Number of asserted (non-redundant) disequality edges.
   size_t NumDisequalities() const { return diseqs_.size(); }
 

@@ -182,13 +182,6 @@ bool DDBackend::Implies(CondId a, CondId b) {
   return out;
 }
 
-bool DDBackend::TautologyUnder(ConjId global, CondId id) {
-  if (id == kTrueCond) return true;
-  CondId negated = Not(id);
-  if (global == ConditionInterner::kTrueConj) return !Satisfiable(negated);
-  return !Satisfiable(And(FromConj(global), negated));
-}
-
 void DDBackend::ExpandPaths(CondId id, std::vector<ConjId>* out) {
   if (id == kFalseCond) return;
   if (id == kTrueCond) {

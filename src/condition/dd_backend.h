@@ -15,7 +15,7 @@
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
 // equality is a congruence. Theory reasoning happens exactly where verdicts
-// are produced — Satisfiable/Implies/TautologyUnder run a BindingEnv-pruned
+// are produced — Satisfiable and Implies run a BindingEnv-pruned
 // DFS over diagram paths, which is exact over the paper's infinite constant
 // domain (a path is a conjunction of =/!= literals, and BindingEnv decides
 // those completely). Satisfiability caches its context-free verdict per id;
@@ -66,11 +66,10 @@ class DDBackend final : public ConditionBackend {
   bool Implies(CondId a, CondId b) override;
   bool Satisfiable(CondId id) override;
   bool SatisfiableWith(ConjId global, CondId id) override;
-  bool TautologyUnder(ConjId global, CondId id) override;
   void AppendDisjuncts(CondId id, std::vector<ConjId>* out) override;
 
   /// Negation (sentinels swap, internal structure is shared). Exposed for
-  /// tests; Implies/TautologyUnder use it internally.
+  /// tests; Implies uses it internally.
   CondId Not(CondId id);
 
   /// Diagram nodes allocated so far (excluding the two sentinels).

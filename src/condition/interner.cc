@@ -328,10 +328,6 @@ void ConditionInterner::SetProcessShared(ConditionInterner* interner) {
   process_shared.store(interner, std::memory_order_release);
 }
 
-ConditionInterner* ConditionInterner::ProcessShared() {
-  return process_shared.load(std::memory_order_acquire);
-}
-
 ConditionInterner& ConditionInterner::Global() {
   ConditionInterner* shared = process_shared.load(std::memory_order_acquire);
   if (shared != nullptr) return *shared;

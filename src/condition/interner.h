@@ -3,7 +3,7 @@
 // Condition manipulation is the hot path of every algorithm in this codebase:
 // the Imielinski–Lipski algebra conjoins local conditions per row pair, the
 // decision procedures of src/decision/ test satisfiability of (mostly
-// repeated) conjunctions, and Formula::ToDnf multiplies conjunctions out.
+// repeated) conjunctions and implications between them.
 // The same small conditions recur constantly — a product of two c-tables
 // builds |T1| x |T2| conjunctions from only |T1| + |T2| distinct inputs.
 //
@@ -198,9 +198,6 @@ class ConditionInterner {
   /// override before destroying the instance.
   static void SetProcessShared(ConditionInterner* interner);
 
-  /// The current process-wide override, or nullptr.
-  static ConditionInterner* ProcessShared();
-
   /// Bounds the And/Implies memo tables for long-lived shared interners:
   /// each of their 16 shards holds at most `per_shard` entries, and a shard
   /// at capacity is dropped wholesale before the next insert (no LRU
@@ -232,10 +229,9 @@ class ConditionInterner {
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = {}; }
 
-  /// The interner used by the library fast paths (EvalOnCTables,
-  /// Formula::Satisfiable, the decision procedures): the process-wide shared
-  /// instance if one was installed with SetProcessShared(), else a
-  /// thread-local instance.
+  /// The interner used by the library fast paths (EvalOnCTables, the
+  /// decision procedures): the process-wide shared instance if one was
+  /// installed with SetProcessShared(), else a thread-local instance.
   static ConditionInterner& Global();
 
  private:

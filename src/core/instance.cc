@@ -11,11 +11,6 @@ Instance::Instance(const std::vector<int>& arities) {
   for (int a : arities) relations_.emplace_back(a);
 }
 
-size_t Instance::AddRelation(Relation r) {
-  relations_.push_back(std::move(r));
-  return relations_.size() - 1;
-}
-
 std::vector<int> Instance::Arities() const {
   std::vector<int> out;
   out.reserve(relations_.size());
@@ -54,6 +49,14 @@ bool ContainsAll(const Instance& instance,
     if (!instance.relation(lf.relation).Contains(lf.fact)) return false;
   }
   return true;
+}
+
+std::vector<ConstId> FactConstants(const std::vector<LocatedFact>& facts) {
+  std::set<ConstId> seen;
+  for (const LocatedFact& lf : facts) {
+    seen.insert(lf.fact.begin(), lf.fact.end());
+  }
+  return {seen.begin(), seen.end()};
 }
 
 }  // namespace pw

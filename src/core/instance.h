@@ -35,9 +35,6 @@ class Instance {
   const Relation& relation(size_t i) const { return relations_[i]; }
   Relation& mutable_relation(size_t i) { return relations_[i]; }
 
-  /// Appends a relation, returning its index.
-  size_t AddRelation(Relation r);
-
   /// The arities of all relations, in order.
   std::vector<int> Arities() const;
 
@@ -69,6 +66,9 @@ struct LocatedFact {
 /// True iff every located fact of `facts` is present in `instance`.
 bool ContainsAll(const Instance& instance,
                  const std::vector<LocatedFact>& facts);
+
+/// All constants of the located facts, sorted, deduplicated.
+std::vector<ConstId> FactConstants(const std::vector<LocatedFact>& facts);
 
 }  // namespace pw
 

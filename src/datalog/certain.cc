@@ -1,7 +1,6 @@
 #include "datalog/certain.h"
 
-#include <set>
-#include <unordered_map>
+#include <algorithm>
 
 #include "datalog/eval.h"
 #include "tables/world_enum.h"
@@ -10,59 +9,13 @@ namespace pw {
 
 std::optional<Instance> DatalogCertainAnswers(const DatalogProgram& program,
                                               const CDatabase& database) {
-  // Applicability: g-tables and below (no local conditions).
-  for (size_t i = 0; i < database.num_tables(); ++i) {
-    for (const CRow& row : database.table(i).rows()) {
-      if (!row.local().IsTautology()) return std::nullopt;
-    }
-  }
+  if (database.HasLocalConditions()) return std::nullopt;  // g-tables only
 
-  // Normalize: incorporate equalities forced by the combined global
-  // condition into every table's matrix.
-  Conjunction global = database.CombinedGlobal();
-  std::unordered_map<VarId, Term> canon = global.CanonicalSubstitution();
-
-  // Map remaining variables to fresh "labeled null" constants.
-  std::vector<ConstId> fresh =
-      FreshConstants(database, /*extra=*/{}, database.Variables().size());
-  std::set<ConstId> nulls;
-  std::unordered_map<VarId, Term> to_null;
-  {
-    size_t next = 0;
-    for (VarId v : database.Variables()) {
-      Term t = Term::Var(v);
-      auto it = canon.find(v);
-      if (it != canon.end()) t = it->second;
-      if (t.is_constant()) {
-        to_null.emplace(v, t);
-        continue;
-      }
-      // Canonical representative is a variable; give its whole class one
-      // shared null.
-      auto already = to_null.find(t.variable());
-      if (already != to_null.end()) {
-        to_null.emplace(v, already->second);
-      } else {
-        ConstId null_const = fresh[next++];
-        nulls.insert(null_const);
-        Term null_term = Term::Const(null_const);
-        to_null.emplace(t.variable(), null_term);
-        if (v != t.variable()) to_null.emplace(v, null_term);
-      }
-    }
-  }
-
-  // Build the complete-information matrix database.
-  std::vector<Relation> rels;
-  rels.reserve(database.num_tables());
-  for (size_t i = 0; i < database.num_tables(); ++i) {
-    CTable grounded = database.table(i).Substitute(to_null);
-    Relation r(grounded.arity());
-    for (const CRow& row : grounded.rows()) r.Insert(ToFact(row.tuple));
-    rels.push_back(std::move(r));
-  }
-
-  Instance fixpoint = SemiNaiveEval(program, Instance(std::move(rels)));
+  // Normalize, then freeze each remaining null to a fresh constant that no
+  // constant of the database or of the program can equal.
+  ConstId first_null = 0;
+  Instance frozen = Freeze(database, program.Constants(), &first_null);
+  Instance fixpoint = SemiNaiveEval(program, frozen);
 
   // Keep null-free facts only.
   std::vector<Relation> out;
@@ -70,14 +23,10 @@ std::optional<Instance> DatalogCertainAnswers(const DatalogProgram& program,
   for (size_t p = 0; p < fixpoint.num_relations(); ++p) {
     Relation r(fixpoint.relation(p).arity());
     for (const Fact& f : fixpoint.relation(p)) {
-      bool has_null = false;
-      for (ConstId c : f) {
-        if (nulls.count(c) > 0) {
-          has_null = true;
-          break;
-        }
+      if (std::all_of(f.begin(), f.end(),
+                      [first_null](ConstId c) { return c < first_null; })) {
+        r.Insert(f);
       }
-      if (!has_null) r.Insert(f);
     }
     out.push_back(std::move(r));
   }

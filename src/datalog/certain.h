@@ -4,9 +4,11 @@
 // The algorithm "manipulates the matrix representation of the g-tables as if
 // they were complete information databases": normalize the g-table
 // (incorporate forced equalities), map each remaining variable to a fresh
-// labeled null treated as an ordinary constant, run the DATALOG fixpoint,
-// and keep exactly the null-free facts. The global inequalities only prune
-// valuations, so this is sound and — by the cited results — complete.
+// labeled null treated as an ordinary constant (Freeze, tables/world_enum.h;
+// no null equals a constant of the database or the program), run the
+// DATALOG fixpoint, and keep exactly the null-free facts. The global
+// inequalities only prune valuations, so this is sound and — by the cited
+// results — complete.
 
 #ifndef PW_DATALOG_CERTAIN_H_
 #define PW_DATALOG_CERTAIN_H_

@@ -1,11 +1,27 @@
 #include "datalog/program.h"
 
+#include <set>
+
 #include "datalog/analysis.h"
 
 namespace pw {
 
 std::string DatalogProgram::Validate() const {
   return ProgramAnalysis(*this).ErrorString();
+}
+
+std::vector<ConstId> DatalogProgram::Constants() const {
+  std::set<ConstId> out;
+  auto collect = [&out](const DatalogAtom& atom) {
+    for (const Term& t : atom.args) {
+      if (t.is_constant()) out.insert(t.constant());
+    }
+  };
+  for (const DatalogRule& rule : rules_) {
+    collect(rule.head);
+    for (const DatalogAtom& atom : rule.body) collect(atom);
+  }
+  return {out.begin(), out.end()};
 }
 
 std::string DatalogProgram::ToString() const {

@@ -69,6 +69,9 @@ class DatalogProgram {
   /// if valid; see datalog/analysis.h for structured diagnostics.
   std::string Validate() const;
 
+  /// All constants the rules mention, sorted, deduplicated.
+  std::vector<ConstId> Constants() const;
+
   std::string ToString() const;
 
  private:

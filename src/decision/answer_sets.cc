@@ -4,10 +4,9 @@
 #include <set>
 
 #include "condition/binding_env.h"
-#include "decision/world_csp.h"
+#include "decision/certainty.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
-#include "tables/world_enum.h"
 
 namespace pw {
 
@@ -78,32 +77,28 @@ Instance PossibleByEnumeration(const View& view, const CDatabase& database,
   std::set<ConstId> dom(domain.begin(), domain.end());
   std::vector<Relation> acc;
   bool first = true;
-  WorldEnumOptions options;
-  options.extra_constants = domain;
-  ForEachWorld(database, options,
-               [&](const Instance& world, const Valuation&) {
-                 Instance image = view.Eval(world);
-                 if (first) {
-                   acc.assign(image.num_relations(), Relation());
-                   for (size_t p = 0; p < image.num_relations(); ++p) {
-                     acc[p] = Relation(image.relation(p).arity());
-                   }
-                   first = false;
-                 }
-                 for (size_t p = 0; p < image.num_relations(); ++p) {
-                   for (const Fact& f : image.relation(p)) {
-                     bool ground = true;
-                     for (ConstId c : f) {
-                       if (dom.count(c) == 0) {
-                         ground = false;
-                         break;
-                       }
-                     }
-                     if (ground) acc[p].Insert(f);
-                   }
-                 }
-                 return true;
-               });
+  ForEachViewImage(view, database, {}, [&](const Instance& image) {
+    if (first) {
+      acc.assign(image.num_relations(), Relation());
+      for (size_t p = 0; p < image.num_relations(); ++p) {
+        acc[p] = Relation(image.relation(p).arity());
+      }
+      first = false;
+    }
+    for (size_t p = 0; p < image.num_relations(); ++p) {
+      for (const Fact& f : image.relation(p)) {
+        bool ground = true;
+        for (ConstId c : f) {
+          if (dom.count(c) == 0) {
+            ground = false;
+            break;
+          }
+        }
+        if (ground) acc[p].Insert(f);
+      }
+    }
+    return true;
+  });
   return Instance(std::move(acc));
 }
 
@@ -141,14 +136,17 @@ Instance PossibleAnswers(const View& view, const CDatabase& database) {
 }
 
 Instance CertainAnswers(const View& view, const CDatabase& database) {
-  std::vector<ConstId> domain = Domain(view, database);
   Instance candidates = PossibleAnswers(view, database);
   if (auto image = ImageOf(view, database)) {
+    ConditionInterner& interner = ConditionInterner::Global();
+    ConjId global_id = image->CombinedGlobalId(interner);
     std::vector<Relation> out;
     for (size_t p = 0; p < candidates.num_relations(); ++p) {
       Relation r(candidates.relation(p).arity());
       for (const Fact& f : candidates.relation(p)) {
-        if (!ExistsWorldMissingFact(*image, p, f)) r.Insert(f);
+        if (CertainFactInTable(image->table(p), f, global_id, interner)) {
+          r.Insert(f);
+        }
       }
       out.push_back(std::move(r));
     }
@@ -159,20 +157,16 @@ Instance CertainAnswers(const View& view, const CDatabase& database) {
   for (size_t p = 0; p < candidates.num_relations(); ++p) {
     acc.push_back(candidates.relation(p));
   }
-  WorldEnumOptions options;
-  options.extra_constants = domain;
-  ForEachWorld(database, options,
-               [&](const Instance& world, const Valuation&) {
-                 Instance image = view.Eval(world);
-                 for (size_t p = 0; p < acc.size(); ++p) {
-                   Relation kept(acc[p].arity());
-                   for (const Fact& f : acc[p]) {
-                     if (image.relation(p).Contains(f)) kept.Insert(f);
-                   }
-                   acc[p] = std::move(kept);
-                 }
-                 return true;
-               });
+  ForEachViewImage(view, database, {}, [&acc](const Instance& image) {
+    for (size_t p = 0; p < acc.size(); ++p) {
+      Relation kept(acc[p].arity());
+      for (const Fact& f : acc[p]) {
+        if (image.relation(p).Contains(f)) kept.Insert(f);
+      }
+      acc[p] = std::move(kept);
+    }
+    return true;
+  });
   return Instance(std::move(acc));
 }
 

@@ -1,33 +1,13 @@
 #include "decision/certainty.h"
 
-#include <memory>
-#include <set>
-
+#include "condition/backend.h"
 #include "datalog/certain.h"
-#include "decision/world_csp.h"
 #include "ilalgebra/ctable_eval.h"
 #include "tables/world_enum.h"
 
 namespace pw {
 
 namespace {
-
-bool HasLocalConditions(const CDatabase& database) {
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    for (const CRow& row : database.table(k).rows()) {
-      if (!row.local().IsTautology()) return true;
-    }
-  }
-  return false;
-}
-
-std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
-  std::set<ConstId> seen;
-  for (const LocatedFact& lf : pattern) {
-    seen.insert(lf.fact.begin(), lf.fact.end());
-  }
-  return {seen.begin(), seen.end()};
-}
 
 /// Wraps the identity over a c-database as the trivial DATALOG program
 /// copy_p(x...) :- p(x...), so the identity view rides the same PTIME path.
@@ -55,33 +35,28 @@ std::pair<DatalogProgram, std::vector<int>> IdentityAsDatalog(
 
 }  // namespace
 
-bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
-                        ConditionBackend& backend) {
-  ConditionInterner& interner = backend.interner();
-  CondId disj = ConditionBackend::kFalseCond;
-  if (static_cast<size_t>(table.arity()) == fact.size()) {
-    for (const CRow& row : table.rows()) {
-      // The world contains `fact` through this row iff the row's condition
-      // holds and every tuple position valuates to the fact's constant.
-      Conjunction eqs;
-      bool mismatch = false;
-      for (size_t i = 0; i < fact.size(); ++i) {
-        CondAtom eq = Eq(Term::Const(fact[i]), row.tuple[i]);
-        if (IsTriviallyFalse(eq)) {
-          mismatch = true;
-          break;
-        }
-        if (!IsTriviallyTrue(eq)) eqs.Add(eq);
-      }
-      if (mismatch) continue;
-      ConjId cond = row.LocalId(interner);
-      if (eqs.size() > 0) cond = interner.And(cond, interner.Intern(eqs));
-      if (cond == ConditionInterner::kFalseConj) continue;
-      disj = backend.Or(disj, backend.FromConj(cond));
-      if (disj == ConditionBackend::kTrueCond) break;  // already a tautology
-    }
+ConjId RowProducesFact(const CRow& row, const Fact& fact,
+                       ConditionInterner& interner) {
+  if (row.tuple.size() != fact.size()) return ConditionInterner::kFalseConj;
+  Conjunction eqs;
+  for (size_t i = 0; i < fact.size(); ++i) {
+    CondAtom eq = Eq(row.tuple[i], Term::Const(fact[i]));
+    if (IsTriviallyFalse(eq)) return ConditionInterner::kFalseConj;
+    if (!IsTriviallyTrue(eq)) eqs.Add(eq);
   }
-  return backend.TautologyUnder(global_id, disj);
+  ConjId local = row.LocalId(interner);
+  return eqs.size() == 0 ? local : interner.And(local, interner.Intern(eqs));
+}
+
+bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
+                        ConditionInterner& interner) {
+  std::vector<ConjId> producers;
+  for (const CRow& row : table.rows()) {
+    ConjId cond = RowProducesFact(row, fact, interner);
+    if (cond == ConditionInterner::kTrueConj) return true;  // in every world
+    if (cond != ConditionInterner::kFalseConj) producers.push_back(cond);
+  }
+  return ConjImpliesDisjunction(interner, global_id, producers);
 }
 
 std::optional<bool> CertDatalogGTables(
@@ -89,7 +64,7 @@ std::optional<bool> CertDatalogGTables(
     const std::vector<LocatedFact>& pattern) {
   // The O(1) view test first: an RA view declines without the O(rows) scan.
   if (!view.is_datalog() && !view.is_identity()) return std::nullopt;
-  if (HasLocalConditions(database)) return std::nullopt;
+  if (database.HasLocalConditions()) return std::nullopt;
   if (RepIsEmpty(database)) return true;  // vacuous
 
   const DatalogProgram* program = nullptr;
@@ -120,62 +95,35 @@ std::optional<bool> CertDatalogGTables(
 
 bool CertaintySearch(const View& view, const CDatabase& database,
                      const std::vector<LocatedFact>& pattern) {
-  bool certain = true;
-  WorldEnumOptions options;
-  options.extra_constants = PatternConstants(pattern);
-  for (ConstId c : view.Constants()) options.extra_constants.push_back(c);
-  ForEachWorld(database, options,
-               [&view, &pattern, &certain](const Instance& world,
-                                           const Valuation&) {
-                 if (!ContainsAll(view.Eval(world), pattern)) {
-                   certain = false;
-                   return false;  // counterexample world
-                 }
-                 return true;
-               });
-  return certain;
+  return ForEachViewImage(view, database, FactConstants(pattern),
+                          [&pattern](const Instance& image) {
+                            return ContainsAll(image, pattern);
+                          });
 }
 
 bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern) {
   if (auto fast = CertDatalogGTables(view, database, pattern)) return *fast;
-  // c-tables with positive existential views: decide via the
-  // Imielinski–Lipski image and a per-fact certainty tautology through the
-  // configured condition backend (the per-fact "is it missing somewhere"
-  // CSP, ExistsWorldMissingFact, stays as the cross-checked baseline).
+  // Identity views, and positive existential views through their
+  // Imielinski–Lipski image: one certain-fact implication per pattern fact.
+  std::optional<CDatabase> image;
   if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
-    if (auto image = EvalQueryOnCTables(view.ra(), database)) {
-      if (RepIsEmpty(database)) return true;  // vacuous
-      ConditionInterner& interner = ConditionInterner::Global();
-      std::unique_ptr<ConditionBackend> backend =
-          MakeConditionBackend(ConditionBackendKind::kDefault, interner);
-      ConjId global_id = image->CombinedGlobalId(interner);
-      for (const LocatedFact& lf : pattern) {
-        if (lf.relation >= image->num_tables() ||
-            !CertainFactInTable(image->table(lf.relation), lf.fact,
-                                global_id, *backend)) {
-          return false;
-        }
-      }
-      return true;
+    image = EvalQueryOnCTables(view.ra(), database);
+  }
+  const CDatabase* rows =
+      view.is_identity() ? &database : (image ? &*image : nullptr);
+  if (rows == nullptr) return CertaintySearch(view, database, pattern);
+  if (RepIsEmpty(database)) return true;  // vacuous
+  ConditionInterner& interner = ConditionInterner::Global();
+  ConjId global_id = rows->CombinedGlobalId(interner);
+  for (const LocatedFact& lf : pattern) {
+    if (lf.relation >= rows->num_tables() ||
+        !CertainFactInTable(rows->table(lf.relation), lf.fact, global_id,
+                            interner)) {
+      return false;
     }
   }
-  if (view.is_identity()) {
-    if (RepIsEmpty(database)) return true;  // vacuous
-    ConditionInterner& interner = ConditionInterner::Global();
-    std::unique_ptr<ConditionBackend> backend =
-        MakeConditionBackend(ConditionBackendKind::kDefault, interner);
-    ConjId global_id = database.CombinedGlobalId(interner);
-    for (const LocatedFact& lf : pattern) {
-      if (lf.relation >= database.num_tables() ||
-          !CertainFactInTable(database.table(lf.relation), lf.fact,
-                              global_id, *backend)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  return CertaintySearch(view, database, pattern);
+  return true;
 }
 
 bool CertaintyFactwise(const View& view, const CDatabase& database,

@@ -17,23 +17,27 @@
 #include <optional>
 #include <vector>
 
-#include "condition/backend.h"
+#include "condition/interner.h"
 #include "core/instance.h"
 #include "decision/view.h"
 #include "tables/ctable.h"
 
 namespace pw {
 
+/// The interned condition under which `row` puts `fact` into a world: the
+/// row's local condition AND tuple = fact. kFalseConj when the arities or a
+/// constant position differ.
+ConjId RowProducesFact(const CRow& row, const Fact& fact,
+                       ConditionInterner& interner);
+
 /// True iff `fact` is present in every world of `table` under `global_id`:
-/// decides the tautology  global -> OR over rows (row condition AND
-/// row tuple = fact)  through `backend`, without enumerating worlds or
-/// expanding a DNF — the DD backend answers with one Not/And/Satisfiable
-/// pass, the conjunctive backend with the exact backtracking disjunction
-/// check. Exact for any c-table (an unsatisfiable global makes everything
-/// vacuously certain, matching rep-emptiness). The decision-procedure
-/// baseline ExistsWorldMissingFact (decision/world_csp.h) cross-checks it.
+/// the implication  global -> OR over rows RowProducesFact(row, fact),
+/// decided by ConjImpliesDisjunction over the rows' interned conditions,
+/// without enumerating worlds or building a DNF. Exact for any c-table (an
+/// unsatisfiable global makes everything vacuously certain, matching
+/// rep-emptiness). The per-world oracle in tests/test_util.h cross-checks it.
 bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
-                        ConditionBackend& backend);
+                        ConditionInterner& interner);
 
 /// PTIME certainty for DATALOG views of g-table databases. If rep(database)
 /// is empty the answer is vacuously true. Returns std::nullopt when the view

@@ -22,15 +22,10 @@
 
 namespace pw {
 
-/// Freezing (the Claim in Theorem 4.1): replaces every variable of the
-/// normalized lhs by a distinct fresh constant, yielding the canonical
-/// instance K0 with K0 in rep(lhs). `avoid` lists additional constants the
-/// fresh ones must not collide with.
-Instance Freeze(const CDatabase& database, const std::vector<ConstId>& avoid);
-
 /// PTIME containment: lhs a g-table database, rhs a Codd-table database
 /// (identity queries both sides). rep(lhs) subseteq rep(rhs) iff
-/// Freeze(lhs) in rep(rhs), decided by bipartite matching. Returns
+/// Freeze(lhs, rhs constants) (tables/world_enum.h) is in rep(rhs), decided
+/// by bipartite matching. Returns
 /// std::nullopt if the inputs are outside this fragment.
 std::optional<bool> ContGTablesInCoddTables(const CDatabase& lhs,
                                             const CDatabase& rhs);

@@ -1,6 +1,5 @@
 #include "decision/membership.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -8,31 +7,10 @@
 #include "condition/interner.h"
 #include "ilalgebra/ctable_eval.h"
 #include "solvers/bipartite_matching.h"
-#include "tables/world_enum.h"
 
 namespace pw {
 
 namespace {
-
-/// True iff the database is a Codd-table database: no global or local
-/// conditions and every variable occurs at most once across all tuples of
-/// all tables.
-bool IsCoddDatabase(const CDatabase& database) {
-  std::set<VarId> seen;
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    const CTable& t = database.table(k);
-    if (!t.global().IsTautology()) return false;
-    for (const CRow& row : t.rows()) {
-      if (!row.local().IsTautology()) return false;
-      for (const Term& term : row.tuple) {
-        if (term.is_variable() && !seen.insert(term.variable()).second) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
 
 bool ShapesMatch(const CDatabase& database, const Instance& instance) {
   if (database.num_tables() != instance.num_relations()) return false;
@@ -214,7 +192,7 @@ bool SearchRecurse(SearchState& s, size_t remaining) {
 
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance) {
-  if (!IsCoddDatabase(database)) return std::nullopt;
+  if (database.Kind() != TableKind::kCoddTable) return std::nullopt;
   if (!ShapesMatch(database, instance)) return false;
   for (size_t k = 0; k < database.num_tables(); ++k) {
     if (!CoddTableMembership(database.table(k), instance.relation(k))) {
@@ -290,20 +268,10 @@ bool MembershipInView(const View& view, const CDatabase& database,
       return MembershipSearch(*image, instance);
     }
   }
-  bool found = false;
-  WorldEnumOptions options;
-  options.extra_constants = instance.Constants();
-  for (ConstId c : view.Constants()) options.extra_constants.push_back(c);
-  ForEachSatisfyingValuation(
-      database, options,
-      [&view, &database, &instance, &found](const Valuation& v) {
-        if (view.Eval(v.Apply(database)) == instance) {
-          found = true;
-          return false;  // stop
-        }
-        return true;
-      });
-  return found;
+  return !ForEachViewImage(view, database, instance.Constants(),
+                           [&instance](const Instance& image) {
+                             return image != instance;  // stop on a witness
+                           });
 }
 
 }  // namespace pw

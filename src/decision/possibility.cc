@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 
 #include "condition/binding_env.h"
 #include "condition/interner.h"
@@ -11,23 +10,10 @@
 #include "ilalgebra/datalog_ctable.h"
 #include "ra/properties.h"
 #include "solvers/bipartite_matching.h"
-#include "tables/world_enum.h"
 
 namespace pw {
 
 namespace {
-
-bool IsCoddDatabase(const CDatabase& database) {
-  return database.Kind() == TableKind::kCoddTable;
-}
-
-std::vector<ConstId> PatternConstants(const std::vector<LocatedFact>& pattern) {
-  std::set<ConstId> seen;
-  for (const LocatedFact& lf : pattern) {
-    seen.insert(lf.fact.begin(), lf.fact.end());
-  }
-  return {seen.begin(), seen.end()};
-}
 
 /// Backtracking over pattern facts: assign each to a row of the image
 /// c-table whose tuple can unify with it, consistently.
@@ -79,7 +65,7 @@ std::vector<LocatedFact> ToLocatedFacts(const Instance& pattern) {
 
 std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
                                             const Instance& pattern) {
-  if (!IsCoddDatabase(database)) return std::nullopt;
+  if (database.Kind() != TableKind::kCoddTable) return std::nullopt;
   if (pattern.num_relations() > database.num_tables()) return false;
   for (size_t k = 0; k < pattern.num_relations(); ++k) {
     const Relation& rel = pattern.relation(k);
@@ -187,20 +173,10 @@ std::optional<bool> PossBoundedPosExistential(
 
 bool PossibilitySearch(const View& view, const CDatabase& database,
                        const std::vector<LocatedFact>& pattern) {
-  bool possible = false;
-  WorldEnumOptions options;
-  options.extra_constants = PatternConstants(pattern);
-  for (ConstId c : view.Constants()) options.extra_constants.push_back(c);
-  ForEachWorld(database, options,
-               [&view, &pattern, &possible](const Instance& world,
-                                            const Valuation&) {
-                 if (ContainsAll(view.Eval(world), pattern)) {
-                   possible = true;
-                   return false;  // witness found
-                 }
-                 return true;
-               });
-  return possible;
+  return !ForEachViewImage(view, database, FactConstants(pattern),
+                           [&pattern](const Instance& image) {
+                             return !ContainsAll(image, pattern);  // witness
+                           });
 }
 
 bool Possibility(const View& view, const CDatabase& database,

@@ -1,8 +1,9 @@
 #include "decision/uniqueness.h"
 
+#include "condition/backend.h"
 #include "condition/interner.h"
+#include "decision/certainty.h"
 #include "decision/membership.h"
-#include "decision/world_csp.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ra/eval.h"
 #include "ra/properties.h"
@@ -11,15 +12,6 @@
 namespace pw {
 
 namespace {
-
-bool HasLocalConditions(const CDatabase& database) {
-  for (size_t k = 0; k < database.num_tables(); ++k) {
-    for (const CRow& row : database.table(k).rows()) {
-      if (!row.local().IsTautology()) return true;
-    }
-  }
-  return false;
-}
 
 /// rep(table with no conditions, matrix M) == {relation}? PTIME core of
 /// Thm 3.2(1) after normalization: M must be ground and equal the relation.
@@ -32,11 +24,45 @@ bool GroundMatrixEquals(const CTable& table, const Relation& relation) {
   return matrix == relation;
 }
 
+/// Is there a world of rep(database) other than `instance`? One differs iff
+/// (a) some row is on and lands outside the instance, or (b) some fact of
+/// the instance is produced by no row. Each is a failed implication over the
+/// rows' interned conditions, decided on the interner (whatever the
+/// configured condition backend) by ConjImpliesDisjunction:
+///   (a) global AND local(r) -> OR over f in I of RowProducesFact(r, f);
+///   (b) global -> OR over rows r of RowProducesFact(r, f), for f in I.
+bool ExistsWorldOtherThan(const CDatabase& database,
+                          const Instance& instance) {
+  if (database.num_tables() != instance.num_relations()) return true;
+  ConditionInterner& interner = ConditionInterner::Global();
+  ConjId global = database.CombinedGlobalId(interner);
+  std::vector<ConjId> landings;
+  for (size_t k = 0; k < database.num_tables(); ++k) {
+    const CTable& table = database.table(k);
+    const Relation& relation = instance.relation(k);
+    if (table.arity() != relation.arity()) return true;
+    for (const CRow& row : table.rows()) {
+      ConjId on = interner.And(global, row.LocalId(interner));
+      if (on == ConditionInterner::kFalseConj) continue;
+      landings.clear();
+      for (const Fact& f : relation) {
+        ConjId cond = RowProducesFact(row, f, interner);
+        if (cond != ConditionInterner::kFalseConj) landings.push_back(cond);
+      }
+      if (!ConjImpliesDisjunction(interner, on, landings)) return true;
+    }
+    for (const Fact& f : relation) {
+      if (!CertainFactInTable(table, f, global, interner)) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 std::optional<bool> UniqGTables(const CDatabase& database,
                                 const Instance& instance) {
-  if (HasLocalConditions(database)) return std::nullopt;
+  if (database.HasLocalConditions()) return std::nullopt;
   if (database.num_tables() != instance.num_relations()) return false;
 
   Conjunction global = database.CombinedGlobal();
@@ -65,24 +91,13 @@ std::optional<bool> UniqPosExistentialView(const RaQuery& query,
   if (!result) return std::nullopt;
 
   // (alpha): every fact of I is certain. For positive existential queries on
-  // e-tables, certainty coincides with naive evaluation — treat each
-  // variable as a fresh labeled null and evaluate the query directly.
+  // e-tables, the certain answers are the null-free facts of the query over
+  // the frozen database, whose nulls avoid the constants of I and of the
+  // query: a fact of I is certain iff the query produces it there.
   {
-    std::vector<ConstId> fresh = FreshConstants(
-        database, instance.Constants(), database.Variables().size());
-    std::unordered_map<VarId, Term> to_null;
-    size_t next = 0;
-    for (VarId v : database.Variables()) {
-      to_null.emplace(v, Term::Const(fresh[next++]));
-    }
-    std::vector<Relation> rels;
-    for (size_t k = 0; k < database.num_tables(); ++k) {
-      CTable grounded = database.table(k).Substitute(to_null);
-      Relation r(grounded.arity());
-      for (const CRow& row : grounded.rows()) r.Insert(ToFact(row.tuple));
-      rels.push_back(std::move(r));
-    }
-    Instance naive = EvalQuery(query, Instance(std::move(rels)));
+    std::vector<ConstId> avoid = instance.Constants();
+    for (ConstId c : QueryConstants(query)) avoid.push_back(c);
+    Instance naive = EvalQuery(query, Freeze(database, avoid));
     for (size_t p = 0; p < instance.num_relations(); ++p) {
       for (const Fact& u : instance.relation(p)) {
         if (!naive.relation(p).Contains(u)) return false;  // not certain
@@ -125,22 +140,10 @@ bool UniquenessSearch(const View& view, const CDatabase& database,
              !ExistsWorldOtherThan(*image, instance);
     }
   }
-  bool unique = true;
-  bool any_world = false;
-  WorldEnumOptions options;
-  options.extra_constants = instance.Constants();
-  for (ConstId c : view.Constants()) options.extra_constants.push_back(c);
-  ForEachWorld(database, options,
-               [&view, &instance, &unique, &any_world](const Instance& world,
-                                                       const Valuation&) {
-                 any_world = true;
-                 if (view.Eval(world) != instance) {
-                   unique = false;
-                   return false;  // counterexample found
-                 }
-                 return true;
-               });
-  return unique && any_world;
+  return ForEachViewImage(view, database, instance.Constants(),
+                          [&instance](const Instance& image) {
+                            return image == instance;
+                          });
 }
 
 bool Uniqueness(const View& view, const CDatabase& database,

@@ -1,45 +1,11 @@
 #include "decision/view.h"
 
-#include <set>
-
 #include "datalog/eval.h"
 #include "ra/eval.h"
 #include "ra/properties.h"
+#include "tables/world_enum.h"
 
 namespace pw {
-
-namespace {
-
-void CollectConstants(const RaExpr& expr, std::set<ConstId>& out) {
-  switch (expr.op()) {
-    case RaOp::kRel:
-      return;
-    case RaOp::kConstRel:
-      for (ConstId c : expr.const_relation().Constants()) out.insert(c);
-      return;
-    case RaOp::kProject:
-      for (const ColOrConst& o : expr.outputs()) {
-        if (!o.is_column) out.insert(o.constant);
-      }
-      CollectConstants(expr.input(), out);
-      return;
-    case RaOp::kSelect:
-      for (const SelectAtom& a : expr.atoms()) {
-        if (!a.lhs.is_column) out.insert(a.lhs.constant);
-        if (!a.rhs.is_column) out.insert(a.rhs.constant);
-      }
-      CollectConstants(expr.input(), out);
-      return;
-    case RaOp::kProduct:
-    case RaOp::kUnion:
-    case RaOp::kDiff:
-      CollectConstants(expr.left(), out);
-      CollectConstants(expr.right(), out);
-      return;
-  }
-}
-
-}  // namespace
 
 View View::Identity() { return View(); }
 
@@ -88,27 +54,15 @@ bool View::IsPositiveExistential(bool allow_neq) const {
 }
 
 std::vector<ConstId> View::Constants() const {
-  std::set<ConstId> out;
   switch (kind_) {
     case Kind::kIdentity:
-      break;
+      return {};
     case Kind::kRa:
-      for (const RaExpr& e : ra_) CollectConstants(e, out);
-      break;
+      return QueryConstants(ra_);
     case Kind::kDatalog:
-      for (const DatalogRule& rule : datalog_.rules()) {
-        for (const Term& t : rule.head.args) {
-          if (t.is_constant()) out.insert(t.constant());
-        }
-        for (const DatalogAtom& atom : rule.body) {
-          for (const Term& t : atom.args) {
-            if (t.is_constant()) out.insert(t.constant());
-          }
-        }
-      }
-      break;
+      return datalog_.Constants();
   }
-  return {out.begin(), out.end()};
+  return {};
 }
 
 std::string View::ToString() const {
@@ -127,6 +81,18 @@ std::string View::ToString() const {
       return "datalog[" + std::to_string(datalog_.rules().size()) + " rules]";
   }
   return "?";
+}
+
+bool ForEachViewImage(const View& view, const CDatabase& database,
+                      std::vector<ConstId> context,
+                      const std::function<bool(const Instance&)>& fn) {
+  WorldEnumOptions options;
+  options.extra_constants = std::move(context);
+  for (ConstId c : view.Constants()) options.extra_constants.push_back(c);
+  return ForEachWorld(database, options,
+                      [&view, &fn](const Instance& world, const Valuation&) {
+                        return fn(view.Eval(world));
+                      });
 }
 
 }  // namespace pw

@@ -5,16 +5,29 @@
 // three families of Section 2.1 — the identity, relational algebra queries
 // (positive existential when difference-free, first order otherwise), and
 // pure DATALOG queries.
+//
+// An RA relation reference RaExpr::Rel(k, a) that names no table of the
+// database, or a table of another arity than a, reads as an empty relation
+// of arity a in every world (ra::Eval checks it in every build mode). The
+// c-table image paths decline such a view (EvalQueryOnCTables returns
+// nullopt), so every decision procedure answers it through ForEachViewImage
+// below, as if the database had that table, empty. For example, over a
+// one-table database, View::Ra({RaExpr::Rel(3, 2)}) has the empty image in
+// every world: POSS and CERT of any fact are false (CERT is vacuously true
+// when rep(database) is empty), and when rep(database) is not empty, MEMB
+// and UNIQ hold exactly for the instance with one empty binary relation.
 
 #ifndef PW_DECISION_VIEW_H_
 #define PW_DECISION_VIEW_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/instance.h"
 #include "datalog/program.h"
 #include "ra/expr.h"
+#include "tables/ctable.h"
 
 namespace pw {
 
@@ -66,6 +79,14 @@ class View {
   DatalogProgram datalog_;
   std::vector<int> output_preds_;
 };
+
+/// The decision procedures' per-world fallback: calls `fn` with view(I) for
+/// each world I of rep(database), one per renaming of fresh constants
+/// (ForEachWorld over the constants of the database, of `context` and of
+/// the view). `fn` returns false to stop. Returns true iff it never did.
+bool ForEachViewImage(const View& view, const CDatabase& database,
+                      std::vector<ConstId> context,
+                      const std::function<bool(const Instance&)>& fn);
 
 }  // namespace pw
 

@@ -1,7 +1,5 @@
 #include "ra/eval.h"
 
-#include <cassert>
-
 namespace pw {
 
 namespace {
@@ -23,12 +21,12 @@ bool SatisfiesAtoms(const std::vector<SelectAtom>& atoms, const Fact& fact) {
 
 Relation Eval(const RaExpr& expr, const Instance& input) {
   switch (expr.op()) {
-    case RaOp::kRel: {
-      assert(expr.rel_index() < input.num_relations());
-      const Relation& r = input.relation(expr.rel_index());
-      assert(r.arity() == expr.arity());
-      return r;
-    }
+    case RaOp::kRel:
+      if (expr.rel_index() >= input.num_relations() ||
+          input.relation(expr.rel_index()).arity() != expr.arity()) {
+        return Relation(expr.arity());  // a reference that does not fit
+      }
+      return input.relation(expr.rel_index());
     case RaOp::kConstRel:
       return expr.const_relation();
     case RaOp::kProject: {

@@ -1,6 +1,41 @@
 #include "ra/properties.h"
 
+#include <set>
+
 namespace pw {
+
+namespace {
+
+void CollectConstants(const RaExpr& expr, std::set<ConstId>& out) {
+  switch (expr.op()) {
+    case RaOp::kRel:
+      return;
+    case RaOp::kConstRel:
+      for (ConstId c : expr.const_relation().Constants()) out.insert(c);
+      return;
+    case RaOp::kProject:
+      for (const ColOrConst& o : expr.outputs()) {
+        if (!o.is_column) out.insert(o.constant);
+      }
+      CollectConstants(expr.input(), out);
+      return;
+    case RaOp::kSelect:
+      for (const SelectAtom& a : expr.atoms()) {
+        if (!a.lhs.is_column) out.insert(a.lhs.constant);
+        if (!a.rhs.is_column) out.insert(a.rhs.constant);
+      }
+      CollectConstants(expr.input(), out);
+      return;
+    case RaOp::kProduct:
+    case RaOp::kUnion:
+    case RaOp::kDiff:
+      CollectConstants(expr.left(), out);
+      CollectConstants(expr.right(), out);
+      return;
+  }
+}
+
+}  // namespace
 
 bool IsPositiveExistential(const RaExpr& expr, bool allow_neq) {
   switch (expr.op()) {
@@ -48,6 +83,12 @@ bool UsesDifference(const RaExpr& expr) {
       return true;
   }
   return false;
+}
+
+std::vector<ConstId> QueryConstants(const RaQuery& query) {
+  std::set<ConstId> out;
+  for (const RaExpr& e : query) CollectConstants(e, out);
+  return {out.begin(), out.end()};
 }
 
 }  // namespace pw

@@ -20,6 +20,10 @@ bool IsPositiveExistential(const RaQuery& query, bool allow_neq = false);
 /// full first order fragment).
 bool UsesDifference(const RaExpr& expr);
 
+/// All constants the query mentions (constant relations, select and
+/// projection constants), sorted, deduplicated.
+std::vector<ConstId> QueryConstants(const RaQuery& query);
+
 }  // namespace pw
 
 #endif  // PW_RA_PROPERTIES_H_

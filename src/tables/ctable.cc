@@ -351,6 +351,15 @@ std::vector<ConstId> CDatabase::Constants() const {
   return {seen.begin(), seen.end()};
 }
 
+bool CDatabase::HasLocalConditions() const {
+  for (const auto& t : tables_) {
+    for (const CRow& row : t->rows()) {
+      if (!row.local().IsTautology()) return true;
+    }
+  }
+  return false;
+}
+
 std::vector<int> CDatabase::Arities() const {
   std::vector<int> out;
   out.reserve(tables_.size());

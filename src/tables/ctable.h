@@ -99,15 +99,6 @@ class CRow {
     return local_id_;
   }
 
-  /// A row with a different tuple but the same condition — including the
-  /// memoized id cache, so tuple rewrites (projection) don't force downstream
-  /// consumers to re-canonicalize the condition.
-  CRow WithTuple(Tuple new_tuple) const {
-    CRow out = *this;
-    out.tuple = std::move(new_tuple);
-    return out;
-  }
-
   Tuple tuple;
 
   friend bool operator==(const CRow& a, const CRow& b) {
@@ -361,6 +352,10 @@ class CDatabase {
 
   /// Worst member kind (the database is as expressive as its worst table).
   TableKind Kind() const;
+
+  /// True iff some row has a local condition that is not trivially true,
+  /// i.e. Kind() is kCTable; a scan that stops at the first such row.
+  bool HasLocalConditions() const;
 
   /// Builds the degenerate c-database representing exactly `instance`.
   static CDatabase FromInstance(const Instance& instance);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 #include "condition/interner.h"
 
@@ -74,6 +75,48 @@ std::vector<ConstId> FreshConstants(const CDatabase& database,
   out.reserve(count);
   for (size_t i = 0; i < count; ++i) out.push_back(base + static_cast<ConstId>(i));
   return out;
+}
+
+Instance Freeze(const CDatabase& database, const std::vector<ConstId>& avoid,
+                ConstId* first_null) {
+  std::unordered_map<VarId, Term> canon =
+      database.CombinedGlobal().CanonicalSubstitution();
+  std::vector<VarId> vars = database.Variables();
+  // One more than needed, so fresh[0] exists even without variables.
+  std::vector<ConstId> fresh =
+      FreshConstants(database, avoid, vars.size() + 1);
+  if (first_null != nullptr) *first_null = fresh[0];
+  // `vars` is sorted and includes the global's variables, so each class's
+  // least variable, its representative, is frozen before the others.
+  std::unordered_map<VarId, ConstId> frozen;
+  size_t next = 0;
+  for (VarId v : vars) {
+    auto it = canon.find(v);
+    Term t = it == canon.end() ? Term::Var(v) : it->second;
+    if (t.is_constant()) {
+      frozen.emplace(v, t.constant());
+    } else if (t.variable() == v) {
+      frozen.emplace(v, fresh[next++]);
+    } else {
+      frozen.emplace(v, frozen.at(t.variable()));
+    }
+  }
+  std::vector<Relation> rels;
+  rels.reserve(database.num_tables());
+  for (size_t k = 0; k < database.num_tables(); ++k) {
+    const CTable& table = database.table(k);
+    Relation r(table.arity());
+    for (const CRow& row : table.rows()) {
+      Fact f;
+      f.reserve(row.tuple.size());
+      for (const Term& t : row.tuple) {
+        f.push_back(t.is_constant() ? t.constant() : frozen.at(t.variable()));
+      }
+      r.Insert(std::move(f));
+    }
+    rels.push_back(std::move(r));
+  }
+  return Instance(std::move(rels));
 }
 
 bool ForEachSatisfyingValuation(

@@ -43,6 +43,21 @@ std::vector<ConstId> FreshConstants(const CDatabase& database,
                                     const std::vector<ConstId>& extra,
                                     size_t count);
 
+/// Freezing, the canonical world K0 of rep(database): normalizes the tables
+/// by the combined global condition (substitutes the constant or least
+/// variable it forces), then gives each remaining class of variables its own
+/// fresh constant, above every constant of `database` and of `avoid`. Two
+/// nulls of K0 are equal only where the global forces it, and no null equals
+/// a constant of the database or of `avoid`. Containment into Codd- and
+/// e-tables (the Claim of Theorem 4.1), step (alpha) of Theorem 3.2(2) and
+/// DATALOG certain answers on g-tables (Theorem 5.3(1)) rest on it; each
+/// passes in `avoid` the constants of its instance or pattern and of its
+/// view or program. If `first_null` is not null it receives the least fresh
+/// constant: the constants of K0 at or above it are exactly the frozen
+/// nulls. Meaningful only when the global is satisfiable.
+Instance Freeze(const CDatabase& database, const std::vector<ConstId>& avoid,
+                ConstId* first_null = nullptr);
+
 /// Invokes `fn` for one representative (per Delta'-renaming) of every
 /// valuation over Delta union Delta' that satisfies the combined global
 /// condition. `fn` returns false to stop early. Returns true iff the

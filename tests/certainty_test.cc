@@ -54,6 +54,28 @@ TEST(CertDatalogTest, EmptyRepVacuouslyCertain) {
   EXPECT_EQ(CertDatalogGTables(View::Identity(), db, {{0, {999}}}), true);
 }
 
+TEST(CertDatalogTest, NullsAvoidTheProgramsConstants) {
+  // q(x) :- e(x, c) over {e(4, y)}: q(4) holds only in the worlds where
+  // y = c, so it is not certain. With c = 5, the constant just above the
+  // database's, a frozen null that ignored the program's constants became
+  // 5 and made q(4) look certain; c = 6 is the control.
+  for (ConstId c : {ConstId{5}, ConstId{6}}) {
+    DatalogProgram p({2, 1}, /*num_edb=*/1);
+    DatalogRule rule;
+    rule.head = {1, Tuple{V(0)}};
+    rule.body = {{0, Tuple{V(0), C(c)}}};
+    p.AddRule(rule);
+    View q = View::Datalog(p, {1});
+    CTable t(2);
+    t.AddRow(Tuple{C(4), V(0)});
+    CDatabase db{t};
+    std::vector<LocatedFact> pattern = {{0, Fact{4}}};
+    EXPECT_FALSE(CertaintySearch(q, db, pattern)) << "c = " << c;
+    EXPECT_EQ(CertDatalogGTables(q, db, pattern), false) << "c = " << c;
+    EXPECT_FALSE(Certainty(q, db, pattern)) << "c = " << c;
+  }
+}
+
 TEST(CertDatalogTest, RejectsCTables) {
   CTable t(1);
   t.AddRow(Tuple{C(1)}, Conjunction{Eq(V(0), C(1))});

@@ -70,7 +70,7 @@ TEST(ConjunctiveBackendTest, NormalizesDisjunctionSets) {
   EXPECT_NE(ab, CondId{weak});
   // x0 = 1 together with x0 != 1 covers everything — a tautology the
   // backend must detect without the caller expanding anything.
-  EXPECT_TRUE(backend->TautologyUnder(ConditionInterner::kTrueConj, ab));
+  EXPECT_TRUE(backend->Implies(ConditionBackend::kTrueCond, ab));
   // And distributes over the set; conjoining the weak member back restricts
   // the union to it.
   EXPECT_EQ(backend->And(ab, weak), CondId{weak});
@@ -95,7 +95,7 @@ TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   // Propositionally `x0 = 1` and `x0 != 1` are distinct decision variables;
   // the theory layer must still see that together they are exhaustive and
   // exclusive.
-  EXPECT_TRUE(dd.TautologyUnder(ConditionInterner::kTrueConj, dd.Or(a, b)));
+  EXPECT_TRUE(dd.Implies(ConditionBackend::kTrueCond, dd.Or(a, b)));
   EXPECT_FALSE(dd.Satisfiable(dd.And(a, b)));
   EXPECT_FALSE(dd.Satisfiable(dd.And(a, dd.Not(a))));
 

@@ -1,5 +1,5 @@
 // Unit tests for condition/: atoms, conjunctions, the revertible binding
-// environment, the atom-CNF solver and boolean formulas.
+// environment and the atom-CNF search behind ConjImpliesDisjunction.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "condition/atom.h"
-#include "condition/atom_cnf.h"
+#include "condition/backend.h"
 #include "condition/binding_env.h"
 #include "condition/conjunction.h"
-#include "condition/formula.h"
+#include "condition/interner.h"
 #include "core/tuple.h"
 
 namespace pw {
@@ -196,6 +196,35 @@ TEST(BindingEnvTest, CanEqualIsNonMutating) {
   EXPECT_FALSE(env.SameClass(V(0), V(2)));  // unchanged
 }
 
+TEST(BindingEnvTest, EntailsExactlyWhatTheNegationContradicts) {
+  // An atom is entailed iff asserting its negation fails: over the infinite
+  // domain BindingEnv decides both completely (see the naive-closure test).
+  std::vector<Term> pool = {V(0), V(1), V(2), V(3), C(1), C(2), C(3)};
+  for (uint32_t seed : {3u, 41u, 977u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+    BindingEnv env;
+    for (int step = 0; step < 12; ++step) {
+      CondAtom atom = step % 2 == 0 ? Eq(pool[pick(rng)], pool[pick(rng)])
+                                    : Neq(pool[pick(rng)], pool[pick(rng)]);
+      size_t mark = env.Mark();
+      if (!env.AssertAtom(atom)) env.Revert(mark);
+      for (Term a : pool) {
+        for (Term b : pool) {
+          for (const CondAtom& probe : {Eq(a, b), Neq(a, b)}) {
+            size_t before = env.Mark();
+            bool contradicts = !env.AssertAtom(Negate(probe));
+            env.Revert(before);
+            EXPECT_EQ(env.Entails(probe), contradicts)
+                << "step " << step << ": " << ToString(probe);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BindingEnvTest, DistinctConstantsNeverRecordDiseq) {
   BindingEnv env;
   EXPECT_TRUE(env.AssertNotEqual(C(1), C(2)));
@@ -350,85 +379,108 @@ TEST(BindingEnvTest, RandomAssertRevertMatchesNaiveClosure) {
   }
 }
 
+// The atom-CNF search of ConjImpliesDisjunction: lhs implies d1 OR ... OR dk
+// iff no valuation of lhs falsifies one atom of every di, i.e. iff the CNF
+// (NOT d1) AND ... AND (NOT dk) has no model consistent with lhs. Each case
+// below states the CNF it searches.
+
+/// ConjImpliesDisjunction over conjunctions interned into `interner`.
+bool ImpliesAny(ConditionInterner& interner, const Conjunction& lhs,
+                const std::vector<Conjunction>& disjuncts) {
+  std::vector<ConjId> ids;
+  for (const Conjunction& d : disjuncts) ids.push_back(interner.Intern(d));
+  return ConjImpliesDisjunction(interner, interner.Intern(lhs), ids);
+}
+
+bool ImpliesAny(const Conjunction& lhs,
+                const std::vector<Conjunction>& disjuncts) {
+  ConditionInterner interner;
+  return ImpliesAny(interner, lhs, disjuncts);
+}
+
 TEST(AtomCnfTest, EmptyCnfIsSatisfiable) {
-  BindingEnv env;
-  EXPECT_TRUE(SolveAtomCnf(env, {}));
+  // No disjunct: the empty CNF has a model, so true implies nothing.
+  EXPECT_FALSE(ImpliesAny(Conjunction(), {}));
+  EXPECT_TRUE(ImpliesAny(Conjunction{FalseAtom()}, {}));
 }
 
 TEST(AtomCnfTest, UnitClausesPropagate) {
-  BindingEnv env;
-  std::vector<AtomClause> clauses = {{Eq(V(0), C(1))}, {Eq(V(0), C(2))}};
-  EXPECT_FALSE(SolveAtomCnf(env, clauses));
+  // CNF (x = 1) AND (x = 2) has no model: true -> x != 1 OR x != 2.
+  EXPECT_TRUE(ImpliesAny(Conjunction(), {Conjunction{Neq(V(0), C(1))},
+                                         Conjunction{Neq(V(0), C(2))}}));
 }
 
 TEST(AtomCnfTest, BranchingFindsSolution) {
-  BindingEnv env;
-  // (x=1 or x=2) and (x!=1) -> x=2.
-  std::vector<AtomClause> clauses = {{Eq(V(0), C(1)), Eq(V(0), C(2))},
-                                     {Neq(V(0), C(1))}};
-  EXPECT_TRUE(SolveAtomCnf(env, clauses));
+  // CNF (x = 1 OR x = 2) AND (x != 1) has the model x = 2, so true does not
+  // imply (x != 1 AND x != 2) OR x = 1.
+  EXPECT_FALSE(ImpliesAny(Conjunction(),
+                          {Conjunction{Neq(V(0), C(1)), Neq(V(0), C(2))},
+                           Conjunction{Eq(V(0), C(1))}}));
+  // Adding (x != 2) as a clause, i.e. the disjunct x = 2, leaves none.
+  EXPECT_TRUE(ImpliesAny(Conjunction(),
+                         {Conjunction{Neq(V(0), C(1)), Neq(V(0), C(2))},
+                          Conjunction{Eq(V(0), C(1))},
+                          Conjunction{Eq(V(0), C(2))}}));
 }
 
 TEST(AtomCnfTest, RespectsPreAssertedEnv) {
-  BindingEnv env;
-  ASSERT_TRUE(env.AssertEqual(V(0), C(1)));
-  EXPECT_FALSE(SolveAtomCnf(env, {{Neq(V(0), C(1))}}));
-  EXPECT_TRUE(SolveAtomCnf(env, {{Eq(V(0), C(1))}}));
+  // CNF (x != 1 OR y != 2) AND (y = 2): the model y = 2, x != 1 exists, but
+  // not under lhs x = 1.
+  std::vector<Conjunction> disjuncts = {
+      Conjunction{Eq(V(0), C(1)), Eq(V(1), C(2))},
+      Conjunction{Neq(V(1), C(2))}};
+  EXPECT_FALSE(ImpliesAny(Conjunction(), disjuncts));
+  EXPECT_TRUE(ImpliesAny(Conjunction{Eq(V(0), C(1))}, disjuncts));
 }
 
 TEST(AtomCnfTest, EnvRestoredAfterSolve) {
-  BindingEnv env;
-  EXPECT_TRUE(SolveAtomCnf(env, {{Eq(V(0), C(1))}}));
-  EXPECT_EQ(env.ValueOf(V(0)), std::nullopt);
+  // The first search binds x = 1 on its way to a model; the second, on the
+  // same interner, still finds x = 2 for (x != 1) AND (x != 3).
+  ConditionInterner interner;
+  EXPECT_FALSE(ImpliesAny(interner, Conjunction(),
+                          {Conjunction{Neq(V(0), C(1))},
+                           Conjunction{Neq(V(0), C(1)), Eq(V(1), C(4))}}));
+  EXPECT_FALSE(ImpliesAny(interner, Conjunction(),
+                          {Conjunction{Eq(V(0), C(1))},
+                           Conjunction{Eq(V(0), C(3))}}));
+}
+
+TEST(AtomCnfTest, OnlyAClauseThatHoldsIsSkipped) {
+  // CNF (x = y) AND (z != 5) AND (x != y OR z = 5): the first two clauses
+  // make both atoms of the third false, so there is no model, and
+  // true -> x != y OR z = 5 OR (x = y AND z != 5) holds. The third clause is
+  // reached with x, y and z all mentioned, and neither of its atoms holds.
+  EXPECT_TRUE(ImpliesAny(Conjunction(),
+                         {Conjunction{Neq(V(0), V(1))},
+                          Conjunction{Eq(V(2), C(5))},
+                          Conjunction{Eq(V(0), V(1)), Neq(V(2), C(5))}}));
+  // Mirrored, under lhs x = w: (x != y) AND (z != 5) AND (x = y OR z = 5).
+  EXPECT_TRUE(ImpliesAny(Conjunction{Eq(V(0), V(3))},
+                         {Conjunction{Eq(V(0), V(1))},
+                          Conjunction{Eq(V(2), C(5))},
+                          Conjunction{Neq(V(0), V(1)), Neq(V(2), C(5))}}));
+  // The same with constants: (y = 3) AND (x = 2) AND (x != 2 OR y != 3),
+  // also under lhs x != 1, which records a disequality on x.
+  std::vector<Conjunction> disjuncts = {
+      Conjunction{Neq(V(1), C(3))}, Conjunction{Neq(V(0), C(2))},
+      Conjunction{Eq(V(0), C(2)), Eq(V(1), C(3))}};
+  EXPECT_TRUE(ImpliesAny(Conjunction(), disjuncts));
+  EXPECT_TRUE(ImpliesAny(Conjunction{Neq(V(0), C(1))}, disjuncts));
+  // Dropping the disjunct x != 2 leaves the model y = 3, x != 2, in which the
+  // third clause already holds (through lhs) when the search reaches it.
+  disjuncts.erase(disjuncts.begin() + 1);
+  EXPECT_FALSE(ImpliesAny(Conjunction{Neq(V(0), C(2))}, disjuncts));
 }
 
 TEST(AtomCnfTest, TriviallyTrueAtomSatisfiesClause) {
-  BindingEnv env;
-  EXPECT_TRUE(SolveAtomCnf(env, {{Eq(C(1), C(1)), Eq(V(0), C(9))}}));
-  EXPECT_FALSE(SolveAtomCnf(env, {{Eq(C(1), C(2))}}));
-}
-
-TEST(FormulaTest, TrueFalseAtoms) {
-  EXPECT_TRUE(Formula::True().is_true());
-  EXPECT_TRUE(Formula::False().is_false());
-  EXPECT_TRUE(Formula::MakeAtom(Eq(C(1), C(1))).is_true());
-  EXPECT_TRUE(Formula::MakeAtom(Eq(C(1), C(2))).is_false());
-}
-
-TEST(FormulaTest, AndOrShortCircuit) {
-  Formula atom = Formula::MakeAtom(Eq(V(0), C(1)));
-  EXPECT_TRUE(Formula::And(atom, Formula::False()).is_false());
-  EXPECT_TRUE(Formula::Or(atom, Formula::True()).is_true());
-}
-
-TEST(FormulaTest, DnfOfConjunction) {
-  Conjunction c{Eq(V(0), C(1)), Neq(V(1), C(2))};
-  auto dnf = Formula::FromConjunction(c).ToDnf();
-  ASSERT_EQ(dnf.size(), 1u);
-  EXPECT_EQ(dnf[0].size(), 2u);
-}
-
-TEST(FormulaTest, DnfDistributesAndOverOr) {
-  Formula f = Formula::And(
-      Formula::Or(Formula::MakeAtom(Eq(V(0), C(1))),
-                  Formula::MakeAtom(Eq(V(0), C(2)))),
-      Formula::Or(Formula::MakeAtom(Eq(V(1), C(3))),
-                  Formula::MakeAtom(Eq(V(1), C(4)))));
-  EXPECT_EQ(f.ToDnf().size(), 4u);
-}
-
-TEST(FormulaTest, SatisfiabilityThroughDnf) {
-  Formula unsat = Formula::And(Formula::MakeAtom(Eq(V(0), C(1))),
-                               Formula::MakeAtom(Eq(V(0), C(2))));
-  EXPECT_FALSE(unsat.Satisfiable());
-  Formula sat = Formula::Or(unsat, Formula::MakeAtom(Eq(V(1), C(1))));
-  EXPECT_TRUE(sat.Satisfiable());
-}
-
-TEST(FormulaTest, VariablesCollected) {
-  Formula f = Formula::And(Formula::MakeAtom(Eq(V(3), C(1))),
-                           Formula::MakeAtom(Neq(V(1), V(3))));
-  EXPECT_EQ(f.Variables(), (std::vector<VarId>{1, 3}));
+  // The clause (1 = 1 OR x = 9) is its disjunct 1 != 1 AND x != 9, which is
+  // false and drops out; the clause (1 = 2) is the disjunct 1 != 2, which is
+  // true and makes every implication hold.
+  EXPECT_FALSE(ImpliesAny(Conjunction(),
+                          {Conjunction{Neq(C(1), C(1)), Neq(V(0), C(9))}}));
+  EXPECT_TRUE(ImpliesAny(Conjunction{Eq(V(0), C(5))},
+                         {Conjunction{Neq(C(1), C(2))},
+                          Conjunction{Eq(V(0), C(6))}}));
 }
 
 }  // namespace

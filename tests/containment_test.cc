@@ -25,6 +25,11 @@ TEST(FreezeTest, DistinctFreshConstantsPerVariable) {
   ASSERT_EQ(k0.relation(0).size(), 2u);
   auto consts = k0.Constants();
   EXPECT_EQ(consts.size(), 4u);  // 1 + three distinct fresh
+  // The nulls sit above `avoid` too, from the reported first null on.
+  ConstId first_null = 0;
+  k0 = Freeze(db, {7}, &first_null);
+  EXPECT_EQ(first_null, 8u);
+  EXPECT_EQ(k0.Constants(), (std::vector<ConstId>{1, 8, 9, 10}));
 }
 
 TEST(FreezeTest, ForcedEqualitiesRespected) {

@@ -57,8 +57,9 @@
 //  7. Condition algebra — randomized And/Or expression trees over random
 //     interned conjunctions pushed through BOTH condition backends (the
 //     conjunctive antichain and the decision-diagram backend) side by side:
-//     every Satisfiable/SatisfiableWith/Implies/TautologyUnder verdict and
-//     the AppendDisjuncts DNF expansions must agree between the backends
+//     every Satisfiable/SatisfiableWith/Implies verdict (an implication
+//     from the global is the certainty check) and the AppendDisjuncts DNF
+//     expansions must agree between the backends
 //     and with a small-model enumeration oracle (valuations over the
 //     mentioned constants plus one fresh value per variable — complete for
 //     boolean combinations of =/!= atoms over the infinite domain).
@@ -71,10 +72,14 @@
 //     worlds as the antichain backend's fixpoint, and must satisfy the
 //     per-world oracle directly.
 //
-//  9. Certainty across backends — CertainFactInTable must return the same
-//     verdict through both backends (the DD tautology check vs the exact
-//     backtracking disjunction check) and agree with the world-search
-//     baseline ExistsWorldMissingFact.
+//  9. Certain facts and other worlds — CertainFactInTable (the rows'
+//     interned conditions through ConjImpliesDisjunction) and each
+//     backend's Or of the same conditions, implied by the global, must
+//     agree with the per-world oracle (testutil::FactInEveryWorld);
+//     UniquenessSearch, which decides
+//     "some world differs from I" as implications over the rows' interned
+//     conditions, must agree with comparing I against every world
+//     (testutil::EveryImageIs), on a table and on a view's image.
 //
 // Families 1-6 additionally run wholesale on the decision-diagram backend
 // via the PW_CONDITION_BACKEND=dd environment variable (the CI matrix's
@@ -95,8 +100,8 @@
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
 #include "decision/possibility.h"
+#include "decision/uniqueness.h"
 #include "decision/view.h"
-#include "decision/world_csp.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
 #include "ra/eval.h"
@@ -1238,13 +1243,11 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
     EXPECT_EQ(dd->Satisfiable(e.dd), oracle_sat);
     EXPECT_EQ(anti->SatisfiableWith(global, e.anti), oracle_sat_with);
     EXPECT_EQ(dd->SatisfiableWith(global, e.dd), oracle_sat_with);
-    EXPECT_EQ(anti->TautologyUnder(global, e.anti), oracle_taut);
-    EXPECT_EQ(dd->TautologyUnder(global, e.dd), oracle_taut);
-    EXPECT_EQ(
-        anti->TautologyUnder(ConditionInterner::kTrueConj, e.anti),
-        oracle_valid);
-    EXPECT_EQ(dd->TautologyUnder(ConditionInterner::kTrueConj, e.dd),
+    EXPECT_EQ(anti->Implies(anti->FromConj(global), e.anti), oracle_taut);
+    EXPECT_EQ(dd->Implies(dd->FromConj(global), e.dd), oracle_taut);
+    EXPECT_EQ(anti->Implies(ConditionBackend::kTrueCond, e.anti),
               oracle_valid);
+    EXPECT_EQ(dd->Implies(ConditionBackend::kTrueCond, e.dd), oracle_valid);
 
     // The DNF expansions must represent exactly the expression's function.
     const std::pair<ConditionBackend*, CondId> sides[] = {
@@ -1351,17 +1354,17 @@ TEST_P(DDFixpointDifferentialTest, StrategiesConfluentAndWorldsMatch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DDFixpointDifferentialTest,
                          ::testing::Range(0, 15));
 
-// --- Family 9: certainty across backends -----------------------------------
+// --- Family 9: certain facts and other worlds ------------------------------
 
 class CertaintyBackendDifferentialTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
-  // CertainFactInTable decides `global -> OR over matching rows` — through
-  // the DD backend as one Not/And/Satisfiable pass, through the conjunctive
-  // backend as the exact backtracking disjunction check. Both must agree
-  // with each other and with the independent clause-CSP world search on
-  // every candidate fact (present, conditioned, and absent ones alike).
+  // CertainFactInTable decides `global -> OR over matching rows` by the
+  // backtracking search over the rows' interned conditions. Each backend's
+  // Or of the same conditions, implied by the global, states the same
+  // question in its own algebra. All must agree with the per-world oracle
+  // on every candidate fact (present, conditioned, and absent ones alike).
   const unsigned case_seed = 13000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
@@ -1374,32 +1377,93 @@ TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
     CDatabase db{t};
 
     ConditionInterner interner;
-    std::unique_ptr<ConditionBackend> anti =
-        MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
-    std::unique_ptr<ConditionBackend> dd =
-        MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams, interner);
+    std::unique_ptr<ConditionBackend> backends[] = {
+        MakeConditionBackend(ConditionBackendKind::kConjunctions, interner),
+        MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams,
+                             interner)};
     ConjId global = t.GlobalId(interner);
 
     for (ConstId a = 0; a <= 3; ++a) {
       for (ConstId b = 0; b <= 3; ++b) {
         Fact fact{a, b};
-        bool via_anti = CertainFactInTable(t, fact, global, *anti);
-        bool via_dd = CertainFactInTable(t, fact, global, *dd);
-        EXPECT_EQ(via_anti, via_dd)
-            << "backends disagree on certainty of (" << a << ", " << b
-            << ") in\n"
+        bool oracle = testutil::FactInEveryWorld(db, 0, fact);
+        EXPECT_EQ(CertainFactInTable(t, fact, global, interner), oracle)
+            << "certain-fact search diverged from the per-world oracle on ("
+            << a << ", " << b << ") in\n"
             << FormatCTable(t);
-        bool via_search = !ExistsWorldMissingFact(db, 0, fact);
-        EXPECT_EQ(via_dd, via_search)
-            << "backend certainty diverged from the world search on (" << a
-            << ", " << b << ") in\n"
-            << FormatCTable(t);
+        for (const auto& backend : backends) {
+          CondId rows = ConditionBackend::kFalseCond;
+          for (const CRow& row : t.rows()) {
+            rows = backend->Or(
+                rows, backend->FromConj(RowProducesFact(row, fact, interner)));
+          }
+          EXPECT_EQ(backend->Implies(backend->FromConj(global), rows), oracle)
+              << backend->name() << " disagrees on the certainty of (" << a
+              << ", " << b << ") in\n"
+              << FormatCTable(t);
+        }
       }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CertaintyBackendDifferentialTest,
+                         ::testing::Range(0, 15));
+
+class OtherWorldDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OtherWorldDifferentialTest, ImplicationsAgreeWithEveryWorld) {
+  // UniquenessSearch answers q(rep(T)) = {I} as MEMB plus "no world differs
+  // from I", written as implications over the rows' interned conditions:
+  //   some row on under the global lands on no fact of I, or
+  //   some fact of I is not implied by the rows that produce it.
+  // Through the identity (the table's rows) and a random positive
+  // existential view (its image's rows), for the empty instance, the
+  // images of the first worlds, and each of those with one fact dropped,
+  // it must agree with comparing I against the image of every world.
+  const unsigned case_seed = 13500 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 4; ++round) {
+    RandomCTableOptions options = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/1 + round % 3, /*num_constants=*/2,
+        /*num_variables=*/2, /*num_local_atoms=*/GetParam() % 3,
+        /*num_global_atoms=*/GetParam() % 2);
+    CTable t = RandomCTable(options, rng);
+    CDatabase db{t};
+    RaQuery random = {RandomPosExistential(rng, 1)};
+    const std::pair<View, RaQuery> cases[] = {
+        {View::Identity(), {RaExpr::Rel(0, 2)}}, {View::Ra(random), random}};
+    for (const auto& [view, q] : cases) {
+      std::vector<Instance> candidates = {Instance({Relation(2)})};
+      WorldEnumOptions wopts;
+      wopts.extra_constants = {0, 1, 2, 3};
+      ForEachWorld(db, wopts, [&](const Instance& world, const Valuation&) {
+        Instance image = EvalQuery(q, world);
+        if (std::find(candidates.begin(), candidates.end(), image) ==
+            candidates.end()) {
+          candidates.push_back(image);
+        }
+        return candidates.size() < 4;
+      });
+      for (size_t i = 1, drawn = candidates.size(); i < drawn; ++i) {
+        std::vector<Fact> facts = candidates[i].relation(0).ToVector();
+        if (facts.empty()) continue;
+        facts.pop_back();
+        candidates.push_back(Instance({Relation(2, facts)}));
+      }
+      for (const Instance& instance : candidates) {
+        EXPECT_EQ(UniquenessSearch(view, db, instance),
+                  testutil::EveryImageIs(q, db, instance))
+            << view.ToString() << " against\n"
+            << instance.ToString() << "on\n"
+            << FormatCTable(t);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OtherWorldDifferentialTest,
                          ::testing::Range(0, 15));
 
 // --- Family 10: stratum-scheduled fixpoints ---------------------------------

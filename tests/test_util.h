@@ -21,6 +21,7 @@
 #include "ilalgebra/datalog_ctable.h"
 #include "ra/eval.h"
 #include "ra/expr.h"
+#include "ra/properties.h"
 #include "tables/ctable.h"
 #include "tables/world_enum.h"
 #include "workload/random_gen.h"
@@ -164,6 +165,37 @@ inline std::vector<std::string> CanonicalImageWorlds(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+/// The per-world oracle of certainty: true iff `fact` is in relation
+/// `relation` of every world of rep(db) (vacuously when rep is empty).
+inline bool FactInEveryWorld(const CDatabase& db, size_t relation,
+                             const Fact& fact) {
+  WorldEnumOptions options;
+  options.extra_constants = fact;
+  bool certain = true;
+  ForEachWorld(db, options, [&](const Instance& world, const Valuation&) {
+    certain = world.relation(relation).Contains(fact);
+    return certain;
+  });
+  return certain;
+}
+
+/// The per-world oracle of uniqueness: true iff rep(db) is not empty and
+/// `q` maps every world of it to `instance`.
+inline bool EveryImageIs(const RaQuery& q, const CDatabase& db,
+                         const Instance& instance) {
+  WorldEnumOptions options;
+  options.extra_constants = instance.Constants();
+  for (ConstId c : QueryConstants(q)) options.extra_constants.push_back(c);
+  bool any = false;
+  bool all = true;
+  ForEachWorld(db, options, [&](const Instance& world, const Valuation&) {
+    any = true;
+    all = EvalQuery(q, world) == instance;
+    return all;
+  });
+  return any && all;
 }
 
 /// Rows of a table rendered canonically (tuple + interner-canonical local

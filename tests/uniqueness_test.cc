@@ -110,6 +110,28 @@ TEST(UniqPosExistentialViewTest, SelectOnVariableNotCertainNotUnique) {
   EXPECT_FALSE(*result);
 }
 
+TEST(UniqPosExistentialViewTest, FrozenNullsAvoidTheQuerysConstants) {
+  // q = pi_0(sigma_{c1=c}(R)) on {(4, y)}: the image is {(4)} when y = c
+  // and empty otherwise — not unique. With c = 5, the constant just above
+  // the instance's and the table's, a step (alpha) that froze y without
+  // avoiding the query's constants made (4) look certain; c = 6 is the
+  // control.
+  for (ConstId c : {ConstId{5}, ConstId{6}}) {
+    CTable t(2);
+    t.AddRow(Tuple{C(4), V(0)});
+    CDatabase db{t};
+    RaQuery q = {RaExpr::ProjectCols(
+        RaExpr::Select(RaExpr::Rel(0, 2),
+                       {SelectAtom::Eq(ColOrConst::Col(1),
+                                       ColOrConst::Const(c))}),
+        {0})};
+    Instance i({Relation(1, {{4}})});
+    EXPECT_FALSE(UniquenessSearch(View::Ra(q), db, i)) << "c = " << c;
+    EXPECT_EQ(UniqPosExistentialView(q, db, i), false) << "c = " << c;
+    EXPECT_FALSE(Uniqueness(View::Ra(q), db, i)) << "c = " << c;
+  }
+}
+
 TEST(UniqPosExistentialViewTest, RejectsNeqQueries) {
   CDatabase db{CTable(1)};
   RaQuery q = {RaExpr::Select(

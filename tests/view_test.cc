@@ -1,9 +1,16 @@
-// Tests for the View abstraction and the world-CSP helpers.
+// Tests for the View abstraction, and for the two "is there a world such
+// that" questions the decision layer answers with implications instead of
+// world enumeration: some world differs from I (UniquenessSearch) and some
+// world misses a fact (CertainFactInTable).
 
 #include <gtest/gtest.h>
 
+#include "decision/certainty.h"
+#include "decision/containment.h"
+#include "decision/membership.h"
+#include "decision/possibility.h"
+#include "decision/uniqueness.h"
 #include "decision/view.h"
-#include "decision/world_csp.h"
 #include "tables/ctable.h"
 
 namespace pw {
@@ -62,57 +69,130 @@ TEST(ViewTest, ConstRelConstantsCollected) {
   EXPECT_EQ(q.Constants(), (std::vector<ConstId>{5, 6}));
 }
 
+TEST(ViewTest, RelationReferenceThatDoesNotFitReadsEmpty) {
+  // Rel(3, 2) names no table of this one-table database and Rel(0, 3) gives
+  // its table another arity. Either reads as an empty relation in every
+  // world, in every build mode (decision/view.h); before, the world search
+  // read past the instance's relations.
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)});
+  CDatabase db{t};
+  for (const RaExpr& ref : {RaExpr::Rel(3, 2), RaExpr::Rel(0, 3)}) {
+    View view = View::Ra({ref});
+    const int arity = ref.arity();
+    const Fact fact(static_cast<size_t>(arity), 1);
+    Instance empty({Relation(arity)});
+    EXPECT_FALSE(Possibility(view, db, {{0, fact}})) << view.ToString();
+    EXPECT_FALSE(Certainty(view, db, {{0, fact}})) << view.ToString();
+    EXPECT_TRUE(MembershipInView(view, db, empty)) << view.ToString();
+    Instance one_fact({Relation(arity, {fact})});
+    EXPECT_FALSE(MembershipInView(view, db, one_fact)) << view.ToString();
+    EXPECT_TRUE(Uniqueness(view, db, empty)) << view.ToString();
+    EXPECT_TRUE(Containment(view, db, View::Identity(),
+                            CDatabase{CTable(arity)}))
+        << view.ToString();
+  }
+  // Beside a reference that fits, the one that does not adds nothing.
+  View both = View::Ra({RaExpr::Union(RaExpr::Rel(0, 2), RaExpr::Rel(3, 2))});
+  EXPECT_TRUE(Possibility(both, db, {{0, Fact{1, 5}}}));
+  EXPECT_FALSE(Certainty(both, db, {{0, Fact{1, 5}}}));
+}
+
+// Some world differs from I: for an I in rep(database), UniquenessSearch is
+// exactly "no world other than I".
+
 TEST(WorldCspTest, ExistsWorldOtherThanDetectsExtraFact) {
   // Row (x): every singleton is a world, so another world always exists.
   CTable t(1);
   t.AddRow(Tuple{V(0)});
-  EXPECT_TRUE(
-      ExistsWorldOtherThan(CDatabase{t}, Instance({Relation(1, {{1}})})));
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), CDatabase{t},
+                                Instance({Relation(1, {{1}})})));
 }
 
 TEST(WorldCspTest, ExistsWorldOtherThanGroundSingleton) {
   CTable t(1);
   t.AddRow(Tuple{C(1)});
-  EXPECT_FALSE(
-      ExistsWorldOtherThan(CDatabase{t}, Instance({Relation(1, {{1}})})));
-  EXPECT_TRUE(
-      ExistsWorldOtherThan(CDatabase{t}, Instance({Relation(1, {{2}})})));
+  Instance one({Relation(1, {{1}})});
+  EXPECT_TRUE(UniquenessSearch(View::Identity(), CDatabase{t}, one));
+  // Beside a conditioned row, {(1)} is still a world (x = 1), but (x) can
+  // also land outside it.
+  t.AddRow(Tuple{V(0)}, Conjunction{Neq(V(0), C(2))});
+  ASSERT_TRUE(Membership(CDatabase{t}, one));
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), CDatabase{t}, one));
+  // With x pinned to 1 by the global, (x) always lands on (1).
+  t.SetGlobal(Conjunction{Eq(V(0), C(1))});
+  ASSERT_TRUE(Membership(CDatabase{t}, one));
+  EXPECT_TRUE(UniquenessSearch(View::Identity(), CDatabase{t}, one));
 }
 
 TEST(WorldCspTest, ExistsWorldOtherThanViaMissingFact) {
   // Row (1) :: u = 1: the empty world differs from {(1)}.
   CTable t(1);
   t.AddRow(Tuple{C(1)}, Conjunction{Eq(V(0), C(1))});
-  EXPECT_TRUE(
-      ExistsWorldOtherThan(CDatabase{t}, Instance({Relation(1, {{1}})})));
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), CDatabase{t},
+                                Instance({Relation(1, {{1}})})));
+  // Row (1) :: u = 1 beside (1) :: u != 1: (1) is never missing.
+  t.AddRow(Tuple{C(1)}, Conjunction{Neq(V(0), C(1))});
+  EXPECT_TRUE(UniquenessSearch(View::Identity(), CDatabase{t},
+                               Instance({Relation(1, {{1}})})));
 }
 
 TEST(WorldCspTest, ShapeMismatchCountsAsDifferent) {
+  // An instance of another shape is no world at all: Membership rejects it
+  // before the other-world check runs.
   CTable t(1);
   t.AddRow(Tuple{C(1)});
-  EXPECT_TRUE(ExistsWorldOtherThan(CDatabase{t}, Instance({Relation(2)})));
-  EXPECT_TRUE(ExistsWorldOtherThan(CDatabase{t}, Instance({})));
+  CDatabase db{t};
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), db, Instance({Relation(2)})));
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), db, Instance({})));
+  // Two tables, and a member instance that differs from a world only in the
+  // second: (y) :: y != 1 can be on, or off (y = 1).
+  CTable s(1);
+  s.AddRow(Tuple{V(1)}, Conjunction{Neq(V(1), C(1))});
+  CDatabase two;
+  two.AddTable(t);
+  two.AddTable(s);
+  Instance member({Relation(1, {{1}}), Relation(1)});
+  ASSERT_TRUE(Membership(two, member));
+  EXPECT_FALSE(UniquenessSearch(View::Identity(), two, member));
+  // Forcing y = 1 leaves the one world {(1)}, {}.
+  s.SetGlobal(Conjunction{Eq(V(1), C(1))});
+  CDatabase forced;
+  forced.AddTable(t);
+  forced.AddTable(s);
+  ASSERT_TRUE(Membership(forced, member));
+  EXPECT_TRUE(UniquenessSearch(View::Identity(), forced, member));
+}
+
+// Some world misses a fact: CertainFactInTable. (Differential family 9
+// checks it, and both backends' algebra, against every world.)
+
+/// CertainFactInTable under the table's own global condition.
+bool IsCertain(const CTable& t, const Fact& fact) {
+  ConditionInterner interner;
+  return CertainFactInTable(t, fact, t.GlobalId(interner), interner);
 }
 
 TEST(WorldCspTest, MissingFactBasics) {
   CTable t(1);
   t.AddRow(Tuple{C(1)});
   t.AddRow(Tuple{V(0)}, Conjunction{Neq(V(0), C(2))});
-  CDatabase db{t};
   // (1) is produced by the ground row in every world.
-  EXPECT_FALSE(ExistsWorldMissingFact(db, 0, Fact{1}));
+  EXPECT_TRUE(IsCertain(t, Fact{1}));
   // (3) is missed whenever x != 3.
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{3}));
+  EXPECT_FALSE(IsCertain(t, Fact{3}));
   // (2): the conditioned row can never produce it (x != 2), and the ground
   // row is 1 — always missing.
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{2}));
+  EXPECT_FALSE(IsCertain(t, Fact{2}));
+  // A fact of another arity is in no world.
+  EXPECT_FALSE(IsCertain(t, Fact{1, 1}));
 }
 
 TEST(WorldCspTest, MissingFactEmptyRep) {
   CTable t(1);
   t.AddRow(Tuple{C(1)});
   t.SetGlobal(Conjunction{FalseAtom()});
-  EXPECT_FALSE(ExistsWorldMissingFact(CDatabase{t}, 0, Fact{2}));
+  EXPECT_TRUE(IsCertain(t, Fact{2}));
 }
 
 TEST(WorldCspTest, MissingFactForcedCoverThroughGlobal) {
@@ -120,9 +200,13 @@ TEST(WorldCspTest, MissingFactForcedCoverThroughGlobal) {
   CTable t(1);
   t.AddRow(Tuple{V(0)});
   t.SetGlobal(Conjunction{Eq(V(0), C(4))});
-  CDatabase db{t};
-  EXPECT_FALSE(ExistsWorldMissingFact(db, 0, Fact{4}));
-  EXPECT_TRUE(ExistsWorldMissingFact(db, 0, Fact{5}));
+  EXPECT_TRUE(IsCertain(t, Fact{4}));
+  EXPECT_FALSE(IsCertain(t, Fact{5}));
+  // Rows (x) :: x = 1 and (1) :: x != 1 cover (1) only together.
+  CTable split(1);
+  split.AddRow(Tuple{V(0)}, Conjunction{Eq(V(0), C(1))});
+  split.AddRow(Tuple{C(1)}, Conjunction{Neq(V(0), C(1))});
+  EXPECT_TRUE(IsCertain(split, Fact{1}));
 }
 
 }  // namespace
