@@ -1,9 +1,8 @@
 // ABLATION — design choices inside the exact decision procedures.
 //
-//   (a) MembershipSearch (most-constrained-first ordering, forward
-//       checking and the coverage dead-end prune) on 3-colorability e-table
-//       membership (Theorem 3.1(2)) instances — an ungated smoke run of the
-//       one search there is.
+//   (a) MembershipSearch (its row and fact clauses on ChoiceCnf, the
+//       decision layer's one search, condition/backend.h) on 3-colorability
+//       e-table membership (Theorem 3.1(2)) instances — an ungated smoke run.
 //   (b) DATALOG evaluation: semi-naive versus naive fixpoint.
 //   (c) Bounded possibility: the Imielinski–Lipski image algorithm
 //       (Theorem 5.2(1)) versus raw valuation enumeration.

@@ -29,15 +29,21 @@
 // The interner it sits on may be shared: backends on different threads can
 // use one interner once it is in shared mode
 // (ConditionInterner::EnableSharing).
+//
+// Below them: the decision layer's one search, ChoiceCnf, and the
+// implication test ConjImpliesDisjunction that runs on it.
 
 #ifndef PW_CONDITION_BACKEND_H_
 #define PW_CONDITION_BACKEND_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "condition/binding_env.h"
 #include "condition/interner.h"
+#include "core/tuple.h"
 
 namespace pw {
 
@@ -118,13 +124,91 @@ class ConditionBackend {
 std::unique_ptr<ConditionBackend> MakeConditionBackend(
     ConditionBackendKind kind, ConditionInterner& interner);
 
+/// The decision layer's one search: can one alternative (a conjunction of
+/// =/!= atoms) be picked from every clause so that the picked atoms hold
+/// together with a base conjunction, over the infinite domain? MEMB, POSS
+/// and ConjImpliesDisjunction build their clauses for it. An empty
+/// alternative makes its clause hold; a clause with one alternative joins
+/// the base when it closes, so a contradiction ends the build. Solve takes
+/// the clauses smallest first, ties in input order, skips a clause when
+/// every atom of one of its alternatives is already entailed (a static pass
+/// finds the clauses where that can happen), and otherwise asserts each
+/// alternative in turn in a BindingEnv, reverting on failure. All state is
+/// capacity-retaining scratch, so a grown ChoiceCnf allocates nothing;
+/// callers keep one per call site (thread_local).
+class ChoiceCnf {
+ public:
+  /// Starts a new problem: true base, no clauses.
+  void Clear();
+
+  /// Conjoins `conjunction` to the base, as a unit clause; returns
+  /// EndClause's verdict.
+  bool AddBase(const Conjunction& conjunction);
+
+  /// Append to the alternative being built. A trivially false atom drops
+  /// the alternative; trivially true ones are left out.
+  void AddAtom(const CondAtom& atom);
+  void AddAtoms(const Conjunction& conjunction);
+
+  /// Closes the alternative being built. Returns true once the open clause
+  /// holds (an alternative was empty); its later alternatives are ignored.
+  bool EndAlternative();
+
+  /// Adds and closes the alternative "a row (tuple, local) produces fact":
+  /// tuple = fact AND local, dropped at once on another arity or constant.
+  /// Returns EndAlternative's verdict.
+  bool AddProducer(const Tuple& tuple, const Conjunction& local,
+                   const Fact& fact);
+
+  /// Closes the open clause. Returns false once the problem is known to be
+  /// unsatisfiable: the clause has no alternative, or is a unit clause that
+  /// contradicts the base.
+  bool EndClause();
+
+  /// True iff one alternative of every clause holds together with the base
+  /// in some valuation. Call once per problem.
+  bool Solve();
+
+ private:
+  struct Use {  // an occurrence of a variable, for the may-hold pass
+    VarId var;
+    uint32_t pos;   // 0 for the base, r + 1 for the clause of rank r
+    uint32_t atom;  // index into atoms_; unused for the base
+    bool eq;
+  };
+
+  /// The atoms of alternatives [first, last).
+  std::span<const CondAtom> Atoms(uint32_t first, uint32_t last) const {
+    return {atoms_.data() + alt_begin_[first],
+            atoms_.data() + alt_begin_[last]};
+  }
+  void AddUses(const CondAtom& atom, uint32_t pos, uint32_t index);
+  void FindMayHold();
+  bool Search(size_t rank);
+
+  BindingEnv env_;  // the base, then the search's choices
+  // Alternative a is atoms_[alt_begin_[a], alt_begin_[a + 1]); clause c is
+  // alternatives [clause_begin_[c], clause_begin_[c + 1]). Both keep a
+  // trailing entry for the open alternative and clause.
+  std::vector<CondAtom> atoms_;
+  std::vector<uint32_t> alt_begin_{0};
+  std::vector<uint32_t> clause_begin_{0};
+  std::vector<uint64_t> order_;  // (alternatives << 32 | clause), sorted
+  std::vector<Use> uses_;        // the base's first
+  std::vector<char> atom_may_hold_;
+  std::vector<char> may_hold_;  // per clause
+  bool dropped_ = false;  // the alternative being built is trivially false
+  bool held_ = false;     // the open clause holds
+  bool unsat_ = false;
+};
+
 /// True iff `lhs` implies the disjunction of `disjuncts` over the infinite
-/// domain — exact, via a backtracking search for a valuation of lhs that
-/// falsifies one atom of every disjunct (the coNP check, exponential only in
-/// the number of disjuncts). The library's one atom-CNF search: the
-/// conjunctive backend's implication between disjunction sets, the
-/// certain-fact test (decision/certainty.h) and UNIQ's "some world differs
-/// from I" (decision/uniqueness.cc) all run on it.
+/// domain — exact: after a memoized pairwise Implies against each disjunct,
+/// ChoiceCnf looks for a valuation of lhs that falsifies one atom of every
+/// distinct disjunct (the coNP check, exponential only in the number of
+/// disjuncts). The conjunctive backend's implication between disjunction
+/// sets, the certain-fact test (decision/certainty.h) and UNIQ's "some
+/// world differs from I" (decision/uniqueness.cc) all run on it.
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts);
 

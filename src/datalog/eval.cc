@@ -1,6 +1,5 @@
 #include "datalog/eval.h"
 
-#include <cassert>
 #include <functional>
 #include <unordered_map>
 
@@ -72,16 +71,18 @@ bool FireRule(const DatalogRule& rule, const Instance& db,
   return inserted;
 }
 
+/// The program's predicates over `edb`. An extensional relation that `edb`
+/// lacks, or has with another arity, reads as empty.
 Instance InitialDatabase(const DatalogProgram& program, const Instance& edb) {
-  assert(edb.num_relations() >= program.num_edb());
   std::vector<Relation> rels;
   rels.reserve(program.num_predicates());
   for (size_t p = 0; p < program.num_predicates(); ++p) {
-    if (p < program.num_edb()) {
-      assert(edb.relation(p).arity() == program.arity(static_cast<int>(p)));
+    int arity = program.arity(static_cast<int>(p));
+    if (p < program.num_edb() && p < edb.num_relations() &&
+        edb.relation(p).arity() == arity) {
       rels.push_back(edb.relation(p));
     } else {
-      rels.emplace_back(program.arity(static_cast<int>(p)));
+      rels.emplace_back(arity);
     }
   }
   return Instance(std::move(rels));

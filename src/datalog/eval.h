@@ -9,9 +9,10 @@
 namespace pw {
 
 /// Computes the least fixpoint of `program` over `edb`. The input instance
-/// must supply the extensional relations [0, num_edb) with matching arities;
-/// the result holds all predicates — extensional relations copied through,
-/// intensional relations populated.
+/// supplies the extensional relations [0, num_edb); one it lacks, or has
+/// with another arity than the program's, reads as empty. The result holds
+/// all predicates — extensional relations copied through, intensional
+/// relations populated.
 ///
 /// Naive evaluation: re-derives everything each round. Reference
 /// implementation for testing the semi-naive one.

@@ -51,6 +51,9 @@ class DatalogProgram {
   void AddRule(DatalogRule rule) { rules_.push_back(std::move(rule)); }
 
   size_t num_predicates() const { return arities_.size(); }
+  bool HasPredicate(int predicate) const {
+    return predicate >= 0 && static_cast<size_t>(predicate) < arities_.size();
+  }
   size_t num_edb() const { return num_edb_; }
   int arity(int predicate) const {
     assert(predicate >= 0 &&

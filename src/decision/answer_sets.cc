@@ -116,7 +116,9 @@ std::optional<CDatabase> ImageOf(const View& view,
     CDatabase fixpoint = DatalogOnCTables(view.datalog(), database);
     CDatabase image;
     for (size_t i = 0; i < view.output_preds().size(); ++i) {
-      CTable t = fixpoint.table(view.output_preds()[i]);
+      int p = view.output_preds()[i];
+      CTable t =
+          view.datalog().HasPredicate(p) ? fixpoint.table(p) : CTable(0);
       if (i == 0) t.SetGlobal(fixpoint.CombinedGlobal());
       image.AddTable(std::move(t));
     }

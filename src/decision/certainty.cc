@@ -86,7 +86,8 @@ std::optional<bool> CertDatalogGTables(
   if (!certain) return std::nullopt;
   for (const LocatedFact& lf : pattern) {
     if (lf.relation >= outputs->size()) return false;
-    if (!certain->relation((*outputs)[lf.relation]).Contains(lf.fact)) {
+    int p = (*outputs)[lf.relation];
+    if (!program->HasPredicate(p) || !certain->relation(p).Contains(lf.fact)) {
       return false;
     }
   }

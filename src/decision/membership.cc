@@ -1,9 +1,6 @@
 #include "decision/membership.h"
 
-#include <map>
-#include <set>
-
-#include "condition/binding_env.h"
+#include "condition/backend.h"
 #include "condition/interner.h"
 #include "ilalgebra/ctable_eval.h"
 #include "solvers/bipartite_matching.h"
@@ -46,148 +43,6 @@ bool CoddTableMembership(const CTable& table, const Relation& relation) {
   return MaxBipartiteMatching(g).size == n;
 }
 
-/// Backtracking state for MembershipSearch.
-struct SearchState {
-  struct RowTask {
-    const CRow* row = nullptr;
-    size_t table = 0;
-    std::vector<const Fact*> candidates;  // facts this row could map onto
-    std::vector<CondAtom> suppress_atoms;  // atoms whose negation kills it
-    bool done = false;
-  };
-
-  /// One branching option for a task: either map onto a fact, or suppress
-  /// by violating one local atom.
-  struct Option {
-    const Fact* fact = nullptr;       // null = suppression
-    const CondAtom* atom = nullptr;   // suppression atom
-  };
-
-  std::vector<RowTask> tasks;
-  // Per (table, fact) coverage counts and per-table uncovered tallies.
-  std::vector<std::map<Fact, int>> covered;
-  std::vector<int> uncovered;
-  // tasks_left[k] = number of unprocessed tasks of table k (for pruning).
-  std::vector<int> tasks_left;
-  BindingEnv env;
-};
-
-bool AssertTupleEqualsFact(BindingEnv& env, const Tuple& tuple,
-                           const Fact& fact) {
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (!env.AssertEqual(tuple[i], Term::Const(fact[i]))) return false;
-  }
-  return true;
-}
-
-/// Attempts one option against the environment. On success leaves the
-/// assertions in place and returns true; on failure the caller reverts.
-bool TryOption(SearchState& s, const SearchState::RowTask& task,
-               const SearchState::Option& option) {
-  if (option.fact != nullptr) {
-    return AssertTupleEqualsFact(s.env, task.row->tuple, *option.fact) &&
-           s.env.Assert(task.row->local());
-  }
-  return s.env.AssertAtom(Negate(*option.atom));
-}
-
-/// Dynamic most-constrained-first backtracking with forward checking: at
-/// every node recompute each pending task's viable options; fail fast when
-/// a task has none, branch on the task with the fewest.
-bool SearchRecurse(SearchState& s, size_t remaining) {
-  if (remaining == 0) {
-    for (int u : s.uncovered) {
-      if (u != 0) return false;
-    }
-    return true;
-  }
-  // Coverage prune: uncovered facts of table k need distinct pending tasks.
-  for (size_t t = 0; t < s.uncovered.size(); ++t) {
-    if (s.uncovered[t] > s.tasks_left[t]) return false;
-  }
-
-  // Forward checking: viable options per pending task, and the set of
-  // facts still coverable by some pending task. The block frees
-  // `coverable` before the recursion below.
-  int best = -1;
-  std::vector<SearchState::Option> best_options;
-  {
-    bool forced = false;
-    std::vector<std::set<Fact>> coverable(s.uncovered.size());
-    for (size_t i = 0; i < s.tasks.size(); ++i) {
-      SearchState::RowTask& task = s.tasks[i];
-      if (task.done) continue;
-      std::vector<SearchState::Option> options;
-      for (const Fact* fact : task.candidates) {
-        size_t mark = s.env.Mark();
-        bool ok = AssertTupleEqualsFact(s.env, task.row->tuple, *fact) &&
-                  s.env.Assert(task.row->local());
-        s.env.Revert(mark);
-        if (ok) {
-          options.push_back({fact, nullptr});
-          coverable[task.table].insert(*fact);
-        }
-      }
-      for (const CondAtom& atom : task.suppress_atoms) {
-        size_t mark = s.env.Mark();
-        bool ok = s.env.AssertAtom(Negate(atom));
-        s.env.Revert(mark);
-        if (ok) options.push_back({nullptr, &atom});
-      }
-      if (options.empty()) return false;  // dead end
-      if (best == -1 || options.size() < best_options.size()) {
-        best = static_cast<int>(i);
-        best_options = std::move(options);
-        if (best_options.size() == 1) {
-          forced = true;
-          break;  // forced move: branch immediately
-        }
-      }
-    }
-    if (!forced) {
-      // Coverage dead-end check: every still-uncovered fact must be
-      // mappable by some pending task under the current bindings.
-      for (size_t t = 0; t < s.uncovered.size(); ++t) {
-        if (s.uncovered[t] == 0) continue;
-        for (const auto& [fact, count] : s.covered[t]) {
-          // covered[t] holds all facts of relation t (pre-seeded), so this
-          // scan visits exactly the uncovered ones via count == 0.
-          if (count == 0 && coverable[t].count(fact) == 0) return false;
-        }
-      }
-    }
-  }
-
-  SearchState::RowTask& task = s.tasks[best];
-  size_t k = task.table;
-  task.done = true;
-  --s.tasks_left[k];
-  for (const SearchState::Option& option : best_options) {
-    size_t mark = s.env.Mark();
-    if (TryOption(s, task, option)) {
-      bool covered_new = false;
-      if (option.fact != nullptr) {
-        int& count = s.covered[k][*option.fact];
-        if (count == 0) {
-          --s.uncovered[k];
-          covered_new = true;
-        }
-        ++count;
-      }
-      if (SearchRecurse(s, remaining - 1)) return true;
-      if (option.fact != nullptr) {
-        int& count = s.covered[k][*option.fact];
-        --count;
-        if (covered_new) ++s.uncovered[k];
-      }
-    }
-    s.env.Revert(mark);
-  }
-  task.done = false;
-  ++s.tasks_left[k];
-  return false;
-}
-
 }  // namespace
 
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
@@ -204,52 +59,38 @@ std::optional<bool> MembershipCoddTables(const CDatabase& database,
 
 bool MembershipSearch(const CDatabase& database, const Instance& instance) {
   if (!ShapesMatch(database, instance)) return false;
-
-  SearchState s;
-  if (!s.env.Assert(database.CombinedGlobal())) {
-    return false;  // rep(database) is empty
-  }
-
-  size_t num_tables = database.num_tables();
-  s.covered.resize(num_tables);
-  s.uncovered.assign(num_tables, 0);
-  s.tasks_left.assign(num_tables, 0);
-
-  std::vector<std::vector<Fact>> facts(num_tables);
-  for (size_t k = 0; k < num_tables; ++k) {
-    facts[k] = instance.relation(k).ToVector();
-    s.uncovered[k] = static_cast<int>(facts[k].size());
-    for (const Fact& f : facts[k]) s.covered[k][f] = 0;
-  }
-
+  // I is a world iff some valuation of the global condition makes every row
+  // land on a fact of I or be off, and makes some row produce each fact of
+  // I: one clause per row and one per fact.
+  thread_local ChoiceCnf cnf;
+  cnf.Clear();
+  if (!cnf.AddBase(database.CombinedGlobal())) return false;  // rep empty
   ConditionInterner& interner = ConditionInterner::Global();
-  for (size_t k = 0; k < num_tables; ++k) {
-    for (const CRow& row : database.table(k).rows()) {
-      // A row whose local condition is unsatisfiable is "off" in every world
-      // — no task needed (memoized, so repeated searches over the same
-      // tables skip the closure entirely).
+  for (size_t k = 0; k < database.num_tables(); ++k) {
+    const Relation& relation = instance.relation(k);
+    const CTable& table = database.table(k);
+    for (const CRow& row : table.rows()) {
+      // A row whose local can never hold is off in every world (memoized on
+      // the row's interned id).
       if (!interner.Satisfiable(row.LocalId(interner))) continue;
-      SearchState::RowTask task;
-      task.row = &row;
-      task.table = k;
-      for (const Fact& f : facts[k]) {
-        if (Unifiable(row.tuple, f)) task.candidates.push_back(&f);
+      for (const Fact& f : relation) cnf.AddProducer(row.tuple, row.local(), f);
+      for (const CondAtom& atom : row.local().atoms()) {
+        cnf.AddAtom(Negate(atom));  // off
+        cnf.EndAlternative();
       }
-      Conjunction simplified = row.local().Simplified();
-      for (const CondAtom& atom : simplified.atoms()) {
-        task.suppress_atoms.push_back(atom);
+      if (!cnf.EndClause()) return false;
+    }
+    for (const Fact& f : relation) {
+      for (const CRow& row : table.rows()) {
+        if (interner.Satisfiable(row.LocalId(interner)) &&
+            cnf.AddProducer(row.tuple, row.local(), f)) {
+          break;  // the row produces f in every world
+        }
       }
-      // A row with no compatible fact and no suppression handle makes
-      // membership impossible.
-      if (task.candidates.empty() && task.suppress_atoms.empty()) {
-        return false;
-      }
-      s.tasks.push_back(std::move(task));
-      ++s.tasks_left[k];
+      if (!cnf.EndClause()) return false;
     }
   }
-
-  return SearchRecurse(s, s.tasks.size());
+  return cnf.Solve();
 }
 
 bool Membership(const CDatabase& database, const Instance& instance) {

@@ -6,9 +6,10 @@
 // Complexity landscape reproduced here:
 //   - Codd-tables, identity query: PTIME via bipartite matching (Thm 3.1(1))
 //   - e-/i-/g-/c-tables, identity:  NP-complete (Thm 3.1(2,3)); exact
-//     backtracking search over row-to-fact assignments
-//   - views of tables:              NP-complete (Thm 3.1(4)); exact
-//     enumeration of valuations (up to fresh-constant renaming)
+//     search over row-to-fact choices (ChoiceCnf, condition/backend.h)
+//   - views of tables:              NP-complete (Thm 3.1(4)); the same
+//     search on the Imielinski–Lipski image of a positive existential view,
+//     else enumeration of valuations (up to fresh-constant renaming)
 
 #ifndef PW_DECISION_MEMBERSHIP_H_
 #define PW_DECISION_MEMBERSHIP_H_
@@ -28,12 +29,11 @@ namespace pw {
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance);
 
-/// Exact membership for arbitrary c-databases: backtracking over per-row
-/// choices (map the row onto a fact of the instance, or suppress it by
-/// violating one local-condition atom), with consistency maintained in a
-/// revertible binding environment. Every node recomputes each pending row's
-/// viable choices, branches on the most constrained row, and fails as soon
-/// as some uncovered instance fact is mappable by no pending row. Worst case
+/// Exact membership for arbitrary c-databases, as clauses of the decision
+/// layer's one search (ChoiceCnf) over the combined global condition: per
+/// row whose local can hold, "the row lands on a unifiable fact of the
+/// instance (tuple = fact AND local), or is off (one local atom is
+/// false)"; per fact of the instance, "some row produces it". Worst case
 /// exponential (the problem is NP-complete already for a single e-table or
 /// i-table).
 bool MembershipSearch(const CDatabase& database, const Instance& instance);
@@ -43,8 +43,9 @@ bool MembershipSearch(const CDatabase& database, const Instance& instance);
 bool Membership(const CDatabase& database, const Instance& instance);
 
 /// MEMB(q): is `instance` in q(rep(database))? Identity views dispatch to
-/// Membership; otherwise enumerates satisfying valuations over Delta union
-/// Delta' and compares view images.
+/// Membership, positive existential RA views to MembershipSearch on their
+/// c-table image; otherwise enumerates satisfying valuations over Delta
+/// union Delta' and compares view images.
 bool MembershipInView(const View& view, const CDatabase& database,
                       const Instance& instance);
 

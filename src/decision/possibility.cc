@@ -1,9 +1,8 @@
 #include "decision/possibility.h"
 
-#include <functional>
 #include <map>
 
-#include "condition/binding_env.h"
+#include "condition/backend.h"
 #include "condition/interner.h"
 #include "datalog/magic.h"
 #include "ilalgebra/ctable_eval.h"
@@ -15,42 +14,23 @@ namespace pw {
 
 namespace {
 
-/// Backtracking over pattern facts: assign each to a row of the image
-/// c-table whose tuple can unify with it, consistently.
+/// One clause per pattern fact: some row of the image c-table produces it.
 bool AssignPattern(const CDatabase& image, const Conjunction& global,
                    const std::vector<LocatedFact>& pattern) {
-  ConditionInterner& interner = ConditionInterner::Global();
-  if (!interner.CachedSatisfiable(global)) return false;  // rep empty
-
-  BindingEnv env;
-  env.Assert(global);
-
-  std::function<bool(size_t)> go = [&](size_t i) {
-    if (i == pattern.size()) return true;
-    const LocatedFact& lf = pattern[i];
+  thread_local ChoiceCnf cnf;
+  cnf.Clear();
+  if (!cnf.AddBase(global)) return false;  // rep empty
+  for (const LocatedFact& lf : pattern) {
     if (lf.relation >= image.num_tables()) return false;
-    const CTable& table = image.table(lf.relation);
-    if (static_cast<size_t>(table.arity()) != lf.fact.size()) return false;
-    for (const CRow& row : table.rows()) {
-      if (!Unifiable(row.tuple, lf.fact)) continue;
-      // Memoized fast reject: a row whose local can never hold at all need
-      // not be tried against the environment (the verdict rides on the row's
-      // cached interned id).
-      if (!interner.Satisfiable(row.LocalId(interner))) continue;
-      size_t mark = env.Mark();
-      bool ok = true;
-      for (size_t p = 0; p < lf.fact.size(); ++p) {
-        if (!env.AssertEqual(row.tuple[p], Term::Const(lf.fact[p]))) {
-          ok = false;
-          break;
-        }
+    // Image rows are satisfiable: the evaluator prunes the others.
+    for (const CRow& row : image.table(lf.relation).rows()) {
+      if (cnf.AddProducer(row.tuple, row.local(), lf.fact)) {
+        break;  // the row produces the fact in every world
       }
-      if (ok && env.Assert(row.local()) && go(i + 1)) return true;
-      env.Revert(mark);
     }
-    return false;
-  };
-  return go(0);
+    if (!cnf.EndClause()) return false;
+  }
+  return cnf.Solve();
 }
 
 }  // namespace
@@ -108,7 +88,6 @@ std::optional<bool> PossDatalogDemand(const View& view,
   }
   DatalogCTableOptions options;
   options.max_derived_rows = 1024 + 16 * edb_rows;
-  std::vector<std::vector<ConjId>> alternatives;
   // Static gate, cached per goal predicate (the adornment structure depends
   // only on the all-bound binding pattern, not on the pattern constants):
   // if some demanded predicate ends up with an all-free binding pattern,
@@ -120,10 +99,15 @@ std::optional<bool> PossDatalogDemand(const View& view,
   // Repeated (goal, fact) pairs reuse the first query's condition list
   // instead of re-running the demand fixpoint.
   std::map<std::pair<int, Fact>, std::vector<ConjId>> conds_by_fact;
+  // One clause per fact, over its rows' conditions.
+  thread_local ChoiceCnf cnf;
+  cnf.Clear();
+  cnf.AddBase(interner.Resolve(global_id));
   for (const LocatedFact& lf : pattern) {
     if (lf.relation >= view.output_preds().size()) return false;
     int goal = view.output_preds()[lf.relation];
-    if (static_cast<size_t>(program.arity(goal)) != lf.fact.size()) {
+    if (!program.HasPredicate(goal) ||
+        static_cast<size_t>(program.arity(goal)) != lf.fact.size()) {
       return false;
     }
     std::vector<std::optional<ConstId>> bindings(lf.fact.begin(),
@@ -144,22 +128,13 @@ std::optional<bool> PossDatalogDemand(const View& view,
         cached->second.push_back(row.LocalId(interner));
       }
     }
-    alternatives.push_back(cached->second);
-    if (alternatives.back().empty()) {
-      return false;  // this fact is in no world's view
+    for (ConjId cond : cached->second) {
+      cnf.AddAtoms(interner.Resolve(cond));
+      if (cnf.EndAlternative()) break;
     }
+    if (!cnf.EndClause()) return false;  // e.g. the fact is in no world's view
   }
-  // Backtracking over one condition per fact; the partial conjunction is an
-  // interned id, so dead prefixes are cut on an O(1) satisfiability check.
-  std::function<bool(size_t, ConjId)> go = [&](size_t i, ConjId acc) {
-    if (i == alternatives.size()) return true;
-    for (ConjId cond : alternatives[i]) {
-      ConjId next = interner.And(acc, cond);
-      if (interner.Satisfiable(next) && go(i + 1, next)) return true;
-    }
-    return false;
-  };
-  return go(0, global_id);
+  return cnf.Solve();
 }
 
 std::optional<bool> PossBoundedPosExistential(

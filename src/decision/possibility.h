@@ -33,10 +33,9 @@ std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
 
 /// PTIME (for fixed pattern size) bounded possibility for positive
 /// existential queries on c-databases (Thm 5.2(1)): computes the c-table
-/// image of the query, then searches row assignments for the k pattern
-/// facts with consistency in a binding environment — O(rows^k) combinations.
-/// Returns std::nullopt if the query is not positive existential (!= is
-/// allowed).
+/// image of the query, then picks one producing image row per pattern fact
+/// (ChoiceCnf, condition/backend.h) — O(rows^k) combinations. Returns
+/// std::nullopt if the query is not positive existential (!= is allowed).
 std::optional<bool> PossBoundedPosExistential(
     const RaQuery& query, const CDatabase& database,
     const std::vector<LocatedFact>& pattern);
@@ -47,7 +46,7 @@ std::optional<bool> PossBoundedPosExistential(
 /// derived, not the whole fixpoint. Each restricted row records the exact
 /// condition under which its fact is in the view of a world, so the pattern
 /// is possible iff some choice of one row per fact is satisfiable together
-/// with the combined global condition (an interner query per combination).
+/// with the combined global condition (one ChoiceCnf clause per fact).
 /// Exact over the infinite domain. Returns std::nullopt if the view is not
 /// a DATALOG query, if the rewrite leaves some demanded predicate with an
 /// all-free binding pattern (demand then degenerates to the full fixpoint —

@@ -34,7 +34,10 @@ Instance View::Eval(const Instance& input) const {
       Instance fixpoint = SemiNaiveEval(datalog_, input);
       std::vector<Relation> out;
       out.reserve(output_preds_.size());
-      for (int p : output_preds_) out.push_back(fixpoint.relation(p));
+      for (int p : output_preds_) {
+        out.push_back(datalog_.HasPredicate(p) ? fixpoint.relation(p)
+                                               : Relation(0));
+      }
       return Instance(std::move(out));
     }
   }

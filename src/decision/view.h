@@ -16,6 +16,12 @@
 // every world: POSS and CERT of any fact are false (CERT is vacuously true
 // when rep(database) is empty), and when rep(database) is not empty, MEMB
 // and UNIQ hold exactly for the instance with one empty binary relation.
+//
+// DATALOG views read the same way, in every build mode: an extensional
+// predicate that names no table, or a table of another arity than the
+// program's, is empty (SemiNaiveEval and the conditioned fixpoint alike),
+// and an output predicate that the program lacks is an empty relation of
+// arity 0 in every world, so POSS and CERT of any fact in it are false.
 
 #ifndef PW_DECISION_VIEW_H_
 #define PW_DECISION_VIEW_H_

@@ -1,5 +1,6 @@
 // Unit tests for condition/: atoms, conjunctions, the revertible binding
-// environment and the atom-CNF search behind ConjImpliesDisjunction.
+// environment, the decision layer's one search (ChoiceCnf) and
+// ConjImpliesDisjunction, which runs on it.
 
 #include <gtest/gtest.h>
 
@@ -379,8 +380,8 @@ TEST(BindingEnvTest, RandomAssertRevertMatchesNaiveClosure) {
   }
 }
 
-// The atom-CNF search of ConjImpliesDisjunction: lhs implies d1 OR ... OR dk
-// iff no valuation of lhs falsifies one atom of every di, i.e. iff the CNF
+// ConjImpliesDisjunction, on ChoiceCnf: lhs implies d1 OR ... OR dk iff no
+// valuation of lhs falsifies one atom of every di, i.e. iff the CNF
 // (NOT d1) AND ... AND (NOT dk) has no model consistent with lhs. Each case
 // below states the CNF it searches.
 
@@ -481,6 +482,169 @@ TEST(AtomCnfTest, TriviallyTrueAtomSatisfiesClause) {
   EXPECT_TRUE(ImpliesAny(Conjunction{Eq(V(0), C(5))},
                          {Conjunction{Neq(C(1), C(2))},
                           Conjunction{Eq(V(0), C(6))}}));
+}
+
+// ChoiceCnf: is there a choice of one alternative per clause that holds
+// together with the base? Each clause below lists its alternatives, each a
+// conjunction.
+using Clause = std::vector<Conjunction>;
+
+/// Builds `clauses` over `base` into `cnf` and solves; false as soon as the
+/// build reports the problem unsatisfiable.
+bool SolveChoices(ChoiceCnf& cnf, const Conjunction& base,
+                  const std::vector<Clause>& clauses) {
+  cnf.Clear();
+  if (!cnf.AddBase(base)) return false;
+  for (const Clause& clause : clauses) {
+    for (const Conjunction& alternative : clause) {
+      cnf.AddAtoms(alternative);
+      if (cnf.EndAlternative()) break;
+    }
+    if (!cnf.EndClause()) return false;
+  }
+  return cnf.Solve();
+}
+
+bool SolveChoices(const Conjunction& base, const std::vector<Clause>& clauses) {
+  ChoiceCnf cnf;
+  return SolveChoices(cnf, base, clauses);
+}
+
+TEST(ChoiceCnfTest, AlternativesOfSeveralAtoms) {
+  // (x = 1 AND y = 2  OR  x = 2 AND y = 3) AND (y = 3 AND z = 1  OR  y = 1):
+  // only x = 2, y = 3, z = 1 satisfies both.
+  std::vector<Clause> clauses = {
+      {Conjunction{Eq(V(0), C(1)), Eq(V(1), C(2))},
+       Conjunction{Eq(V(0), C(2)), Eq(V(1), C(3))}},
+      {Conjunction{Eq(V(1), C(3)), Eq(V(2), C(1))},
+       Conjunction{Eq(V(1), C(1))}}};
+  EXPECT_TRUE(SolveChoices(Conjunction(), clauses));
+  // A third clause (x = 1 OR z = 2) rules that choice out, and the first
+  // alternative of the first clause fails the second clause.
+  clauses.push_back({Conjunction{Eq(V(0), C(1))}, Conjunction{Eq(V(2), C(2))}});
+  EXPECT_FALSE(SolveChoices(Conjunction(), clauses));
+  // The first two clauses have no choice under the base z != 1 either, and
+  // keep theirs under the base y = w.
+  EXPECT_FALSE(SolveChoices(Conjunction{Neq(V(2), C(1))},
+                            {clauses[0], clauses[1]}));
+  EXPECT_TRUE(SolveChoices(Conjunction{Eq(V(1), V(3))},
+                           {clauses[0], clauses[1]}));
+}
+
+TEST(ChoiceCnfTest, BacktracksThroughEveryClause) {
+  // Three pairwise distinct variables over two values have no choice; over
+  // three values they have one.
+  Conjunction distinct{Neq(V(0), V(1)), Neq(V(0), V(2)), Neq(V(1), V(2))};
+  auto values = [](int n) {
+    std::vector<Clause> clauses(3);
+    for (VarId x = 0; x < 3; ++x) {
+      for (ConstId c = 1; c <= static_cast<ConstId>(n); ++c) {
+        clauses[x].push_back(Conjunction{Eq(V(x), C(c))});
+      }
+    }
+    return clauses;
+  };
+  EXPECT_FALSE(SolveChoices(distinct, values(2)));
+  EXPECT_TRUE(SolveChoices(distinct, values(3)));
+}
+
+TEST(ChoiceCnfTest, SkipsAClauseOnlyWhenAWholeAlternativeIsEntailed) {
+  // Clause 1 is (x = 1 AND y = 2  OR  x = 3), clause 2 is (y = 3 OR y = 4).
+  // Under the base x = 1 AND y = w, the first alternative's x = 1 is
+  // entailed but y = 2 is not: clause 1 must still assert y = 2, which
+  // leaves clause 2 no choice. Skipping clause 1 there would find y = 3.
+  std::vector<Clause> clauses = {
+      {Conjunction{Eq(V(0), C(1)), Eq(V(1), C(2))},
+       Conjunction{Eq(V(0), C(3))}},
+      {Conjunction{Eq(V(1), C(3))}, Conjunction{Eq(V(1), C(4))}}};
+  EXPECT_FALSE(
+      SolveChoices(Conjunction{Eq(V(0), C(1)), Eq(V(1), V(3))}, clauses));
+  // Under the base x = 1 AND y = w AND w = 2 both atoms are entailed, and
+  // the clause holds without a choice; clause 2 still has none.
+  EXPECT_FALSE(SolveChoices(
+      Conjunction{Eq(V(0), C(1)), Eq(V(1), V(3)), Eq(V(3), C(2))}, clauses));
+  // With clause 2 widened to (y = 2 OR y = 4), the entailed clause is
+  // skipped and clause 2 takes y = 2.
+  clauses[1][0] = Conjunction{Eq(V(1), C(2))};
+  EXPECT_TRUE(SolveChoices(
+      Conjunction{Eq(V(0), C(1)), Eq(V(1), V(3)), Eq(V(3), C(2))}, clauses));
+}
+
+TEST(ChoiceCnfTest, EmptyAlternativeMakesItsClauseHold) {
+  ChoiceCnf cnf;
+  cnf.Clear();
+  ASSERT_TRUE(cnf.AddBase(Conjunction{Eq(V(0), C(1))}));
+  // (x = 2 OR true OR x = 3): the trivially true atom leaves the second
+  // alternative empty, so the clause holds whatever x is, and the third
+  // alternative is ignored.
+  cnf.AddAtom(Eq(V(0), C(2)));
+  EXPECT_FALSE(cnf.EndAlternative());
+  cnf.AddAtom(Eq(C(5), C(5)));
+  EXPECT_TRUE(cnf.EndAlternative());
+  cnf.AddAtom(Eq(V(0), C(3)));
+  EXPECT_TRUE(cnf.EndAlternative());
+  EXPECT_TRUE(cnf.EndClause());
+  EXPECT_TRUE(cnf.Solve());
+  // Without the empty alternative, (x = 2 OR x = 3) fails under x = 1.
+  EXPECT_FALSE(SolveChoices(cnf, Conjunction{Eq(V(0), C(1))},
+                            {{Conjunction{Eq(V(0), C(2))},
+                              Conjunction{Eq(V(0), C(3))}}}));
+}
+
+TEST(ChoiceCnfTest, ContradictingUnitClauseEndsTheBuild) {
+  ChoiceCnf cnf;
+  cnf.Clear();
+  ASSERT_TRUE(cnf.AddBase(Conjunction{Neq(V(0), C(1))}));
+  // (x = 2 AND y = 3) is a unit clause: it joins the base.
+  cnf.AddAtoms(Conjunction{Eq(V(0), C(2)), Eq(V(1), C(3))});
+  cnf.EndAlternative();
+  EXPECT_TRUE(cnf.EndClause());
+  // (y = 4 OR 1 = 2): the second alternative is trivially false, so this is
+  // the unit clause y = 4, which contradicts y = 3.
+  cnf.AddAtom(Eq(V(1), C(4)));
+  cnf.EndAlternative();
+  cnf.AddAtom(Eq(C(1), C(2)));
+  cnf.EndAlternative();
+  EXPECT_FALSE(cnf.EndClause());
+  EXPECT_FALSE(cnf.Solve());
+  // A clause whose every alternative is trivially false ends it too, and so
+  // does a contradictory base.
+  EXPECT_FALSE(SolveChoices(cnf, Conjunction(),
+                            {{Conjunction{Neq(V(0), V(0))}}}));
+  EXPECT_FALSE(SolveChoices(cnf, Conjunction{Eq(V(0), C(1)), Eq(V(0), C(2))},
+                            {}));
+  // Cleared, the same object answers a satisfiable problem.
+  EXPECT_TRUE(SolveChoices(cnf, Conjunction(), {}));
+}
+
+TEST(ChoiceCnfTest, TwoSearchesOnOneThreadAreIndependent) {
+  // Both are built interleaved over the same variables; a's clauses force
+  // x = 1, b's forbid it.
+  ChoiceCnf a;
+  ChoiceCnf b;
+  a.Clear();
+  b.Clear();
+  ASSERT_TRUE(a.AddBase(Conjunction{Neq(V(0), C(2))}));
+  ASSERT_TRUE(b.AddBase(Conjunction{Neq(V(0), C(1))}));
+  for (ConstId c : {1, 2}) {
+    a.AddAtom(Eq(V(0), C(c)));
+    a.EndAlternative();
+    b.AddAtom(Eq(V(0), C(c)));
+    b.AddAtom(Eq(V(1), C(c)));
+    b.EndAlternative();
+  }
+  ASSERT_TRUE(a.EndClause());
+  ASSERT_TRUE(b.EndClause());
+  // b: (y = 1) is a unit clause, which with x = 2 AND y = 2 leaves none.
+  b.AddAtom(Eq(V(1), C(1)));
+  b.EndAlternative();
+  ASSERT_TRUE(b.EndClause());
+  EXPECT_TRUE(a.Solve());
+  EXPECT_FALSE(b.Solve());
+  // Reused after Clear, each answers its new problem alone.
+  EXPECT_TRUE(SolveChoices(b, Conjunction(), {{Conjunction{Eq(V(0), C(1))}}}));
+  EXPECT_FALSE(SolveChoices(a, Conjunction{Eq(V(0), C(2))},
+                            {{Conjunction{Eq(V(0), C(1))}}}));
 }
 
 }  // namespace

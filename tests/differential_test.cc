@@ -81,6 +81,16 @@
 //     conditions, must agree with comparing I against every world
 //     (testutil::EveryImageIs), on a table and on a view's image.
 //
+// 10. Stratum-scheduled fixpoints — on layered programs, the SCC schedule
+//     must represent the per-world fixpoints on both backends, and the
+//     demand path must equal the restricted full fixpoint.
+//
+// 11. Membership and possibility — MembershipSearch and the identity view's
+//     bounded Possibility, both clauses for the one search (ChoiceCnf in
+//     condition/backend.h), must agree with the per-world oracles
+//     (testutil::IsWorld, PossibilitySearch) on two-table c-databases that
+//     share nulls.
+//
 // Families 1-6 additionally run wholesale on the decision-diagram backend
 // via the PW_CONDITION_BACKEND=dd environment variable (the CI matrix's
 // tsan-dd cell does exactly that).
@@ -99,6 +109,7 @@
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
+#include "decision/membership.h"
 #include "decision/possibility.h"
 #include "decision/uniqueness.h"
 #include "decision/view.h"
@@ -1593,6 +1604,98 @@ TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StratumDifferentialTest,
                          ::testing::Range(0, 15));
+
+// --- Family 11: membership and possibility ----------------------------------
+
+class MembershipPossibilityDifferentialTest
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
+  // MembershipSearch and the identity view's Possibility (one clause per
+  // pattern fact over the table's rows) build clauses for the one search,
+  // ChoiceCnf (condition/backend.h). On two-table c-databases with local conditions,
+  // global =/!= atoms and nulls shared across the tables, MEMB must agree
+  // with comparing against every world (testutil::IsWorld) on every
+  // enumerated world, each world minus one fact and each world plus one
+  // fact over the context constants; POSS of 1-3 facts must agree with
+  // PossibilitySearch.
+  const unsigned case_seed = 15000 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  std::uniform_int_distribution<int> any_relation(0, 1);
+  std::uniform_int_distribution<ConstId> any_const(0, 3);
+  for (int round = 0; round < 3; ++round) {
+    RandomCTableOptions options = testutil::SmallCTableOptions(
+        /*arity=*/2, /*num_rows=*/2 + round % 2, /*num_constants=*/3,
+        /*num_variables=*/3, /*num_local_atoms=*/1 + GetParam() % 2,
+        /*num_global_atoms=*/GetParam() % 3);
+    CDatabase db(
+        std::vector<CTable>{RandomCTable(options, rng),
+                            RandomCTable(options, rng)});
+    std::vector<Instance> candidates;
+    auto add = [&candidates](Instance instance) {
+      if (std::find(candidates.begin(), candidates.end(), instance) ==
+          candidates.end()) {
+        candidates.push_back(std::move(instance));
+      }
+    };
+    WorldEnumOptions wopts;
+    wopts.extra_constants = {0, 1, 2, 3};
+    ForEachWorld(db, wopts, [&](const Instance& world, const Valuation&) {
+      add(world);
+      return true;
+    });
+    const size_t num_worlds = candidates.size();
+    for (size_t w = 0; w < num_worlds; ++w) {
+      const Instance world = candidates[w];
+      for (size_t k = 0; k < 2; ++k) {
+        std::vector<Fact> facts = world.relation(k).ToVector();
+        for (size_t drop = 0; drop < facts.size(); ++drop) {
+          std::vector<Fact> fewer = facts;
+          fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(drop));
+          Instance smaller = world;
+          smaller.mutable_relation(k) = Relation(2, fewer);
+          add(std::move(smaller));
+        }
+      }
+      Instance larger = world;
+      larger.mutable_relation(any_relation(rng))
+          .Insert(Fact{any_const(rng), any_const(rng)});
+      add(std::move(larger));
+    }
+    for (const Instance& instance : candidates) {
+      EXPECT_EQ(MembershipSearch(db, instance), testutil::IsWorld(db, instance))
+          << "MEMB diverged on\n"
+          << instance.ToString() << "in\n"
+          << FormatCDatabase(db);
+    }
+    for (int draw = 0; draw < 8; ++draw) {
+      // Facts of one world (often possible together) or random ones.
+      std::vector<LocatedFact> pattern;
+      for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+        size_t k = static_cast<size_t>(any_relation(rng));
+        std::vector<Fact> facts;
+        if (num_worlds > 0 && draw % 2 == 0) {
+          facts = candidates[static_cast<size_t>(draw) % num_worlds]
+                      .relation(k)
+                      .ToVector();
+        }
+        pattern.push_back({k, facts.empty()
+                                  ? Fact{any_const(rng), any_const(rng)}
+                                  : facts[rng() % facts.size()]});
+      }
+      EXPECT_EQ(Possibility(View::Identity(), db, pattern),
+                PossibilitySearch(View::Identity(), db, pattern))
+          << "POSS diverged on " << pattern.size() << " facts, first ("
+          << pattern[0].fact[0] << ", " << pattern[0].fact[1]
+          << ") in relation " << pattern[0].relation << ", in\n"
+          << FormatCDatabase(db);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MembershipPossibilityDifferentialTest,
+                         ::testing::Range(0, 20));
 
 }  // namespace
 }  // namespace pw

@@ -181,6 +181,19 @@ inline bool FactInEveryWorld(const CDatabase& db, size_t relation,
   return certain;
 }
 
+/// The per-world oracle of membership: true iff `instance` is a world of
+/// rep(db).
+inline bool IsWorld(const CDatabase& db, const Instance& instance) {
+  WorldEnumOptions options;
+  options.extra_constants = instance.Constants();
+  bool found = false;
+  ForEachWorld(db, options, [&](const Instance& world, const Valuation&) {
+    found = world == instance;
+    return !found;
+  });
+  return found;
+}
+
 /// The per-world oracle of uniqueness: true iff rep(db) is not empty and
 /// `q` maps every world of it to `instance`.
 inline bool EveryImageIs(const RaQuery& q, const CDatabase& db,

@@ -12,6 +12,7 @@
 #include "decision/uniqueness.h"
 #include "decision/view.h"
 #include "tables/ctable.h"
+#include "tables/text_format.h"
 
 namespace pw {
 namespace {
@@ -96,6 +97,54 @@ TEST(ViewTest, RelationReferenceThatDoesNotFitReadsEmpty) {
   View both = View::Ra({RaExpr::Union(RaExpr::Rel(0, 2), RaExpr::Rel(3, 2))});
   EXPECT_TRUE(Possibility(both, db, {{0, Fact{1, 5}}}));
   EXPECT_FALSE(Certainty(both, db, {{0, Fact{1, 5}}}));
+}
+
+TEST(ViewTest, DatalogProgramThatDoesNotFitReadsEmpty) {
+  // q(x, y) :- e0(x, y), e1(y, x) over the one-table database {(1, x0)}:
+  // e1 names no table, so it is empty in every world, in every build mode
+  // (decision/view.h), and so is q. Before, the complete-information
+  // fixpoint read past the instance's relations, through the CERT
+  // dispatcher's g-table path and through the world search.
+  DatalogProgram program({2, 2, 2}, /*num_edb=*/2);
+  DatalogRule rule;
+  rule.head = {2, Tuple{V(0), V(1)}};
+  rule.body = {{0, Tuple{V(0), V(1)}}, {1, Tuple{V(1), V(0)}}};
+  program.AddRule(rule);
+  CTable e0(2);
+  e0.AddRow(Tuple{C(1), V(0)});
+  View view = View::Datalog(program, {2});
+  const std::vector<LocatedFact> fact = {{0, Fact{1, 2}}};
+  Instance empty({Relation(2)});
+  for (const CDatabase& db :
+       {CDatabase{e0}, CDatabase(std::vector<CTable>{e0, CTable(3)})}) {
+    EXPECT_FALSE(Certainty(view, db, fact)) << FormatCDatabase(db);
+    EXPECT_FALSE(CertaintySearch(view, db, fact)) << FormatCDatabase(db);
+    EXPECT_FALSE(Possibility(view, db, fact)) << FormatCDatabase(db);
+    EXPECT_FALSE(PossibilitySearch(view, db, fact)) << FormatCDatabase(db);
+    EXPECT_TRUE(MembershipInView(view, db, empty)) << FormatCDatabase(db);
+    EXPECT_TRUE(Uniqueness(view, db, empty)) << FormatCDatabase(db);
+  }
+  // e1 as a ternary table whose first two columns would make q(1, 2)
+  // certain: at another arity than the program's, it is empty too.
+  CTable ground(2);
+  ground.AddRow(Tuple{C(1), C(2)});
+  CTable ternary(3);
+  ternary.AddRow(Tuple{C(2), C(1), C(5)});
+  CDatabase misfit(std::vector<CTable>{ground, ternary});
+  EXPECT_FALSE(Certainty(view, misfit, fact));
+  EXPECT_FALSE(Possibility(view, misfit, fact));
+  EXPECT_FALSE(PossibilitySearch(view, misfit, fact));
+  // An output predicate that the program lacks is an empty relation of
+  // arity 0.
+  View missing = View::Datalog(program, {7});
+  for (const Fact& f : {Fact{1, 2}, Fact{}}) {
+    EXPECT_FALSE(Certainty(missing, misfit, {{0, f}}));
+    EXPECT_FALSE(CertaintySearch(missing, misfit, {{0, f}}));
+    EXPECT_FALSE(Possibility(missing, misfit, {{0, f}}));
+    EXPECT_FALSE(PossibilitySearch(missing, misfit, {{0, f}}));
+  }
+  EXPECT_TRUE(MembershipInView(missing, misfit, Instance({Relation(0)})));
+  EXPECT_FALSE(MembershipInView(missing, misfit, empty));
 }
 
 // Some world differs from I: for an I in rep(database), UniquenessSearch is
