@@ -2,15 +2,16 @@
 //
 // Measures the serving stack of examples/pwserve.cpp: reader threads
 // answering possibility/certainty queries against snapshots of a
-// VersionedCDatabase, with every condition resolved through one shared
-// ConditionInterner (frozen tables, warmed id caches). Two families:
+// VersionedCDatabase (frozen tables with pinned id caches), each thread
+// resolving conditions through its own ConditionInterner::Global(). Two
+// families:
 //
 //   BM_ServeThroughput_Snapshot/T — T reader threads (a ThreadPool; the
 //     timed region fans T*8 query slots across them) over published
 //     snapshots. The JSON items_per_second (queries/sec against real time)
 //     is the scaling signal: CI fails when 4 threads do not beat 1 thread
 //     by the --min-scale factor (tools/check_bench_regression.py), i.e.
-//     when a lock serializes the readers and scaling collapses.
+//     when something serializes the readers and scaling collapses.
 //
 //   BM_ServeThroughput_Direct/1 — the same query sequence, single thread,
 //     against a plain (unfrozen, unshared) CDatabase with the thread-local
@@ -18,8 +19,9 @@
 //     replays Snapshot's writer sequence on its plain table, so both answer
 //     queries over the same database at every iteration. Paired as
 //     *_Snapshot/1 vs *_Direct/1 in the regression gate, bounding the
-//     absolute overhead of the sharing machinery (shard locks, frozen-cache
-//     indirection, snapshot publication) on one thread.
+//     absolute overhead of the sharing machinery (pinned caches that a
+//     reader's interner re-interns past, snapshot publication, the pool
+//     hand-off) on one thread.
 //
 // The writer is outside the timed region: mutations run between iterations
 // (publishing a fresh version each time) so reads hit live, recently-
@@ -97,9 +99,10 @@ void WriteEdge(CDatabase& db, std::mt19937& writer_rng) {
 
 void BM_ServeThroughput_Snapshot(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
+  // The writer's interner, used by this thread only (Mutate runs here);
+  // every reader interns into its own thread's Global().
   ConditionInterner interner;
   VersionedCDatabase versioned(EdgeChain(kChain, kNullGap), interner);
-  ConditionInterner::SetProcessShared(&interner);
   ThreadPool pool(threads);
 
   const size_t slots = kSlotsPerThread * threads;
@@ -119,11 +122,10 @@ void BM_ServeThroughput_Snapshot(benchmark::State& state) {
     ++round;
     state.ResumeTiming();
   }
-  ConditionInterner::SetProcessShared(nullptr);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(slots * kQueriesPerSlot));
   state.counters["versions"] = static_cast<double>(versioned.version());
-  state.SetLabel("snapshot reads, shared interner, " +
+  state.SetLabel("snapshot reads, per-thread interners, " +
                  std::to_string(threads) + " reader thread(s)");
 }
 BENCHMARK(BM_ServeThroughput_Snapshot)
@@ -167,7 +169,7 @@ int main(int argc, char** argv) {
   pw::benchutil::Header(
       "EXTENSION: concurrent query-service throughput",
       "Reader threads answer possibility/certainty queries against "
-      "versioned snapshots over one shared condition interner; CI gates "
+      "versioned snapshots, each over its own condition interner; CI gates "
       "both the single-thread overhead vs the direct seed path and the "
       "4-thread scaling factor.");
   benchmark::Initialize(&argc, argv);

@@ -4,14 +4,14 @@
 // the in-place update APIs, published as versioned snapshots), while N
 // reader threads issue a mixed query load against whatever version they
 // snapshot: possibility and certainty of fact patterns (the decision
-// procedures, resolving conditions through the process-shared interner) and
-// full conditioned transitive-closure fixpoints (each reader drives its own
-// single-owner ConditionedFixpoint over the shared interner).
+// procedures) and full conditioned transitive-closure fixpoints (each reader
+// drives its own single-owner ConditionedFixpoint). Every reader resolves
+// conditions through its own thread's ConditionInterner::Global().
 //
 // This is the demo wired through every piece of the threading model
-// (README "Threading model"): VersionedCDatabase snapshots, the shared
-// ConditionInterner installed process-wide, frozen tables with warmed
-// condition caches, and COW table storage under the writer.
+// (README "Threading model"): VersionedCDatabase snapshots, per-thread
+// interners, frozen tables with pinned condition caches, and COW table
+// storage under the writer.
 //
 // Usage:
 //   pwserve [num_readers] [duration_seconds] [chain_length]
@@ -91,11 +91,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The writer's interner: the initial freeze runs here, every later one in
+  // the writer thread, and no reader touches it.
   ConditionInterner interner;
   VersionedCDatabase versioned(EdgeChain(chain, /*gap=*/6), interner);
-  // The decision procedures resolve conditions through Global(); route it
-  // to the shared interner so every reader hits the warmed caches.
-  ConditionInterner::SetProcessShared(&interner);
 
   DatalogProgram tc = TransitiveClosure();
   std::atomic<bool> stop{false};
@@ -126,8 +125,6 @@ int main(int argc, char** argv) {
       std::mt19937 rng(100 + r);
       std::uniform_int_distribution<int> node(0, chain);
       std::uniform_int_distribution<int> kind(0, 9);
-      DatalogCTableOptions options;
-      options.interner = &interner;
       ReaderTally& tally = tallies[r];
       while (!stop.load(std::memory_order_acquire)) {
         VersionedCDatabase::Snapshot snap = versioned.Read();
@@ -143,7 +140,7 @@ int main(int argc, char** argv) {
           tally.yes += Certainty(View::Identity(), snap.db, pattern);
           ++tally.certainty;
         } else {
-          CDatabase out = DatalogOnCTables(tc, snap.db, nullptr, options);
+          CDatabase out = DatalogOnCTables(tc, snap.db);
           tally.yes += out.table(1).num_rows() > 0;
           ++tally.datalog;
         }
@@ -156,7 +153,6 @@ int main(int argc, char** argv) {
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
   writer.join();
-  ConditionInterner::SetProcessShared(nullptr);
 
   size_t total = 0;
   for (int r = 0; r < num_readers; ++r) {
@@ -170,7 +166,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "total: %zu queries over %.1fs with %d readers -> %.0f q/s; "
-      "%zu versions published; %zu conditions interned\n",
+      "%zu versions published; %zu conditions interned by the writer\n",
       total, seconds, num_readers,
       static_cast<double>(total) / seconds,
       versions_published.load(), interner.num_conjunctions());

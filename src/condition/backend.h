@@ -25,10 +25,9 @@
 // a passthrough). Ids are append-only for the backend's lifetime.
 //
 // Threading: a backend is single-owner. Its tables and caches have no locks,
-// so drive it from one thread; each ConditionedFixpoint owns its own.
-// The interner it sits on may be shared: backends on different threads can
-// use one interner once it is in shared mode
-// (ConditionInterner::EnableSharing).
+// so drive it from one thread; each ConditionedFixpoint owns its own. So is
+// the interner it sits on: backends on different threads sit on different
+// interners (each thread's ConditionInterner::Global() by default).
 //
 // Below them: the decision layer's one search, ChoiceCnf, and the
 // implication test ConjImpliesDisjunction that runs on it.
@@ -77,7 +76,7 @@ class ConditionBackend {
   ConditionBackend& operator=(const ConditionBackend&) = delete;
 
   /// The interner conjunction ids and atoms refer to. Must outlive the
-  /// backend; Clear()/RebaseInto() on it invalidate every CondId.
+  /// backend; Clear() on it invalidates every CondId.
   ConditionInterner& interner() const { return *interner_; }
 
   virtual const char* name() const = 0;

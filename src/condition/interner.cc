@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <utility>
 
 #include "condition/binding_env.h"
@@ -18,7 +17,8 @@ uint64_t NextStamp() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// The Global() override installed by SetProcessShared().
+/// The Global() override installed by SetProcessShared(). Atomic because
+/// every thread reads it, while the interner it points to is single-owner.
 std::atomic<ConditionInterner*> process_shared{nullptr};
 
 }  // namespace
@@ -26,17 +26,12 @@ std::atomic<ConditionInterner*> process_shared{nullptr};
 void ConditionInterner::InitSentinels() {
   // Reserve the two sentinel ids. kTrueConj is the empty conjunction;
   // kFalseConj materializes as {0 != 0}, the paper's encoding of `false`.
-  // Runs single-threaded (construction / Clear), so storage appends and map
-  // writes need no locks beyond the mode-aware helpers in InternAtom.
-  ConjEntry true_entry;
-  conjs_.Append(std::move(true_entry));
-  canonical_ids_.ShardFor(IdVecHash{}(std::vector<AtomId>{}))
-      .map.emplace(std::vector<AtomId>{}, kTrueConj);
+  conjs_.emplace_back();
+  canonical_ids_.emplace(std::vector<AtomId>{}, kTrueConj);
 
-  ConjEntry false_entry;
+  ConjEntry& false_entry = conjs_.emplace_back();
   false_entry.atoms.push_back(InternAtom(FalseAtom()));
   false_entry.canonical = Conjunction{FalseAtom()};
-  conjs_.Append(std::move(false_entry));
 }
 
 ConditionInterner::ConditionInterner() : stamp_(NextStamp()) {
@@ -44,82 +39,35 @@ ConditionInterner::ConditionInterner() : stamp_(NextStamp()) {
 }
 
 void ConditionInterner::Clear() {
-  atoms_.Clear();
-  atom_ids_.ClearAll();
-  conjs_.Clear();
-  canonical_ids_.ClearAll();
-  syntactic_ids_.ClearAll();
-  and_cache_.ClearAll();
-  implies_cache_.ClearAll();
+  atoms_.clear();
+  atom_ids_.clear();
+  conjs_.clear();
+  canonical_ids_.clear();
+  syntactic_ids_.clear();
+  and_cache_.Clear();
+  implies_cache_.Clear();
   InitSentinels();
   ++generation_;
   stamp_ = NextStamp();
 }
 
-std::vector<ConjId> ConditionInterner::RebaseInto(
-    ConditionInterner& dst) const {
-  std::vector<ConjId> map(conjs_.size());
-  map[kTrueConj] = kTrueConj;
-  map[kFalseConj] = kFalseConj;
-  for (ConjId id = kFalseConj + 1; id < conjs_.size(); ++id) {
-    map[id] = dst.Intern(conjs_[id].canonical);
-  }
-  return map;
-}
-
-std::vector<AtomId>& ConditionInterner::ScratchKey() {
-  if (!shared()) return scratch_key_;
-  static thread_local std::vector<AtomId> key;
-  return key;
-}
-
-BindingEnv& ConditionInterner::ScratchEnv() {
-  if (!shared()) return scratch_env_;
-  static thread_local BindingEnv env;
-  return env;
-}
-
 AtomId ConditionInterner::InternAtom(const CondAtom& atom) {
-  auto& shard = atom_ids_.ShardFor(CondAtomHash{}(atom));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(atom);
-    if (it != shard.map.end()) return it->second;
-  }
-  auto lock = WriteLock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(atom, AtomId{0});
-  if (inserted) {
-    auto storage = StorageLock(atom_storage_mutex_);
-    it->second = static_cast<AtomId>(atoms_.Append(atom));
-  }
+  auto [it, inserted] =
+      atom_ids_.try_emplace(atom, static_cast<AtomId>(atoms_.size()));
+  if (inserted) atoms_.push_back(atom);
   return it->second;
 }
 
 ConjId ConditionInterner::InternCanonical(std::vector<AtomId> ids) {
-  auto& shard = canonical_ids_.ShardFor(IdVecHash{}(ids));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(ids);
-    if (it != shard.map.end()) {
-      Bump(&Stats::canonical_hits);
-      return it->second;
-    }
+  auto [it, inserted] =
+      canonical_ids_.try_emplace(ids, static_cast<ConjId>(conjs_.size()));
+  if (!inserted) {
+    ++stats_.canonical_hits;
+    return it->second;
   }
-  // Materialize the entry outside the unique lock (atom resolution is
-  // lock-free), then publish under it — the re-check via emplace keeps ids
-  // unique when two threads canonicalize the same conjunction at once.
-  ConjEntry entry;
+  ConjEntry& entry = conjs_.emplace_back();
   for (AtomId a : ids) entry.canonical.Add(atoms_[a]);
-  entry.atoms = ids;
-
-  auto lock = WriteLock(shard.mutex);
-  auto [it, inserted] = shard.map.emplace(std::move(ids), ConjId{0});
-  if (inserted) {
-    auto storage = StorageLock(conj_storage_mutex_);
-    it->second = static_cast<ConjId>(conjs_.Append(std::move(entry)));
-  } else {
-    Bump(&Stats::canonical_hits);
-  }
+  entry.atoms = std::move(ids);
   return it->second;
 }
 
@@ -148,7 +96,7 @@ ConjId ConditionInterner::Canonicalize(const Conjunction& conjunction) {
 
   // Slow path: run the congruence closure in the (capacity-retaining)
   // scratch environment.
-  BindingEnv& env = ScratchEnv();
+  BindingEnv& env = scratch_env_;
   env.Revert(0);
   if (!env.Assert(conjunction)) return kFalseConj;
 
@@ -213,33 +161,22 @@ ConjId ConditionInterner::Canonicalize(const Conjunction& conjunction) {
 }
 
 ConjId ConditionInterner::Intern(const Conjunction& conjunction) {
-  Bump(&Stats::intern_calls);
+  ++stats_.intern_calls;
   if (conjunction.size() == 0) return kTrueConj;
 
   // The syntactic key is built in a reused scratch buffer so cache hits (the
   // hot case) do no allocation; only a miss copies the key into the map.
-  std::vector<AtomId>& key = ScratchKey();
-  key.clear();
-  key.reserve(conjunction.size());
+  scratch_key_.clear();
   for (const CondAtom& a : conjunction.atoms()) {
-    key.push_back(InternAtom(a));
+    scratch_key_.push_back(InternAtom(a));
   }
-  auto& shard = syntactic_ids_.ShardFor(IdVecHash{}(key));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      Bump(&Stats::syntactic_hits);
-      return it->second;
-    }
+  auto it = syntactic_ids_.find(scratch_key_);
+  if (it != syntactic_ids_.end()) {
+    ++stats_.syntactic_hits;
+    return it->second;
   }
-  // Canonicalize without holding the shard lock (the closure interns atoms
-  // and the canonical form, which take their own locks); a concurrent
-  // interner of the same key computes the same id, so the emplace re-check
-  // keeps the map consistent.
   ConjId id = Canonicalize(conjunction);
-  auto lock = WriteLock(shard.mutex);
-  shard.map.emplace(key, id);
+  syntactic_ids_.emplace(scratch_key_, id);
   return id;
 }
 
@@ -249,24 +186,20 @@ ConjId ConditionInterner::And(ConjId a, ConjId b) {
   if (b == kTrueConj) return a;
   if (a == b) return a;
 
-  Bump(&Stats::and_calls);
+  ++stats_.and_calls;
   std::pair<ConjId, ConjId> key{std::min(a, b), std::max(a, b)};
-  auto& shard = and_cache_.ShardFor(PairHash{}(key));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      Bump(&Stats::and_hits);
-      return it->second;
-    }
+  auto& memo = and_cache_.PartitionFor(key);
+  auto it = memo.find(key);
+  if (it != memo.end()) {
+    ++stats_.and_hits;
+    return it->second;
   }
   // Conjoining two canonical conjunctions can force fresh congruence merges
   // (e.g. {x = y} AND {y = 3}), so run the full closure on the union.
   Conjunction merged = conjs_[a].canonical;
   merged.AddAll(conjs_[b].canonical);
   ConjId out = Canonicalize(merged);
-  auto lock = WriteLock(shard.mutex);
-  MemoEmplace(shard, key, out);
+  MemoEmplace(memo, key, out);
   return out;
 }
 
@@ -274,7 +207,7 @@ bool ConditionInterner::Implies(ConjId a, ConjId b) {
   if (a == kFalseConj || b == kTrueConj || a == b) return true;
   if (a == kTrueConj || b == kFalseConj) return false;
 
-  Bump(&Stats::implies_calls);
+  ++stats_.implies_calls;
   // Subset fast path: canonical atom-id vectors are sorted by atom value
   // (InternAtom preserves discovery order, but both vectors were built from
   // value-sorted atoms, so a merge walk over atom values works). A superset
@@ -287,25 +220,22 @@ bool ConditionInterner::Implies(ConjId a, ConjId b) {
       if (i < need.size() && need[i] == id) ++i;
     }
     if (i == need.size()) {
-      Bump(&Stats::implies_hits);
+      ++stats_.implies_hits;
       return true;
     }
   }
 
   std::pair<ConjId, ConjId> key{a, b};
-  auto& shard = implies_cache_.ShardFor(PairHash{}(key));
-  {
-    auto lock = ReadLock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      Bump(&Stats::implies_hits);
-      return it->second;
-    }
+  auto& memo = implies_cache_.PartitionFor(key);
+  auto it = memo.find(key);
+  if (it != memo.end()) {
+    ++stats_.implies_hits;
+    return it->second;
   }
   // Full congruence check: a implies b iff a AND NOT atom is unsatisfiable
   // for every atom of b.
   bool out = true;
-  BindingEnv& env = ScratchEnv();
+  BindingEnv& env = scratch_env_;
   env.Revert(0);
   if (env.Assert(conjs_[a].canonical)) {
     for (const CondAtom& atom : conjs_[b].canonical.atoms()) {
@@ -318,19 +248,18 @@ bool ConditionInterner::Implies(ConjId a, ConjId b) {
       }
     }
   }
-  auto lock = WriteLock(shard.mutex);
-  MemoEmplace(shard, key, out);
+  MemoEmplace(memo, key, out);
   return out;
 }
 
 void ConditionInterner::SetProcessShared(ConditionInterner* interner) {
-  assert(interner == nullptr || interner->shared());
   process_shared.store(interner, std::memory_order_release);
 }
 
 ConditionInterner& ConditionInterner::Global() {
-  ConditionInterner* shared = process_shared.load(std::memory_order_acquire);
-  if (shared != nullptr) return *shared;
+  ConditionInterner* installed =
+      process_shared.load(std::memory_order_acquire);
+  if (installed != nullptr) return *installed;
   static thread_local ConditionInterner interner;
   return interner;
 }

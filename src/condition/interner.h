@@ -36,51 +36,37 @@
 //     cached id is valid exactly while the stamp under which it was produced
 //     equals the interner's current stamp;
 //   - `Clear()` starts a new generation: every table is dropped back to the
-//     two sentinel ids (capacity retained) and the stamp changes, so stale
-//     stamped caches re-intern transparently instead of reading freed state;
-//   - a per-request *child* interner can be used for scoped work and its
-//     surviving ids carried over with `RebaseInto(parent)`, which re-interns
-//     every conjunction into the parent and returns the id translation;
-//     memoized verdicts are preserved (false maps to false, true to true).
+//     two sentinel ids and the stamp changes, so stale stamped caches
+//     re-intern transparently instead of reading freed state.
 //
-// Threading model. By default an interner is single-threaded and `Global()`
-// returns a thread-local instance, so concurrent evaluators never contend.
-// Calling `EnableSharing()` switches one instance into *shared* mode: the
-// unique-tables and the And/Implies memo tables are sharded 16 ways behind
-// per-shard std::shared_mutex (lookups take a shared lock, misses a unique
-// one), element storage moves through lock-free StableStores, and scratch
-// state becomes thread-local — after that, Intern/And/Implies/Resolve and
-// friends are safe from any number of threads. The single-threaded path
-// stays zero-cost: when sharing is off every lock constructs deferred and
-// never touches the mutex. Clear() and RebaseInto() still require external
-// quiescence (no concurrent calls) even in shared mode, and `stats()` stops
-// counting once sharing is enabled (the counters would be a contention
-// point). `SetProcessShared()` installs a shared instance as the process-
-// wide target of `Global()`, which routes the library-internal fast paths
-// (decision procedures, CTable::Normalized) to the shared tables — the
-// serving loop uses this so reader threads and the writer agree on one
-// stamp and warmed row caches stay hits.
+// Threading model. An interner is single-owner: one thread uses it, and
+// nothing in it takes a lock. `Global()` returns a thread-local instance, so
+// concurrent evaluators never contend. `SetProcessShared()` installs one
+// instance as the result of `Global()` on every thread, for a process whose
+// one thread uses it (the `serve` loop of the repository benchmark routes
+// the library-internal fast paths — decision procedures,
+// CTable::Normalized — to the interner its snapshots were frozen under).
 //
 // The stamped id caches rows and tables carry (CRow::LocalId,
-// CTable::GlobalId) are lazily *written* on first use, so sharing a table
-// across threads additionally requires warming those caches first — see
-// CTable::PrepareForSharing.
+// CTable::GlobalId) are lazily *written* on first use. A table shared across
+// threads is frozen first (CTable::PrepareForSharing): its caches are warmed
+// for the writer's interner and pinned, so a reader thread that asks with
+// its own interner interns the condition there and leaves the cache alone.
 
 #ifndef PW_CONDITION_INTERNER_H_
 #define PW_CONDITION_INTERNER_H_
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
+#include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "condition/atom.h"
 #include "condition/binding_env.h"
 #include "condition/conjunction.h"
-#include "util/stable_store.h"
 
 namespace pw {
 
@@ -168,55 +154,35 @@ class ConditionInterner {
   uint64_t generation() const { return generation_; }
 
   /// Starts a new generation: drops every interned atom, conjunction, and
-  /// pair cache back to the two sentinels (retaining container capacity) and
-  /// changes the stamp, invalidating all outstanding ids and stamped caches.
-  /// Stats are not reset. Requires exclusive access (no concurrent use of
-  /// this interner, even in shared mode).
+  /// pair cache back to the two sentinels and changes the stamp,
+  /// invalidating all outstanding ids and stamped caches. Stats are not
+  /// reset.
   void Clear();
 
-  /// Re-interns every conjunction of this interner into `dst` and returns
-  /// the translation: result[id] is the id in `dst` of the conjunction `id`
-  /// denotes here. kTrueConj and kFalseConj map to themselves, so memoized
-  /// satisfiability verdicts survive the rebase. Typical use: run a request
-  /// against a scratch child interner, then rebase surviving row ids into
-  /// the long-lived parent. Requires exclusive access to `this`.
-  std::vector<ConjId> RebaseInto(ConditionInterner& dst) const;
+  // --- Routing and memo bounds ----------------------------------------------
 
-  // --- Sharing ---------------------------------------------------------------
-
-  /// Switches this instance into shared (thread-safe) mode. Irreversible.
-  /// Must be called before the instance is visible to other threads. After
-  /// this, stats() stops counting (see class comment).
-  void EnableSharing() { shared_.store(true, std::memory_order_release); }
-
-  /// True once EnableSharing() was called.
-  bool shared() const { return shared_.load(std::memory_order_relaxed); }
-
-  /// Installs `interner` (which must be in shared mode) as the process-wide
-  /// result of Global(), overriding the per-thread instances; nullptr
-  /// restores the thread-local default. Callers own the lifetime: reset the
-  /// override before destroying the instance.
+  /// Installs `interner` as the result of Global() on every thread,
+  /// overriding the per-thread instances; nullptr restores the thread-local
+  /// default. The interner stays single-owner: only one thread may use it.
+  /// Callers own the lifetime: reset the override before destroying the
+  /// instance.
   static void SetProcessShared(ConditionInterner* interner);
 
-  /// Bounds the And/Implies memo tables for long-lived shared interners:
-  /// each of their 16 shards holds at most `per_shard` entries, and a shard
-  /// at capacity is dropped wholesale before the next insert (no LRU
-  /// bookkeeping on the read path, so lookups stay a single shared-lock
-  /// probe). 0 (the default) means unbounded. Only the *memo* tables evict —
-  /// the atom/conjunction unique-tables never do, so interned ids stay valid
-  /// and eviction can only cost recomputation, never change a verdict.
-  /// Safe to call at any time, including on a shared instance.
-  void SetMemoCapacity(size_t per_shard) {
-    memo_capacity_.store(per_shard, std::memory_order_relaxed);
+  /// Bounds the And/Implies memo tables for long-lived interners: each of
+  /// their 16 hash partitions holds at most `per_partition` entries, and a
+  /// partition at capacity is dropped wholesale before the next insert (no
+  /// LRU bookkeeping on the read path). 0 (the default) means unbounded.
+  /// Only the *memo* tables evict — the atom/conjunction unique-tables never
+  /// do, so interned ids stay valid and eviction can only cost
+  /// recomputation, never change a verdict.
+  void SetMemoCapacity(size_t per_partition) {
+    memo_capacity_ = per_partition;
   }
 
-  /// Number of memo-shard drops since construction (And + Implies).
-  uint64_t memo_evictions() const {
-    return memo_evictions_.load(std::memory_order_relaxed);
-  }
+  /// Number of memo-partition drops since construction (And + Implies).
+  uint64_t memo_evictions() const { return memo_evictions_; }
 
-  /// Cache-effectiveness counters (for benches and tests). Frozen (no longer
-  /// updated) once EnableSharing() was called.
+  /// Cache-effectiveness counters (for benches and tests).
   struct Stats {
     uint64_t intern_calls = 0;      // Intern() invocations
     uint64_t syntactic_hits = 0;    // resolved without running closure
@@ -230,8 +196,8 @@ class ConditionInterner {
   void ResetStats() { stats_ = {}; }
 
   /// The interner used by the library fast paths (EvalOnCTables, the
-  /// decision procedures): the process-wide shared instance if one was
-  /// installed with SetProcessShared(), else a thread-local instance.
+  /// decision procedures): the instance installed with SetProcessShared(),
+  /// else a thread-local instance.
   static ConditionInterner& Global();
 
  private:
@@ -258,54 +224,33 @@ class ConditionInterner {
     }
   };
 
-  static constexpr size_t kNumShards = 16;
+  static constexpr size_t kMemoPartitions = 16;
 
-  /// One lock-striped hash map: lookups under a shared lock, inserts under a
-  /// unique one; in single-threaded mode the locks construct deferred and
-  /// cost nothing. The shard is picked from the key hash the caller already
-  /// computed.
-  template <typename Key, typename Value, typename Hash>
-  struct ShardedMap {
-    struct Shard {
-      mutable std::shared_mutex mutex;
-      std::unordered_map<Key, Value, Hash> map;
-    };
-    Shard shards[kNumShards];
+  /// A pairwise memo in kMemoPartitions hash partitions, each bounded on its
+  /// own by SetMemoCapacity.
+  template <typename Value>
+  struct PairMemo {
+    using Map = std::unordered_map<std::pair<ConjId, ConjId>, Value, PairHash>;
+    std::array<Map, kMemoPartitions> partitions;
 
-    Shard& ShardFor(size_t hash) { return shards[hash % kNumShards]; }
-    const Shard& ShardFor(size_t hash) const {
-      return shards[hash % kNumShards];
+    Map& PartitionFor(const std::pair<ConjId, ConjId>& key) {
+      return partitions[PairHash{}(key) % kMemoPartitions];
     }
-    void ClearAll() {
-      for (Shard& s : shards) s.map.clear();
+    void Clear() {
+      for (Map& m : partitions) m.clear();
     }
   };
 
-  std::shared_lock<std::shared_mutex> ReadLock(std::shared_mutex& m) const {
-    std::shared_lock<std::shared_mutex> lock(m, std::defer_lock);
-    if (shared()) lock.lock();
-    return lock;
+  /// Capacity-evicting memo insert shared by And and Implies.
+  template <typename Map>
+  void MemoEmplace(Map& partition, const typename Map::key_type& key,
+                   const typename Map::mapped_type& value) {
+    if (memo_capacity_ != 0 && partition.size() >= memo_capacity_) {
+      partition.clear();
+      ++memo_evictions_;
+    }
+    partition.emplace(key, value);
   }
-  std::unique_lock<std::shared_mutex> WriteLock(std::shared_mutex& m) const {
-    std::unique_lock<std::shared_mutex> lock(m, std::defer_lock);
-    if (shared()) lock.lock();
-    return lock;
-  }
-  std::unique_lock<std::mutex> StorageLock(std::mutex& m) const {
-    std::unique_lock<std::mutex> lock(m, std::defer_lock);
-    if (shared()) lock.lock();
-    return lock;
-  }
-
-  /// Stats bump that vanishes in shared mode.
-  void Bump(uint64_t Stats::* counter) {
-    if (!shared()) ++(stats_.*counter);
-  }
-
-  // Scratch selection: the members in single-threaded mode (capacity reuse
-  // per instance), thread-local buffers in shared mode (no contention).
-  std::vector<AtomId>& ScratchKey();
-  BindingEnv& ScratchEnv();
 
   /// Runs the congruence closure on `conjunction` and interns its canonical
   /// form (kFalseConj when unsatisfiable).
@@ -317,50 +262,33 @@ class ConditionInterner {
   /// Installs the two sentinel entries into empty tables.
   void InitSentinels();
 
-  // Element storage: ids index these; lock-free reads, appends serialized by
-  // the storage mutexes (taken only under the owning map's unique lock —
-  // lock order is always map shard, then storage).
-  StableStore<CondAtom> atoms_;
-  StableStore<ConjEntry> conjs_;
-  std::mutex atom_storage_mutex_;
-  std::mutex conj_storage_mutex_;
+  // Element storage: ids index these. A deque never moves its elements, so
+  // the references AtomOf/Resolve/AtomIdsOf return stay valid while later
+  // calls intern more (callers hold them across interning).
+  std::deque<CondAtom> atoms_;
+  std::deque<ConjEntry> conjs_;
 
-  ShardedMap<CondAtom, AtomId, CondAtomHash> atom_ids_;
+  std::unordered_map<CondAtom, AtomId, CondAtomHash> atom_ids_;
   // Canonical sorted atom-id vector -> ConjId.
-  ShardedMap<std::vector<AtomId>, ConjId, IdVecHash> canonical_ids_;
+  std::unordered_map<std::vector<AtomId>, ConjId, IdVecHash> canonical_ids_;
   // Syntactic (pre-closure, order-sensitive) atom-id vector -> ConjId.
-  ShardedMap<std::vector<AtomId>, ConjId, IdVecHash> syntactic_ids_;
+  std::unordered_map<std::vector<AtomId>, ConjId, IdVecHash> syntactic_ids_;
   // Unordered pair (min, max) -> And result (And is commutative, so the
   // canonical key halves the entries and argument order never splits them).
-  ShardedMap<std::pair<ConjId, ConjId>, ConjId, PairHash> and_cache_;
+  PairMemo<ConjId> and_cache_;
   // Ordered pair (lhs, rhs) -> whether lhs implies rhs. Implication is NOT
   // symmetric, so the canonical key is exactly the ordered pair — every
   // backend's implication memo (see condition/dd_backend.h) keys the same
-  // way, and a rebased id pair hits the same entry in every generation.
-  ShardedMap<std::pair<ConjId, ConjId>, bool, PairHash> implies_cache_;
+  // way.
+  PairMemo<bool> implies_cache_;
 
-  // Reused scratch state for single-threaded mode: the syntactic key buffer
-  // and the congruence environment (reverted to empty after each closure,
-  // retaining capacity).
+  // Reused scratch state: the syntactic key buffer and the congruence
+  // environment (reverted to empty after each closure, retaining capacity).
   std::vector<AtomId> scratch_key_;
   BindingEnv scratch_env_;
 
-  /// Capacity-evicting memo insert shared by And and Implies; call with the
-  /// shard's unique lock held.
-  template <typename Shard, typename Key, typename Value>
-  void MemoEmplace(Shard& shard, const Key& key, const Value& value) {
-    size_t capacity = memo_capacity_.load(std::memory_order_relaxed);
-    if (capacity != 0 && shard.map.size() >= capacity) {
-      shard.map.clear();
-      memo_evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard.map.emplace(key, value);
-  }
-
-  std::atomic<bool> shared_{false};
-  std::atomic<size_t> memo_capacity_{0};
-  std::atomic<uint64_t> memo_evictions_{0};
-
+  size_t memo_capacity_ = 0;
+  uint64_t memo_evictions_ = 0;
   uint64_t stamp_ = 0;
   uint64_t generation_ = 0;
 

@@ -43,8 +43,8 @@ std::string ProgramAnalysis::ErrorString() const {
   return out;
 }
 
-// Emits every error (not first-wins), flags which rules have in-range
-// predicates throughout (only those enter the graph structures), and detects
+// Emits every error (not first-wins), flags which rules fit the program
+// (DatalogProgram::Fits; only those enter the graph structures), and detects
 // textual duplicates of earlier rules.
 void ProgramAnalysis::CheckRules() {
   const auto& rules = program_->rules();
@@ -64,7 +64,6 @@ void ProgramAnalysis::CheckRules() {
     auto check_atom = [&](const DatalogAtom& a, int atom_pos,
                           const char* where) {
       if (a.predicate < 0 || a.predicate >= num_preds) {
-        rule_in_graph_[r] = false;
         error(r, atom_pos, std::string(where) + ": unknown predicate " +
                                std::to_string(a.predicate));
         return;
@@ -85,6 +84,7 @@ void ProgramAnalysis::CheckRules() {
             "head predicate " + PredName(rule.head.predicate) +
                 " is extensional");
     }
+    rule_in_graph_[r] = program_->Fits(rule);
     std::set<VarId> body_vars;
     for (size_t i = 0; i < rule.body.size(); ++i) {
       check_atom(rule.body[i], static_cast<int>(i), "body");
@@ -310,7 +310,7 @@ void ProgramAnalysis::ClassifyRules() {
 // intensional predicate is derivable once some rule with an all-derivable
 // body (vacuously, an empty body) has it as head. A rule is dead when it
 // duplicates an earlier rule, mentions an underivable body predicate, or is
-// excluded from the graph (out-of-range predicate ids).
+// excluded from the graph (it does not fit the program).
 void ProgramAnalysis::ComputeDerivable() {
   const auto& rules = program_->rules();
   derivable_.assign(program_->num_predicates(), false);

@@ -27,9 +27,10 @@
 //     connectivity (the cartesian warning now, SIPS/body-reordering next).
 //
 // The analysis is immutable and holds a pointer to the program, which must
-// outlive it. Malformed programs are analyzed defensively: rules naming
-// unknown predicates produce errors and are excluded from the graph
-// structures instead of indexing out of bounds.
+// outlive it. Malformed programs are analyzed defensively: rules that do
+// not fit the program (an atom naming an unknown predicate, or with another
+// argument count than its predicate's arity; DatalogProgram::Fits) produce
+// errors, are excluded from the graph structures and count as dead.
 
 #ifndef PW_DATALOG_ANALYSIS_H_
 #define PW_DATALOG_ANALYSIS_H_
@@ -101,8 +102,8 @@ class ProgramAnalysis {
   /// topological order of the condensation (see SccOf).
   int num_sccs() const { return static_cast<int>(scc_members_.size()); }
 
-  /// The SCC of `pred`. For every rule excluded from no graph (i.e. with
-  /// in-range predicates), SccOf(body pred) <= SccOf(head pred).
+  /// The SCC of `pred`. For every rule that fits the program,
+  /// SccOf(body pred) <= SccOf(head pred).
   int SccOf(int pred) const { return scc_of_[static_cast<size_t>(pred)]; }
 
   /// Member predicates of `scc`, ascending.
@@ -129,10 +130,11 @@ class ProgramAnalysis {
   /// contribute everything they ever will in a single pass.
   bool RuleRecursive(size_t rule) const { return rule_recursive_[rule]; }
 
-  /// True iff the rule can never fire on any extensional database: some
-  /// body predicate is underivable, or the rule duplicates an earlier one
-  /// (which already derives everything it would). Dead rules are safely
-  /// skipped by evaluation and pruned by the magic rewrite.
+  /// True iff the rule can never fire on any extensional database: it does
+  /// not fit the program, some body predicate is underivable, or the rule
+  /// duplicates an earlier one (which already derives everything it would).
+  /// Dead rules are safely skipped by evaluation and pruned by the magic
+  /// rewrite.
   bool RuleDead(size_t rule) const { return rule_dead_[rule]; }
 
   /// True iff the rule textually equals an earlier rule (one of the two
@@ -175,8 +177,8 @@ class ProgramAnalysis {
   std::vector<Diagnostic> diagnostics_;
   size_t num_errors_ = 0;
 
-  // Rules whose predicates are all in range — the only ones the graph
-  // structures consider.
+  // Rules that fit the program — the only ones the graph structures
+  // consider.
   std::vector<bool> rule_in_graph_;
 
   std::vector<int> scc_of_;                    // per predicate

@@ -96,6 +96,7 @@ Instance NaiveEval(const DatalogProgram& program, const Instance& edb) {
   while (changed) {
     changed = false;
     for (const DatalogRule& rule : program.rules()) {
+      if (!program.Fits(rule)) continue;
       changed |= FireRule(rule, db, /*delta=*/nullptr, /*delta_pos=*/-1,
                           db.mutable_relation(rule.head.predicate));
     }
@@ -115,6 +116,7 @@ Instance SemiNaiveEval(const DatalogProgram& program, const Instance& edb) {
 
   // Round 0: fire every rule on the EDB to seed the deltas.
   for (const DatalogRule& rule : program.rules()) {
+    if (!program.Fits(rule)) continue;
     Relation derived(program.arity(rule.head.predicate));
     FireRule(rule, db, nullptr, -1, derived);
     for (const Fact& f : derived) {
@@ -132,6 +134,7 @@ Instance SemiNaiveEval(const DatalogProgram& program, const Instance& edb) {
     }
     bool any = false;
     for (const DatalogRule& rule : program.rules()) {
+      if (!program.Fits(rule)) continue;
       for (size_t pos = 0; pos < rule.body.size(); ++pos) {
         int pred = rule.body[pos].predicate;
         if (!program.IsIdb(pred) || delta[pred].empty()) continue;

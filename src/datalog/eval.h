@@ -10,9 +10,10 @@ namespace pw {
 
 /// Computes the least fixpoint of `program` over `edb`. The input instance
 /// supplies the extensional relations [0, num_edb); one it lacks, or has
-/// with another arity than the program's, reads as empty. The result holds
-/// all predicates — extensional relations copied through, intensional
-/// relations populated.
+/// with another arity than the program's, reads as empty, and a rule that
+/// does not fit the program (DatalogProgram::Fits) derives nothing. The
+/// result holds all predicates — extensional relations copied through,
+/// intensional relations populated.
 ///
 /// Naive evaluation: re-derives everything each round. Reference
 /// implementation for testing the semi-naive one.

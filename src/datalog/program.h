@@ -62,6 +62,24 @@ class DatalogProgram {
   }
   const std::vector<DatalogRule>& rules() const { return rules_; }
 
+  /// True iff `predicate` is a predicate of the program and `args` has its
+  /// arity. Every evaluator (SemiNaiveEval, NaiveEval, the conditioned
+  /// fixpoint and with it MaterializedView) fires a rule only if its head
+  /// and every body atom fit, in every build mode: a rule that does not fit
+  /// derives nothing, and ProgramAnalysis counts it dead.
+  bool Fits(int predicate, const Tuple& args) const {
+    return HasPredicate(predicate) &&
+           static_cast<int>(args.size()) ==
+               arities_[static_cast<size_t>(predicate)];
+  }
+  bool Fits(const DatalogRule& rule) const {
+    return Fits(rule.head.predicate, rule.head.args) &&
+           std::all_of(rule.body.begin(), rule.body.end(),
+                       [this](const DatalogAtom& atom) {
+                         return Fits(atom.predicate, atom.args);
+                       });
+  }
+
   bool IsIdb(int predicate) const {
     return predicate >= static_cast<int>(num_edb_);
   }

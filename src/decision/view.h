@@ -21,7 +21,11 @@
 // predicate that names no table, or a table of another arity than the
 // program's, is empty (SemiNaiveEval and the conditioned fixpoint alike),
 // and an output predicate that the program lacks is an empty relation of
-// arity 0 in every world, so POSS and CERT of any fact in it are false.
+// arity 0 in every world, so POSS and CERT of any fact in it are false. A
+// rule whose head or body atom names no predicate of the program, or has
+// another argument count than its predicate's arity, derives nothing
+// (DatalogProgram::Fits): for q(x, y) :- e0(x, y, z) with e0 binary, q is
+// empty in every world.
 
 #ifndef PW_DECISION_VIEW_H_
 #define PW_DECISION_VIEW_H_

@@ -501,14 +501,6 @@ struct ConditionedFixpoint::Impl {
     return pred >= 0 && static_cast<size_t>(pred) < state.preds.size();
   }
 
-  /// True iff `tuple` can be a row of `pred`: a row narrower than the
-  /// predicate's arity would be read past its end when a rule body matches
-  /// it.
-  bool Fits(int pred, const Tuple& tuple) const {
-    return ValidPred(pred) &&
-           static_cast<int>(tuple.size()) == program->arity(pred);
-  }
-
   /// Stratum-scheduled semi-naive evaluation: the SCCs of the predicate
   /// dependency graph run in topological order, so each stratum joins only
   /// against fully converged inputs — on conditioned data, the final
@@ -516,7 +508,8 @@ struct ConditionedFixpoint::Impl {
   /// later subsumption would kill. A nonrecursive stratum converges in a
   /// single pass; a recursive one runs delta rounds confined to its own
   /// rules. Rules that cannot fire this run (underivable body predicate,
-  /// textual duplicates) are skipped up front. With `cone_heads` set
+  /// textual duplicates) are skipped up front; rules that do not fit the
+  /// program are in no stratum at all. With `cone_heads` set
   /// (RunCone), rules are additionally restricted to cone heads and every
   /// window opens at 0 — the cleared predicates' derivations are gone, so
   /// each stratum re-enumerates all combinations. The emitted row set does
@@ -541,7 +534,10 @@ struct ConditionedFixpoint::Impl {
     for (bool grew = true; grew;) {
       grew = false;
       for (const DatalogRule& rule : rules) {
-        if (derivable[static_cast<size_t>(rule.head.predicate)]) continue;
+        if (!program->Fits(rule) ||
+            derivable[static_cast<size_t>(rule.head.predicate)]) {
+          continue;
+        }
         bool all = true;
         for (const DatalogAtom& a : rule.body) {
           if (!derivable[static_cast<size_t>(a.predicate)]) {
@@ -670,7 +666,11 @@ void ConditionedFixpoint::SetGlobal(ConjId global_id) {
 }
 
 bool ConditionedFixpoint::Seed(int pred, const Tuple& tuple, ConjId cond) {
-  if (impl_->state.aborted || !impl_->Fits(pred, tuple)) return false;
+  // A row narrower than the predicate's arity would be read past its end
+  // when a rule body matches it.
+  if (impl_->state.aborted || !impl_->program->Fits(pred, tuple)) {
+    return false;
+  }
   return Insert(impl_->state, pred, tuple,
                 impl_->backend->FromConj(cond));
 }
@@ -679,7 +679,7 @@ void ConditionedFixpoint::SeedTable(int pred, const CTable& table) {
   EvalState& state = impl_->state;
   for (const CRow& row : table.rows()) {
     if (state.aborted) break;
-    if (!impl_->Fits(pred, row.tuple)) continue;
+    if (!impl_->program->Fits(pred, row.tuple)) continue;
     Insert(state, pred, row.tuple,
            state.backend->FromConj(row.LocalId(*state.interner)));
   }
@@ -692,7 +692,9 @@ void ConditionedFixpoint::FireGroundRules() {
   // delta.
   for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
-    if (rule.body.empty()) FireGroundRule(state, rule);
+    if (rule.body.empty() && impl_->program->Fits(rule)) {
+      FireGroundRule(state, rule);
+    }
   }
 }
 
@@ -731,7 +733,8 @@ void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
   // everything else, and only body atoms drive the strata below.
   for (const DatalogRule& rule : impl_->program->rules()) {
     if (state.aborted) break;
-    if (rule.body.empty() && cone_heads[rule.head.predicate]) {
+    if (rule.body.empty() && impl_->program->Fits(rule) &&
+        cone_heads[rule.head.predicate]) {
       FireGroundRule(state, rule);
     }
   }

@@ -89,10 +89,9 @@ struct ConditionedFixpointStats {
 /// Evaluation knobs for the conditioned fixpoint.
 struct DatalogCTableOptions {
   /// Optional interner override. Leave null to use
-  /// ConditionInterner::Global(). A single-threaded interner must not be
-  /// shared across evaluator threads; one in shared mode
-  /// (ConditionInterner::EnableSharing) may be, so concurrent readers can
-  /// each run their own fixpoint over one interner.
+  /// ConditionInterner::Global(). Interners are single-owner, so concurrent
+  /// readers each run their own fixpoint over their own interner (the
+  /// thread-local Global() does this).
   ConditionInterner* interner = nullptr;
 
   /// Which condition representation the fixpoint's rows travel in
@@ -148,9 +147,9 @@ struct DatalogCTableOptions {
 ///
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
 /// tuple indexes all persist across Run() calls; the program and the
-/// options' interner must outlive the fixpoint. The fixpoint and its
-/// condition backend are single-owner: drive them from one thread. Only the
-/// interner may be shared, when it is in shared mode.
+/// options' interner must outlive the fixpoint. The fixpoint, its
+/// condition backend and its interner are single-owner: drive them from one
+/// thread.
 class ConditionedFixpoint {
  public:
   explicit ConditionedFixpoint(const DatalogProgram& program,

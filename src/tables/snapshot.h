@@ -4,26 +4,25 @@
 // needs readers to answer certainty/possibility/Datalog queries against a
 // *consistent* database version while a writer keeps applying the in-place
 // update APIs of tables/updates.h. VersionedCDatabase provides exactly
-// that, composing three existing mechanisms:
+// that, composing two existing mechanisms:
 //
 //   - CDatabase's copy-on-write table storage makes a snapshot a shallow
 //     copy (one shared_ptr per table) and lets the writer mutate a private
 //     clone of only the tables it touches;
-//   - a shared ConditionInterner (interner.h, EnableSharing) gives every
-//     thread the same stamp, so warmed condition-id caches are hits
-//     everywhere;
-//   - CTable::PrepareForSharing freezes each table before publication, so
-//     a published row's lazily-memoized state is already materialized and
-//     readers never write through the mutable caches.
+//   - CTable::PrepareForSharing freezes each table before publication: its
+//     condition-id caches are warmed for the writer's interner and pinned,
+//     so readers never write through the mutable caches.
 //
 // Writers are serialized against each other; `fn` runs outside the readers'
 // lock (on a private copy), so a slow mutation never blocks reads — readers
 // only contend on the brief publish swap. Snapshot versions are dense:
 // version N is the state after the Nth Mutate.
 //
-// Readers typically also install the shared interner as the process-wide
-// Global() (ConditionInterner::SetProcessShared) so the decision procedures
-// resolve the warmed caches instead of re-interning per thread.
+// Interners are single-owner (condition/interner.h). The writer's interner
+// is used by whichever thread calls Mutate; a reader thread resolves
+// conditions through its own interner (ConditionInterner::Global(), or one
+// it passes in options), and a pinned row interns its condition there
+// instead of reading the writer's cached id.
 
 #ifndef PW_TABLES_SNAPSHOT_H_
 #define PW_TABLES_SNAPSHOT_H_
@@ -39,14 +38,15 @@ namespace pw {
 
 class VersionedCDatabase {
  public:
-  /// Takes ownership of `db` as version 0. `interner` must outlive this
-  /// object; it is switched into shared mode and the initial state is
-  /// frozen against it.
+  /// Takes ownership of `db` as version 0. `interner` is the writer's: it
+  /// must outlive this object, the initial state is frozen against it, and
+  /// Mutate freezes every later version against it. Only the thread that
+  /// calls Mutate may use it.
   VersionedCDatabase(CDatabase db, ConditionInterner& interner);
 
   /// One immutable published version. The database is a shallow COW copy:
-  /// cheap to hold, safe to query from the owning thread while the writer
-  /// publishes later versions.
+  /// cheap to hold, safe to query from any thread, with that thread's own
+  /// interner, while the writer publishes later versions.
   struct Snapshot {
     CDatabase db;
     uint64_t version = 0;

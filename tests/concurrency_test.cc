@@ -1,25 +1,25 @@
-// Concurrency suite: the shared interner, per-reader conditioned fixpoints
-// over it, and versioned snapshot reads, each checked against a
-// single-threaded reference.
+// Concurrency suite: per-reader conditioned fixpoints and versioned
+// snapshot reads, each checked against a single-threaded reference.
 //
 // Three layers, mirroring the threading model (README "Threading model"):
+// every ConditionInterner is single-owner, so each thread below interns into
+// its own (ConditionInterner::Global() is thread-local), and tables shared
+// across threads are frozen with pinned id caches.
 //
-//  1. Primitives — StableStore publication, ThreadPool task coverage, and
-//     concurrent Index() calls on a frozen CTable.
+//  1. Primitives — ThreadPool task coverage, and concurrent Index() calls
+//     on a frozen CTable.
 //
-//  2. The shared ConditionInterner — many threads interning overlapping
-//     conjunction pools must agree on every id (hash-consing is a pure
-//     function of the input, so agreement is exact, not just semantic),
-//     and And-folds over shuffled orders must land on the same canonical
-//     id. Reader threads that each run their own single-owner fixpoint —
-//     own ConditionedFixpoint, own condition backend, on both backends —
-//     through the one shared interner must emit *identical* tables to a
-//     private-interner run (same rows, same order, same conditions).
+//  2. Per-reader fixpoints — reader threads that each run their own
+//     single-owner fixpoint (own ConditionedFixpoint, own condition backend,
+//     own interner), on both backends, must emit *identical* tables to a
+//     sequential run (same rows, same order, same conditions).
 //
 //  3. Whole-engine service shape — a VersionedCDatabase driven by a writer
 //     thread while readers take snapshots and run conditioned queries must
 //     hand every reader a state identical to the sequential recompute of
-//     the version it read.
+//     the version it read; and a snapshot with a conditioned row and a
+//     global condition, read from 8 threads at once, must answer as it does
+//     sequentially while those threads read its pinned caches.
 //
 // The randomized families reproduce like the differential suite: every
 // case logs its seed, and setting PW_DIFF_SEED reruns exactly that case.
@@ -30,7 +30,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <random>
@@ -46,7 +45,6 @@
 #include "tables/ctable.h"
 #include "tables/snapshot.h"
 #include "tables/updates.h"
-#include "util/stable_store.h"
 #include "util/thread_pool.h"
 
 namespace pw {
@@ -70,48 +68,6 @@ std::vector<uint32_t> Seeds(uint32_t base, int count) {
 }
 
 // --- Primitives -------------------------------------------------------------
-
-TEST(StableStoreTest, AppendAndReadAcrossBlockBoundaries) {
-  StableStore<size_t> store;
-  // Far enough to cross several geometric block boundaries (1024, 2048, ...).
-  constexpr size_t kCount = 10000;
-  for (size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(store.Append(i), i);
-  }
-  EXPECT_EQ(store.size(), kCount);
-  for (size_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(store[i], i);
-  }
-}
-
-TEST(StableStoreTest, ReferencesStayValidAcrossAppends) {
-  StableStore<size_t> store;
-  store.Append(42);
-  const size_t* first = &store[0];
-  for (size_t i = 1; i < 5000; ++i) store.Append(i);
-  EXPECT_EQ(&store[0], first);  // no reallocation, ever
-  EXPECT_EQ(*first, 42u);
-}
-
-TEST(StableStoreStressTest, ConcurrentReadersDuringAppends) {
-  StableStore<size_t> store;
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&store, &stop] {
-      while (!stop.load(std::memory_order_acquire)) {
-        size_t n = store.size();
-        for (size_t i = 0; i < n; ++i) {
-          // Every published element must read back as written.
-          ASSERT_EQ(store[i], i);
-        }
-      }
-    });
-  }
-  for (size_t i = 0; i < 20000; ++i) store.Append(i);
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-}
 
 TEST(ThreadPoolStressTest, ParallelForRunsEveryTaskExactlyOnce) {
   ThreadPool pool(4);
@@ -173,130 +129,7 @@ TEST(CTableStressTest, ConcurrentIndexCallsOnFrozenTable) {
   for (std::thread& th : threads) th.join();
 }
 
-// --- Shared interner --------------------------------------------------------
-
-Conjunction RandomConjunction(std::mt19937& rng) {
-  std::uniform_int_distribution<int> natoms(1, 3);
-  std::uniform_int_distribution<int> var(0, 5);
-  std::uniform_int_distribution<int> constant(0, 4);
-  std::uniform_int_distribution<int> kind(0, 3);
-  Conjunction c;
-  int n = natoms(rng);
-  for (int i = 0; i < n; ++i) {
-    switch (kind(rng)) {
-      case 0:
-        c.Add(Eq(V(var(rng)), C(constant(rng))));
-        break;
-      case 1:
-        c.Add(Neq(V(var(rng)), C(constant(rng))));
-        break;
-      case 2:
-        c.Add(Eq(V(var(rng)), V(var(rng))));
-        break;
-      default:
-        c.Add(Neq(V(var(rng)), V(var(rng))));
-        break;
-    }
-  }
-  return c;
-}
-
-TEST(SharedInternerStressTest, ThreadsAgreeOnEveryId) {
-  for (uint32_t seed : Seeds(7100, 3)) {
-    SCOPED_TRACE("PW_DIFF_SEED=" + std::to_string(seed));
-    std::mt19937 rng(seed);
-    std::vector<Conjunction> pool;
-    for (int i = 0; i < 200; ++i) pool.push_back(RandomConjunction(rng));
-
-    ConditionInterner interner;
-    interner.EnableSharing();
-    constexpr int kThreads = 8;
-    std::vector<std::vector<ConjId>> ids(kThreads,
-                                         std::vector<ConjId>(pool.size()));
-    std::vector<ConjId> folds(kThreads);
-    std::vector<std::thread> threads;
-    for (int th = 0; th < kThreads; ++th) {
-      threads.emplace_back([&, th] {
-        // Each thread interns the whole pool in its own order, twice (the
-        // second pass must be all cache hits), and And-folds a shuffled
-        // order (the canonical result is order-independent).
-        std::mt19937 order_rng(seed + 1000 + th);
-        std::vector<size_t> order(pool.size());
-        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-        std::shuffle(order.begin(), order.end(), order_rng);
-        for (int pass = 0; pass < 2; ++pass) {
-          for (size_t i : order) {
-            ids[th][i] = interner.Intern(pool[i]);
-          }
-        }
-        ConjId fold = ConditionInterner::kTrueConj;
-        for (size_t i = 0; i < 32; ++i) {
-          fold = interner.And(fold, ids[th][order[i]]);
-        }
-        folds[th] = fold;
-      });
-    }
-    for (std::thread& t : threads) t.join();
-
-    for (int th = 1; th < kThreads; ++th) {
-      ASSERT_EQ(ids[th], ids[0]);
-    }
-    // Sequential re-intern on the same instance: still the same ids.
-    for (size_t i = 0; i < pool.size(); ++i) {
-      ASSERT_EQ(interner.Intern(pool[i]), ids[0][i]);
-    }
-    // The folds combined different prefixes per thread, but every thread
-    // that folded the same *set* must agree; verify against a sequential
-    // And over thread 0's shuffled order recomputed here.
-    for (int th = 0; th < kThreads; ++th) {
-      std::mt19937 order_rng(seed + 1000 + th);
-      std::vector<size_t> order(pool.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::shuffle(order.begin(), order.end(), order_rng);
-      ConjId fold = ConditionInterner::kTrueConj;
-      for (size_t i = 0; i < 32; ++i) {
-        fold = interner.And(fold, ids[0][order[i]]);
-      }
-      ASSERT_EQ(folds[th], fold);
-    }
-  }
-}
-
-TEST(SharedInternerStressTest, ConcurrentImpliesAndSatisfiable) {
-  std::mt19937 rng(7200);
-  ConditionInterner interner;
-  interner.EnableSharing();
-  std::vector<ConjId> ids;
-  for (int i = 0; i < 60; ++i) {
-    ids.push_back(interner.Intern(RandomConjunction(rng)));
-  }
-  // Sequential answers first (they cache; concurrent reads must agree).
-  std::vector<std::vector<bool>> expect(ids.size(),
-                                        std::vector<bool>(ids.size()));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    for (size_t j = 0; j < ids.size(); ++j) {
-      expect[i][j] = interner.Implies(ids[i], ids[j]);
-    }
-  }
-  std::vector<std::thread> threads;
-  for (int th = 0; th < 8; ++th) {
-    threads.emplace_back([&, th] {
-      std::mt19937 trng(7300 + th);
-      std::uniform_int_distribution<size_t> pick(0, ids.size() - 1);
-      for (int iter = 0; iter < 2000; ++iter) {
-        size_t i = pick(trng);
-        size_t j = pick(trng);
-        ASSERT_EQ(interner.Implies(ids[i], ids[j]), expect[i][j]);
-        ASSERT_EQ(interner.Satisfiable(interner.And(ids[i], ids[j])),
-                  interner.And(ids[i], ids[j]) !=
-                      ConditionInterner::kFalseConj);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-}
-
-// --- Per-reader fixpoints over one shared interner --------------------------
+// --- Per-reader fixpoints ---------------------------------------------------
 
 DatalogProgram TransitiveClosure() {
   DatalogProgram p({2, 2}, 1);
@@ -338,13 +171,13 @@ void ExpectIdenticalDatabases(const CDatabase& a, const CDatabase& b) {
 }
 
 TEST(SharedInternerStressTest, PerReaderFixpointsMatchPrivateRuns) {
-  // The shape concurrent fixpoints take in production (pwserve, the serve
-  // workload): every reader thread runs its own DatalogOnCTables — its own
-  // single-owner ConditionedFixpoint and condition backend — and all of
-  // them intern through one shared interner. Null-laden chains on both
-  // backends put real conditions through the interner's shared tables while
-  // the readers race; each reader's result must be byte-identical to the
-  // same run on a private interner.
+  // The shape concurrent fixpoints take in production (pwserve): every
+  // reader thread runs its own DatalogOnCTables — its own single-owner
+  // ConditionedFixpoint, condition backend and interner (the thread-local
+  // Global()) — over one frozen input whose rows are pinned to an interner
+  // no reader uses. Null-laden chains on both backends put real conditions
+  // through every reader's interner while the readers race; each reader's
+  // result must be byte-identical to the same run on a private interner.
   struct Case {
     ConditionBackendKind backend;
     int n;
@@ -372,8 +205,12 @@ TEST(SharedInternerStressTest, PerReaderFixpointsMatchPrivateRuns) {
         DatalogOnCTables(tc, Chain(c.n, c.gap, c.shared), nullptr, options));
   }
 
-  ConditionInterner interner;
-  interner.EnableSharing();
+  ConditionInterner writer;
+  std::vector<CDatabase> inputs;
+  for (const Case& c : cases) {
+    inputs.push_back(Chain(c.n, c.gap, c.shared));
+    inputs.back().PrepareForSharing(writer);
+  }
   constexpr int kReaders = 4;
   std::vector<std::vector<CDatabase>> results(
       kReaders, std::vector<CDatabase>(cases.size()));
@@ -384,12 +221,9 @@ TEST(SharedInternerStressTest, PerReaderFixpointsMatchPrivateRuns) {
       // both backends overlap in time.
       for (size_t k = 0; k < cases.size(); ++k) {
         size_t i = (static_cast<size_t>(r) + k) % cases.size();
-        const Case& c = cases[i];
-        DatalogCTableOptions options;
-        options.interner = &interner;  // the shared one
-        options.condition_backend = c.backend;
-        results[r][i] = DatalogOnCTables(tc, Chain(c.n, c.gap, c.shared),
-                                         nullptr, options);
+        DatalogCTableOptions options;  // interner: this thread's Global()
+        options.condition_backend = cases[i].backend;
+        results[r][i] = DatalogOnCTables(tc, inputs[i], nullptr, options);
       }
     });
   }
@@ -411,7 +245,6 @@ TEST(VersionedCDatabaseTest, SnapshotsAreImmutableUnderMutation) {
   CTable t(2);
   t.AddRow(Tuple{C(1), C(2)});
   VersionedCDatabase v(CDatabase{t}, interner);
-  EXPECT_TRUE(interner.shared());
   EXPECT_EQ(v.version(), 0u);
 
   VersionedCDatabase::Snapshot before = v.Read();
@@ -463,12 +296,11 @@ TEST(SnapshotStressTest, ReadersSeeExactSequentialVersions) {
     CTable t(2);
     t.AddRow(Tuple{C(0), C(1)});
     t.AddRow(Tuple{C(1), V(0)});
+    // The writer's interner; Mutate runs on this thread only. The readers
+    // run decision procedures, which resolve conditions through their own
+    // thread's ConditionInterner::Global(), so the published rows' pinned
+    // caches are only ever read.
     VersionedCDatabase versioned(CDatabase{t}, interner);
-    // The readers run decision procedures, which resolve conditions through
-    // ConditionInterner::Global(); route that to the shared instance so the
-    // frozen rows' warmed id caches are read-only stamp hits (a per-thread
-    // interner would miss the stamp and race on rewriting them).
-    ConditionInterner::SetProcessShared(&interner);
 
     std::atomic<bool> done{false};
     std::vector<std::vector<VersionedCDatabase::Snapshot>> observed(kReaders);
@@ -504,7 +336,6 @@ TEST(SnapshotStressTest, ReadersSeeExactSequentialVersions) {
     }
     done.store(true, std::memory_order_release);
     for (std::thread& th : readers) th.join();
-    ConditionInterner::SetProcessShared(nullptr);
 
     // Rebuild every version sequentially and require the observed
     // snapshots to be identical to their version's reference state.
@@ -539,9 +370,9 @@ TEST(SnapshotStressTest, ReadersSeeExactSequentialVersions) {
 TEST(SnapshotStressTest, ConcurrentDatalogReadersOverSharedInterner) {
   // The full service shape: a writer extending a chain while reader
   // threads run whole conditioned fixpoints (each its own single-owner
-  // ConditionedFixpoint, all interning through the one shared interner)
-  // against their snapshots. Each result is checked against a sequential
-  // recompute of that snapshot's version afterwards.
+  // ConditionedFixpoint, interning into its own thread's interner) against
+  // their snapshots. Each result is checked against a sequential recompute
+  // of that snapshot's version afterwards.
   DatalogProgram tc = TransitiveClosure();
   constexpr int kInitial = 12;
   constexpr int kUpdates = 24;
@@ -557,11 +388,9 @@ TEST(SnapshotStressTest, ConcurrentDatalogReadersOverSharedInterner) {
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      DatalogCTableOptions options;
-      options.interner = &interner;  // the shared one — the point of this test
       do {
         VersionedCDatabase::Snapshot snap = versioned.Read();
-        CDatabase out = DatalogOnCTables(tc, snap.db, nullptr, options);
+        CDatabase out = DatalogOnCTables(tc, snap.db);
         results[r].emplace_back(snap.version, std::move(out));
       } while (!done.load(std::memory_order_acquire));
     });
@@ -595,35 +424,102 @@ TEST(SnapshotStressTest, ConcurrentDatalogReadersOverSharedInterner) {
   EXPECT_GT(checked, 0u);
 }
 
-TEST(SnapshotStressTest, ProcessSharedGlobalServesDecisionProcedures) {
-  // SetProcessShared routes ConditionInterner::Global() — what the decision
-  // procedures use internally — to the shared instance; concurrent
-  // possibility/certainty calls must then agree with the sequential answers.
-  ConditionInterner interner;
+/// A table with a global condition and conditioned rows, one of them a
+/// null, for the two tests below.
+CTable ConditionedTable() {
   CTable t(2);
   t.AddRow(Tuple{C(1), V(0)});
-  t.AddRow(Tuple{V(1), C(2)});
+  t.AddRow(Tuple{V(1), C(2)}, Conjunction{Neq(V(1), C(3))});
+  t.AddRow(Tuple{C(2), C(3)}, Conjunction{Eq(V(0), C(2))});
   t.SetGlobal(Conjunction{Neq(V(0), C(9))});
-  VersionedCDatabase versioned(CDatabase{t}, interner);
-  ConditionInterner::SetProcessShared(&interner);
+  return t;
+}
 
-  VersionedCDatabase::Snapshot snap = versioned.Read();
+/// Every single-fact pattern over the constants 0..3.
+std::vector<std::vector<LocatedFact>> PointPatterns() {
   std::vector<std::vector<LocatedFact>> patterns;
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
       patterns.push_back({{0, Fact{a, b}}});
     }
   }
+  return patterns;
+}
+
+TEST(SnapshotStressTest, ProcessSharedGlobalServesDecisionProcedures) {
+  // The shape of the serve workload: one thread installs the writer's
+  // interner with SetProcessShared, so ConditionInterner::Global() — what
+  // the decision procedures use internally — is the interner the snapshot
+  // was frozen under, on every thread. The published rows' pinned caches are
+  // then stamp hits, and the answers agree with those over an unfrozen copy
+  // on this thread's own interner.
+  ConditionInterner interner;
+  VersionedCDatabase versioned(CDatabase{ConditionedTable()}, interner);
+  VersionedCDatabase::Snapshot snap = versioned.Read();
+  CDatabase plain{ConditionedTable()};
+  std::vector<std::vector<LocatedFact>> patterns = PointPatterns();
+  std::vector<char> expect_poss(patterns.size());
+  std::vector<char> expect_cert(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    expect_poss[i] = Possibility(View::Identity(), plain, patterns[i]);
+    expect_cert[i] = Certainty(View::Identity(), plain, patterns[i]);
+  }
+
+  ConditionInterner::SetProcessShared(&interner);
+  EXPECT_EQ(&ConditionInterner::Global(), &interner);
+  ConditionInterner* routed = nullptr;
+  std::thread([&routed] { routed = &ConditionInterner::Global(); }).join();
+  EXPECT_EQ(routed, &interner);
+
+  const CTable& table = snap.db.table(0);
+  uint64_t intern_calls = interner.stats().intern_calls;
+  table.GlobalId(interner);
+  for (const CRow& row : table.rows()) row.LocalId(interner);
+  EXPECT_EQ(interner.stats().intern_calls, intern_calls);
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    EXPECT_EQ(Possibility(View::Identity(), snap.db, patterns[i]),
+              static_cast<bool>(expect_poss[i]));
+    EXPECT_EQ(Certainty(View::Identity(), snap.db, patterns[i]),
+              static_cast<bool>(expect_cert[i]));
+  }
+  ConditionInterner::SetProcessShared(nullptr);
+  EXPECT_NE(&ConditionInterner::Global(), &interner);
+}
+
+TEST(SnapshotStressTest, EightReadersOfOneConditionedSnapshot) {
+  // Eight threads answer possibility/certainty over one snapshot with a
+  // global condition and conditioned rows, each through its own thread's
+  // interner. Every LocalId/GlobalId they make meets a cache pinned to the
+  // writer's interner and interns past it, so the TSan lanes see the pinned
+  // caches read concurrently and never written. The ids each thread gets
+  // must resolve to the conditions' canonical forms, and the answers must
+  // match the sequential ones.
+  ConditionInterner interner;
+  VersionedCDatabase versioned(CDatabase{ConditionedTable()}, interner);
+  VersionedCDatabase::Snapshot snap = versioned.Read();
+  const CTable& table = snap.db.table(0);
+  const Conjunction global = interner.Resolve(table.GlobalId(interner));
+  std::vector<Conjunction> locals;
+  for (const CRow& row : table.rows()) {
+    locals.push_back(interner.Resolve(row.LocalId(interner)));
+  }
+  std::vector<std::vector<LocatedFact>> patterns = PointPatterns();
   std::vector<char> expect_poss(patterns.size());
   std::vector<char> expect_cert(patterns.size());
   for (size_t i = 0; i < patterns.size(); ++i) {
     expect_poss[i] = Possibility(View::Identity(), snap.db, patterns[i]);
     expect_cert[i] = Certainty(View::Identity(), snap.db, patterns[i]);
   }
+
   std::vector<std::thread> threads;
   for (int th = 0; th < 8; ++th) {
     threads.emplace_back([&] {
+      ConditionInterner& own = ConditionInterner::Global();
       for (int iter = 0; iter < 20; ++iter) {
+        ASSERT_EQ(own.Resolve(table.GlobalId(own)), global);
+        for (size_t k = 0; k < table.num_rows(); ++k) {
+          ASSERT_EQ(own.Resolve(table.row(k).LocalId(own)), locals[k]);
+        }
         for (size_t i = 0; i < patterns.size(); ++i) {
           ASSERT_EQ(Possibility(View::Identity(), snap.db, patterns[i]),
                     static_cast<bool>(expect_poss[i]));
@@ -633,8 +529,7 @@ TEST(SnapshotStressTest, ProcessSharedGlobalServesDecisionProcedures) {
       }
     });
   }
-  for (std::thread& t2 : threads) t2.join();
-  ConditionInterner::SetProcessShared(nullptr);
+  for (std::thread& t : threads) t.join();
 }
 
 }  // namespace

@@ -240,36 +240,6 @@ TEST(InternerLifecycleTest, ClearKeepsStampedRowCachesValid) {
   EXPECT_EQ(dead.LocalId(interner), ConditionInterner::kFalseConj);
 }
 
-TEST(InternerLifecycleTest, ChildRebasePreservesMemoizedVerdicts) {
-  // Per-request pattern: intern into a scratch child, rebase survivors into
-  // the long-lived parent. Every id maps to a parent id with the same
-  // canonical form; the false/true verdicts map to themselves.
-  ConditionInterner parent;
-  ConjId parent_preexisting = parent.Intern(Conjunction{Neq(V(9), C(9))});
-
-  ConditionInterner child;
-  std::mt19937 rng(20260726);
-  std::vector<ConjId> ids;
-  for (int round = 0; round < 50; ++round) {
-    RandomCTableOptions options = testutil::SmallCTableOptions(
-        /*arity=*/1, /*num_rows=*/1, /*num_constants=*/3, /*num_variables=*/3,
-        /*num_local_atoms=*/3);
-    ids.push_back(child.Intern(RandomCTable(options, rng).row(0).local()));
-  }
-
-  std::vector<ConjId> map = child.RebaseInto(parent);
-  ASSERT_EQ(map.size(), child.num_conjunctions());
-  EXPECT_EQ(map[ConditionInterner::kTrueConj], ConditionInterner::kTrueConj);
-  EXPECT_EQ(map[ConditionInterner::kFalseConj], ConditionInterner::kFalseConj);
-  for (ConjId id : ids) {
-    EXPECT_EQ(child.Satisfiable(id), parent.Satisfiable(map[id]));
-    EXPECT_EQ(child.Resolve(id), parent.Resolve(map[id]));
-  }
-  // Rebase is pure growth on the parent: pre-existing ids are untouched.
-  EXPECT_EQ(parent.Resolve(parent_preexisting),
-            (Conjunction{Neq(V(9), C(9))}));
-}
-
 TEST(InternerLifecycleTest, RepeatedWorkloadsDoNotGrowTheTable) {
   // Append-only growth bound: re-running the same workload against a live
   // interner interns nothing new — the table size is bounded by the number

@@ -119,6 +119,52 @@ TEST(CTableTest, NormalizedUnsatisfiableGlobalMarked) {
   EXPECT_FALSE(t.Normalized().global().Satisfiable());
 }
 
+TEST(CTableTest, FrozenTablePinsItsIdCaches) {
+  // Freezing warms the caches for one interner (A) and pins them: another
+  // interner (B) gets its own id for the same canonical conjunction,
+  // interned afresh on every call, and A's ids stay stamp hits. A copy of
+  // the frozen table is not pinned and caches again.
+  ConditionInterner a;
+  ConditionInterner b;
+  CTable t(2);
+  t.AddRow(Tuple{C(1), V(0)}, Conjunction{Neq(V(0), C(2)), Eq(V(1), V(0))});
+  t.SetGlobal(Conjunction{Neq(V(1), C(3))});
+  t.PrepareForSharing(a);
+  ASSERT_TRUE(t.frozen());
+  const CRow& row = t.row(0);
+  const ConjId a_local = row.LocalId(a);
+  const ConjId a_global = t.GlobalId(a);
+
+  // B hands out its ids in another order than A, so they differ from A's.
+  b.Intern(Conjunction{Eq(V(7), C(7))});
+  const ConjId b_global = b.Intern(t.global());
+  const ConjId b_local = b.Intern(row.local());
+  ASSERT_NE(b_local, a_local);
+  ASSERT_NE(b_global, a_global);
+  for (int call = 0; call < 2; ++call) {
+    uint64_t b_calls = b.stats().intern_calls;
+    EXPECT_EQ(row.LocalId(b), b_local);
+    EXPECT_EQ(t.GlobalId(b), b_global);
+    EXPECT_EQ(b.stats().intern_calls, b_calls + 2) << "call " << call;
+  }
+  EXPECT_EQ(b.Resolve(b_local), a.Resolve(a_local));
+  EXPECT_EQ(b.Resolve(b_global), a.Resolve(a_global));
+
+  uint64_t a_calls = a.stats().intern_calls;
+  EXPECT_EQ(row.LocalId(a), a_local);
+  EXPECT_EQ(t.GlobalId(a), a_global);
+  EXPECT_EQ(a.stats().intern_calls, a_calls);
+
+  CTable copy = t;
+  EXPECT_FALSE(copy.frozen());
+  uint64_t b_calls = b.stats().intern_calls;
+  EXPECT_EQ(copy.row(0).LocalId(b), b_local);
+  EXPECT_EQ(copy.GlobalId(b), b_global);
+  EXPECT_EQ(copy.row(0).LocalId(b), b_local);
+  EXPECT_EQ(copy.GlobalId(b), b_global);
+  EXPECT_EQ(b.stats().intern_calls, b_calls + 2);
+}
+
 TEST(CDatabaseTest, KindUpgradesOnSharedVariables) {
   CTable a(1);
   a.AddRow(Tuple{V(0)});

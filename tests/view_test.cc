@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/ivm.h"
 #include "decision/certainty.h"
 #include "decision/containment.h"
 #include "decision/membership.h"
 #include "decision/possibility.h"
 #include "decision/uniqueness.h"
 #include "decision/view.h"
+#include "ilalgebra/datalog_ctable.h"
 #include "tables/ctable.h"
 #include "tables/text_format.h"
 
@@ -145,6 +147,55 @@ TEST(ViewTest, DatalogProgramThatDoesNotFitReadsEmpty) {
   }
   EXPECT_TRUE(MembershipInView(missing, misfit, Instance({Relation(0)})));
   EXPECT_FALSE(MembershipInView(missing, misfit, empty));
+}
+
+TEST(ViewTest, RuleWhoseAtomsDoNotFitDerivesNothing) {
+  // q(x, y) :- e0(x, y, z) with e0 binary: the body atom is wider than its
+  // predicate. Both evaluators indexed table rows by the atom's argument
+  // count, so every entry point below read past the end of a row. Now a rule
+  // fires only if its head and every body atom fit (decision/view.h), in
+  // every build mode; the other misfits — a narrower atom, a head of the
+  // wrong width, a predicate the program lacks — derive nothing either.
+  DatalogAtom fit_body{0, Tuple{V(0), V(1)}};
+  DatalogAtom fit_head{1, Tuple{V(0), V(1)}};
+  const std::vector<DatalogRule> misfits = {
+      {fit_head, {{0, Tuple{V(0), V(1), V(2)}}}},
+      {fit_head, {{0, Tuple{V(0)}}, fit_body}},
+      {{1, Tuple{V(0)}}, {fit_body}},
+      {fit_head, {{5, Tuple{V(0), V(1)}}}},
+      {{5, Tuple{V(0), V(1)}}, {fit_body}},
+  };
+  CTable ground(2);
+  ground.AddRow(Tuple{C(1), C(2)});
+  CTable table = ground;
+  table.AddRow(Tuple{C(1), V(0)});
+  const std::vector<LocatedFact> fact = {{0, Fact{1, 2}}};
+  for (size_t k = 0; k < misfits.size(); ++k) {
+    SCOPED_TRACE("misfit rule " + std::to_string(k));
+    DatalogProgram program({2, 2}, /*num_edb=*/1);
+    program.AddRule(misfits[k]);
+    View view = View::Datalog(program, {1});
+    EXPECT_FALSE(PossibilitySearch(view, CDatabase{table}, fact));
+    EXPECT_FALSE(Possibility(view, CDatabase{table}, fact));
+    EXPECT_FALSE(Certainty(view, CDatabase{ground}, fact));
+    EXPECT_EQ(DatalogOnCTables(program, CDatabase{table}).table(1).num_rows(),
+              0u);
+    EXPECT_EQ(DatalogQueryOnCTables(program, CDatabase{table}, 1,
+                                    {ConstId{1}, std::nullopt})
+                  .num_rows(),
+              0u);
+    MaterializedView full(program, CDatabase{table});
+    full.Insert(0, Fact{3, 4});
+    EXPECT_EQ(full.Materialized().table(1).num_rows(), 0u);
+
+    // Beside a rule that fits, the misfit changes nothing.
+    program.AddRule({fit_head, {fit_body}});
+    View with_fit = View::Datalog(program, {1});
+    EXPECT_TRUE(Certainty(with_fit, CDatabase{ground}, fact));
+    EXPECT_TRUE(Possibility(with_fit, CDatabase{table}, fact));
+    EXPECT_EQ(DatalogOnCTables(program, CDatabase{table}).table(1).num_rows(),
+              2u);
+  }
 }
 
 // Some world differs from I: for an I in rep(database), UniquenessSearch is

@@ -6,9 +6,9 @@ each benchmark with its reference by name:
 
     *_Incremental/N    vs  *_Recompute/N     (maintained materialized view vs
                                               full fixpoint per update)
-    *_Snapshot/N       vs  *_Direct/N        (versioned snapshot reads over
-                                              the shared interner vs direct
-                                              single-thread reads)
+    *_Snapshot/N       vs  *_Direct/N        (versioned snapshot reads, each
+                                              reader on its own interner, vs
+                                              direct single-thread reads)
     *_DDBackend/N      vs  *_Antichain/N     (decision-diagram condition
                                               backend vs the conjunctive
                                               antichain backend, gated at a
@@ -25,7 +25,7 @@ Additionally, with --min-scale > 0, enforces the concurrency scaling gate:
 for every benchmark family named `<base>/N` (with N a thread count) that
 reports items_per_second and contains "Snapshot", the N = --scale-threads
 run must process at least --min-scale times the items/sec of the N = 1 run.
-A collapse here means a lock serialized the readers. The gate fails as
+A collapse here means something serialized the readers. The gate fails as
 vacuous if --min-scale is set but no such family exists in the input.
 
 With --dd-speedup-floor > 0 (default 5.0), enforces the condition-diversity
