@@ -1,7 +1,9 @@
 // THM 5.1 — unbounded possibility.
 //
-//   (1) PTIME on Codd-tables via bipartite matching, scaling to thousands
-//       of pattern facts.
+//   (1) PTIME on Codd-tables via bipartite matching, 16 to 4096 rows. The
+//       table is a Codd-table by construction and the pattern is half of
+//       one of its worlds; a cell whose front end declines or finds the
+//       pattern impossible errors out.
 //   (2) NP-complete on e-tables, (3) on i-tables: the 3CNF-satisfiability
 //       reductions, cross-checked against DPLL.
 
@@ -20,16 +22,20 @@ namespace {
 void BM_Thm51_CoddPossibility_PTIME(benchmark::State& state) {
   auto rng = benchutil::Rng(51);
   int rows = static_cast<int>(state.range(0));
-  RandomCTableOptions options;
-  options.arity = 2;
-  options.num_rows = rows;
-  options.num_constants = 8;
-  options.num_variables = 10'000'000;
-  CTable t = RandomCTable(options, rng);
-  CDatabase db{t};
-  Instance pattern({RandomRelation(2, rows / 2, 8, rng)});
+  CDatabase db{benchutil::RandomCoddTable(2, rows, 8, rng)};
+  Relation pattern(2);
+  bool keep = true;
+  for (const Fact& f : benchutil::RandomWorldOf(db.table(0), 8, rng)) {
+    if (keep) pattern.Insert(f);
+    keep = !keep;
+  }
+  Instance possible({pattern});
+  if (PossUnboundedCoddTables(db, possible) != true) {
+    state.SkipWithError("the matching front end declined or missed a world");
+    return;
+  }
   for (auto _ : state) {
-    auto r = PossUnboundedCoddTables(db, pattern);
+    auto r = PossUnboundedCoddTables(db, possible);
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel("Thm 5.1(1): matching, PTIME");

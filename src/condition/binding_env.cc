@@ -145,6 +145,29 @@ bool BindingEnv::Entails(const CondAtom& atom) const {
   return na && nb && ViolatesDiseq(Root(*na), Root(*nb));
 }
 
+void BindingEnv::Representatives(const std::vector<VarId>& vars,
+                                 std::vector<Term>& reps) {
+  reps.clear();
+  reps.reserve(vars.size());
+  least_of_root_.assign(term_of_.size(), -1);
+  for (size_t i = 0; i < vars.size(); ++i) {
+    Term v = Term::Var(vars[i]);
+    std::optional<int> node = FindNode(v);
+    if (!node) {
+      reps.push_back(v);
+      continue;
+    }
+    int root = Root(*node);
+    if (const_of_[root] != kNoConst) {
+      reps.push_back(Term::Const(static_cast<ConstId>(const_of_[root])));
+      continue;
+    }
+    // `vars` ascends, so the first variable met in a class is its least.
+    if (least_of_root_[root] < 0) least_of_root_[root] = static_cast<int>(i);
+    reps.push_back(Term::Var(vars[static_cast<size_t>(least_of_root_[root])]));
+  }
+}
+
 bool BindingEnv::CanEqual(Term a, Term b) {
   size_t mark = Mark();
   bool ok = AssertEqual(a, b);

@@ -85,6 +85,15 @@ class BindingEnv {
   /// True iff asserting a = b would succeed (non-mutating check).
   bool CanEqual(Term a, Term b);
 
+  /// The class representative of each of `vars` (sorted, deduplicated), in
+  /// one pass: the class constant if the class is bound, else the least
+  /// variable of `vars` in the class; a variable the environment never saw
+  /// is its own. reps[i] belongs to vars[i]. This is how the equalities of
+  /// a condition are incorporated into a table (the paper's normalization
+  /// of e- and g-tables) and how the interner canonicalizes.
+  void Representatives(const std::vector<VarId>& vars,
+                       std::vector<Term>& reps);
+
   /// True iff the asserted atoms imply `atom` over the infinite domain: an
   /// equality within one class, or a disequality between classes bound to
   /// distinct constants or separated by a recorded disequality.
@@ -120,6 +129,9 @@ class BindingEnv {
   std::vector<int64_t> const_of_;          // per root; kNoConst if unbound
   std::vector<std::pair<int, int>> diseqs_;  // node pairs
   std::vector<TrailEntry> trail_;
+  // Representatives' scratch: per root, the index in `vars` of the least
+  // variable seen in its class, or -1.
+  std::vector<int> least_of_root_;
 };
 
 }  // namespace pw

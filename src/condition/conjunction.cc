@@ -1,7 +1,6 @@
 #include "condition/conjunction.h"
 
 #include <algorithm>
-#include <set>
 
 #include "condition/binding_env.h"
 #include "core/symbol_table.h"
@@ -67,37 +66,39 @@ std::unordered_map<VarId, Term> Conjunction::CanonicalSubstitution() const {
   BindingEnv env;
   if (!env.Assert(*this)) return out;
   std::vector<VarId> vars = Variables();
-  for (VarId v : vars) {
-    if (auto c = env.ValueOf(Term::Var(v))) {
-      out.emplace(v, Term::Const(*c));
-      continue;
-    }
-    // Least variable of the class (vars is sorted, so scan from the front).
-    for (VarId w : vars) {
-      if (env.SameClass(Term::Var(v), Term::Var(w))) {
-        out.emplace(v, Term::Var(w));
-        break;
-      }
-    }
-  }
+  std::vector<Term> reps;
+  env.Representatives(vars, reps);
+  out.reserve(vars.size());
+  for (size_t i = 0; i < vars.size(); ++i) out.emplace(vars[i], reps[i]);
   return out;
 }
 
 std::vector<VarId> Conjunction::Variables() const {
-  std::set<VarId> seen;
-  for (const CondAtom& a : atoms_) {
-    for (VarId v : AtomVariables(a)) seen.insert(v);
-  }
-  return {seen.begin(), seen.end()};
+  std::vector<VarId> out;
+  AppendVariables(out);
+  SortUnique(out);
+  return out;
 }
 
 std::vector<ConstId> Conjunction::Constants() const {
-  std::set<ConstId> seen;
+  std::vector<ConstId> out;
+  AppendConstants(out);
+  SortUnique(out);
+  return out;
+}
+
+void Conjunction::AppendVariables(std::vector<VarId>& out) const {
   for (const CondAtom& a : atoms_) {
-    if (a.lhs.is_constant()) seen.insert(a.lhs.constant());
-    if (a.rhs.is_constant()) seen.insert(a.rhs.constant());
+    if (a.lhs.is_variable()) out.push_back(a.lhs.variable());
+    if (a.rhs.is_variable()) out.push_back(a.rhs.variable());
   }
-  return {seen.begin(), seen.end()};
+}
+
+void Conjunction::AppendConstants(std::vector<ConstId>& out) const {
+  for (const CondAtom& a : atoms_) {
+    if (a.lhs.is_constant()) out.push_back(a.lhs.constant());
+    if (a.rhs.is_constant()) out.push_back(a.rhs.constant());
+  }
 }
 
 Conjunction Conjunction::Simplified() const {

@@ -101,29 +101,15 @@ ConjId ConditionInterner::Canonicalize(const Conjunction& conjunction) {
   if (!env.Assert(conjunction)) return kFalseConj;
 
   // Map every variable to its class representative: the class constant if
-  // bound, else the least variable of the class (vars is sorted, so the
-  // first same-class hit is the least).
+  // bound, else the least variable of the class.
   std::vector<VarId> vars;
   for (const CondAtom& a : atoms) {
     if (a.lhs.is_variable()) vars.push_back(a.lhs.variable());
     if (a.rhs.is_variable()) vars.push_back(a.rhs.variable());
   }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  SortUnique(vars);
   std::vector<Term> reps;
-  reps.reserve(vars.size());
-  for (VarId v : vars) {
-    if (auto c = env.ValueOf(Term::Var(v))) {
-      reps.push_back(Term::Const(*c));
-      continue;
-    }
-    for (VarId w : vars) {
-      if (env.SameClass(Term::Var(v), Term::Var(w))) {
-        reps.push_back(Term::Var(w));
-        break;
-      }
-    }
-  }
+  env.Representatives(vars, reps);
   auto rewrite = [&vars, &reps](Term t) {
     if (t.is_variable()) {
       auto it = std::lower_bound(vars.begin(), vars.end(), t.variable());

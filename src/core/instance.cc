@@ -1,7 +1,5 @@
 #include "core/instance.h"
 
-#include <set>
-
 #include "core/symbol_table.h"
 
 namespace pw {
@@ -19,11 +17,12 @@ std::vector<int> Instance::Arities() const {
 }
 
 std::vector<ConstId> Instance::Constants() const {
-  std::set<ConstId> seen;
+  std::vector<ConstId> out;
   for (const Relation& r : relations_) {
-    for (ConstId c : r.Constants()) seen.insert(c);
+    for (const Fact& f : r) out.insert(out.end(), f.begin(), f.end());
   }
-  return {seen.begin(), seen.end()};
+  SortUnique(out);
+  return out;
 }
 
 size_t Instance::TotalFacts() const {
@@ -52,11 +51,12 @@ bool ContainsAll(const Instance& instance,
 }
 
 std::vector<ConstId> FactConstants(const std::vector<LocatedFact>& facts) {
-  std::set<ConstId> seen;
+  std::vector<ConstId> out;
   for (const LocatedFact& lf : facts) {
-    seen.insert(lf.fact.begin(), lf.fact.end());
+    out.insert(out.end(), lf.fact.begin(), lf.fact.end());
   }
-  return {seen.begin(), seen.end()};
+  SortUnique(out);
+  return out;
 }
 
 }  // namespace pw

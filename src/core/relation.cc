@@ -1,7 +1,6 @@
 #include "core/relation.h"
 
 #include <cassert>
-#include <set>
 
 #include "core/symbol_table.h"
 
@@ -36,9 +35,11 @@ Relation Relation::UnionWith(const Relation& other) const {
 }
 
 std::vector<ConstId> Relation::Constants() const {
-  std::set<ConstId> seen;
-  for (const Fact& f : facts_) seen.insert(f.begin(), f.end());
-  return {seen.begin(), seen.end()};
+  std::vector<ConstId> out;
+  out.reserve(facts_.size() * static_cast<size_t>(arity_));
+  for (const Fact& f : facts_) out.insert(out.end(), f.begin(), f.end());
+  SortUnique(out);
+  return out;
 }
 
 std::vector<Fact> Relation::ToVector() const {

@@ -9,10 +9,12 @@
 #ifndef PW_CORE_TERM_H_
 #define PW_CORE_TERM_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace pw {
 
@@ -61,6 +63,15 @@ class Term {
 /// Renders a term as text: constants as their decimal id, variables as
 /// `x<id>` (matching the paper's x, y, z ... notation up to renaming).
 std::string ToString(const Term& term);
+
+/// Sorts `ids` and drops repeats: the sorted, deduplicated lists that the
+/// Variables() and Constants() accessors return, gathered into one vector
+/// instead of a tree-based set.
+template <typename Id>
+void SortUnique(std::vector<Id>& ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
 
 }  // namespace pw
 

@@ -1,6 +1,7 @@
 #include "core/tuple.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <utility>
 
 #include "core/symbol_table.h"
 
@@ -29,13 +30,30 @@ Tuple ToTuple(const Fact& fact) {
 
 bool Unifiable(const Tuple& tuple, const Fact& fact) {
   if (tuple.size() != fact.size()) return false;
-  std::unordered_map<VarId, ConstId> binding;
+  // Constants first: most row-fact pairs fail here, before any variable.
+  size_t variables = 0;
   for (size_t i = 0; i < tuple.size(); ++i) {
-    if (tuple[i].is_constant()) {
-      if (tuple[i].constant() != fact[i]) return false;
-    } else {
-      auto [it, inserted] = binding.emplace(tuple[i].variable(), fact[i]);
-      if (!inserted && it->second != fact[i]) return false;
+    if (tuple[i].is_variable()) {
+      ++variables;
+    } else if (tuple[i].constant() != fact[i]) {
+      return false;
+    }
+  }
+  if (variables < 2) return true;
+  // A repeated variable needs equal fact values at its positions: sort the
+  // (variable, value) pairs and compare neighbours, O(k log k) in the k
+  // variable positions. The buffer is reused, so no call allocates once it
+  // has grown.
+  thread_local std::vector<std::pair<VarId, ConstId>> bound;
+  bound.clear();
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    if (tuple[i].is_variable()) bound.emplace_back(tuple[i].variable(), fact[i]);
+  }
+  std::sort(bound.begin(), bound.end());
+  for (size_t i = 1; i < bound.size(); ++i) {
+    if (bound[i].first == bound[i - 1].first &&
+        bound[i].second != bound[i - 1].second) {
+      return false;
     }
   }
   return true;

@@ -19,9 +19,13 @@ bool ShapesMatch(const CDatabase& database, const Instance& instance) {
   return true;
 }
 
-/// Theorem 3.1(1)'s algorithm for a single table/relation pair.
-bool CoddTableMembership(const CTable& table, const Relation& relation) {
-  std::vector<Fact> facts = relation.ToVector();
+}  // namespace
+
+bool CoddRowsCoverFacts(const CTable& table, const Relation& relation,
+                        bool every_row_lands) {
+  std::vector<const Fact*> facts;
+  facts.reserve(relation.size());
+  for (const Fact& f : relation) facts.push_back(&f);
   int n = static_cast<int>(facts.size());
   int m = static_cast<int>(table.num_rows());
   // Bipartite graph: left = rows v_j of T, right = facts u_i of I0, with an
@@ -30,27 +34,27 @@ bool CoddTableMembership(const CTable& table, const Relation& relation) {
   for (int j = 0; j < m; ++j) {
     bool connected = false;
     for (int i = 0; i < n; ++i) {
-      if (Unifiable(table.row(j).tuple, facts[i])) {
+      if (Unifiable(table.row(j).tuple, *facts[i])) {
         g.AddEdge(j, i);
         connected = true;
       }
     }
-    // Step (c): a row that can map onto no fact of I0 forces sigma(T) != I0.
-    if (!connected) return false;
+    // MEMB's step (c): a row that can map onto no fact of I0 forces
+    // sigma(T) != I0.
+    if (every_row_lands && !connected) return false;
   }
   // Step (d)/(e): a matching of cardinality n covers every fact of I0 with a
   // distinct row; the remaining rows reuse any compatible fact.
   return MaxBipartiteMatching(g).size == n;
 }
 
-}  // namespace
-
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance) {
   if (database.Kind() != TableKind::kCoddTable) return std::nullopt;
   if (!ShapesMatch(database, instance)) return false;
   for (size_t k = 0; k < database.num_tables(); ++k) {
-    if (!CoddTableMembership(database.table(k), instance.relation(k))) {
+    if (!CoddRowsCoverFacts(database.table(k), instance.relation(k),
+                            /*every_row_lands=*/true)) {
       return false;
     }
   }

@@ -29,6 +29,13 @@ namespace pw {
 std::optional<bool> MembershipCoddTables(const CDatabase& database,
                                          const Instance& instance);
 
+/// The matching both Codd-table front ends decide by (Thm 3.1(1) and
+/// 5.1(1)): true iff distinct rows of `table` map onto all the facts of
+/// `relation`, on the graph that joins a row to every fact it unifies with.
+/// With `every_row_lands`, false as soon as a row unifies with no fact.
+bool CoddRowsCoverFacts(const CTable& table, const Relation& relation,
+                        bool every_row_lands);
+
 /// Exact membership for arbitrary c-databases, as clauses of the decision
 /// layer's one search (ChoiceCnf) over the combined global condition: per
 /// row whose local can hold, "the row lands on a unifiable fact of the

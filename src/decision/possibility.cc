@@ -5,10 +5,10 @@
 #include "condition/backend.h"
 #include "condition/interner.h"
 #include "datalog/magic.h"
+#include "decision/membership.h"
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
 #include "ra/properties.h"
-#include "solvers/bipartite_matching.h"
 
 namespace pw {
 
@@ -52,17 +52,11 @@ std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
     if (rel.empty()) continue;
     const CTable& table = database.table(k);
     if (table.arity() != rel.arity()) return false;
-    std::vector<Fact> facts = rel.ToVector();
-    int n = static_cast<int>(facts.size());
-    BipartiteGraph g(n, static_cast<int>(table.num_rows()));
-    for (int i = 0; i < n; ++i) {
-      for (size_t j = 0; j < table.num_rows(); ++j) {
-        if (Unifiable(table.row(j).tuple, facts[i])) {
-          g.AddEdge(i, static_cast<int>(j));
-        }
-      }
+    // Thm 5.1(1): distinct rows must cover the pattern; the other rows can
+    // land anywhere.
+    if (!CoddRowsCoverFacts(table, rel, /*every_row_lands=*/false)) {
+      return false;
     }
-    if (MaxBipartiteMatching(g).size != n) return false;
   }
   return true;
 }

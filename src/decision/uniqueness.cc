@@ -1,6 +1,11 @@
 #include "decision/uniqueness.h"
 
+#include <algorithm>
+#include <numeric>
+#include <span>
+
 #include "condition/backend.h"
+#include "condition/binding_env.h"
 #include "condition/interner.h"
 #include "decision/certainty.h"
 #include "decision/membership.h"
@@ -13,15 +18,34 @@ namespace pw {
 
 namespace {
 
-/// rep(table with no conditions, matrix M) == {relation}? PTIME core of
-/// Thm 3.2(1) after normalization: M must be ground and equal the relation.
-bool GroundMatrixEquals(const CTable& table, const Relation& relation) {
-  Relation matrix(table.arity());
+/// rep(table's matrix under the equalities of `env`) == {relation}? The
+/// PTIME core of Thm 3.2(1) after normalization: every null of the rows
+/// must be forced to a constant, and the rows so grounded, sorted and
+/// deduplicated, must be exactly the relation.
+bool ForcedMatrixEquals(const CTable& table, const BindingEnv& env,
+                        const Relation& relation) {
+  if (table.arity() != relation.arity()) return false;
+  // Row r grounded is cells[r * arity, (r + 1) * arity): one buffer, not a
+  // fact per row.
+  const size_t arity = static_cast<size_t>(table.arity());
+  std::vector<ConstId> cells;
+  cells.reserve(table.num_rows() * arity);
   for (const CRow& row : table.rows()) {
-    if (!IsGround(row.tuple)) return false;
-    matrix.Insert(ToFact(row.tuple));
+    for (const Term& t : row.tuple) {
+      std::optional<ConstId> c = env.ValueOf(t);
+      if (!c) return false;  // a free null: more than one world
+      cells.push_back(*c);
+    }
   }
-  return matrix == relation;
+  auto grounded = [&cells, arity](size_t r) {
+    return std::span<const ConstId>(cells).subspan(r * arity, arity);
+  };
+  std::vector<size_t> rows(table.num_rows());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  std::ranges::sort(rows, std::ranges::lexicographical_compare, grounded);
+  auto repeats = std::ranges::unique(rows, std::ranges::equal, grounded);
+  rows.erase(repeats.begin(), repeats.end());
+  return std::ranges::equal(rows, relation, std::ranges::equal, grounded);
 }
 
 /// Is there a world of rep(database) other than `instance`? One differs iff
@@ -65,16 +89,18 @@ std::optional<bool> UniqGTables(const CDatabase& database,
   if (database.HasLocalConditions()) return std::nullopt;
   if (database.num_tables() != instance.num_relations()) return false;
 
-  Conjunction global = database.CombinedGlobal();
-  if (!ConditionInterner::Global().CachedSatisfiable(global)) {
-    return false;  // rep empty, never a singleton
-  }
-
-  auto canon = global.CanonicalSubstitution();
+  // Normalization: the combined global's congruence closure gives each
+  // null the constant it forces, if any.
+  BindingEnv env;
   for (size_t k = 0; k < database.num_tables(); ++k) {
-    CTable normalized = database.table(k).Substitute(canon);
-    if (normalized.arity() != instance.relation(k).arity()) return false;
-    if (!GroundMatrixEquals(normalized, instance.relation(k))) return false;
+    if (!env.Assert(database.table(k).global())) {
+      return false;  // rep empty, never a singleton
+    }
+  }
+  for (size_t k = 0; k < database.num_tables(); ++k) {
+    if (!ForcedMatrixEquals(database.table(k), env, instance.relation(k))) {
+      return false;
+    }
   }
   return true;
 }
@@ -109,19 +135,14 @@ std::optional<bool> UniqPosExistentialView(const RaQuery& query,
   // each DNF disjunct phi_i (our IL-algebra keeps conjunctions, so phi is its
   // own single disjunct): incorporate phi_i's equalities into the full
   // matrix and require the resulting e-table to represent exactly {I_p}.
+  BindingEnv env;
   for (size_t p = 0; p < result->num_tables(); ++p) {
     const CTable& rt = result->table(p);
     for (const CRow& row : rt.rows()) {
       // Positive existential without != yields equality-only conjunctions.
-      Conjunction phi = row.local().Simplified();
-      if (!ConditionInterner::Global().CachedSatisfiable(phi)) {
-        continue;  // row can never be on
-      }
-      auto subst = phi.CanonicalSubstitution();
-      CTable t_ti(rt.arity());
-      for (const CRow& r2 : rt.rows()) t_ti.AddRow(r2.tuple);
-      t_ti = t_ti.Substitute(subst);
-      if (!GroundMatrixEquals(t_ti, instance.relation(p))) return false;
+      env.Revert(0);
+      if (!env.Assert(row.local())) continue;  // row can never be on
+      if (!ForcedMatrixEquals(rt, env, instance.relation(p))) return false;
     }
   }
   return true;

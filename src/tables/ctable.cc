@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <utility>
 
 #include "condition/interner.h"
@@ -124,6 +123,27 @@ CTable CTable::FromRelation(const Relation& relation) {
   return out;
 }
 
+namespace {
+
+/// Appends the variables of the rows' tuples to `out`, with repeats.
+void AppendTupleVariables(const std::vector<CRow>& rows,
+                          std::vector<VarId>& out) {
+  for (const CRow& row : rows) {
+    for (const Term& t : row.tuple) {
+      if (t.is_variable()) out.push_back(t.variable());
+    }
+  }
+}
+
+/// True iff `vars` holds some id twice; sorts it.
+bool HasRepeat(std::vector<VarId>& vars) {
+  size_t n = vars.size();
+  SortUnique(vars);
+  return vars.size() != n;
+}
+
+}  // namespace
+
 TableKind CTable::Kind() const {
   bool has_local = false;
   for (const CRow& row : rows_) {
@@ -140,45 +160,35 @@ TableKind CTable::Kind() const {
     if (IsTriviallyTrue(a)) continue;
     (a.is_equality ? has_eq : has_neq) = true;
   }
-
-  bool repeats = false;
-  std::set<VarId> seen;
-  for (const CRow& row : rows_) {
-    for (const Term& t : row.tuple) {
-      if (t.is_variable() && !seen.insert(t.variable()).second) {
-        repeats = true;
-      }
-    }
-  }
-
   if (has_eq) return TableKind::kGTable;
+
+  std::vector<VarId> vars;
+  AppendTupleVariables(rows_, vars);
+  bool repeats = HasRepeat(vars);
   if (has_neq) return repeats ? TableKind::kGTable : TableKind::kITable;
-  if (repeats) return TableKind::kETable;
-  return TableKind::kCoddTable;
+  return repeats ? TableKind::kETable : TableKind::kCoddTable;
 }
 
 std::vector<VarId> CTable::Variables() const {
-  std::set<VarId> seen;
-  for (const CRow& row : rows_) {
-    for (const Term& t : row.tuple) {
-      if (t.is_variable()) seen.insert(t.variable());
-    }
-    for (VarId v : row.local().Variables()) seen.insert(v);
-  }
-  for (VarId v : global_.Variables()) seen.insert(v);
-  return {seen.begin(), seen.end()};
+  std::vector<VarId> out;
+  AppendTupleVariables(rows_, out);
+  for (const CRow& row : rows_) row.local().AppendVariables(out);
+  global_.AppendVariables(out);
+  SortUnique(out);
+  return out;
 }
 
 std::vector<ConstId> CTable::Constants() const {
-  std::set<ConstId> seen;
+  std::vector<ConstId> out;
   for (const CRow& row : rows_) {
     for (const Term& t : row.tuple) {
-      if (t.is_constant()) seen.insert(t.constant());
+      if (t.is_constant()) out.push_back(t.constant());
     }
-    for (ConstId c : row.local().Constants()) seen.insert(c);
+    row.local().AppendConstants(out);
   }
-  for (ConstId c : global_.Constants()) seen.insert(c);
-  return {seen.begin(), seen.end()};
+  global_.AppendConstants(out);
+  SortUnique(out);
+  return out;
 }
 
 bool CTable::IsGround() const { return Variables().empty(); }
@@ -334,19 +344,23 @@ ConjId CDatabase::CombinedGlobalId(ConditionInterner& interner) const {
 }
 
 std::vector<VarId> CDatabase::Variables() const {
-  std::set<VarId> seen;
+  std::vector<VarId> out;
   for (const auto& t : tables_) {
-    for (VarId v : t->Variables()) seen.insert(v);
+    std::vector<VarId> vars = t->Variables();
+    out.insert(out.end(), vars.begin(), vars.end());
   }
-  return {seen.begin(), seen.end()};
+  SortUnique(out);
+  return out;
 }
 
 std::vector<ConstId> CDatabase::Constants() const {
-  std::set<ConstId> seen;
+  std::vector<ConstId> out;
   for (const auto& t : tables_) {
-    for (ConstId c : t->Constants()) seen.insert(c);
+    std::vector<ConstId> constants = t->Constants();
+    out.insert(out.end(), constants.begin(), constants.end());
   }
-  return {seen.begin(), seen.end()};
+  SortUnique(out);
+  return out;
 }
 
 bool CDatabase::HasLocalConditions() const {
@@ -371,20 +385,11 @@ TableKind CDatabase::Kind() const {
   if (worst < TableKind::kETable && tables_.size() > 1) {
     // A variable shared between tuples of two member tables acts like an
     // incorporated equality, so the database is at least an e-table database.
-    std::set<VarId> seen;
-    for (const auto& t : tables_) {
-      std::set<VarId> mine;
-      for (const CRow& row : t->rows()) {
-        for (const Term& term : row.tuple) {
-          if (term.is_variable()) mine.insert(term.variable());
-        }
-      }
-      for (VarId v : mine) {
-        if (!seen.insert(v).second) {
-          worst = std::max(worst, TableKind::kETable);
-        }
-      }
-    }
+    // Every member is a Codd-table here, so a repeat among all the tuples'
+    // variables is such a shared variable.
+    std::vector<VarId> vars;
+    for (const auto& t : tables_) AppendTupleVariables(t->rows(), vars);
+    if (HasRepeat(vars)) worst = TableKind::kETable;
   }
   return worst;
 }

@@ -1,9 +1,8 @@
 #include "tables/world_enum.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
 
+#include "condition/binding_env.h"
 #include "condition/interner.h"
 
 namespace pw {
@@ -79,26 +78,35 @@ std::vector<ConstId> FreshConstants(const CDatabase& database,
 
 Instance Freeze(const CDatabase& database, const std::vector<ConstId>& avoid,
                 ConstId* first_null) {
-  std::unordered_map<VarId, Term> canon =
-      database.CombinedGlobal().CanonicalSubstitution();
+  // Each variable's class representative under the combined global: the
+  // constant it forces, else the least variable of its class. (An
+  // unsatisfiable global leaves every variable in a class of its own.)
+  BindingEnv env;
+  if (!env.Assert(database.CombinedGlobal())) env.Revert(0);
   std::vector<VarId> vars = database.Variables();
+  std::vector<Term> reps;
+  env.Representatives(vars, reps);
   // One more than needed, so fresh[0] exists even without variables.
   std::vector<ConstId> fresh =
       FreshConstants(database, avoid, vars.size() + 1);
   if (first_null != nullptr) *first_null = fresh[0];
-  // `vars` is sorted and includes the global's variables, so each class's
-  // least variable, its representative, is frozen before the others.
-  std::unordered_map<VarId, ConstId> frozen;
+  auto index_of = [&vars](VarId v) {
+    return static_cast<size_t>(
+        std::lower_bound(vars.begin(), vars.end(), v) - vars.begin());
+  };
+  // frozen[i] is the value of vars[i]. `vars` is sorted and includes the
+  // global's variables, so each class's least variable, its
+  // representative, is frozen before the others.
+  std::vector<ConstId> frozen(vars.size());
   size_t next = 0;
-  for (VarId v : vars) {
-    auto it = canon.find(v);
-    Term t = it == canon.end() ? Term::Var(v) : it->second;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    Term t = reps[i];
     if (t.is_constant()) {
-      frozen.emplace(v, t.constant());
-    } else if (t.variable() == v) {
-      frozen.emplace(v, fresh[next++]);
+      frozen[i] = t.constant();
+    } else if (t.variable() == vars[i]) {
+      frozen[i] = fresh[next++];
     } else {
-      frozen.emplace(v, frozen.at(t.variable()));
+      frozen[i] = frozen[index_of(t.variable())];
     }
   }
   std::vector<Relation> rels;
@@ -110,7 +118,8 @@ Instance Freeze(const CDatabase& database, const std::vector<ConstId>& avoid,
       Fact f;
       f.reserve(row.tuple.size());
       for (const Term& t : row.tuple) {
-        f.push_back(t.is_constant() ? t.constant() : frozen.at(t.variable()));
+        f.push_back(t.is_constant() ? t.constant()
+                                    : frozen[index_of(t.variable())]);
       }
       r.Insert(std::move(f));
     }
@@ -125,13 +134,12 @@ bool ForEachSatisfyingValuation(
   std::vector<VarId> vars = database.Variables();
   Conjunction global = database.CombinedGlobal();
 
-  std::set<ConstId> delta_set;
-  for (ConstId c : database.Constants()) delta_set.insert(c);
-  for (ConstId c : options.extra_constants) delta_set.insert(c);
-
   EnumState state;
   state.vars = &vars;
-  state.delta.assign(delta_set.begin(), delta_set.end());
+  state.delta = database.Constants();
+  state.delta.insert(state.delta.end(), options.extra_constants.begin(),
+                     options.extra_constants.end());
+  SortUnique(state.delta);
   state.fresh = FreshConstants(database, options.extra_constants, vars.size());
   state.global = &global;
   state.fn = &fn;

@@ -106,6 +106,28 @@ TEST(ConjunctionTest, CanonicalSubstitution) {
   EXPECT_EQ(canon.at(5), Term::Var(2));
   EXPECT_EQ(canon.at(2), Term::Var(2));
   EXPECT_EQ(canon.at(7), Term::Const(4));
+
+  // A 60-variable chain asserted from the highest variable down: the
+  // representative is the least variable, whatever the union order.
+  Conjunction chain;
+  for (VarId v = 59; v > 0; --v) chain.Add(Eq(V(v), V(v - 1)));
+  canon = chain.CanonicalSubstitution();
+  ASSERT_EQ(canon.size(), 60u);
+  for (VarId v = 0; v < 60; ++v) EXPECT_EQ(canon.at(v), Term::Var(0)) << v;
+
+  // The same chain bound to a constant at its far end: every variable maps
+  // to the constant.
+  chain.Add(Eq(V(59), C(8)));
+  canon = chain.CanonicalSubstitution();
+  ASSERT_EQ(canon.size(), 60u);
+  for (VarId v = 0; v < 60; ++v) EXPECT_EQ(canon.at(v), Term::Const(8)) << v;
+
+  // Disequalities merge no classes: each variable is its own
+  // representative.
+  Conjunction apart{Neq(V(9), V(3)), Neq(V(3), V(6)), Neq(V(6), C(1))};
+  canon = apart.CanonicalSubstitution();
+  ASSERT_EQ(canon.size(), 3u);
+  for (VarId v : {3, 6, 9}) EXPECT_EQ(canon.at(v), Term::Var(v));
 }
 
 TEST(ConjunctionTest, SubstituteRewritesAtoms) {

@@ -93,6 +93,34 @@ TEST(TupleTest, UnifiableRejectsArityMismatch) {
   EXPECT_FALSE(Unifiable(Tuple{V(0)}, Fact{1, 2}));
 }
 
+TEST(TupleTest, UnifiableChecksRepeatsAfterMatchingConstants) {
+  // The second x0 follows a constant that matches: the repeat still decides.
+  Tuple tuple{V(0), C(5), V(0)};
+  EXPECT_TRUE(Unifiable(tuple, Fact{4, 5, 4}));
+  EXPECT_FALSE(Unifiable(tuple, Fact{4, 5, 6}));
+  EXPECT_FALSE(Unifiable(tuple, Fact{4, 6, 4}));
+  // The empty tuple is the one row that unifies with the empty fact.
+  EXPECT_TRUE(Unifiable(Tuple{}, Fact{}));
+  EXPECT_FALSE(Unifiable(Tuple{}, Fact{1}));
+}
+
+TEST(TupleTest, UnifiableChecksRepeatsOfWideTuples) {
+  // 40 positions: x0..x19 in order, then again in reverse.
+  Tuple tuple;
+  Fact fact;
+  for (VarId v = 0; v < 20; ++v) {
+    tuple.push_back(V(v));
+    fact.push_back(100 + v);
+  }
+  for (VarId v = 19; v >= 0; --v) {
+    tuple.push_back(V(v));
+    fact.push_back(100 + v);
+  }
+  EXPECT_TRUE(Unifiable(tuple, fact));
+  fact[39] = 7;  // the second x0 disagrees with the first
+  EXPECT_FALSE(Unifiable(tuple, fact));
+}
+
 TEST(RelationTest, SetSemantics) {
   Relation r(2);
   EXPECT_TRUE(r.Insert(Fact{1, 2}));

@@ -91,6 +91,15 @@
 //     (testutil::IsWorld, PossibilitySearch) on two-table c-databases that
 //     share nulls.
 //
+// 12. PTIME table front ends — the paper's polynomial special cases must
+//     agree with the exact searches on arity-3 tables of 8-40 rows (rows of
+//     nulls only, rows whose one constant is in the last column, repeated
+//     ground facts; globals whose classes may hold no constant):
+//     MembershipCoddTables with MembershipSearch (and testutil::IsWorld at
+//     up to 6 nulls), PossUnboundedCoddTables with the identity view's
+//     bounded Possibility, UniqGTables with UniquenessSearch, and
+//     ContGTablesInCoddTables with ContainmentSearch at up to 6 lhs nulls.
+//
 // Families 1-6 additionally run wholesale on the decision-diagram backend
 // via the PW_CONDITION_BACKEND=dd environment variable (the CI matrix's
 // tsan-dd cell does exactly that).
@@ -103,12 +112,15 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "condition/backend.h"
+#include "condition/binding_env.h"
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
+#include "decision/containment.h"
 #include "decision/membership.h"
 #include "decision/possibility.h"
 #include "decision/uniqueness.h"
@@ -1696,6 +1708,311 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MembershipPossibilityDifferentialTest,
                          ::testing::Range(0, 20));
+
+// --- Family 12: PTIME table front ends --------------------------------------
+
+/// An arity-3 table of 8-40 rows for the PTIME front ends. Row shapes: only
+/// nulls, nulls with one constant in the last column, a ground row (often
+/// repeating an earlier ground fact) and a mix. Null positions stop at
+/// `max_nulls`; later rows are ground. Each null is fresh (a Codd-table)
+/// unless `repeat_nulls`, which reuses an earlier null at a third of the
+/// positions. Constants are drawn from [0, num_constants).
+CTable FrontEndTable(std::mt19937& rng, int max_nulls, int num_constants,
+                     bool repeat_nulls) {
+  std::uniform_int_distribution<int> num_rows(8, 40), shape(0, 3);
+  std::uniform_int_distribution<ConstId> constant(0, num_constants - 1);
+  CTable table(3);
+  std::vector<Tuple> ground;
+  int nulls = 0;
+  VarId next_var = 0;
+  auto null = [&]() {
+    ++nulls;
+    if (repeat_nulls && next_var > 0 && rng() % 3 == 0) {
+      return V(static_cast<VarId>(rng() % static_cast<unsigned>(next_var)));
+    }
+    return V(next_var++);
+  };
+  for (int r = 0, n = num_rows(rng); r < n; ++r) {
+    int kind = nulls + 3 <= max_nulls ? shape(rng) : 2;
+    Tuple tuple;
+    switch (kind) {
+      case 0:
+        tuple = {null(), null(), null()};
+        break;
+      case 1:
+        tuple = {null(), null(), C(constant(rng))};
+        break;
+      case 2:
+        if (!ground.empty() && rng() % 2 == 0) {
+          tuple = ground[rng() % ground.size()];
+        } else {
+          tuple = {C(constant(rng)), C(constant(rng)), C(constant(rng))};
+        }
+        break;
+      default:
+        for (int p = 0; p < 3; ++p) {
+          tuple.push_back(rng() % 2 == 0 ? null() : C(constant(rng)));
+        }
+    }
+    if (IsGround(tuple)) ground.push_back(tuple);
+    table.AddRow(tuple);
+  }
+  return table;
+}
+
+/// The world of `table` under a valuation that sends each null to a
+/// constant of [0, num_constants) or, now and then, to the constant 9 that
+/// no row holds.
+Relation RandomWorld(std::mt19937& rng, const CTable& table,
+                     int num_constants) {
+  std::unordered_map<VarId, ConstId> value;
+  for (VarId v : table.Variables()) {
+    value[v] = rng() % 4 == 0
+                   ? 9
+                   : static_cast<ConstId>(
+                         rng() % static_cast<unsigned>(num_constants));
+  }
+  Relation world(3);
+  for (const CRow& row : table.rows()) {
+    Fact fact;
+    for (const Term& t : row.tuple) {
+      fact.push_back(t.is_constant() ? t.constant() : value.at(t.variable()));
+    }
+    world.Insert(fact);
+  }
+  return world;
+}
+
+class TableFrontEndDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TableFrontEndDifferentialTest, CoddMembershipAgreesWithSearch) {
+  // Thm 3.1(1): a world of the table is a member; the world without the
+  // fact of a ground row is not (that row produces it in every world);
+  // the world plus a fact, or minus another one, is whatever the search
+  // and, at up to 6 nulls, the worlds say.
+  const unsigned case_seed = 16000 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 3; ++round) {
+    CTable table = FrontEndTable(rng, /*max_nulls=*/2 * round + 3 +
+                                          GetParam() % 3,
+                                 /*num_constants=*/4, /*repeat_nulls=*/false);
+    CDatabase db(table);
+    ASSERT_EQ(db.Kind(), TableKind::kCoddTable) << FormatCTable(table);
+    Relation world = RandomWorld(rng, table, 4);
+    std::vector<Fact> facts = world.ToVector();
+    std::vector<std::pair<Relation, std::optional<bool>>> candidates = {
+        {world, true}};
+    for (const CRow& row : table.rows()) {
+      if (!IsGround(row.tuple)) continue;
+      Relation without(3);
+      for (const Fact& f : facts) {
+        if (f != ToFact(row.tuple)) without.Insert(f);
+      }
+      candidates.push_back({without, false});
+      break;
+    }
+    Relation fewer(3, std::vector<Fact>(facts.begin() + 1, facts.end()));
+    candidates.push_back({fewer, std::nullopt});
+    Relation more = world;
+    more.Insert(Fact{static_cast<ConstId>(rng() % 4), 3, 9});
+    candidates.push_back({more, std::nullopt});
+    const bool enumerable = table.Variables().size() <= 6;
+    for (const auto& [relation, planted] : candidates) {
+      Instance instance({relation});
+      std::optional<bool> fast = MembershipCoddTables(db, instance);
+      ASSERT_TRUE(fast.has_value());
+      if (planted) EXPECT_EQ(*fast, *planted) << relation.ToString();
+      EXPECT_EQ(*fast, MembershipSearch(db, instance))
+          << "MEMB diverged on\n"
+          << relation.ToString() << "in\n"
+          << FormatCTable(table);
+      if (enumerable && !planted) {
+        EXPECT_EQ(*fast, testutil::IsWorld(db, instance))
+            << "MEMB diverged from the worlds on\n"
+            << relation.ToString() << "in\n"
+            << FormatCTable(table);
+      }
+    }
+  }
+}
+
+TEST_P(TableFrontEndDifferentialTest, CoddPossibilityAgreesWithChoiceCnf) {
+  // Thm 5.1(1): any subset of a world is possible; a fact over a constant
+  // no row holds needs a row of nulls that no other pattern fact needs.
+  const unsigned case_seed = 16100 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 3; ++round) {
+    CTable table = FrontEndTable(rng, /*max_nulls=*/3 * round + 3,
+                                 /*num_constants=*/4, /*repeat_nulls=*/false);
+    CDatabase db(table);
+    std::vector<Fact> facts = RandomWorld(rng, table, 4).ToVector();
+    for (int draw = 0; draw < 4; ++draw) {
+      Relation pattern(3);
+      for (const Fact& f : facts) {
+        if (rng() % 2 == 0) pattern.Insert(f);
+      }
+      const bool planted = draw < 2;
+      if (draw == 2) pattern.Insert(Fact{1000, 1000, 1000});
+      if (draw == 3) {
+        pattern.Insert(Fact{static_cast<ConstId>(rng() % 4),
+                            static_cast<ConstId>(rng() % 4), 2});
+      }
+      Instance instance({pattern});
+      std::optional<bool> fast = PossUnboundedCoddTables(db, instance);
+      ASSERT_TRUE(fast.has_value());
+      if (planted) EXPECT_TRUE(*fast) << pattern.ToString();
+      EXPECT_EQ(*fast,
+                Possibility(View::Identity(), db, ToLocatedFacts(instance)))
+          << "POSS diverged on\n"
+          << pattern.ToString() << "in\n"
+          << FormatCTable(table);
+    }
+  }
+}
+
+TEST_P(TableFrontEndDifferentialTest, GTableUniquenessAgreesWithSearch) {
+  // Thm 3.2(1): the global's classes of nulls are chains asserted in a
+  // random order, bound to a constant at the far end or left free; a few
+  // inequalities may make the global unsatisfiable. Candidates: the matrix
+  // under the forced constants (or under some valuation, when a class is
+  // free), with a fact dropped and with a fact added.
+  const unsigned case_seed = 16200 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 3; ++round) {
+    CTable table = FrontEndTable(rng, /*max_nulls=*/4 + 4 * round,
+                                 /*num_constants=*/4, /*repeat_nulls=*/true);
+    std::vector<VarId> nulls = table.Variables();
+    // The table's nulls are 0..n-1; n is a null of the global only.
+    nulls.push_back(static_cast<VarId>(nulls.size()));
+    std::shuffle(nulls.begin(), nulls.end(), rng);
+    std::vector<CondAtom> global;
+    std::vector<std::pair<VarId, ConstId>> bound;  // class head -> constant
+    for (size_t i = 0; i < nulls.size();) {
+      size_t size = 1 + rng() % 3;
+      size_t end = std::min(nulls.size(), i + size);
+      for (size_t j = i + 1; j < end; ++j) {
+        global.push_back(Eq(V(nulls[j]), V(nulls[j - 1])));
+      }
+      // Round 0 binds every class, so its matrix is the one world.
+      bool free_class = round > 0 && rng() % 6 == 0;
+      if (!free_class) {
+        ConstId c = static_cast<ConstId>(rng() % 4);
+        global.push_back(Eq(V(nulls[end - 1]), C(c)));
+        bound.push_back({nulls[i], c});
+      }
+      i = end;
+    }
+    for (int k = 0; k < 2 && !bound.empty(); ++k) {
+      const auto& [head, c] = bound[rng() % bound.size()];
+      // Mostly a true inequality; now and then the bound constant itself.
+      ConstId other = rng() % 8 == 0 ? c : static_cast<ConstId>(10 + k);
+      global.push_back(Neq(V(head), C(other)));
+    }
+    std::shuffle(global.begin(), global.end(), rng);
+    table.SetGlobal(Conjunction(global));
+    CDatabase db(table);
+    ASSERT_LE(db.Kind(), TableKind::kGTable);
+
+    // The forced matrix, with every free null sent to a constant.
+    Relation matrix(3);
+    BindingEnv env;
+    const bool satisfiable = env.Assert(table.global());
+    if (satisfiable) {
+      for (const CRow& row : table.rows()) {
+        Fact f;
+        for (const Term& t : row.tuple) {
+          f.push_back(env.ValueOf(t).value_or(50));
+        }
+        matrix.Insert(f);
+      }
+    }
+    std::vector<Fact> facts = matrix.ToVector();
+    std::vector<Relation> candidates = {matrix};
+    if (!facts.empty()) {
+      candidates.push_back(
+          Relation(3, std::vector<Fact>(facts.begin() + 1, facts.end())));
+    }
+    Relation more = matrix;
+    more.Insert(Fact{1, 2, 3});
+    candidates.push_back(more);
+    for (const Relation& relation : candidates) {
+      Instance instance({relation});
+      std::optional<bool> fast = UniqGTables(db, instance);
+      ASSERT_TRUE(fast.has_value());
+      if (round == 0 && satisfiable && relation == matrix) {
+        EXPECT_TRUE(*fast) << FormatCTable(table);
+      }
+      EXPECT_EQ(*fast, UniquenessSearch(View::Identity(), db, instance))
+          << "UNIQ diverged on\n"
+          << relation.ToString() << "in\n"
+          << FormatCTable(table);
+    }
+  }
+}
+
+TEST_P(TableFrontEndDifferentialTest, GInCoddContainmentAgreesWithSearch) {
+  // Thm 4.1(3): lhs is a g-table with repeated nulls under global
+  // inequalities, rhs the Codd-table that frees every null position of
+  // lhs; then one rhs row is perturbed: a constant moved off the data, a
+  // constant freed, or the row dropped.
+  const unsigned case_seed = 16300 + static_cast<unsigned>(GetParam());
+  PW_DIFF_CASE(case_seed);
+  std::mt19937 rng(case_seed);
+  for (int round = 0; round < 3; ++round) {
+    CTable lhs = FrontEndTable(rng, /*max_nulls=*/4 + round,
+                               /*num_constants=*/3, /*repeat_nulls=*/true);
+    std::vector<VarId> lhs_nulls = lhs.Variables();
+    for (size_t i = 1; i < lhs_nulls.size(); i += 2) {
+      lhs.AddGlobalAtom(Neq(V(lhs_nulls[i - 1]), V(lhs_nulls[i])));
+    }
+    CTable rhs(3);
+    VarId next_var = 0;
+    std::vector<Tuple> rows;
+    for (const CRow& row : lhs.rows()) {
+      Tuple tuple;
+      for (const Term& t : row.tuple) {
+        tuple.push_back(t.is_variable() ? V(next_var++) : t);
+      }
+      rows.push_back(tuple);
+    }
+    size_t r = rng() % rows.size();
+    switch (GetParam() % 4) {
+      case 0:
+        rows[r][2] = C(7);
+        break;
+      case 1:
+        rows[r][rng() % 3] = V(next_var++);
+        break;
+      case 2:
+        rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(r));
+        break;
+      default:
+        break;  // rhs generalizes lhs: contained
+    }
+    for (const Tuple& tuple : rows) rhs.AddRow(tuple);
+    CDatabase lhs_db(lhs), rhs_db(rhs);
+    ASSERT_LE(lhs_db.Kind(), TableKind::kGTable);
+    ASSERT_EQ(rhs_db.Kind(), TableKind::kCoddTable);
+    ASSERT_LE(lhs_db.Variables().size(), 6u);
+    std::optional<bool> fast = ContGTablesInCoddTables(lhs_db, rhs_db);
+    ASSERT_TRUE(fast.has_value());
+    // Planted: a constant off the data is never in the frozen world K0; a
+    // row-for-row generalization always contains.
+    if (GetParam() % 4 == 0) EXPECT_FALSE(*fast);
+    if (GetParam() % 4 == 3) EXPECT_TRUE(*fast);
+    EXPECT_EQ(*fast, ContainmentSearch(View::Identity(), lhs_db,
+                                       View::Identity(), rhs_db))
+        << "CONT diverged on\n"
+        << FormatCTable(lhs) << "in\n"
+        << FormatCTable(rhs);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TableFrontEndDifferentialTest,
+                         ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace pw

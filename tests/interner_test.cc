@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "condition/interner.h"
 #include "core/tuple.h"
@@ -75,6 +77,40 @@ TEST(InternerTest, InequalitiesRewriteThroughRepresentatives) {
   Conjunction a{Eq(V(0), V(1)), Neq(V(1), V(2))};
   Conjunction b{Eq(V(0), V(1)), Neq(V(0), V(2))};
   EXPECT_EQ(interner.Intern(a), interner.Intern(b));
+}
+
+TEST(InternerTest, CanonicalFormRewritesThroughClassRepresentatives) {
+  // The canonical form is `x = rep(x)` for every variable that is not its
+  // own representative, plus the inequalities rewritten through the
+  // representatives: the same representatives CanonicalSubstitution gives.
+  Conjunction chain;  // x59 = x58, ..., x1 = x0, asserted from the top
+  for (VarId v = 59; v > 0; --v) chain.Add(Eq(V(v), V(v - 1)));
+  Conjunction bound = chain;
+  bound.Add(Eq(V(59), C(8)));
+  const Conjunction cases[] = {
+      chain,
+      bound,
+      Conjunction{Neq(V(9), V(3)), Neq(V(3), V(6)), Neq(V(6), C(1))},
+      Conjunction::And(chain, Conjunction{Neq(V(59), C(2)),
+                                          Neq(V(70), V(31))}),
+  };
+  for (const Conjunction& c : cases) {
+    auto canon = c.CanonicalSubstitution();
+    auto rewrite = [&canon](Term t) {
+      return t.is_variable() ? canon.at(t.variable()) : t;
+    };
+    std::vector<CondAtom> expected;
+    for (VarId v : c.Variables()) {
+      if (canon.at(v) != Term::Var(v)) expected.push_back(Eq(V(v), canon.at(v)));
+    }
+    for (const CondAtom& a : c.atoms()) {
+      if (!a.is_equality) expected.push_back(Neq(rewrite(a.lhs), rewrite(a.rhs)));
+    }
+    std::sort(expected.begin(), expected.end());
+    ConditionInterner interner;
+    EXPECT_EQ(interner.Resolve(interner.Intern(c)), Conjunction(expected))
+        << c.ToString();
+  }
 }
 
 TEST(InternerTest, UnsatisfiableConjunctionsShareFalse) {
