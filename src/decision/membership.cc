@@ -1,5 +1,8 @@
 #include "decision/membership.h"
 
+#include <algorithm>
+#include <ranges>
+
 #include "condition/backend.h"
 #include "condition/interner.h"
 #include "ilalgebra/ctable_eval.h"
@@ -29,13 +32,21 @@ bool CoddRowsCoverFacts(const CTable& table, const Relation& relation,
   int n = static_cast<int>(facts.size());
   int m = static_cast<int>(table.num_rows());
   // Bipartite graph: left = rows v_j of T, right = facts u_i of I0, with an
-  // edge when some valuation maps the row onto the fact.
+  // edge when some valuation maps the row onto the fact. Facts iterate in
+  // lexicographic order, so the ones a row with a constant first column can
+  // meet are one run, found by binary search.
   BipartiteGraph g(m, n);
   for (int j = 0; j < m; ++j) {
+    const Tuple& tuple = table.row(j).tuple;
+    auto run = std::ranges::subrange(facts);
+    if (!tuple.empty() && tuple[0].is_constant()) {
+      run = std::ranges::equal_range(facts, tuple[0].constant(), {},
+                                     [](const Fact* f) { return (*f)[0]; });
+    }
     bool connected = false;
-    for (int i = 0; i < n; ++i) {
-      if (Unifiable(table.row(j).tuple, *facts[i])) {
-        g.AddEdge(j, i);
+    for (auto it = run.begin(); it != run.end(); ++it) {
+      if (Unifiable(tuple, **it)) {
+        g.AddEdge(j, static_cast<int>(it - facts.begin()));
         connected = true;
       }
     }

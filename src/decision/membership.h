@@ -33,6 +33,7 @@ std::optional<bool> MembershipCoddTables(const CDatabase& database,
 /// 5.1(1)): true iff distinct rows of `table` map onto all the facts of
 /// `relation`, on the graph that joins a row to every fact it unifies with.
 /// With `every_row_lands`, false as soon as a row unifies with no fact.
+/// `table` and `relation` have the same arity.
 bool CoddRowsCoverFacts(const CTable& table, const Relation& relation,
                         bool every_row_lands);
 
