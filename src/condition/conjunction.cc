@@ -75,30 +75,22 @@ std::unordered_map<VarId, Term> Conjunction::CanonicalSubstitution() const {
 
 std::vector<VarId> Conjunction::Variables() const {
   std::vector<VarId> out;
-  AppendVariables(out);
+  for (const CondAtom& a : atoms_) {
+    if (a.lhs.is_variable()) out.push_back(a.lhs.variable());
+    if (a.rhs.is_variable()) out.push_back(a.rhs.variable());
+  }
   SortUnique(out);
   return out;
 }
 
 std::vector<ConstId> Conjunction::Constants() const {
   std::vector<ConstId> out;
-  AppendConstants(out);
-  SortUnique(out);
-  return out;
-}
-
-void Conjunction::AppendVariables(std::vector<VarId>& out) const {
-  for (const CondAtom& a : atoms_) {
-    if (a.lhs.is_variable()) out.push_back(a.lhs.variable());
-    if (a.rhs.is_variable()) out.push_back(a.rhs.variable());
-  }
-}
-
-void Conjunction::AppendConstants(std::vector<ConstId>& out) const {
   for (const CondAtom& a : atoms_) {
     if (a.lhs.is_constant()) out.push_back(a.lhs.constant());
     if (a.rhs.is_constant()) out.push_back(a.rhs.constant());
   }
+  SortUnique(out);
+  return out;
 }
 
 Conjunction Conjunction::Simplified() const {

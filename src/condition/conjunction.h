@@ -73,12 +73,6 @@ class Conjunction {
   /// All constants mentioned, deduplicated and sorted.
   std::vector<ConstId> Constants() const;
 
-  /// Appends every variable (constant) the atoms mention to `out`, unsorted
-  /// and with repeats, so a caller gathering over many conjunctions sorts
-  /// once (SortUnique, core/term.h).
-  void AppendVariables(std::vector<VarId>& out) const;
-  void AppendConstants(std::vector<ConstId>& out) const;
-
   /// Drops trivially true atoms (c = c, x = x). Keeps order otherwise.
   Conjunction Simplified() const;
 

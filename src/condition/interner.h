@@ -126,13 +126,6 @@ class ConditionInterner {
   /// ran at intern time).
   bool Satisfiable(ConjId id) const { return id != kFalseConj; }
 
-  /// Interns, then reads the memoized verdict. Semantically identical to
-  /// `conjunction.Satisfiable()` (the uncached congruence-closure path) but
-  /// repeated queries on equal conjunctions cost one hash lookup.
-  bool CachedSatisfiable(const Conjunction& conjunction) {
-    return Intern(conjunction) != kFalseConj;
-  }
-
   /// The canonical atom ids of an interned conjunction (sorted by atom
   /// value, deduplicated). `a` subsumes `b` when AtomIdsOf(a) is a subset of
   /// AtomIdsOf(b) — the fast path of `Implies`.

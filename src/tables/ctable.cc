@@ -170,23 +170,25 @@ TableKind CTable::Kind() const {
 }
 
 std::vector<VarId> CTable::Variables() const {
-  std::vector<VarId> out;
+  std::vector<VarId> out = global_.Variables();
   AppendTupleVariables(rows_, out);
-  for (const CRow& row : rows_) row.local().AppendVariables(out);
-  global_.AppendVariables(out);
+  for (const CRow& row : rows_) {
+    std::vector<VarId> local = row.local().Variables();
+    out.insert(out.end(), local.begin(), local.end());
+  }
   SortUnique(out);
   return out;
 }
 
 std::vector<ConstId> CTable::Constants() const {
-  std::vector<ConstId> out;
+  std::vector<ConstId> out = global_.Constants();
   for (const CRow& row : rows_) {
     for (const Term& t : row.tuple) {
       if (t.is_constant()) out.push_back(t.constant());
     }
-    row.local().AppendConstants(out);
+    std::vector<ConstId> local = row.local().Constants();
+    out.insert(out.end(), local.begin(), local.end());
   }
-  global_.AppendConstants(out);
   SortUnique(out);
   return out;
 }

@@ -161,7 +161,7 @@ TEST(InternerTest, SyntacticCacheShortCircuitsRepeats) {
 }
 
 TEST(InternerTest, MemoizedSatisfiabilityAgreesWithUncachedPath) {
-  // Randomized agreement: CachedSatisfiable must equal the uncached
+  // Randomized agreement: the interned verdict must equal the uncached
   // congruence-closure path (Conjunction::Satisfiable) on every generated
   // condition — including repeats, which exercise the caches.
   ConditionInterner interner;
@@ -172,10 +172,12 @@ TEST(InternerTest, MemoizedSatisfiabilityAgreesWithUncachedPath) {
         /*num_local_atoms=*/3, /*num_global_atoms=*/3);
     CTable t = RandomCTable(options, rng);
     for (const CRow& row : t.rows()) {
-      EXPECT_EQ(interner.CachedSatisfiable(row.local()), row.local().Satisfiable())
+      EXPECT_EQ(interner.Satisfiable(interner.Intern(row.local())),
+                row.local().Satisfiable())
           << row.local().ToString();
     }
-    EXPECT_EQ(interner.CachedSatisfiable(t.global()), t.global().Satisfiable())
+    EXPECT_EQ(interner.Satisfiable(interner.Intern(t.global())),
+              t.global().Satisfiable())
         << t.global().ToString();
     // Conjoining via the interner agrees with raw concatenation.
     for (const CRow& row : t.rows()) {
