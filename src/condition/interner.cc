@@ -101,13 +101,9 @@ ConjId ConditionInterner::Canonicalize(const Conjunction& conjunction) {
   if (!env.Assert(conjunction)) return kFalseConj;
 
   // Map every variable to its class representative: the class constant if
-  // bound, else the least variable of the class.
-  std::vector<VarId> vars;
-  for (const CondAtom& a : atoms) {
-    if (a.lhs.is_variable()) vars.push_back(a.lhs.variable());
-    if (a.rhs.is_variable()) vars.push_back(a.rhs.variable());
-  }
-  SortUnique(vars);
+  // bound, else the least variable of the class. (A variable of a dropped
+  // x = x atom alone is its own and adds no canonical atom.)
+  std::vector<VarId> vars = conjunction.Variables();
   std::vector<Term> reps;
   env.Representatives(vars, reps);
   auto rewrite = [&vars, &reps](Term t) {
