@@ -1955,8 +1955,9 @@ TEST_P(TableFrontEndDifferentialTest, GTableUniquenessAgreesWithSearch) {
 
 TEST_P(TableFrontEndDifferentialTest, GInCoddContainmentAgreesWithSearch) {
   // Thm 4.1(3): lhs is a g-table with repeated nulls under global
-  // inequalities, rhs the Codd-table that frees every null position of
-  // lhs; then one rhs row is perturbed: a constant moved off the data, a
+  // inequalities and, in some rounds, equalities that merge two nulls or
+  // bind one; rhs is the Codd-table that frees every null position of
+  // lhs. Then one rhs row is perturbed: a constant moved off the data, a
   // constant freed, or the row dropped.
   const unsigned case_seed = 16300 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
@@ -1968,13 +1969,27 @@ TEST_P(TableFrontEndDifferentialTest, GInCoddContainmentAgreesWithSearch) {
     for (size_t i = 1; i < lhs_nulls.size(); i += 2) {
       lhs.AddGlobalAtom(Neq(V(lhs_nulls[i - 1]), V(lhs_nulls[i])));
     }
+    // Classes for Freeze to normalize: two nulls merged, one bound.
+    if (lhs_nulls.size() >= 3 && GetParam() % 2 == 1) {
+      lhs.AddGlobalAtom(Eq(V(lhs_nulls[2]), V(lhs_nulls[0])));
+    }
+    if (!lhs_nulls.empty() && round == 2) {
+      lhs.AddGlobalAtom(Eq(V(lhs_nulls.back()), C(1)));
+    }
     CTable rhs(3);
     VarId next_var = 0;
     std::vector<Tuple> rows;
+    // The null the global binds to 1 may stay the constant 1 in rhs: every
+    // lhs world holds 1 there, and so does K0 once Freeze normalizes.
+    const bool pin = round == 2 && GetParam() % 4 == 3;
     for (const CRow& row : lhs.rows()) {
       Tuple tuple;
       for (const Term& t : row.tuple) {
-        tuple.push_back(t.is_variable() ? V(next_var++) : t);
+        if (pin && t == V(lhs_nulls.back())) {
+          tuple.push_back(C(1));
+        } else {
+          tuple.push_back(t.is_variable() ? V(next_var++) : t);
+        }
       }
       rows.push_back(tuple);
     }
