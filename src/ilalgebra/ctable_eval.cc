@@ -45,12 +45,12 @@ const CTable* Referenced(const RaExpr& rel, const CDatabase& database) {
   return table.arity() == rel.arity() ? &table : nullptr;
 }
 
-// --- Planned n-ary join execution -------------------------------------------
+// --- Planned execution ------------------------------------------------------
 //
-// Conjunctive prefixes (select*/project* over an n-ary product tree) are
-// normalized and partitioned by the join planner (ilalgebra/join_plan.h)
-// and executed here as a greedily-ordered sequence of hash-join steps over
-// row-id combinations:
+// Every select*/project* prefix over an n-ary product tree, a one-leaf
+// prefix or a product without a join key included, is normalized and
+// partitioned by the join planner (ilalgebra/join_plan.h) and executed here
+// as a greedily-ordered sequence of join steps over row-id combinations:
 //
 //   - every leaf is evaluated once and its pushdown conjuncts applied
 //     (dropped rows keep their id, so relation-ref leaves probe the
@@ -60,23 +60,25 @@ const CTable* Referenced(const RaExpr& rel, const CDatabase& database) {
 //     projections below joins" buys: a column not needed by a later key, a
 //     conjunct, or the output is never touched;
 //   - each step probes the new leaf's index with the key resolved from the
-//     partial combination (non-ground keys fall back to a scan of the
-//     leaf), applies the conjuncts that became decidable, and conjoins
-//     conditions with unsatisfiable-prefix pruning;
+//     partial combination (a step without a key, or with a non-ground key,
+//     scans the leaf), applies the conjuncts that became decidable, and
+//     conjoins conditions with unsatisfiable-prefix pruning;
 //   - finally the surviving combinations are sorted lexicographically by
-//     their leaf-id vector — exactly the order the nested loops over the
-//     written tree enumerate — and emitted through the plan's output spec.
+//     their leaf-id vector — the order in which the rules, applied one
+//     operator at a time with each product's left side outer, enumerate
+//     them — and emitted through the plan's output spec.
 //
 // The join machinery is pure candidate pruning: a skipped combination is
-// one the nested loops would have dropped on a trivially-false ground atom
-// or an unsatisfiable condition.
+// one the rules would have dropped on a trivially-false ground atom or an
+// unsatisfiable condition.
 //
 // Local conditions travel as ConjIds through the whole expression tree and
 // are materialized exactly once at the end; every conjoin is a memoized
 // pairwise And, and rows whose condition canonicalizes to false disappear on
 // the spot. Since ids are canonical, the order in which leaf conditions and
 // conjunct batches are conjoined does not matter: the accumulated id of a
-// surviving combination equals the id the nested loops would produce.
+// surviving combination equals the id the rules produce one operator at a
+// time.
 
 struct InternedRow {
   Tuple tuple;
@@ -91,8 +93,7 @@ struct InternedTable {
 std::optional<InternedTable> EvalExpr(const RaExpr& expr,
                                       const CDatabase& database,
                                       ConditionInterner& interner,
-                                      CTableEvalStats& stats,
-                                      bool skip_plan = false);
+                                      CTableEvalStats& stats);
 
 /// Conjoins the instantiated pushdown atoms onto a leaf row's condition.
 /// Returns false when the row can never pair (a trivially false atom, or an
@@ -143,8 +144,8 @@ std::optional<InternedTable> EvalPlanned(const RaExpr& expr,
       for (const CRow& row : leaf.table->rows()) {
         ConjId cond = row.LocalId(interner);
         if (!interner.Satisfiable(cond)) {
-          // An unsatisfiable base condition is not a pushdown drop — the
-          // nested kRel path skips these rows without counting either.
+          // An unsatisfiable base condition is not a pushdown drop — a bare
+          // relation reference skips these rows without counting either.
           cond = ConditionInterner::kFalseConj;
         } else if (!Strengthen(plan.pushdown[k], row.tuple, interner, cond)) {
           ++stats.pushdown_dropped_rows;
@@ -296,7 +297,7 @@ std::optional<InternedTable> EvalPlanned(const RaExpr& expr,
     conds.swap(next_conds);
   }
 
-  // Emit in nested-loop order: lexicographic in the leaf-id vector.
+  // Emit in the rules' order: lexicographic in the leaf-id vector.
   const size_t num_out = conds.size();
   std::vector<uint32_t> order(num_out);
   std::iota(order.begin(), order.end(), 0);
@@ -317,22 +318,10 @@ std::optional<InternedTable> EvalPlanned(const RaExpr& expr,
   return out;
 }
 
-/// `skip_plan` suppresses the planning attempt: when an enclosing node of
-/// the same select*/project*/product prefix already planned and failed, a
-/// descendant sees a subset of its conjuncts over the same leaves, so it
-/// cannot fuse either — re-flattening would be quadratic rework.
 std::optional<InternedTable> EvalExpr(const RaExpr& expr,
                                       const CDatabase& database,
                                       ConditionInterner& interner,
-                                      CTableEvalStats& stats, bool skip_plan) {
-  if (!skip_plan && (expr.op() == RaOp::kSelect ||
-                     expr.op() == RaOp::kProject ||
-                     expr.op() == RaOp::kProduct)) {
-    JoinPlan plan = PlanJoin(expr);
-    if (plan.fused) {
-      return EvalPlanned(expr, plan, database, interner, stats);
-    }
-  }
+                                      CTableEvalStats& stats) {
   switch (expr.op()) {
     case RaOp::kRel: {
       const CTable* in = Referenced(expr, database);
@@ -355,63 +344,10 @@ std::optional<InternedTable> EvalExpr(const RaExpr& expr,
       }
       return out;
     }
-    case RaOp::kProject: {
-      auto in = EvalExpr(expr.input(), database, interner, stats,
-                         /*skip_plan=*/true);
-      if (!in) return std::nullopt;
-      InternedTable out{expr.arity(), {}};
-      out.rows.reserve(in->rows.size());
-      for (InternedRow& row : in->rows) {
-        Tuple t;
-        t.reserve(expr.outputs().size());
-        for (const ColOrConst& o : expr.outputs()) {
-          t.push_back(ResolveTerm(o, row.tuple));
-        }
-        out.rows.push_back({std::move(t), row.cond});
-      }
-      return out;
-    }
-    case RaOp::kSelect: {
-      auto in = EvalExpr(expr.input(), database, interner, stats,
-                         /*skip_plan=*/true);
-      if (!in) return std::nullopt;
-      InternedTable out{expr.arity(), {}};
-      for (InternedRow& row : in->rows) {
-        Conjunction sel;
-        bool keep = true;
-        for (const SelectAtom& a : expr.atoms()) {
-          if (!ApplySelectAtom(a, row.tuple, sel)) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        ConjId combined = interner.And(row.cond, interner.Intern(sel));
-        if (!interner.Satisfiable(combined)) continue;  // row never on
-        out.rows.push_back({std::move(row.tuple), combined});
-      }
-      return out;
-    }
-    case RaOp::kProduct: {
-      auto l = EvalExpr(expr.left(), database, interner, stats,
-                        /*skip_plan=*/true);
-      auto r = EvalExpr(expr.right(), database, interner, stats,
-                        /*skip_plan=*/true);
-      if (!l || !r) return std::nullopt;
-      ++stats.nested_loop_products;
-      stats.scan_pairs += l->rows.size() * r->rows.size();
-      InternedTable out{expr.arity(), {}};
-      for (const InternedRow& rl : l->rows) {
-        for (const InternedRow& rr : r->rows) {
-          ConjId combined = interner.And(rl.cond, rr.cond);
-          if (!interner.Satisfiable(combined)) continue;
-          Tuple t = rl.tuple;
-          t.insert(t.end(), rr.tuple.begin(), rr.tuple.end());
-          out.rows.push_back({std::move(t), combined});
-        }
-      }
-      return out;
-    }
+    case RaOp::kProject:
+    case RaOp::kSelect:
+    case RaOp::kProduct:
+      return EvalPlanned(expr, PlanJoin(expr), database, interner, stats);
     case RaOp::kUnion: {
       auto l = EvalExpr(expr.left(), database, interner, stats);
       auto r = EvalExpr(expr.right(), database, interner, stats);
@@ -454,7 +390,6 @@ void Accumulate(CTableEvalStats* sink, const CTableEvalStats& s) {
   sink->conjuncts_pushed += s.conjuncts_pushed;
   sink->projections_sunk += s.projections_sunk;
   sink->hash_joins += s.hash_joins;
-  sink->nested_loop_products += s.nested_loop_products;
   sink->index_builds += s.index_builds;
   sink->index_extends += s.index_extends;
   sink->index_probes += s.index_probes;

@@ -26,16 +26,18 @@
 // conjoin is a memoized pairwise And, and a row whose condition can never
 // hold is dropped on the spot.
 //
-// Conjunctive shapes — any select*/project* prefix over an n-ary product
-// tree, including RaExpr::Join chains, nested selections, and selections
-// above projections of products — are normalized by the join planner
-// (ilalgebra/join_plan.h) and executed as a greedily-ordered n-way hash
-// join over the shared tuple-index layer (tables/tuple_index.h): one-leaf
-// conjuncts are pushed down into the leaves, cross-leaf equalities key the
-// probes, and projections are sunk below the joins (intermediate state is
-// row-id combinations; a column not needed by a later key, a conjunct, or
-// the output is never materialized). Rows are emitted in the order the
-// nested loops over the written product tree would enumerate them.
+// Select, project and product have one executor. Every select*/project*
+// prefix over an n-ary product tree — one leaf, RaExpr::Join chains, nested
+// selections, selections above projections of products, products without
+// an equi-join key — is normalized by the join planner
+// (ilalgebra/join_plan.h) and executed as a greedily-ordered n-way join over
+// the shared tuple-index layer (tables/tuple_index.h): one-leaf conjuncts
+// are pushed down into the leaves, cross-leaf equalities key the probes, and
+// projections are sunk below the joins (intermediate state is row-id
+// combinations; a column not needed by a later key, a conjunct, or the
+// output is never materialized). Rows are emitted in the order the rules
+// above produce them one operator at a time, each product's left side
+// outer; testutil::NestedLoopImage (tests/test_util.h) is that reference.
 
 #ifndef PW_ILALGEBRA_CTABLE_EVAL_H_
 #define PW_ILALGEBRA_CTABLE_EVAL_H_
@@ -53,8 +55,8 @@ namespace pw {
 /// span several calls.
 struct CTableEvalStats {
   // Plan shape.
-  size_t planned_joins = 0;       // n-way join plans executed
-  size_t planned_join_leaves = 0; // leaves across those plans
+  size_t planned_joins = 0;       // select/project/product prefixes executed
+  size_t planned_join_leaves = 0; // leaves across those prefixes
   size_t conjuncts_pushed = 0;    // conjuncts turned into leaf pre-filters
                                   // (one-leaf atoms and constant atoms)
   size_t projections_sunk = 0;    // leaf columns never materialized above
@@ -62,16 +64,15 @@ struct CTableEvalStats {
                                   // conjunct, or the output)
   // Join execution.
   size_t hash_joins = 0;        // keyed join steps executed through an index
-  size_t nested_loop_products = 0;  // products evaluated as nested loops
   size_t index_builds = 0;      // tuple indexes built or rebuilt from
                                 // scratch (never an extend)
   size_t index_extends = 0;     // cached indexes caught up on appended rows
   size_t index_probes = 0;      // keyed probes into a build-side index
   size_t index_hits = 0;        // candidate rows returned by those probes
   size_t join_pairs = 0;        // row pairs enumerated through the index
-  size_t scan_pairs = 0;        // row pairs enumerated by scans (nested
-                                // loops, cartesian steps, and
-                                // non-ground-key fallbacks)
+  size_t scan_pairs = 0;        // row pairs enumerated by scans (steps
+                                // without a key, and non-ground-key
+                                // fallbacks)
   size_t pushdown_dropped_rows = 0;  // leaf rows dropped by conjunct
                                      // pushdown before pairing
 };

@@ -76,15 +76,10 @@ std::vector<int> LeavesOf(const SelectAtom& a, const std::vector<int>& col_leaf)
 
 JoinPlan PlanJoin(const RaExpr& expr) {
   JoinPlan plan;
-  RaOp op = expr.op();
-  if (op != RaOp::kSelect && op != RaOp::kProject && op != RaOp::kProduct) {
-    return plan;
-  }
   FlattenState s;
   plan.outputs = FlattenNode(expr, s);
   plan.leaves = std::move(s.leaves);
   plan.total_width = s.width;
-  if (plan.leaves.size() < 2) return plan;
 
   plan.col_leaf.resize(plan.total_width);
   for (size_t k = 0; k < plan.leaves.size(); ++k) {
@@ -95,7 +90,6 @@ JoinPlan PlanJoin(const RaExpr& expr) {
   }
 
   plan.pushdown.resize(plan.leaves.size());
-  bool any_key = false;
   for (const SelectAtom& atom : s.atoms) {
     JoinConjunct c;
     c.atom = atom;
@@ -114,14 +108,11 @@ JoinPlan PlanJoin(const RaExpr& expr) {
     } else if (atom.is_equality && atom.lhs.is_column &&
                atom.rhs.is_column) {
       c.kind = ConjunctKind::kJoinKey;
-      any_key = true;
     } else {
       c.kind = ConjunctKind::kResidual;
     }
     plan.conjuncts.push_back(std::move(c));
   }
-  if (!any_key) return plan;  // a pure product stays a nested loop
-  plan.fused = true;
 
   plan.needed.assign(plan.total_width, false);
   auto need = [&plan](const ColOrConst& o) {
@@ -144,16 +135,20 @@ std::vector<JoinStep> OrderJoinSteps(const JoinPlan& plan,
   std::vector<bool> joined(n, false);
   std::vector<bool> applied(plan.conjuncts.size(), false);
 
-  // Leaves incident to at least one join key — seed candidates.
+  // Leaves incident to at least one join key are the seed candidates; with
+  // no key (one leaf, or a product without a join key) every leaf is.
   std::vector<bool> incident(n, false);
+  bool any_key = false;
   for (const JoinConjunct& c : plan.conjuncts) {
     if (c.kind == ConjunctKind::kJoinKey) {
+      any_key = true;
       for (int k : c.leaves) incident[k] = true;
     }
   }
   int seed = -1;
   for (size_t k = 0; k < n; ++k) {
-    if (incident[k] && (seed < 0 || leaf_rows[k] < leaf_rows[seed])) {
+    if ((incident[k] || !any_key) &&
+        (seed < 0 || leaf_rows[k] < leaf_rows[seed])) {
       seed = static_cast<int>(k);
     }
   }

@@ -5,7 +5,9 @@
 // `select(product(product(a, b), c))`, nested selections, selections above
 // projections of products, `RaExpr::Join` chains. All of them denote the
 // same thing: an n-way join with a conjunctive predicate and an output
-// projection. This layer normalizes that shape and plans its execution:
+// projection. A one-leaf prefix (a select or project over one relation) and
+// a product without a join key are the degenerate cases of that shape. This
+// layer normalizes every such prefix and plans its execution:
 //
 //   1. *Flatten* the maximal select*/project* prefix over the n-ary product
 //      tree into (leaves, conjunct set, output spec): leaves are the
@@ -21,23 +23,25 @@
 //      residual applied per emitted combination.
 //   3. *Order* the n-way join greedily at execution time, when the live
 //      (post-pushdown) cardinalities are known: seed with the smallest leaf
-//      touched by a join key, then repeatedly join the smallest leaf
-//      connected to the joined set (falling back to the smallest remaining
-//      leaf — a cartesian step — when a component is exhausted). Each step
-//      indexes the new leaf on its key columns and probes it with the
-//      partial combinations.
+//      touched by a join key (the smallest leaf when none is), then
+//      repeatedly join the smallest leaf connected to the joined set
+//      (falling back to the smallest remaining leaf — a cartesian step —
+//      when a component is exhausted). Each keyed step indexes the new leaf
+//      on its key columns and probes it with the partial combinations.
 //   4. *Sink projections*: intermediate state is row-id combinations, so a
 //      leaf column not needed by a join key, a conjunct, or the output spec
 //      is never materialized above its leaf (`JoinPlan::needed`).
 //
-// Execution (ilalgebra/ctable_eval.cc) emits the same rows, in the same
-// order, as the nested-loop evaluation of the original tree. The nested
-// loops enumerate surviving leaf-row combinations in lexicographic order of
-// the leaf-id vector (each product iterates its left side outer), so
-// sorting the planned combinations by that vector restores the order; the
-// interned condition of a combination does not depend on the order its
-// atoms are conjoined in. The join machinery itself is pure candidate
-// pruning: it only skips combinations the selection would have dropped on a
+// Execution (ilalgebra/ctable_eval.cc) is the one executor of select,
+// project and product. It emits the same rows, in the same order, as the
+// Imielinski–Lipski rules applied to the original tree one operator at a
+// time (testutil::NestedLoopImage in tests/test_util.h). Those rules
+// enumerate surviving leaf-row combinations in lexicographic order of the
+// leaf-id vector (each product iterates its left side outer), so sorting
+// the planned combinations by that vector restores the order; the interned
+// condition of a combination does not depend on the order its atoms are
+// conjoined in. The join machinery itself is pure candidate pruning: it
+// only skips combinations the selection would have dropped on a
 // trivially-false ground atom or an unsatisfiable condition.
 //
 // The conditioned Datalog fixpoint's body-atom matcher plans its probes
@@ -82,11 +86,8 @@ struct JoinConjunct {
   std::vector<int> leaves;  // distinct leaves referenced, ascending
 };
 
-/// A normalized, partitioned n-way join. `fused` is false when the shape is
-/// not worth planning (fewer than two leaves, or no cross-leaf equi-join
-/// key); everything else is meaningful only when `fused`.
+/// A normalized, partitioned n-way join (n >= 1).
 struct JoinPlan {
-  bool fused = false;
   std::vector<JoinLeaf> leaves;
   int total_width = 0;                  // sum of leaf arities
   std::vector<int> col_leaf;            // concatenated column -> leaf index
@@ -104,9 +105,8 @@ struct JoinPlan {
 };
 
 /// Flattens and partitions the select*/project*/product prefix rooted at
-/// `expr`. Returns fused == false when `expr` is not a select/project/
-/// product node, flattens to fewer than two leaves, or yields no cross-leaf
-/// equi-join key (a pure product stays a nested loop).
+/// `expr`. A root of any other operator is one leaf under the identity
+/// output.
 JoinPlan PlanJoin(const RaExpr& expr);
 
 /// One step of the greedy join order. `steps[0]` is the seed (no key; its
@@ -125,7 +125,8 @@ struct JoinStep {
 };
 
 /// Orders the join greedily given the live (post-pushdown) row count of
-/// each leaf: seed = smallest leaf incident to a join key, then repeatedly
+/// each leaf: seed = smallest leaf incident to a join key (smallest leaf
+/// when no leaf is), then repeatedly
 /// the smallest leaf connected to the joined set (smallest remaining leaf,
 /// as a cartesian step, when no connected one is left). Deterministic:
 /// ties break toward the lower leaf index.

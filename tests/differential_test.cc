@@ -12,12 +12,12 @@
 //     worlds compared canonically up to renaming of fresh constants over a
 //     shared constant context. Queries are drawn from a generator covering
 //     every operator of the fragment (select with = and !=, generalized
-//     project with constants, product, equi-join shapes that fuse into hash
-//     joins, union) at random shapes; each query also runs with every
-//     product fenced off from the join planner (testutil::
-//     WithoutJoinPlanning), and the planned and nested-loop evaluations must
-//     produce *identical* tables; the result is additionally piped through
-//     Minimized(), which must preserve the represented worlds. Single-table
+//     project with constants, product, equi-join shapes that plan into hash
+//     joins, union) at random shapes; the planned executor must produce a
+//     table *identical* to the paper's rules applied one operator at a time
+//     with plain nested-loop products (testutil::NestedLoopImage); the
+//     result is additionally piped through Minimized(), which must preserve
+//     the represented worlds. Single-table
 //     and multi-table (c-database) inputs are both covered, and a dedicated
 //     family generates n-ary join shapes (3-5-way products, mixed
 //     pushable/cross-side conjuncts, interleaved projections).
@@ -341,13 +341,15 @@ TEST_P(DifferentialTest, CTableEvalAgreesWithPerWorldEval) {
     RaExpr q = RandomPosExistential(rng, 2);
 
     auto fast = EvalQueryOnCTables({q}, db);
-    auto nested = EvalQueryOnCTables({testutil::WithoutJoinPlanning(q)}, db);
-    ASSERT_TRUE(fast.has_value() && nested.has_value());
+    auto planned = EvalOnCTables(q, db);
+    auto nested = testutil::NestedLoopImage(q, db);
+    ASSERT_TRUE(fast.has_value() && planned.has_value() && nested.has_value());
 
-    // The hash-join fusion must be output-*identical* to the nested loop it
-    // replaces — not merely equivalent up to rep().
-    EXPECT_EQ(fast->table(0), nested->table(0))
-        << "hash join diverged from nested loop on " << q.ToString() << "\n"
+    // The planned executor must be output-*identical* to the paper's rules
+    // applied one operator at a time — not merely equivalent up to rep().
+    EXPECT_EQ(*planned, *nested)
+        << "planned image diverged from nested loop on " << q.ToString()
+        << "\n"
         << FormatCTable(t);
 
     std::vector<ConstId> extra = SharedContext(db, fast->table(0));
@@ -370,8 +372,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest, ::testing::Range(0, 25));
 
 // N-ary join shapes: 3-5-way products with mixed pushable/cross-side
 // conjuncts and interleaved projections, cross-checked against the nested
-// loops (every product fenced off from the planner) and per-world
-// evaluation.
+// loops (testutil::NestedLoopImage) and per-world evaluation.
 class NaryJoinDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(NaryJoinDifferentialTest, PlannedJoinAgreesWithNestedLoopAndWorlds) {
@@ -389,12 +390,13 @@ TEST_P(NaryJoinDifferentialTest, PlannedJoinAgreesWithNestedLoopAndWorlds) {
     RaExpr q = RandomNaryJoin(rng, /*num_rels=*/2);
 
     auto fast = EvalQueryOnCTables({q}, db);
-    auto nested = EvalQueryOnCTables({testutil::WithoutJoinPlanning(q)}, db);
-    ASSERT_TRUE(fast.has_value() && nested.has_value());
+    auto planned = EvalOnCTables(q, db);
+    auto nested = testutil::NestedLoopImage(q, db);
+    ASSERT_TRUE(fast.has_value() && planned.has_value() && nested.has_value());
 
     // The planned n-way join must be output-*identical* to the nested
     // loops — not merely equivalent up to rep().
-    EXPECT_EQ(fast->table(0), nested->table(0))
+    EXPECT_EQ(*planned, *nested)
         << "planned join diverged from nested loop on " << q.ToString()
         << "\n"
         << FormatCDatabase(db);
@@ -431,10 +433,12 @@ TEST_P(MultiTableDifferentialTest, CTableEvalAgreesWithPerWorldEval) {
     RaExpr q = RandomPosExistential(rng, 2, /*num_rels=*/2);
 
     auto fast = EvalQueryOnCTables({q}, db);
-    auto nested = EvalQueryOnCTables({testutil::WithoutJoinPlanning(q)}, db);
-    ASSERT_TRUE(fast.has_value() && nested.has_value());
-    EXPECT_EQ(fast->table(0), nested->table(0))
-        << "hash join diverged from nested loop on " << q.ToString() << "\n"
+    auto planned = EvalOnCTables(q, db);
+    auto nested = testutil::NestedLoopImage(q, db);
+    ASSERT_TRUE(fast.has_value() && planned.has_value() && nested.has_value());
+    EXPECT_EQ(*planned, *nested)
+        << "planned image diverged from nested loop on " << q.ToString()
+        << "\n"
         << FormatCDatabase(db);
 
     std::vector<ConstId> extra = SharedContext(db, fast->table(0));

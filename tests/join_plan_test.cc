@@ -1,13 +1,15 @@
 // Tests for the n-ary join planner (ilalgebra/join_plan.h): prefix
 // flattening over the shapes the binary fusion of PR 3 missed (nested
 // selections, selections above projections of products, products of three
-// or more relations), conjunct partitioning, projection sinking, the greedy
-// step order, and the shared Datalog probe plan.
+// or more relations) and over one-leaf and keyless prefixes, conjunct
+// partitioning, projection sinking, the greedy step order, and the shared
+// Datalog probe plan.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/join_plan.h"
 #include "ra/expr.h"
 #include "test_util.h"
@@ -26,7 +28,6 @@ SelectAtom EqCols(int l, int r) {
 TEST(JoinPlanTest, SelectOverProductFuses) {
   RaExpr q = RaExpr::Select(TwoRelProduct(), {EqCols(1, 2)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
   ASSERT_EQ(plan.leaves.size(), 2u);
   EXPECT_EQ(plan.leaves[0].base, 0);
   EXPECT_EQ(plan.leaves[1].base, 2);
@@ -45,7 +46,7 @@ TEST(JoinPlanTest, NestedSelectionsFlattenIntoOnePlan) {
   RaExpr q = RaExpr::Select(
       inner, {SelectAtom::Eq(ColOrConst::Col(0), ColOrConst::Const(1))});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 2u);
   ASSERT_EQ(plan.conjuncts.size(), 2u);
   // Inner atoms precede outer atoms in tree order.
   EXPECT_EQ(plan.conjuncts[0].kind, ConjunctKind::kJoinKey);
@@ -60,7 +61,7 @@ TEST(JoinPlanTest, SelectAboveProjectionOfProductFuses) {
   RaExpr proj = RaExpr::ProjectCols(TwoRelProduct(), {3, 0});
   RaExpr q = RaExpr::Select(proj, {EqCols(0, 1)});  // proj.0 = proj.1
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 2u);
   ASSERT_EQ(plan.conjuncts.size(), 1u);
   const SelectAtom& a = plan.conjuncts[0].atom;
   EXPECT_EQ(a.lhs, ColOrConst::Col(3));  // composed through the projection
@@ -84,7 +85,7 @@ TEST(JoinPlanTest, ProjectionEmittingConstantCollapsesAtoms) {
   RaExpr q = RaExpr::Select(RaExpr::Product(proj, RaExpr::Rel(1, 2)),
                             {EqCols(0, 2), EqCols(1, 3)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 2u);
   ASSERT_EQ(plan.conjuncts.size(), 2u);
   EXPECT_EQ(plan.conjuncts[0].kind, ConjunctKind::kJoinKey);
   // proj.1 is the constant 7: the atom is a one-leaf filter on leaf 1.
@@ -101,7 +102,6 @@ TEST(JoinPlanTest, TernaryProductFlattensToThreeLeaves) {
       RaExpr::Product(TwoRelProduct(), RaExpr::Rel(2, 2));
   RaExpr q = RaExpr::Select(prod, {EqCols(1, 2), EqCols(3, 4)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
   ASSERT_EQ(plan.leaves.size(), 3u);
   EXPECT_EQ(plan.leaves[2].base, 4);
   EXPECT_EQ(plan.total_width, 6);
@@ -115,23 +115,67 @@ TEST(JoinPlanTest, CrossLeafInequalityIsResidual) {
       TwoRelProduct(),
       {EqCols(0, 2), SelectAtom::Neq(ColOrConst::Col(1), ColOrConst::Col(3))});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 2u);
   EXPECT_EQ(plan.conjuncts[0].kind, ConjunctKind::kJoinKey);
   EXPECT_EQ(plan.conjuncts[1].kind, ConjunctKind::kResidual);
 }
 
-TEST(JoinPlanTest, PureProductDoesNotFuse) {
-  EXPECT_FALSE(PlanJoin(TwoRelProduct()).fused);
-  // One-leaf prefixes don't fuse either.
+TEST(JoinPlanTest, OneLeafAndKeylessPrefixesPlan) {
+  // Every select/project/product prefix plans: a one-leaf select, a pure
+  // product, and a product whose only atom is a one-leaf filter. With no
+  // join key the seed is the smallest leaf and every later step is
+  // cartesian, and evaluation stays row-identical to the nested loops.
   RaExpr sel = RaExpr::Select(
       RaExpr::Rel(0, 2),
       {SelectAtom::Eq(ColOrConst::Col(0), ColOrConst::Const(1))});
-  EXPECT_FALSE(PlanJoin(sel).fused);
-  // A product whose only atoms are one-leaf filters has no key: no fuse.
+  JoinPlan one = PlanJoin(sel);
+  ASSERT_EQ(one.leaves.size(), 1u);
+  ASSERT_EQ(one.pushdown[0].size(), 1u);
+  std::vector<JoinStep> one_steps = OrderJoinSteps(one, {4});
+  ASSERT_EQ(one_steps.size(), 1u);
+  EXPECT_EQ(one_steps[0].leaf, 0);
+
   RaExpr filtered = RaExpr::Select(
       TwoRelProduct(),
       {SelectAtom::Eq(ColOrConst::Col(0), ColOrConst::Const(1))});
-  EXPECT_FALSE(PlanJoin(filtered).fused);
+  for (const RaExpr& q : {TwoRelProduct(), filtered}) {
+    JoinPlan plan = PlanJoin(q);
+    ASSERT_EQ(plan.leaves.size(), 2u) << q.ToString();
+    std::vector<JoinStep> steps = OrderJoinSteps(plan, {5, 2});
+    ASSERT_EQ(steps.size(), 2u);
+    EXPECT_EQ(steps[0].leaf, 1) << q.ToString();  // the smallest leaf
+    EXPECT_EQ(steps[1].leaf, 0) << q.ToString();
+    EXPECT_TRUE(steps[1].build_cols.empty()) << q.ToString();  // cartesian
+  }
+
+  // Leaf 1 is the smaller, so the seed is not the outer loop: the output
+  // must still come in the nested loops' order. One leaf-0 row has an
+  // unsatisfiable local, and one pair conjoins x0 = 1 with x0 != 1.
+  CTable a(2);
+  a.AddRow(Tuple{C(1), V(0)}, Conjunction{Eq(V(0), C(1))});
+  a.AddRow(Tuple{C(2), C(3)});
+  a.AddRow(Tuple{C(1), C(4)}, Conjunction{Eq(V(1), C(1)), Neq(V(1), C(1))});
+  a.AddRow(Tuple{V(2), C(5)});
+  CTable b(2);
+  b.AddRow(Tuple{C(6), V(0)}, Conjunction{Neq(V(0), C(1))});
+  b.AddRow(Tuple{V(3), C(7)});
+  CDatabase db(std::vector<CTable>{a, b});
+  for (const RaExpr& q :
+       {sel, TwoRelProduct(), filtered,
+        RaExpr::ProjectCols(TwoRelProduct(), {3, 0}),
+        RaExpr::Project(RaExpr::Rel(1, 2),
+                        {ColOrConst::Const(9), ColOrConst::Col(0)})}) {
+    CTableEvalStats stats;
+    CTableEvalOptions options;
+    options.stats = &stats;
+    auto planned = EvalOnCTables(q, db, options);
+    auto nested = testutil::NestedLoopImage(q, db);
+    ASSERT_TRUE(planned.has_value() && nested.has_value()) << q.ToString();
+    EXPECT_EQ(*planned, *nested) << q.ToString();
+    EXPECT_GT(planned->num_rows(), 0u) << q.ToString();
+    EXPECT_EQ(stats.planned_joins, 1u) << q.ToString();
+    EXPECT_EQ(stats.hash_joins, 0u) << q.ToString();
+  }
 }
 
 TEST(JoinPlanTest, ConjunctsFollowTreeOrder) {
@@ -144,7 +188,7 @@ TEST(JoinPlanTest, ConjunctsFollowTreeOrder) {
   RaExpr q =
       RaExpr::Select(RaExpr::Product(left, RaExpr::Rel(1, 2)), {EqCols(1, 2)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 2u);
   ASSERT_EQ(plan.conjuncts.size(), 2u);
   EXPECT_EQ(plan.conjuncts[0].kind, ConjunctKind::kPushdown);
   EXPECT_EQ(plan.conjuncts[0].leaves, std::vector<int>{0});
@@ -158,7 +202,7 @@ TEST(JoinPlanTest, GreedyOrderSeedsSmallestAndPrefersConnected) {
   RaExpr prod = RaExpr::Product(TwoRelProduct(), RaExpr::Rel(2, 2));
   RaExpr q = RaExpr::Select(prod, {EqCols(1, 2), EqCols(3, 4)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 3u);
   std::vector<JoinStep> steps = OrderJoinSteps(plan, {100, 50, 1});
   ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(steps[0].leaf, 2);
@@ -177,7 +221,7 @@ TEST(JoinPlanTest, GreedyOrderFallsBackToCartesianAcrossComponents) {
   RaExpr prod = RaExpr::Product(TwoRelProduct(), RaExpr::Rel(2, 2));
   RaExpr q = RaExpr::Select(prod, {EqCols(1, 2)});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 3u);
   std::vector<JoinStep> steps = OrderJoinSteps(plan, {10, 20, 1});
   ASSERT_EQ(steps.size(), 3u);
   EXPECT_EQ(steps[0].leaf, 0);  // smallest *incident* leaf, not c
@@ -194,7 +238,7 @@ TEST(JoinPlanTest, EveryConjunctIsAppliedExactlyOnce) {
              SelectAtom::Neq(ColOrConst::Col(0), ColOrConst::Col(5)),
              SelectAtom::Eq(ColOrConst::Col(4), ColOrConst::Const(3))});
   JoinPlan plan = PlanJoin(q);
-  ASSERT_TRUE(plan.fused);
+  ASSERT_EQ(plan.leaves.size(), 3u);
   std::vector<JoinStep> steps = OrderJoinSteps(plan, {3, 3, 3});
   std::vector<int> seen(plan.conjuncts.size(), 0);
   for (const JoinStep& s : steps) {

@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "condition/interner.h"
 #include "core/instance.h"
 #include "core/tuple.h"
 #include "datalog/eval.h"
@@ -256,34 +258,117 @@ inline CTable RestrictedFullFixpoint(
   return restricted;
 }
 
-/// `expr` with every product fenced off from the join planner: each
-/// product is wrapped in a union with the empty constant relation, which
-/// the planner treats as an atomic leaf, so no select/project prefix above
-/// it can fuse and the product evaluates as a nested loop. Same query, and
-/// the rows and row order a planned join must reproduce exactly.
-inline RaExpr WithoutJoinPlanning(const RaExpr& expr) {
+/// One row of NestedLoopImage's recursion: a tuple and its interned local
+/// condition.
+struct ImageRow {
+  Tuple tuple;
+  ConjId cond;
+};
+
+/// NestedLoopImage's rows, or nullopt where EvalOnCTables returns nullopt.
+inline std::optional<std::vector<ImageRow>> NestedLoopRows(
+    const RaExpr& expr, const CDatabase& db, ConditionInterner& interner) {
+  auto term = [](const ColOrConst& o, const Tuple& tuple) {
+    return o.is_column ? tuple[o.column] : Term::Const(o.constant);
+  };
+  std::vector<ImageRow> out;
   switch (expr.op()) {
-    case RaOp::kProject:
-      return RaExpr::Project(WithoutJoinPlanning(expr.input()),
-                             expr.outputs());
-    case RaOp::kSelect:
-      return RaExpr::Select(WithoutJoinPlanning(expr.input()), expr.atoms());
-    case RaOp::kProduct:
-      return RaExpr::Union(
-          RaExpr::Product(WithoutJoinPlanning(expr.left()),
-                          WithoutJoinPlanning(expr.right())),
-          RaExpr::ConstRel(Relation(expr.arity())));
-    case RaOp::kUnion:
-      return RaExpr::Union(WithoutJoinPlanning(expr.left()),
-                           WithoutJoinPlanning(expr.right()));
-    case RaOp::kDiff:
-      return RaExpr::Diff(WithoutJoinPlanning(expr.left()),
-                          WithoutJoinPlanning(expr.right()));
-    case RaOp::kRel:
+    case RaOp::kRel: {
+      if (expr.rel_index() >= db.num_tables() ||
+          db.table(expr.rel_index()).arity() != expr.arity()) {
+        return std::nullopt;
+      }
+      for (const CRow& row : db.table(expr.rel_index()).rows()) {
+        ConjId cond = row.LocalId(interner);
+        if (interner.Satisfiable(cond)) out.push_back({row.tuple, cond});
+      }
+      return out;
+    }
     case RaOp::kConstRel:
-      return expr;
+      for (const Fact& f : expr.const_relation()) {
+        out.push_back({ToTuple(f), ConditionInterner::kTrueConj});
+      }
+      return out;
+    case RaOp::kProject: {
+      auto in = NestedLoopRows(expr.input(), db, interner);
+      if (!in) return std::nullopt;
+      for (const ImageRow& row : *in) {
+        Tuple t;
+        for (const ColOrConst& o : expr.outputs()) {
+          t.push_back(term(o, row.tuple));
+        }
+        out.push_back({std::move(t), row.cond});
+      }
+      return out;
+    }
+    case RaOp::kSelect: {
+      auto in = NestedLoopRows(expr.input(), db, interner);
+      if (!in) return std::nullopt;
+      for (ImageRow& row : *in) {
+        Conjunction sel;
+        bool keep = true;
+        for (const SelectAtom& a : expr.atoms()) {
+          Term l = term(a.lhs, row.tuple);
+          Term r = term(a.rhs, row.tuple);
+          CondAtom atom = a.is_equality ? Eq(l, r) : Neq(l, r);
+          keep = keep && !IsTriviallyFalse(atom);
+          if (keep && !IsTriviallyTrue(atom)) sel.Add(atom);
+        }
+        if (!keep) continue;
+        ConjId cond = interner.And(row.cond, interner.Intern(sel));
+        if (interner.Satisfiable(cond)) {
+          out.push_back({std::move(row.tuple), cond});
+        }
+      }
+      return out;
+    }
+    case RaOp::kProduct: {
+      auto l = NestedLoopRows(expr.left(), db, interner);
+      auto r = NestedLoopRows(expr.right(), db, interner);
+      if (!l || !r) return std::nullopt;
+      for (const ImageRow& a : *l) {
+        for (const ImageRow& b : *r) {
+          ConjId cond = interner.And(a.cond, b.cond);
+          if (!interner.Satisfiable(cond)) continue;
+          Tuple t = a.tuple;
+          t.insert(t.end(), b.tuple.begin(), b.tuple.end());
+          out.push_back({std::move(t), cond});
+        }
+      }
+      return out;
+    }
+    case RaOp::kUnion: {
+      auto l = NestedLoopRows(expr.left(), db, interner);
+      auto r = NestedLoopRows(expr.right(), db, interner);
+      if (!l || !r) return std::nullopt;
+      l->insert(l->end(), r->begin(), r->end());
+      return l;
+    }
+    case RaOp::kDiff:
+      break;
   }
-  return expr;
+  return std::nullopt;
+}
+
+/// The Imielinski–Lipski image of `expr` by the paper's rules applied one
+/// operator at a time over interned conditions: a relation reference copies
+/// the rows whose local is satisfiable, select conjoins the instantiated
+/// atoms into each local (dropping a row on a trivially false atom or an
+/// unsatisfiable condition), project rewrites tuples, product pairs rows in
+/// a plain nested loop, left side outer, and conjoins their locals, and
+/// union concatenates. EvalOnCTables' planned executor must reproduce it
+/// row for row, in the same order, with the same interned conditions;
+/// nullopt exactly where EvalOnCTables returns nullopt.
+inline std::optional<CTable> NestedLoopImage(const RaExpr& expr,
+                                             const CDatabase& db) {
+  ConditionInterner& interner = ConditionInterner::Global();
+  auto rows = NestedLoopRows(expr, db, interner);
+  if (!rows) return std::nullopt;
+  CTable out(expr.arity());
+  for (ImageRow& row : *rows) {
+    out.AddRow(std::move(row.tuple), row.cond, interner);
+  }
+  return out;
 }
 
 }  // namespace testutil
