@@ -1,28 +1,36 @@
-// Condition backends: pluggable representations of row conditions.
+// Condition backends: the representations a conditioned fixpoint keeps its
+// row conditions in.
 //
-// The conditioned fixpoint manipulates row conditions through four
-// operations — conjoin, disjoin, implication, satisfiability. The
-// paper's c-tables make every row condition a conjunction, so the original
-// implementation works on interned conjunction ids (ConditionInterner) and
-// keeps "a row's condition" as a *set* of conjunctions (an implicit DNF,
-// maintained as a covering antichain via pairwise implication). At high
-// condition diversity that antichain is genuinely exponential: over the
-// infinite domain a union of strictly stronger conjunctions can never cover
-// a weaker one, so the antichain must keep them all.
+// The fixpoint asks three things of a row condition, and ConditionBackend
+// is that seam: the condition of an interned conjunction (FromConj), the
+// conjunction of two conditions (And), and whether a condition can hold
+// together with the global condition (SatisfiableWith). Two backends
+// implement it:
 //
-// ConditionBackend abstracts the representation behind a small interface so
-// a second implementation — hash-consed ordered decision diagrams over
-// condition atoms (condition/dd_backend.h) — can represent a row's condition
-// as ONE canonical id for an arbitrary boolean combination of atoms, making
-// And/Or/Implies polynomial diagram operations. Both backends stay live
-// behind an option flag
-// and are differentially cross-checked (tests/differential_test.cc).
+//   - The conjunctive backend. A condition is an interned conjunction, as in
+//     the paper's c-tables, so its CondIds ARE the interner's ConjIds and
+//     every call passes through to the interner's memoized And and
+//     satisfiability. The fixpoint keeps each tuple's covering antichain of
+//     conjunctions itself, by pairwise interner implication
+//     (ilalgebra/datalog_ctable.cc). At high condition diversity that
+//     antichain is genuinely exponential: over the infinite domain a union
+//     of strictly stronger conjunctions can never cover a weaker one, so
+//     the antichain must keep them all.
+//   - DDBackend (condition/dd_backend.h): hash-consed ordered decision
+//     diagrams over condition atoms, ONE canonical id for an arbitrary
+//     boolean combination of atoms. Disjunction, implication and the DNF
+//     export are its own members: the fixpoint Or-merges a tuple's
+//     derivations into one row and exports it with AppendDisjuncts, and
+//     IVM's covered-delete test folds the kept rows with Or, each on the
+//     DDBackend* it branches on.
+//
+// ConditionBackendKind picks one per fixpoint, and the differential harness
+// cross-checks both (tests/differential_test.cc).
 //
 // A CondId is meaningful only within the backend that produced it. Both
 // backends align their sentinels with the interner's, so kTrueCond/kFalseCond
-// mean true/false everywhere, and the conjunctive backend's CondIds for
-// conjunctions simply ARE the interner's ConjIds (its fixpoint fast path is
-// a passthrough). Ids are append-only for the backend's lifetime.
+// mean true/false everywhere. Ids are append-only for the backend's
+// lifetime.
 //
 // Threading: a backend is single-owner. Its tables and caches have no locks,
 // so drive it from one thread; each ConditionedFixpoint owns its own. So is
@@ -79,41 +87,19 @@ class ConditionBackend {
   /// backend; Clear() on it invalidates every CondId.
   ConditionInterner& interner() const { return *interner_; }
 
-  virtual const char* name() const = 0;
-
-  /// True when the backend keeps one id per *boolean function* (so a
-  /// fixpoint should merge same-tuple derivations with Or instead of
-  /// keeping a subsumption antichain, and exported rows may need DNF
-  /// expansion via AppendDisjuncts).
-  virtual bool disjunctive() const = 0;
-
   /// The backend id of an interned conjunction. Equal ConjIds map to equal
   /// CondIds; kTrueConj/kFalseConj map to kTrueCond/kFalseCond.
   virtual CondId FromConj(ConjId id) = 0;
 
-  /// Conjunction / disjunction of two backend conditions. Both are
-  /// commutative; implementations key their memo/op caches on the canonical
-  /// (min, max) id order, so argument order can never split cache entries.
+  /// Conjunction of two backend conditions. Commutative; implementations key
+  /// their memo/op caches on the canonical (min, max) id order, so argument
+  /// order can never split cache entries.
   virtual CondId And(CondId a, CondId b) = 0;
-  virtual CondId Or(CondId a, CondId b) = 0;
 
-  /// True iff every valuation (over the infinite domain) satisfying `a`
-  /// satisfies `b`. Exact — equality congruence included. Keyed on the
-  /// ordered (lhs, rhs) pair where memoized: implication is not symmetric.
-  virtual bool Implies(CondId a, CondId b) = 0;
-
-  /// True iff some valuation satisfies the condition. Exact.
-  virtual bool Satisfiable(CondId id) = 0;
-
-  /// True iff some valuation satisfies `global` AND the condition — the
-  /// fixpoint's per-derivation admission test.
+  /// True iff some valuation (over the infinite domain) satisfies `global`
+  /// AND the condition — the fixpoint's per-derivation admission test.
+  /// Exact, equality congruence included.
   virtual bool SatisfiableWith(ConjId global, CondId id) = 0;
-
-  /// Appends a finite set of satisfiable interned conjunctions whose union
-  /// is exactly the condition — the export path back into conjunctive
-  /// c-table rows. Deterministic for a given id. May be exponential in the
-  /// diagram size (it IS the DNF expansion); use only at result boundaries.
-  virtual void AppendDisjuncts(CondId id, std::vector<ConjId>* out) = 0;
 
  private:
   ConditionInterner* interner_;
@@ -205,9 +191,8 @@ class ChoiceCnf {
 /// domain — exact: after a memoized pairwise Implies against each disjunct,
 /// ChoiceCnf looks for a valuation of lhs that falsifies one atom of every
 /// distinct disjunct (the coNP check, exponential only in the number of
-/// disjuncts). The conjunctive backend's implication between disjunction
-/// sets, the certain-fact test (decision/certainty.h) and UNIQ's "some
-/// world differs from I" (decision/uniqueness.cc) all run on it.
+/// disjuncts). The certain-fact test (decision/certainty.h) and UNIQ's
+/// "some world differs from I" (decision/uniqueness.cc) run on it.
 bool ConjImpliesDisjunction(ConditionInterner& interner, ConjId lhs,
                             const std::vector<ConjId>& disjuncts);
 

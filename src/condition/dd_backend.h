@@ -1,16 +1,20 @@
 // Hash-consed ordered decision diagrams over condition atoms.
 //
-// The antichain representation keeps one interned conjunction per covering
-// derivation of a tuple; over the infinite domain a union of strictly
-// stronger conjunctions never covers a weaker one, so at high condition
-// diversity the antichain per tuple is genuinely exponential and every
-// And/Implies on it pays for the whole set. DDBackend instead gives each
-// *boolean function* of condition atoms one canonical id: a reduced ordered
-// decision diagram (ROBDD discipline) whose decision variables are condition
-// atoms under a semantic order (see VarBefore). And/Or/Not are then the classic
-// polynomial Apply recursion over a node unique table and a memoized
-// operation cache, both flat (util/hash_cons.h) and single-owner (see
-// backend.h's threading contract).
+// On the conjunctive backend the fixpoint keeps one interned conjunction per
+// covering derivation of a tuple, an antichain; over the infinite domain a
+// union of strictly stronger conjunctions never covers a weaker one, so at
+// high condition diversity the antichain per tuple is genuinely exponential
+// and every implication against it pays for the whole set. DDBackend
+// instead gives each *boolean function* of condition atoms one canonical id:
+// a reduced ordered decision diagram (ROBDD discipline) whose decision
+// variables are condition atoms under a semantic order (see VarBefore).
+// And/Or/Not are then the classic polynomial Apply recursion over a node
+// unique table and a memoized operation cache, both flat (util/hash_cons.h)
+// and single-owner (see backend.h's threading contract).
+//
+// Besides the seam's FromConj/And/SatisfiableWith, DDBackend has its own
+// Or, Implies, Satisfiable, AppendDisjuncts and Not. The fixpoint and IVM
+// call them on the DDBackend* they branch on; no other backend has them.
 //
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
@@ -57,19 +61,32 @@ class DDBackend final : public ConditionBackend {
   explicit DDBackend(ConditionInterner& interner)
       : ConditionBackend(interner), ops_(kInitialOpSlots) {}
 
-  const char* name() const override { return "dd"; }
-  bool disjunctive() const override { return true; }
-
   CondId FromConj(ConjId id) override;
   CondId And(CondId a, CondId b) override;
-  CondId Or(CondId a, CondId b) override;
-  bool Implies(CondId a, CondId b) override;
-  bool Satisfiable(CondId id) override;
   bool SatisfiableWith(ConjId global, CondId id) override;
-  void AppendDisjuncts(CondId id, std::vector<ConjId>* out) override;
 
-  /// Negation (sentinels swap, internal structure is shared). Exposed for
-  /// tests; Implies uses it internally.
+  /// Disjunction of two diagram conditions. Commutative, memoized on the
+  /// (min, max) id pair like And. The fixpoint Or-merges a tuple's
+  /// derivations with it, and IVM's covered-delete test folds kept rows.
+  CondId Or(CondId a, CondId b);
+
+  /// True iff every valuation (over the infinite domain) satisfying `a`
+  /// satisfies `b`. Exact — equality congruence included. Memoized on the
+  /// ordered (a, b) pair: implication is not symmetric.
+  bool Implies(CondId a, CondId b);
+
+  /// True iff some valuation satisfies the condition. Exact.
+  bool Satisfiable(CondId id);
+
+  /// Appends a finite set of satisfiable interned conjunctions whose union
+  /// is exactly the condition — the fixpoint's export path back into
+  /// conjunctive c-table rows. Deterministic for a given id. May be
+  /// exponential in the diagram size (it IS the DNF expansion); use only at
+  /// result boundaries.
+  void AppendDisjuncts(CondId id, std::vector<ConjId>* out);
+
+  /// Negation (sentinels swap, internal structure is shared). Implies uses
+  /// it.
   CondId Not(CondId id);
 
   /// Diagram nodes allocated so far (excluding the two sentinels).

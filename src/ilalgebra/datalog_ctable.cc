@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "condition/dd_backend.h"
 #include "ilalgebra/join_plan.h"
 #include "tables/tuple_index.h"
 
@@ -52,10 +53,11 @@ struct PredState {
 struct EvalState {
   ConditionInterner* interner = nullptr;
   // The condition representation rows travel in (owned by the Impl). `dd`
-  // caches backend->disjunctive(): true switches Insert from the subsumption
-  // antichain to one-live-row-per-tuple Or-merging.
+  // is the same backend when it is a DDBackend, else null: non-null switches
+  // Insert from the subsumption antichain to one-live-row-per-tuple
+  // Or-merging, and Export to the DNF expansion.
   ConditionBackend* backend = nullptr;
-  bool dd = false;
+  DDBackend* dd = nullptr;
   ConjId global_id = ConditionInterner::kTrueConj;
   // Predicates at or past this id are magic (demand) predicates of a
   // magic-rewritten program; their rows are attributed to the demand
@@ -126,7 +128,7 @@ bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
         ++state.stats.duplicate_rows;
         return false;
       }
-      CondId merged = backend.Or(existing.cond, cond);
+      CondId merged = state.dd->Or(existing.cond, cond);
       if (merged == existing.cond) {
         // The live condition already covers the new derivation.
         ++state.stats.subsumed_rows;
@@ -636,7 +638,7 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
   impl_->backend =
       MakeConditionBackend(options.condition_backend, *state.interner);
   state.backend = impl_->backend.get();
-  state.dd = state.backend->disjunctive();
+  state.dd = dynamic_cast<DDBackend*>(state.backend);
   state.magic_begin = options.magic_pred_begin;
   state.max_derived_rows = options.max_derived_rows;
   state.preds.resize(program.num_predicates());
@@ -755,7 +757,7 @@ CTable ConditionedFixpoint::Export(int pred) const {
     for (const IRow& row : state.preds[pred].rows) {
       if (!row.alive) continue;
       disjuncts.clear();
-      state.backend->AppendDisjuncts(row.cond, &disjuncts);
+      state.dd->AppendDisjuncts(row.cond, &disjuncts);
       for (ConjId d : disjuncts) t.AddRow(*row.tuple, d, *state.interner);
     }
     return t;

@@ -163,9 +163,9 @@ class ConditionedFixpoint {
   ConditionInterner& interner() const;
 
   /// The condition backend this fixpoint's rows travel in (constructed from
-  /// options.condition_backend over interner()). Owned by the fixpoint; IVM
-  /// uses it to reason about exported conditions consistently with how they
-  /// were derived.
+  /// options.condition_backend over interner()). Owned by the fixpoint. When
+  /// it is a DDBackend, IVM's covered-delete test folds kept rows with its
+  /// Or, consistently with how the fixpoint merged them.
   ConditionBackend& backend() const;
 
   /// The program's static analysis (SCC strata, diagnostics, reachability

@@ -1,9 +1,10 @@
-// The ConditionBackend seam itself: disjunction-set normalization in the
-// conjunctive backend, node canonicity in the decision-diagram backend, and
-// the bounded-memo contracts — eviction (interner memo shards, DD op-cache
-// overwrites) may cost recomputation but can never change a verdict or an id,
-// and the interner's implication memo, keyed on the ordered pair, stays
-// consistent across Clear() generations.
+// The ConditionBackend seam itself (FromConj, And, SatisfiableWith): the
+// conjunctive backend as an interner passthrough, node canonicity and the
+// DD-only calls (Or, Implies, Satisfiable, AppendDisjuncts, Not) of the
+// decision-diagram backend, and the bounded-memo contracts — eviction
+// (interner memo shards, DD op-cache overwrites) may cost recomputation but
+// can never change a verdict or an id, and the interner's implication memo,
+// keyed on the ordered pair, stays consistent across Clear() generations.
 
 #include <gtest/gtest.h>
 
@@ -47,33 +48,24 @@ Conjunction RandomConjunction(std::mt19937& rng) {
   return c;
 }
 
-TEST(ConjunctiveBackendTest, NormalizesDisjunctionSets) {
+TEST(ConjunctiveBackendTest, PassesThroughToTheInterner) {
+  // The conjunctive backend's CondIds are the interner's ConjIds, and each
+  // of the seam's three calls is the interner's own memoized operation; the
+  // fixpoint keeps each tuple's antichain itself.
   ConditionInterner interner;
   std::unique_ptr<ConditionBackend> backend =
       MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
 
-  ConjId weak = interner.Intern(Conjunction{Eq(V(0), C(1))});
-  ConjId strong =
-      interner.Intern(Conjunction{Eq(V(0), C(1)), Eq(V(1), C(2))});
-  ConjId other = interner.Intern(Conjunction{Neq(V(0), C(1))});
+  ConjId eq = interner.Intern(Conjunction{Eq(V(0), C(1))});
+  ConjId neq = interner.Intern(Conjunction{Neq(V(0), C(1))});
+  ConjId other = interner.Intern(Conjunction{Eq(V(1), C(2))});
 
-  // True/false members collapse and drop.
-  EXPECT_EQ(backend->Or(weak, ConditionBackend::kTrueCond),
-            ConditionBackend::kTrueCond);
-  EXPECT_EQ(backend->Or(weak, ConditionBackend::kFalseCond), CondId{weak});
-  // A member implying another member is absorbed: the union IS the weak one.
-  EXPECT_EQ(backend->Or(weak, strong), CondId{weak});
-  // Proper two-member antichains hash-cons order-independently.
-  CondId ab = backend->Or(weak, other);
-  CondId ba = backend->Or(other, weak);
-  EXPECT_EQ(ab, ba);
-  EXPECT_NE(ab, CondId{weak});
-  // x0 = 1 together with x0 != 1 covers everything — a tautology the
-  // backend must detect without the caller expanding anything.
-  EXPECT_TRUE(backend->Implies(ConditionBackend::kTrueCond, ab));
-  // And distributes over the set; conjoining the weak member back restricts
-  // the union to it.
-  EXPECT_EQ(backend->And(ab, weak), CondId{weak});
+  EXPECT_EQ(backend->FromConj(eq), CondId{eq});
+  EXPECT_EQ(backend->And(eq, other), CondId{interner.And(eq, other)});
+  EXPECT_EQ(backend->And(eq, neq), ConditionBackend::kFalseCond);
+  EXPECT_TRUE(backend->SatisfiableWith(ConditionInterner::kTrueConj, eq));
+  EXPECT_TRUE(backend->SatisfiableWith(other, eq));
+  EXPECT_FALSE(backend->SatisfiableWith(neq, eq));
 }
 
 TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {

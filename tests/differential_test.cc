@@ -55,14 +55,13 @@
 //     downstream consumer.
 //
 //  7. Condition algebra — randomized And/Or expression trees over random
-//     interned conjunctions pushed through BOTH condition backends (the
-//     conjunctive antichain and the decision-diagram backend) side by side:
-//     every Satisfiable/SatisfiableWith/Implies verdict (an implication
-//     from the global is the certainty check) and the AppendDisjuncts DNF
-//     expansions must agree between the backends
-//     and with a small-model enumeration oracle (valuations over the
-//     mentioned constants plus one fresh value per variable — complete for
-//     boolean combinations of =/!= atoms over the infinite domain).
+//     interned conjunctions built on the decision-diagram backend: every
+//     Satisfiable/SatisfiableWith/Implies verdict (an implication from the
+//     global is the certainty check), the AppendDisjuncts DNF expansion, and
+//     ConjImpliesDisjunction over the expansions' members must agree with a
+//     small-model enumeration oracle (valuations over the mentioned
+//     constants plus one fresh value per variable — complete for boolean
+//     combinations of =/!= atoms over the infinite domain).
 //
 //  8. Decision-diagram fixpoints — the conditioned DATALOG fixpoint on the
 //     decision-diagram backend must be row-identical to the same fixpoint
@@ -73,9 +72,10 @@
 //     per-world oracle directly.
 //
 //  9. Certain facts and other worlds — CertainFactInTable (the rows'
-//     interned conditions through ConjImpliesDisjunction) and each
-//     backend's Or of the same conditions, implied by the global, must
-//     agree with the per-world oracle (testutil::FactInEveryWorld);
+//     interned conditions through ConjImpliesDisjunction) and the
+//     decision-diagram backend's Or of the same conditions, implied by the
+//     global, must agree with the per-world oracle
+//     (testutil::FactInEveryWorld);
 //     UniquenessSearch, which decides
 //     "some world differs from I" as implications over the rows' interned
 //     conditions, must agree with comparing I against every world
@@ -108,7 +108,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -117,6 +116,7 @@
 
 #include "condition/backend.h"
 #include "condition/binding_env.h"
+#include "condition/dd_backend.h"
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
@@ -1184,23 +1184,21 @@ class ConditionAlgebraDifferentialTest : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
-  // Random And/Or trees over random conjunction leaves, built through both
-  // backends in lockstep; every verdict the fixpoint and the decision
-  // procedures rely on is compared between the backends and against the
-  // brute-force oracle. The oracle enumerates valuations over the mentioned
-  // constants (0..2) plus one fresh value per variable — complete for
-  // boolean combinations of =/!= atoms over the infinite domain, because
-  // any model collapses to one where each variable takes a mentioned
-  // constant or one of |vars| pairwise-distinct fresh values.
+  // Random And/Or trees over random conjunction leaves, built on the
+  // decision-diagram backend; every verdict the fixpoint and the decision
+  // procedures rely on is compared against the brute-force oracle: the
+  // diagram's own, and ConjImpliesDisjunction's (the certain-fact search)
+  // over each expression's DNF members. The oracle enumerates valuations
+  // over the mentioned constants (0..2) plus one fresh value per variable —
+  // complete for boolean combinations of =/!= atoms over the infinite
+  // domain, because any model collapses to one where each variable takes a
+  // mentioned constant or one of |vars| pairwise-distinct fresh values.
   const unsigned case_seed = 11000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
 
   ConditionInterner interner;
-  std::unique_ptr<ConditionBackend> anti =
-      MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
-  std::unique_ptr<ConditionBackend> dd =
-      MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams, interner);
+  DDBackend dd(interner);
 
   constexpr int kVars = 3;
   const std::vector<ConstId> domain = {0, 1, 2, 100, 101, 102};
@@ -1223,15 +1221,14 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
   };
 
   struct Expr {
-    CondId anti;
     CondId dd;
     std::vector<bool> truth;
+    std::vector<ConjId> disjuncts;  // dd.AppendDisjuncts
   };
   std::vector<Expr> exprs;
   for (int i = 0; i < 6; ++i) {
     ConjId leaf = interner.Intern(RandomAlgebraConjunction(rng));
-    exprs.push_back(
-        {anti->FromConj(leaf), dd->FromConj(leaf), truth_of_conj(leaf)});
+    exprs.push_back({dd.FromConj(leaf), truth_of_conj(leaf), {}});
   }
   std::uniform_int_distribution<int> coin(0, 1);
   for (int step = 0; step < 10; ++step) {
@@ -1240,8 +1237,7 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
     Expr b = exprs[pick(rng)];
     bool is_and = coin(rng) == 0;
     Expr out;
-    out.anti = is_and ? anti->And(a.anti, b.anti) : anti->Or(a.anti, b.anti);
-    out.dd = is_and ? dd->And(a.dd, b.dd) : dd->Or(a.dd, b.dd);
+    out.dd = is_and ? dd.And(a.dd, b.dd) : dd.Or(a.dd, b.dd);
     out.truth.resize(valuations.size());
     for (size_t k = 0; k < valuations.size(); ++k) {
       out.truth[k] =
@@ -1255,7 +1251,7 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
 
   for (size_t i = 0; i < exprs.size(); ++i) {
     SCOPED_TRACE("expr #" + std::to_string(i));
-    const Expr& e = exprs[i];
+    Expr& e = exprs[i];
     bool oracle_sat = false;
     bool oracle_sat_with = false;
     bool oracle_valid = true;
@@ -1266,38 +1262,36 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
       oracle_valid = oracle_valid && e.truth[k];
       oracle_taut = oracle_taut && (!global_truth[k] || e.truth[k]);
     }
-    EXPECT_EQ(anti->Satisfiable(e.anti), oracle_sat);
-    EXPECT_EQ(dd->Satisfiable(e.dd), oracle_sat);
-    EXPECT_EQ(anti->SatisfiableWith(global, e.anti), oracle_sat_with);
-    EXPECT_EQ(dd->SatisfiableWith(global, e.dd), oracle_sat_with);
-    EXPECT_EQ(anti->Implies(anti->FromConj(global), e.anti), oracle_taut);
-    EXPECT_EQ(dd->Implies(dd->FromConj(global), e.dd), oracle_taut);
-    EXPECT_EQ(anti->Implies(ConditionBackend::kTrueCond, e.anti),
-              oracle_valid);
-    EXPECT_EQ(dd->Implies(ConditionBackend::kTrueCond, e.dd), oracle_valid);
+    EXPECT_EQ(dd.Satisfiable(e.dd), oracle_sat);
+    EXPECT_EQ(dd.SatisfiableWith(global, e.dd), oracle_sat_with);
+    EXPECT_EQ(dd.Implies(dd.FromConj(global), e.dd), oracle_taut);
+    EXPECT_EQ(dd.Implies(ConditionBackend::kTrueCond, e.dd), oracle_valid);
 
-    // The DNF expansions must represent exactly the expression's function.
-    const std::pair<ConditionBackend*, CondId> sides[] = {
-        {anti.get(), e.anti}, {dd.get(), e.dd}};
-    for (const auto& [backend, id] : sides) {
-      std::vector<ConjId> disjuncts;
-      backend->AppendDisjuncts(id, &disjuncts);
-      for (size_t k = 0; k < valuations.size(); ++k) {
-        bool holds = false;
-        for (ConjId d : disjuncts) {
-          if (ConjHolds(interner, d, valuations[k])) {
-            holds = true;
-            break;
-          }
+    // The DNF expansion must represent exactly the expression's function.
+    dd.AppendDisjuncts(e.dd, &e.disjuncts);
+    for (size_t k = 0; k < valuations.size(); ++k) {
+      bool holds = false;
+      for (ConjId d : e.disjuncts) {
+        if (ConjHolds(interner, d, valuations[k])) {
+          holds = true;
+          break;
         }
-        ASSERT_EQ(holds, static_cast<bool>(e.truth[k]))
-            << backend->name() << " DNF expansion diverged at valuation " << k;
       }
+      ASSERT_EQ(holds, static_cast<bool>(e.truth[k]))
+          << "dd DNF expansion diverged at valuation " << k;
     }
+    // The certain-fact search over the same members: the global implies
+    // the expression, and true implies it.
+    EXPECT_EQ(ConjImpliesDisjunction(interner, global, e.disjuncts),
+              oracle_taut);
+    EXPECT_EQ(ConjImpliesDisjunction(interner, ConditionInterner::kTrueConj,
+                                     e.disjuncts),
+              oracle_valid);
   }
 
-  // Implication over every ordered pair — the antichain's subsumption
-  // verdict and the diagram's refutation check against the oracle.
+  // Implication over every ordered pair — the diagram's refutation check,
+  // and ConjImpliesDisjunction from each DNF member of the left expression
+  // to the right one's members, against the oracle.
   for (size_t i = 0; i < exprs.size(); ++i) {
     for (size_t j = 0; j < exprs.size(); ++j) {
       bool oracle_implies = true;
@@ -1305,10 +1299,16 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
         oracle_implies =
             oracle_implies && (!exprs[i].truth[k] || exprs[j].truth[k]);
       }
-      EXPECT_EQ(anti->Implies(exprs[i].anti, exprs[j].anti), oracle_implies)
-          << "antichain Implies diverged on pair (" << i << ", " << j << ")";
-      EXPECT_EQ(dd->Implies(exprs[i].dd, exprs[j].dd), oracle_implies)
+      EXPECT_EQ(dd.Implies(exprs[i].dd, exprs[j].dd), oracle_implies)
           << "dd Implies diverged on pair (" << i << ", " << j << ")";
+      bool members_imply = std::ranges::all_of(
+          exprs[i].disjuncts, [&](ConjId member) {
+            return ConjImpliesDisjunction(interner, member,
+                                          exprs[j].disjuncts);
+          });
+      EXPECT_EQ(members_imply, oracle_implies)
+          << "ConjImpliesDisjunction diverged on pair (" << i << ", " << j
+          << ")";
     }
   }
 }
@@ -1388,10 +1388,11 @@ class CertaintyBackendDifferentialTest : public ::testing::TestWithParam<int> {
 
 TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
   // CertainFactInTable decides `global -> OR over matching rows` by the
-  // backtracking search over the rows' interned conditions. Each backend's
-  // Or of the same conditions, implied by the global, states the same
-  // question in its own algebra. All must agree with the per-world oracle
-  // on every candidate fact (present, conditioned, and absent ones alike).
+  // backtracking search over the rows' interned conditions. The
+  // decision-diagram backend's Or of the same conditions, implied by the
+  // global, states the same question in its own algebra. Both must agree
+  // with the per-world oracle on every candidate fact (present,
+  // conditioned, and absent ones alike).
   const unsigned case_seed = 13000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
@@ -1404,10 +1405,7 @@ TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
     CDatabase db{t};
 
     ConditionInterner interner;
-    std::unique_ptr<ConditionBackend> backends[] = {
-        MakeConditionBackend(ConditionBackendKind::kConjunctions, interner),
-        MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams,
-                             interner)};
+    DDBackend dd(interner);
     ConjId global = t.GlobalId(interner);
 
     for (ConstId a = 0; a <= 3; ++a) {
@@ -1418,17 +1416,15 @@ TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
             << "certain-fact search diverged from the per-world oracle on ("
             << a << ", " << b << ") in\n"
             << FormatCTable(t);
-        for (const auto& backend : backends) {
-          CondId rows = ConditionBackend::kFalseCond;
-          for (const CRow& row : t.rows()) {
-            rows = backend->Or(
-                rows, backend->FromConj(RowProducesFact(row, fact, interner)));
-          }
-          EXPECT_EQ(backend->Implies(backend->FromConj(global), rows), oracle)
-              << backend->name() << " disagrees on the certainty of (" << a
-              << ", " << b << ") in\n"
-              << FormatCTable(t);
+        CondId rows = ConditionBackend::kFalseCond;
+        for (const CRow& row : t.rows()) {
+          rows = dd.Or(rows,
+                       dd.FromConj(RowProducesFact(row, fact, interner)));
         }
+        EXPECT_EQ(dd.Implies(dd.FromConj(global), rows), oracle)
+            << "dd disagrees on the certainty of (" << a << ", " << b
+            << ") in\n"
+            << FormatCTable(t);
       }
     }
   }
