@@ -8,7 +8,11 @@
 //   - pos. existential views of e-tables:       PTIME (Thm 3.2(2))
 //   - c-tables, identity:                       coNP-complete (Thm 3.2(3))
 //   - pos. existential-with-!= views of tables: coNP-complete (Thm 3.2(4))
-// The general case is decided by exhaustive world enumeration.
+// The general case is UniquenessSearch. For the identity view and for
+// positive existential views (!= allowed) it decides MEMB plus "no world
+// differs from I", written as implications over the rows' interned
+// conditions and decided on ChoiceCnf (condition/backend.h); only other
+// views enumerate worlds (ForEachViewImage, decision/view.h).
 
 #ifndef PW_DECISION_UNIQUENESS_H_
 #define PW_DECISION_UNIQUENESS_H_
@@ -42,10 +46,16 @@ std::optional<bool> UniqPosExistentialView(const RaQuery& query,
                                            const CDatabase& database,
                                            const Instance& instance);
 
-/// Exact uniqueness for arbitrary views of c-databases, by enumerating
-/// worlds (up to fresh-constant renaming) and comparing each against I.
-/// Worst case exponential — the problem is coNP-complete already for a
-/// single c-table with the identity query.
+/// Exact uniqueness for arbitrary views of c-databases. For the identity
+/// view, over the database, and for a positive existential view (!=
+/// allowed), over its Imielinski–Lipski image: I is a world (Membership,
+/// resp. MembershipSearch) and no world differs from I, i.e. no row is on
+/// while landing on no fact of I, and every fact of I is certain. Each of
+/// these is an implication over the rows' interned conditions, decided on
+/// ChoiceCnf by ConjImpliesDisjunction (condition/backend.h). Any other
+/// view enumerates worlds (ForEachViewImage, up to fresh-constant renaming)
+/// and compares each image against I. Worst case exponential — the problem
+/// is coNP-complete already for a single c-table with the identity query.
 bool UniquenessSearch(const View& view, const CDatabase& database,
                       const Instance& instance);
 
