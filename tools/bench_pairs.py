@@ -24,10 +24,17 @@ verdict:
               beats every parent run;
   no worse    otherwise.
 
+Each side's identity is read from its checkout itself before the pairs
+run: `git rev-parse HEAD`, and whether `git status --porcelain
+--untracked-files=no` is empty (the tree is clean). pwbench's own `git=` is
+HEAD even in a dirty checkout, so it cannot tell an uncommitted change from
+its parent.
+
 A pair whose sides differ in answers_digest or in the failed count is
-flagged, and so is a side with a failed op; a flag makes the exit status
-nonzero. --out writes every run and the summary as one JSON file, with each
-side's `# machine:` fingerprint and git sha.
+flagged, and so is a side with a failed op, and a report whose two sides
+are the same clean commit (it compares a tree with itself); a flag makes the
+exit status nonzero. --out writes every run and the summary as one JSON
+file, with each side's `# machine:` fingerprint, HEAD and cleanliness.
 """
 
 import argparse
@@ -79,6 +86,21 @@ def run_once(checkout, workload, seed, seconds):
     if done.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} failed in {checkout}")
     return parse_run(done.stdout)
+
+
+def tree_identity(checkout):
+    """{"git": HEAD, "clean": no tracked file differs from it} of one
+    checkout, read with git in the checkout."""
+    def git(*args):
+        cmd = ["git", "-C", str(checkout), *args]
+        done = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+        if done.returncode != 0:
+            sys.exit(f"bench_pairs: {' '.join(cmd)} failed")
+        return done.stdout
+    return {"git": git("rev-parse", "HEAD").strip(),
+            "clean": git("status", "--porcelain",
+                         "--untracked-files=no") == ""}
 
 
 def run_pairs(parent, change, workload, seeds, seconds):
@@ -166,18 +188,21 @@ def flags(pairs):
     return out
 
 
-def side_identity(workloads, side):
-    """The git sha and machine fingerprint of one side's first run, and
-    whether a later run disagrees (a checkout or machine changed mid-run)."""
+def side_identity(workloads, side, tree):
+    """One side's checkout identity (`tree`, from tree_identity) with the
+    machine fingerprint of its first run, and whether a later run disagrees
+    on the run's git sha or fingerprint (a checkout or machine changed
+    mid-run)."""
     runs = [pair[side] for w in workloads.values() for pair in w["pairs"]]
     first = (runs[0]["git"], runs[0]["fingerprint"])
     mixed = any((run["git"], run["fingerprint"]) != first for run in runs)
-    return {"git": first[0], "machine": first[1]}, mixed
+    return dict(tree, machine=first[1]), mixed
 
 
 def print_summary(report):
     for side in ("parent", "change"):
-        print(f"# {side}: git={report[side]['git']} "
+        tree = "clean" if report[side]["clean"] else "dirty"
+        print(f"# {side}: git={report[side]['git']} tree={tree} "
               f"machine: {report[side]['machine']}")
     for workload, w in report["workloads"].items():
         seeds = [pair["seed"] for pair in w["pairs"]]
@@ -216,18 +241,24 @@ def main():
 
     seconds = benchmark["run_seconds"]
     seeds = parse_seeds(args.seeds)
+    trees = {"parent": tree_identity(args.parent),
+             "change": tree_identity(args.change)}
     report = {"seconds": seconds, "workloads": {}}
     for workload in args.workload:
         pairs = run_pairs(args.parent, args.change, workload, seeds, seconds)
         report["workloads"][workload] = {
             "pairs": pairs, "flags": flags(pairs),
             "summary": summarize(pairs, benchmark["end_to_end"])}
+    first = next(iter(report["workloads"].values()))
     for side in ("parent", "change"):
-        report[side], mixed = side_identity(report["workloads"], side)
+        report[side], mixed = side_identity(report["workloads"], side,
+                                            trees[side])
         if mixed:
-            first = next(iter(report["workloads"].values()))
             first["flags"].append(f"{side}: runs disagree on git sha "
                                   "or machine fingerprint")
+    if trees["parent"] == trees["change"] and trees["parent"]["clean"]:
+        first["flags"].append("parent and change are the same clean commit "
+                              f"{trees['parent']['git']}")
     if args.out:
         with open(args.out, "w") as f:
             json.dump(report, f, indent=1)

@@ -4,9 +4,10 @@
 Checks the verdict rules on synthetic pairs (gain, regression, unresolved,
 no worse, ties, higher-is-better metrics), the parent/change alternation,
 the run length and workload names taken from BENCHMARK.json, the written
-report, and the digest and failed-op flags. Runs nothing: the benchmark
-runner is replaced by canned pwbench/run.py output. Run directly or through
-ctest:
+report, each side's HEAD and clean/dirty tree read from its checkout, and
+the digest, failed-op and same-clean-commit flags. Runs nothing: the
+benchmark runner is replaced by canned pwbench/run.py output and git by
+canned answers. Run directly or through ctest:
 
     python3 tools/bench_pairs_test.py
 """
@@ -15,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -25,6 +27,7 @@ import bench_pairs  # noqa: E402
 
 PARENT_SHA = "1" * 40
 CHANGE_SHA = "2" * 40
+CLEAN_TREES = {"parent-dir": (PARENT_SHA, ""), "change-dir": (CHANGE_SHA, "")}
 
 
 def run_output(metrics, git, answers="00c0ffee00c0ffee", failed=0):
@@ -116,10 +119,30 @@ class PairsTest(unittest.TestCase):
                 failed=failed.get(seed, 0) if is_change else 0))
         return run
 
-    def run_main(self, argv, runner):
+    @staticmethod
+    def fake_git(trees):
+        """A subprocess.run stand-in for the two git calls of
+        tree_identity: `trees` maps a checkout to (HEAD, the output of
+        `git status --porcelain --untracked-files=no`)."""
+        def run(cmd, **kwargs):
+            if cmd[:2] != ["git", "-C"] or cmd[2] not in trees:
+                raise AssertionError(f"unexpected command {cmd}")
+            head, status = trees[cmd[2]]
+            if cmd[3:] == ["rev-parse", "HEAD"]:
+                stdout = head + "\n"
+            elif cmd[3:] == ["status", "--porcelain", "--untracked-files=no"]:
+                stdout = status
+            else:
+                raise AssertionError(f"unexpected git call {cmd}")
+            return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+        return run
+
+    def run_main(self, argv, runner, trees=None):
         out = io.StringIO()
+        git = self.fake_git(trees or CLEAN_TREES)
         with mock.patch.object(sys, "argv", ["bench_pairs.py"] + argv), \
                 mock.patch.object(bench_pairs, "run_once", runner), \
+                mock.patch.object(bench_pairs.subprocess, "run", git), \
                 contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = bench_pairs.main()
@@ -135,7 +158,9 @@ class PairsTest(unittest.TestCase):
                 ["--parent", "parent-dir", "--change", "change-dir",
                  "--workload", "serve", "--seeds", "7,4101-4103",
                  "--out", path],
-                self.fake_runner(0.5, calls))
+                self.fake_runner(0.5, calls),
+                trees={"parent-dir": (PARENT_SHA, ""),
+                       "change-dir": (CHANGE_SHA, " M src/a.cc\n")})
             self.assertEqual(code, 0, out)
             # Every run lasts BENCHMARK.json's run_seconds.
             self.assertEqual(calls, [
@@ -143,13 +168,19 @@ class PairsTest(unittest.TestCase):
                 ("change-dir", 4101, seconds), ("parent-dir", 4101, seconds),
                 ("parent-dir", 4102, seconds), ("change-dir", 4102, seconds),
                 ("change-dir", 4103, seconds), ("parent-dir", 4103, seconds)])
-            self.assertIn(f"# parent: git={PARENT_SHA} machine: "
+            self.assertIn(f"# parent: git={PARENT_SHA} tree=clean machine: "
                           'cpu="Test CPU"', out)
-            self.assertIn(f"# change: git={CHANGE_SHA}", out)
+            self.assertIn(f"# change: git={CHANGE_SHA} tree=dirty machine: ",
+                          out)
             self.assertRegex(out, r"k1_p50_ms .* 4/4 +gain")
             with open(path) as f:
                 report = json.load(f)
             self.assertEqual(report["seconds"], seconds)
+            self.assertEqual((report["parent"]["git"],
+                              report["parent"]["clean"]), (PARENT_SHA, True))
+            self.assertEqual((report["change"]["git"],
+                              report["change"]["clean"]), (CHANGE_SHA, False))
+            self.assertIn("Test CPU", report["change"]["machine"])
             serve = report["workloads"]["serve"]
             self.assertEqual([p["first"] for p in serve["pairs"]],
                              ["parent", "change", "parent", "change"])
@@ -176,6 +207,22 @@ class PairsTest(unittest.TestCase):
                       "change badbadbadbadbad0", out)
         self.assertIn("FLAG seed 3: failed parent 0 change 4", out)
         self.assertIn("FLAG seed 3: change failed 4 ops", out)
+
+    def test_the_same_clean_commit_on_both_sides_is_flagged(self):
+        argv = ["--parent", "parent-dir", "--change", "change-dir",
+                "--workload", "serve", "--seeds", "1-2"]
+        same = {"parent-dir": (PARENT_SHA, ""), "change-dir": (PARENT_SHA, "")}
+        code, out = self.run_main(argv, self.fake_runner(0.5, []), same)
+        self.assertEqual(code, 1, out)
+        self.assertIn("FLAG parent and change are the same clean commit "
+                      f"{PARENT_SHA}", out)
+        # The same HEAD with an uncommitted change on one side is a real
+        # comparison: no flag.
+        dirty = dict(same, **{"change-dir": (PARENT_SHA, "M  src/a.cc\n")})
+        code, out = self.run_main(argv, self.fake_runner(0.5, []), dirty)
+        self.assertEqual(code, 0, out)
+        self.assertIn(f"# change: git={PARENT_SHA} tree=dirty", out)
+        self.assertNotIn("FLAG", out)
 
     def test_seed_lists(self):
         self.assertEqual(bench_pairs.parse_seeds("7,4101-4103,9"),
