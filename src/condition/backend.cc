@@ -251,16 +251,16 @@ ConditionBackendKind ResolveConditionBackendKind(ConditionBackendKind kind) {
   return ConditionBackendKind::kConjunctions;
 }
 
-std::unique_ptr<ConditionBackend> MakeConditionBackend(
+std::shared_ptr<ConditionBackend> MakeConditionBackend(
     ConditionBackendKind kind, ConditionInterner& interner) {
   switch (ResolveConditionBackendKind(kind)) {
     case ConditionBackendKind::kDecisionDiagrams:
-      return std::make_unique<DDBackend>(interner);
+      return interner.DDManager();
     case ConditionBackendKind::kConjunctions:
     case ConditionBackendKind::kDefault:
       break;
   }
-  return std::make_unique<ConjunctiveBackend>(interner);
+  return std::make_shared<ConjunctiveBackend>(interner);
 }
 
 }  // namespace pw

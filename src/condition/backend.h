@@ -18,24 +18,28 @@
 //     the antichain must keep them all.
 //   - DDBackend (condition/dd_backend.h): hash-consed ordered decision
 //     diagrams over condition atoms, ONE canonical id for an arbitrary
-//     boolean combination of atoms. Disjunction, implication and the DNF
+//     boolean combination of atoms. Disjunction, satisfiability and the DNF
 //     export are its own members: the fixpoint Or-merges a tuple's
 //     derivations into one row and exports it with AppendDisjuncts, and
 //     IVM's covered-delete test folds the kept rows with Or, each on the
 //     DDBackend* it branches on.
 //
 // ConditionBackendKind picks one per fixpoint, and the differential harness
-// cross-checks both (tests/differential_test.cc).
+// cross-checks both (tests/differential_test.cc). The diagram backend is one
+// manager per interner generation (ConditionInterner::DDManager), shared by
+// every diagram fixpoint on that interner, as CUDD keeps one manager for all
+// its diagrams.
 //
 // A CondId is meaningful only within the backend that produced it. Both
 // backends align their sentinels with the interner's, so kTrueCond/kFalseCond
 // mean true/false everywhere. Ids are append-only for the backend's
 // lifetime.
 //
-// Threading: a backend is single-owner. Its tables and caches have no locks,
-// so drive it from one thread; each ConditionedFixpoint owns its own. So is
-// the interner it sits on: backends on different threads sit on different
-// interners (each thread's ConditionInterner::Global() by default).
+// Threading: a backend is single-owner, like the interner it sits on. Its
+// tables and caches have no locks, so drive it from the interner's thread;
+// the fixpoints that share a diagram manager all run there. Backends on
+// different threads sit on different interners (each thread's
+// ConditionInterner::Global() by default).
 //
 // Below them: the decision layer's one search, ChoiceCnf, and the
 // implication test ConjImpliesDisjunction that runs on it.
@@ -105,8 +109,11 @@ class ConditionBackend {
   ConditionInterner* interner_;
 };
 
-/// Constructs a backend of the (resolved) kind over `interner`.
-std::unique_ptr<ConditionBackend> MakeConditionBackend(
+/// The backend of the (resolved) kind over `interner`: the interner's
+/// diagram manager (ConditionInterner::DDManager) for kDecisionDiagrams, a
+/// new conjunctive passthrough otherwise. Every ConditionedFixpoint gets its
+/// backend here.
+std::shared_ptr<ConditionBackend> MakeConditionBackend(
     ConditionBackendKind kind, ConditionInterner& interner);
 
 /// The decision layer's one search: can one alternative (a conjunction of

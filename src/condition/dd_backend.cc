@@ -118,18 +118,6 @@ CondId DDBackend::And(CondId a, CondId b) { return Apply(Op::kAnd, a, b); }
 
 CondId DDBackend::Or(CondId a, CondId b) { return Apply(Op::kOr, a, b); }
 
-CondId DDBackend::Not(CondId id) {
-  if (id == kTrueCond) return kFalseCond;
-  if (id == kFalseCond) return kTrueCond;
-  LossyCache::Key key = OpKey(Op::kNot, id, 0);
-  CondId cached;
-  if (ops_.Find(key, &cached)) return cached;
-  Node n = NodeOf(id);
-  CondId out = MakeNode(n.var, Not(n.lo), Not(n.hi));
-  ops_.Store(key, out);
-  return out;
-}
-
 bool DDBackend::SatSearch(CondId id, BindingEnv& env) {
   if (id == kTrueCond) return true;
   if (id == kFalseCond) return false;
@@ -166,20 +154,6 @@ bool DDBackend::SatisfiableWith(ConjId global, CondId id) {
   if (id == kFalseCond) return false;
   if (global == ConditionInterner::kTrueConj) return Satisfiable(id);
   return Satisfiable(And(FromConj(global), id));
-}
-
-bool DDBackend::Implies(CondId a, CondId b) {
-  if (a == b || a == kFalseCond || b == kTrueCond) return true;
-  // No propositional shortcut for the remaining cases: distinct atoms can be
-  // theory-coupled (x = y and x != y are different decision variables), so
-  // even Implies(true, node) can hold. Decide via a AND NOT b unsatisfiable,
-  // memoized on the ordered pair — implication is not symmetric.
-  LossyCache::Key key = OpKey(Op::kImplies, a, b);
-  CondId cached;
-  if (ops_.Find(key, &cached)) return cached != 0;
-  bool out = !Satisfiable(And(a, Not(b)));
-  ops_.Store(key, out ? 1 : 0);
-  return out;
 }
 
 void DDBackend::ExpandPaths(CondId id, std::vector<ConjId>* out) {

@@ -8,18 +8,28 @@
 // instead gives each *boolean function* of condition atoms one canonical id:
 // a reduced ordered decision diagram (ROBDD discipline) whose decision
 // variables are condition atoms under a semantic order (see VarBefore).
-// And/Or/Not are then the classic polynomial Apply recursion over a node
-// unique table and a memoized operation cache, both flat (util/hash_cons.h)
-// and single-owner (see backend.h's threading contract).
+// And/Or are then the classic polynomial Apply recursion over a node unique
+// table and a memoized operation cache, both flat (util/hash_cons.h) and
+// single-owner (see backend.h's threading contract).
 //
 // Besides the seam's FromConj/And/SatisfiableWith, DDBackend has its own
-// Or, Implies, Satisfiable, AppendDisjuncts and Not. The fixpoint and IVM
-// call them on the DDBackend* they branch on; no other backend has them.
+// Or, Satisfiable and AppendDisjuncts. The fixpoint and IVM call them on the
+// DDBackend* they branch on; no other backend has them.
+//
+// One manager per interner generation: ConditionInterner::DDManager owns the
+// DDBackend that every diagram fixpoint on the interner runs on (the one-shot
+// DatalogOnCTables/DatalogQueryOnCTables fixpoints and a MaterializedView's
+// alike), so a goal finds the diagrams and op results of the goals and
+// updates before it. Reduced ordered diagrams are canonical under the fixed
+// VarBefore order, so a diagram found again in a warm manager is the same
+// function with the same DNF paths: ids differ from a cold manager's,
+// exported rows do not. The manager grows only within the interner's
+// generation, the bound of the interner's own tables; Clear() drops it.
 //
 // The diagrams are propositional: a node branches on an atom's truth value
 // with no knowledge that `x = y` and `x != y` exclude each other or that
 // equality is a congruence. Theory reasoning happens exactly where verdicts
-// are produced — Satisfiable and Implies run a BindingEnv-pruned
+// are produced — Satisfiable and AppendDisjuncts run a BindingEnv-pruned
 // DFS over diagram paths, which is exact over the paper's infinite constant
 // domain (a path is a conjunction of =/!= literals, and BindingEnv decides
 // those completely). Satisfiability caches its context-free verdict per id;
@@ -34,9 +44,9 @@
 // vector, so the recursions copy a node before they recurse and never hold a
 // reference across MakeNode.
 //
-// Op cache: Apply results, negations and the implication and satisfiability
-// verdicts share one direct-mapped LossyCache. It starts at 1024 slots and
-// doubles to stay at least as large as the node count, up to the cap set by
+// Op cache: Apply results and satisfiability verdicts share one
+// direct-mapped LossyCache. It starts at 1024 slots and doubles to stay at
+// least as large as the node count, up to the cap set by
 // SetOpCacheCapacity. A store overwrites its slot, so a result may be
 // forgotten; a miss recomputes it from nodes that all still exist, which
 // re-finds the same ids. The cache can cost recomputation, never change an
@@ -58,6 +68,8 @@ namespace pw {
 
 class DDBackend final : public ConditionBackend {
  public:
+  /// An empty manager over `interner`. Fixpoints do not build their own:
+  /// they run on the interner's (ConditionInterner::DDManager).
   explicit DDBackend(ConditionInterner& interner)
       : ConditionBackend(interner), ops_(kInitialOpSlots) {}
 
@@ -70,11 +82,6 @@ class DDBackend final : public ConditionBackend {
   /// derivations with it, and IVM's covered-delete test folds kept rows.
   CondId Or(CondId a, CondId b);
 
-  /// True iff every valuation (over the infinite domain) satisfying `a`
-  /// satisfies `b`. Exact — equality congruence included. Memoized on the
-  /// ordered (a, b) pair: implication is not symmetric.
-  bool Implies(CondId a, CondId b);
-
   /// True iff some valuation satisfies the condition. Exact.
   bool Satisfiable(CondId id);
 
@@ -85,19 +92,15 @@ class DDBackend final : public ConditionBackend {
   /// result boundaries.
   void AppendDisjuncts(CondId id, std::vector<ConjId>* out);
 
-  /// Negation (sentinels swap, internal structure is shared). Implies uses
-  /// it.
-  CondId Not(CondId id);
-
   /// Diagram nodes allocated so far (excluding the two sentinels).
   size_t num_nodes() const { return nodes_.size(); }
 
-  /// Caps the op cache (Apply results, implication and satisfiability
-  /// verdicts) at `capacity` slots, rounded down to a power of two; the
-  /// cache is resized at once. 0 (the default) means no cap: the cache
-  /// starts at 1024 slots and doubles to stay at least as large as the node
-  /// count. The node unique table is NEVER evicted — ids stay valid for the
-  /// backend's lifetime.
+  /// Caps the op cache (Apply results and satisfiability verdicts) at
+  /// `capacity` slots, rounded down to a power of two; the cache is resized
+  /// at once. 0 (the default) means no cap: the cache starts at 1024 slots
+  /// and doubles to stay at least as large as the node count. The node
+  /// unique table is NEVER evicted — ids stay valid for the backend's
+  /// lifetime.
   void SetOpCacheCapacity(size_t capacity);
 
   /// Number of op-cache stores that overwrote a live entry with a different
@@ -105,7 +108,7 @@ class DDBackend final : public ConditionBackend {
   uint64_t op_cache_evictions() const { return ops_.overwrites(); }
 
  private:
-  enum class Op : uint32_t { kAnd, kOr, kNot, kImplies, kSat };
+  enum class Op : uint32_t { kAnd, kOr, kSat };
 
   struct Node {
     AtomId var;  // decision atom; strictly increases along any path

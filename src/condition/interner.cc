@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "condition/binding_env.h"
+#include "condition/dd_backend.h"
 
 namespace pw {
 
@@ -46,9 +47,15 @@ void ConditionInterner::Clear() {
   syntactic_ids_.clear();
   and_cache_.Clear();
   implies_cache_.Clear();
+  dd_manager_.reset();
   InitSentinels();
   ++generation_;
   stamp_ = NextStamp();
+}
+
+std::shared_ptr<DDBackend> ConditionInterner::DDManager() {
+  if (dd_manager_ == nullptr) dd_manager_ = std::make_shared<DDBackend>(*this);
+  return dd_manager_;
 }
 
 AtomId ConditionInterner::InternAtom(const CondAtom& atom) {

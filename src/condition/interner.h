@@ -37,7 +37,9 @@
 //     equals the interner's current stamp;
 //   - `Clear()` starts a new generation: every table is dropped back to the
 //     two sentinel ids and the stamp changes, so stale stamped caches
-//     re-intern transparently instead of reading freed state.
+//     re-intern transparently instead of reading freed state. It also ends
+//     the generation's decision-diagram manager (`DDManager()`), whose
+//     diagrams are built from this generation's atom and conjunction ids.
 //
 // Threading model. An interner is single-owner: one thread uses it, and
 // nothing in it takes a lock. `Global()` returns a thread-local instance, so
@@ -60,6 +62,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -69,6 +72,8 @@
 #include "condition/conjunction.h"
 
 namespace pw {
+
+class DDBackend;
 
 /// Id of an interned atom. Dense, starting at 0.
 using AtomId = uint32_t;
@@ -147,10 +152,20 @@ class ConditionInterner {
   uint64_t generation() const { return generation_; }
 
   /// Starts a new generation: drops every interned atom, conjunction, and
-  /// pair cache back to the two sentinels and changes the stamp,
-  /// invalidating all outstanding ids and stamped caches. Stats are not
-  /// reset.
+  /// pair cache back to the two sentinels, drops the generation's
+  /// decision-diagram manager, and changes the stamp, invalidating all
+  /// outstanding ids and stamped caches. Stats are not reset.
   void Clear();
+
+  /// This generation's decision-diagram manager (condition/dd_backend.h):
+  /// the one node store, unique table, FromConj map and op cache that every
+  /// kDecisionDiagrams fixpoint on this interner runs on, so a diagram one
+  /// fixpoint built is found again by the next. Created on first use; after
+  /// Clear() the next call starts an empty one. A fixpoint keeps its own
+  /// reference, so one that outlives a Clear() holds the old manager until
+  /// it is destroyed (its ids are stale, like every id of the old
+  /// generation). Single-owner, like the interner.
+  std::shared_ptr<DDBackend> DDManager();
 
   // --- Routing and memo bounds ----------------------------------------------
 
@@ -270,15 +285,15 @@ class ConditionInterner {
   // canonical key halves the entries and argument order never splits them).
   PairMemo<ConjId> and_cache_;
   // Ordered pair (lhs, rhs) -> whether lhs implies rhs. Implication is NOT
-  // symmetric, so the canonical key is exactly the ordered pair — every
-  // backend's implication memo (see condition/dd_backend.h) keys the same
-  // way.
+  // symmetric, so the canonical key is exactly the ordered pair.
   PairMemo<bool> implies_cache_;
 
   // Reused scratch state: the syntactic key buffer and the congruence
   // environment (reverted to empty after each closure, retaining capacity).
   std::vector<AtomId> scratch_key_;
   BindingEnv scratch_env_;
+
+  std::shared_ptr<DDBackend> dd_manager_;  // null until DDManager()
 
   size_t memo_capacity_ = 0;
   uint64_t memo_evictions_ = 0;

@@ -52,10 +52,10 @@ struct PredState {
 
 struct EvalState {
   ConditionInterner* interner = nullptr;
-  // The condition representation rows travel in (owned by the Impl). `dd`
-  // is the same backend when it is a DDBackend, else null: non-null switches
-  // Insert from the subsumption antichain to one-live-row-per-tuple
-  // Or-merging, and Export to the DNF expansion.
+  // The condition representation rows travel in (the Impl holds a
+  // reference). `dd` is the same backend when it is a DDBackend, else null:
+  // non-null switches Insert from the subsumption antichain to
+  // one-live-row-per-tuple Or-merging, and Export to the DNF expansion.
   ConditionBackend* backend = nullptr;
   DDBackend* dd = nullptr;
   ConjId global_id = ConditionInterner::kTrueConj;
@@ -487,9 +487,10 @@ struct ConditionedFixpoint::Impl {
   // ClearPredicate resets a predicate's column.
   std::vector<std::vector<size_t>> seen;
   // The condition representation of this fixpoint's rows; state.backend
-  // points here. Declared before `state` only for clarity — construction
-  // wires both explicitly.
-  std::unique_ptr<ConditionBackend> backend;
+  // points here. On diagrams it is the interner's manager, shared with every
+  // other diagram fixpoint on the interner; this reference keeps it alive
+  // past the interner's Clear().
+  std::shared_ptr<ConditionBackend> backend;
   EvalState state;
   // Interner size at construction: stats() reports growth since then, which
   // matches the one-shot evaluators (they intern the global condition before

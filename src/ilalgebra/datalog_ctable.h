@@ -148,8 +148,9 @@ struct DatalogCTableOptions {
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
 /// tuple indexes all persist across Run() calls; the program and the
 /// options' interner must outlive the fixpoint. The fixpoint, its
-/// condition backend and its interner are single-owner: drive them from one
-/// thread.
+/// condition backend and its interner are single-owner: drive them from the
+/// interner's thread (the diagram backend is shared by every diagram
+/// fixpoint on the interner).
 class ConditionedFixpoint {
  public:
   explicit ConditionedFixpoint(const DatalogProgram& program,
@@ -162,10 +163,14 @@ class ConditionedFixpoint {
   /// thread-local global).
   ConditionInterner& interner() const;
 
-  /// The condition backend this fixpoint's rows travel in (constructed from
-  /// options.condition_backend over interner()). Owned by the fixpoint. When
-  /// it is a DDBackend, IVM's covered-delete test folds kept rows with its
-  /// Or, consistently with how the fixpoint merged them.
+  /// The condition backend this fixpoint's rows travel in
+  /// (MakeConditionBackend of options.condition_backend over interner()).
+  /// The fixpoint does not own it alone: on diagrams it is the interner's
+  /// manager (ConditionInterner::DDManager), shared with every other diagram
+  /// fixpoint on the interner, and the fixpoint's reference keeps it alive
+  /// past the interner's Clear(). When it is a DDBackend, IVM's
+  /// covered-delete test folds kept rows with its Or, consistently with how
+  /// the fixpoint merged them.
   ConditionBackend& backend() const;
 
   /// The program's static analysis (SCC strata, diagnostics, reachability
@@ -278,12 +283,14 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// the conditioned fixpoint runs on the rewritten program, deriving only
 /// demand-reachable facts — conditions flow into the magic facts, so demand
 /// that cannot hold is pruned via the interner before guarded rule bodies
-/// fire. The result is identical (up to row order) to RestrictTableToGoal
-/// over DatalogOnCTables' goal table. `stats` additionally reports the
-/// demand counters. A `goal` that names no predicate of `program` (negative,
-/// or at least num_predicates) is checked in all build modes: the result is
-/// an empty table as wide as `bindings`, with the global attached, and
-/// `stats` is zeroed.
+/// fire. Only the rewrite's goal table is exported (on diagrams, only it is
+/// DNF-expanded); the adorned helper and magic tables stay inside the
+/// fixpoint. The result is identical (up to row order) to
+/// RestrictTableToGoal over DatalogOnCTables' goal table. `stats`
+/// additionally reports the demand counters. A `goal` that names no
+/// predicate of `program` (negative, or at least num_predicates) is checked
+/// in all build modes: the result is an empty table as wide as `bindings`,
+/// with the global attached, and `stats` is zeroed.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

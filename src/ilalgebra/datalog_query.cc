@@ -163,17 +163,25 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
   MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
   DatalogCTableOptions inner = options;
   inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-  ConditionedFixpointStats local;
-  CDatabase fixpoint =
-      DatalogOnCTables(rewrite.program, database, &local, inner);
-  local.rules_adorned = rewrite.rules_adorned;
-  local.magic_rules = rewrite.magic_rules;
-  local.rules_pruned = rewrite.rules_pruned;
-  CTable result = RestrictTableToGoal(
-      fixpoint.table(static_cast<size_t>(rewrite.goal_predicate)), bindings,
-      global_id, interner);
+  ConditionedFixpoint fix(rewrite.program, inner);
+  fix.SetGlobal(global_id);
+  for (size_t p = 0; p < rewrite.program.num_edb() && p < database.num_tables();
+       ++p) {
+    fix.SeedTable(static_cast<int>(p), database.table(p));
+  }
+  fix.FireGroundRules();
+  fix.Run();
+  // Only the goal table leaves the fixpoint: exporting the helper tables
+  // would DNF-expand every diagram of the adorned predicates for nothing.
+  CTable answers = fix.Export(rewrite.goal_predicate);
+  if (stats != nullptr) {
+    *stats = fix.stats();
+    stats->rules_adorned = rewrite.rules_adorned;
+    stats->magic_rules = rewrite.magic_rules;
+    stats->rules_pruned = rewrite.rules_pruned;
+  }
+  CTable result = RestrictTableToGoal(answers, bindings, global_id, interner);
   result.SetGlobal(database.CombinedGlobal(), global_id, interner);
-  if (stats != nullptr) *stats = local;
   return result;
 }
 

@@ -1,7 +1,7 @@
 // The ConditionBackend seam itself (FromConj, And, SatisfiableWith): the
 // conjunctive backend as an interner passthrough, node canonicity and the
-// DD-only calls (Or, Implies, Satisfiable, AppendDisjuncts, Not) of the
-// decision-diagram backend, and the bounded-memo contracts — eviction
+// DD-only calls (Or, Satisfiable, AppendDisjuncts) of the decision-diagram
+// backend, and the bounded-memo contracts — eviction
 // (interner memo shards, DD op-cache overwrites) may cost recomputation but
 // can never change a verdict or an id, and the interner's implication memo,
 // keyed on the ordered pair, stays consistent across Clear() generations.
@@ -53,7 +53,7 @@ TEST(ConjunctiveBackendTest, PassesThroughToTheInterner) {
   // of the seam's three calls is the interner's own memoized operation; the
   // fixpoint keeps each tuple's antichain itself.
   ConditionInterner interner;
-  std::unique_ptr<ConditionBackend> backend =
+  std::shared_ptr<ConditionBackend> backend =
       MakeConditionBackend(ConditionBackendKind::kConjunctions, interner);
 
   ConjId eq = interner.Intern(Conjunction{Eq(V(0), C(1))});
@@ -82,19 +82,23 @@ TEST(DDBackendTest, NodesAreCanonicalAndTheoryAware) {
   CondId b = dd.FromConj(neq);
   EXPECT_EQ(dd.And(a, b), dd.And(b, a));
   EXPECT_EQ(dd.Or(a, b), dd.Or(b, a));
-  EXPECT_EQ(dd.Not(dd.Not(a)), a);
+  EXPECT_EQ(dd.Or(a, dd.And(a, b)), a);
 
   // Propositionally `x0 = 1` and `x0 != 1` are distinct decision variables;
-  // the theory layer must still see that together they are exhaustive and
-  // exclusive.
-  EXPECT_TRUE(dd.Implies(ConditionBackend::kTrueCond, dd.Or(a, b)));
+  // the theory layer must still see that together they are exhaustive (the
+  // members of their disjunction cover every valuation) and exclusive.
+  std::vector<ConjId> either;
+  dd.AppendDisjuncts(dd.Or(a, b), &either);
+  EXPECT_TRUE(ConjImpliesDisjunction(interner, ConditionInterner::kTrueConj,
+                                     either));
   EXPECT_FALSE(dd.Satisfiable(dd.And(a, b)));
-  EXPECT_FALSE(dd.Satisfiable(dd.And(a, dd.Not(a))));
 
-  // Conjunction chains imply their sub-conjunctions, not vice versa.
+  // Conjunction chains imply their sub-conjunctions, not vice versa: the
+  // chain absorbs into the sub-conjunction, and not the other way round.
   CondId ab = dd.FromConj(both);
-  EXPECT_TRUE(dd.Implies(ab, a));
-  EXPECT_FALSE(dd.Implies(a, ab));
+  EXPECT_EQ(dd.And(ab, a), ab);
+  EXPECT_EQ(dd.Or(ab, a), a);
+  EXPECT_NE(dd.Or(ab, a), ab);
 
   // The DNF expansion of a pure conjunction is that conjunction.
   std::vector<ConjId> disjuncts;
@@ -153,11 +157,9 @@ TEST(DDBackendTest, UniqueTableGrowthKeepsIdsCanonical) {
           dd->Or(dd->Or(dd->And(leaf[0], leaf[2]), dd->And(leaf[0], leaf[3])),
                  dd->Or(dd->And(leaf[1], leaf[2]), dd->And(leaf[1], leaf[3])));
       ASSERT_EQ(factored, distributed);
-      // Negation builds new nodes inside its own recursion.
-      CondId negated = dd->Not(factored);
-      ASSERT_EQ(dd->Not(negated), factored);
-      ASSERT_EQ(dd->And(factored, negated), ConditionBackend::kFalseCond);
-      ASSERT_EQ(dd->Or(left, dd->Not(left)), ConditionBackend::kTrueCond);
+      // The product implies the sum, so each absorbs into the other.
+      ASSERT_EQ(dd->And(left, factored), factored);
+      ASSERT_EQ(dd->Or(factored, left), left);
       if (dd == &cached) {
         sums.push_back(left);
         sums.push_back(factored);
@@ -173,16 +175,15 @@ TEST(DDBackendTest, UniqueTableGrowthKeepsIdsCanonical) {
   for (size_t i = 1; i < sums.size(); ++i) {
     ASSERT_EQ(cached.Satisfiable(sums[i]), forgetful.Satisfiable(sums[i]))
         << "sum " << i;
-    ASSERT_EQ(cached.Implies(sums[i], sums[i - 1]),
-              forgetful.Implies(sums[i], sums[i - 1]))
+    CondId meet = cached.And(sums[i], sums[i - 1]);
+    ASSERT_EQ(forgetful.And(sums[i], sums[i - 1]), meet) << "sum " << i;
+    ASSERT_EQ(cached.Satisfiable(meet), forgetful.Satisfiable(meet))
         << "sum " << i;
-    ASSERT_EQ(cached.Not(sums[i]), forgetful.Not(sums[i])) << "sum " << i;
+    ASSERT_EQ(cached.Or(sums[i], sums[i - 1]),
+              forgetful.Or(sums[i], sums[i - 1]))
+        << "sum " << i;
   }
   EXPECT_EQ(forgetful.num_nodes(), cached.num_nodes());
-  // Every factored product implies its own sum.
-  for (size_t i = 1; i < sums.size(); i += 2) {
-    EXPECT_TRUE(cached.Implies(sums[i], sums[i - 1]));
-  }
 }
 
 TEST(ConditionBackendTest, InternerMemoEvictionNeverChangesVerdicts) {
@@ -259,10 +260,14 @@ TEST(ConditionBackendTest, DDOpCacheEvictionNeverChangesVerdicts) {
   for (size_t i = 0; i < ids_a.size(); ++i) {
     ASSERT_EQ(unlimited.Satisfiable(ids_a[i]), bounded.Satisfiable(ids_b[i]));
     for (size_t j = 0; j < ids_a.size(); ++j) {
-      ASSERT_EQ(unlimited.Implies(ids_a[i], ids_a[j]),
-                bounded.Implies(ids_b[i], ids_b[j]))
-          << "Implies diverged under op-cache eviction on pair (" << i << ", "
-          << j << ")";
+      // Whether the pair can hold together: a satisfiability verdict on a
+      // meet the sequence above did not necessarily build.
+      CondId meet_a = unlimited.And(ids_a[i], ids_a[j]);
+      CondId meet_b = bounded.And(ids_b[i], ids_b[j]);
+      ASSERT_EQ(meet_a, meet_b);
+      ASSERT_EQ(unlimited.Satisfiable(meet_a), bounded.Satisfiable(meet_b))
+          << "Satisfiable diverged under op-cache eviction on pair (" << i
+          << ", " << j << ")";
     }
   }
   EXPECT_GT(bounded.op_cache_evictions(), 0u);

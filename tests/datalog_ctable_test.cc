@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "ilalgebra/datalog_ctable.h"
+#include "condition/dd_backend.h"
 #include "datalog/eval.h"
+#include "datalog/magic.h"
 #include "tables/world_enum.h"
 #include "test_util.h"
 #include "workload/random_gen.h"
@@ -621,6 +624,157 @@ TEST(DatalogCTableTest, ForcedNullClashesAreCutAsUnsatisfiableBranches) {
       }
     }
   }
+}
+
+/// A chain 0 -> 1 -> 2 -> x0 and 3 -> 4 -> x1, 5 -> 6 -> 7 -> x0 under the
+/// global x0 != 1: which nodes 0 reaches depends on where x0 and x1 land,
+/// so tc(0, 7) holds under nine conjunctions and the tc_bf helper table of
+/// the rewritten tc(0, 7) goal holds 16 rows.
+CDatabase ForkedNullChain() {
+  CTable t(2);
+  t.AddRow(Tuple{C(0), C(1)});
+  t.AddRow(Tuple{C(1), C(2)});
+  t.AddRow(Tuple{C(2), V(0)});
+  t.AddRow(Tuple{C(3), C(4)});
+  t.AddRow(Tuple{C(4), V(1)});
+  t.AddRow(Tuple{C(5), C(6)});
+  t.AddRow(Tuple{C(6), C(7)});
+  t.AddRow(Tuple{C(7), V(0)});
+  t.SetGlobal(Conjunction{Neq(V(0), C(1))});
+  return CDatabase{t};
+}
+
+DatalogCTableOptions DDOn(ConditionInterner& interner) {
+  DatalogCTableOptions options;
+  options.interner = &interner;
+  options.condition_backend = ConditionBackendKind::kDecisionDiagrams;
+  return options;
+}
+
+TEST(DatalogCTableTest, BoundGoalExportsOnlyTheGoalTable) {
+  // tc(0, 7) binds both positions, so its rewrite derives an adorned tc_bf
+  // helper table of every node 0 reaches, and only the goal table leaves
+  // the fixpoint. Rows and every stat are pinned per backend, at the values
+  // of the evaluation that exported every table and restricted the goal's,
+  // except one: on diagrams that export also interned the helper table's
+  // DNF paths, and interner_conjunctions read 25 there.
+  const std::vector<std::optional<ConstId>> bindings = {ConstId{0},
+                                                        ConstId{7}};
+  const std::vector<std::string> rows = {
+      "(0, 7) :: 3 = x0 AND 5 = x1", "(0, 7) :: 3 = x0 AND 6 = x1",
+      "(0, 7) :: 3 = x0 AND 7 = x1", "(0, 7) :: 4 = x0 AND 5 = x1",
+      "(0, 7) :: 4 = x0 AND 6 = x1", "(0, 7) :: 4 = x0 AND 7 = x1",
+      "(0, 7) :: 5 = x0",            "(0, 7) :: 6 = x0",
+      "(0, 7) :: 7 = x0"};
+  struct Case {
+    ConditionBackendKind kind;
+    size_t derived, subsumed, duplicate, pruned, delta, conjunctions, probes,
+        hits;
+  };
+  const Case cases[] = {
+      {ConditionBackendKind::kConjunctions, 35, 21, 2, 15, 17, 32, 48, 70},
+      {ConditionBackendKind::kDecisionDiagrams, 29, 22, 1, 6, 14, 24, 26, 42},
+  };
+  CDatabase db = ForkedNullChain();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind == ConditionBackendKind::kConjunctions ? "antichain"
+                                                               : "dd");
+    ConditionInterner interner;
+    DatalogCTableOptions options = DDOn(interner);
+    options.condition_backend = c.kind;
+    MagicRewriteResult rewrite =
+        MagicRewrite(TransitiveClosure(), {1, bindings});
+    EXPECT_EQ(DatalogOnCTables(rewrite.program, db, nullptr, options)
+                  .table(2)
+                  .num_rows(),
+              16u)
+        << "predicate 2 is the adorned tc_bf helper\n"
+        << rewrite.program.ToString();
+    interner.Clear();
+
+    ConditionedFixpointStats stats;
+    CTable answers = DatalogQueryOnCTables(TransitiveClosure(), db, 1,
+                                           bindings, &stats, options);
+    EXPECT_EQ(CanonicalRows(answers), rows);
+    EXPECT_EQ(stats.rounds, 11u);
+    EXPECT_EQ(stats.strata, 3u);
+    EXPECT_EQ(stats.dead_rules_skipped, 0u);
+    EXPECT_EQ(stats.derived_rows, c.derived);
+    EXPECT_EQ(stats.subsumed_rows, c.subsumed);
+    EXPECT_EQ(stats.unsatisfiable_rows, 0u);
+    EXPECT_EQ(stats.duplicate_rows, c.duplicate);
+    EXPECT_EQ(stats.pruned_branches, c.pruned);
+    EXPECT_EQ(stats.delta_rows, c.delta);
+    EXPECT_EQ(stats.interner_conjunctions, c.conjunctions);
+    EXPECT_EQ(stats.index_builds, 5u);
+    EXPECT_EQ(stats.index_extends, 0u);
+    EXPECT_EQ(stats.index_probes, c.probes);
+    EXPECT_EQ(stats.index_hits, c.hits);
+    EXPECT_EQ(stats.magic_facts, 2u);
+    EXPECT_EQ(stats.rules_adorned, 4u);
+    EXPECT_EQ(stats.magic_rules, 3u);
+    EXPECT_EQ(stats.rules_pruned, 0u);
+    EXPECT_EQ(stats.demand_pruned, 0u);
+    EXPECT_FALSE(stats.budget_exhausted);
+  }
+}
+
+TEST(DatalogCTableTest, RepeatedDDGoalBuildsNoNewNode) {
+  // Every diagram fixpoint on an interner runs on the interner's one
+  // manager, so the same goal asked again finds every diagram the first
+  // call built: the manager gains no node, and the rows are the same.
+  ConditionInterner interner;
+  const DatalogCTableOptions options = DDOn(interner);
+  CDatabase db = ForkedNullChain();
+  for (const std::vector<std::optional<ConstId>>& bindings :
+       {std::vector<std::optional<ConstId>>{ConstId{0}, std::nullopt},
+        std::vector<std::optional<ConstId>>{ConstId{0}, ConstId{7}}}) {
+    CTable first = DatalogQueryOnCTables(TransitiveClosure(), db, 1, bindings,
+                                         nullptr, options);
+    const size_t nodes = interner.DDManager()->num_nodes();
+    EXPECT_GT(nodes, 0u);
+    CTable second = DatalogQueryOnCTables(TransitiveClosure(), db, 1,
+                                          bindings, nullptr, options);
+    EXPECT_EQ(interner.DDManager()->num_nodes(), nodes);
+    EXPECT_EQ(CanonicalRows(second), CanonicalRows(first));
+  }
+}
+
+TEST(DatalogCTableTest, ClearStartsAnEmptyDDManager) {
+  // A diagram fixpoint runs on the interner's manager. Clear() ends it: the
+  // next fixpoint starts on an empty manager, and answers as a fresh
+  // interner does. A fixpoint built before the Clear() holds the old
+  // manager until it is destroyed, after the Clear() (a use after free
+  // under ASan otherwise).
+  ConditionInterner interner;
+  const DatalogCTableOptions options = DDOn(interner);
+  const DatalogProgram tc = TransitiveClosure();
+  CDatabase db = ForkedNullChain();
+  auto before = std::make_unique<ConditionedFixpoint>(tc, options);
+  before->SetGlobal(db.CombinedGlobalId(interner));
+  before->SeedTable(0, db.table(0));
+  before->Run();
+  const ConditionBackend* old_manager = &before->backend();
+  EXPECT_EQ(old_manager, interner.DDManager().get());
+  EXPECT_EQ(MakeConditionBackend(ConditionBackendKind::kDecisionDiagrams,
+                                 interner)
+                .get(),
+            old_manager);
+  EXPECT_GT(interner.DDManager()->num_nodes(), 0u);
+
+  interner.Clear();
+  EXPECT_NE(interner.DDManager().get(), old_manager);
+  EXPECT_EQ(interner.DDManager()->num_nodes(), 0u);
+  before.reset();
+
+  const std::vector<std::optional<ConstId>> bindings = {ConstId{0},
+                                                        std::nullopt};
+  CTable answers =
+      DatalogQueryOnCTables(tc, db, 1, bindings, nullptr, options);
+  ConditionInterner cold;
+  EXPECT_EQ(CanonicalRows(answers),
+            CanonicalRows(DatalogQueryOnCTables(tc, db, 1, bindings, nullptr,
+                                                DDOn(cold))));
 }
 
 }  // namespace

@@ -56,9 +56,10 @@
 //
 //  7. Condition algebra — randomized And/Or expression trees over random
 //     interned conjunctions built on the decision-diagram backend: every
-//     Satisfiable/SatisfiableWith/Implies verdict (an implication from the
-//     global is the certainty check), the AppendDisjuncts DNF expansion, and
-//     ConjImpliesDisjunction over the expansions' members must agree with a
+//     Satisfiable/SatisfiableWith verdict (of each expression and of each
+//     pair's conjunction), the AppendDisjuncts DNF expansion, and
+//     ConjImpliesDisjunction over the expansions' members (an implication
+//     from the global is the certainty check) must agree with a
 //     small-model enumeration oracle (valuations over the mentioned
 //     constants plus one fresh value per variable — complete for boolean
 //     combinations of =/!= atoms over the infinite domain).
@@ -73,8 +74,8 @@
 //
 //  9. Certain facts and other worlds — CertainFactInTable (the rows'
 //     interned conditions through ConjImpliesDisjunction) and the
-//     decision-diagram backend's Or of the same conditions, implied by the
-//     global, must agree with the per-world oracle
+//     decision-diagram backend's Or of the same conditions (its DNF members
+//     implied by the global) must agree with the per-world oracle
 //     (testutil::FactInEveryWorld);
 //     UniquenessSearch, which decides
 //     "some world differs from I" as implications over the rows' interned
@@ -1264,8 +1265,6 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
     }
     EXPECT_EQ(dd.Satisfiable(e.dd), oracle_sat);
     EXPECT_EQ(dd.SatisfiableWith(global, e.dd), oracle_sat_with);
-    EXPECT_EQ(dd.Implies(dd.FromConj(global), e.dd), oracle_taut);
-    EXPECT_EQ(dd.Implies(ConditionBackend::kTrueCond, e.dd), oracle_valid);
 
     // The DNF expansion must represent exactly the expression's function.
     dd.AppendDisjuncts(e.dd, &e.disjuncts);
@@ -1289,18 +1288,21 @@ TEST_P(ConditionAlgebraDifferentialTest, BackendsAgreeWithSmallModelOracle) {
               oracle_valid);
   }
 
-  // Implication over every ordered pair — the diagram's refutation check,
-  // and ConjImpliesDisjunction from each DNF member of the left expression
-  // to the right one's members, against the oracle.
+  // Over every ordered pair: whether the two can hold together, on the
+  // diagram's satisfiability of their conjunction, and implication, as
+  // ConjImpliesDisjunction from each DNF member of the left expression to
+  // the right one's members, against the oracle.
   for (size_t i = 0; i < exprs.size(); ++i) {
     for (size_t j = 0; j < exprs.size(); ++j) {
+      bool oracle_meet = false;
       bool oracle_implies = true;
       for (size_t k = 0; k < valuations.size(); ++k) {
+        oracle_meet = oracle_meet || (exprs[i].truth[k] && exprs[j].truth[k]);
         oracle_implies =
             oracle_implies && (!exprs[i].truth[k] || exprs[j].truth[k]);
       }
-      EXPECT_EQ(dd.Implies(exprs[i].dd, exprs[j].dd), oracle_implies)
-          << "dd Implies diverged on pair (" << i << ", " << j << ")";
+      EXPECT_EQ(dd.Satisfiable(dd.And(exprs[i].dd, exprs[j].dd)), oracle_meet)
+          << "dd Satisfiable(And) diverged on pair (" << i << ", " << j << ")";
       bool members_imply = std::ranges::all_of(
           exprs[i].disjuncts, [&](ConjId member) {
             return ConjImpliesDisjunction(interner, member,
@@ -1389,10 +1391,10 @@ class CertaintyBackendDifferentialTest : public ::testing::TestWithParam<int> {
 TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
   // CertainFactInTable decides `global -> OR over matching rows` by the
   // backtracking search over the rows' interned conditions. The
-  // decision-diagram backend's Or of the same conditions, implied by the
-  // global, states the same question in its own algebra. Both must agree
-  // with the per-world oracle on every candidate fact (present,
-  // conditioned, and absent ones alike).
+  // decision-diagram backend's Or of the same conditions, expanded back
+  // into its DNF members, must state the same question: the global implies
+  // those members' disjunction. Both must agree with the per-world oracle
+  // on every candidate fact (present, conditioned, and absent ones alike).
   const unsigned case_seed = 13000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
@@ -1421,7 +1423,9 @@ TEST_P(CertaintyBackendDifferentialTest, CertainFactAgreesAcrossBackends) {
           rows = dd.Or(rows,
                        dd.FromConj(RowProducesFact(row, fact, interner)));
         }
-        EXPECT_EQ(dd.Implies(dd.FromConj(global), rows), oracle)
+        std::vector<ConjId> members;
+        dd.AppendDisjuncts(rows, &members);
+        EXPECT_EQ(ConjImpliesDisjunction(interner, global, members), oracle)
             << "dd disagrees on the certainty of (" << a << ", " << b
             << ") in\n"
             << FormatCTable(t);

@@ -366,5 +366,73 @@ TEST(IvmTest, FullViewHasNoAnswers) {
   EXPECT_EQ(view.Materialized().table(1).num_rows(), 6u);
 }
 
+TEST(IvmTest, DDViewBetweenDDGoalsAnswersAsOnFreshInterners) {
+  // A diagram view and one-shot diagram goals on one interner run on the
+  // interner's one manager: each goal finds the view's diagrams, and each
+  // update the goals'. Interleaved there, every answer must equal the same
+  // operation's on an interner of its own: the view's against a twin view
+  // that no goal shares, each goal's against a fresh interner's.
+  const DatalogProgram tc = TransitiveClosure();
+  CTable edges(2);
+  edges.AddRow(Tuple{C(0), C(1)});
+  edges.AddRow(Tuple{C(1), C(2)});
+  edges.AddRow(Tuple{C(2), V(0)});
+  edges.AddRow(Tuple{C(3), C(4)});
+  edges.AddRow(Tuple{C(4), V(1)});
+  edges.AddRow(Tuple{C(5), C(6)});
+  edges.AddRow(Tuple{V(0), C(5)});
+  edges.SetGlobal(Conjunction{Neq(V(0), C(1))});
+  const CDatabase base{std::move(edges)};
+
+  ConditionInterner shared;
+  ConditionInterner own;
+  MaterializedViewOptions on_shared;
+  on_shared.eval.interner = &shared;
+  on_shared.eval.condition_backend = ConditionBackendKind::kDecisionDiagrams;
+  MaterializedViewOptions on_own = on_shared;
+  on_own.eval.interner = &own;
+  MaterializedView view(tc, base, on_shared);
+  MaterializedView twin(tc, base, on_own);
+
+  auto check = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_EQ(CanonicalRows(view.Materialized().table(1)),
+              CanonicalRows(twin.Materialized().table(1)));
+    for (const std::vector<std::optional<ConstId>>& bindings :
+         {std::vector<std::optional<ConstId>>{ConstId{0}, std::nullopt},
+          std::vector<std::optional<ConstId>>{ConstId{0}, ConstId{6}},
+          std::vector<std::optional<ConstId>>{std::nullopt, ConstId{5}}}) {
+      DatalogCTableOptions goal = on_shared.eval;
+      CTable answers =
+          DatalogQueryOnCTables(tc, view.base(), 1, bindings, nullptr, goal);
+      ConditionInterner fresh;
+      goal.interner = &fresh;
+      EXPECT_EQ(CanonicalRows(answers),
+                CanonicalRows(DatalogQueryOnCTables(tc, view.base(), 1,
+                                                    bindings, nullptr, goal)));
+    }
+  };
+  check("initial");
+  struct Update {
+    bool insert;
+    Fact fact;
+  };
+  const Update updates[] = {{true, {2, 3}},  {false, {1, 2}}, {true, {1, 2}},
+                            {false, {2, 3}}, {false, {4, 6}}, {true, {6, 0}},
+                            {false, {2, 5}}, {false, {6, 0}}};
+  for (const Update& u : updates) {
+    for (MaterializedView* v : {&view, &twin}) {
+      if (u.insert) {
+        v->Insert(0, u.fact);
+      } else {
+        v->Delete(0, u.fact);
+      }
+    }
+    check(std::string(u.insert ? "insert " : "delete ") + ToString(u.fact));
+  }
+  EXPECT_GT(view.stats().cone_rebuilds, 0u);
+  EXPECT_GT(view.stats().inserts_seeded, 0u);
+}
+
 }  // namespace
 }  // namespace pw
