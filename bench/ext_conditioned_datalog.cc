@@ -208,9 +208,9 @@ BENCHMARK(BM_ConditionedTC_UpdateStream_Recompute)
 // condition is a hash-consed diagram, so And/Or stay polynomial in diagram
 // size and the sweep runs un-capped past the sizes the *_NullChain bench
 // above must stop at. Each iteration evaluates against a fresh private
-// interner and freshly built base table, so both sides start cold — the
-// comparison is backend vs backend, not warm memo tables vs a per-query
-// diagram store. Paired as *_DDBackend / *_Antichain for the CI gate with a
+// interner (and so the interner's fresh diagram manager) and a freshly built
+// base table, so both sides start cold — the comparison is backend vs
+// backend, not warm memo tables or a warm diagram manager vs a cold one. Paired as *_DDBackend / *_Antichain for the CI gate with a
 // tightened 1.2x budget — DD must never lose the low-diversity sizes by
 // more than 1.2x, and must beat the antichain by >= 5x at the largest size
 // (tools/check_bench_regression.py enforces both).
