@@ -680,18 +680,9 @@ TEST(DatalogCTableTest, BoundGoalExportsOnlyTheGoalTable) {
     SCOPED_TRACE(c.kind == ConditionBackendKind::kConjunctions ? "antichain"
                                                                : "dd");
     ConditionInterner interner;
-    DatalogCTableOptions options = DDOn(interner);
+    DatalogCTableOptions options;
+    options.interner = &interner;
     options.condition_backend = c.kind;
-    MagicRewriteResult rewrite =
-        MagicRewrite(TransitiveClosure(), {1, bindings});
-    EXPECT_EQ(DatalogOnCTables(rewrite.program, db, nullptr, options)
-                  .table(2)
-                  .num_rows(),
-              16u)
-        << "predicate 2 is the adorned tc_bf helper\n"
-        << rewrite.program.ToString();
-    interner.Clear();
-
     ConditionedFixpointStats stats;
     CTable answers = DatalogQueryOnCTables(TransitiveClosure(), db, 1,
                                            bindings, &stats, options);
@@ -716,6 +707,15 @@ TEST(DatalogCTableTest, BoundGoalExportsOnlyTheGoalTable) {
     EXPECT_EQ(stats.rules_pruned, 0u);
     EXPECT_EQ(stats.demand_pruned, 0u);
     EXPECT_FALSE(stats.budget_exhausted);
+
+    MagicRewriteResult rewrite =
+        MagicRewrite(TransitiveClosure(), {1, bindings});
+    EXPECT_EQ(DatalogOnCTables(rewrite.program, db, nullptr, options)
+                  .table(2)
+                  .num_rows(),
+              16u)
+        << "predicate 2 is the adorned tc_bf helper\n"
+        << rewrite.program.ToString();
   }
 }
 
