@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "condition/dd_backend.h"
 #include "tables/updates.h"
 
 namespace pw {
@@ -14,7 +13,6 @@ MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
       evaluated_(std::make_unique<DatalogProgram>(original_)),
       base_(std::move(base)),
       options_(options) {
-  options_.eval.magic_pred_begin = -1;
   Initialize();
 }
 
@@ -27,6 +25,9 @@ MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
   options_.eval.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
   evaluated_ = std::make_unique<DatalogProgram>(std::move(rewrite.program));
   goal_table_ = rewrite.goal_predicate;
+  rules_adorned_ = rewrite.rules_adorned;
+  magic_rules_ = rewrite.magic_rules;
+  rules_pruned_ = rewrite.rules_pruned;
   Initialize();
 }
 
@@ -35,8 +36,9 @@ void MaterializedView::Initialize() {
                                     ? *options_.eval.interner
                                     : ConditionInterner::Global();
   // Intern the global first so the fixpoint's interner-growth stat covers
-  // evaluation only — same accounting as the one-shot evaluators. Updates
-  // never touch table globals, so the id is fixed for the view's life.
+  // evaluation only. Updates never touch table globals, so the id is fixed
+  // for the view's life. The only place a database is seeded into a
+  // fixpoint: the one-shot evaluators are views read once.
   global_id_ = base_.CombinedGlobalId(interner);
   fix_.emplace(*evaluated_, options_.eval);
   fix_->SetGlobal(global_id_);
@@ -102,58 +104,28 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   const CTable& table = base_.table(static_cast<size_t>(pred));
 
   // Covered fast path. A removed row left no live trace in the fixpoint iff
-  // it was unsatisfiable under the global condition (dropped at seed time)
-  // or a KEPT row with the same tuple carries an implied-or-equal condition
-  // — the exact subsumption rule the evaluator applies at insert, so the
-  // removed row was killed (or rejected) the moment both rows coexisted,
-  // before any rule could fire through it. In that case the converged state
-  // is already the from-scratch state of the shrunken base, and the guarded
-  // replacement rows seed forward like an insertion. The implication is on
-  // the raw local conditions, NOT conjoined with the global: a row merely
-  // rep()-redundant under the global is still live in the evaluator, and
-  // treating it as covered would leave stale rows a recomputation lacks.
+  // the fixpoint absorbs it next to the KEPT rows with its tuple — it was
+  // unsatisfiable under the global condition (dropped at seed time), or the
+  // kept rows cover it by the rule the fixpoint applies at insert, so it
+  // was killed (or rejected, or merged without a trace) the moment both
+  // rows coexisted, before any rule could fire through it. In that case the
+  // converged state is already the from-scratch state of the shrunken base,
+  // and the guarded replacement rows seed forward like an insertion. The
+  // cover is on the raw local conditions, NOT conjoined with the global: a
+  // row merely rep()-redundant under the global is still live in the
+  // evaluator, and treating it as covered would leave stale rows a
+  // recomputation lacks.
   bool covered = true;
-  if (auto* dd = dynamic_cast<DDBackend*>(&fix_->backend())) {
-    // DD backend: the fixpoint keeps ONE live row per tuple whose condition
-    // is the Or over the admitted seeds, so the removed row left no trace
-    // iff it was dropped at seed time or the kept rows' disjunction
-    // *propositionally absorbs* it — then the live diagram id equals the
-    // from-scratch one. Theory-implied-but-not-absorbed is deliberately not
-    // covered: the ids would differ and later deltas would reason against a
-    // diagram a recomputation lacks; those cases take the cone rebuild.
-    for (const CRow& removed : delta.removed) {
-      CondId removed_cond = dd->FromConj(removed.LocalId(interner));
-      if (!dd->SatisfiableWith(global_id_, removed_cond)) continue;
-      CondId kept_or = ConditionBackend::kFalseCond;
-      for (size_t k : delta.kept) {
-        const CRow& kept = table.row(k);
-        if (kept.tuple != removed.tuple) continue;
-        kept_or = dd->Or(kept_or, dd->FromConj(kept.LocalId(interner)));
-      }
-      if (dd->Or(kept_or, removed_cond) != kept_or) {
-        covered = false;
-        break;
-      }
+  std::vector<ConjId> kept;
+  for (const CRow& removed : delta.removed) {
+    kept.clear();
+    for (size_t k : delta.kept) {
+      const CRow& row = table.row(k);
+      if (row.tuple == removed.tuple) kept.push_back(row.LocalId(interner));
     }
-  } else {
-    for (const CRow& removed : delta.removed) {
-      ConjId removed_id = removed.LocalId(interner);
-      if (!interner.Satisfiable(interner.And(global_id_, removed_id))) {
-        continue;
-      }
-      bool has_cover = false;
-      for (size_t k : delta.kept) {
-        const CRow& kept = table.row(k);
-        if (kept.tuple != removed.tuple) continue;
-        if (interner.Implies(removed_id, kept.LocalId(interner))) {
-          has_cover = true;
-          break;
-        }
-      }
-      if (!has_cover) {
-        covered = false;
-        break;
-      }
+    if (!fix_->Absorbs(removed.LocalId(interner), kept)) {
+      covered = false;
+      break;
     }
   }
   if (covered) {
@@ -166,33 +138,23 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
     return;
   }
 
-  // Over-delete/re-derive: drop every predicate whose derivations could
+  // Over-delete/re-derive: clear every predicate whose derivations could
   // involve the changed table — the reachability-closed cone of head
-  // dependencies — plus the changed table itself, reseed the base rows,
-  // and re-derive firing only cone-head rules against the intact rest.
+  // dependencies, the changed table included — reseed the base rows, and
+  // re-derive. Each clear rewound its own SCC, so Run() re-enumerates the
+  // cone's strata against the intact rest; strata outside the cone read no
+  // cleared predicate and see no delta.
   ++stats_.cone_rebuilds;
-  std::vector<bool> cone = ConeOf(pred);
+  const std::vector<bool>& cone = fix_->analysis().Cone(pred);
   for (size_t p = 0; p < cone.size(); ++p) {
     if (!cone[p]) continue;
+    const size_t dropped = fix_->ClearPredicate(static_cast<int>(p));
+    if (static_cast<int>(p) == pred) continue;  // reseeded, not re-derived
     ++stats_.cone_predicates;
-    stats_.rows_overdeleted += fix_->NumLiveRows(static_cast<int>(p));
-    fix_->ClearPredicate(static_cast<int>(p));
+    stats_.rows_overdeleted += dropped;
   }
-  fix_->ClearPredicate(pred);
   fix_->SeedTable(pred, table);
-  fix_->RunCone(cone);
-}
-
-std::vector<bool> MaterializedView::ConeOf(int pred) const {
-  // The fixpoint's program analysis precomputes every reachability cone
-  // (closed over body -> head edges, so RunCone's rule filter is sound: a
-  // rule outside the cone cannot mention a cone predicate). The seed `pred`
-  // itself is extensional (rule heads are intensional by construction) and
-  // is reseeded rather than re-derived, so its bit clears — the mask
-  // doubles as the head filter.
-  std::vector<bool> cone = fix_->analysis().Cone(pred);
-  cone[static_cast<size_t>(pred)] = false;
-  return cone;
+  fix_->Run();
 }
 
 CDatabase MaterializedView::Materialized() const {
@@ -229,6 +191,9 @@ CTable MaterializedView::Answers() const {
 
 IvmStats MaterializedView::stats() const {
   stats_.fixpoint = fix_->stats();
+  stats_.fixpoint.rules_adorned = rules_adorned_;
+  stats_.fixpoint.magic_rules = magic_rules_;
+  stats_.fixpoint.rules_pruned = rules_pruned_;
   return stats_;
 }
 

@@ -23,18 +23,19 @@
 //
 //   - Deletion first rewrites the base table in place and inspects the
 //     row-level delta. If every removed row left no live trace in the
-//     fixpoint — it was unsatisfiable under the global condition, or a
-//     surviving row with the same tuple carries an implied-or-equal
-//     (weaker) condition, mirroring exactly the evaluator's subsumption
-//     rule — the converged state is already the from-scratch state of the
-//     shrunken base, and the guarded replacement rows seed forward like an
-//     insertion (`deletes_covered` in the stats). Otherwise the view
-//     over-deletes: every predicate whose derivations could reach back to
-//     the changed table (the reachability-closed *cone* of head
-//     dependencies) is dropped wholesale and re-derived against the intact
-//     remainder (`cone_rebuilds`) — the DRed over-delete/re-derive pair at
-//     predicate granularity, which conditioned rows make affordable because
-//     untouched predicates keep their rows, dedup maps, and tuple indexes.
+//     fixpoint — the fixpoint absorbs it (ConditionedFixpoint::Absorbs): it
+//     was unsatisfiable under the global condition, or surviving rows with
+//     the same tuple cover it by the evaluator's own subsumption rule — the
+//     converged state is already the from-scratch state of the shrunken
+//     base, and the guarded replacement rows seed forward like an insertion
+//     (`deletes_covered` in the stats). Otherwise the view over-deletes:
+//     every predicate whose derivations could reach back to the changed
+//     table (the reachability-closed *cone* of head dependencies, read off
+//     the fixpoint's analysis) is cleared wholesale and re-derived against
+//     the intact remainder by a plain Run() (`cone_rebuilds`) — the DRed
+//     over-delete/re-derive pair at predicate granularity, which
+//     conditioned rows make affordable because untouched predicates keep
+//     their rows, dedup maps, and tuple indexes.
 //
 // Demand-restricted views compose with the magic-set transformation
 // (datalog/magic.h): a view constructed with a goal evaluates the rewritten
@@ -77,9 +78,10 @@ struct IvmStats {
 /// Knobs for a maintained view.
 struct MaterializedViewOptions {
   /// Evaluation options for the underlying fixpoint. `magic_pred_begin` is
-  /// overwritten by the goal constructor; `max_derived_rows` budgets apply
-  /// to the lifetime state (once exhausted the view stops maintaining —
-  /// check `aborted()`).
+  /// overwritten by the goal constructor and kept by the full one (a full
+  /// view of an already-rewritten program attributes its magic rows to the
+  /// demand counters); `max_derived_rows` budgets apply to the lifetime
+  /// state (once exhausted the view stops maintaining — check `aborted()`).
   DatalogCTableOptions eval;
 };
 
@@ -152,7 +154,9 @@ class MaterializedView {
   /// under-approximation and further updates stop maintaining it.
   bool aborted() const { return fix_->aborted(); }
 
-  /// Maintenance counters (the fixpoint sub-struct is refreshed per call).
+  /// Maintenance counters (the fixpoint sub-struct is refreshed per call;
+  /// a demand view adds its rewrite's rules_adorned, magic_rules and
+  /// rules_pruned).
   IvmStats stats() const;
 
  private:
@@ -161,10 +165,6 @@ class MaterializedView {
   /// `fact` has that table's arity — the unconditional precondition of the
   /// public update entry points.
   bool ValidUpdate(int pred, const Fact& fact) const;
-  /// Head predicates transitively derivable from `pred` (the fixpoint
-  /// analysis's precomputed reachability cone, minus the reseeded `pred`
-  /// itself), as a num_predicates mask.
-  std::vector<bool> ConeOf(int pred) const;
 
   DatalogProgram original_;
   // Behind a pointer for address stability: the fixpoint keeps a reference
@@ -172,6 +172,10 @@ class MaterializedView {
   std::unique_ptr<DatalogProgram> evaluated_;
   std::optional<DatalogGoal> goal_;
   int goal_table_ = -1;
+  // The rewrite's counts (demand views only), carried into stats().
+  size_t rules_adorned_ = 0;
+  size_t magic_rules_ = 0;
+  size_t rules_pruned_ = 0;
   CDatabase base_;
   ConjId global_id_ = ConditionInterner::kTrueConj;
   // optional only for deferred construction (the fixpoint needs evaluated_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -42,12 +41,9 @@ struct PredState {
   size_t delta_end = 0;
   // Lazily-built hash indexes of the rows' tuples per bound-column subset,
   // extended across rounds — and across Run() calls — as rows are appended.
-  // Rows are append-only except for ClearPredicate, which bumps `stamp` so
-  // any entry that survives the Clear rebuilds instead of serving stale row
-  // ids. Dead rows stay indexed and are skipped at match time, like in the
-  // scan.
+  // Rows are append-only except for ClearPredicate, which clears the cache.
+  // Dead rows stay indexed and are skipped at match time, like in the scan.
   TupleIndexCache indexes;
-  uint64_t stamp = 1;
 };
 
 struct EvalState {
@@ -86,6 +82,18 @@ struct EvalState {
     return magic_begin >= 0 && pred >= magic_begin;
   }
 };
+
+/// True iff a live row's condition `live` covers a same-tuple derivation
+/// `cond`: on the antichain `cond` implies it, on diagrams Or(live, cond) is
+/// `live` — propositional absorption, not theory implication, since a
+/// theory-implied but unabsorbed `cond` still changes the merged diagram.
+/// Diagrams from FromConj are conjunctions of positive atom variables, so a
+/// disjunction of them absorbs one exactly when one of them does: the
+/// pairwise rule is also the rule for a tuple's merged diagram.
+bool Covers(const EvalState& state, CondId live, CondId cond) {
+  if (state.dd != nullptr) return state.dd->Or(live, cond) == live;
+  return state.interner->Implies(cond, live);
+}
 
 /// Inserts a derived row unless a duplicate (same tuple, same condition id)
 /// or subsumed; kills live rows the new one covers. Rows whose condition
@@ -140,7 +148,6 @@ bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
       break;  // at most one live row per tuple on this backend
     }
   } else if (!inserted) {
-    ConditionInterner& interner = *state.interner;
     for (size_t idx : bucket) {
       if (ps.rows[idx].cond == cond) {
         ++state.stats.duplicate_rows;
@@ -150,14 +157,14 @@ bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
     for (size_t idx : bucket) {
       const IRow& existing = ps.rows[idx];
       // An already-present weaker condition derives the new row.
-      if (existing.alive && interner.Implies(cond, existing.cond)) {
+      if (existing.alive && Covers(state, existing.cond, cond)) {
         ++state.stats.subsumed_rows;
         return false;
       }
     }
     for (size_t idx : bucket) {
       IRow& existing = ps.rows[idx];
-      if (existing.alive && interner.Implies(existing.cond, cond)) {
+      if (existing.alive && Covers(state, cond, existing.cond)) {
         existing.alive = false;
         ++state.stats.subsumed_rows;
       }
@@ -231,17 +238,17 @@ bool ForcedClash(const Conjunction& acc, const Conjunction& eqs) {
 }
 
 /// The up-to-date index of `pred`'s rows on `cols`. Rows are append-only
-/// between ClearPredicate calls, so the cache usually just extends; a Clear
-/// bumps the predicate's stamp and the entry rebuilds. Builds and extends
-/// are counted separately into the stats, so a mid-query catch-up after an
-/// append is never mistaken for (or double-counted as) a rebuild.
+/// between ClearPredicate calls, so the cache usually just extends; a clear
+/// empties the cache and the entry rebuilds. Builds and extends are counted
+/// separately into the stats, so a mid-query catch-up after an append is
+/// never mistaken for (or double-counted as) a rebuild.
 const TupleIndex& IndexFor(EvalState& state, int pred,
                            const std::vector<int>& cols) {
   PredState& ps = state.preds[pred];
   size_t builds_before = ps.indexes.stats().builds;
   size_t extends_before = ps.indexes.stats().extends;
   const TupleIndex& index = ps.indexes.Get(
-      cols, ps.rows.size(), ps.stamp,
+      cols, ps.rows.size(),
       [&ps](size_t i) -> const Tuple& { return *ps.rows[i].tuple; });
   state.stats.index_builds += ps.indexes.stats().builds - builds_before;
   state.stats.index_extends += ps.indexes.stats().extends - extends_before;
@@ -480,11 +487,20 @@ struct ConditionedFixpoint::Impl {
   // rules, cones), computed once at construction; the stratum schedule and
   // IVM both run off it.
   std::unique_ptr<ProgramAnalysis> analysis;
+  // The rule schedule per SCC, fixed at construction: the SCC's rules with
+  // a body that the analysis does not mark dead, in program order, and the
+  // count of those it does (ground rules fire through FireGroundRules and
+  // ClearPredicate; rules that do not fit the program are in no SCC).
+  struct Stratum {
+    std::vector<size_t> live;
+    size_t dead = 0;
+  };
+  std::vector<Stratum> strata;
   // seen[scc][pred]: how many of `pred`'s rows SCC `scc`'s rules have
   // already consumed (joined against every relevant combination). The SCC's
   // delta on the next Run() is [seen, rows.size()) — kept per SCC because
   // different strata consume the same predicate at different times.
-  // ClearPredicate resets a predicate's column.
+  // ClearPredicate resets a predicate's column and its own SCC's row.
   std::vector<std::vector<size_t>> seen;
   // The condition representation of this fixpoint's rows; state.backend
   // points here. On diagrams it is the interner's manager, shared with every
@@ -493,8 +509,8 @@ struct ConditionedFixpoint::Impl {
   std::shared_ptr<ConditionBackend> backend;
   EvalState state;
   // Interner size at construction: stats() reports growth since then, which
-  // matches the one-shot evaluators (they intern the global condition before
-  // constructing the fixpoint).
+  // matches the views (they intern the global condition before constructing
+  // the fixpoint).
   size_t interner_baseline = 0;
 
   /// True iff `pred` is a predicate of the program. Checked unconditionally
@@ -510,85 +526,27 @@ struct ConditionedFixpoint::Impl {
   /// antichain of the lower strata rather than intermediate conditions that
   /// later subsumption would kill. A nonrecursive stratum converges in a
   /// single pass; a recursive one runs delta rounds confined to its own
-  /// rules. Rules that cannot fire this run (underivable body predicate,
-  /// textual duplicates) are skipped up front; rules that do not fit the
-  /// program are in no stratum at all. With `cone_heads` set
-  /// (RunCone), rules are additionally restricted to cone heads and every
-  /// window opens at 0 — the cleared predicates' derivations are gone, so
-  /// each stratum re-enumerates all combinations. The emitted row set does
-  /// not depend on the schedule: the per-tuple antichain (or DD Or-merge) is
-  /// a function of the set of derivable conditions, not of the order they
-  /// arrive in, and CanonicalLeaf makes each combination's emission
-  /// order-canonical.
-  void StratifiedRun(const std::vector<bool>* cone_heads) {
+  /// live rules. The emitted row set does not depend on the schedule: the
+  /// per-tuple antichain (or DD Or-merge) is a function of the set of
+  /// derivable conditions, not of the order they arrive in, and
+  /// CanonicalLeaf makes each combination's emission order-canonical.
+  void StratifiedRun() {
     EvalState& st = state;
-    const ProgramAnalysis& an = *analysis;
-    const auto& rules = program->rules();
-
-    // Dynamic derivability for this run: a predicate can contribute rows if
-    // it is extensional, already has rows (Seed/FireGroundRules may put
-    // rows anywhere), or heads a rule whose body is all-derivable. A rule
-    // mentioning an underivable predicate enumerates zero combinations in
-    // every round of this run — skip it without firing.
-    std::vector<bool> derivable(st.preds.size());
-    for (size_t p = 0; p < st.preds.size(); ++p) {
-      derivable[p] = p < program->num_edb() || !st.preds[p].rows.empty();
-    }
-    for (bool grew = true; grew;) {
-      grew = false;
-      for (const DatalogRule& rule : rules) {
-        if (!program->Fits(rule) ||
-            derivable[static_cast<size_t>(rule.head.predicate)]) {
-          continue;
-        }
-        bool all = true;
-        for (const DatalogAtom& a : rule.body) {
-          if (!derivable[static_cast<size_t>(a.predicate)]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          derivable[static_cast<size_t>(rule.head.predicate)] = true;
-          grew = true;
-        }
-      }
-    }
-
-    std::vector<size_t> live;
-    for (int scc = 0; scc < an.num_sccs(); ++scc) {
+    for (int scc = 0; scc < analysis->num_sccs(); ++scc) {
       if (st.aborted) return;
-      live.clear();
-      for (size_t r : an.SccRules(scc)) {
-        if (rules[r].body.empty()) continue;  // ground rules fire elsewhere
-        if (cone_heads != nullptr &&
-            !(*cone_heads)[static_cast<size_t>(rules[r].head.predicate)]) {
-          continue;
-        }
-        bool dead = an.RuleDuplicate(r);
-        for (const DatalogAtom& a : rules[r].body) {
-          if (dead) break;
-          if (!derivable[static_cast<size_t>(a.predicate)]) dead = true;
-        }
-        if (dead) {
-          ++st.stats.dead_rules_skipped;
-          continue;
-        }
-        live.push_back(r);
-      }
-
+      const Stratum& stratum = strata[static_cast<size_t>(scc)];
+      st.stats.dead_rules_skipped += stratum.dead;
       std::vector<size_t>& seen_scc = seen[static_cast<size_t>(scc)];
-      if (!live.empty()) {
-        // This SCC's pending delta: rows past its seen watermark (all rows
-        // in cone mode — the cleared predicates' derivations are gone).
+      if (!stratum.live.empty()) {
+        // This SCC's pending delta: rows past its seen watermark.
         for (size_t p = 0; p < st.preds.size(); ++p) {
           PredState& ps = st.preds[p];
-          ps.delta_begin = cone_heads != nullptr ? 0 : seen_scc[p];
+          ps.delta_begin = seen_scc[p];
           ps.delta_end = ps.rows.size();
         }
         bool any_delta = false;
-        for (size_t r : live) {
-          for (const DatalogAtom& a : rules[r].body) {
+        for (size_t r : stratum.live) {
+          for (const DatalogAtom& a : program->rules()[r].body) {
             const PredState& ps = st.preds[static_cast<size_t>(a.predicate)];
             if (ps.delta_begin != ps.delta_end) {
               any_delta = true;
@@ -599,16 +557,16 @@ struct ConditionedFixpoint::Impl {
         }
         if (any_delta) {
           ++st.stats.strata;
-          if (!an.SccRecursive(scc)) {
+          if (!analysis->SccRecursive(scc)) {
             // Nonrecursive stratum: none of its rules read what it derives,
             // so one pass over the delta is the fixpoint.
             ++st.stats.rounds;
-            SequentialRound(st, *program, live);
+            SequentialRound(st, *program, stratum.live);
           } else {
             bool changed = true;
             while (changed && !st.aborted) {
               ++st.stats.rounds;
-              changed = SequentialRound(st, *program, live);
+              changed = SequentialRound(st, *program, stratum.live);
               AdvanceDeltas(st);
             }
           }
@@ -623,6 +581,18 @@ struct ConditionedFixpoint::Impl {
       }
     }
   }
+
+  /// Fires `pred`'s empty-body rules (every predicate's, for -1) into the
+  /// pending delta.
+  void FireGroundRules(int pred) {
+    for (const DatalogRule& rule : program->rules()) {
+      if (state.aborted) break;
+      if (rule.body.empty() && program->Fits(rule) &&
+          (pred < 0 || rule.head.predicate == pred)) {
+        FireGroundRule(state, rule);
+      }
+    }
+  }
 };
 
 ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
@@ -630,9 +600,21 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
     : impl_(std::make_unique<Impl>()) {
   impl_->program = &program;
   impl_->analysis = std::make_unique<ProgramAnalysis>(program);
-  impl_->seen.assign(
-      static_cast<size_t>(impl_->analysis->num_sccs()),
-      std::vector<size_t>(program.num_predicates(), 0));
+  const ProgramAnalysis& an = *impl_->analysis;
+  impl_->strata.resize(static_cast<size_t>(an.num_sccs()));
+  for (int scc = 0; scc < an.num_sccs(); ++scc) {
+    Impl::Stratum& stratum = impl_->strata[static_cast<size_t>(scc)];
+    for (size_t r : an.SccRules(scc)) {
+      if (program.rules()[r].body.empty()) continue;
+      if (an.RuleDead(r)) {
+        ++stratum.dead;
+      } else {
+        stratum.live.push_back(r);
+      }
+    }
+  }
+  impl_->seen.assign(static_cast<size_t>(an.num_sccs()),
+                     std::vector<size_t>(program.num_predicates(), 0));
   EvalState& state = impl_->state;
   state.interner = options.interner != nullptr ? options.interner
                                                : &ConditionInterner::Global();
@@ -689,66 +671,58 @@ void ConditionedFixpoint::SeedTable(int pred, const CTable& table) {
 }
 
 void ConditionedFixpoint::FireGroundRules() {
-  EvalState& state = impl_->state;
   // Empty-body rules are ground facts: the fixpoint loops only enumerate
   // rules through their body atoms, so these fire here, into the pending
   // delta.
-  for (const DatalogRule& rule : impl_->program->rules()) {
-    if (state.aborted) break;
-    if (rule.body.empty() && impl_->program->Fits(rule)) {
-      FireGroundRule(state, rule);
-    }
-  }
+  impl_->FireGroundRules(-1);
 }
 
 void ConditionedFixpoint::Run() {
   // The stratum schedule tracks consumption per SCC as watermarks, not
   // windows: rows seeded (or ground-fired) since the last convergence sit
   // past each SCC's seen mark and become its delta when its turn comes.
-  impl_->StratifiedRun(nullptr);
+  impl_->StratifiedRun();
 }
 
-void ConditionedFixpoint::ClearPredicate(int pred) {
-  if (!impl_->ValidPred(pred)) return;
-  PredState& ps = impl_->state.preds[pred];
+size_t ConditionedFixpoint::ClearPredicate(int pred) {
+  if (!impl_->ValidPred(pred)) return 0;
+  PredState& ps = impl_->state.preds[static_cast<size_t>(pred)];
+  const size_t dropped = static_cast<size_t>(std::count_if(
+      ps.rows.begin(), ps.rows.end(), [](const IRow& r) { return r.alive; }));
   ps.rows.clear();
   ps.by_tuple.clear();
   ps.delta_begin = 0;
   ps.delta_end = 0;
-  // Dropping the entries would suffice today; the stamp bump additionally
-  // guards any future path that re-creates an entry before the rows regrow
-  // past their old count.
   ps.indexes.Clear();
-  ++ps.stamp;
-  // No stratum has consumed any of the predicate's future rows.
+  // No stratum has consumed any of the predicate's future rows, and its own
+  // SCC has consumed nothing: the SCC's rules re-enumerate every
+  // combination, including those over predicates no clear touched.
   for (std::vector<size_t>& seen_scc : impl_->seen) {
     seen_scc[static_cast<size_t>(pred)] = 0;
   }
+  std::vector<size_t>& own =
+      impl_->seen[static_cast<size_t>(impl_->analysis->SccOf(pred))];
+  std::fill(own.begin(), own.end(), 0);
+  // Only body atoms drive the strata: the predicate's ground facts re-fire
+  // here, or the clear would lose them.
+  impl_->FireGroundRules(pred);
+  return dropped;
 }
 
-void ConditionedFixpoint::RunCone(const std::vector<bool>& cone_heads) {
-  EvalState& state = impl_->state;
-  // Unconditional (not assert-only): a mask of the wrong size would be
-  // indexed out of bounds by predicate id in NDEBUG builds.
-  assert(cone_heads.size() == state.preds.size());
-  if (cone_heads.size() != state.preds.size()) return;
-  // The cone's ground facts first: ClearPredicate dropped them along with
-  // everything else, and only body atoms drive the strata below.
-  for (const DatalogRule& rule : impl_->program->rules()) {
-    if (state.aborted) break;
-    if (rule.body.empty() && impl_->program->Fits(rule) &&
-        cone_heads[rule.head.predicate]) {
-      FireGroundRule(state, rule);
-    }
-  }
-  // Stratified re-derivation restricted to cone heads, with each stratum's
-  // windows opened at 0 (the cleared predicates' derivations are gone, so
-  // every combination re-enumerates) in topological order.
-  impl_->StratifiedRun(&cone_heads);
+bool ConditionedFixpoint::Absorbs(ConjId cond,
+                                  const std::vector<ConjId>& kept) const {
+  const EvalState& state = impl_->state;
+  ConditionBackend& backend = *state.backend;
+  const CondId c = backend.FromConj(cond);
+  if (!backend.SatisfiableWith(state.global_id, c)) return true;
+  return std::any_of(kept.begin(), kept.end(), [&](ConjId k) {
+    return Covers(state, backend.FromConj(k), c);
+  });
 }
 
 CTable ConditionedFixpoint::Export(int pred) const {
   const EvalState& state = impl_->state;
+  if (!impl_->ValidPred(pred)) return CTable();
   CTable t(impl_->program->arity(pred));
   if (state.dd) {
     // Expand each diagram condition back into satisfiable conjunctions —
@@ -771,57 +745,12 @@ CTable ConditionedFixpoint::Export(int pred) const {
   return t;
 }
 
-size_t ConditionedFixpoint::NumLiveRows(int pred) const {
-  if (!impl_->ValidPred(pred)) return 0;
-  size_t n = 0;
-  for (const IRow& row : impl_->state.preds[pred].rows) {
-    if (row.alive) ++n;
-  }
-  return n;
-}
-
 bool ConditionedFixpoint::aborted() const { return impl_->state.aborted; }
 
 const ConditionedFixpointStats& ConditionedFixpoint::stats() const {
   impl_->state.stats.interner_conjunctions =
       impl_->state.interner->num_conjunctions() - impl_->interner_baseline;
   return impl_->state.stats;
-}
-
-CDatabase DatalogOnCTables(const DatalogProgram& program,
-                           const CDatabase& database,
-                           ConditionedFixpointStats* stats,
-                           const DatalogCTableOptions& options) {
-  ConditionInterner& interner = options.interner != nullptr
-                                    ? *options.interner
-                                    : ConditionInterner::Global();
-  // Intern the global before constructing the fixpoint so the stats'
-  // interner growth covers only the evaluation itself.
-  ConjId global_id = database.CombinedGlobalId(interner);
-  ConditionedFixpoint fix(program, options);
-  fix.SetGlobal(global_id);
-
-  // Seed extensional predicates with the input rows; the seeds form the
-  // first delta.
-  for (size_t p = 0; p < program.num_edb() && p < database.num_tables();
-       ++p) {
-    fix.SeedTable(static_cast<int>(p), database.table(p));
-  }
-  fix.FireGroundRules();
-  fix.Run();
-
-  CDatabase out;
-  for (size_t p = 0; p < program.num_predicates(); ++p) {
-    CTable t = fix.Export(static_cast<int>(p));
-    // The carried global keeps the input's materialized form; its id cache
-    // is seeded from the already-interned combined id.
-    if (p == 0) {
-      t.SetGlobal(database.CombinedGlobal(), global_id, interner);
-    }
-    out.AddTable(std::move(t));
-  }
-  if (stats != nullptr) *stats = fix.stats();
-  return out;
 }
 
 }  // namespace pw

@@ -21,12 +21,13 @@
 // least one row from the previous round's delta — and scheduled stratum by
 // stratum: the program's SCC condensation (datalog/analysis.h) runs in
 // topological order, nonrecursive strata in a single pass and delta rounds
-// confined to the current SCC's rules, and rules that cannot fire this run
-// (a body predicate with no rows and no rule chain that could give it any,
-// or a textual duplicate of an earlier rule) are skipped up front. Body
-// atoms with bound, constant-valued positions are matched through a
-// per-predicate hash index on those positions (tables/tuple_index.h), built
-// lazily and extended across rounds.
+// confined to the current SCC's rules. The schedule is fixed at
+// construction: rules the analysis marks dead (a body predicate no rule
+// chain can derive from the extensional database, or a textual duplicate of
+// an earlier rule) never enter it. Body atoms with bound, constant-valued
+// positions are matched through a per-predicate hash index on those
+// positions (tables/tuple_index.h), built lazily and extended across
+// rounds.
 
 #ifndef PW_ILALGEBRA_DATALOG_CTABLE_H_
 #define PW_ILALGEBRA_DATALOG_CTABLE_H_
@@ -48,10 +49,10 @@ namespace pw {
 struct ConditionedFixpointStats {
   size_t rounds = 0;
   size_t strata = 0;              // SCC strata that fired at least one round
-                                  // (cumulative across Run()/RunCone() calls)
-  size_t dead_rules_skipped = 0;  // rules skipped per Run as unable to fire
-                                  // (underivable body predicate or textual
-                                  // duplicate)
+                                  // (cumulative across Run() calls)
+  size_t dead_rules_skipped = 0;  // the analysis's dead rules (underivable
+                                  // body predicate or textual duplicate),
+                                  // counted per SCC on every Run()
   size_t derived_rows = 0;        // rows kept across all predicates
   size_t subsumed_rows = 0;       // derivations dropped by subsumption
   size_t unsatisfiable_rows = 0;  // derivations dropped as inconsistent
@@ -111,8 +112,9 @@ struct DatalogCTableOptions {
 
   /// Predicates at or past this id are magic (demand) predicates, so the
   /// fixpoint attributes their rows to the demand counters (magic_facts,
-  /// demand_pruned). Set by DatalogQueryOnCTables from the rewrite's
-  /// predicate layout; -1 (the default) means no predicate is magic.
+  /// demand_pruned). Set by the demand view (datalog/ivm.h) from the
+  /// rewrite's predicate layout; -1 (the default) means no predicate is
+  /// magic.
   int magic_pred_begin = -1;
 
   /// Nonzero caps the rows the fixpoint may derive (seeds included), and
@@ -129,9 +131,10 @@ struct DatalogCTableOptions {
 };
 
 /// Re-enterable conditioned-fixpoint state — the engine behind
-/// DatalogOnCTables, exposed so incremental view maintenance (datalog/ivm.h)
-/// can seed per-predicate deltas and resume the semi-naive loop across
-/// update boundaries instead of recomputing from scratch.
+/// MaterializedView (datalog/ivm.h), which seeds per-predicate deltas and
+/// resumes the semi-naive loop across update boundaries instead of
+/// recomputing from scratch. DatalogOnCTables and DatalogQueryOnCTables are
+/// views read once.
 ///
 /// Lifecycle: construct, `Seed`/`SeedTable` rows (they form the pending
 /// delta), `FireGroundRules` once on a fresh state, `Run()` to convergence,
@@ -139,11 +142,12 @@ struct DatalogCTableOptions {
 /// `Run()` again: the loop fires rules only against combinations involving
 /// the new delta, which is exactly the semi-naive invariant, so a converged
 /// state absorbs an insertion in time proportional to its derivation cone.
-/// For deletions, `ClearPredicate` drops a predicate's rows wholesale
-/// (over-delete) and `RunCone` re-derives: every surviving row becomes the
-/// pending delta and only rules whose head lies in the cone fire (rules
-/// outside the cone cannot mention cone predicates in their bodies — the
-/// cone is closed under reachability — so skipping them changes nothing).
+/// Deletions take the same loop: `ClearPredicate` drops a predicate's rows
+/// wholesale (over-delete) and rewinds its own SCC, so the next `Run()`
+/// re-enumerates that SCC's every combination. Clearing a reachability cone
+/// (ProgramAnalysis::Cone) rewinds every SCC of the cone — an SCC holding
+/// one cone predicate holds only cone predicates — while SCCs outside it
+/// read no cleared predicate and see no delta.
 ///
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
 /// tuple indexes all persist across Run() calls; the program and the
@@ -168,15 +172,12 @@ class ConditionedFixpoint {
   /// The fixpoint does not own it alone: on diagrams it is the interner's
   /// manager (ConditionInterner::DDManager), shared with every other diagram
   /// fixpoint on the interner, and the fixpoint's reference keeps it alive
-  /// past the interner's Clear(). When it is a DDBackend, IVM's
-  /// covered-delete test folds kept rows with its Or, consistently with how
-  /// the fixpoint merged them.
+  /// past the interner's Clear().
   ConditionBackend& backend() const;
 
-  /// The program's static analysis (SCC strata, diagnostics, reachability
-  /// cones), computed once at construction. The stratum schedule runs off
-  /// it, and IVM pulls its deletion cones from here instead of recomputing
-  /// the closure per delete.
+  /// The program's static analysis (SCC strata, dead rules, diagnostics,
+  /// reachability cones), computed once at construction. The stratum
+  /// schedule is fixed off it, and IVM reads its deletion cones from here.
   const ProgramAnalysis& analysis() const;
 
   /// Sets the global condition id derivations are checked against
@@ -188,7 +189,10 @@ class ConditionedFixpoint {
   /// Returns true iff the row was admitted (not a duplicate, not subsumed,
   /// not unsatisfiable with the global condition). An out-of-range `pred`
   /// or a tuple whose size is not `pred`'s arity is rejected (returns
-  /// false) in all build modes.
+  /// false) in all build modes. Seed extensional predicates: the schedule
+  /// is fixed at construction from the analysis, so a rule whose body names
+  /// an intensional predicate no rule chain derives stays unscheduled even
+  /// when that predicate is seeded directly.
   bool Seed(int pred, const Tuple& tuple, ConjId cond);
 
   /// Seeds every row of `table` into `pred` (the rows' interned ids are
@@ -198,7 +202,8 @@ class ConditionedFixpoint {
   void SeedTable(int pred, const CTable& table);
 
   /// Fires the program's empty-body rules (ground facts). Call once on a
-  /// fresh state before the first Run(); RunCone re-fires the cone's own.
+  /// fresh state before the first Run(); ClearPredicate re-fires a cleared
+  /// predicate's own.
   void FireGroundRules();
 
   /// Runs the stratum-scheduled semi-naive loop to convergence over the
@@ -206,23 +211,25 @@ class ConditionedFixpoint {
   void Run();
 
   /// Over-delete: drops every row of `pred` — storage, dedup map, delta
-  /// windows, and cached indexes. An out-of-range `pred` is a no-op.
-  void ClearPredicate(int pred);
+  /// windows and cached indexes — and returns how many of them were live.
+  /// No SCC has consumed any of `pred`'s future rows, and `pred`'s own SCC
+  /// has consumed nothing: the next Run() re-enumerates its every
+  /// combination. `pred`'s empty-body rules re-fire into the pending delta.
+  /// An out-of-range `pred` is a no-op that returns 0.
+  size_t ClearPredicate(int pred);
 
-  /// Re-derivation pass after over-deletes: every current row of every
-  /// predicate becomes the pending delta, the cone's empty-body rules
-  /// re-fire, and the loop runs with only the rules whose head predicate is
-  /// marked in `cone_heads`. A mask whose size is not num_predicates is
-  /// rejected: the call does nothing (and asserts in debug builds).
-  void RunCone(const std::vector<bool>& cone_heads);
+  /// True iff a row with condition `cond` leaves no trace beside same-tuple
+  /// rows with conditions `kept`, by the rule Insert applies: `cond` cannot
+  /// hold together with the global condition, or some kept row covers it
+  /// (on the antichain, `cond` implies it; on diagrams, its Or with `cond`
+  /// is itself). IVM's covered-delete test: then the converged state is
+  /// already the state of a base without the row.
+  bool Absorbs(ConjId cond, const std::vector<ConjId>& kept) const;
 
   /// The live rows of `pred` as a c-table with hot id caches (no global
-  /// condition attached).
+  /// condition attached). An out-of-range `pred` exports an empty arity-0
+  /// table, in all build modes.
   CTable Export(int pred) const;
-
-  /// Live rows of `pred` (cheaper than Export for size checks); 0 for an
-  /// out-of-range `pred`.
-  size_t NumLiveRows(int pred) const;
 
   /// True once a max_derived_rows budget tripped; the state is a partial
   /// under-approximation and further Run()s are no-ops.
@@ -257,9 +264,10 @@ CTable RestrictTableToGoal(const CTable& table,
 /// bodies' extensional predicates only in the sense of Definition 2.2 —
 /// i.e. any c-database works.
 ///
-/// The result carries the input's combined global condition. `stats` is
-/// optional. A table whose arity differs from its extensional predicate's
-/// contributes no rows (see ConditionedFixpoint::SeedTable).
+/// A full MaterializedView (datalog/ivm.h) read once. The result carries
+/// the input's combined global condition. `stats` is optional. A table
+/// whose arity differs from its extensional predicate's contributes no rows
+/// (see ConditionedFixpoint::SeedTable).
 CDatabase DatalogOnCTables(const DatalogProgram& program,
                            const CDatabase& database,
                            ConditionedFixpointStats* stats = nullptr,
@@ -279,7 +287,8 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// antichain the fixpoint keeps). The input's combined global condition is
 /// attached.
 ///
-/// The goal is evaluated through the magic-set rewrite (datalog/magic.h):
+/// The goal is evaluated through the magic-set rewrite (datalog/magic.h), as
+/// a demand MaterializedView (datalog/ivm.h) whose Answers() are read once:
 /// the conditioned fixpoint runs on the rewritten program, deriving only
 /// demand-reachable facts — conditions flow into the magic facts, so demand
 /// that cannot hold is pruned via the interner before guarded rule bodies
@@ -287,10 +296,11 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// DNF-expanded); the adorned helper and magic tables stay inside the
 /// fixpoint. The result is identical (up to row order) to
 /// RestrictTableToGoal over DatalogOnCTables' goal table. `stats`
-/// additionally reports the demand counters. A `goal` that names no
-/// predicate of `program` (negative, or at least num_predicates) is checked
-/// in all build modes: the result is an empty table as wide as `bindings`,
-/// with the global attached, and `stats` is zeroed.
+/// additionally reports the demand counters, and its interner growth
+/// includes the goal restriction. A `goal` that names no predicate of
+/// `program` (negative, or at least num_predicates) is checked in all build
+/// modes before anything is evaluated: the result is an empty table as wide
+/// as `bindings`, with the global attached, and `stats` is zeroed.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

@@ -1,6 +1,7 @@
-// Goal-directed queries over the conditioned fixpoint: the magic-set query
-// entry point and the restriction of a predicate's table to a goal binding.
-// Declared in ilalgebra/datalog_ctable.h beside the fixpoint they drive.
+// The one-shot queries over the conditioned fixpoint — the full fixpoint and
+// the magic-set goal query, each a maintained view (datalog/ivm.h) read once
+// — and the restriction of a predicate's table to a goal binding. Declared
+// in ilalgebra/datalog_ctable.h beside the fixpoint they drive.
 #include "ilalgebra/datalog_ctable.h"
 
 #include <algorithm>
@@ -9,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "datalog/magic.h"
+#include "datalog/ivm.h"
 #include "tables/tuple_index.h"
 
 namespace pw {
@@ -142,47 +143,39 @@ CTable RestrictTableToGoal(const CTable& table,
   return out;
 }
 
+CDatabase DatalogOnCTables(const DatalogProgram& program,
+                           const CDatabase& database,
+                           ConditionedFixpointStats* stats,
+                           const DatalogCTableOptions& options) {
+  MaterializedView view(program, database, {.eval = options});
+  CDatabase out = view.Materialized();
+  if (stats != nullptr) *stats = view.stats().fixpoint;
+  return out;
+}
+
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,
                              ConditionedFixpointStats* stats,
                              const DatalogCTableOptions& options) {
-  ConditionInterner& interner = options.interner != nullptr
-                                    ? *options.interner
-                                    : ConditionInterner::Global();
-  ConjId global_id = database.CombinedGlobalId(interner);
   // Unconditional (not assert-only): the rewrite and the fixpoint's tables
   // are indexed by the goal, so a goal that names no predicate answers with
-  // no rows instead.
+  // no rows, and nothing is evaluated.
   if (goal < 0 || static_cast<size_t>(goal) >= program.num_predicates()) {
+    ConditionInterner& interner = options.interner != nullptr
+                                      ? *options.interner
+                                      : ConditionInterner::Global();
     CTable empty(static_cast<int>(bindings.size()));
-    empty.SetGlobal(database.CombinedGlobal(), global_id, interner);
+    empty.SetGlobal(database.CombinedGlobal(),
+                    database.CombinedGlobalId(interner), interner);
     if (stats != nullptr) *stats = ConditionedFixpointStats{};
     return empty;
   }
-  MagicRewriteResult rewrite = MagicRewrite(program, {goal, bindings});
-  DatalogCTableOptions inner = options;
-  inner.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
-  ConditionedFixpoint fix(rewrite.program, inner);
-  fix.SetGlobal(global_id);
-  for (size_t p = 0; p < rewrite.program.num_edb() && p < database.num_tables();
-       ++p) {
-    fix.SeedTable(static_cast<int>(p), database.table(p));
-  }
-  fix.FireGroundRules();
-  fix.Run();
-  // Only the goal table leaves the fixpoint: exporting the helper tables
-  // would DNF-expand every diagram of the adorned predicates for nothing.
-  CTable answers = fix.Export(rewrite.goal_predicate);
-  if (stats != nullptr) {
-    *stats = fix.stats();
-    stats->rules_adorned = rewrite.rules_adorned;
-    stats->magic_rules = rewrite.magic_rules;
-    stats->rules_pruned = rewrite.rules_pruned;
-  }
-  CTable result = RestrictTableToGoal(answers, bindings, global_id, interner);
-  result.SetGlobal(database.CombinedGlobal(), global_id, interner);
-  return result;
+  MaterializedView view(program, database, DatalogGoal{goal, bindings},
+                        {.eval = options});
+  CTable answers = view.Answers();
+  if (stats != nullptr) *stats = view.stats().fixpoint;
+  return answers;
 }
 
 }  // namespace pw

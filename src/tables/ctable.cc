@@ -31,8 +31,7 @@ CTable::CTable(const CTable& other)
       rows_(other.rows_),
       global_(other.global_),
       global_id_(other.global_id_),
-      global_stamp_(other.global_stamp_),
-      rows_stamp_(other.rows_stamp_) {}  // copies thaw: frozen_ stays false
+      global_stamp_(other.global_stamp_) {}  // copies thaw: frozen_ stays false
 
 CTable& CTable::operator=(const CTable& other) {
   if (this == &other) return *this;
@@ -41,7 +40,6 @@ CTable& CTable::operator=(const CTable& other) {
   global_ = other.global_;
   global_id_ = other.global_id_;
   global_stamp_ = other.global_stamp_;
-  rows_stamp_ = other.rows_stamp_;
   indexes_.reset();  // rebuilt lazily against the new rows
   frozen_ = false;
   return *this;
@@ -87,12 +85,12 @@ void CTable::ReplaceRows(std::vector<CRow> rows) {
   }
 #endif
   rows_ = std::move(rows);
-  ++rows_stamp_;  // wholesale replacement: any cached index must rebuild
+  if (indexes_ != nullptr) indexes_->cache.Clear();  // rebuilt on next use
 }
 
 std::vector<CRow> CTable::TakeRows() {
   assert(!frozen_ && "mutating a table frozen for sharing");
-  ++rows_stamp_;  // the cached indexes describe rows that are leaving
+  if (indexes_ != nullptr) indexes_->cache.Clear();  // rows are leaving
   return std::exchange(rows_, {});
 }
 
@@ -108,7 +106,7 @@ const TupleIndex& CTable::Index(const std::vector<int>& columns,
   size_t builds_before = cache.stats().builds;
   size_t extends_before = cache.stats().extends;
   const TupleIndex& index = cache.Get(
-      columns, rows_.size(), rows_stamp_,
+      columns, rows_.size(),
       [this](size_t i) -> const Tuple& { return rows_[i].tuple; });
   if (built != nullptr) *built = cache.stats().builds != builds_before;
   if (extended != nullptr) {
@@ -236,8 +234,7 @@ CTable CTable::Normalized() const {
   for (CRow& row : out.rows_) {
     rows.push_back(CRow(std::move(row.tuple), row.local().Simplified()));
   }
-  out.rows_ = std::move(rows);
-  ++out.rows_stamp_;  // wholesale replacement: any index must rebuild
+  out.ReplaceRows(std::move(rows));
   return out;
 }
 

@@ -100,12 +100,6 @@ class CRow {
   /// The materialized local condition (default: true).
   const Conjunction& local() const { return local_; }
 
-  /// Replaces the local condition, dropping the memoized id.
-  void set_local(Conjunction local) {
-    local_ = std::move(local);
-    local_stamp_ = 0;
-  }
-
   /// The interned id of the local condition in `interner`, memoized against
   /// the interner's generation stamp unless the row is pinned. The stamp hit
   /// is the straight-line path: a snapshot image checks every row of every
@@ -189,15 +183,15 @@ class CTable {
   /// rows between tables unchanged (union, relation refs).
   void AddRow(CRow row);
 
-  /// Replaces the row storage wholesale. Bumps the index stamp, so cached
-  /// tuple indexes rebuild on next use — unlike AddRow appends, which let
-  /// them extend incrementally. The in-place update path (tables/updates.h)
+  /// Replaces the row storage wholesale. Clears the index cache, so tuple
+  /// indexes rebuild on next use — unlike AddRow appends, which let them
+  /// extend incrementally. The in-place update path (tables/updates.h)
   /// uses this only when a delete actually rewrites rows; untouched tables
   /// keep their caches.
   void ReplaceRows(std::vector<CRow> rows);
 
-  /// Moves the row storage out, leaving the table empty, and bumps the index
-  /// stamp like ReplaceRows. Paired with ReplaceRows, a rewrite moves the
+  /// Moves the row storage out, leaving the table empty, and clears the
+  /// index cache like ReplaceRows. Paired with ReplaceRows, a rewrite moves the
   /// rows it keeps (tuples, conditions and id caches) instead of copying
   /// them.
   std::vector<CRow> TakeRows();
@@ -306,13 +300,11 @@ class CTable {
   Conjunction global_;
   mutable ConjId global_id_ = 0;
   mutable uint64_t global_stamp_ = 0;  // 0: no id cached
-  // Stamp of the row storage for the index cache: appends keep it (indexes
-  // catch up incrementally), wholesale row replacement bumps it (indexes
-  // rebuild on next use).
-  uint64_t rows_stamp_ = 1;
-  // The lazily-built index cache behind its guard. Heap-allocated so the
-  // table stays movable (std::mutex is not); allocated up front by
-  // PrepareForSharing so concurrent readers never race the lazy branch.
+  // The lazily-built index cache behind its guard: appends let its indexes
+  // catch up incrementally, wholesale row replacement clears it.
+  // Heap-allocated so the table stays movable (std::mutex is not);
+  // allocated up front by PrepareForSharing so concurrent readers never
+  // race the lazy branch.
   struct IndexState {
     std::mutex mutex;
     TupleIndexCache cache;

@@ -86,33 +86,29 @@ std::vector<size_t> TupleIndex::Candidates(const Tuple& key, size_t lo,
 }
 
 const TupleIndex& TupleIndexCache::Get(const std::vector<int>& columns,
-                                       size_t num_rows, uint64_t stamp,
+                                       size_t num_rows,
                                        const TupleFn& tuple_of) {
-  auto it = entries_.find(columns);  // hit path: no Entry materialized
+  auto it = entries_.find(columns);  // hit path: no index materialized
   bool built = it == entries_.end();
-  if (built) {
-    it = entries_.emplace(columns, Entry{TupleIndex(columns), stamp}).first;
-  }
-  Entry& entry = it->second;
-  if (!built && (entry.stamp != stamp ||
-                 entry.index.num_rows_indexed() > num_rows)) {
-    // The owner replaced its rows wholesale (stamp change), or shrank below
-    // what was indexed (an over-delete that reused the stamp): rebuild from
+  if (built) it = entries_.emplace(columns, TupleIndex(columns)).first;
+  TupleIndex& index = it->second;
+  if (!built && index.num_rows_indexed() > num_rows) {
+    // The owner shrank below what was indexed without a Clear: rebuild from
     // scratch — extending an over-full index would hand out stale row ids.
-    entry = Entry{TupleIndex(columns), stamp};
+    index = TupleIndex(columns);
     built = true;
   }
   if (built) ++stats_.builds;
   // Catch up on appended rows (all of them, on a fresh build). An append
   // caught up on here is an *extend*, counted apart from builds.
   size_t added = 0;
-  for (size_t id = entry.index.num_rows_indexed(); id < num_rows; ++id) {
-    entry.index.Add(tuple_of(id), id);
+  for (size_t id = index.num_rows_indexed(); id < num_rows; ++id) {
+    index.Add(tuple_of(id), id);
     ++added;
   }
   stats_.rows_indexed += added;
   if (!built && added > 0) ++stats_.extends;
-  return entry.index;
+  return index;
 }
 
 }  // namespace pw

@@ -6,9 +6,9 @@
 // the same primitive: given a sequence of rows and a subset of columns, find
 // the rows whose projection onto those columns could equal a probe key.
 // `TupleIndex` is that primitive; `TupleIndexCache` wraps a family of them
-// (one per column subset) with the lazy, stamp-invalidated lifecycle the
-// evaluators need so an index is built once and reused across fixpoint
-// rounds and repeated queries.
+// (one per column subset) with the lazy lifecycle the evaluators need so an
+// index is built once and reused across fixpoint rounds and repeated
+// queries.
 //
 // c-table semantics make this subtler than a classical hash join: a table
 // term may be a *variable* (a null), and a null at a join position matches
@@ -127,26 +127,24 @@ class TupleIndex {
 };
 
 /// A lazily-built family of `TupleIndex`es over one growing row sequence,
-/// keyed by column subset. The cache mirrors the interner's generation-stamp
-/// pattern: `Get` takes the owner's current stamp, and a stamped entry is
-/// valid exactly while the owner's stamp is unchanged — a mutation that
-/// replaces rows wholesale bumps the stamp and the entry rebuilds
-/// transparently on next use, while plain appends just extend the index by
-/// the new rows (`tuple_of` is called once per newly indexed row).
+/// keyed by column subset. Plain appends just extend an index by the new
+/// rows (`tuple_of` is called once per newly indexed row); an owner that
+/// replaces or drops its rows wholesale calls `Clear`, and each index
+/// rebuilds on next use.
 class TupleIndexCache {
  public:
   /// Row accessor: the tuple of row `i`. Must stay valid for the call.
   using TupleFn = std::function<const Tuple&(size_t)>;
 
   /// The up-to-date index on `columns` over rows [0, num_rows). Builds it on
-  /// first use, rebuilds if `stamp` changed since the entry was built (or if
-  /// `num_rows` shrank below what was indexed — an extend can only append,
-  /// so a shrunken owner forces a rebuild rather than serving stale ids),
-  /// and extends it if rows were appended. The reference stays valid until
-  /// `Clear` (later `Get`s may mutate the index's contents, so snapshot
-  /// candidate lists before re-entering the cache).
+  /// first use, rebuilds it if `num_rows` shrank below what was indexed (an
+  /// extend can only append, so a shrunken owner forces a rebuild rather
+  /// than serving stale ids), and extends it if rows were appended. The
+  /// reference stays valid until `Clear` (later `Get`s may mutate the
+  /// index's contents, so snapshot candidate lists before re-entering the
+  /// cache).
   const TupleIndex& Get(const std::vector<int>& columns, size_t num_rows,
-                        uint64_t stamp, const TupleFn& tuple_of);
+                        const TupleFn& tuple_of);
 
   /// Drops every index (capacity of the entry table retained).
   void Clear() { entries_.clear(); }
@@ -160,7 +158,7 @@ class TupleIndexCache {
   /// catch-up as a rebuild.
   struct Stats {
     size_t builds = 0;        // entries built from scratch (first use, or
-                              // rebuilt after a stamp change)
+                              // rebuilt after the owner shrank)
     size_t extends = 0;       // Get() calls that appended >= 1 row to an
                               // existing entry
     size_t rows_indexed = 0;  // Add() calls across all entries (a rebuild
@@ -181,12 +179,7 @@ class TupleIndexCache {
     }
   };
 
-  struct Entry {
-    TupleIndex index;
-    uint64_t stamp = 0;
-  };
-
-  std::unordered_map<std::vector<int>, Entry, IntVecHash> entries_;
+  std::unordered_map<std::vector<int>, TupleIndex, IntVecHash> entries_;
   Stats stats_;
 };
 

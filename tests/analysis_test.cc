@@ -236,8 +236,8 @@ TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
   EXPECT_GE(stats.dead_rules_skipped, 1u);
   EXPECT_TRUE(testutil::RepresentsFixpointOfEveryWorld(p, db, image))
       << image.ToString();
-  // The fixpoint exposes its analysis; consumers (ivm.cc's ConeOf) read the
-  // precomputed cones off it.
+  // The fixpoint exposes its analysis; consumers (MaterializedView::Delete)
+  // read the precomputed cones off it.
   ConditionedFixpoint fix(p, {});
   EXPECT_EQ(fix.analysis().num_sccs(), ProgramAnalysis(p).num_sccs());
   EXPECT_EQ(fix.analysis().Cone(0), LegacyCone(p, 0));

@@ -365,8 +365,9 @@ TEST(DatalogCTableTest, MismatchedBaseTableContributesNoRows) {
 }
 
 TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
-  // The public seeding and inspection entry points check the predicate id
-  // and the row width in all build modes: a bad call changes nothing.
+  // The public seeding, clearing and inspection entry points check the
+  // predicate id and the row width in all build modes: a bad call changes
+  // nothing, clears nothing and exports an empty arity-0 table.
   DatalogProgram tc = TransitiveClosure();
   ConditionedFixpoint fix(tc);
   const ConjId t = ConditionInterner::kTrueConj;
@@ -375,42 +376,46 @@ TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
   EXPECT_FALSE(fix.Seed(0, Tuple{C(1)}, t));
   EXPECT_FALSE(fix.Seed(0, Tuple{C(1), C(2), C(3)}, t));
   fix.SeedTable(7, CTable::FromRelation(Relation(2, {{1, 2}})));
-  fix.ClearPredicate(7);
-  fix.ClearPredicate(-1);
-  EXPECT_EQ(fix.NumLiveRows(7), 0u);
-  EXPECT_EQ(fix.NumLiveRows(-1), 0u);
-  EXPECT_EQ(fix.NumLiveRows(0), 0u);
+  EXPECT_EQ(fix.ClearPredicate(7), 0u);
+  EXPECT_EQ(fix.ClearPredicate(-1), 0u);
+  for (int bad : {7, -1}) {
+    CTable exported = fix.Export(bad);
+    EXPECT_EQ(exported.arity(), 0);
+    EXPECT_EQ(exported.num_rows(), 0u);
+  }
+  EXPECT_EQ(fix.Export(0).num_rows(), 0u);
   EXPECT_EQ(fix.stats().derived_rows, 0u);
   // Well-formed seeds still go through.
   EXPECT_TRUE(fix.Seed(0, Tuple{C(1), C(2)}, t));
   EXPECT_TRUE(fix.Seed(0, Tuple{C(2), C(3)}, t));
   fix.FireGroundRules();
   fix.Run();
-  EXPECT_EQ(fix.NumLiveRows(1), 3u);
+  EXPECT_EQ(fix.Export(1).num_rows(), 3u);
 }
 
-#ifdef NDEBUG
-TEST(DatalogCTableTest, RunConeRejectsWrongSizeMask) {
-  // RunCone indexes its cone mask by predicate id, so the size check must
-  // hold in release builds too: a mask that is not num_predicates long
-  // makes the call a no-op. (Debug builds assert instead, so this only runs
-  // under NDEBUG.)
+TEST(DatalogCTableTest, ClearPredicateReturnsDroppedRowsAndRunRederives) {
+  // ClearPredicate drops a predicate's rows and reports how many were live;
+  // the ordinary Run() then re-derives them, since the clear rewound the
+  // predicate's own SCC (tc's rules re-read every edge row, although the
+  // edge table was not touched). Its ground facts re-fire at the clear.
   DatalogProgram tc = TransitiveClosure();
+  DatalogRule fact_rule;
+  fact_rule.head = {1, Tuple{C(8), C(9)}};
+  tc.AddRule(fact_rule);
   ConditionedFixpoint fix(tc);
   fix.SeedTable(0, CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}})));
   fix.FireGroundRules();
   fix.Run();
-  ASSERT_EQ(fix.NumLiveRows(1), 3u);
-  fix.ClearPredicate(1);
-  const size_t rounds = fix.stats().rounds;
-  fix.RunCone(std::vector<bool>(tc.num_predicates() + 1, true));
-  EXPECT_EQ(fix.NumLiveRows(1), 0u);
-  EXPECT_EQ(fix.stats().rounds, rounds);
-  // The well-formed mask re-derives the cleared predicate.
-  fix.RunCone({false, true});
-  EXPECT_EQ(fix.NumLiveRows(1), 3u);
+  const std::vector<std::string> before =
+      testutil::CanonicalRows(fix.Export(1));
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_EQ(fix.ClearPredicate(1), 4u);
+  EXPECT_EQ(testutil::CanonicalRows(fix.Export(1)),
+            std::vector<std::string>{"(8, 9) :: true"});
+  fix.Run();
+  EXPECT_EQ(testutil::CanonicalRows(fix.Export(1)), before);
+  EXPECT_EQ(fix.Export(0).num_rows(), 2u);  // never touched
 }
-#endif
 
 TEST(DatalogCTableTest, QueryOnNegativeGoalIsEmpty) {
   // The goal predicate is checked in all build modes: a goal that names no

@@ -204,7 +204,7 @@ TEST(IvmTest, RuleJoiningThroughConeGroundFactSurvivesEmptyRebuild) {
   // from the base table, so the re-fired ground fact must already sit
   // inside the first delta window — fired after the windows are
   // snapshotted, it never becomes a delta and Q loses every row joining
-  // through it (the RunCone ordering regression).
+  // through it (a past ordering regression of the cone rebuild).
   DatalogProgram p({2, 2, 2}, /*num_edb=*/1);
   DatalogRule fact_rule;
   fact_rule.head = {1, Tuple{C(8), C(8)}};
@@ -222,6 +222,40 @@ TEST(IvmTest, RuleJoiningThroughConeGroundFactSurvivesEmptyRebuild) {
   EXPECT_EQ(view.stats().cone_rebuilds, 1u);
   ExpectMatchesRecompute(view);
   EXPECT_TRUE(HasTuple(view.Materialized().table(2), Tuple{C(8), C(8)}));
+}
+
+TEST(IvmTest, ConeRuleOverAnUntouchedTableRederivesOnDelete) {
+  // P(x,y) :- e0(x,y). ; P(x,y) :- e1(x,y). ; Q(x,z) :- P(x,y), e1(y,z).
+  // Deleting from e0 clears the cone {e0, P, Q}, and P's rule over e1 must
+  // read every e1 row again although e1 was not touched: each clear rewinds
+  // its own SCC's watermarks, or P loses (2,3) and (3,x0), and Q loses
+  // (2,x0).
+  DatalogProgram p({2, 2, 2, 2}, /*num_edb=*/2);  // e0, e1, P, Q
+  DatalogRule from_e0;
+  from_e0.head = {2, Tuple{V(100), V(101)}};
+  from_e0.body = {{0, Tuple{V(100), V(101)}}};
+  p.AddRule(from_e0);
+  DatalogRule from_e1;
+  from_e1.head = {2, Tuple{V(100), V(101)}};
+  from_e1.body = {{1, Tuple{V(100), V(101)}}};
+  p.AddRule(from_e1);
+  DatalogRule join;
+  join.head = {3, Tuple{V(100), V(102)}};
+  join.body = {{2, Tuple{V(100), V(101)}}, {1, Tuple{V(101), V(102)}}};
+  p.AddRule(join);
+  CTable e0(2);
+  e0.AddRow(Tuple{C(0), C(1)});
+  e0.AddRow(Tuple{C(1), C(2)});
+  CTable e1(2);
+  e1.AddRow(Tuple{C(2), C(3)});
+  e1.AddRow(Tuple{C(3), V(0)});
+  MaterializedView view(p, CDatabase(std::vector<CTable>{e0, e1}));
+  view.Delete(0, Fact{0, 1});
+  EXPECT_EQ(view.stats().cone_rebuilds, 1u);
+  ExpectMatchesRecompute(view);
+  CDatabase live = view.Materialized();
+  EXPECT_TRUE(HasTuple(live.table(2), Tuple{C(2), C(3)}));
+  EXPECT_TRUE(HasTuple(live.table(3), Tuple{C(1), C(3)}));
 }
 
 #ifdef NDEBUG

@@ -1,6 +1,6 @@
 // Tests for the shared tuple-index layer (tables/tuple_index.h): ground
 // buckets vs the wildcard list, ordered candidate enumeration, the lazy
-// stamped cache lifecycle, and the per-CTable cached index.
+// cache lifecycle, and the per-CTable cached index.
 
 #include <gtest/gtest.h>
 
@@ -124,13 +124,12 @@ TEST(TupleIndexCacheTest, BuildsLazilyAndExtendsOnAppend) {
   auto tuple_of = [&rows](size_t i) -> const Tuple& { return rows[i]; };
 
   TupleIndexCache cache;
-  const TupleIndex& index =
-      cache.Get({0}, rows.size(), /*stamp=*/1, tuple_of);
+  const TupleIndex& index = cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_EQ(index.num_rows_indexed(), 2u);
 
   // Same columns, unchanged rows: reused outright.
-  cache.Get({0}, rows.size(), 1, tuple_of);
+  cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_EQ(cache.stats().rows_indexed, 2u);
 
@@ -138,7 +137,7 @@ TEST(TupleIndexCacheTest, BuildsLazilyAndExtendsOnAppend) {
   // never as a (re)build, so build counters cannot double-count a mid-query
   // catch-up.
   rows.push_back(Tuple{C(1), C(4)});
-  const TupleIndex& extended = cache.Get({0}, rows.size(), 1, tuple_of);
+  const TupleIndex& extended = cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(&extended, &index);
   EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_EQ(cache.stats().extends, 1u);
@@ -146,49 +145,51 @@ TEST(TupleIndexCacheTest, BuildsLazilyAndExtendsOnAppend) {
   EXPECT_EQ(extended.Probe(Tuple{C(1)}), (std::vector<size_t>{0, 1, 2}));
 
   // A no-op Get (nothing appended) is neither a build nor an extend.
-  cache.Get({0}, rows.size(), 1, tuple_of);
+  cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 1u);
   EXPECT_EQ(cache.stats().extends, 1u);
 
   // A second column subset is a second index (a build, not an extend).
-  cache.Get({1}, rows.size(), 1, tuple_of);
+  cache.Get({1}, rows.size(), tuple_of);
   EXPECT_EQ(cache.num_indexes(), 2u);
   EXPECT_EQ(cache.stats().builds, 2u);
   EXPECT_EQ(cache.stats().extends, 1u);
 }
 
-TEST(TupleIndexCacheTest, StampChangeRebuilds) {
+TEST(TupleIndexCacheTest, ClearRebuilds) {
   std::vector<Tuple> rows = {Tuple{C(1)}, Tuple{C(2)}};
   auto tuple_of = [&rows](size_t i) -> const Tuple& { return rows[i]; };
 
   TupleIndexCache cache;
-  cache.Get({0}, rows.size(), /*stamp=*/1, tuple_of);
-  // The owner replaced its rows wholesale and bumped its stamp: the stale
-  // index must be rebuilt, not extended — and the rebuild is one build,
-  // not a build plus an extend for the re-indexed rows.
-  rows = {Tuple{C(9)}};
-  const TupleIndex& rebuilt = cache.Get({0}, rows.size(), 2, tuple_of);
+  cache.Get({0}, rows.size(), tuple_of);
+  // The owner replaced its rows wholesale, as many as before, and cleared
+  // the cache: the index must be rebuilt, not served stale — and the
+  // rebuild is one build, not a build plus an extend for the re-indexed
+  // rows.
+  rows = {Tuple{C(9)}, Tuple{C(8)}};
+  cache.Clear();
+  EXPECT_EQ(cache.num_indexes(), 0u);
+  const TupleIndex& rebuilt = cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 2u);
   EXPECT_EQ(cache.stats().extends, 0u);
-  EXPECT_EQ(rebuilt.num_rows_indexed(), 1u);
+  EXPECT_EQ(rebuilt.num_rows_indexed(), 2u);
   EXPECT_EQ(rebuilt.Probe(Tuple{C(9)}), (std::vector<size_t>{0}));
   EXPECT_TRUE(rebuilt.Probe(Tuple{C(1)}).empty());
 }
 
-TEST(TupleIndexCacheTest, ShrinkUnderSameStampRebuilds) {
-  // An owner that dropped rows without bumping its stamp (an over-delete
-  // that cleared and partially regrew its storage): extending would hand
-  // out stale row ids past the new end, so the cache must rebuild from
-  // scratch.
+TEST(TupleIndexCacheTest, ShrinkWithoutClearRebuilds) {
+  // An owner that dropped rows without clearing the cache (say, it cleared
+  // and partially regrew its storage): extending would hand out stale row
+  // ids past the new end, so the cache must rebuild from scratch.
   std::vector<Tuple> rows = {Tuple{C(1)}, Tuple{C(2)}, Tuple{C(3)}};
   auto tuple_of = [&rows](size_t i) -> const Tuple& { return rows[i]; };
 
   TupleIndexCache cache;
-  cache.Get({0}, rows.size(), /*stamp=*/1, tuple_of);
+  cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 1u);
 
   rows = {Tuple{C(5)}};
-  const TupleIndex& rebuilt = cache.Get({0}, rows.size(), 1, tuple_of);
+  const TupleIndex& rebuilt = cache.Get({0}, rows.size(), tuple_of);
   EXPECT_EQ(cache.stats().builds, 2u);
   EXPECT_EQ(cache.stats().extends, 0u);
   EXPECT_EQ(rebuilt.num_rows_indexed(), 1u);
@@ -197,8 +198,8 @@ TEST(TupleIndexCacheTest, ShrinkUnderSameStampRebuilds) {
 }
 
 TEST(CTableIndexTest, ReplaceRowsRebuildsIndexes) {
-  // ReplaceRows swaps the storage wholesale and bumps the stamp: cached
-  // indexes must rebuild over the replacement rows.
+  // ReplaceRows swaps the storage wholesale and clears the cache: indexes
+  // must rebuild over the replacement rows.
   CTable t = testutil::MakeTable(2,
       std::vector<Tuple>{{C(1), C(2)}, {C(1), C(3)}});
   bool built = false, extended = false;
