@@ -54,7 +54,7 @@ const CTable* Referenced(const RaExpr& rel, const CDatabase& database) {
 //
 //   - every leaf is evaluated once and its pushdown conjuncts applied
 //     (dropped rows keep their id, so relation-ref leaves probe the
-//     CTable's cached, stamp-invalidated index across queries);
+//     CTable's cached index across queries);
 //   - intermediate state is a vector of leaf-row-id combinations — no
 //     intermediate tuple or condition is materialized, which is what "push
 //     projections below joins" buys: a column not needed by a later key, a
@@ -113,7 +113,7 @@ bool Strengthen(const std::vector<SelectAtom>& atoms, const Tuple& tuple,
 
 /// One evaluated, pushdown-filtered leaf of a planned join. Rows keep their
 /// ids (kFalseConj marks a dropped row) so a relation-ref leaf can probe the
-/// source CTable's cached, stamp-invalidated index — reused across queries
+/// source CTable's cached index — reused across queries
 /// and fixpoint rounds; any other subexpression is evaluated and indexed
 /// ephemerally.
 struct PlannedLeaf {
