@@ -14,6 +14,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,11 +42,13 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-ConstId ParseValue(const std::string& token, SymbolTable& sym) {
+/// A numeric value must be a number that fits a constant (the text
+/// format's own rule); anything else that starts like a number is an error.
+std::optional<ConstId> ParseValue(const std::string& token, SymbolTable& sym) {
   if (!token.empty() &&
       (std::isdigit(static_cast<unsigned char>(token[0])) ||
        token[0] == '-')) {
-    return static_cast<ConstId>(std::stol(token));
+    return ParseNumericConstant(token);
   }
   return sym.Intern(token);
 }
@@ -108,10 +111,20 @@ int main(int argc, char** argv) {
   }
   if (command == "poss" || command == "cert") {
     if (args.size() < 3) return Fail("usage: " + command + " <rel> <v>...");
-    size_t rel = std::stoul(args[1]);
+    std::optional<ConstId> rel_id = ParseNumericConstant(args[1]);
+    if (!rel_id.has_value() || *rel_id < 0 ||
+        static_cast<size_t>(*rel_id) >= db.num_tables()) {
+      return Fail("bad relation index '" + args[1] + "'");
+    }
+    const size_t rel = static_cast<size_t>(*rel_id);
     Fact fact;
     for (size_t i = 2; i < args.size(); ++i) {
-      fact.push_back(ParseValue(args[i], sym));
+      std::optional<ConstId> value = ParseValue(args[i], sym);
+      if (!value.has_value()) {
+        return Fail("bad value '" + args[i] +
+                    "': not a number that fits a constant");
+      }
+      fact.push_back(*value);
     }
     std::vector<LocatedFact> pattern = {{rel, fact}};
     bool answer = command == "poss"

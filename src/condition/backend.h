@@ -20,8 +20,7 @@
 //     diagrams over condition atoms, ONE canonical id for an arbitrary
 //     boolean combination of atoms. Disjunction, satisfiability and the DNF
 //     export are its own members: the fixpoint Or-merges a tuple's
-//     derivations into one row and exports it with AppendDisjuncts, and
-//     IVM's covered-delete test folds the kept rows with Or, each on the
+//     derivations into one row and exports it with AppendDisjuncts, on the
 //     DDBackend* it branches on.
 //
 // ConditionBackendKind picks one per fixpoint, and the differential harness

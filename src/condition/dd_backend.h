@@ -79,7 +79,7 @@ class DDBackend final : public ConditionBackend {
 
   /// Disjunction of two diagram conditions. Commutative, memoized on the
   /// (min, max) id pair like And. The fixpoint Or-merges a tuple's
-  /// derivations with it, and IVM's covered-delete test folds kept rows.
+  /// derivations with it.
   CondId Or(CondId a, CondId b);
 
   /// True iff some valuation satisfies the condition. Exact.

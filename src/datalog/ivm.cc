@@ -96,47 +96,9 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   assert(ValidUpdate(pred, fact));
   if (!ValidUpdate(pred, fact)) return;
   ++stats_.updates_applied;
-  ConditionInterner& interner = fix_->interner();
-  UpdateOptions update{.interner = &interner};
-  DeleteDelta delta = DeleteFactInPlace(
-      base_.mutable_table(static_cast<size_t>(pred)), fact, update);
-  if (!delta.changed) return;  // no row could match: state untouched
-  const CTable& table = base_.table(static_cast<size_t>(pred));
-
-  // Covered fast path. A removed row left no live trace in the fixpoint iff
-  // the fixpoint absorbs it next to the KEPT rows with its tuple — it was
-  // unsatisfiable under the global condition (dropped at seed time), or the
-  // kept rows cover it by the rule the fixpoint applies at insert, so it
-  // was killed (or rejected, or merged without a trace) the moment both
-  // rows coexisted, before any rule could fire through it. In that case the
-  // converged state is already the from-scratch state of the shrunken base,
-  // and the guarded replacement rows seed forward like an insertion. The
-  // cover is on the raw local conditions, NOT conjoined with the global: a
-  // row merely rep()-redundant under the global is still live in the
-  // evaluator, and treating it as covered would leave stale rows a
-  // recomputation lacks.
-  bool covered = true;
-  std::vector<ConjId> kept;
-  for (const CRow& removed : delta.removed) {
-    kept.clear();
-    for (size_t k : delta.kept) {
-      const CRow& row = table.row(k);
-      if (row.tuple == removed.tuple) kept.push_back(row.LocalId(interner));
-    }
-    if (!fix_->Absorbs(removed.LocalId(interner), kept)) {
-      covered = false;
-      break;
-    }
-  }
-  if (covered) {
-    ++stats_.deletes_covered;
-    bool seeded = false;
-    for (const CRow& added : delta.added) {
-      seeded |= fix_->Seed(pred, added.tuple, added.LocalId(interner));
-    }
-    if (seeded) fix_->Run();
-    return;
-  }
+  UpdateOptions update{.interner = &fix_->interner()};
+  CTable& table = base_.mutable_table(static_cast<size_t>(pred));
+  if (!DeleteFactInPlace(table, fact, update).changed) return;  // untouched
 
   // Over-delete/re-derive: clear every predicate whose derivations could
   // involve the changed table — the reachability-closed cone of head

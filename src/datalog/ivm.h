@@ -21,18 +21,13 @@
 //     derivation cone, not the database (DRed's re-derivation half, with
 //     subsumption standing in for support counting).
 //
-//   - Deletion first rewrites the base table in place and inspects the
-//     row-level delta. If every removed row left no live trace in the
-//     fixpoint — the fixpoint absorbs it (ConditionedFixpoint::Absorbs): it
-//     was unsatisfiable under the global condition, or surviving rows with
-//     the same tuple cover it by the evaluator's own subsumption rule — the
-//     converged state is already the from-scratch state of the shrunken
-//     base, and the guarded replacement rows seed forward like an insertion
-//     (`deletes_covered` in the stats). Otherwise the view over-deletes:
-//     every predicate whose derivations could reach back to the changed
-//     table (the reachability-closed *cone* of head dependencies, read off
-//     the fixpoint's analysis) is cleared wholesale and re-derived against
-//     the intact remainder by a plain Run() (`cone_rebuilds`) — the DRed
+//   - Deletion rewrites the base table in place; one that changes no row
+//     changes nothing derivable. Otherwise the view over-deletes: every
+//     predicate whose derivations could reach back to the changed table
+//     (the reachability-closed *cone* of head dependencies, read off the
+//     fixpoint's analysis) is cleared wholesale, the table is reseeded, and
+//     a plain Run() re-derives the cone against the intact remainder
+//     (`cone_rebuilds`) — the DRed
 //     over-delete/re-derive pair at predicate granularity, which
 //     conditioned rows make affordable because untouched predicates keep
 //     their rows, dedup maps, and tuple indexes.
@@ -64,8 +59,9 @@ struct IvmStats {
   size_t inserts_seeded = 0;    // seeded rows admitted into the fixpoint
                                 // (duplicates/subsumed/unsatisfiable seeds
                                 // cost nothing further)
-  size_t deletes_covered = 0;   // deletes absorbed without over-deletion:
-                                // every removed row had left no live trace
+  size_t deletes_covered = 0;   // always 0 (every changing delete rebuilds
+                                // its cone); goes with its last reader, the
+                                // benchmark's datalog.covered_share
   size_t cone_rebuilds = 0;     // deletes that over-deleted and re-derived
   size_t cone_predicates = 0;   // predicates cleared across those rebuilds
   size_t rows_overdeleted = 0;  // live rows dropped by those clears (the
@@ -120,8 +116,8 @@ class MaterializedView {
   bool InsertIf(int pred, const Fact& fact, const Conjunction& condition);
 
   /// Deletes the ground fact from base predicate `pred` (rep-wise:
-  /// { I minus {fact} }) and maintains the view — the covered fast path
-  /// when possible, the cone over-delete/re-derive otherwise.
+  /// { I minus {fact} }) and maintains the view: a delete that rewrites no
+  /// base row is free, and any other clears and re-derives the table's cone.
   void Delete(int pred, const Fact& fact);
 
   /// The maintained fixpoint as a c-database, identical (tuples and

@@ -138,8 +138,9 @@ Instance PossibleAnswers(const View& view, const CDatabase& database) {
 }
 
 Instance CertainAnswers(const View& view, const CDatabase& database) {
-  Instance candidates = PossibleAnswers(view, database);
+  std::vector<ConstId> domain = Domain(view, database);
   if (auto image = ImageOf(view, database)) {
+    Instance candidates = PossibleFromImage(*image, domain);
     ConditionInterner& interner = ConditionInterner::Global();
     ConjId global_id = image->CombinedGlobalId(interner);
     std::vector<Relation> out;
@@ -155,6 +156,7 @@ Instance CertainAnswers(const View& view, const CDatabase& database) {
     return Instance(std::move(out));
   }
   // Enumeration fallback: intersect images.
+  Instance candidates = PossibleByEnumeration(view, database, domain);
   std::vector<Relation> acc;
   for (size_t p = 0; p < candidates.num_relations(); ++p) {
     acc.push_back(candidates.relation(p));

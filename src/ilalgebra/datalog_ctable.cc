@@ -84,14 +84,8 @@ struct EvalState {
 };
 
 /// True iff a live row's condition `live` covers a same-tuple derivation
-/// `cond`: on the antichain `cond` implies it, on diagrams Or(live, cond) is
-/// `live` — propositional absorption, not theory implication, since a
-/// theory-implied but unabsorbed `cond` still changes the merged diagram.
-/// Diagrams from FromConj are conjunctions of positive atom variables, so a
-/// disjunction of them absorbs one exactly when one of them does: the
-/// pairwise rule is also the rule for a tuple's merged diagram.
+/// `cond` on the antichain: `cond` implies it. (Diagrams Or-merge instead.)
 bool Covers(const EvalState& state, CondId live, CondId cond) {
-  if (state.dd != nullptr) return state.dd->Or(live, cond) == live;
   return state.interner->Implies(cond, live);
 }
 
@@ -707,17 +701,6 @@ size_t ConditionedFixpoint::ClearPredicate(int pred) {
   // here, or the clear would lose them.
   impl_->FireGroundRules(pred);
   return dropped;
-}
-
-bool ConditionedFixpoint::Absorbs(ConjId cond,
-                                  const std::vector<ConjId>& kept) const {
-  const EvalState& state = impl_->state;
-  ConditionBackend& backend = *state.backend;
-  const CondId c = backend.FromConj(cond);
-  if (!backend.SatisfiableWith(state.global_id, c)) return true;
-  return std::any_of(kept.begin(), kept.end(), [&](ConjId k) {
-    return Covers(state, backend.FromConj(k), c);
-  });
 }
 
 CTable ConditionedFixpoint::Export(int pred) const {

@@ -142,11 +142,12 @@ struct DatalogCTableOptions {
 /// `Run()` again: the loop fires rules only against combinations involving
 /// the new delta, which is exactly the semi-naive invariant, so a converged
 /// state absorbs an insertion in time proportional to its derivation cone.
-/// Deletions take the same loop: `ClearPredicate` drops a predicate's rows
-/// wholesale (over-delete) and rewinds its own SCC, so the next `Run()`
-/// re-enumerates that SCC's every combination. Clearing a reachability cone
-/// (ProgramAnalysis::Cone) rewinds every SCC of the cone — an SCC holding
-/// one cone predicate holds only cone predicates — while SCCs outside it
+/// Every deletion that changes a base table takes the same loop: the view
+/// clears the table's reachability cone (ProgramAnalysis::Cone) with
+/// `ClearPredicate`, which drops a predicate's rows wholesale (over-delete)
+/// and rewinds its own SCC, reseeds the table, and calls `Run()`, which
+/// re-enumerates every combination of each cleared SCC — an SCC holding one
+/// cone predicate holds only cone predicates — while SCCs outside the cone
 /// read no cleared predicate and see no delta.
 ///
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
@@ -217,14 +218,6 @@ class ConditionedFixpoint {
   /// combination. `pred`'s empty-body rules re-fire into the pending delta.
   /// An out-of-range `pred` is a no-op that returns 0.
   size_t ClearPredicate(int pred);
-
-  /// True iff a row with condition `cond` leaves no trace beside same-tuple
-  /// rows with conditions `kept`, by the rule Insert applies: `cond` cannot
-  /// hold together with the global condition, or some kept row covers it
-  /// (on the antichain, `cond` implies it; on diagrams, its Or with `cond`
-  /// is itself). IVM's covered-delete test: then the converged state is
-  /// already the state of a base without the row.
-  bool Absorbs(ConjId cond, const std::vector<ConjId>& kept) const;
 
   /// The live rows of `pred` as a c-table with hot id caches (no global
   /// condition attached). An out-of-range `pred` exports an empty arity-0

@@ -1,8 +1,10 @@
 #include "tables/text_format.h"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 namespace pw {
@@ -71,16 +73,6 @@ std::vector<std::string> Tokenize(const std::string& line) {
   return tokens;
 }
 
-bool IsInteger(const std::string& s) {
-  if (s.empty()) return false;
-  size_t start = s[0] == '-' ? 1 : 0;
-  if (start == s.size()) return false;
-  for (size_t i = start; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return false;
-  }
-  return true;
-}
-
 /// Per-parse state: variable name interning.
 struct ParserState {
   SymbolTable* symbols;
@@ -114,8 +106,11 @@ struct ParserState {
     }
     const std::string& tok = tokens[i];
     ++i;
-    if (IsInteger(tok)) {
-      return Term::Const(static_cast<ConstId>(std::stol(tok)));
+    if (std::isdigit(static_cast<unsigned char>(tok[0])) || tok[0] == '-') {
+      std::optional<ConstId> value = ParseNumericConstant(tok);
+      if (value.has_value()) return Term::Const(*value);
+      Fail("'" + tok + "' is not an integer that fits a 32-bit constant");
+      return std::nullopt;
     }
     if (std::isalpha(static_cast<unsigned char>(tok[0])) || tok[0] == '_') {
       if (symbols == nullptr) {
@@ -176,13 +171,16 @@ bool ParseTables(std::string_view text, SymbolTable* symbols,
     std::vector<std::string> tokens = Tokenize(line);
     if (tokens.empty()) continue;
     if (tokens[0] == "table") {
-      if (tokens.size() != 3 || tokens[1] != "arity" ||
-          !IsInteger(tokens[2])) {
-        state.Fail("expected 'table arity <n>'");
+      std::optional<int> arity;  // ConstId's range is an int's
+      if (tokens.size() == 3 && tokens[1] == "arity") {
+        arity = ParseNumericConstant(tokens[2]);
+      }
+      if (!arity.has_value() || *arity < 0) {
+        state.Fail("expected 'table arity <n>', n a non-negative int");
         break;
       }
       flush();
-      current.emplace(std::stoi(tokens[2]));
+      current.emplace(*arity);
       continue;
     }
     if (!current.has_value()) {
@@ -259,6 +257,14 @@ std::string FormatCondition(const Conjunction& c,
 }
 
 }  // namespace
+
+std::optional<ConstId> ParseNumericConstant(std::string_view token) {
+  ConstId value = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 ParseTableResult ParseCTable(std::string_view text, SymbolTable* symbols) {
   ParseTableResult result;

@@ -23,6 +23,8 @@
 // Variables are scoped to one parse: the first distinct `?name` gets VarId
 // 0, the next VarId 1, and so on. A c-database is a sequence of tables.
 // `FormatCTable` emits this format and round-trips through `ParseCTable`.
+// An INT is an optional '-' and decimal digits that fit ConstId (an arity,
+// also non-negative). Malformed input is a parse error naming its line.
 
 #ifndef PW_TABLES_TEXT_FORMAT_H_
 #define PW_TABLES_TEXT_FORMAT_H_
@@ -51,6 +53,10 @@ struct ParseDatabaseResult {
 
   bool ok() const { return database.has_value(); }
 };
+
+/// The value of `token` as an INT of the format, or nullopt: anything but an
+/// optional '-' and decimal digits, or a value outside ConstId.
+std::optional<ConstId> ParseNumericConstant(std::string_view token);
 
 /// Parses a single table. Named constants are interned into `symbols`
 /// (required if the text uses identifiers; may be null for purely numeric

@@ -1,7 +1,6 @@
 #include "tables/updates.h"
 
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 namespace pw {
@@ -70,23 +69,9 @@ std::vector<ConjId> PrunedGuardedCopies(const CRow& row, const Fact& fact,
 
 }  // namespace
 
-CTable InsertFact(const CTable& table, const Fact& fact) {
-  CTable out = table;
-  InsertFactInPlace(out, fact);
-  return out;
-}
-
 void InsertFactInPlace(CTable& table, const Fact& fact) {
   if (!FitsTable(table, fact)) return;
   table.AddRow(ToTuple(fact));
-}
-
-CTable InsertFactIf(const CTable& table, const Fact& fact,
-                    const Conjunction& condition,
-                    const UpdateOptions& options) {
-  CTable out = table;
-  InsertFactIfInPlace(out, fact, condition, options);
-  return out;
 }
 
 bool InsertFactIfInPlace(CTable& table, const Fact& fact,
@@ -100,13 +85,6 @@ bool InsertFactIfInPlace(CTable& table, const Fact& fact,
   }
   table.AddRow(ToTuple(fact), condition);
   return true;
-}
-
-CTable DeleteFact(const CTable& table, const Fact& fact,
-                  const UpdateOptions& options) {
-  CTable out = table;
-  DeleteFactInPlace(out, fact, options);
-  return out;
 }
 
 DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
@@ -144,23 +122,17 @@ DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
     num_copies += copies.size();
     rewrites.push_back({r, std::move(copies)});
   }
-  if (rewrites.empty()) {
-    // An untouched table keeps its row storage and caches.
-    delta.kept.resize(table.num_rows());
-    std::iota(delta.kept.begin(), delta.kept.end(), size_t{0});
-    return delta;
-  }
+  // An untouched table keeps its row storage and caches.
+  if (rewrites.empty()) return delta;
   // Rewrite in row order: untouched rows move over with their id caches,
   // and only the rewritten rows' tuples are copied, into their guarded
   // copies. The indexes rebuild on next use.
   std::vector<CRow> old_rows = table.TakeRows();
   std::vector<CRow> rows;
   rows.reserve(old_rows.size() - rewrites.size() + num_copies);
-  delta.kept.reserve(old_rows.size() - rewrites.size());
   auto next = rewrites.begin();
   for (size_t r = 0; r < old_rows.size(); ++r) {
     if (next == rewrites.end() || next->row != r) {
-      delta.kept.push_back(rows.size());
       rows.push_back(std::move(old_rows[r]));
       continue;
     }

@@ -24,18 +24,6 @@
 //
 // Every entry point checks that the fact has the table's arity; a fact of
 // any other size leaves the table untouched (and asserts in debug builds).
-//
-// Two API families:
-//   - the copy-based `InsertFact`/`DeleteFact`/`InsertFactIf` return a new
-//     table (the seed behavior);
-//   - the `*InPlace` variants mutate the table, preserving its cached
-//     tuple indexes and per-row interned ids wherever possible (appends
-//     extend the index cache; a delete that touches no row keeps every
-//     cache; only a delete that actually rewrites rows forces a rebuild),
-//     and report the row-level delta — the input incremental view
-//     maintenance (datalog/ivm.h) runs on. A delete costs what it touches:
-//     it copies only the tuples of the rows it rewrites and moves every
-//     other row (id cache included) into the rewritten table.
 
 #ifndef PW_TABLES_UPDATES_H_
 #define PW_TABLES_UPDATES_H_
@@ -54,60 +42,41 @@ struct UpdateOptions {
   ConditionInterner* interner = nullptr;
 };
 
-/// The table representing { I union {fact} : I in rep(table) }.
-CTable InsertFact(const CTable& table, const Fact& fact);
-
-/// The table representing { I minus {fact} : I in rep(table) }. Row count
-/// grows at most by a factor of the arity: guarded copies unsatisfiable
-/// together with the row's local and the table's global condition are
-/// dropped, and per source row only the antichain of weakest conditions
-/// survives (memoized Implies).
-CTable DeleteFact(const CTable& table, const Fact& fact,
-                  const UpdateOptions& options = {});
+/// Insertion: appends the unconditioned ground row, so the table represents
+/// { I union {fact} : I in rep(table) }. The table's cached tuple indexes
+/// extend on next use instead of rebuilding.
+void InsertFactInPlace(CTable& table, const Fact& fact);
 
 /// Conditional insertion: the fact is present exactly in the worlds whose
 /// valuations satisfy `condition` (in addition to the global condition). A
-/// condition that cannot hold together with the global condition adds no
-/// row.
-CTable InsertFactIf(const CTable& table, const Fact& fact,
-                    const Conjunction& condition,
-                    const UpdateOptions& options = {});
-
-/// In-place insertion: appends the unconditioned ground row. The table's
-/// cached tuple indexes extend on next use instead of rebuilding.
-void InsertFactInPlace(CTable& table, const Fact& fact);
-
-/// In-place conditional insertion. A condition that cannot hold together
-/// with the table's global condition adds no row (the fact would be present
-/// in no world). Returns true iff a row was appended.
+/// condition that cannot hold together with the table's global condition
+/// adds no row (the fact would be present in no world). Returns true iff a
+/// row was appended.
 bool InsertFactIfInPlace(CTable& table, const Fact& fact,
                          const Conjunction& condition,
                          const UpdateOptions& options = {});
 
-/// The row-level delta of an in-place deletion, in terms of (tuple, local
-/// condition) rows. `kept` holds the positions, in the rewritten table and
-/// in ascending order, of the rows that passed through unchanged (read them
-/// with table.row(k)); `removed` rows were dropped or replaced by guarded
-/// copies; `added` holds copies of those guarded rows. A row whose guarded
-/// copies collapse back onto it (the guard is implied by its own condition)
-/// counts as kept, not as removed-and-re-added.
+/// The row-level delta of a deletion, in terms of (tuple, local condition)
+/// rows: `removed` rows were dropped or replaced by guarded copies, and
+/// `added` holds copies of those guarded rows. A row whose guarded copies
+/// collapse back onto it (the guard is implied by its own condition) is
+/// unchanged, and appears in neither.
 struct DeleteDelta {
-  std::vector<size_t> kept;
   std::vector<CRow> removed;
   std::vector<CRow> added;
   /// True iff the table was rewritten (removed or added is nonempty).
   bool changed = false;
 };
 
-/// In-place deletion: rewrites the table to represent
+/// Deletion: rewrites the table to represent
 /// { I minus {fact} : I in rep(table) } and reports the row-level delta.
-/// A read-only pass first finds the rows the fact can match and their
-/// guarded copies. When no row changes the table (and all its caches) is
-/// left untouched, `changed` is false and `kept` lists every row; a fact of
-/// the wrong arity leaves the table untouched and reports an empty delta.
-/// Otherwise each rewritten row is replaced, in place in the row order, by
-/// its guarded copies; every other row is moved, not copied, so its tuple
-/// storage and id cache carry over. Cached indexes rebuild on next use.
+/// A read-only pass first finds the rows the fact can match and their pruned
+/// guarded copies (see above). When no row changes,
+/// or the fact has the wrong arity, the table (and all its caches) is left
+/// untouched and the delta is empty, with `changed` false. Otherwise each
+/// rewritten row is replaced, in place in the row order, by its guarded
+/// copies; every other row is moved, not copied, so its tuple storage and
+/// id cache carry over. Cached indexes rebuild on next use.
 DeleteDelta DeleteFactInPlace(CTable& table, const Fact& fact,
                               const UpdateOptions& options = {});
 

@@ -108,7 +108,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <optional>
 #include <random>
 #include <string>
@@ -148,23 +147,7 @@ namespace {
 //
 //   PW_DIFF_SEED=3007 ctest -R differential --output-on-failure
 
-/// The PW_DIFF_SEED filter, or 0 when unset.
-unsigned SeedFilter() {
-  const char* s = std::getenv("PW_DIFF_SEED");
-  return s == nullptr ? 0u
-                      : static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-}
-
-bool RunSeed(unsigned seed) {
-  unsigned filter = SeedFilter();
-  return filter == 0u || filter == seed;
-}
-
-/// Opens a randomized case: skips it when PW_DIFF_SEED selects another seed,
-/// and stamps the seed onto every failure message in scope.
-#define PW_DIFF_CASE(seed)                                          \
-  if (!RunSeed(seed)) GTEST_SKIP() << "skipped by PW_DIFF_SEED";    \
-  SCOPED_TRACE("replay with PW_DIFF_SEED=" + std::to_string(seed))
+// PW_DIFF_CASE (test_util.h) opens each randomized case.
 
 /// A random positive existential expression over `num_rels` binary
 /// relations. Depth-bounded; every operator of the fragment can appear,
@@ -890,16 +873,18 @@ RandomUpdate DrawUpdate(std::mt19937& rng, int num_constants,
   return out;
 }
 
-CTable ApplyUpdate(const CTable& table, const RandomUpdate& update) {
+void ApplyUpdate(CTable& table, const RandomUpdate& update) {
   switch (update.kind) {
     case RandomUpdate::kInsert:
-      return InsertFact(table, update.fact);
+      InsertFactInPlace(table, update.fact);
+      break;
     case RandomUpdate::kDelete:
-      return DeleteFact(table, update.fact);
+      DeleteFactInPlace(table, update.fact);
+      break;
     case RandomUpdate::kInsertIf:
-      return InsertFactIf(table, update.fact, update.condition);
+      InsertFactIfInPlace(table, update.fact, update.condition);
+      break;
   }
-  return table;
 }
 
 /// The per-world meaning of one update under valuation `v`.
@@ -945,7 +930,7 @@ TEST_P(UpdateDifferentialTest, UpdateSequencesActPointwiseOnWorlds) {
     int n = num_updates(rng);
     for (int u = 0; u < n; ++u) {
       updates.push_back(DrawUpdate(rng, kConstants, kVariables));
-      updated = ApplyUpdate(updated, updates.back());
+      ApplyUpdate(updated, updates.back());
     }
 
     // Enumerate over the whole variable pool: deleting a fully-ground row
@@ -1014,27 +999,44 @@ void ApplyUpdateToView(MaterializedView& view, int pred,
   }
 }
 
+/// Plants, into a random two-table program (e0, e1, P, Q), a delete cone
+/// that reads a base table the delete leaves untouched: P(x,y) :- e0(x,y),
+/// P(x,y) :- e1(x,y), and Q(x,z) :- P(x,y), e1(y,z). A delete from e0 clears
+/// {e0, P, Q}, and the re-derivation must read every e1 row again through
+/// P's rule over e1, which only ClearPredicate's rewind of P's own SCC makes
+/// it do.
+void PlantUntouchedTableCone(DatalogProgram& program) {
+  const Tuple xy{V(100), V(101)};
+  program.AddRule(DatalogRule{{2, xy}, {{0, xy}}});
+  program.AddRule(DatalogRule{{2, xy}, {{1, xy}}});
+  program.AddRule(DatalogRule{{3, Tuple{V(100), V(102)}},
+                              {{2, xy}, {1, Tuple{V(101), V(102)}}}});
+}
+
 class IvmDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
-  // 20 parameter seeds x 3 rounds: random programs (alternating one and two
+  // 20 parameter seeds x 4 rounds: random programs (alternating one and two
   // extensional predicates) over random c-tables, driven through 3-5
   // randomized updates. After *every* update, each maintained view — a
   // full view and a magic-set demand view — must be identical (same tuples,
   // same interned condition ids, up to row order) to recomputing its
   // program from scratch on its updated base, and the full view must
   // represent the per-world fixpoints of that base. This is the IVM
-  // invariant: the covered-delete fast path, the cone over-delete/
-  // re-derive, and resumed semi-naive rounds may never leave a stale row or
-  // a stronger-than-necessary condition behind.
+  // invariant: the cone over-delete/re-derive and resumed semi-naive rounds
+  // may never leave a stale row or a stronger-than-necessary condition
+  // behind. The last round plants a cone over an untouched base table
+  // (PlantUntouchedTableCone) and sends every delete to e0.
   const unsigned case_seed = 10000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
   constexpr int kConstants = 3;
   constexpr int kVariables = 2;
-  for (int round = 0; round < 3; ++round) {
+  for (int round = 0; round < 4; ++round) {
     const int num_edb = 1 + (round % 2);
+    const bool planted = round == 3;
     DatalogProgram program = RandomDatalogProgram(rng, num_edb);
+    if (planted) PlantUntouchedTableCone(program);
     RandomCTableOptions options = testutil::SmallCTableOptions(
         /*arity=*/2, /*num_rows=*/2, /*num_constants=*/kConstants,
         /*num_variables=*/kVariables,
@@ -1057,7 +1059,8 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
     const int n = num_updates(rng);
     for (int u = 0; u < n; ++u) {
       RandomUpdate update = DrawUpdate(rng, kConstants, kVariables);
-      const int pred = pick_pred(rng);
+      const int pred =
+          planted && update.kind == RandomUpdate::kDelete ? 0 : pick_pred(rng);
       ApplyUpdateToView(view, pred, update);
       ApplyUpdateToView(demand, pred, update);
 

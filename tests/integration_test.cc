@@ -104,16 +104,16 @@ TEST_P(CrossProcedureTest, MinimizationInvisibleToDecisions) {
 TEST_P(CrossProcedureTest, DeleteMakesFactImpossible) {
   CTable t = SmallRandom(GetParam());
   Fact f{1, 2};
-  CTable deleted = DeleteFact(t, f);
-  CDatabase db{deleted};
+  DeleteFactInPlace(t, f);
+  CDatabase db{t};
   EXPECT_FALSE(Possibility(View::Identity(), db, {{0, f}}));
 }
 
 TEST_P(CrossProcedureTest, InsertMakesFactCertain) {
   CTable t = SmallRandom(GetParam());
   Fact f{1, 2};
-  CTable inserted = InsertFact(t, f);
-  CDatabase db{inserted};
+  InsertFactInPlace(t, f);
+  CDatabase db{t};
   if (RepIsEmpty(db)) return;
   EXPECT_TRUE(Certainty(View::Identity(), db, {{0, f}}));
 }

@@ -1,8 +1,9 @@
 // Tests for incremental view maintenance (datalog/ivm.h): a MaterializedView
 // must stay *identical* — same tuples, same interned condition ids — to
 // recomputing its fixpoint from scratch on the updated base, across inserts,
-// conditional inserts, covered deletes, and cone-rebuild deletes; demand
-// views must keep serving exactly DatalogQueryOnCTables' answers. The
+// conditional inserts, deletes that change nothing, and deletes that rebuild
+// their cone; demand views must keep serving exactly DatalogQueryOnCTables'
+// answers. The
 // randomized cross-strategy families live in differential_test.cc; these are
 // the targeted behaviors and the stats that pin the incremental paths on.
 
@@ -127,34 +128,36 @@ TEST(IvmTest, DeleteOfGroundEdgeRebuildsCone) {
   EXPECT_FALSE(HasTuple(view.Materialized().table(1), Tuple{C(0), C(4)}));
 }
 
-TEST(IvmTest, CoveredDeleteViaUnsatisfiableRemovedRow) {
+TEST(IvmTest, DeleteThroughUnsatisfiableRowRebuildsCone) {
   // A base row whose condition cannot hold under the global condition was
-  // never seeded into the fixpoint; deleting through it rewrites the base
-  // table but leaves no live trace to repair — the covered fast path, no
-  // over-deletion.
+  // never seeded into the fixpoint. Deleting through it still rewrites the
+  // base table (the row's guarded copies all die against the global, so it
+  // is removed), and every delete that changes its table clears and
+  // re-derives its cone: one rebuild, which lands on the recomputed state.
   CTable edges(2);
   edges.AddRow(Tuple{V(0), V(1)}, Conjunction{Neq(V(3), C(1))});
   edges.AddRow(Tuple{C(0), C(1)});
   edges.SetGlobal(Conjunction{Eq(V(3), C(1))});
   MaterializedView view(TransitiveClosure(), CDatabase{std::move(edges)});
   view.Delete(0, Fact{5, 5});  // matches only the unsatisfiable row
-  EXPECT_EQ(view.stats().deletes_covered, 1u);
-  EXPECT_EQ(view.stats().cone_rebuilds, 0u);
+  EXPECT_EQ(view.base().table(0).num_rows(), 1u);
+  EXPECT_EQ(view.stats().cone_rebuilds, 1u);
+  EXPECT_EQ(view.stats().deletes_covered, 0u);
   ExpectMatchesRecompute(view);
 }
 
-TEST(IvmTest, CoveredDeleteViaKeptSubsumingRow) {
-  // Rows ((x,1), x != 3) and ((x,1), x = 5): the second is subsumed at seed
-  // time (x = 5 implies x != 3), so it has no live trace. Deleting (3,1)
-  // leaves the first row unchanged (its guard x != 3 collapses onto its own
-  // condition, so it is kept) and rewrites only the subsumed row — whose
-  // removal the kept row covers. Fast path, no new derivations.
+TEST(IvmTest, DeleteWhoseGuardsCollapseChangesNothing) {
+  // Rows ((x,1), x != 3) and ((x,1), x = 5). Deleting (3,1) guards each row
+  // with x != 3, which its own condition already implies: both guards
+  // collapse onto their rows' conditions, so the delete rewrites no row and
+  // returns before touching the fixpoint — no rebuild, no new derivations.
   CTable edges(2);
   edges.AddRow(Tuple{V(0), C(1)}, Conjunction{Neq(V(0), C(3))});
   edges.AddRow(Tuple{V(0), C(1)}, Conjunction{Eq(V(0), C(5))});
   MaterializedView view(TransitiveClosure(), CDatabase{std::move(edges)});
   size_t derived_before = view.stats().fixpoint.derived_rows;
   view.Delete(0, Fact{3, 1});
+  EXPECT_EQ(view.stats().updates_applied, 1u);
   EXPECT_EQ(view.stats().cone_rebuilds, 0u);
   EXPECT_EQ(view.stats().fixpoint.derived_rows, derived_before);
   ExpectMatchesRecompute(view);

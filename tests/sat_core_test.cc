@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <random>
 #include <string>
 
@@ -21,26 +20,11 @@
 #include "solvers/proof.h"
 #include "solvers/qbf.h"
 #include "solvers/sat.h"
+#include "test_util.h"
 #include "workload/random_gen.h"
 
 namespace pw {
 namespace {
-
-/// The PW_DIFF_SEED filter, or 0 when unset.
-unsigned SeedFilter() {
-  const char* s = std::getenv("PW_DIFF_SEED");
-  return s == nullptr ? 0u
-                      : static_cast<unsigned>(std::strtoul(s, nullptr, 10));
-}
-
-bool RunSeed(unsigned seed) {
-  unsigned filter = SeedFilter();
-  return filter == 0u || filter == seed;
-}
-
-#define PW_DIFF_CASE(seed)                                       \
-  if (!RunSeed(seed)) GTEST_SKIP() << "skipped by PW_DIFF_SEED"; \
-  SCOPED_TRACE("replay with PW_DIFF_SEED=" + std::to_string(seed))
 
 /// Ground-truth satisfiability by exhaustive enumeration (num_vars <= 20).
 bool BruteForceSat(const ClausalFormula& formula) {

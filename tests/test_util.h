@@ -10,6 +10,7 @@
 #define PW_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -371,7 +372,28 @@ inline std::optional<CTable> NestedLoopImage(const RaExpr& expr,
   return out;
 }
 
+/// The PW_DIFF_SEED filter, or 0 when unset.
+inline unsigned SeedFilter() {
+  const char* s = std::getenv("PW_DIFF_SEED");
+  return s == nullptr ? 0u
+                      : static_cast<unsigned>(std::strtoul(s, nullptr, 10));
+}
+
+/// True iff the randomized case `seed` runs: PW_DIFF_SEED is unset or names
+/// it.
+inline bool RunSeed(unsigned seed) {
+  unsigned filter = SeedFilter();
+  return filter == 0u || filter == seed;
+}
+
 }  // namespace testutil
 }  // namespace pw
+
+/// Opens a randomized case: skips it when PW_DIFF_SEED selects another seed,
+/// and stamps the seed onto every failure message in scope.
+#define PW_DIFF_CASE(seed)                                                 \
+  if (!::pw::testutil::RunSeed(seed))                                      \
+    GTEST_SKIP() << "skipped by PW_DIFF_SEED";                             \
+  SCOPED_TRACE("replay with PW_DIFF_SEED=" + std::to_string(seed))
 
 #endif  // PW_TESTS_TEST_UTIL_H_
