@@ -126,6 +126,10 @@ int main(int argc, char** argv) {
       }
       fact.push_back(*value);
     }
+    if (static_cast<int>(fact.size()) != db.table(rel).arity()) {
+      return Fail("R" + args[1] + " has arity " +
+                  std::to_string(db.table(rel).arity()));
+    }
     std::vector<LocatedFact> pattern = {{rel, fact}};
     bool answer = command == "poss"
                       ? Possibility(View::Identity(), db, pattern)
