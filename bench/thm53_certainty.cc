@@ -100,6 +100,15 @@ BENCHMARK(BM_Thm53_CTableCertainty_CoNP)
     ->DenseRange(4, 16, 4)
     ->Unit(benchmark::kMicrosecond);
 
+// The Proposition 2.1(6) reduction: CERT(k, q) by k rounds of CERT(1, q).
+bool CertaintyFactwise(const View& view, const CDatabase& database,
+                       const std::vector<LocatedFact>& pattern) {
+  for (const LocatedFact& lf : pattern) {
+    if (!Certainty(view, database, {lf})) return false;
+  }
+  return true;
+}
+
 // Prop 2.1(6): CERT(*) == k rounds of CERT(1).
 void BM_Thm53_FactwiseEquivalence(benchmark::State& state) {
   auto rng = benchutil::Rng(89);

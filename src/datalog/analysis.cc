@@ -1,7 +1,6 @@
 #include "datalog/analysis.h"
 
 #include <algorithm>
-#include <map>
 #include <queue>
 #include <set>
 #include <utility>
@@ -15,76 +14,80 @@ std::string PredName(int pred) { return "P" + std::to_string(pred); }
 }  // namespace
 
 std::string Diagnostic::ToString() const {
-  std::string out =
-      severity == DiagnosticSeverity::kError ? "error: " : "warning: ";
+  std::string out = "error: ";
   if (rule >= 0) out += "rule " + std::to_string(rule) + ": ";
   if (atom >= 0) out += "body atom " + std::to_string(atom) + ": ";
   out += message;
   return out;
 }
 
-ProgramAnalysis::ProgramAnalysis(const DatalogProgram& program)
-    : program_(&program) {
-  CheckRules();
-  BuildSccs();
-  ClassifyRules();
-  ComputeDerivable();
-  ComputeCones();
-  WarnStructure();
+ProgramAnalysis::ProgramAnalysis(const DatalogProgram& program) {
+  CheckRules(program);
+  BuildSccs(program);
+  MarkDeadRules(program);
 }
 
 std::string ProgramAnalysis::ErrorString() const {
   std::string out;
   for (const Diagnostic& d : diagnostics_) {
-    if (d.severity != DiagnosticSeverity::kError) continue;
     if (!out.empty()) out += "\n";
     out += d.ToString();
   }
   return out;
 }
 
-// Emits every error (not first-wins), flags which rules fit the program
-// (DatalogProgram::Fits; only those enter the graph structures), and detects
-// textual duplicates of earlier rules.
-void ProgramAnalysis::CheckRules() {
-  const auto& rules = program_->rules();
-  const int num_preds = static_cast<int>(program_->num_predicates());
-  rule_in_graph_.assign(rules.size(), true);
-  rule_duplicate_.assign(rules.size(), false);
+std::vector<bool> ProgramAnalysis::Cone(int pred) const {
+  std::vector<bool> cone(heads_of_.size(), false);
+  if (pred < 0 || static_cast<size_t>(pred) >= heads_of_.size()) return cone;
+  cone[static_cast<size_t>(pred)] = true;
+  std::vector<int> worklist = {pred};
+  while (!worklist.empty()) {
+    const int v = worklist.back();
+    worklist.pop_back();
+    for (int h : heads_of_[static_cast<size_t>(v)]) {
+      if (!cone[static_cast<size_t>(h)]) {
+        cone[static_cast<size_t>(h)] = true;
+        worklist.push_back(h);
+      }
+    }
+  }
+  return cone;
+}
 
-  auto error = [this](size_t r, int atom, std::string message) {
-    diagnostics_.push_back(Diagnostic{DiagnosticSeverity::kError,
-                                      static_cast<int>(r), atom,
-                                      std::move(message)});
-    ++num_errors_;
-  };
+// Emits every error (not first-wins). The rules with an error are exactly
+// those DatalogProgram::Fits rejects; only the others enter the graph.
+void ProgramAnalysis::CheckRules(const DatalogProgram& program) {
+  const auto& rules = program.rules();
+  rule_fits_.assign(rules.size(), false);
 
   for (size_t r = 0; r < rules.size(); ++r) {
     const DatalogRule& rule = rules[r];
+    auto error = [&](int atom, std::string message) {
+      diagnostics_.push_back(
+          Diagnostic{static_cast<int>(r), atom, std::move(message)});
+    };
+    // False iff the atom names no predicate of the program.
     auto check_atom = [&](const DatalogAtom& a, int atom_pos,
                           const char* where) {
-      if (a.predicate < 0 || a.predicate >= num_preds) {
-        error(r, atom_pos, std::string(where) + ": unknown predicate " +
-                               std::to_string(a.predicate));
-        return;
+      if (!program.HasPredicate(a.predicate)) {
+        error(atom_pos, std::string(where) + ": unknown predicate " +
+                            std::to_string(a.predicate));
+        return false;
       }
-      if (static_cast<int>(a.args.size()) != program_->arity(a.predicate)) {
-        error(r, atom_pos, std::string(where) + ": arity mismatch on " +
-                               PredName(a.predicate) + " (got " +
-                               std::to_string(a.args.size()) + ", declared " +
-                               std::to_string(program_->arity(a.predicate)) +
-                               ")");
+      if (static_cast<int>(a.args.size()) != program.arity(a.predicate)) {
+        error(atom_pos, std::string(where) + ": arity mismatch on " +
+                            PredName(a.predicate) + " (got " +
+                            std::to_string(a.args.size()) + ", declared " +
+                            std::to_string(program.arity(a.predicate)) + ")");
       }
+      return true;
     };
 
-    check_atom(rule.head, -1, "head");
-    if (rule.head.predicate >= 0 && rule.head.predicate < num_preds &&
-        !program_->IsIdb(rule.head.predicate)) {
-      error(r, -1,
-            "head predicate " + PredName(rule.head.predicate) +
-                " is extensional");
+    if (check_atom(rule.head, -1, "head") &&
+        !program.IsIdb(rule.head.predicate)) {
+      error(-1, "head predicate " + PredName(rule.head.predicate) +
+                    " is extensional");
     }
-    rule_in_graph_[r] = program_->Fits(rule);
     std::set<VarId> body_vars;
     for (size_t i = 0; i < rule.body.size(); ++i) {
       check_atom(rule.body[i], static_cast<int>(i), "body");
@@ -94,38 +97,34 @@ void ProgramAnalysis::CheckRules() {
     }
     for (const Term& t : rule.head.args) {
       if (t.is_variable() && body_vars.count(t.variable()) == 0) {
-        error(r, -1,
-              "not range-restricted: head variable ?" +
-                  std::to_string(t.variable()) + " does not occur in the body");
+        error(-1, "not range-restricted: head variable ?" +
+                      std::to_string(t.variable()) +
+                      " does not occur in the body");
       }
     }
-
-    for (size_t earlier = 0; earlier < r; ++earlier) {
-      if (rules[earlier] == rule) {
-        rule_duplicate_[r] = true;
-        break;
-      }
-    }
+    rule_fits_[r] = program.Fits(rule);
   }
 }
 
-// Tarjan's SCC algorithm (iterative) over the predicate dependency graph
-// (edges body -> head), then a deterministic Kahn renumbering of the
-// condensation so SCC ids are a topological order: smallest-member-first
-// among ready components, which puts extensional predicates early.
-void ProgramAnalysis::BuildSccs() {
-  const size_t n = program_->num_predicates();
-  std::vector<std::vector<int>> out(n);
-  for (size_t r = 0; r < program_->rules().size(); ++r) {
-    if (!rule_in_graph_[r]) continue;
-    const DatalogRule& rule = program_->rules()[r];
+// Builds the deduplicated body -> head edges of the rules that fit, then
+// runs Tarjan's SCC algorithm (iterative) over them and a deterministic Kahn
+// renumbering of the condensation so SCC ids are a topological order:
+// smallest-member-first among ready components, which puts extensional
+// predicates early.
+void ProgramAnalysis::BuildSccs(const DatalogProgram& program) {
+  const size_t n = program.num_predicates();
+  heads_of_.assign(n, {});
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    if (!rule_fits_[r]) continue;
+    const DatalogRule& rule = program.rules()[r];
     for (const DatalogAtom& a : rule.body) {
-      out[static_cast<size_t>(a.predicate)].push_back(rule.head.predicate);
+      heads_of_[static_cast<size_t>(a.predicate)].push_back(
+          rule.head.predicate);
     }
   }
-  for (auto& edges : out) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  for (auto& heads : heads_of_) {
+    std::sort(heads.begin(), heads.end());
+    heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
   }
 
   std::vector<int> index(n, -1);
@@ -153,7 +152,7 @@ void ProgramAnalysis::BuildSccs() {
         on_stack[v] = true;
       }
       bool descended = false;
-      auto& edges = out[static_cast<size_t>(v)];
+      const auto& edges = heads_of_[static_cast<size_t>(v)];
       while (f.edge < edges.size()) {
         const int w = edges[f.edge++];
         if (index[w] == -1) {
@@ -193,7 +192,7 @@ void ProgramAnalysis::BuildSccs() {
   std::vector<std::vector<int>> cond_out(static_cast<size_t>(num_comps));
   std::vector<int> indegree(static_cast<size_t>(num_comps), 0);
   for (size_t p = 0; p < n; ++p) {
-    for (int h : out[p]) {
+    for (int h : heads_of_[p]) {
       const int from = comp[p];
       const int to = comp[h];
       if (from != to) cond_out[static_cast<size_t>(from)].push_back(to);
@@ -224,114 +223,53 @@ void ProgramAnalysis::BuildSccs() {
     }
   }
 
+  // An SCC is recursive when it has more than one member or its one member
+  // reads itself.
   scc_of_.assign(n, 0);
-  scc_members_.assign(static_cast<size_t>(num_comps), {});
   scc_recursive_.assign(static_cast<size_t>(num_comps), false);
   scc_rules_.assign(static_cast<size_t>(num_comps), {});
+  std::vector<int> members(static_cast<size_t>(num_comps), 0);
   for (size_t p = 0; p < n; ++p) {
-    const int scc = topo_id[static_cast<size_t>(comp[p])];
-    scc_of_[p] = scc;
-    scc_members_[static_cast<size_t>(scc)].push_back(static_cast<int>(p));
+    scc_of_[p] = topo_id[static_cast<size_t>(comp[p])];
+    ++members[static_cast<size_t>(scc_of_[p])];
   }
-  for (int scc = 0; scc < num_comps; ++scc) {
-    auto& members = scc_members_[static_cast<size_t>(scc)];
-    if (members.size() > 1) {
-      scc_recursive_[static_cast<size_t>(scc)] = true;
-      continue;
+  for (size_t p = 0; p < n; ++p) {
+    const auto scc = static_cast<size_t>(scc_of_[p]);
+    if (members[scc] > 1 ||
+        std::binary_search(heads_of_[p].begin(), heads_of_[p].end(),
+                           static_cast<int>(p))) {
+      scc_recursive_[scc] = true;
     }
-    const int p = members[0];
-    const auto& edges = out[static_cast<size_t>(p)];
-    scc_recursive_[static_cast<size_t>(scc)] =
-        std::binary_search(edges.begin(), edges.end(), p);
   }
-  for (size_t r = 0; r < program_->rules().size(); ++r) {
-    if (!rule_in_graph_[r]) continue;
-    const int head = program_->rules()[r].head.predicate;
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    if (!rule_fits_[r]) continue;
+    const int head = program.rules()[r].head.predicate;
     scc_rules_[static_cast<size_t>(scc_of_[static_cast<size_t>(head)])]
         .push_back(r);
   }
 }
 
-void ProgramAnalysis::ClassifyRules() {
-  const auto& rules = program_->rules();
-  rule_recursive_.assign(rules.size(), false);
-  rule_connectivity_.assign(rules.size(), RuleConnectivity{});
-
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const DatalogRule& rule = rules[r];
-    if (rule_in_graph_[r]) {
-      const int head_scc = scc_of_[static_cast<size_t>(rule.head.predicate)];
-      for (const DatalogAtom& a : rule.body) {
-        if (scc_of_[static_cast<size_t>(a.predicate)] == head_scc) {
-          rule_recursive_[r] = true;
-          break;
-        }
-      }
-    }
-
-    // Union-find over body atoms: atoms sharing a variable join components.
-    RuleConnectivity& conn = rule_connectivity_[r];
-    const size_t k = rule.body.size();
-    std::vector<int> parent(k);
-    for (size_t i = 0; i < k; ++i) parent[i] = static_cast<int>(i);
-    auto find = [&](int x) {
-      while (parent[static_cast<size_t>(x)] != x) {
-        parent[static_cast<size_t>(x)] =
-            parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-        x = parent[static_cast<size_t>(x)];
-      }
-      return x;
-    };
-    std::map<VarId, int> first_atom_with_var;
-    for (size_t i = 0; i < k; ++i) {
-      for (const Term& t : rule.body[i].args) {
-        if (!t.is_variable()) continue;
-        auto [it, inserted] =
-            first_atom_with_var.emplace(t.variable(), static_cast<int>(i));
-        if (!inserted) {
-          parent[static_cast<size_t>(find(static_cast<int>(i)))] =
-              find(it->second);
-        }
-      }
-    }
-    conn.component.assign(k, -1);
-    std::vector<int> dense(k, -1);
-    for (size_t i = 0; i < k; ++i) {
-      const int root = find(static_cast<int>(i));
-      if (dense[static_cast<size_t>(root)] == -1) {
-        dense[static_cast<size_t>(root)] = conn.num_components++;
-      }
-      conn.component[i] = dense[static_cast<size_t>(root)];
-    }
-  }
-}
-
 // Least fixpoint of derivability: extensional predicates are given; an
-// intensional predicate is derivable once some rule with an all-derivable
-// body (vacuously, an empty body) has it as head. A rule is dead when it
-// duplicates an earlier rule, mentions an underivable body predicate, or is
-// excluded from the graph (it does not fit the program).
-void ProgramAnalysis::ComputeDerivable() {
-  const auto& rules = program_->rules();
-  derivable_.assign(program_->num_predicates(), false);
-  for (size_t p = 0; p < program_->num_edb(); ++p) derivable_[p] = true;
-
-  bool changed = true;
-  while (changed) {
+// intensional predicate is derivable once some fitting rule with an
+// all-derivable body (vacuously, an empty body) has it as head. A rule is
+// dead when it does not fit, mentions an underivable body predicate, or
+// duplicates an earlier rule.
+void ProgramAnalysis::MarkDeadRules(const DatalogProgram& program) {
+  const auto& rules = program.rules();
+  std::vector<bool> derivable(program.num_predicates(), false);
+  std::fill_n(derivable.begin(), program.num_edb(), true);
+  auto body_derivable = [&derivable](const DatalogRule& rule) {
+    return std::all_of(rule.body.begin(), rule.body.end(),
+                       [&derivable](const DatalogAtom& a) {
+                         return derivable[static_cast<size_t>(a.predicate)];
+                       });
+  };
+  for (bool changed = true; changed;) {
     changed = false;
     for (size_t r = 0; r < rules.size(); ++r) {
-      if (!rule_in_graph_[r]) continue;
-      const DatalogRule& rule = rules[r];
-      if (derivable_[static_cast<size_t>(rule.head.predicate)]) continue;
-      bool all = true;
-      for (const DatalogAtom& a : rule.body) {
-        if (!derivable_[static_cast<size_t>(a.predicate)]) {
-          all = false;
-          break;
-        }
-      }
-      if (all) {
-        derivable_[static_cast<size_t>(rule.head.predicate)] = true;
+      const auto head = static_cast<size_t>(rules[r].head.predicate);
+      if (rule_fits_[r] && !derivable[head] && body_derivable(rules[r])) {
+        derivable[head] = true;
         changed = true;
       }
     }
@@ -339,118 +277,9 @@ void ProgramAnalysis::ComputeDerivable() {
 
   rule_dead_.assign(rules.size(), false);
   for (size_t r = 0; r < rules.size(); ++r) {
-    if (!rule_in_graph_[r] || rule_duplicate_[r]) {
-      rule_dead_[r] = true;
-      continue;
-    }
-    for (const DatalogAtom& a : rules[r].body) {
-      if (!derivable_[static_cast<size_t>(a.predicate)]) {
-        rule_dead_[r] = true;
-        break;
-      }
-    }
-  }
-}
-
-// Cone(p) = {q : q reachable from p over body -> head edges} ∪ {p}, one
-// bitmap per predicate. Computed by BFS over the deduped edge lists; the
-// graph is small (predicate count, not rule count), so all-pairs is cheap
-// and lets consumers share a const reference instead of recomputing.
-void ProgramAnalysis::ComputeCones() {
-  const size_t n = program_->num_predicates();
-  std::vector<std::vector<int>> out(n);
-  for (size_t r = 0; r < program_->rules().size(); ++r) {
-    if (!rule_in_graph_[r]) continue;
-    const DatalogRule& rule = program_->rules()[r];
-    for (const DatalogAtom& a : rule.body) {
-      out[static_cast<size_t>(a.predicate)].push_back(rule.head.predicate);
-    }
-  }
-  for (auto& edges : out) {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-
-  cones_.assign(n, {});
-  std::vector<int> worklist;
-  for (size_t p = 0; p < n; ++p) {
-    std::vector<bool>& cone = cones_[p];
-    cone.assign(n, false);
-    cone[p] = true;
-    worklist.assign(1, static_cast<int>(p));
-    while (!worklist.empty()) {
-      const int v = worklist.back();
-      worklist.pop_back();
-      for (int h : out[static_cast<size_t>(v)]) {
-        if (!cone[static_cast<size_t>(h)]) {
-          cone[static_cast<size_t>(h)] = true;
-          worklist.push_back(h);
-        }
-      }
-    }
-  }
-}
-
-void ProgramAnalysis::WarnStructure() {
-  const auto& rules = program_->rules();
-  const size_t n = program_->num_predicates();
-
-  auto warn = [this](int rule, int atom, std::string message) {
-    diagnostics_.push_back(Diagnostic{DiagnosticSeverity::kWarning, rule, atom,
-                                      std::move(message)});
-  };
-
-  for (size_t r = 0; r < rules.size(); ++r) {
-    if (rule_duplicate_[r]) {
-      warn(static_cast<int>(r), -1, "duplicate of an earlier rule");
-      continue;
-    }
-    if (!rule_in_graph_[r]) continue;
-    if (rule_dead_[r]) {
-      int culprit = -1;
-      for (size_t i = 0; i < rules[r].body.size(); ++i) {
-        if (!derivable_[static_cast<size_t>(rules[r].body[i].predicate)]) {
-          culprit = static_cast<int>(i);
-          break;
-        }
-      }
-      warn(static_cast<int>(r), culprit,
-           "dead rule: body predicate " +
-               PredName(culprit >= 0
-                            ? rules[r].body[static_cast<size_t>(culprit)]
-                                  .predicate
-                            : -1) +
-               " is underivable");
-    }
-    if (rule_connectivity_[r].num_components > 1) {
-      warn(static_cast<int>(r), -1,
-           "cartesian product: body has " +
-               std::to_string(rule_connectivity_[r].num_components) +
-               " unconnected variable components");
-    }
-  }
-
-  std::vector<bool> in_head(n, false);
-  std::vector<bool> in_body(n, false);
-  for (size_t r = 0; r < rules.size(); ++r) {
-    if (!rule_in_graph_[r]) continue;
-    in_head[static_cast<size_t>(rules[r].head.predicate)] = true;
-    for (const DatalogAtom& a : rules[r].body) {
-      in_body[static_cast<size_t>(a.predicate)] = true;
-    }
-  }
-  for (size_t p = 0; p < n; ++p) {
-    if (!program_->IsIdb(static_cast<int>(p))) continue;
-    if ((in_head[p] || in_body[p]) && !derivable_[p]) {
-      warn(-1, -1,
-           "predicate " + PredName(static_cast<int>(p)) +
-               " is unreachable from the extensional database");
-    }
-    if (in_head[p] && !in_body[p]) {
-      warn(-1, -1,
-           "head-only predicate " + PredName(static_cast<int>(p)) +
-               " is derived but never read");
-    }
+    const auto earlier = rules.begin() + static_cast<std::ptrdiff_t>(r);
+    rule_dead_[r] = !rule_fits_[r] || !body_derivable(rules[r]) ||
+                    std::find(rules.begin(), earlier, rules[r]) != earlier;
   }
 }
 

@@ -1,36 +1,23 @@
-// Static analysis of pure DATALOG programs.
+// Static analysis of pure DATALOG programs: what evaluation reads.
 //
-// A ProgramAnalysis is computed once per program and answers the structural
-// questions every downstream consumer used to re-derive (or skip) on its
-// own:
+// A ProgramAnalysis is computed once per program:
 //
-//   - The predicate dependency graph (body -> head edges) and its SCC
-//     condensation, numbered in a topological *stratum order*: every body
-//     predicate's SCC id is <= its head predicate's, so evaluating SCCs in
-//     id order sees each predicate's inputs converged before its own rules
-//     fire (the stratum-scheduled fixpoint in ilalgebra/datalog_ctable.cc).
+//   - Errors, one Diagnostic per violation: an atom naming an unknown
+//     predicate or with another argument count than its predicate's arity,
+//     an extensional head, and a head variable no body atom binds. A rule
+//     has an error exactly when DatalogProgram::Fits rejects it, and such a
+//     rule derives nothing in any evaluator. Validate() joins the errors.
 //
-//   - Structured diagnostics. Errors are the well-formedness violations
-//     DatalogProgram::Validate() used to report first-error-wins as a flat
-//     string (unknown predicates, arity mismatches, extensional heads,
-//     range-restriction violations); warnings flag programs that are legal
-//     but suspicious: predicates underivable from the extensional database,
-//     rules that can never fire, duplicate rules, cartesian-product rule
-//     bodies, and head-only predicates nothing ever reads.
+//   - The predicate dependency graph (body -> head edges of the rules that
+//     fit) and its SCC condensation, numbered in a topological *stratum
+//     order*: every body predicate's SCC id is <= its head predicate's, so
+//     evaluating SCCs in id order sees each predicate's inputs converged
+//     before its own rules fire (the stratum-scheduled fixpoint in
+//     ilalgebra/datalog_ctable.cc).
 //
-//   - Derived facts for optimizers: per-predicate reachability cones (the
-//     closure incremental view maintenance over-deletes on a base change —
-//     datalog/ivm.cc used to recompute it per delete), recursive vs
-//     nonrecursive classification per rule and per SCC (a nonrecursive
-//     stratum converges in a single pass), derivability (magic sets prune
-//     dead rules before adorning — datalog/magic.cc), and per-rule variable
-//     connectivity (the cartesian warning now, SIPS/body-reordering next).
-//
-// The analysis is immutable and holds a pointer to the program, which must
-// outlive it. Malformed programs are analyzed defensively: rules that do
-// not fit the program (an atom naming an unknown predicate, or with another
-// argument count than its predicate's arity; DatalogProgram::Fits) produce
-// errors, are excluded from the graph structures and count as dead.
+//   - Dead rules, which the fixpoint leaves out of its schedule and the
+//     magic rewrite prunes, and the reachability cone a view delete clears
+//     (datalog/ivm.cc), walked over the graph on each call.
 
 #ifndef PW_DATALOG_ANALYSIS_H_
 #define PW_DATALOG_ANALYSIS_H_
@@ -43,17 +30,12 @@
 
 namespace pw {
 
-enum class DiagnosticSeverity { kError, kWarning };
-
-/// One finding of the program analysis, anchored to a rule and body atom
-/// where applicable.
+/// One error of the program analysis, anchored to a rule and body atom.
 struct Diagnostic {
-  DiagnosticSeverity severity = DiagnosticSeverity::kError;
-  /// Index into program.rules(), or -1 for a program-level finding (e.g. an
-  /// unreachable predicate).
+  /// Index into program.rules().
   int rule = -1;
   /// Body atom position within the rule, or -1 for the head / the whole
-  /// rule / a program-level finding.
+  /// rule.
   int atom = -1;
   std::string message;
 
@@ -64,52 +46,25 @@ struct Diagnostic {
   friend bool operator==(const Diagnostic&, const Diagnostic&) = default;
 };
 
-/// Per-rule variable-connectivity: body atoms sharing a variable share a
-/// component. More than one component means the rule multiplies unconnected
-/// row sets — a cartesian product no join key can prune (body-reordering
-/// and SIPS choice consume this same structure).
-struct RuleConnectivity {
-  /// Component id per body atom, dense in [0, num_components). Atoms with
-  /// no variables are singleton components.
-  std::vector<int> component;
-  int num_components = 0;
-};
-
 class ProgramAnalysis {
  public:
   explicit ProgramAnalysis(const DatalogProgram& program);
 
-  const DatalogProgram& program() const { return *program_; }
-
-  // --- Diagnostics -----------------------------------------------------
-
-  /// Every finding, errors first (within each severity, in rule order).
+  /// Every error, in rule order.
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
 
-  /// True iff no error-severity diagnostic exists (warnings allowed).
-  bool ok() const { return num_errors_ == 0; }
-
-  size_t num_errors() const { return num_errors_; }
-
-  /// All errors joined, one per line — "" when ok(). The body of
+  /// All errors joined, one per line — "" when there are none. The body of
   /// DatalogProgram::Validate().
   std::string ErrorString() const;
-
-  // --- Dependency graph / strata ---------------------------------------
 
   /// Number of strongly connected components of the predicate dependency
   /// graph. Every predicate belongs to exactly one SCC; SCC ids are a
   /// topological order of the condensation (see SccOf).
-  int num_sccs() const { return static_cast<int>(scc_members_.size()); }
+  int num_sccs() const { return static_cast<int>(scc_rules_.size()); }
 
   /// The SCC of `pred`. For every rule that fits the program,
   /// SccOf(body pred) <= SccOf(head pred).
   int SccOf(int pred) const { return scc_of_[static_cast<size_t>(pred)]; }
-
-  /// Member predicates of `scc`, ascending.
-  const std::vector<int>& SccMembers(int scc) const {
-    return scc_members_[static_cast<size_t>(scc)];
-  }
 
   /// True iff the SCC is recursive: more than one member, or a single
   /// predicate depending on itself. A nonrecursive stratum's rules can be
@@ -118,81 +73,41 @@ class ProgramAnalysis {
     return scc_recursive_[static_cast<size_t>(scc)];
   }
 
-  /// Indices of the rules whose head lies in `scc`, in program order.
+  /// Indices of the rules that fit the program and whose head lies in
+  /// `scc`, in program order.
   const std::vector<size_t>& SccRules(int scc) const {
     return scc_rules_[static_cast<size_t>(scc)];
   }
 
-  // --- Per-rule facts ---------------------------------------------------
-
-  /// True iff some body atom's predicate shares the head's SCC — the rule
-  /// participates in recursion and needs delta rounds; nonrecursive rules
-  /// contribute everything they ever will in a single pass.
-  bool RuleRecursive(size_t rule) const { return rule_recursive_[rule]; }
-
   /// True iff the rule can never fire on any extensional database: it does
-  /// not fit the program, some body predicate is underivable, or the rule
-  /// duplicates an earlier one (which already derives everything it would).
-  /// Dead rules are safely skipped by evaluation and pruned by the magic
-  /// rewrite.
+  /// not fit the program, some body predicate no rule chain derives from
+  /// the extensional database, or the rule duplicates an earlier one (which
+  /// already derives everything it would). Dead rules are skipped by the
+  /// fixpoint and pruned by the magic rewrite.
   bool RuleDead(size_t rule) const { return rule_dead_[rule]; }
-
-  /// True iff the rule textually equals an earlier rule (one of the two
-  /// RuleDead causes, separated for diagnostics and tests).
-  bool RuleDuplicate(size_t rule) const { return rule_duplicate_[rule]; }
-
-  /// Variable-connectivity of the rule's body.
-  const RuleConnectivity& Connectivity(size_t rule) const {
-    return rule_connectivity_[rule];
-  }
-
-  // --- Per-predicate facts ----------------------------------------------
-
-  /// True iff some extensional database gives `pred` a fact: extensional
-  /// predicates always; an intensional one iff some rule with every body
-  /// predicate derivable (an empty body vacuously) derives it.
-  bool Derivable(int pred) const {
-    return derivable_[static_cast<size_t>(pred)];
-  }
 
   /// The reachability cone of `pred`: every predicate whose derivations can
   /// transitively depend on `pred` (closed under body -> head edges), the
-  /// predicate itself included. A rule whose head is outside Cone(p) cannot
-  /// mention any predicate inside it — the property incremental view
-  /// maintenance relies on when it over-deletes a cone and re-derives
-  /// firing only cone-head rules.
-  const std::vector<bool>& Cone(int pred) const {
-    return cones_[static_cast<size_t>(pred)];
-  }
+  /// predicate itself included, as a per-predicate bitmap. A rule whose
+  /// head is outside Cone(p) cannot mention any predicate inside it — the
+  /// property incremental view maintenance relies on when it over-deletes a
+  /// cone and re-derives. All false for a `pred` the program lacks.
+  std::vector<bool> Cone(int pred) const;
 
  private:
-  void CheckRules();       // error diagnostics + duplicate detection
-  void BuildSccs();        // Tarjan + topological renumbering
-  void ClassifyRules();    // recursive / dead, connectivity
-  void ComputeDerivable();
-  void ComputeCones();
-  void WarnStructure();    // unreachable / dead / cartesian / head-only
+  void CheckRules(const DatalogProgram& program);
+  void BuildSccs(const DatalogProgram& program);
+  void MarkDeadRules(const DatalogProgram& program);
 
-  const DatalogProgram* program_;
   std::vector<Diagnostic> diagnostics_;
-  size_t num_errors_ = 0;
-
-  // Rules that fit the program — the only ones the graph structures
-  // consider.
-  std::vector<bool> rule_in_graph_;
-
+  std::vector<bool> rule_fits_;                // per rule
+  std::vector<std::vector<int>> heads_of_;     // per predicate: the heads of
+                                               // the fitting rules whose body
+                                               // reads it, ascending, unique
   std::vector<int> scc_of_;                    // per predicate
-  std::vector<std::vector<int>> scc_members_;  // per SCC, ascending
   std::vector<bool> scc_recursive_;            // per SCC
   std::vector<std::vector<size_t>> scc_rules_; // per SCC, program order
-
-  std::vector<bool> rule_recursive_;
-  std::vector<bool> rule_dead_;
-  std::vector<bool> rule_duplicate_;
-  std::vector<RuleConnectivity> rule_connectivity_;
-
-  std::vector<bool> derivable_;            // per predicate
-  std::vector<std::vector<bool>> cones_;   // per predicate
+  std::vector<bool> rule_dead_;                // per rule
 };
 
 }  // namespace pw

@@ -107,7 +107,7 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   // cone's strata against the intact rest; strata outside the cone read no
   // cleared predicate and see no delta.
   ++stats_.cone_rebuilds;
-  const std::vector<bool>& cone = fix_->analysis().Cone(pred);
+  const std::vector<bool> cone = fix_->analysis().Cone(pred);
   for (size_t p = 0; p < cone.size(); ++p) {
     if (!cone[p]) continue;
     const size_t dropped = fix_->ClearPredicate(static_cast<int>(p));

@@ -24,8 +24,8 @@
 //   - Deletion rewrites the base table in place; one that changes no row
 //     changes nothing derivable. Otherwise the view over-deletes: every
 //     predicate whose derivations could reach back to the changed table
-//     (the reachability-closed *cone* of head dependencies, read off the
-//     fixpoint's analysis) is cleared wholesale, the table is reseeded, and
+//     (the reachability-closed *cone* of head dependencies, walked over
+//     the fixpoint's analysis) is cleared wholesale, the table is reseeded, and
 //     a plain Run() re-derives the cone against the intact remainder
 //     (`cone_rebuilds`) — the DRed
 //     over-delete/re-derive pair at predicate granularity, which

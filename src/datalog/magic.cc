@@ -50,27 +50,15 @@ std::set<VarId> HeadBoundVars(const DatalogAtom& head, Adornment adornment) {
   return bound;
 }
 
-/// The rules the rewrite should ignore: rules the program analysis proves
-/// can never fire (a body predicate underivable from the extensional
-/// database) or that textually duplicate an earlier rule (whose adorned and
-/// demand forms would be emitted — and deduped — anyway). Pruning them
-/// before adornment discovery keeps dead demand chains out of the rewritten
-/// program entirely.
-std::vector<bool> DeadRules(const ProgramAnalysis& analysis) {
-  std::vector<bool> dead(analysis.program().rules().size(), false);
-  for (size_t r = 0; r < dead.size(); ++r) {
-    dead[r] = analysis.RuleDead(r);
-  }
-  return dead;
-}
-
 /// Adornment discovery: the (predicate, binding pattern) pairs reachable
 /// from the goal's demand, breadth-first so the goal is pair 0. `pair_index`
-/// maps each pair to its position in the returned list. Rules flagged in
-/// `dead` generate no demand.
+/// maps each pair to its position in the returned list. Rules the analysis
+/// marks dead (they do not fit, can never fire, or duplicate an earlier
+/// rule) generate no demand, so dead demand chains stay out of the
+/// rewritten program.
 std::vector<std::pair<int, Adornment>> DiscoverAdornedPairs(
     const DatalogProgram& program, const DatalogGoal& goal,
-    const std::vector<bool>& dead,
+    const ProgramAnalysis& analysis,
     std::map<std::pair<int, Adornment>, size_t>& pair_index) {
   std::vector<std::pair<int, Adornment>> pairs;
   auto discover = [&](int pred, Adornment a) {
@@ -82,7 +70,7 @@ std::vector<std::pair<int, Adornment>> DiscoverAdornedPairs(
     auto [pred, adornment] = pairs[next];
     for (size_t r = 0; r < program.rules().size(); ++r) {
       const DatalogRule& rule = program.rules()[r];
-      if (dead[r] || rule.head.predicate != pred) continue;
+      if (analysis.RuleDead(r) || rule.head.predicate != pred) continue;
       std::set<VarId> bound = HeadBoundVars(rule.head, adornment);
       for (const DatalogAtom& atom : rule.body) {
         if (program.IsIdb(atom.predicate)) {
@@ -114,32 +102,6 @@ bool HasDemand(const DatalogProgram& program, const DatalogGoal& goal) {
 
 }  // namespace
 
-std::string ToAdornmentString(Adornment adornment, int arity) {
-  std::string out;
-  for (int i = 0; i < arity; ++i) {
-    bool bound = static_cast<size_t>(i) < kMaxAdornedPositions &&
-                 (adornment & (Adornment{1} << i)) != 0;
-    out.push_back(bound ? 'b' : 'f');
-  }
-  return out;
-}
-
-std::string MagicRewriteResult::ToString() const {
-  auto atom_str = [this](const DatalogAtom& a) {
-    return names[a.predicate] + pw::ToString(a.args);
-  };
-  std::string out;
-  for (const DatalogRule& rule : program.rules()) {
-    out += atom_str(rule.head) + " :- ";
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += atom_str(rule.body[i]);
-    }
-    out += ".\n";
-  }
-  return out;
-}
-
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal) {
   MagicRewriteResult out;
@@ -154,7 +116,6 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
     std::vector<int> arities;
     for (size_t p = 0; p < program.num_predicates(); ++p) {
       arities.push_back(program.arity(static_cast<int>(p)));
-      out.names.push_back("P" + std::to_string(p));
     }
     out.program = DatalogProgram(std::move(arities), num_edb);
     out.goal_predicate = goal.predicate;
@@ -163,20 +124,19 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
   }
 
   const ProgramAnalysis analysis(program);
-  const std::vector<bool> dead = DeadRules(analysis);
-  out.rules_pruned =
-      static_cast<size_t>(std::count(dead.begin(), dead.end(), true));
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    out.rules_pruned += analysis.RuleDead(r);
+  }
 
   std::map<std::pair<int, Adornment>, size_t> pair_index;
   std::vector<std::pair<int, Adornment>> pairs =
-      DiscoverAdornedPairs(program, goal, dead, pair_index);
+      DiscoverAdornedPairs(program, goal, analysis, pair_index);
 
   // --- Predicate layout: extensional unchanged, then the adorned pairs,
   // then their magic counterparts.
   std::vector<int> arities;
   for (size_t p = 0; p < num_edb; ++p) {
     arities.push_back(program.arity(static_cast<int>(p)));
-    out.names.push_back("P" + std::to_string(p));
   }
   const int adorned_base = static_cast<int>(num_edb);
   const int magic_base = adorned_base + static_cast<int>(pairs.size());
@@ -186,14 +146,9 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
     out.adorned.push_back({pred, adornment, adorned_base + static_cast<int>(i),
                            magic_base + static_cast<int>(i)});
     arities.push_back(program.arity(pred));
-    out.names.push_back("P" + std::to_string(pred) + "#" +
-                        ToAdornmentString(adornment, program.arity(pred)));
   }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    auto [pred, adornment] = pairs[i];
-    arities.push_back(static_cast<int>(std::popcount(adornment)));
-    out.names.push_back("m.P" + std::to_string(pred) + "#" +
-                        ToAdornmentString(adornment, program.arity(pred)));
+  for (const auto& pair : pairs) {
+    arities.push_back(static_cast<int>(std::popcount(pair.second)));
   }
   out.goal_predicate = adorned_base;
   DatalogProgram rewritten(std::move(arities), num_edb);
@@ -216,7 +171,7 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
   for (auto [pred, adornment] : pairs) {
     for (size_t r = 0; r < program.rules().size(); ++r) {
       const DatalogRule& rule = program.rules()[r];
-      if (dead[r] || rule.head.predicate != pred) continue;
+      if (analysis.RuleDead(r) || rule.head.predicate != pred) continue;
       DatalogAtom guard = magic_atom(rule.head, adornment);
       DatalogRule guarded;
       guarded.head = adorned_atom(rule.head, adornment);
@@ -269,7 +224,7 @@ bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal) {
   const ProgramAnalysis analysis(program);
   std::map<std::pair<int, Adornment>, size_t> pair_index;
   for (auto [pred, adornment] :
-       DiscoverAdornedPairs(program, goal, DeadRules(analysis), pair_index)) {
+       DiscoverAdornedPairs(program, goal, analysis, pair_index)) {
     if (adornment == 0) return false;
   }
   return true;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "datalog/program.h"
@@ -45,9 +44,6 @@ using Adornment = uint64_t;
 
 /// The number of positions an adornment can distinguish.
 inline constexpr size_t kMaxAdornedPositions = 64;
-
-/// Renders an adornment in the classical "bf" notation ("b" = bound).
-std::string ToAdornmentString(Adornment adornment, int arity);
 
 /// A query goal: one atom of `predicate` with an optional constant binding
 /// per position (`nullopt` = free). The adornment is the set of bound
@@ -91,23 +87,23 @@ struct MagicRewriteResult {
   std::vector<AdornedPredicate> adorned;  // discovery order; [0] is the goal
   size_t rules_adorned = 0;  // guarded rules (source rule x head adornment)
   size_t magic_rules = 0;    // demand rules, the seed fact included
-  size_t rules_pruned = 0;   // source rules dropped before adorning: dead
-                             // (a body predicate underivable from the EDB)
-                             // or textual duplicates of an earlier rule
-  std::vector<std::string> names;  // per-predicate debug names: extensional
-                                   // "P0", adorned "P2#bf", magic "m.P2#bf"
-
-  /// The rewritten rules rendered with the debug names.
-  std::string ToString() const;
+  size_t rules_pruned = 0;   // source rules dropped before adorning, the
+                             // ones ProgramAnalysis::RuleDead marks: rules
+                             // that do not fit, have a body predicate
+                             // underivable from the EDB, or duplicate an
+                             // earlier rule
 };
 
 /// Rewrites `program` for `goal`. The goal's bindings size must equal the
 /// goal predicate's arity. Only rules reachable from the goal's demand are
-/// kept. An extensional goal needs no demand: the result is a program with
-/// the same predicates and no rules (the goal's answers are the extensional
-/// table itself). So does a goal that names no predicate of `program`; its
-/// `goal_predicate` is then out of range too, and callers check it. The
-/// rewritten program always passes DatalogProgram::Validate().
+/// kept, and dead ones (ProgramAnalysis::RuleDead, every rule that does not
+/// fit among them) are pruned before adorning, so the rewritten program
+/// always passes DatalogProgram::Validate(); `adorned` maps its predicates
+/// back, and `program.ToString()` prints it. An extensional goal needs no
+/// demand: the result is a program with the same predicates and no rules
+/// (the goal's answers are the extensional table itself). So does a goal
+/// that names no predicate of `program`; its `goal_predicate` is then out of
+/// range too, and callers check it.
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal);
 

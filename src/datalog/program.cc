@@ -1,10 +1,32 @@
 #include "datalog/program.h"
 
+#include <algorithm>
 #include <set>
 
 #include "datalog/analysis.h"
 
 namespace pw {
+
+bool DatalogProgram::Fits(const DatalogRule& rule) const {
+  if (!Fits(rule.head.predicate, rule.head.args) ||
+      !IsIdb(rule.head.predicate)) {
+    return false;
+  }
+  for (const DatalogAtom& atom : rule.body) {
+    if (!Fits(atom.predicate, atom.args)) return false;
+  }
+  for (const Term& t : rule.head.args) {
+    auto binds = [&t](const DatalogAtom& atom) {
+      return std::find(atom.args.begin(), atom.args.end(), t) !=
+             atom.args.end();
+    };
+    if (t.is_variable() &&
+        std::none_of(rule.body.begin(), rule.body.end(), binds)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::string DatalogProgram::Validate() const {
   return ProgramAnalysis(*this).ErrorString();

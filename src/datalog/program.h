@@ -63,31 +63,31 @@ class DatalogProgram {
   const std::vector<DatalogRule>& rules() const { return rules_; }
 
   /// True iff `predicate` is a predicate of the program and `args` has its
-  /// arity. Every evaluator (SemiNaiveEval, NaiveEval, the conditioned
-  /// fixpoint and with it MaterializedView) fires a rule only if its head
-  /// and every body atom fit, in every build mode: a rule that does not fit
-  /// derives nothing, and ProgramAnalysis counts it dead.
+  /// arity.
   bool Fits(int predicate, const Tuple& args) const {
     return HasPredicate(predicate) &&
            static_cast<int>(args.size()) ==
                arities_[static_cast<size_t>(predicate)];
   }
-  bool Fits(const DatalogRule& rule) const {
-    return Fits(rule.head.predicate, rule.head.args) &&
-           std::all_of(rule.body.begin(), rule.body.end(),
-                       [this](const DatalogAtom& atom) {
-                         return Fits(atom.predicate, atom.args);
-                       });
-  }
+
+  /// True iff the rule is well formed: its head and every body atom fit,
+  /// its head is intensional, and every head variable occurs in a body atom
+  /// (range restriction). Every evaluator (SemiNaiveEval, NaiveEval, the
+  /// conditioned fixpoint and with it MaterializedView, the magic rewrite)
+  /// fires a rule only if it fits, in every build mode: a rule that does
+  /// not fit derives nothing. These are exactly the rules Validate()
+  /// reports.
+  bool Fits(const DatalogRule& rule) const;
 
   bool IsIdb(int predicate) const {
     return predicate >= static_cast<int>(num_edb_);
   }
 
-  /// Structural sanity: arities match, heads are intensional, rules are
-  /// range-restricted (every head variable occurs in the body). Thin wrapper
-  /// over ProgramAnalysis that joins **all** errors (one per line), or ""
-  /// if valid; see datalog/analysis.h for structured diagnostics.
+  /// Every rule that does not fit, with each reason: an atom with an
+  /// unknown predicate or another argument count than its arity, an
+  /// extensional head, a head variable no body atom binds. ProgramAnalysis's
+  /// errors (datalog/analysis.h) joined one per line, or "" if every rule
+  /// fits.
   std::string Validate() const;
 
   /// All constants the rules mention, sorted, deduplicated.

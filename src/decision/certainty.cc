@@ -127,12 +127,4 @@ bool Certainty(const View& view, const CDatabase& database,
   return true;
 }
 
-bool CertaintyFactwise(const View& view, const CDatabase& database,
-                       const std::vector<LocatedFact>& pattern) {
-  for (const LocatedFact& lf : pattern) {
-    if (!Certainty(view, database, {lf})) return false;
-  }
-  return true;
-}
-
 }  // namespace pw

@@ -8,8 +8,8 @@
 //     by evaluating the fixpoint on the matrix as if complete
 //   - CERT(1, q) for a first order q on a table: coNP-complete (Thm 5.3(2));
 //     exact valuation enumeration
-//   - CERT(*, q) is PTIME-equivalent to CERT(1, q) (Prop. 2.1(6)):
-//     CertaintyFactwise demonstrates the reduction.
+//   - CERT(*, q) is PTIME-equivalent to CERT(1, q) (Prop. 2.1(6)): the
+//     tests and bench/thm53_certainty.cc check the reduction fact by fact.
 
 #ifndef PW_DECISION_CERTAINTY_H_
 #define PW_DECISION_CERTAINTY_H_
@@ -56,12 +56,6 @@ bool CertaintySearch(const View& view, const CDatabase& database,
 /// Dispatcher: PTIME special case when applicable, else search.
 bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern);
-
-/// The Proposition 2.1(6) reduction: answers CERT(k, q) by k rounds of
-/// CERT(1, q). Semantically identical to Certainty; exists to demonstrate
-/// (and test) the equivalence.
-bool CertaintyFactwise(const View& view, const CDatabase& database,
-                       const std::vector<LocatedFact>& pattern);
 
 }  // namespace pw
 

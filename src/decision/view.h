@@ -8,10 +8,13 @@
 //
 // An RA relation reference RaExpr::Rel(k, a) that names no table of the
 // database, or a table of another arity than a, reads as an empty relation
-// of arity a in every world (ra::Eval checks it in every build mode). The
-// c-table image paths decline such a view (EvalQueryOnCTables returns
-// nullopt), so every decision procedure answers it through ForEachViewImage
-// below, as if the database had that table, empty. For example, over a
+// of arity a in every world (ra::Eval checks it in every build mode), and so
+// does an expression that does not fit (RaExpr::fits: a select or
+// projection column past its input's arity, a union or difference of two
+// arities) at its own arity. The c-table image paths decline such a view
+// (EvalQueryOnCTables returns nullopt), so every decision procedure answers
+// it through ForEachViewImage below, as if the database had that table,
+// empty. For example, over a
 // one-table database, View::Ra({RaExpr::Rel(3, 2)}) has the empty image in
 // every world: POSS and CERT of any fact are false (CERT is vacuously true
 // when rep(database) is empty), and when rep(database) is not empty, MEMB
@@ -22,10 +25,15 @@
 // program's, is empty (SemiNaiveEval and the conditioned fixpoint alike),
 // and an output predicate that the program lacks is an empty relation of
 // arity 0 in every world, so POSS and CERT of any fact in it are false. A
-// rule whose head or body atom names no predicate of the program, or has
-// another argument count than its predicate's arity, derives nothing
-// (DatalogProgram::Fits): for q(x, y) :- e0(x, y, z) with e0 binary, q is
-// empty in every world.
+// rule that does not fit derives nothing in every evaluator
+// (DatalogProgram::Fits): one whose head or body atom names no predicate of
+// the program or has another argument count than its predicate's arity,
+// one with an extensional head, and one with a head variable no body atom
+// binds, an empty-body rule with a variable head among them. With e0
+// binary, q(x, y) :- e0(x, y, z) leaves q empty in every world, and so does
+// q(x, y) :- e1(x) with e1 unary; beside q(x, y) :- e0(x, y), the
+// extensional-head rule e0(x, y) :- e1(x, y) adds nothing, so q holds
+// exactly e0's facts.
 
 #ifndef PW_DECISION_VIEW_H_
 #define PW_DECISION_VIEW_H_

@@ -409,6 +409,9 @@ ConditionInterner& InternerOf(const CTableEvalOptions& options) {
 std::optional<CTable> EvalOnCTables(const RaExpr& expr,
                                     const CDatabase& database,
                                     const CTableEvalOptions& options) {
+  // A fitting root has fitting subexpressions: the planner and the
+  // operators index tuples by the expression's columns.
+  if (!expr.fits()) return std::nullopt;
   ConditionInterner& interner = InternerOf(options);
   CTableEvalStats stats;
   auto interned = EvalExpr(expr, database, interner, stats);

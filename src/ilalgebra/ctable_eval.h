@@ -93,9 +93,11 @@ struct CTableEvalOptions {
 /// (the result table carries no global condition of its own; combine with
 /// `database.CombinedGlobal()`). != select atoms are allowed (they become
 /// inequality atoms in local conditions). Returns std::nullopt if the
-/// expression is not positive existential (contains difference), or if a
-/// relation reference RaExpr::Rel(k, a) does not fit the database: table k
-/// must exist and have arity a. That check holds in every build mode.
+/// expression is not positive existential (contains difference), if it
+/// does not fit (RaExpr::fits: a column past its input's arity, a union of
+/// two arities), or if a relation reference RaExpr::Rel(k, a) does not fit
+/// the database: table k must exist and have arity a. Those checks hold in
+/// every build mode.
 std::optional<CTable> EvalOnCTables(const RaExpr& expr,
                                     const CDatabase& database,
                                     const CTableEvalOptions& options = {});
@@ -103,8 +105,8 @@ std::optional<CTable> EvalOnCTables(const RaExpr& expr,
 /// Evaluates a whole query. The resulting c-database carries the input's
 /// combined global condition (attached to its first table, or to an empty
 /// sentinel table when the query is empty). Returns std::nullopt if any
-/// expression is not positive existential or has a relation reference that
-/// does not fit the database (see EvalOnCTables).
+/// expression is not positive existential, does not fit, or has a relation
+/// reference that does not fit the database (see EvalOnCTables).
 ///
 /// Slot i of the result may be the input's table k itself, shared by
 /// pointer, when query[i] is a bare RaExpr::Rel(k, a) and the copy

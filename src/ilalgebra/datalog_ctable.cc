@@ -288,11 +288,11 @@ void CanonicalLeaf(const DatalogRule& rule, ConditionBackend& backend,
   }
   scratch.head.clear();
   for (const Term& t : rule.head.args) {
-    // A head variable missing from the body (a rule that is not
-    // range-restricted, which ProgramAnalysis reports) stays a null.
-    const Term* bound =
-        t.is_constant() ? nullptr : FindBound(scratch.binding, t.variable());
-    scratch.head.push_back(bound != nullptr ? *bound : t);
+    // The rule fits (DatalogProgram::Fits), so a body atom bound every head
+    // variable.
+    scratch.head.push_back(t.is_constant()
+                               ? t
+                               : *FindBound(scratch.binding, t.variable()));
   }
   *cond = out;
 }
@@ -478,8 +478,8 @@ bool SequentialRound(EvalState& state, const DatalogProgram& program,
 struct ConditionedFixpoint::Impl {
   const DatalogProgram* program = nullptr;
   // Static analysis of `program` (SCC strata in topological order, dead
-  // rules, cones), computed once at construction; the stratum schedule and
-  // IVM both run off it.
+  // rules, the graph cones are walked over), computed once at construction;
+  // the stratum schedule and IVM both run off it.
   std::unique_ptr<ProgramAnalysis> analysis;
   // The rule schedule per SCC, fixed at construction: the SCC's rules with
   // a body that the analysis does not mark dead, in program order, and the

@@ -22,9 +22,9 @@
 // stratum: the program's SCC condensation (datalog/analysis.h) runs in
 // topological order, nonrecursive strata in a single pass and delta rounds
 // confined to the current SCC's rules. The schedule is fixed at
-// construction: rules the analysis marks dead (a body predicate no rule
-// chain can derive from the extensional database, or a textual duplicate of
-// an earlier rule) never enter it. Body atoms with bound, constant-valued
+// construction: rules the analysis marks dead (a rule that does not fit the
+// program, a body predicate no rule chain can derive from the extensional
+// database, or a textual duplicate of an earlier rule) never enter it. Body atoms with bound, constant-valued
 // positions are matched through a per-predicate hash index on those
 // positions (tables/tuple_index.h), built lazily and extended across
 // rounds.
@@ -50,8 +50,9 @@ struct ConditionedFixpointStats {
   size_t rounds = 0;
   size_t strata = 0;              // SCC strata that fired at least one round
                                   // (cumulative across Run() calls)
-  size_t dead_rules_skipped = 0;  // the analysis's dead rules (underivable
-                                  // body predicate or textual duplicate),
+  size_t dead_rules_skipped = 0;  // the analysis's dead rules with a body
+                                  // that fit the program (underivable body
+                                  // predicate or textual duplicate),
                                   // counted per SCC on every Run()
   size_t derived_rows = 0;        // rows kept across all predicates
   size_t subsumed_rows = 0;       // derivations dropped by subsumption
@@ -176,9 +177,9 @@ class ConditionedFixpoint {
   /// past the interner's Clear().
   ConditionBackend& backend() const;
 
-  /// The program's static analysis (SCC strata, dead rules, diagnostics,
-  /// reachability cones), computed once at construction. The stratum
-  /// schedule is fixed off it, and IVM reads its deletion cones from here.
+  /// The program's static analysis (SCC strata, dead rules, errors),
+  /// computed once at construction. The stratum schedule is fixed off it,
+  /// and IVM walks its deletion cones (ProgramAnalysis::Cone) from here.
   const ProgramAnalysis& analysis() const;
 
   /// Sets the global condition id derivations are checked against

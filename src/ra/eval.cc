@@ -20,6 +20,7 @@ bool SatisfiesAtoms(const std::vector<SelectAtom>& atoms, const Fact& fact) {
 }  // namespace
 
 Relation Eval(const RaExpr& expr, const Instance& input) {
+  if (!expr.fits()) return Relation(expr.arity());
   switch (expr.op()) {
     case RaOp::kRel:
       if (expr.rel_index() >= input.num_relations() ||

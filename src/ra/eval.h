@@ -10,7 +10,8 @@ namespace pw {
 
 /// Evaluates `expr` on `input`. A relation reference that names no relation
 /// of `input`, or one of another arity, reads as the empty relation of the
-/// referenced arity, in every build mode.
+/// referenced arity, and an expression that does not fit (RaExpr::fits) as
+/// the empty relation of its arity, in every build mode.
 Relation Eval(const RaExpr& expr, const Instance& input);
 
 /// Evaluates every expression of `query`, producing one output relation per

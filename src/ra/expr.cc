@@ -1,8 +1,17 @@
 #include "ra/expr.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace pw {
+
+namespace {
+
+/// True iff `o` is a constant or a column below `arity`.
+bool ColumnFits(const ColOrConst& o, int arity) {
+  return !o.is_column || (o.column >= 0 && o.column < arity);
+}
+
+}  // namespace
 
 RaExpr RaExpr::Rel(size_t index, int arity) {
   auto node = std::make_shared<Node>();
@@ -13,13 +22,14 @@ RaExpr RaExpr::Rel(size_t index, int arity) {
 }
 
 RaExpr RaExpr::Project(RaExpr input, std::vector<ColOrConst> outputs) {
-  for (const ColOrConst& o : outputs) {
-    assert(!o.is_column || (o.column >= 0 && o.column < input.arity()));
-    (void)o;
-  }
   auto node = std::make_shared<Node>();
   node->op = RaOp::kProject;
   node->arity = static_cast<int>(outputs.size());
+  node->fits = input.fits() &&
+               std::all_of(outputs.begin(), outputs.end(),
+                           [&input](const ColOrConst& o) {
+                             return ColumnFits(o, input.arity());
+                           });
   node->outputs = std::move(outputs);
   node->children.push_back(std::move(input));
   return RaExpr(std::move(node));
@@ -36,6 +46,12 @@ RaExpr RaExpr::Select(RaExpr input, std::vector<SelectAtom> atoms) {
   auto node = std::make_shared<Node>();
   node->op = RaOp::kSelect;
   node->arity = input.arity();
+  node->fits = input.fits() &&
+               std::all_of(atoms.begin(), atoms.end(),
+                           [&input](const SelectAtom& a) {
+                             return ColumnFits(a.lhs, input.arity()) &&
+                                    ColumnFits(a.rhs, input.arity());
+                           });
   node->atoms = std::move(atoms);
   node->children.push_back(std::move(input));
   return RaExpr(std::move(node));
@@ -45,26 +61,27 @@ RaExpr RaExpr::Product(RaExpr left, RaExpr right) {
   auto node = std::make_shared<Node>();
   node->op = RaOp::kProduct;
   node->arity = left.arity() + right.arity();
+  node->fits = left.fits() && right.fits();
   node->children.push_back(std::move(left));
   node->children.push_back(std::move(right));
   return RaExpr(std::move(node));
 }
 
 RaExpr RaExpr::Union(RaExpr left, RaExpr right) {
-  assert(left.arity() == right.arity());
   auto node = std::make_shared<Node>();
   node->op = RaOp::kUnion;
   node->arity = left.arity();
+  node->fits = left.fits() && right.fits() && left.arity() == right.arity();
   node->children.push_back(std::move(left));
   node->children.push_back(std::move(right));
   return RaExpr(std::move(node));
 }
 
 RaExpr RaExpr::Diff(RaExpr left, RaExpr right) {
-  assert(left.arity() == right.arity());
   auto node = std::make_shared<Node>();
   node->op = RaOp::kDiff;
   node->arity = left.arity();
+  node->fits = left.fits() && right.fits() && left.arity() == right.arity();
   node->children.push_back(std::move(left));
   node->children.push_back(std::move(right));
   return RaExpr(std::move(node));

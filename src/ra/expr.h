@@ -91,6 +91,13 @@ class RaExpr {
   RaOp op() const { return node_->op; }
   int arity() const { return node_->arity; }
 
+  /// True iff every column the expression names is below its input's arity
+  /// and the two sides of every union and difference have the same arity,
+  /// in this node and every subexpression. Recorded at construction and
+  /// checked in every build mode: evaluation reads an expression that does
+  /// not fit as empty (ra::Eval) or declines it (EvalOnCTables).
+  bool fits() const { return node_->fits; }
+
   // Accessors; meaningful per-op (see RaOp).
   size_t rel_index() const { return node_->rel_index; }
   const std::vector<ColOrConst>& outputs() const { return node_->outputs; }
@@ -106,6 +113,7 @@ class RaExpr {
   struct Node {
     RaOp op;
     int arity = 0;
+    bool fits = true;
     size_t rel_index = 0;
     std::vector<ColOrConst> outputs;
     std::vector<SelectAtom> atoms;

@@ -1,9 +1,9 @@
 // Unit tests for the DATALOG program analysis (datalog/analysis.h): SCC
-// condensation and stratum order, structured diagnostics (all errors, not
-// first-wins; structural warnings), rule classification, derivability, and
-// reachability cones — plus the load-bearing wiring: the stratum-scheduled
-// fixpoint consumes the condensation and skips dead rules, and Validate()
-// is a thin rendering of the analysis's errors.
+// condensation and stratum order, structured errors (all of them, not
+// first-wins, for exactly the rules DatalogProgram::Fits rejects), dead
+// rules, and reachability cones — plus the load-bearing wiring: the
+// stratum-scheduled fixpoint consumes the condensation and skips dead
+// rules, and Validate() is a thin rendering of the analysis's errors.
 
 #include "datalog/analysis.h"
 
@@ -42,7 +42,7 @@ DatalogProgram LayeredProgram() {
 TEST(ProgramAnalysisTest, SccIdsAreATopologicalStratumOrder) {
   DatalogProgram p = LayeredProgram();
   ProgramAnalysis a(p);
-  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(a.diagnostics().empty());
   ASSERT_EQ(a.num_sccs(), 3);
   EXPECT_LT(a.SccOf(0), a.SccOf(1));
   EXPECT_LT(a.SccOf(1), a.SccOf(2));
@@ -52,7 +52,6 @@ TEST(ProgramAnalysisTest, SccIdsAreATopologicalStratumOrder) {
       EXPECT_LE(a.SccOf(atom.predicate), a.SccOf(rule.head.predicate));
     }
   }
-  EXPECT_EQ(a.SccMembers(a.SccOf(1)), std::vector<int>{1});
   EXPECT_FALSE(a.SccRecursive(a.SccOf(0)));  // extensional, no self edge
   EXPECT_TRUE(a.SccRecursive(a.SccOf(1)));   // path depends on itself
   EXPECT_FALSE(a.SccRecursive(a.SccOf(2)));
@@ -69,77 +68,35 @@ TEST(ProgramAnalysisTest, MutualRecursionSharesAnSccAndFlagsRecursiveRules) {
   p.AddRule(Rule({2, {V(0), V(1)}}, {{1, {V(0), V(1)}}}));
   p.AddRule(Rule({1, {V(0), V(1)}}, {{2, {V(0), V(2)}}, {0, {V(2), V(1)}}}));
   ProgramAnalysis a(p);
-  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(a.diagnostics().empty());
+  ASSERT_EQ(a.num_sccs(), 2);
   EXPECT_EQ(a.SccOf(1), a.SccOf(2));
+  EXPECT_NE(a.SccOf(0), a.SccOf(1));
+  // The shared SCC is recursive and holds every rule, the one fed from
+  // outside (body = EDB only) included: it runs delta rounds.
   EXPECT_TRUE(a.SccRecursive(a.SccOf(1)));
-  EXPECT_EQ(a.SccMembers(a.SccOf(1)), (std::vector<int>{1, 2}));
-  // Rule 0 feeds the SCC from outside (body = EDB only): nonrecursive.
-  EXPECT_FALSE(a.RuleRecursive(0));
-  // Rules 1 and 2 consume a predicate of their own head's SCC.
-  EXPECT_TRUE(a.RuleRecursive(1));
-  EXPECT_TRUE(a.RuleRecursive(2));
+  EXPECT_EQ(a.SccRules(a.SccOf(1)), (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(ProgramAnalysisTest, DeadDuplicateAndUnreachableDiagnostics) {
-  // Predicate 3 ("barren") has no rules, so rule 1 can never fire, and both
-  // barren and the dead rule's head (reached only through it) are
-  // unreachable from the extensional database.
+  // Predicate 3 ("barren") has no rules, so rule 1 can never fire, and rule
+  // 2 duplicates rule 0. Both are dead, yet both fit: a dead rule is no
+  // error, so the analysis reports nothing and Validate() passes.
   DatalogProgram p({2, 2, 2, 2}, /*num_edb=*/1);
   p.AddRule(Rule({1, {V(0), V(1)}}, {{0, {V(0), V(1)}}}));
   p.AddRule(Rule({2, {V(0), V(1)}}, {{0, {V(0), V(1)}}, {3, {V(0), V(1)}}}));
   p.AddRule(Rule({1, {V(0), V(1)}}, {{0, {V(0), V(1)}}}));  // duplicate of 0
+  // P2 is underivable (only the dead rule 1 derives it), so a rule reading
+  // it is dead too.
+  p.AddRule(Rule({1, {V(0), V(1)}}, {{2, {V(0), V(1)}}}));
   ProgramAnalysis a(p);
-  EXPECT_TRUE(a.ok()) << a.ErrorString();  // warnings only
+  EXPECT_TRUE(a.diagnostics().empty()) << a.ErrorString();
   EXPECT_EQ(p.Validate(), "");
 
   EXPECT_FALSE(a.RuleDead(0));
   EXPECT_TRUE(a.RuleDead(1));
-  EXPECT_FALSE(a.RuleDuplicate(1));
   EXPECT_TRUE(a.RuleDead(2));  // duplicates are dead: they derive nothing new
-  EXPECT_TRUE(a.RuleDuplicate(2));
-
-  EXPECT_TRUE(a.Derivable(0));   // extensional
-  EXPECT_TRUE(a.Derivable(1));
-  EXPECT_FALSE(a.Derivable(2));  // only the dead rule derives it
-  EXPECT_FALSE(a.Derivable(3));
-
-  auto has_warning = [&](const std::string& needle) {
-    for (const Diagnostic& d : a.diagnostics()) {
-      if (d.severity == DiagnosticSeverity::kWarning &&
-          d.ToString().find(needle) != std::string::npos) {
-        return true;
-      }
-    }
-    return false;
-  };
-  EXPECT_TRUE(has_warning("dead rule: body predicate P3 is underivable"));
-  EXPECT_TRUE(has_warning("duplicate of an earlier rule"));
-  EXPECT_TRUE(has_warning("predicate P2 is unreachable"));
-  EXPECT_TRUE(has_warning("predicate P3 is unreachable"));
-}
-
-TEST(ProgramAnalysisTest, CartesianAndHeadOnlyWarnings) {
-  DatalogProgram p({2, 2, 2}, /*num_edb=*/1);
-  // Body atoms share no variable: a cartesian product (two components).
-  p.AddRule(Rule({1, {V(0), V(2)}}, {{0, {V(0), V(1)}}, {0, {V(2), V(3)}}}));
-  // Predicate 2 is derived but nothing reads it.
-  p.AddRule(Rule({2, {V(0), V(1)}}, {{0, {V(0), V(1)}}}));
-  ProgramAnalysis a(p);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a.Connectivity(0).num_components, 2);
-  ASSERT_EQ(a.Connectivity(0).component.size(), 2u);
-  EXPECT_NE(a.Connectivity(0).component[0], a.Connectivity(0).component[1]);
-  EXPECT_EQ(a.Connectivity(1).num_components, 1);
-  bool cartesian = false;
-  bool head_only = false;
-  for (const Diagnostic& d : a.diagnostics()) {
-    cartesian = cartesian ||
-                d.message.find("cartesian product") != std::string::npos;
-    head_only = head_only ||
-                d.message.find("head-only predicate P2") != std::string::npos;
-  }
-  EXPECT_TRUE(cartesian);
-  EXPECT_TRUE(head_only);
+  EXPECT_TRUE(a.RuleDead(3));
 }
 
 TEST(ProgramAnalysisTest, AllErrorsReportedNotFirstWins) {
@@ -148,13 +105,17 @@ TEST(ProgramAnalysisTest, AllErrorsReportedNotFirstWins) {
   p.AddRule(Rule({1, {V(0)}}, {{0, {V(0), V(1)}}}));         // arity mismatch
   p.AddRule(Rule({1, {V(0), V(7)}}, {{0, {V(0), V(1)}}}));   // range restriction
   p.AddRule(Rule({1, {V(0), V(1)}}, {{9, {V(0), V(1)}}}));   // unknown predicate
+  p.AddRule(Rule({1, {V(0), C(1)}}, {}));  // ground rule, variable head
   ProgramAnalysis a(p);
-  EXPECT_FALSE(a.ok());
-  EXPECT_EQ(a.num_errors(), 4u);
-  // Errors come first in diagnostics(), and Validate() renders all of them.
-  for (size_t i = 0; i < a.num_errors(); ++i) {
-    EXPECT_EQ(a.diagnostics()[i].severity, DiagnosticSeverity::kError);
+  ASSERT_EQ(a.diagnostics().size(), 5u);
+  // One error per rule, in rule order, and every one of those rules is one
+  // DatalogProgram::Fits rejects, so no evaluator fires it.
+  for (size_t r = 0; r < p.rules().size(); ++r) {
+    EXPECT_EQ(a.diagnostics()[r].rule, static_cast<int>(r));
+    EXPECT_FALSE(p.Fits(p.rules()[r]));
+    EXPECT_TRUE(a.RuleDead(r));
   }
+  // Validate() renders all of them.
   std::string v = p.Validate();
   EXPECT_EQ(v, a.ErrorString());
   EXPECT_NE(v.find("head predicate P0 is extensional"), std::string::npos);
@@ -163,14 +124,16 @@ TEST(ProgramAnalysisTest, AllErrorsReportedNotFirstWins) {
   EXPECT_NE(v.find("not range-restricted: head variable ?7"),
             std::string::npos);
   EXPECT_NE(v.find("unknown predicate 9"), std::string::npos);
-  EXPECT_EQ(std::count(v.begin(), v.end(), '\n'), 3);  // four lines
+  EXPECT_NE(v.find("rule 4: not range-restricted: head variable ?0"),
+            std::string::npos);
+  EXPECT_EQ(std::count(v.begin(), v.end(), '\n'), 4);  // five lines
 }
 
 TEST(ProgramAnalysisTest, DiagnosticRendering) {
-  Diagnostic d{DiagnosticSeverity::kError, 2, 1, "boom"};
+  Diagnostic d{2, 1, "boom"};
   EXPECT_EQ(d.ToString(), "error: rule 2: body atom 1: boom");
-  Diagnostic w{DiagnosticSeverity::kWarning, -1, -1, "odd shape"};
-  EXPECT_EQ(w.ToString(), "warning: odd shape");
+  Diagnostic head{3, -1, "odd shape"};
+  EXPECT_EQ(head.ToString(), "error: rule 3: odd shape");
 }
 
 /// The pre-analysis cone computation (the taint-propagation loop ivm.cc ran
@@ -212,6 +175,10 @@ TEST(ProgramAnalysisTest, ConesMatchLegacyTaintClosure) {
           << "cone diverged for predicate " << seed;
       EXPECT_TRUE(a.Cone(static_cast<int>(seed))[seed]);
     }
+    // A predicate the program lacks has an empty cone.
+    EXPECT_EQ(a.Cone(-1), std::vector<bool>(p->num_predicates(), false));
+    EXPECT_EQ(a.Cone(static_cast<int>(p->num_predicates())),
+              std::vector<bool>(p->num_predicates(), false));
   }
 }
 
@@ -236,22 +203,24 @@ TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
   EXPECT_GE(stats.dead_rules_skipped, 1u);
   EXPECT_TRUE(testutil::RepresentsFixpointOfEveryWorld(p, db, image))
       << image.ToString();
-  // The fixpoint exposes its analysis; consumers (MaterializedView::Delete)
-  // read the precomputed cones off it.
+  // The fixpoint exposes its analysis; MaterializedView::Delete walks the
+  // cone of the changed table over it.
   ConditionedFixpoint fix(p, {});
   EXPECT_EQ(fix.analysis().num_sccs(), ProgramAnalysis(p).num_sccs());
   EXPECT_EQ(fix.analysis().Cone(0), LegacyCone(p, 0));
 }
 
 TEST(ProgramAnalysisTest, EmptyBodyRulesAreDerivableAndNonrecursive) {
-  DatalogProgram p({2, 2}, /*num_edb=*/1);
+  DatalogProgram p({2, 2, 2}, /*num_edb=*/1);
   p.AddRule(Rule({1, {C(1), C(2)}}, {}));  // ground fact rule
+  p.AddRule(Rule({2, {V(0), V(1)}}, {{1, {V(0), V(1)}}}));
   ProgramAnalysis a(p);
-  ASSERT_TRUE(a.ok());
-  EXPECT_TRUE(a.Derivable(1));
-  EXPECT_FALSE(a.RuleRecursive(0));
+  ASSERT_TRUE(a.diagnostics().empty());
   EXPECT_FALSE(a.RuleDead(0));
-  EXPECT_EQ(a.Connectivity(0).num_components, 0);
+  // P1 is derivable through the ground fact, so the rule reading it lives.
+  EXPECT_FALSE(a.RuleDead(1));
+  EXPECT_FALSE(a.SccRecursive(a.SccOf(1)));
+  EXPECT_EQ(a.SccRules(a.SccOf(1)), std::vector<size_t>{0});
 }
 
 }  // namespace

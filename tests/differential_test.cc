@@ -26,14 +26,19 @@
 //     exactly the pointwise DATALOG fixpoint of the input's worlds (computed
 //     per world by the naive and the semi-naive complete-information
 //     evaluators), on randomized programs (one or two extensional
-//     predicates) over randomized c-tables.
+//     predicates) over randomized c-tables. A last round per seed plants
+//     one malformed rule (an extensional head, an unbound head variable, or
+//     a ground rule with a variable head): Validate() must name that rule
+//     and no other, DatalogProgram::Fits must reject exactly the rules the
+//     analysis reports, and the fixpoint must still match every world.
 //
 //  3. Query-directed (magic-set) evaluation — for random programs and random
 //     goal binding patterns, DatalogQueryOnCTables through the magic-set
 //     rewrite must return exactly the full fixpoint's facts restricted to
 //     the goal (same tuples, interned-id-identical conditions), and must
 //     represent the per-world goal answers; the demand-path possibility
-//     procedure must agree with the possibility search.
+//     procedure must agree with the possibility search. A last round per
+//     seed plants a malformed rule as in family 2.
 //
 //  4. Multi-output queries and nested views — the image database of both
 //     intensional outputs must represent the pointwise relation pairs, and
@@ -117,6 +122,7 @@
 #include "condition/backend.h"
 #include "condition/binding_env.h"
 #include "condition/dd_backend.h"
+#include "datalog/analysis.h"
 #include "datalog/eval.h"
 #include "datalog/ivm.h"
 #include "decision/certainty.h"
@@ -501,6 +507,66 @@ DatalogProgram RandomDatalogProgram(std::mt19937& rng, int num_edb = 1) {
   return p;
 }
 
+/// Inserts one malformed rule at a random position of `program`: an
+/// extensional head, a head variable no body atom binds, or a ground rule
+/// whose head has a variable. Every atom fits its predicate. Returns the
+/// planted rule's index.
+size_t PlantMalformedRule(DatalogProgram& program, std::mt19937& rng) {
+  const int num_edb = static_cast<int>(program.num_edb());
+  const int num_preds = static_cast<int>(program.num_predicates());
+  std::uniform_int_distribution<int> edb_pred(0, num_edb - 1);
+  std::uniform_int_distribution<int> idb_pred(num_edb, num_preds - 1);
+  std::uniform_int_distribution<int> any_pred(0, num_preds - 1);
+  DatalogRule rule;
+  switch (std::uniform_int_distribution<int>(0, 2)(rng)) {
+    case 0:  // f(x, y) :- p(x, y) with f extensional
+      rule.head = {edb_pred(rng), Tuple{V(100), V(101)}};
+      rule.body = {{any_pred(rng), Tuple{V(100), V(101)}}};
+      break;
+    case 1:  // q(x, z) :- p(x, y), with z in no body atom
+      rule.head = {idb_pred(rng), Tuple{V(100), V(102)}};
+      rule.body = {{any_pred(rng), Tuple{V(100), V(101)}}};
+      break;
+    default:  // q(x, 1) :- .
+      rule.head = {idb_pred(rng), Tuple{V(100), C(1)}};
+      break;
+  }
+  std::vector<DatalogRule> rules = program.rules();
+  const size_t at =
+      std::uniform_int_distribution<size_t>(0, rules.size())(rng);
+  rules.insert(rules.begin() + static_cast<std::ptrdiff_t>(at), rule);
+  std::vector<int> arities;
+  for (int p = 0; p < num_preds; ++p) arities.push_back(program.arity(p));
+  program = DatalogProgram(arities, program.num_edb());
+  for (DatalogRule& r : rules) program.AddRule(std::move(r));
+  return at;
+}
+
+/// Validate() names the planted rule and no other, and Fits rejects exactly
+/// the rules the analysis reports.
+void ExpectOnlyPlantedRuleReported(const DatalogProgram& program,
+                                   size_t planted) {
+  const std::string validate = program.Validate();
+  const std::string prefix = "error: rule " + std::to_string(planted) + ": ";
+  EXPECT_FALSE(validate.empty()) << program.ToString();
+  size_t begin = 0;
+  while (begin < validate.size()) {
+    size_t end = validate.find('\n', begin);
+    if (end == std::string::npos) end = validate.size();
+    EXPECT_EQ(validate.compare(begin, prefix.size(), prefix), 0)
+        << validate << "\n" << program.ToString();
+    begin = end + 1;
+  }
+  const ProgramAnalysis analysis(program);
+  for (size_t r = 0; r < program.rules().size(); ++r) {
+    const bool reported = std::any_of(
+        analysis.diagnostics().begin(), analysis.diagnostics().end(),
+        [r](const Diagnostic& d) { return d.rule == static_cast<int>(r); });
+    EXPECT_EQ(program.Fits(program.rules()[r]), !reported)
+        << "rule " << r << "\n" << program.ToString();
+  }
+}
+
 using testutil::CanonicalRows;
 
 /// Asserts the full per-world identity of a conditioned fixpoint: for every
@@ -517,15 +583,20 @@ void ExpectRepresentsFixpointOfEveryWorld(
 class DatalogDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(DatalogDifferentialTest, SemiNaiveAgreesWithNaiveAndPerWorld) {
-  // 25 parameter seeds x 4 (program, c-table) pairs: the semi-naive
+  // 25 parameter seeds x 5 (program, c-table) pairs: the semi-naive
   // conditioned fixpoint must represent exactly the per-world fixpoints,
   // computed world by world with the naive complete-information evaluator
   // (an independent reference: no delta windows, no strata, no indexes).
+  // The last program carries one planted malformed rule.
   const unsigned case_seed = 3000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 5; ++round) {
     DatalogProgram program = RandomDatalogProgram(rng);
+    if (round == 4) {
+      ExpectOnlyPlantedRuleReported(program,
+                                    PlantMalformedRule(program, rng));
+    }
     RandomCTableOptions options = testutil::SmallCTableOptions(
         /*arity=*/2, /*num_rows=*/3, /*num_constants=*/3, /*num_variables=*/2,
         /*num_local_atoms=*/GetParam() % 2,
@@ -619,9 +690,13 @@ TEST_P(MagicDifferentialTest, MagicEqualsRestrictedFullFixpoint) {
   const unsigned case_seed = 7000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 5; ++round) {
     int num_edb = 1 + (round % 2);
     DatalogProgram program = RandomDatalogProgram(rng, num_edb);
+    if (round == 4) {  // one planted malformed rule
+      ExpectOnlyPlantedRuleReported(program,
+                                    PlantMalformedRule(program, rng));
+    }
     RandomCTableOptions options = testutil::SmallCTableOptions(
         /*arity=*/2, /*num_rows=*/3 - (num_edb - 1), /*num_constants=*/3,
         /*num_variables=*/2,

@@ -334,6 +334,41 @@ TEST(IlAlgebraTest, RelationReferenceMustFitTheDatabase) {
   EXPECT_EQ(image->table(0).num_rows(), 2u);
 }
 
+TEST(IlAlgebraTest, ColumnsMustFitTheirInput) {
+  // A select or projection column at or past its input's arity, and a
+  // union of two arities, are rejected in every build mode. Before, only
+  // asserts checked them (a select not at all): in an NDEBUG build the
+  // planner and the world evaluator read past tuple ends, and the union's
+  // image held rows narrower than its arity.
+  CTable t(2);
+  t.AddRow(Tuple{C(1), C(2)});
+  t.AddRow(Tuple{C(2), V(0)});
+  CDatabase db{t};
+  const Instance world({Relation(2, {{1, 2}, {2, 3}})});
+  const RaExpr rel = RaExpr::Rel(0, 2);
+  const RaExpr select = RaExpr::Select(
+      rel, {SelectAtom::Eq(ColOrConst::Col(5), ColOrConst::Const(1))});
+  const RaExpr project = RaExpr::ProjectCols(rel, {0, 7});
+  const RaExpr union_of_arities =
+      RaExpr::Union(rel, RaExpr::ProjectCols(rel, {0}));
+  for (const RaExpr& misfit :
+       {select, project, union_of_arities,
+        RaExpr::Product(rel, select)}) {
+    EXPECT_FALSE(EvalOnCTables(misfit, db).has_value()) << misfit.ToString();
+    EXPECT_FALSE(EvalQueryOnCTables({rel, misfit}, db).has_value())
+        << misfit.ToString();
+    EXPECT_EQ(Eval(misfit, world), Relation(misfit.arity()))
+        << misfit.ToString();
+  }
+  // The same shapes with columns that fit still evaluate.
+  const RaExpr fits = RaExpr::Union(
+      RaExpr::Select(rel, {SelectAtom::Eq(ColOrConst::Col(1),
+                                          ColOrConst::Const(2))}),
+      RaExpr::ProjectCols(rel, {1, 0}));
+  EXPECT_EQ(Eval(fits, world), Relation(2, {{1, 2}, {2, 1}, {3, 2}}));
+  ASSERT_TRUE(EvalOnCTables(fits, db).has_value());
+}
+
 /// What EvalQueryOnCTables builds in slot `slot` for a bare reference to
 /// table k when it copies: the copy EvalOnCTables makes, plus the combined
 /// global in slot 0.

@@ -1,6 +1,6 @@
 // Unit tests for the magic-set demand transformation (datalog/magic.h) and
 // the query-directed conditioned evaluation it powers
-// (DatalogQueryOnCTables): binding-pattern propagation, predicate naming,
+// (DatalogQueryOnCTables): binding-pattern propagation, predicate layout,
 // recursive and mutually-recursive programs, condition flow into magic
 // facts, and the demand counters.
 
@@ -59,15 +59,13 @@ DatalogProgram TransitiveClosure() {
 }
 
 TEST(AdornmentTest, StringAndGoalMask) {
-  EXPECT_EQ(ToAdornmentString(0b01, 2), "bf");
-  EXPECT_EQ(ToAdornmentString(0b10, 2), "fb");
-  EXPECT_EQ(ToAdornmentString(0, 3), "fff");
-  EXPECT_EQ(ToAdornmentString(0b111, 3), "bbb");
-
+  // Bit i of a goal's adornment is set iff position i is bound.
   DatalogGoal goal{1, {ConstId{4}, std::nullopt}};
   EXPECT_EQ(goal.adornment(), Adornment{1});
   DatalogGoal free_goal{1, {std::nullopt, std::nullopt}};
   EXPECT_EQ(free_goal.adornment(), Adornment{0});
+  DatalogGoal bound_goal{1, {ConstId{0}, std::nullopt, ConstId{2}}};
+  EXPECT_EQ(bound_goal.adornment(), Adornment{0b101});
 }
 
 TEST(MagicRewriteTest, BindingPatternPropagatesLeftToRight) {
@@ -85,7 +83,7 @@ TEST(MagicRewriteTest, BindingPatternPropagatesLeftToRight) {
 
   MagicRewriteResult rewrite =
       MagicRewrite(program, {2, Bindings{ConstId{1}, std::nullopt}});
-  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.ToString();
+  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.program.ToString();
 
   ASSERT_EQ(rewrite.adorned.size(), 2u);
   EXPECT_EQ(rewrite.adorned[0].original, 2);  // the goal pair comes first
@@ -109,7 +107,7 @@ TEST(MagicRewriteTest, BindingPatternPropagatesLeftToRight) {
       EXPECT_EQ(rule.head.args, Tuple{C(1)});
     }
   }
-  EXPECT_TRUE(found_seed) << rewrite.ToString();
+  EXPECT_TRUE(found_seed) << rewrite.program.ToString();
 }
 
 TEST(MagicRewriteTest, DistinctAdornmentsGetDistinctPredicatesAndNames) {
@@ -128,7 +126,7 @@ TEST(MagicRewriteTest, DistinctAdornmentsGetDistinctPredicatesAndNames) {
 
   MagicRewriteResult rewrite =
       MagicRewrite(program, {2, Bindings{ConstId{0}, std::nullopt}});
-  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.ToString();
+  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.program.ToString();
 
   const AdornedPredicate* p_bf = FindAdorned(rewrite, 1, Adornment{1});
   const AdornedPredicate* p_ff = FindAdorned(rewrite, 1, Adornment{0});
@@ -139,12 +137,15 @@ TEST(MagicRewriteTest, DistinctAdornmentsGetDistinctPredicatesAndNames) {
   EXPECT_EQ(rewrite.program.arity(p_bf->magic), 1);
   EXPECT_EQ(rewrite.program.arity(p_ff->magic), 0);  // no bound positions
 
-  std::set<std::string> distinct(rewrite.names.begin(), rewrite.names.end());
-  EXPECT_EQ(distinct.size(), rewrite.names.size())
-      << "predicate name collision";
-  EXPECT_EQ(rewrite.names[static_cast<size_t>(p_bf->adorned)], "P1#bf");
-  EXPECT_EQ(rewrite.names[static_cast<size_t>(p_bf->magic)], "m.P1#bf");
-  EXPECT_EQ(rewrite.names[static_cast<size_t>(p_ff->magic)], "m.P1#ff");
+  // Every adorned and magic predicate is a predicate of its own: no two
+  // entries share an id, and none is extensional.
+  std::set<int> ids;
+  for (const AdornedPredicate& ap : rewrite.adorned) {
+    EXPECT_TRUE(ids.insert(ap.adorned).second) << "P" << ap.adorned;
+    EXPECT_TRUE(ids.insert(ap.magic).second) << "P" << ap.magic;
+  }
+  EXPECT_EQ(*ids.begin(), static_cast<int>(program.num_edb()));
+  EXPECT_EQ(ids.size() + program.num_edb(), rewrite.program.num_predicates());
 }
 
 TEST(MagicRewriteTest, DemandStaysBoundGate) {
@@ -244,7 +245,7 @@ TEST(DatalogQueryTest, MutuallyRecursiveProgram) {
 
   MagicRewriteResult rewrite =
       MagicRewrite(program, {1, Bindings{ConstId{0}, std::nullopt}});
-  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.ToString();
+  EXPECT_EQ(rewrite.program.Validate(), "") << rewrite.program.ToString();
   EXPECT_NE(FindAdorned(rewrite, 1, Adornment{1}), nullptr);
   EXPECT_NE(FindAdorned(rewrite, 2, Adornment{1}), nullptr);
 

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "datalog/eval.h"
 #include "datalog/ivm.h"
+#include "decision/answer_sets.h"
 #include "decision/certainty.h"
 #include "decision/containment.h"
 #include "decision/membership.h"
@@ -76,11 +78,21 @@ TEST(ViewTest, RelationReferenceThatDoesNotFitReadsEmpty) {
   // Rel(3, 2) names no table of this one-table database and Rel(0, 3) gives
   // its table another arity. Either reads as an empty relation in every
   // world, in every build mode (decision/view.h); before, the world search
-  // read past the instance's relations.
+  // read past the instance's relations. So does an expression whose columns
+  // do not fit its input (RaExpr::fits): a select or projection column past
+  // the input's arity, or a union of two arities. Before, only asserts
+  // checked those (a select not at all), and NDEBUG builds read past tuple
+  // ends or built an image of rows narrower than its arity.
   CTable t(2);
   t.AddRow(Tuple{C(1), V(0)});
   CDatabase db{t};
-  for (const RaExpr& ref : {RaExpr::Rel(3, 2), RaExpr::Rel(0, 3)}) {
+  const RaExpr rel = RaExpr::Rel(0, 2);
+  for (const RaExpr& ref :
+       {RaExpr::Rel(3, 2), RaExpr::Rel(0, 3),
+        RaExpr::Select(rel, {SelectAtom::Eq(ColOrConst::Col(5),
+                                            ColOrConst::Const(1))}),
+        RaExpr::ProjectCols(rel, {0, 7}),
+        RaExpr::Union(rel, RaExpr::ProjectCols(rel, {0}))}) {
     View view = View::Ra({ref});
     const int arity = ref.arity();
     const Fact fact(static_cast<size_t>(arity), 1);
@@ -195,6 +207,63 @@ TEST(ViewTest, RuleWhoseAtomsDoNotFitDerivesNothing) {
     EXPECT_TRUE(Possibility(with_fit, CDatabase{table}, fact));
     EXPECT_EQ(DatalogOnCTables(program, CDatabase{table}).table(1).num_rows(),
               2u);
+  }
+
+  // Rules whose atoms fit but that are malformed all the same: an
+  // extensional head, a head variable no body atom binds, and a ground rule
+  // whose head has a variable. Before, the evaluators disagreed on the
+  // first (q(x, y) :- f(x, y) with f(x, y) :- e(x, y): NaiveEval,
+  // DatalogOnCTables and PossibleAnswers derived q(1, 2), SemiNaiveEval,
+  // DatalogQueryOnCTables and Possibility did not), and SemiNaiveEval,
+  // PossibilitySearch and Certainty threw std::out_of_range on the other two
+  // while Possibility answered yes through a null row. Now none fits, and
+  // every evaluator derives nothing from it.
+  struct Malformed {
+    const char* shape;
+    std::vector<int> arities;  // predicate 0 is e, the last one is q
+    size_t num_edb;
+    std::vector<DatalogRule> rules;
+  };
+  const std::vector<Malformed> malformed = {
+      {"extensional head",
+       {2, 2, 2},
+       2,
+       {{{2, Tuple{V(0), V(1)}}, {{1, Tuple{V(0), V(1)}}}},
+        {{1, Tuple{V(0), V(1)}}, {{0, Tuple{V(0), V(1)}}}}}},
+      {"unbound head variable",
+       {1, 2},
+       1,
+       {{{1, Tuple{V(0), V(1)}}, {{0, Tuple{V(0)}}}}}},
+      {"ground rule with a variable head",
+       {2, 2},
+       1,
+       {{{1, Tuple{V(0), C(2)}}, {}}}},
+  };
+  for (const Malformed& m : malformed) {
+    SCOPED_TRACE(m.shape);
+    DatalogProgram program(m.arities, m.num_edb);
+    for (const DatalogRule& rule : m.rules) program.AddRule(rule);
+    const int q = static_cast<int>(m.arities.size()) - 1;
+    const Fact e_fact = m.arities[0] == 1 ? Fact{1} : Fact{1, 2};
+    CTable e(m.arities[0]);
+    e.AddRow(ToTuple(e_fact));
+    const CDatabase db{e};
+    const Instance edb({Relation(m.arities[0], {e_fact})});
+    const View view = View::Datalog(program, {q});
+    auto evaluate = [&] {
+      EXPECT_TRUE(NaiveEval(program, edb).relation(q).empty());
+      EXPECT_TRUE(SemiNaiveEval(program, edb).relation(q).empty());
+      EXPECT_EQ(DatalogOnCTables(program, db).table(q).num_rows(), 0u);
+      EXPECT_EQ(DatalogQueryOnCTables(program, db, q,
+                                      {ConstId{1}, std::nullopt})
+                    .num_rows(),
+                0u);
+      EXPECT_TRUE(PossibleAnswers(view, db).relation(0).empty());
+      EXPECT_FALSE(Possibility(view, db, fact));
+      EXPECT_FALSE(PossibilitySearch(view, db, fact));
+      EXPECT_FALSE(Certainty(view, db, fact));
+    };
+    EXPECT_NO_THROW(evaluate());
   }
 }
 
