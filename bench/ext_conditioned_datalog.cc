@@ -127,10 +127,10 @@ BENCHMARK(BM_ConditionedTC_PointQuery_Magic)
 // delete + reinsert of an existing edge every 24th step. The incremental
 // side maintains one MaterializedView (datalog/ivm.h): each insertion seeds
 // the converged semi-naive state and resumes, so the cost tracks the
-// insertion's derivation cone; each deletion over-deletes and re-derives
-// its cone. The recompute side applies the same
-// updates to the base table and reruns the full fixpoint from scratch after
-// every one. Both sides pay the initial materialization inside the timed
+// insertion's derivation cone; each deletion resets the view's fixpoint and
+// re-derives it from the base, one recomputation per delete
+// (`rebuilds` counts them). The recompute side applies the same updates to
+// the base table and reruns the full fixpoint from scratch after every one. Both sides pay the initial materialization inside the timed
 // region. Paired as *_Incremental / *_Recompute for the CI gate — the
 // maintained view must stay well under the 2x budget (expected >= 5x faster
 // at the smoke sizes).

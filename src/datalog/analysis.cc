@@ -36,24 +36,6 @@ std::string ProgramAnalysis::ErrorString() const {
   return out;
 }
 
-std::vector<bool> ProgramAnalysis::Cone(int pred) const {
-  std::vector<bool> cone(heads_of_.size(), false);
-  if (pred < 0 || static_cast<size_t>(pred) >= heads_of_.size()) return cone;
-  cone[static_cast<size_t>(pred)] = true;
-  std::vector<int> worklist = {pred};
-  while (!worklist.empty()) {
-    const int v = worklist.back();
-    worklist.pop_back();
-    for (int h : heads_of_[static_cast<size_t>(v)]) {
-      if (!cone[static_cast<size_t>(h)]) {
-        cone[static_cast<size_t>(h)] = true;
-        worklist.push_back(h);
-      }
-    }
-  }
-  return cone;
-}
-
 // Emits every error (not first-wins). The rules with an error are exactly
 // those DatalogProgram::Fits rejects; only the others enter the graph.
 void ProgramAnalysis::CheckRules(const DatalogProgram& program) {
@@ -113,16 +95,18 @@ void ProgramAnalysis::CheckRules(const DatalogProgram& program) {
 // predicates early.
 void ProgramAnalysis::BuildSccs(const DatalogProgram& program) {
   const size_t n = program.num_predicates();
-  heads_of_.assign(n, {});
+  // Per predicate: the heads of the fitting rules whose body reads it,
+  // ascending, unique.
+  std::vector<std::vector<int>> heads_of(n);
   for (size_t r = 0; r < program.rules().size(); ++r) {
     if (!rule_fits_[r]) continue;
     const DatalogRule& rule = program.rules()[r];
     for (const DatalogAtom& a : rule.body) {
-      heads_of_[static_cast<size_t>(a.predicate)].push_back(
+      heads_of[static_cast<size_t>(a.predicate)].push_back(
           rule.head.predicate);
     }
   }
-  for (auto& heads : heads_of_) {
+  for (auto& heads : heads_of) {
     std::sort(heads.begin(), heads.end());
     heads.erase(std::unique(heads.begin(), heads.end()), heads.end());
   }
@@ -152,7 +136,7 @@ void ProgramAnalysis::BuildSccs(const DatalogProgram& program) {
         on_stack[v] = true;
       }
       bool descended = false;
-      const auto& edges = heads_of_[static_cast<size_t>(v)];
+      const auto& edges = heads_of[static_cast<size_t>(v)];
       while (f.edge < edges.size()) {
         const int w = edges[f.edge++];
         if (index[w] == -1) {
@@ -192,7 +176,7 @@ void ProgramAnalysis::BuildSccs(const DatalogProgram& program) {
   std::vector<std::vector<int>> cond_out(static_cast<size_t>(num_comps));
   std::vector<int> indegree(static_cast<size_t>(num_comps), 0);
   for (size_t p = 0; p < n; ++p) {
-    for (int h : heads_of_[p]) {
+    for (int h : heads_of[p]) {
       const int from = comp[p];
       const int to = comp[h];
       if (from != to) cond_out[static_cast<size_t>(from)].push_back(to);
@@ -236,7 +220,7 @@ void ProgramAnalysis::BuildSccs(const DatalogProgram& program) {
   for (size_t p = 0; p < n; ++p) {
     const auto scc = static_cast<size_t>(scc_of_[p]);
     if (members[scc] > 1 ||
-        std::binary_search(heads_of_[p].begin(), heads_of_[p].end(),
+        std::binary_search(heads_of[p].begin(), heads_of[p].end(),
                            static_cast<int>(p))) {
       scc_recursive_[scc] = true;
     }

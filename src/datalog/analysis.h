@@ -16,8 +16,11 @@
 //     ilalgebra/datalog_ctable.cc).
 //
 //   - Dead rules, which the fixpoint leaves out of its schedule and the
-//     magic rewrite prunes, and the reachability cone a view delete clears
-//     (datalog/ivm.cc), walked over the graph on each call.
+//     magic rewrite prunes.
+//
+// No evaluator keeps an analysis: the conditioned fixpoint builds one at
+// construction to fix its per-SCC rule schedule, and the magic rewrite and
+// Validate() build one per call.
 
 #ifndef PW_DATALOG_ANALYSIS_H_
 #define PW_DATALOG_ANALYSIS_H_
@@ -86,14 +89,6 @@ class ProgramAnalysis {
   /// fixpoint and pruned by the magic rewrite.
   bool RuleDead(size_t rule) const { return rule_dead_[rule]; }
 
-  /// The reachability cone of `pred`: every predicate whose derivations can
-  /// transitively depend on `pred` (closed under body -> head edges), the
-  /// predicate itself included, as a per-predicate bitmap. A rule whose
-  /// head is outside Cone(p) cannot mention any predicate inside it — the
-  /// property incremental view maintenance relies on when it over-deletes a
-  /// cone and re-derives. All false for a `pred` the program lacks.
-  std::vector<bool> Cone(int pred) const;
-
  private:
   void CheckRules(const DatalogProgram& program);
   void BuildSccs(const DatalogProgram& program);
@@ -101,9 +96,6 @@ class ProgramAnalysis {
 
   std::vector<Diagnostic> diagnostics_;
   std::vector<bool> rule_fits_;                // per rule
-  std::vector<std::vector<int>> heads_of_;     // per predicate: the heads of
-                                               // the fitting rules whose body
-                                               // reads it, ascending, unique
   std::vector<int> scc_of_;                    // per predicate
   std::vector<bool> scc_recursive_;            // per SCC
   std::vector<std::vector<size_t>> scc_rules_; // per SCC, program order

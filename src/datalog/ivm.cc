@@ -9,8 +9,7 @@ namespace pw {
 
 MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
                                    MaterializedViewOptions options)
-    : original_(std::move(program)),
-      evaluated_(std::make_unique<DatalogProgram>(original_)),
+    : evaluated_(std::make_unique<DatalogProgram>(std::move(program))),
       base_(std::move(base)),
       options_(options) {
   Initialize();
@@ -19,9 +18,8 @@ MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
 MaterializedView::MaterializedView(DatalogProgram program, CDatabase base,
                                    DatalogGoal goal,
                                    MaterializedViewOptions options)
-    : original_(std::move(program)), goal_(std::move(goal)),
-      base_(std::move(base)), options_(options) {
-  MagicRewriteResult rewrite = MagicRewrite(original_, *goal_);
+    : goal_(std::move(goal)), base_(std::move(base)), options_(options) {
+  MagicRewriteResult rewrite = MagicRewrite(program, *goal_);
   options_.eval.magic_pred_begin = static_cast<int>(rewrite.magic_begin);
   evaluated_ = std::make_unique<DatalogProgram>(std::move(rewrite.program));
   goal_table_ = rewrite.goal_predicate;
@@ -42,6 +40,10 @@ void MaterializedView::Initialize() {
   global_id_ = base_.CombinedGlobalId(interner);
   fix_.emplace(*evaluated_, options_.eval);
   fix_->SetGlobal(global_id_);
+  DeriveFromBase();
+}
+
+void MaterializedView::DeriveFromBase() {
   for (size_t p = 0;
        p < evaluated_->num_edb() && p < base_.num_tables(); ++p) {
     fix_->SeedTable(static_cast<int>(p), base_.table(p));
@@ -100,23 +102,13 @@ void MaterializedView::Delete(int pred, const Fact& fact) {
   CTable& table = base_.mutable_table(static_cast<size_t>(pred));
   if (!DeleteFactInPlace(table, fact, update).changed) return;  // untouched
 
-  // Over-delete/re-derive: clear every predicate whose derivations could
-  // involve the changed table — the reachability-closed cone of head
-  // dependencies, the changed table included — reseed the base rows, and
-  // re-derive. Each clear rewound its own SCC, so Run() re-enumerates the
-  // cone's strata against the intact rest; strata outside the cone read no
-  // cleared predicate and see no delta.
+  // Over-delete/re-derive at the coarsest grain: every row goes, and the
+  // updated base derives them again as at construction. For transitive
+  // closure over the changed table, the table's reachability cone is the
+  // whole program anyway.
   ++stats_.cone_rebuilds;
-  const std::vector<bool> cone = fix_->analysis().Cone(pred);
-  for (size_t p = 0; p < cone.size(); ++p) {
-    if (!cone[p]) continue;
-    const size_t dropped = fix_->ClearPredicate(static_cast<int>(p));
-    if (static_cast<int>(p) == pred) continue;  // reseeded, not re-derived
-    ++stats_.cone_predicates;
-    stats_.rows_overdeleted += dropped;
-  }
-  fix_->SeedTable(pred, table);
-  fix_->Run();
+  stats_.rows_overdeleted += fix_->Reset();
+  DeriveFromBase();
 }
 
 CDatabase MaterializedView::Materialized() const {
@@ -137,8 +129,9 @@ CTable MaterializedView::Answers() const {
   // Unconditional (not assert-only): a full view has no goal, and a goal
   // that names no predicate of the program leaves goal_table_ out of range
   // (the rewrite demands nothing for it). Either way there are no answers.
-  if (!goal_.has_value() || goal_table_ < 0 ||
-      static_cast<size_t>(goal_table_) >= evaluated_->num_predicates()) {
+  // Bindings of another width than the goal's predicate match no row in
+  // RestrictTableToGoal.
+  if (!goal_.has_value() || !evaluated_->HasPredicate(goal_table_)) {
     CTable empty(goal_.has_value()
                      ? static_cast<int>(goal_->bindings.size())
                      : 0);

@@ -22,15 +22,12 @@
 //     subsumption standing in for support counting).
 //
 //   - Deletion rewrites the base table in place; one that changes no row
-//     changes nothing derivable. Otherwise the view over-deletes: every
-//     predicate whose derivations could reach back to the changed table
-//     (the reachability-closed *cone* of head dependencies, walked over
-//     the fixpoint's analysis) is cleared wholesale, the table is reseeded, and
-//     a plain Run() re-derives the cone against the intact remainder
-//     (`cone_rebuilds`) — the DRed
-//     over-delete/re-derive pair at predicate granularity, which
-//     conditioned rows make affordable because untouched predicates keep
-//     their rows, dedup maps, and tuple indexes.
+//     changes nothing derivable. Otherwise the view over-deletes everything:
+//     ConditionedFixpoint::Reset drops every row, and construction's seeding
+//     (every base table, the ground facts, a plain Run()) re-derives the
+//     fixpoint from the updated base (`cone_rebuilds`) — DRed's
+//     over-delete/re-derive pair at its coarsest grain, identical to a
+//     recomputation because it is one, on the same interner and backend.
 //
 // Demand-restricted views compose with the magic-set transformation
 // (datalog/magic.h): a view constructed with a goal evaluates the rewritten
@@ -59,13 +56,13 @@ struct IvmStats {
   size_t inserts_seeded = 0;    // seeded rows admitted into the fixpoint
                                 // (duplicates/subsumed/unsatisfiable seeds
                                 // cost nothing further)
-  size_t deletes_covered = 0;   // always 0 (every changing delete rebuilds
-                                // its cone); goes with its last reader, the
-                                // benchmark's datalog.covered_share
-  size_t cone_rebuilds = 0;     // deletes that over-deleted and re-derived
-  size_t cone_predicates = 0;   // predicates cleared across those rebuilds
-  size_t rows_overdeleted = 0;  // live rows dropped by those clears (the
-                                // re-derivation bill)
+  size_t deletes_covered = 0;   // always 0 (every changing delete resets
+                                // the fixpoint); goes with its last reader,
+                                // the benchmark's datalog.covered_share
+  size_t cone_rebuilds = 0;     // deletes that reset the fixpoint and
+                                // re-derived it from the base
+  size_t rows_overdeleted = 0;  // live intensional rows those resets
+                                // dropped (the re-derivation bill)
   /// The underlying fixpoint's cumulative counters (rounds, derived rows,
   /// index builds/extends, ...), including the initial materialization.
   ConditionedFixpointStats fixpoint;
@@ -76,8 +73,10 @@ struct MaterializedViewOptions {
   /// Evaluation options for the underlying fixpoint. `magic_pred_begin` is
   /// overwritten by the goal constructor and kept by the full one (a full
   /// view of an already-rewritten program attributes its magic rows to the
-  /// demand counters); `max_derived_rows` budgets apply to the lifetime
-  /// state (once exhausted the view stops maintaining — check `aborted()`).
+  /// demand counters). A `max_derived_rows` budget counts every row the
+  /// view derives in its life, re-derivations after deletes included; once
+  /// it trips, `stats().fixpoint.budget_exhausted` is set and the view
+  /// stops maintaining: it is a partial under-approximation.
   DatalogCTableOptions eval;
 };
 
@@ -117,7 +116,8 @@ class MaterializedView {
 
   /// Deletes the ground fact from base predicate `pred` (rep-wise:
   /// { I minus {fact} }) and maintains the view: a delete that rewrites no
-  /// base row is free, and any other clears and re-derives the table's cone.
+  /// base row is free, and any other resets the fixpoint and re-derives it
+  /// from the base.
   void Delete(int pred, const Fact& fact);
 
   /// The maintained fixpoint as a c-database, identical (tuples and
@@ -128,27 +128,21 @@ class MaterializedView {
 
   /// Demand views only: the goal's restricted answers, identical to
   /// DatalogQueryOnCTables on the current base. A full view, or a demand
-  /// view whose goal names no predicate of the program, has no answers: an
-  /// empty table (as wide as the goal's bindings), in all build modes.
+  /// view whose goal names no predicate of the program or has bindings not
+  /// exactly as wide as its predicate, has no answers: an empty table (as
+  /// wide as the goal's bindings), in all build modes.
   CTable Answers() const;
 
   /// The maintained base database (updates applied in place).
   const CDatabase& base() const { return base_; }
 
-  /// The program as constructed (pre-rewrite for demand views).
-  const DatalogProgram& program() const { return original_; }
-
-  /// The program the fixpoint actually evaluates (the magic rewrite for
-  /// demand views, otherwise `program()`).
+  /// The program the fixpoint evaluates: the one the view was built with,
+  /// or for a demand view its magic rewrite.
   const DatalogProgram& evaluated_program() const { return *evaluated_; }
 
   bool is_demand_view() const { return goal_.has_value(); }
 
   ConditionInterner& interner() const { return fix_->interner(); }
-
-  /// True once a max_derived_rows budget tripped; the view is a partial
-  /// under-approximation and further updates stop maintaining it.
-  bool aborted() const { return fix_->aborted(); }
 
   /// Maintenance counters (the fixpoint sub-struct is refreshed per call;
   /// a demand view adds its rewrite's rules_adorned, magic_rules and
@@ -157,12 +151,14 @@ class MaterializedView {
 
  private:
   void Initialize();
+  /// Seeds every base table and the ground facts into the fresh (or reset)
+  /// fixpoint and runs it to convergence.
+  void DeriveFromBase();
   /// True iff `pred` names a base (EDB) predicate with a backing table and
   /// `fact` has that table's arity — the unconditional precondition of the
   /// public update entry points.
   bool ValidUpdate(int pred, const Fact& fact) const;
 
-  DatalogProgram original_;
   // Behind a pointer for address stability: the fixpoint keeps a reference
   // to the program it evaluates, which must survive moving the view.
   std::unique_ptr<DatalogProgram> evaluated_;

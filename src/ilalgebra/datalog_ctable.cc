@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "condition/dd_backend.h"
+#include "datalog/analysis.h"
 #include "ilalgebra/join_plan.h"
 #include "tables/tuple_index.h"
 
@@ -41,7 +42,7 @@ struct PredState {
   size_t delta_end = 0;
   // Lazily-built hash indexes of the rows' tuples per bound-column subset,
   // extended across rounds — and across Run() calls — as rows are appended.
-  // Rows are append-only except for ClearPredicate, which clears the cache.
+  // Rows are append-only until a Reset, which clears the cache.
   // Dead rows stay indexed and are skipped at match time, like in the scan.
   TupleIndexCache indexes;
 };
@@ -232,8 +233,8 @@ bool ForcedClash(const Conjunction& acc, const Conjunction& eqs) {
 }
 
 /// The up-to-date index of `pred`'s rows on `cols`. Rows are append-only
-/// between ClearPredicate calls, so the cache usually just extends; a clear
-/// empties the cache and the entry rebuilds. Builds and extends are counted
+/// between resets, so the cache usually just extends; a reset empties the
+/// cache and the entry rebuilds. Builds and extends are counted
 /// separately into the stats, so a mid-query catch-up after an append is
 /// never mistaken for (or double-counted as) a rebuild.
 const TupleIndex& IndexFor(EvalState& state, int pred,
@@ -477,25 +478,22 @@ bool SequentialRound(EvalState& state, const DatalogProgram& program,
 
 struct ConditionedFixpoint::Impl {
   const DatalogProgram* program = nullptr;
-  // Static analysis of `program` (SCC strata in topological order, dead
-  // rules, the graph cones are walked over), computed once at construction;
-  // the stratum schedule and IVM both run off it.
-  std::unique_ptr<ProgramAnalysis> analysis;
-  // The rule schedule per SCC, fixed at construction: the SCC's rules with
-  // a body that the analysis does not mark dead, in program order, and the
-  // count of those it does (ground rules fire through FireGroundRules and
-  // ClearPredicate; rules that do not fit the program are in no SCC).
+  // The rule schedule, one stratum per SCC of the program's dependency graph
+  // in topological order (datalog/analysis.h), fixed at construction: the
+  // SCC's rules with a body that the analysis does not mark dead, in program
+  // order, the count of those it does (ground rules fire through
+  // FireGroundRules; rules that do not fit the program are in no SCC), and
+  // whether the SCC is recursive.
   struct Stratum {
     std::vector<size_t> live;
     size_t dead = 0;
+    bool recursive = false;
   };
   std::vector<Stratum> strata;
-  // seen[scc][pred]: how many of `pred`'s rows SCC `scc`'s rules have
-  // already consumed (joined against every relevant combination). The SCC's
-  // delta on the next Run() is [seen, rows.size()) — kept per SCC because
-  // different strata consume the same predicate at different times.
-  // ClearPredicate resets a predicate's column and its own SCC's row.
-  std::vector<std::vector<size_t>> seen;
+  // consumed[pred]: how many of `pred`'s rows every stratum has joined
+  // against every relevant combination — the row count when Run() last
+  // converged. A stratum's delta on the next Run() is [consumed, rows.size()).
+  std::vector<size_t> consumed;
   // The condition representation of this fixpoint's rows; state.backend
   // points here. On diagrams it is the interner's manager, shared with every
   // other diagram fixpoint on the interner; this reference keeps it alive
@@ -526,65 +524,49 @@ struct ConditionedFixpoint::Impl {
   /// CanonicalLeaf makes each combination's emission order-canonical.
   void StratifiedRun() {
     EvalState& st = state;
-    for (int scc = 0; scc < analysis->num_sccs(); ++scc) {
+    for (const Stratum& stratum : strata) {
       if (st.aborted) return;
-      const Stratum& stratum = strata[static_cast<size_t>(scc)];
       st.stats.dead_rules_skipped += stratum.dead;
-      std::vector<size_t>& seen_scc = seen[static_cast<size_t>(scc)];
-      if (!stratum.live.empty()) {
-        // This SCC's pending delta: rows past its seen watermark.
-        for (size_t p = 0; p < st.preds.size(); ++p) {
-          PredState& ps = st.preds[p];
-          ps.delta_begin = seen_scc[p];
-          ps.delta_end = ps.rows.size();
-        }
-        bool any_delta = false;
-        for (size_t r : stratum.live) {
-          for (const DatalogAtom& a : program->rules()[r].body) {
-            const PredState& ps = st.preds[static_cast<size_t>(a.predicate)];
-            if (ps.delta_begin != ps.delta_end) {
-              any_delta = true;
-              break;
-            }
-          }
-          if (any_delta) break;
-        }
-        if (any_delta) {
-          ++st.stats.strata;
-          if (!analysis->SccRecursive(scc)) {
-            // Nonrecursive stratum: none of its rules read what it derives,
-            // so one pass over the delta is the fixpoint.
-            ++st.stats.rounds;
-            SequentialRound(st, *program, stratum.live);
-          } else {
-            bool changed = true;
-            while (changed && !st.aborted) {
-              ++st.stats.rounds;
-              changed = SequentialRound(st, *program, stratum.live);
-              AdvanceDeltas(st);
-            }
-          }
-        }
-      }
-      if (st.aborted) return;
-      // Everything below the current row counts is consumed: this SCC's
-      // body predicates live in SCCs <= scc, whose row counts are final for
-      // this run once the SCC converges.
+      if (stratum.live.empty()) continue;
+      // This stratum's pending delta: the rows past each consumed mark. The
+      // marks stay put until the whole run converges, so rows a lower
+      // stratum derived in this run are still delta here.
       for (size_t p = 0; p < st.preds.size(); ++p) {
-        seen_scc[p] = st.preds[p].rows.size();
+        PredState& ps = st.preds[p];
+        ps.delta_begin = consumed[p];
+        ps.delta_end = ps.rows.size();
+      }
+      bool any_delta = false;
+      for (size_t r : stratum.live) {
+        for (const DatalogAtom& a : program->rules()[r].body) {
+          const PredState& ps = st.preds[static_cast<size_t>(a.predicate)];
+          if (ps.delta_begin != ps.delta_end) {
+            any_delta = true;
+            break;
+          }
+        }
+        if (any_delta) break;
+      }
+      if (!any_delta) continue;
+      ++st.stats.strata;
+      if (!stratum.recursive) {
+        // Nonrecursive stratum: none of its rules read what it derives, so
+        // one pass over the delta is the fixpoint.
+        ++st.stats.rounds;
+        SequentialRound(st, *program, stratum.live);
+      } else {
+        bool changed = true;
+        while (changed && !st.aborted) {
+          ++st.stats.rounds;
+          changed = SequentialRound(st, *program, stratum.live);
+          AdvanceDeltas(st);
+        }
       }
     }
-  }
-
-  /// Fires `pred`'s empty-body rules (every predicate's, for -1) into the
-  /// pending delta.
-  void FireGroundRules(int pred) {
-    for (const DatalogRule& rule : program->rules()) {
-      if (state.aborted) break;
-      if (rule.body.empty() && program->Fits(rule) &&
-          (pred < 0 || rule.head.predicate == pred)) {
-        FireGroundRule(state, rule);
-      }
+    // An aborted run consumed only part of its deltas: the marks stay.
+    if (st.aborted) return;
+    for (size_t p = 0; p < st.preds.size(); ++p) {
+      consumed[p] = st.preds[p].rows.size();
     }
   }
 };
@@ -593,22 +575,21 @@ ConditionedFixpoint::ConditionedFixpoint(const DatalogProgram& program,
                                          const DatalogCTableOptions& options)
     : impl_(std::make_unique<Impl>()) {
   impl_->program = &program;
-  impl_->analysis = std::make_unique<ProgramAnalysis>(program);
-  const ProgramAnalysis& an = *impl_->analysis;
-  impl_->strata.resize(static_cast<size_t>(an.num_sccs()));
-  for (int scc = 0; scc < an.num_sccs(); ++scc) {
+  const ProgramAnalysis analysis(program);
+  impl_->strata.resize(static_cast<size_t>(analysis.num_sccs()));
+  for (int scc = 0; scc < analysis.num_sccs(); ++scc) {
     Impl::Stratum& stratum = impl_->strata[static_cast<size_t>(scc)];
-    for (size_t r : an.SccRules(scc)) {
+    stratum.recursive = analysis.SccRecursive(scc);
+    for (size_t r : analysis.SccRules(scc)) {
       if (program.rules()[r].body.empty()) continue;
-      if (an.RuleDead(r)) {
+      if (analysis.RuleDead(r)) {
         ++stratum.dead;
       } else {
         stratum.live.push_back(r);
       }
     }
   }
-  impl_->seen.assign(static_cast<size_t>(an.num_sccs()),
-                     std::vector<size_t>(program.num_predicates(), 0));
+  impl_->consumed.assign(program.num_predicates(), 0);
   EvalState& state = impl_->state;
   state.interner = options.interner != nullptr ? options.interner
                                                : &ConditionInterner::Global();
@@ -634,10 +615,6 @@ ConditionInterner& ConditionedFixpoint::interner() const {
 
 ConditionBackend& ConditionedFixpoint::backend() const {
   return *impl_->backend;
-}
-
-const ProgramAnalysis& ConditionedFixpoint::analysis() const {
-  return *impl_->analysis;
 }
 
 void ConditionedFixpoint::SetGlobal(ConjId global_id) {
@@ -668,38 +645,33 @@ void ConditionedFixpoint::FireGroundRules() {
   // Empty-body rules are ground facts: the fixpoint loops only enumerate
   // rules through their body atoms, so these fire here, into the pending
   // delta.
-  impl_->FireGroundRules(-1);
-}
-
-void ConditionedFixpoint::Run() {
-  // The stratum schedule tracks consumption per SCC as watermarks, not
-  // windows: rows seeded (or ground-fired) since the last convergence sit
-  // past each SCC's seen mark and become its delta when its turn comes.
-  impl_->StratifiedRun();
-}
-
-size_t ConditionedFixpoint::ClearPredicate(int pred) {
-  if (!impl_->ValidPred(pred)) return 0;
-  PredState& ps = impl_->state.preds[static_cast<size_t>(pred)];
-  const size_t dropped = static_cast<size_t>(std::count_if(
-      ps.rows.begin(), ps.rows.end(), [](const IRow& r) { return r.alive; }));
-  ps.rows.clear();
-  ps.by_tuple.clear();
-  ps.delta_begin = 0;
-  ps.delta_end = 0;
-  ps.indexes.Clear();
-  // No stratum has consumed any of the predicate's future rows, and its own
-  // SCC has consumed nothing: the SCC's rules re-enumerate every
-  // combination, including those over predicates no clear touched.
-  for (std::vector<size_t>& seen_scc : impl_->seen) {
-    seen_scc[static_cast<size_t>(pred)] = 0;
+  for (const DatalogRule& rule : impl_->program->rules()) {
+    if (impl_->state.aborted) break;
+    if (rule.body.empty() && impl_->program->Fits(rule)) {
+      FireGroundRule(impl_->state, rule);
+    }
   }
-  std::vector<size_t>& own =
-      impl_->seen[static_cast<size_t>(impl_->analysis->SccOf(pred))];
-  std::fill(own.begin(), own.end(), 0);
-  // Only body atoms drive the strata: the predicate's ground facts re-fire
-  // here, or the clear would lose them.
-  impl_->FireGroundRules(pred);
+}
+
+void ConditionedFixpoint::Run() { impl_->StratifiedRun(); }
+
+size_t ConditionedFixpoint::Reset() {
+  EvalState& state = impl_->state;
+  size_t dropped = 0;
+  for (size_t p = 0; p < state.preds.size(); ++p) {
+    PredState& ps = state.preds[p];
+    if (p >= impl_->program->num_edb()) {
+      dropped += static_cast<size_t>(
+          std::count_if(ps.rows.begin(), ps.rows.end(),
+                        [](const IRow& r) { return r.alive; }));
+    }
+    ps.rows.clear();
+    ps.by_tuple.clear();
+    ps.delta_begin = 0;
+    ps.delta_end = 0;
+    ps.indexes.Clear();
+  }
+  std::fill(impl_->consumed.begin(), impl_->consumed.end(), 0);
   return dropped;
 }
 
@@ -727,8 +699,6 @@ CTable ConditionedFixpoint::Export(int pred) const {
   }
   return t;
 }
-
-bool ConditionedFixpoint::aborted() const { return impl_->state.aborted; }
 
 const ConditionedFixpointStats& ConditionedFixpoint::stats() const {
   impl_->state.stats.interner_conjunctions =

@@ -38,7 +38,6 @@
 
 #include "condition/backend.h"
 #include "condition/interner.h"
-#include "datalog/analysis.h"
 #include "datalog/program.h"
 #include "tables/ctable.h"
 
@@ -143,17 +142,16 @@ struct DatalogCTableOptions {
 /// `Run()` again: the loop fires rules only against combinations involving
 /// the new delta, which is exactly the semi-naive invariant, so a converged
 /// state absorbs an insertion in time proportional to its derivation cone.
-/// Every deletion that changes a base table takes the same loop: the view
-/// clears the table's reachability cone (ProgramAnalysis::Cone) with
-/// `ClearPredicate`, which drops a predicate's rows wholesale (over-delete)
-/// and rewinds its own SCC, reseeds the table, and calls `Run()`, which
-/// re-enumerates every combination of each cleared SCC — an SCC holding one
-/// cone predicate holds only cone predicates — while SCCs outside the cone
-/// read no cleared predicate and see no delta.
+/// Each predicate carries one consumed mark, the row count at the last
+/// converged Run(); a stratum's delta is every predicate's rows past it. A
+/// stratum reads only predicates of its own or lower strata, which no later
+/// stratum grows, so the mark is where every stratum reading the predicate
+/// stopped. A view delete that changes its table calls `Reset()` and then
+/// construction's seeding again: every base table, FireGroundRules, Run().
 ///
 /// The duplicate-suppression map, subsumption antichain, and per-predicate
-/// tuple indexes all persist across Run() calls; the program and the
-/// options' interner must outlive the fixpoint. The fixpoint, its
+/// tuple indexes all persist across Run() calls until a Reset(); the program
+/// and the options' interner must outlive the fixpoint. The fixpoint, its
 /// condition backend and its interner are single-owner: drive them from the
 /// interner's thread (the diagram backend is shared by every diagram
 /// fixpoint on the interner).
@@ -177,11 +175,6 @@ class ConditionedFixpoint {
   /// past the interner's Clear().
   ConditionBackend& backend() const;
 
-  /// The program's static analysis (SCC strata, dead rules, errors),
-  /// computed once at construction. The stratum schedule is fixed off it,
-  /// and IVM walks its deletion cones (ProgramAnalysis::Cone) from here.
-  const ProgramAnalysis& analysis() const;
-
   /// Sets the global condition id derivations are checked against
   /// (default: the true conjunction).
   void SetGlobal(ConjId global_id);
@@ -204,30 +197,25 @@ class ConditionedFixpoint {
   void SeedTable(int pred, const CTable& table);
 
   /// Fires the program's empty-body rules (ground facts). Call once on a
-  /// fresh state before the first Run(); ClearPredicate re-fires a cleared
-  /// predicate's own.
+  /// fresh or reset state, before its first Run().
   void FireGroundRules();
 
   /// Runs the stratum-scheduled semi-naive loop to convergence over the
-  /// pending deltas.
+  /// pending deltas. Once a max_derived_rows budget trips
+  /// (stats().budget_exhausted), the state is a partial under-approximation
+  /// and Seed, SeedTable, FireGroundRules and Run() do nothing more.
   void Run();
 
-  /// Over-delete: drops every row of `pred` — storage, dedup map, delta
-  /// windows and cached indexes — and returns how many of them were live.
-  /// No SCC has consumed any of `pred`'s future rows, and `pred`'s own SCC
-  /// has consumed nothing: the next Run() re-enumerates its every
-  /// combination. `pred`'s empty-body rules re-fire into the pending delta.
-  /// An out-of-range `pred` is a no-op that returns 0.
-  size_t ClearPredicate(int pred);
+  /// Drops every predicate's rows, dedup map, delta window and index cache
+  /// (a view delete's over-delete) and returns how many intensional rows
+  /// were live. The rule schedule, the global condition, the backend, the
+  /// budget and the cumulative stats stay: the state is a fresh one to seed.
+  size_t Reset();
 
   /// The live rows of `pred` as a c-table with hot id caches (no global
   /// condition attached). An out-of-range `pred` exports an empty arity-0
   /// table, in all build modes.
   CTable Export(int pred) const;
-
-  /// True once a max_derived_rows budget tripped; the state is a partial
-  /// under-approximation and further Run()s are no-ops.
-  bool aborted() const;
 
   /// Cumulative counters across every Run() on this state.
   const ConditionedFixpointStats& stats() const;
@@ -246,6 +234,8 @@ class ConditionedFixpoint {
 /// rows unsatisfiable together with `global_id` are dropped, and per tuple
 /// only the weakest conditions survive (a covering antichain, so the result
 /// is canonical regardless of row order). No global condition is attached.
+/// Bindings not exactly as wide as the table match no row: the result is an
+/// empty table as wide as the bindings, in all build modes.
 CTable RestrictTableToGoal(const CTable& table,
                            const std::vector<std::optional<ConstId>>& bindings,
                            ConjId global_id, ConditionInterner& interner);
@@ -269,8 +259,7 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 
 /// Query-directed evaluation: the conditioned answers of one goal atom —
 /// predicate `goal` with an optional constant binding per position
-/// (`bindings.size()` must equal the goal predicate's arity; `nullopt` =
-/// free). Returns a c-table of the goal's arity whose rows are exactly the
+/// (`nullopt` = free). Returns a c-table of the goal's arity whose rows are exactly the
 /// full fixpoint's rows for `goal`, restricted to the binding: rows whose
 /// tuple clashes with a bound constant are dropped, matching a bound
 /// constant against a null records the equality in the row's condition,
@@ -292,9 +281,10 @@ CDatabase DatalogOnCTables(const DatalogProgram& program,
 /// RestrictTableToGoal over DatalogOnCTables' goal table. `stats`
 /// additionally reports the demand counters, and its interner growth
 /// includes the goal restriction. A `goal` that names no predicate of
-/// `program` (negative, or at least num_predicates) is checked in all build
-/// modes before anything is evaluated: the result is an empty table as wide
-/// as `bindings`, with the global attached, and `stats` is zeroed.
+/// `program` (negative, or at least num_predicates), or whose `bindings` are
+/// not exactly as wide as its predicate, is checked in all build modes
+/// before anything is evaluated: the result is an empty table as wide as
+/// `bindings`, with the global attached, and `stats` is zeroed.
 CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const CDatabase& database, int goal,
                              const std::vector<std::optional<ConstId>>& bindings,

@@ -75,6 +75,9 @@ bool Covers(const Tuple& a_tuple, ConjId a_cond, const Tuple& b_tuple,
 CTable RestrictTableToGoal(const CTable& table,
                            const std::vector<std::optional<ConstId>>& bindings,
                            ConjId global_id, ConditionInterner& interner) {
+  if (bindings.size() != static_cast<size_t>(table.arity())) {
+    return CTable(static_cast<int>(bindings.size()));
+  }
   std::vector<RestrictedRow> rows;
   std::unordered_map<Tuple, std::vector<size_t>, TupleHash> ground;
   std::vector<size_t> non_ground;
@@ -160,8 +163,10 @@ CTable DatalogQueryOnCTables(const DatalogProgram& program,
                              const DatalogCTableOptions& options) {
   // Unconditional (not assert-only): the rewrite and the fixpoint's tables
   // are indexed by the goal, so a goal that names no predicate answers with
-  // no rows, and nothing is evaluated.
-  if (goal < 0 || static_cast<size_t>(goal) >= program.num_predicates()) {
+  // no rows, and nothing is evaluated; so does a goal whose bindings are of
+  // another width than its predicate, which no row matches.
+  if (!program.HasPredicate(goal) ||
+      static_cast<size_t>(program.arity(goal)) != bindings.size()) {
     ConditionInterner& interner = options.interner != nullptr
                                       ? *options.interner
                                       : ConditionInterner::Global();

@@ -1,9 +1,9 @@
 // Unit tests for the DATALOG program analysis (datalog/analysis.h): SCC
 // condensation and stratum order, structured errors (all of them, not
-// first-wins, for exactly the rules DatalogProgram::Fits rejects), dead
-// rules, and reachability cones — plus the load-bearing wiring: the
-// stratum-scheduled fixpoint consumes the condensation and skips dead
-// rules, and Validate() is a thin rendering of the analysis's errors.
+// first-wins, for exactly the rules DatalogProgram::Fits rejects) and dead
+// rules — plus the load-bearing wiring: the stratum-scheduled fixpoint
+// consumes the condensation and skips dead rules, and Validate() is a thin
+// rendering of the analysis's errors.
 
 #include "datalog/analysis.h"
 
@@ -136,52 +136,6 @@ TEST(ProgramAnalysisTest, DiagnosticRendering) {
   EXPECT_EQ(head.ToString(), "error: rule 3: odd shape");
 }
 
-/// The pre-analysis cone computation (the taint-propagation loop ivm.cc ran
-/// per delete): close {seed} under body -> head edges.
-std::vector<bool> LegacyCone(const DatalogProgram& p, int seed) {
-  std::vector<bool> cone(p.num_predicates(), false);
-  cone[static_cast<size_t>(seed)] = true;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const DatalogRule& rule : p.rules()) {
-      if (cone[static_cast<size_t>(rule.head.predicate)]) continue;
-      for (const DatalogAtom& atom : rule.body) {
-        if (cone[static_cast<size_t>(atom.predicate)]) {
-          cone[static_cast<size_t>(rule.head.predicate)] = true;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return cone;
-}
-
-TEST(ProgramAnalysisTest, ConesMatchLegacyTaintClosure) {
-  DatalogProgram layered = LayeredProgram();
-  DatalogProgram diamond({2, 2, 2, 2, 2}, /*num_edb=*/2);
-  diamond.AddRule(Rule({2, {V(0), V(1)}}, {{0, {V(0), V(1)}}}));
-  diamond.AddRule(Rule({3, {V(0), V(1)}}, {{1, {V(0), V(1)}}}));
-  diamond.AddRule(Rule({4, {V(0), V(1)}},
-                       {{2, {V(0), V(2)}}, {3, {V(2), V(1)}}}));
-  diamond.AddRule(Rule({4, {V(0), V(1)}},
-                       {{4, {V(0), V(2)}}, {2, {V(2), V(1)}}}));
-  for (const DatalogProgram* p : {&layered, &diamond}) {
-    ProgramAnalysis a(*p);
-    for (size_t seed = 0; seed < p->num_predicates(); ++seed) {
-      EXPECT_EQ(a.Cone(static_cast<int>(seed)),
-                LegacyCone(*p, static_cast<int>(seed)))
-          << "cone diverged for predicate " << seed;
-      EXPECT_TRUE(a.Cone(static_cast<int>(seed))[seed]);
-    }
-    // A predicate the program lacks has an empty cone.
-    EXPECT_EQ(a.Cone(-1), std::vector<bool>(p->num_predicates(), false));
-    EXPECT_EQ(a.Cone(static_cast<int>(p->num_predicates())),
-              std::vector<bool>(p->num_predicates(), false));
-  }
-}
-
 TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
   // Layered program with a dead rule riding along: the scheduled run must
   // fire multiple strata, skip the dead rule, and still produce the
@@ -203,11 +157,6 @@ TEST(ProgramAnalysisTest, StratumFixpointConsumesTheAnalysis) {
   EXPECT_GE(stats.dead_rules_skipped, 1u);
   EXPECT_TRUE(testutil::RepresentsFixpointOfEveryWorld(p, db, image))
       << image.ToString();
-  // The fixpoint exposes its analysis; MaterializedView::Delete walks the
-  // cone of the changed table over it.
-  ConditionedFixpoint fix(p, {});
-  EXPECT_EQ(fix.analysis().num_sccs(), ProgramAnalysis(p).num_sccs());
-  EXPECT_EQ(fix.analysis().Cone(0), LegacyCone(p, 0));
 }
 
 TEST(ProgramAnalysisTest, EmptyBodyRulesAreDerivableAndNonrecursive) {

@@ -365,9 +365,9 @@ TEST(DatalogCTableTest, MismatchedBaseTableContributesNoRows) {
 }
 
 TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
-  // The public seeding, clearing and inspection entry points check the
-  // predicate id and the row width in all build modes: a bad call changes
-  // nothing, clears nothing and exports an empty arity-0 table.
+  // The public seeding and inspection entry points check the predicate id
+  // and the row width in all build modes: a bad call changes nothing and
+  // exports an empty arity-0 table.
   DatalogProgram tc = TransitiveClosure();
   ConditionedFixpoint fix(tc);
   const ConjId t = ConditionInterner::kTrueConj;
@@ -376,8 +376,6 @@ TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
   EXPECT_FALSE(fix.Seed(0, Tuple{C(1)}, t));
   EXPECT_FALSE(fix.Seed(0, Tuple{C(1), C(2), C(3)}, t));
   fix.SeedTable(7, CTable::FromRelation(Relation(2, {{1, 2}})));
-  EXPECT_EQ(fix.ClearPredicate(7), 0u);
-  EXPECT_EQ(fix.ClearPredicate(-1), 0u);
   for (int bad : {7, -1}) {
     CTable exported = fix.Export(bad);
     EXPECT_EQ(exported.arity(), 0);
@@ -393,28 +391,44 @@ TEST(DatalogCTableTest, SeedRejectsBadPredicateOrWidth) {
   EXPECT_EQ(fix.Export(1).num_rows(), 3u);
 }
 
-TEST(DatalogCTableTest, ClearPredicateReturnsDroppedRowsAndRunRederives) {
-  // ClearPredicate drops a predicate's rows and reports how many were live;
-  // the ordinary Run() then re-derives them, since the clear rewound the
-  // predicate's own SCC (tc's rules re-read every edge row, although the
-  // edge table was not touched). Its ground facts re-fire at the clear.
+TEST(DatalogCTableTest, ResetReturnsLiveIntensionalRowsAndReseedRederives) {
+  // Reset drops every row and reports how many intensional ones were live:
+  // tc's three paths and its ground fact, not the two edges. Seeding the
+  // edges again, re-firing the ground facts and running lands on the export
+  // from before the reset, the ground fact included, on both backends. The
+  // cumulative stats survive the reset, and the rerun does the first run's
+  // work once more.
   DatalogProgram tc = TransitiveClosure();
   DatalogRule fact_rule;
   fact_rule.head = {1, Tuple{C(8), C(9)}};
   tc.AddRule(fact_rule);
-  ConditionedFixpoint fix(tc);
-  fix.SeedTable(0, CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}})));
-  fix.FireGroundRules();
-  fix.Run();
-  const std::vector<std::string> before =
-      testutil::CanonicalRows(fix.Export(1));
-  ASSERT_EQ(before.size(), 4u);
-  EXPECT_EQ(fix.ClearPredicate(1), 4u);
-  EXPECT_EQ(testutil::CanonicalRows(fix.Export(1)),
-            std::vector<std::string>{"(8, 9) :: true"});
-  fix.Run();
-  EXPECT_EQ(testutil::CanonicalRows(fix.Export(1)), before);
-  EXPECT_EQ(fix.Export(0).num_rows(), 2u);  // never touched
+  const CTable edges = CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}}));
+  for (ConditionBackendKind kind : {ConditionBackendKind::kConjunctions,
+                                    ConditionBackendKind::kDecisionDiagrams}) {
+    SCOPED_TRACE(kind == ConditionBackendKind::kConjunctions ? "antichain"
+                                                              : "dd");
+    DatalogCTableOptions options;
+    options.condition_backend = kind;
+    ConditionedFixpoint fix(tc, options);
+    fix.SeedTable(0, edges);
+    fix.FireGroundRules();
+    fix.Run();
+    const std::vector<std::string> before =
+        testutil::CanonicalRows(fix.Export(1));
+    ASSERT_EQ(before.size(), 4u);
+    const size_t derived = fix.stats().derived_rows;
+    EXPECT_EQ(fix.Reset(), 4u);
+    EXPECT_EQ(fix.Export(0).num_rows(), 0u);
+    EXPECT_EQ(fix.Export(1).num_rows(), 0u);
+    EXPECT_EQ(fix.stats().derived_rows, derived);
+    fix.SeedTable(0, edges);
+    fix.FireGroundRules();
+    fix.Run();
+    EXPECT_EQ(testutil::CanonicalRows(fix.Export(1)), before);
+    EXPECT_EQ(testutil::CanonicalRows(fix.Export(0)),
+              testutil::CanonicalRows(edges));
+    EXPECT_EQ(fix.stats().derived_rows, 2 * derived);
+  }
 }
 
 TEST(DatalogCTableTest, QueryOnNegativeGoalIsEmpty) {

@@ -1076,10 +1076,10 @@ void ApplyUpdateToView(MaterializedView& view, int pred,
 
 /// Plants, into a random two-table program (e0, e1, P, Q), a delete cone
 /// that reads a base table the delete leaves untouched: P(x,y) :- e0(x,y),
-/// P(x,y) :- e1(x,y), and Q(x,z) :- P(x,y), e1(y,z). A delete from e0 clears
-/// {e0, P, Q}, and the re-derivation must read every e1 row again through
-/// P's rule over e1, which only ClearPredicate's rewind of P's own SCC makes
-/// it do.
+/// P(x,y) :- e1(x,y), and Q(x,z) :- P(x,y), e1(y,z). A delete from e0 resets
+/// the fixpoint, and the re-derivation must read every e1 row again through
+/// P's rule over e1, which it does only if the reset drops every consumed
+/// mark and every base table is reseeded.
 void PlantUntouchedTableCone(DatalogProgram& program) {
   const Tuple xy{V(100), V(101)};
   program.AddRule(DatalogRule{{2, xy}, {{0, xy}}});
@@ -1098,10 +1098,11 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
   // same interned condition ids, up to row order) to recomputing its
   // program from scratch on its updated base, and the full view must
   // represent the per-world fixpoints of that base. This is the IVM
-  // invariant: the cone over-delete/re-derive and resumed semi-naive rounds
-  // may never leave a stale row or a stronger-than-necessary condition
-  // behind. The last round plants a cone over an untouched base table
-  // (PlantUntouchedTableCone) and sends every delete to e0.
+  // invariant: the reset-and-rederive of a changing delete and resumed
+  // semi-naive rounds may never leave a stale row or a
+  // stronger-than-necessary condition behind. The last round plants a cone
+  // over an untouched base table (PlantUntouchedTableCone) and sends every
+  // delete to e0, so it checks the reset.
   const unsigned case_seed = 10000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);

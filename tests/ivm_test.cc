@@ -1,11 +1,12 @@
 // Tests for incremental view maintenance (datalog/ivm.h): a MaterializedView
 // must stay *identical* — same tuples, same interned condition ids — to
 // recomputing its fixpoint from scratch on the updated base, across inserts,
-// conditional inserts, deletes that change nothing, and deletes that rebuild
-// their cone; demand views must keep serving exactly DatalogQueryOnCTables'
-// answers. The
-// randomized cross-strategy families live in differential_test.cc; these are
-// the targeted behaviors and the stats that pin the incremental paths on.
+// conditional inserts, deletes that change nothing, and deletes that reset
+// the fixpoint and re-derive it from the base; demand views must keep
+// serving exactly DatalogQueryOnCTables' answers. The randomized
+// cross-strategy families live in differential_test.cc; these are the
+// targeted behaviors and the stats that pin the incremental paths on. Test
+// names keep "cone" for the delete path (`IvmStats::cone_rebuilds`).
 
 #include <gtest/gtest.h>
 
@@ -120,9 +121,13 @@ TEST(IvmTest, DeleteOfUnmatchableFactIsFree) {
 
 TEST(IvmTest, DeleteOfGroundEdgeRebuildsCone) {
   MaterializedView view(TransitiveClosure(), Chain(5));
+  // The reset drops every live tc row, and only those: the edges are
+  // reseeded, not re-derived.
+  const size_t tc_rows = view.Materialized().table(1).num_rows();
+  ASSERT_EQ(tc_rows, 10u);
   view.Delete(0, Fact{2, 3});  // cuts the chain: closure shrinks
   EXPECT_EQ(view.stats().cone_rebuilds, 1u);
-  EXPECT_GT(view.stats().rows_overdeleted, 0u);
+  EXPECT_EQ(view.stats().rows_overdeleted, tc_rows);
   ExpectMatchesRecompute(view);
   // tc must have lost every path across the cut.
   EXPECT_FALSE(HasTuple(view.Materialized().table(1), Tuple{C(0), C(4)}));
@@ -132,8 +137,9 @@ TEST(IvmTest, DeleteThroughUnsatisfiableRowRebuildsCone) {
   // A base row whose condition cannot hold under the global condition was
   // never seeded into the fixpoint. Deleting through it still rewrites the
   // base table (the row's guarded copies all die against the global, so it
-  // is removed), and every delete that changes its table clears and
-  // re-derives its cone: one rebuild, which lands on the recomputed state.
+  // is removed), and every delete that changes its table resets the
+  // fixpoint and re-derives it: one rebuild, which lands on the recomputed
+  // state.
   CTable edges(2);
   edges.AddRow(Tuple{V(0), V(1)}, Conjunction{Neq(V(3), C(1))});
   edges.AddRow(Tuple{C(0), C(1)});
@@ -183,9 +189,9 @@ TEST(IvmTest, UnsatisfiableConditionalInsertIsRejected) {
 }
 
 TEST(IvmTest, GroundRuleFactsSurviveConeRebuild) {
-  // A ground-fact rule whose head is inside the deletion cone: the rebuild
-  // clears tc wholesale, so it must re-fire empty-body rules or lose the
-  // fact.
+  // A ground-fact rule beside a rule over the edges: the reset drops tc
+  // wholesale, so the re-derivation must re-fire empty-body rules or lose
+  // the fact.
   DatalogProgram p({2, 2}, /*num_edb=*/1);
   DatalogRule fact_rule;
   fact_rule.head = {1, Tuple{C(8), C(8)}};
@@ -229,10 +235,10 @@ TEST(IvmTest, RuleJoiningThroughConeGroundFactSurvivesEmptyRebuild) {
 
 TEST(IvmTest, ConeRuleOverAnUntouchedTableRederivesOnDelete) {
   // P(x,y) :- e0(x,y). ; P(x,y) :- e1(x,y). ; Q(x,z) :- P(x,y), e1(y,z).
-  // Deleting from e0 clears the cone {e0, P, Q}, and P's rule over e1 must
-  // read every e1 row again although e1 was not touched: each clear rewinds
-  // its own SCC's watermarks, or P loses (2,3) and (3,x0), and Q loses
-  // (2,x0).
+  // Deleting from e0 resets the fixpoint, and P's rule over e1 must read
+  // every e1 row again although e1 was not touched: the reset drops every
+  // consumed mark with the rows and e1 is reseeded, or P loses (2,3) and
+  // (3,x0), and Q loses (2,x0).
   DatalogProgram p({2, 2, 2, 2}, /*num_edb=*/2);  // e0, e1, P, Q
   DatalogRule from_e0;
   from_e0.head = {2, Tuple{V(100), V(101)}};
@@ -363,7 +369,7 @@ TEST(IvmTest, IncrementalBeatsRecomputeOnDerivedRowWork) {
   for (int i = n - 1; i < n + 3; ++i) {
     view.Insert(0, Fact{i, i + 1});
     ConditionedFixpointStats s;
-    DatalogOnCTables(view.program(), view.base(), &s);
+    DatalogOnCTables(view.evaluated_program(), view.base(), &s);
     recompute_derived += s.derived_rows;
   }
   size_t incremental_derived =
@@ -389,6 +395,43 @@ TEST(IvmTest, DemandViewOnOutOfRangeGoalHasNoAnswers) {
     view.Insert(0, Fact{3, 4});
     EXPECT_EQ(view.Answers().num_rows(), 0u);
     EXPECT_EQ(view.base().table(0).num_rows(), 4u);
+  }
+}
+
+TEST(IvmTest, GoalOfAnotherWidthHasNoAnswers) {
+  // A goal whose bindings are not exactly as wide as its predicate matches
+  // no row, in all build modes: DatalogQueryOnCTables, a demand view's
+  // Answers() and RestrictTableToGoal over the full fixpoint each answer an
+  // empty table as wide as the bindings, the first two with the global
+  // attached. Regression: each path answered a two-column table; bindings
+  // (1, ?, 5) and (?, ?, 5) read 0 rows on the demand path but 2 and 3
+  // through the restricted full fixpoint, and (1) read tc(1,?)'s 2 rows on
+  // all three.
+  DatalogProgram tc = TransitiveClosure();
+  CTable edges = CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}}));
+  edges.SetGlobal(Conjunction{Neq(V(0), C(4))});
+  CDatabase db{edges};
+  ConditionInterner& interner = ConditionInterner::Global();
+  const CTable full = DatalogOnCTables(tc, db).table(1);
+  using Bindings = std::vector<std::optional<ConstId>>;
+  const std::vector<Bindings> cases = {
+      {ConstId{1}, std::nullopt, ConstId{5}},
+      {std::nullopt, std::nullopt, ConstId{5}},
+      {ConstId{1}}};
+  for (size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const Bindings& bindings = cases[c];
+    MaterializedView view(tc, db, DatalogGoal{1, bindings});
+    const CTable query = DatalogQueryOnCTables(tc, db, 1, bindings);
+    const CTable answers = view.Answers();
+    const CTable restricted = RestrictTableToGoal(
+        full, bindings, db.CombinedGlobalId(interner), interner);
+    for (const CTable* t : {&query, &answers, &restricted}) {
+      EXPECT_EQ(t->arity(), static_cast<int>(bindings.size()));
+      EXPECT_EQ(t->num_rows(), 0u);
+    }
+    EXPECT_EQ(query.global(), db.CombinedGlobal());
+    EXPECT_EQ(answers.global(), db.CombinedGlobal());
   }
 }
 

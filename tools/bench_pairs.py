@@ -25,16 +25,18 @@ verdict:
   no worse    otherwise.
 
 Each side's identity is read from its checkout itself before the pairs
-run: `git rev-parse HEAD`, and whether `git status --porcelain
---untracked-files=no` is empty (the tree is clean). pwbench's own `git=` is
-HEAD even in a dirty checkout, so it cannot tell an uncommitted change from
-its parent.
+run: `git rev-parse HEAD`, whether `git status --porcelain
+--untracked-files=no` is empty (the tree is clean), and the library size:
+the line count of the git-tracked src/*.h and src/*.cc files as they stand
+in the checkout. pwbench's own `git=` is HEAD even in a dirty checkout, so
+it cannot tell an uncommitted change from its parent.
 
 A pair whose sides differ in answers_digest or in the failed count is
 flagged, and so is a side with a failed op, and a report whose two sides
 are the same clean commit (it compares a tree with itself); a flag makes the
 exit status nonzero. --out writes every run and the summary as one JSON
-file, with each side's `# machine:` fingerprint, HEAD and cleanliness.
+file, with each side's `# machine:` fingerprint, HEAD, cleanliness and
+library size.
 """
 
 import argparse
@@ -89,8 +91,9 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def tree_identity(checkout):
-    """{"git": HEAD, "clean": no tracked file differs from it} of one
-    checkout, read with git in the checkout."""
+    """{"git": HEAD, "clean": no tracked file differs from it, "src_lines":
+    the lines of its tracked src/*.h and src/*.cc} of one checkout, read
+    with git in the checkout."""
     def git(*args):
         cmd = ["git", "-C", str(checkout), *args]
         done = subprocess.run(cmd, stdout=subprocess.PIPE,
@@ -98,9 +101,14 @@ def tree_identity(checkout):
         if done.returncode != 0:
             sys.exit(f"bench_pairs: {' '.join(cmd)} failed")
         return done.stdout
+    sources = git("ls-files", "-z", "--", "src/*.h", "src/*.cc")
+    src_lines = 0
+    for name in filter(None, sources.split("\0")):
+        src_lines += (pathlib.Path(checkout) / name).read_bytes().count(b"\n")
     return {"git": git("rev-parse", "HEAD").strip(),
             "clean": git("status", "--porcelain",
-                         "--untracked-files=no") == ""}
+                         "--untracked-files=no") == "",
+            "src_lines": src_lines}
 
 
 def run_pairs(parent, change, workload, seeds, seconds):
@@ -203,6 +211,7 @@ def print_summary(report):
     for side in ("parent", "change"):
         tree = "clean" if report[side]["clean"] else "dirty"
         print(f"# {side}: git={report[side]['git']} tree={tree} "
+              f"src_lines={report[side]['src_lines']} "
               f"machine: {report[side]['machine']}")
     for workload, w in report["workloads"].items():
         seeds = [pair["seed"] for pair in w["pairs"]]

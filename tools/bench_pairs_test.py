@@ -4,10 +4,10 @@
 Checks the verdict rules on synthetic pairs (gain, regression, unresolved,
 no worse, ties, higher-is-better metrics), the parent/change alternation,
 the run length and workload names taken from BENCHMARK.json, the written
-report, each side's HEAD and clean/dirty tree read from its checkout, and
-the digest, failed-op and same-clean-commit flags. Runs nothing: the
-benchmark runner is replaced by canned pwbench/run.py output and git by
-canned answers. Run directly or through ctest:
+report, each side's HEAD, clean/dirty tree and library size read from its
+checkout, and the digest, failed-op and same-clean-commit flags. Runs
+nothing: the benchmark runner is replaced by canned pwbench/run.py output
+and git by canned answers. Run directly or through ctest:
 
     python3 tools/bench_pairs_test.py
 """
@@ -101,15 +101,17 @@ class CompareTest(unittest.TestCase):
 
 class PairsTest(unittest.TestCase):
 
-    def fake_runner(self, change_k1, calls, answers=None, failed=None):
-        """A run_once stand-in: the parent reads k1 = 1.0, the change reads
-        change_k1; `answers`/`failed` override the change side per seed."""
+    def fake_runner(self, change_k1, calls, answers=None, failed=None,
+                    change_dir="change-dir"):
+        """A run_once stand-in: the parent reads k1 = 1.0, the change (the
+        run in `change_dir`) reads change_k1; `answers`/`failed` override
+        the change side per seed."""
         answers = answers or {}
         failed = failed or {}
 
         def run(checkout, workload, seed, seconds):
             calls.append((checkout, seed, seconds))
-            is_change = checkout == "change-dir"
+            is_change = checkout == change_dir
             metrics = {"k1_p50_ms": change_k1 if is_change else 1.0,
                        "throughput_ops": 2000.0 + seed % 7}
             return bench_pairs.parse_run(run_output(
@@ -121,17 +123,20 @@ class PairsTest(unittest.TestCase):
 
     @staticmethod
     def fake_git(trees):
-        """A subprocess.run stand-in for the two git calls of
+        """A subprocess.run stand-in for the three git calls of
         tree_identity: `trees` maps a checkout to (HEAD, the output of
-        `git status --porcelain --untracked-files=no`)."""
+        `git status --porcelain --untracked-files=no`[, the tracked
+        sources `git ls-files` lists; none if left out])."""
         def run(cmd, **kwargs):
             if cmd[:2] != ["git", "-C"] or cmd[2] not in trees:
                 raise AssertionError(f"unexpected command {cmd}")
-            head, status = trees[cmd[2]]
+            head, status, *sources = trees[cmd[2]]
             if cmd[3:] == ["rev-parse", "HEAD"]:
                 stdout = head + "\n"
             elif cmd[3:] == ["status", "--porcelain", "--untracked-files=no"]:
                 stdout = status
+            elif cmd[3:] == ["ls-files", "-z", "--", "src/*.h", "src/*.cc"]:
+                stdout = "".join(name + "\0" for name in sum(sources, []))
             else:
                 raise AssertionError(f"unexpected git call {cmd}")
             return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
@@ -168,10 +173,11 @@ class PairsTest(unittest.TestCase):
                 ("change-dir", 4101, seconds), ("parent-dir", 4101, seconds),
                 ("parent-dir", 4102, seconds), ("change-dir", 4102, seconds),
                 ("change-dir", 4103, seconds), ("parent-dir", 4103, seconds)])
-            self.assertIn(f"# parent: git={PARENT_SHA} tree=clean machine: "
-                          'cpu="Test CPU"', out)
-            self.assertIn(f"# change: git={CHANGE_SHA} tree=dirty machine: ",
-                          out)
+            # These checkouts track no sources: a library of 0 lines.
+            self.assertIn(f"# parent: git={PARENT_SHA} tree=clean "
+                          'src_lines=0 machine: cpu="Test CPU"', out)
+            self.assertIn(f"# change: git={CHANGE_SHA} tree=dirty "
+                          "src_lines=0 machine: ", out)
             self.assertRegex(out, r"k1_p50_ms .* 4/4 +gain")
             with open(path) as f:
                 report = json.load(f)
@@ -188,6 +194,37 @@ class PairsTest(unittest.TestCase):
             # Metrics the benchmark does not declare are not summarized.
             self.assertEqual(set(serve["summary"]),
                              {"k1_p50_ms", "throughput_ops"})
+
+    def test_each_side_records_its_library_size(self):
+        # The lines of the tracked sources git lists, read from the checkout
+        # as it stands; an untracked source does not count.
+        with tempfile.TemporaryDirectory() as tmp:
+            trees = {}
+            for side, sha, lines in (("parent", PARENT_SHA, 5),
+                                     ("change", CHANGE_SHA, 3)):
+                checkout = os.path.join(tmp, side)
+                os.makedirs(os.path.join(checkout, "src", "sub"))
+                for name, n in (("a.cc", lines), ("sub/b.h", 2),
+                                ("untracked.cc", 9)):
+                    with open(os.path.join(checkout, "src", name), "w") as f:
+                        f.write("x;\n" * n)
+                trees[checkout] = (sha, "", ["src/a.cc", "src/sub/b.h"])
+            parent, change = (os.path.join(tmp, side)
+                              for side in ("parent", "change"))
+            path = os.path.join(tmp, "BENCH_test.json")
+            code, out = self.run_main(
+                ["--parent", parent, "--change", change, "--workload",
+                 "serve", "--seeds", "1-2", "--out", path],
+                self.fake_runner(0.5, [], change_dir=change), trees)
+            self.assertEqual(code, 0, out)
+            self.assertIn(f"# parent: git={PARENT_SHA} tree=clean "
+                          "src_lines=7 machine: ", out)
+            self.assertIn(f"# change: git={CHANGE_SHA} tree=clean "
+                          "src_lines=5 machine: ", out)
+            with open(path) as f:
+                report = json.load(f)
+            self.assertEqual((report["parent"]["src_lines"],
+                              report["change"]["src_lines"]), (7, 5))
 
     def test_a_workload_the_benchmark_lacks_is_rejected(self):
         with self.assertRaises(SystemExit):
