@@ -57,7 +57,9 @@
 //     its updated base, and represent the per-world fixpoints, for full and
 //     magic-set demand views (Answers() vs DatalogQueryOnCTables), with a
 //     second program evaluated over the maintained output as a nested
-//     downstream consumer.
+//     downstream consumer. The fourth round per seed plants rules over a
+//     base table its deletes leave untouched, so each of its changing
+//     deletes checks that the reset re-derives through that table.
 //
 //  7. Condition algebra — randomized And/Or expression trees over random
 //     interned conjunctions built on the decision-diagram backend: every
