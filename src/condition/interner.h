@@ -138,7 +138,6 @@ class ConditionInterner {
     return conjs_[id].atoms;
   }
 
-  size_t num_atoms() const { return atoms_.size(); }
   size_t num_conjunctions() const { return conjs_.size(); }
 
   // --- Generational lifecycle -----------------------------------------------

@@ -137,7 +137,8 @@ class MaterializedView {
   const CDatabase& base() const { return base_; }
 
   /// The program the fixpoint evaluates: the one the view was built with,
-  /// or for a demand view its magic rewrite.
+  /// or for a demand view its magic rewrite (rule-free for a goal that
+  /// demands nothing, MagicRewrite's goal of another width among them).
   const DatalogProgram& evaluated_program() const { return *evaluated_; }
 
   bool is_demand_view() const { return goal_.has_value(); }

@@ -92,12 +92,15 @@ void AppendRuleUnlessDuplicate(std::vector<DatalogRule>& rules,
   ++counter;
 }
 
-/// True iff the goal names an intensional predicate of `program`: the only
-/// goals with demand to propagate. Checked in all build modes, since the
+/// True iff the goal names an intensional predicate of `program` and binds
+/// exactly its arity: the only goals with demand to propagate (a goal of
+/// another width matches no row). Checked in all build modes, since the
 /// discovery looks up the goal predicate's arity.
 bool HasDemand(const DatalogProgram& program, const DatalogGoal& goal) {
   return program.IsIdb(goal.predicate) &&
-         static_cast<size_t>(goal.predicate) < program.num_predicates();
+         static_cast<size_t>(goal.predicate) < program.num_predicates() &&
+         goal.bindings.size() ==
+             static_cast<size_t>(program.arity(goal.predicate));
 }
 
 }  // namespace
@@ -110,8 +113,8 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
   // An extensional goal needs no demand machinery: its answers are the
   // extensional table itself, so the "rewritten" program is the predicate
   // space with no rules (the conditioned fixpoint then just carries the
-  // extensional rows through). A goal outside the predicate space demands
-  // nothing either.
+  // extensional rows through). A goal outside the predicate space, or of
+  // another width than its predicate, demands nothing either.
   if (!HasDemand(program, goal)) {
     std::vector<int> arities;
     for (size_t p = 0; p < program.num_predicates(); ++p) {

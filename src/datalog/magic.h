@@ -94,16 +94,17 @@ struct MagicRewriteResult {
                              // earlier rule
 };
 
-/// Rewrites `program` for `goal`. The goal's bindings size must equal the
-/// goal predicate's arity. Only rules reachable from the goal's demand are
-/// kept, and dead ones (ProgramAnalysis::RuleDead, every rule that does not
-/// fit among them) are pruned before adorning, so the rewritten program
-/// always passes DatalogProgram::Validate(); `adorned` maps its predicates
-/// back, and `program.ToString()` prints it. An extensional goal needs no
-/// demand: the result is a program with the same predicates and no rules
-/// (the goal's answers are the extensional table itself). So does a goal
-/// that names no predicate of `program`; its `goal_predicate` is then out of
-/// range too, and callers check it.
+/// Rewrites `program` for `goal`. Only rules reachable from the goal's
+/// demand are kept, and dead ones (ProgramAnalysis::RuleDead, every rule
+/// that does not fit among them) are pruned before adorning, so the
+/// rewritten program always passes DatalogProgram::Validate(); `adorned`
+/// maps its predicates back, and `program.ToString()` prints it. An
+/// extensional goal needs no demand: the result is a program with the same
+/// predicates and no rules (the goal's answers are the extensional table
+/// itself). So does a goal that names no predicate of `program` (its
+/// `goal_predicate` is then out of range too, and callers check it), and a
+/// goal whose bindings are not exactly as wide as its predicate (it matches
+/// no row).
 MagicRewriteResult MagicRewrite(const DatalogProgram& program,
                                 const DatalogGoal& goal);
 
@@ -114,7 +115,8 @@ MagicRewriteResult MagicRewrite(const DatalogProgram& program,
 /// recursive body atoms that receive no bindings), so speculative callers
 /// (the demand-path possibility procedure) check this before evaluating.
 /// Runs only the adornment discovery, not the rule emission. Extensional
-/// goals, and goals that name no predicate, trivially qualify.
+/// goals, goals that name no predicate and goals of another width than
+/// their predicate trivially qualify.
 bool DemandStaysBound(const DatalogProgram& program, const DatalogGoal& goal);
 
 }  // namespace pw

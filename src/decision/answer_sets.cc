@@ -5,7 +5,6 @@
 
 #include "condition/binding_env.h"
 #include "decision/certainty.h"
-#include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
 
 namespace pw {
@@ -102,29 +101,20 @@ Instance PossibleByEnumeration(const View& view, const CDatabase& database,
   return Instance(std::move(acc));
 }
 
-/// The image c-database of a view, when one is computable exactly.
+/// The image c-database of a view, when one is computable exactly: the
+/// conditioned fixpoint's outputs for a DATALOG view, else ViewImage.
 std::optional<CDatabase> ImageOf(const View& view,
                                  const CDatabase& database) {
-  if (view.is_identity()) {
-    CDatabase image = database;  // carries its own globals
-    return image;
+  if (!view.is_datalog()) return ViewImage(view, database);
+  CDatabase fixpoint = DatalogOnCTables(view.datalog(), database);
+  CDatabase image;
+  for (size_t i = 0; i < view.output_preds().size(); ++i) {
+    int p = view.output_preds()[i];
+    CTable t = view.datalog().HasPredicate(p) ? fixpoint.table(p) : CTable(0);
+    if (i == 0) t.SetGlobal(fixpoint.CombinedGlobal());
+    image.AddTable(std::move(t));
   }
-  if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
-    return EvalQueryOnCTables(view.ra(), database);
-  }
-  if (view.is_datalog()) {
-    CDatabase fixpoint = DatalogOnCTables(view.datalog(), database);
-    CDatabase image;
-    for (size_t i = 0; i < view.output_preds().size(); ++i) {
-      int p = view.output_preds()[i];
-      CTable t =
-          view.datalog().HasPredicate(p) ? fixpoint.table(p) : CTable(0);
-      if (i == 0) t.SetGlobal(fixpoint.CombinedGlobal());
-      image.AddTable(std::move(t));
-    }
-    return image;
-  }
-  return std::nullopt;
+  return image;
 }
 
 }  // namespace

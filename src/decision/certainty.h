@@ -6,6 +6,10 @@
 // Complexity landscape reproduced here:
 //   - CERT(*, q) for DATALOG q on g-tables: PTIME (Thm 5.3(1), after [10,17])
 //     by evaluating the fixpoint on the matrix as if complete
+//   - CERT(*, q) for the identity and positive existential q on c-tables:
+//     one implication per pattern fact over the rows of the view's image
+//     (ViewImage, decision/view.h), exponential only in the rows that can
+//     produce the fact
 //   - CERT(1, q) for a first order q on a table: coNP-complete (Thm 5.3(2));
 //     exact valuation enumeration
 //   - CERT(*, q) is PTIME-equivalent to CERT(1, q) (Prop. 2.1(6)): the
@@ -41,8 +45,8 @@ bool CertainFactInTable(const CTable& table, const Fact& fact, ConjId global_id,
 
 /// PTIME certainty for DATALOG views of g-table databases. If rep(database)
 /// is empty the answer is vacuously true. Returns std::nullopt when the view
-/// is not a DATALOG (or identity) query or the database has local
-/// conditions.
+/// is not a DATALOG query (the identity included: Certainty decides it on
+/// the database itself) or the database has local conditions.
 std::optional<bool> CertDatalogGTables(const View& view,
                                        const CDatabase& database,
                                        const std::vector<LocatedFact>& pattern);
@@ -53,7 +57,8 @@ std::optional<bool> CertDatalogGTables(const View& view,
 bool CertaintySearch(const View& view, const CDatabase& database,
                      const std::vector<LocatedFact>& pattern);
 
-/// Dispatcher: PTIME special case when applicable, else search.
+/// Dispatcher: CertDatalogGTables when it applies, else CertainFactInTable
+/// per pattern fact on ViewImage, else search.
 bool Certainty(const View& view, const CDatabase& database,
                const std::vector<LocatedFact>& pattern);
 

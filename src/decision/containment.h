@@ -37,21 +37,25 @@ std::optional<bool> ContGTablesInETables(const CDatabase& lhs,
                                          const CDatabase& rhs);
 
 /// coNP containment: any view of any lhs c-database, rhs a Codd-table
-/// database with the identity query. Enumerates lhs valuations; each
-/// membership test inside is the PTIME matching algorithm. Returns
-/// std::nullopt if rhs is not a Codd-table database.
+/// database with the identity query — ContainmentSearch's Codd-rhs case,
+/// where each membership test inside is the PTIME matching algorithm.
+/// Returns std::nullopt if rhs is not a Codd-table database.
 std::optional<bool> ContViewInCoddTables(const View& lhs_view,
                                          const CDatabase& lhs,
                                          const CDatabase& rhs);
 
 /// The general Pi-2-p procedure: for every valuation of the lhs (up to
 /// fresh-constant renaming), test membership of the lhs image in the rhs
-/// view. Exponential in both input sizes in the worst case — as the
-/// Pi-2-p-completeness results of Theorem 4.2 require.
+/// view. The rhs view's image (ViewImage, decision/view.h) is built once per
+/// call, and each lhs world is tested with Membership on it; a rhs view
+/// without one is searched world by world. Exponential in both input sizes
+/// in the worst case — as the Pi-2-p-completeness results of Theorem 4.2
+/// require.
 bool ContainmentSearch(const View& lhs_view, const CDatabase& lhs,
                        const View& rhs_view, const CDatabase& rhs);
 
-/// Dispatcher: picks the cheapest applicable procedure above.
+/// Dispatcher: the two identity-view front ends above when they apply, else
+/// ContainmentSearch.
 bool Containment(const View& lhs_view, const CDatabase& lhs,
                  const View& rhs_view, const CDatabase& rhs);
 

@@ -5,7 +5,6 @@
 
 #include "condition/backend.h"
 #include "condition/interner.h"
-#include "ilalgebra/ctable_eval.h"
 #include "solvers/bipartite_matching.h"
 
 namespace pw {
@@ -115,14 +114,8 @@ bool Membership(const CDatabase& database, const Instance& instance) {
 
 bool MembershipInView(const View& view, const CDatabase& database,
                       const Instance& instance) {
-  if (view.is_identity()) return Membership(database, instance);
-  if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
-    // c-tables are a representation system for positive existential queries:
-    // compute the Imielinski–Lipski image and decide membership on it
-    // directly — far better pruning than enumerating valuations.
-    if (auto image = EvalQueryOnCTables(view.ra(), database)) {
-      return MembershipSearch(*image, instance);
-    }
+  if (auto image = ViewImage(view, database)) {
+    return Membership(*image, instance);
   }
   return !ForEachViewImage(view, database, instance.Constants(),
                            [&instance](const Instance& image) {

@@ -8,8 +8,8 @@
 //   - e-/i-/g-/c-tables, identity:  NP-complete (Thm 3.1(2,3)); exact
 //     search over row-to-fact choices (ChoiceCnf, condition/backend.h)
 //   - views of tables:              NP-complete (Thm 3.1(4)); the same
-//     search on the Imielinski–Lipski image of a positive existential view,
-//     else enumeration of valuations (up to fresh-constant renaming)
+//     search on the view's image (ViewImage, decision/view.h), else
+//     enumeration of valuations (up to fresh-constant renaming)
 
 #ifndef PW_DECISION_MEMBERSHIP_H_
 #define PW_DECISION_MEMBERSHIP_H_
@@ -50,10 +50,9 @@ bool MembershipSearch(const CDatabase& database, const Instance& instance);
 /// of Codd-tables, exact search otherwise.
 bool Membership(const CDatabase& database, const Instance& instance);
 
-/// MEMB(q): is `instance` in q(rep(database))? Identity views dispatch to
-/// Membership, positive existential RA views to MembershipSearch on their
-/// c-table image; otherwise enumerates satisfying valuations over Delta
-/// union Delta' and compares view images.
+/// MEMB(q): is `instance` in q(rep(database))? Membership on the view's
+/// image (ViewImage) when it has one; otherwise enumerates satisfying
+/// valuations over Delta union Delta' and compares view images.
 bool MembershipInView(const View& view, const CDatabase& database,
                       const Instance& instance);
 

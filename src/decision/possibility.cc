@@ -6,23 +6,20 @@
 #include "condition/interner.h"
 #include "datalog/magic.h"
 #include "decision/membership.h"
-#include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
-#include "ra/properties.h"
 
 namespace pw {
 
 namespace {
 
 /// One clause per pattern fact: some row of the image c-table produces it.
-bool AssignPattern(const CDatabase& image, const Conjunction& global,
+bool AssignPattern(const CDatabase& image,
                    const std::vector<LocatedFact>& pattern) {
   thread_local ChoiceCnf cnf;
   cnf.Clear();
-  if (!cnf.AddBase(global)) return false;  // rep empty
+  if (!cnf.AddBase(image.CombinedGlobal())) return false;  // rep empty
   for (const LocatedFact& lf : pattern) {
     if (lf.relation >= image.num_tables()) return false;
-    // Image rows are satisfiable: the evaluator prunes the others.
     for (const CRow& row : image.table(lf.relation).rows()) {
       if (cnf.AddProducer(row.tuple, row.local(), lf.fact)) {
         break;  // the row produces the fact in every world
@@ -134,10 +131,9 @@ std::optional<bool> PossDatalogDemand(const View& view,
 std::optional<bool> PossBoundedPosExistential(
     const RaQuery& query, const CDatabase& database,
     const std::vector<LocatedFact>& pattern) {
-  if (!IsPositiveExistential(query, /*allow_neq=*/true)) return std::nullopt;
-  auto image = EvalQueryOnCTables(query, database);
+  auto image = ViewImage(View::Ra(query), database);
   if (!image) return std::nullopt;
-  return AssignPattern(*image, database.CombinedGlobal(), pattern);
+  return AssignPattern(*image, pattern);
 }
 
 bool PossibilitySearch(const View& view, const CDatabase& database,
@@ -150,25 +146,12 @@ bool PossibilitySearch(const View& view, const CDatabase& database,
 
 bool Possibility(const View& view, const CDatabase& database,
                  const std::vector<LocatedFact>& pattern) {
-  if (view.is_identity()) {
-    RaQuery identity;
-    for (size_t k = 0; k < database.num_tables(); ++k) {
-      identity.push_back(RaExpr::Rel(k, database.table(k).arity()));
-    }
-    if (auto fast = PossBoundedPosExistential(identity, database, pattern)) {
-      return *fast;
-    }
-  } else if (view.is_ra()) {
-    if (auto fast = PossBoundedPosExistential(view.ra(), database, pattern)) {
-      return *fast;
-    }
-  } else if (view.is_datalog()) {
-    // Goal-shaped: each pattern fact is a fully bound goal, answered through
-    // the magic-set demand path instead of enumerating worlds.
-    if (auto fast = PossDatalogDemand(view, database, pattern)) {
-      return *fast;
-    }
+  if (auto image = ViewImage(view, database)) {
+    return AssignPattern(*image, pattern);
   }
+  // Goal-shaped: each pattern fact of a DATALOG view is a fully bound goal,
+  // answered through the magic-set demand path instead of enumerating worlds.
+  if (auto fast = PossDatalogDemand(view, database, pattern)) return *fast;
   return PossibilitySearch(view, database, pattern);
 }
 
@@ -178,7 +161,7 @@ bool PossibilityUnbounded(const View& view, const CDatabase& database,
     if (auto fast = PossUnboundedCoddTables(database, pattern)) return *fast;
   }
   std::vector<LocatedFact> flat = ToLocatedFacts(pattern);
-  // The c-table assignment search (identity/RA) and the DATALOG demand path
+  // The assignment search on the view's image and the DATALOG demand path
   // are exact for any pattern size (polynomial only for bounded patterns,
   // but correct for all), so the bounded dispatcher covers this too.
   return Possibility(view, database, flat);

@@ -6,8 +6,10 @@
 // Complexity landscape reproduced here:
 //   - POSS(*, -) on Codd-tables: PTIME via bipartite matching (Thm 5.1(1))
 //   - POSS(*, -) on e-/i-tables: NP-complete (Thm 5.1(2,3)); exact search
-//   - POSS(k, q) for positive existential q on c-tables: PTIME for fixed k
-//     via the Imielinski–Lipski c-table image (Thm 5.2(1))
+//   - POSS(k, q) for the identity and positive existential q on c-tables:
+//     PTIME for fixed k on the view's c-table image (ViewImage,
+//     decision/view.h: the database itself, or the Imielinski–Lipski image;
+//     Thm 5.2(1))
 //   - POSS(1, q) for first order / DATALOG q on tables: NP-complete
 //     (Thm 5.2(2,3)); exact valuation enumeration
 
@@ -32,10 +34,11 @@ std::optional<bool> PossUnboundedCoddTables(const CDatabase& database,
                                             const Instance& pattern);
 
 /// PTIME (for fixed pattern size) bounded possibility for positive
-/// existential queries on c-databases (Thm 5.2(1)): computes the c-table
-/// image of the query, then picks one producing image row per pattern fact
-/// (ChoiceCnf, condition/backend.h) — O(rows^k) combinations. Returns
-/// std::nullopt if the query is not positive existential (!= is allowed).
+/// existential queries on c-databases (Thm 5.2(1)): takes the query's
+/// c-table image (ViewImage), then picks one producing image row per pattern
+/// fact (ChoiceCnf, condition/backend.h) — O(rows^k) combinations. Returns
+/// std::nullopt if the query is not positive existential (!= is allowed) or
+/// does not fit the database.
 std::optional<bool> PossBoundedPosExistential(
     const RaQuery& query, const CDatabase& database,
     const std::vector<LocatedFact>& pattern);
@@ -63,8 +66,9 @@ std::optional<bool> PossDatalogDemand(const View& view,
 bool PossibilitySearch(const View& view, const CDatabase& database,
                        const std::vector<LocatedFact>& pattern);
 
-/// Dispatcher for POSS(k, q): PTIME special cases when applicable, else
-/// search.
+/// Dispatcher for POSS(k, q): the assignment search of
+/// PossBoundedPosExistential on the view's image (ViewImage), else
+/// PossDatalogDemand for a DATALOG view, else search.
 bool Possibility(const View& view, const CDatabase& database,
                  const std::vector<LocatedFact>& pattern);
 

@@ -151,15 +151,9 @@ std::optional<bool> UniqPosExistentialView(const RaQuery& query,
 bool UniquenessSearch(const View& view, const CDatabase& database,
                       const Instance& instance) {
   if (RepIsEmpty(database)) return false;
-  if (view.is_identity()) {
-    return Membership(database, instance) &&
-           !ExistsWorldOtherThan(database, instance);
-  }
-  if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
-    if (auto image = EvalQueryOnCTables(view.ra(), database)) {
-      return MembershipSearch(*image, instance) &&
-             !ExistsWorldOtherThan(*image, instance);
-    }
+  if (auto image = ViewImage(view, database)) {
+    return Membership(*image, instance) &&
+           !ExistsWorldOtherThan(*image, instance);
   }
   return ForEachViewImage(view, database, instance.Constants(),
                           [&instance](const Instance& image) {

@@ -8,11 +8,12 @@
 //   - pos. existential views of e-tables:       PTIME (Thm 3.2(2))
 //   - c-tables, identity:                       coNP-complete (Thm 3.2(3))
 //   - pos. existential-with-!= views of tables: coNP-complete (Thm 3.2(4))
-// The general case is UniquenessSearch. For the identity view and for
-// positive existential views (!= allowed) it decides MEMB plus "no world
-// differs from I", written as implications over the rows' interned
-// conditions and decided on ChoiceCnf (condition/backend.h); only other
-// views enumerate worlds (ForEachViewImage, decision/view.h).
+// The general case is UniquenessSearch. On the view's image (ViewImage,
+// decision/view.h: the identity and positive existential views, != allowed)
+// it decides MEMB plus "no world differs from I", written as implications
+// over the rows' interned conditions and decided on ChoiceCnf
+// (condition/backend.h); only other views enumerate worlds
+// (ForEachViewImage).
 
 #ifndef PW_DECISION_UNIQUENESS_H_
 #define PW_DECISION_UNIQUENESS_H_
@@ -46,10 +47,10 @@ std::optional<bool> UniqPosExistentialView(const RaQuery& query,
                                            const CDatabase& database,
                                            const Instance& instance);
 
-/// Exact uniqueness for arbitrary views of c-databases. For the identity
-/// view, over the database, and for a positive existential view (!=
-/// allowed), over its Imielinski–Lipski image: I is a world (Membership,
-/// resp. MembershipSearch) and no world differs from I, i.e. no row is on
+/// Exact uniqueness for arbitrary views of c-databases. Over the view's
+/// image (ViewImage: the database itself for the identity, the
+/// Imielinski–Lipski image for a positive existential view, != allowed): I
+/// is a world (Membership) and no world differs from I, i.e. no row is on
 /// while landing on no fact of I, and every fact of I is certain. Each of
 /// these is an implication over the rows' interned conditions, decided on
 /// ChoiceCnf by ConjImpliesDisjunction (condition/backend.h). Any other

@@ -1,6 +1,7 @@
 #include "decision/view.h"
 
 #include "datalog/eval.h"
+#include "ilalgebra/ctable_eval.h"
 #include "ra/eval.h"
 #include "ra/properties.h"
 #include "tables/world_enum.h"
@@ -84,6 +85,15 @@ std::string View::ToString() const {
       return "datalog[" + std::to_string(datalog_.rules().size()) + " rules]";
   }
   return "?";
+}
+
+std::optional<CDatabase> ViewImage(const View& view,
+                                   const CDatabase& database) {
+  if (view.is_identity()) return database;
+  if (view.is_ra() && view.IsPositiveExistential(/*allow_neq=*/true)) {
+    return EvalQueryOnCTables(view.ra(), database);
+  }
+  return std::nullopt;
 }
 
 bool ForEachViewImage(const View& view, const CDatabase& database,

@@ -11,14 +11,14 @@
 // of arity a in every world (ra::Eval checks it in every build mode), and so
 // does an expression that does not fit (RaExpr::fits: a select or
 // projection column past its input's arity, a union or difference of two
-// arities) at its own arity. The c-table image paths decline such a view
+// arities) at its own arity. ViewImage below declines such a view
 // (EvalQueryOnCTables returns nullopt), so every decision procedure answers
-// it through ForEachViewImage below, as if the database had that table,
-// empty. For example, over a
-// one-table database, View::Ra({RaExpr::Rel(3, 2)}) has the empty image in
-// every world: POSS and CERT of any fact are false (CERT is vacuously true
-// when rep(database) is empty), and when rep(database) is not empty, MEMB
-// and UNIQ hold exactly for the instance with one empty binary relation.
+// it through ForEachViewImage, as if the database had that table, empty.
+// For example, over a one-table database, View::Ra({RaExpr::Rel(3, 2)}) has
+// the empty image in every world: POSS and CERT of any fact are false (CERT
+// is vacuously true when rep(database) is empty), and when rep(database) is
+// not empty, MEMB and UNIQ hold exactly for the instance with one empty
+// binary relation.
 //
 // DATALOG views read the same way, in every build mode: an extensional
 // predicate that names no table, or a table of another arity than the
@@ -39,6 +39,7 @@
 #define PW_DECISION_VIEW_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,15 @@ class View {
   DatalogProgram datalog_;
   std::vector<int> output_preds_;
 };
+
+/// The exact c-table image of view(rep(database)), where it costs PTIME: the
+/// database itself for the identity, and the Imielinski–Lipski image
+/// (EvalQueryOnCTables) for a positive existential RA view (!= allowed).
+/// std::nullopt for a first order RA view, a DATALOG view and an RA view
+/// that does not fit the database. Every decision dispatcher runs its exact
+/// procedure on this image, after its theorem's PTIME front ends, and
+/// searches with ForEachViewImage only when there is none.
+std::optional<CDatabase> ViewImage(const View& view, const CDatabase& database);
 
 /// The decision procedures' per-world fallback: calls `fn` with view(I) for
 /// each world I of rep(database), one per renaming of fresh constants

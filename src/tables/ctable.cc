@@ -193,13 +193,6 @@ std::vector<ConstId> CTable::Constants() const {
 
 bool CTable::IsGround() const { return Variables().empty(); }
 
-std::vector<Tuple> CTable::Matrix() const {
-  std::vector<Tuple> out;
-  out.reserve(rows_.size());
-  for (const CRow& row : rows_) out.push_back(row.tuple);
-  return out;
-}
-
 CTable CTable::Substitute(
     const std::unordered_map<VarId, Term>& substitution) const {
   auto apply = [&substitution](Term t) {

@@ -267,9 +267,6 @@ class CTable {
   /// condition is a tautology over ground atoms).
   bool IsGround() const;
 
-  /// The matrix: rows stripped of their conditions, as tuples.
-  std::vector<Tuple> Matrix() const;
-
   /// Applies a variable-to-term substitution to every tuple and condition.
   CTable Substitute(const std::unordered_map<VarId, Term>& substitution) const;
 

@@ -38,20 +38,29 @@ TEST(CertDatalogTest, CertainPathThroughNull) {
 }
 
 TEST(CertDatalogTest, IdentityViewOnGTable) {
+  // The identity is not the DATALOG front end's case: Certainty decides it
+  // on the database itself, one certain-fact implication per fact.
   CTable t(1);
   t.AddRow(Tuple{C(1)});
   t.AddRow(Tuple{V(0)});
   CDatabase db{t};
-  EXPECT_EQ(CertDatalogGTables(View::Identity(), db, {{0, {1}}}), true);
-  EXPECT_EQ(CertDatalogGTables(View::Identity(), db, {{0, {2}}}), false);
+  EXPECT_FALSE(
+      CertDatalogGTables(View::Identity(), db, {{0, {1}}}).has_value());
+  EXPECT_TRUE(Certainty(View::Identity(), db, {{0, {1}}}));
+  EXPECT_FALSE(Certainty(View::Identity(), db, {{0, {2}}}));
 }
 
 TEST(CertDatalogTest, EmptyRepVacuouslyCertain) {
-  CTable t(1);
-  t.AddRow(Tuple{C(1)});
+  CTable t(2);
+  t.AddRow(Tuple{C(1), C(2)});
   t.SetGlobal(Conjunction{FalseAtom()});
   CDatabase db{t};
-  EXPECT_EQ(CertDatalogGTables(View::Identity(), db, {{0, {999}}}), true);
+  View q = View::Datalog(TransitiveClosure(), {1});
+  EXPECT_EQ(CertDatalogGTables(q, db, {{0, {9, 9}}}), true);
+  EXPECT_FALSE(
+      CertDatalogGTables(View::Identity(), db, {{0, {9, 9}}}).has_value());
+  EXPECT_TRUE(Certainty(View::Identity(), db, {{0, {9, 9}}}));
+  EXPECT_TRUE(Certainty(View::Identity(), db, {{3, {9}}}));
 }
 
 TEST(CertDatalogTest, NullsAvoidTheProgramsConstants) {
@@ -77,11 +86,11 @@ TEST(CertDatalogTest, NullsAvoidTheProgramsConstants) {
 }
 
 TEST(CertDatalogTest, RejectsCTables) {
-  CTable t(1);
-  t.AddRow(Tuple{C(1)}, Conjunction{Eq(V(0), C(1))});
+  CTable t(2);
+  t.AddRow(Tuple{C(1), C(2)}, Conjunction{Eq(V(0), C(1))});
   CDatabase db{t};
-  EXPECT_FALSE(
-      CertDatalogGTables(View::Identity(), db, {{0, {1}}}).has_value());
+  View q = View::Datalog(TransitiveClosure(), {1});
+  EXPECT_FALSE(CertDatalogGTables(q, db, {{0, {1, 2}}}).has_value());
 }
 
 TEST(CertaintySearchTest, CTableConditionalFact) {

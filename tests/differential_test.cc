@@ -93,11 +93,13 @@
 //     must represent the per-world fixpoints on both backends, and the
 //     demand path must equal the restricted full fixpoint.
 //
-// 11. Membership and possibility — MembershipSearch and the identity view's
-//     bounded Possibility, both clauses for the one search (ChoiceCnf in
-//     condition/backend.h), must agree with the per-world oracles
-//     (testutil::IsWorld, PossibilitySearch) on two-table c-databases that
-//     share nulls.
+// 11. The decision procedures on the view image — MEMB, UNIQ, POSS, CERT
+//     and CONT through ViewImage (decision/view.h), on the identity view
+//     and on View::Ra of the bare relation references (CONT: an identity
+//     lhs into the union of two tables), must agree with the per-world
+//     oracles (testutil::IsWorld, the enumerated worlds, PossibilitySearch,
+//     CertaintySearch, EveryWorldIsAnImage) on two-table c-databases that
+//     share nulls, g-table databases among them.
 //
 // 12. PTIME table front ends — the paper's polynomial special cases must
 //     agree with the exact searches on arity-3 tables of 8-40 rows (rows of
@@ -117,6 +119,7 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -136,6 +139,7 @@
 #include "ilalgebra/ctable_eval.h"
 #include "ilalgebra/datalog_ctable.h"
 #include "ra/eval.h"
+#include "ra/properties.h"
 #include "tables/text_format.h"
 #include "tables/updates.h"
 #include "test_util.h"
@@ -1104,12 +1108,16 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
   // semi-naive rounds may never leave a stale row or a
   // stronger-than-necessary condition behind. The last round plants a cone
   // over an untouched base table (PlantUntouchedTableCone) and sends every
-  // delete to e0, so it checks the reset.
+  // delete to e0, so it checks the reset; its tables are redrawn while
+  // their rep is empty, so that every seed's recomputed fixpoints derive
+  // some intensional row (a seed that derives none passes under any
+  // fixpoint fault).
   const unsigned case_seed = 10000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
   constexpr int kConstants = 3;
   constexpr int kVariables = 2;
+  size_t derived_rows = 0;  // intensional rows of every recomputed fixpoint
   for (int round = 0; round < 4; ++round) {
     const int num_edb = 1 + (round % 2);
     const bool planted = round == 3;
@@ -1120,11 +1128,14 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
         /*num_variables=*/kVariables,
         /*num_local_atoms=*/GetParam() % 2,
         /*num_global_atoms=*/GetParam() % 2);
-    std::vector<CTable> tables;
-    for (int p = 0; p < num_edb; ++p) {
-      tables.push_back(RandomCTable(options, rng));
-    }
-    CDatabase db(tables);
+    CDatabase db;
+    do {
+      std::vector<CTable> tables;
+      for (int p = 0; p < num_edb; ++p) {
+        tables.push_back(RandomCTable(options, rng));
+      }
+      db = CDatabase(std::move(tables));
+    } while (planted && RepIsEmpty(db));
 
     // Moved right after construction — maintained state must survive moves.
     MaterializedView built(program, db);
@@ -1145,6 +1156,9 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
       CDatabase maintained = view.Materialized();
       CDatabase scratch = DatalogOnCTables(program, view.base());
       ASSERT_EQ(maintained.num_tables(), scratch.num_tables());
+      for (size_t p = program.num_edb(); p < scratch.num_tables(); ++p) {
+        derived_rows += scratch.table(p).num_rows();
+      }
       for (size_t p = 0; p < maintained.num_tables(); ++p) {
         EXPECT_EQ(CanonicalRows(maintained.table(p)),
                   CanonicalRows(scratch.table(p)))
@@ -1189,6 +1203,7 @@ TEST_P(IvmDifferentialTest, MaintainedViewsStayIdenticalToRecompute) {
           << program.ToString() << FormatCDatabase(view.base());
     }
   }
+  EXPECT_GT(derived_rows, 0u) << "no recomputed fixpoint derived a row";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IvmDifferentialTest, ::testing::Range(0, 20));
@@ -1702,29 +1717,72 @@ TEST_P(StratumDifferentialTest, StratumScheduleMatchesMonolithic) {
 INSTANTIATE_TEST_SUITE_P(Seeds, StratumDifferentialTest,
                          ::testing::Range(0, 15));
 
-// --- Family 11: membership and possibility ----------------------------------
+// --- Family 11: the decision procedures on the view image -------------------
+
+/// The per-world oracle of CONT(identity, q): every world of `lhs` is q(I)
+/// for some world I of `rhs`. The rhs worlds are enumerated once, over the
+/// constants of every lhs world, so an lhs world that is an image is found.
+bool EveryWorldIsAnImage(const CDatabase& lhs, const RaQuery& q,
+                         const CDatabase& rhs) {
+  auto key = [](const Instance& instance) {
+    std::vector<std::vector<Fact>> facts;
+    for (size_t k = 0; k < instance.num_relations(); ++k) {
+      facts.push_back(instance.relation(k).ToVector());
+    }
+    return facts;
+  };
+  WorldEnumOptions lhs_options;
+  lhs_options.extra_constants = rhs.Constants();
+  for (ConstId c : QueryConstants(q)) lhs_options.extra_constants.push_back(c);
+  std::vector<Instance> lhs_worlds;
+  WorldEnumOptions rhs_options;
+  ForEachWorld(lhs, lhs_options, [&](const Instance& world, const Valuation&) {
+    lhs_worlds.push_back(world);
+    for (ConstId c : world.Constants()) {
+      rhs_options.extra_constants.push_back(c);
+    }
+    return true;
+  });
+  std::set<std::vector<std::vector<Fact>>> images;
+  ForEachWorld(rhs, rhs_options, [&](const Instance& world, const Valuation&) {
+    images.insert(key(EvalQuery(q, world)));
+    return true;
+  });
+  return std::ranges::all_of(lhs_worlds, [&](const Instance& world) {
+    return images.count(key(world)) > 0;
+  });
+}
 
 class MembershipPossibilityDifferentialTest
     : public ::testing::TestWithParam<int> {};
 
 TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
-  // MembershipSearch and the identity view's Possibility (one clause per
-  // pattern fact over the table's rows) build clauses for the one search,
-  // ChoiceCnf (condition/backend.h). On two-table c-databases with local conditions,
-  // global =/!= atoms and nulls shared across the tables, MEMB must agree
-  // with comparing against every world (testutil::IsWorld) on every
-  // enumerated world, each world minus one fact and each world plus one
-  // fact over the context constants; POSS of 1-3 facts must agree with
-  // PossibilitySearch.
+  // The decision procedures that run on a view's image (ViewImage,
+  // decision/view.h), checked through the identity view and through
+  // View::Ra of the bare relation references, on two-table c-databases
+  // with global =/!= atoms and nulls shared across the tables; the last
+  // round has no local condition (a g-table database). MEMB must agree with
+  // comparing against every world (testutil::IsWorld) on every enumerated
+  // world, each world minus one fact and each world plus one fact over the
+  // context constants; UNIQ holds exactly for the one world of a
+  // database with one; POSS and CERT of 1-3 facts must agree with
+  // PossibilitySearch and CertaintySearch; and CONT of each table, alone
+  // under the identity, in the union of both tables over the database
+  // (one rhs image for every lhs world) must agree with
+  // EveryWorldIsAnImage.
   const unsigned case_seed = 15000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
   std::mt19937 rng(case_seed);
   std::uniform_int_distribution<int> any_relation(0, 1);
   std::uniform_int_distribution<ConstId> any_const(0, 3);
-  for (int round = 0; round < 3; ++round) {
+  const View identity = View::Identity();
+  const View bare = View::Ra({RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)});
+  const RaQuery both = {RaExpr::Union(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2))};
+  for (int round = 0; round < 4; ++round) {
     RandomCTableOptions options = testutil::SmallCTableOptions(
         /*arity=*/2, /*num_rows=*/2 + round % 2, /*num_constants=*/3,
-        /*num_variables=*/3, /*num_local_atoms=*/1 + GetParam() % 2,
+        /*num_variables=*/3,
+        /*num_local_atoms=*/round == 3 ? 0 : 1 + GetParam() % 2,
         /*num_global_atoms=*/GetParam() % 3);
     CDatabase db(
         std::vector<CTable>{RandomCTable(options, rng),
@@ -1761,10 +1819,21 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
       add(std::move(larger));
     }
     for (const Instance& instance : candidates) {
-      EXPECT_EQ(MembershipSearch(db, instance), testutil::IsWorld(db, instance))
-          << "MEMB diverged on\n"
-          << instance.ToString() << "in\n"
-          << FormatCDatabase(db);
+      // Every world is enumerated, up to renaming of constants outside
+      // {0, 1, 2, 3}: rep(db) = {instance} iff it is the only one.
+      const bool is_world = testutil::IsWorld(db, instance);
+      const bool unique = num_worlds == 1 && instance == candidates[0];
+      for (const View* view : {&identity, &bare}) {
+        EXPECT_EQ(MembershipInView(*view, db, instance), is_world)
+            << "MEMB diverged through " << view->ToString() << " on\n"
+            << instance.ToString() << "in\n"
+            << FormatCDatabase(db);
+        EXPECT_EQ(UniquenessSearch(*view, db, instance), unique)
+            << "UNIQ diverged through " << view->ToString() << " on\n"
+            << instance.ToString() << "in\n"
+            << FormatCDatabase(db);
+      }
+      EXPECT_EQ(MembershipSearch(db, instance), is_world);
     }
     for (int draw = 0; draw < 8; ++draw) {
       // Facts of one world (often possible together) or random ones.
@@ -1781,11 +1850,28 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
                                   ? Fact{any_const(rng), any_const(rng)}
                                   : facts[rng() % facts.size()]});
       }
-      EXPECT_EQ(Possibility(View::Identity(), db, pattern),
-                PossibilitySearch(View::Identity(), db, pattern))
-          << "POSS diverged on " << pattern.size() << " facts, first ("
-          << pattern[0].fact[0] << ", " << pattern[0].fact[1]
-          << ") in relation " << pattern[0].relation << ", in\n"
+      const bool possible = PossibilitySearch(identity, db, pattern);
+      const bool certain = CertaintySearch(identity, db, pattern);
+      for (const View* view : {&identity, &bare}) {
+        EXPECT_EQ(Possibility(*view, db, pattern), possible)
+            << "POSS diverged through " << view->ToString() << " on "
+            << pattern.size() << " facts, first (" << pattern[0].fact[0]
+            << ", " << pattern[0].fact[1] << ") in relation "
+            << pattern[0].relation << ", in\n"
+            << FormatCDatabase(db);
+        EXPECT_EQ(Certainty(*view, db, pattern), certain)
+            << "CERT diverged through " << view->ToString() << " on "
+            << pattern.size() << " facts, first (" << pattern[0].fact[0]
+            << ", " << pattern[0].fact[1] << ") in relation "
+            << pattern[0].relation << ", in\n"
+            << FormatCDatabase(db);
+      }
+    }
+    for (size_t k = 0; k < 2; ++k) {
+      const CDatabase lhs{db.table(k)};
+      EXPECT_EQ(Containment(identity, lhs, View::Ra(both), db),
+                EveryWorldIsAnImage(lhs, both, db))
+          << "CONT diverged for table " << k << " alone in\n"
           << FormatCDatabase(db);
     }
   }

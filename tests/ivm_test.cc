@@ -406,7 +406,9 @@ TEST(IvmTest, GoalOfAnotherWidthHasNoAnswers) {
   // attached. Regression: each path answered a two-column table; bindings
   // (1, ?, 5) and (?, ?, 5) read 0 rows on the demand path but 2 and 3
   // through the restricted full fixpoint, and (1) read tc(1,?)'s 2 rows on
-  // all three.
+  // all three. Such a goal demands nothing, so the demand view maintains
+  // the rule-free program. Regression: all three rewrites emitted rules,
+  // and the view's fixpoint derived 2 rows for (1).
   DatalogProgram tc = TransitiveClosure();
   CTable edges = CTable::FromRelation(Relation(2, {{1, 2}, {2, 3}}));
   edges.SetGlobal(Conjunction{Neq(V(0), C(4))});
@@ -432,6 +434,8 @@ TEST(IvmTest, GoalOfAnotherWidthHasNoAnswers) {
     }
     EXPECT_EQ(query.global(), db.CombinedGlobal());
     EXPECT_EQ(answers.global(), db.CombinedGlobal());
+    EXPECT_TRUE(view.evaluated_program().rules().empty());
+    EXPECT_EQ(view.Materialized().table(1).num_rows(), 0u);
   }
 }
 

@@ -31,6 +31,11 @@ the line count of the git-tracked src/*.h and src/*.cc files as they stand
 in the checkout. pwbench's own `git=` is HEAD even in a dirty checkout, so
 it cannot tell an uncommitted change from its parent.
 
+A `decide` run also prints each instance family's median op time (its
+`# decide family NAME: ... median X ms ...` lines); the tool keeps them per
+run, as `families`, and prints each side's median of them over the pairs
+and the change's wins, for information only: no verdict.
+
 A pair whose sides differ in answers_digest or in the failed count is
 flagged, and so is a side with a failed op, and a report whose two sides
 are the same clean commit (it compares a tree with itself); a flag makes the
@@ -51,6 +56,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MACHINE = re.compile(r"^# machine: (?P<fingerprint>.*?) git=(?P<git>\S+)$")
 DIGESTS = re.compile(r"^# ops_digest=\S+ answers_digest=(?P<answers>\S+)$")
+FAMILY = re.compile(r"^# decide family (?P<name>\S+): .*; "
+                    r"median (?P<median>[0-9.]+) ms")
 
 
 def parse_seeds(text):
@@ -64,13 +71,16 @@ def parse_seeds(text):
 
 def parse_run(stdout):
     """The fields of one pwbench/run.py run that the comparison reads."""
-    run = {"fingerprint": None, "git": None, "answers_digest": None}
+    run = {"fingerprint": None, "git": None, "answers_digest": None,
+           "families": {}}
     for line in stdout.splitlines():
         if m := MACHINE.match(line):
             run["fingerprint"] = m.group("fingerprint")
             run["git"] = m.group("git")
         elif m := DIGESTS.match(line):
             run["answers_digest"] = m.group("answers")
+        elif m := FAMILY.match(line):
+            run["families"][m.group("name")] = float(m.group("median"))
     result = json.loads(stdout.strip().splitlines()[-1])
     run["attempted"] = result["attempted"]
     run["failed"] = result["failed"]
@@ -177,6 +187,23 @@ def summarize(pairs, specs):
     return summary
 
 
+def family_medians(pairs):
+    """Per family that every run reports: each side's median of its runs'
+    family medians (ms) and the pairs where the change's reads lower."""
+    runs = [pair[side] for pair in pairs for side in ("parent", "change")]
+    names = [name for name in runs[0]["families"]
+             if all(name in run["families"] for run in runs)]
+    out = {}
+    for name in names:
+        parent = [pair["parent"]["families"][name] for pair in pairs]
+        change = [pair["change"]["families"][name] for pair in pairs]
+        out[name] = {"parent": statistics.median(parent),
+                     "change": statistics.median(change),
+                     "wins": sum(1 for p, c in zip(parent, change) if c < p),
+                     "pairs": len(pairs)}
+    return out
+
+
 def flags(pairs):
     out = []
     for pair in pairs:
@@ -229,6 +256,13 @@ def print_summary(report):
             print(f"{name:<16} {cells[0]:>30} {cells[1]:>30} "
                   f"{s['change_vs_parent']:>+8.1%} "
                   f"{s['wins']:>3}/{s['pairs']:<2}  {s['verdict']}")
+        if w["families"]:
+            print(f"{'family (ms, no verdict)':<26} {'parent':>9} "
+                  f"{'change':>9} {'delta':>8} {'wins':>6}")
+        for name, f in w["families"].items():
+            delta = relative(f["change"] - f["parent"], f["parent"])
+            print(f"{name:<26} {f['parent']:>9.4f} {f['change']:>9.4f} "
+                  f"{delta:>+8.1%} {f['wins']:>3}/{f['pairs']:<2}")
         for flag in w["flags"]:
             print(f"FLAG {flag}")
 
@@ -257,7 +291,8 @@ def main():
         pairs = run_pairs(args.parent, args.change, workload, seeds, seconds)
         report["workloads"][workload] = {
             "pairs": pairs, "flags": flags(pairs),
-            "summary": summarize(pairs, benchmark["end_to_end"])}
+            "summary": summarize(pairs, benchmark["end_to_end"]),
+            "families": family_medians(pairs)}
     first = next(iter(report["workloads"].values()))
     for side in ("parent", "change"):
         report[side], mixed = side_identity(report["workloads"], side,

@@ -5,7 +5,8 @@ Checks the verdict rules on synthetic pairs (gain, regression, unresolved,
 no worse, ties, higher-is-better metrics), the parent/change alternation,
 the run length and workload names taken from BENCHMARK.json, the written
 report, each side's HEAD, clean/dirty tree and library size read from its
-checkout, and the digest, failed-op and same-clean-commit flags. Runs
+checkout, the per-family `decide` medians, and the digest, failed-op and
+same-clean-commit flags. Runs
 nothing: the benchmark runner is replaced by canned pwbench/run.py output
 and git by canned answers. Run directly or through ctest:
 
@@ -30,8 +31,10 @@ CHANGE_SHA = "2" * 40
 CLEAN_TREES = {"parent-dir": (PARENT_SHA, ""), "change-dir": (CHANGE_SHA, "")}
 
 
-def run_output(metrics, git, answers="00c0ffee00c0ffee", failed=0):
-    """What pwbench/run.py prints on stdout for one run."""
+def run_output(metrics, git, answers="00c0ffee00c0ffee", failed=0,
+               notes=()):
+    """What pwbench/run.py prints on stdout for one run; `notes` are the
+    workload's `# ` note lines."""
     result = {"correct": failed == 0, "attempted": 1200, "failed": failed,
               "metrics": {name: {"value": value, "unit": "ms"}
                           for name, value in metrics.items()}}
@@ -41,6 +44,7 @@ def run_output(metrics, git, answers="00c0ffee00c0ffee", failed=0):
         "# workload=serve seed=1 blocks=300 ops=1200 trace=0",
         f"# ops_digest=0123456789abcdef answers_digest={answers}",
         "# k1_p50_ms    POSS/CERT verdict on a snapshot  0.1 ms",
+        *(f"# {note}" for note in notes),
         json.dumps(result),
     ]) + "\n"
 
@@ -225,6 +229,40 @@ class PairsTest(unittest.TestCase):
                 report = json.load(f)
             self.assertEqual((report["parent"]["src_lines"],
                               report["change"]["src_lines"]), (7, 5))
+
+    def test_decide_family_medians_are_kept_and_reported(self):
+        # Each run's `# decide family` lines become its `families`; the
+        # report gives each side's median of them over the pairs and the
+        # change's wins (ties count for neither side), with no verdict.
+        def run(checkout, workload, seed, seconds):
+            is_change = checkout == "change-dir"
+            memb = 0.2 if is_change else 0.3 + seed / 100
+            notes = [f"decide family memb-codd: 12 instances, 6 yes; median "
+                     f"{memb:.4f} ms, max 1.0000 ms",
+                     "decide family poss-image: 12 instances, 6 yes; median "
+                     "0.5000 ms, max 2.0000 ms",
+                     "decide family uniq-gtable: 12 instances, 6 yes"]
+            return bench_pairs.parse_run(run_output(
+                {"k1_p50_ms": 1.0}, CHANGE_SHA if is_change else PARENT_SHA,
+                notes=notes))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCH_test.json")
+            code, out = self.run_main(
+                ["--parent", "parent-dir", "--change", "change-dir",
+                 "--workload", "decide", "--seeds", "1-3", "--out", path],
+                run)
+            self.assertEqual(code, 0, out)
+            with open(path) as f:
+                decide = json.load(f)["workloads"]["decide"]
+        self.assertEqual(decide["pairs"][0]["parent"]["families"],
+                         {"memb-codd": 0.31, "poss-image": 0.5})
+        self.assertEqual(decide["families"], {
+            "memb-codd": {"parent": 0.32, "change": 0.2, "wins": 3,
+                          "pairs": 3},
+            "poss-image": {"parent": 0.5, "change": 0.5, "wins": 0,
+                           "pairs": 3}})
+        self.assertRegex(out, r"memb-codd +0\.3200 +0\.2000 +-37\.5% +3/3")
+        self.assertRegex(out, r"poss-image +0\.5000 +0\.5000 +\+0\.0% +0/3")
 
     def test_a_workload_the_benchmark_lacks_is_rejected(self):
         with self.assertRaises(SystemExit):
