@@ -51,7 +51,7 @@ struct EvalState {
   ConditionInterner* interner = nullptr;
   // The condition representation rows travel in (the Impl holds a
   // reference). `dd` is the same backend when it is a DDBackend, else null:
-  // non-null switches Insert from the subsumption antichain to
+  // non-null switches Admit from the subsumption antichain to
   // one-live-row-per-tuple Or-merging, and Export to the DNF expansion.
   ConditionBackend* backend = nullptr;
   DDBackend* dd = nullptr;
@@ -79,6 +79,18 @@ struct EvalState {
   std::vector<PredState> preds;
   ConditionedFixpointStats stats;
 
+  // Phase 1 of a recursive stratum (StratifiedRun) sets `hold`: Admit then
+  // puts each conditional derivation on `held`, in derivation order, for
+  // phase 2. A held tuple points at its by_tuple key, so holding copies a
+  // tuple only when it is new to the predicate, as admitting does.
+  struct HeldRow {
+    int pred;
+    const Tuple* tuple;
+    CondId cond;
+  };
+  bool hold = false;
+  std::vector<HeldRow> held;
+
   bool IsMagicPred(int pred) const {
     return magic_begin >= 0 && pred >= magic_begin;
   }
@@ -90,10 +102,9 @@ bool Covers(const EvalState& state, CondId live, CondId cond) {
   return state.interner->Implies(cond, live);
 }
 
-/// Inserts a derived row unless a duplicate (same tuple, same condition id)
-/// or subsumed; kills live rows the new one covers. Rows whose condition
-/// cannot hold together with the global condition are dropped. Returns true
-/// if the row was added. The tuple is copied only when it is new to the
+/// Admits a satisfiable derived row unless a duplicate (same tuple, same
+/// condition id) or subsumed; kills live rows the new one covers. Returns
+/// true if the row was added. The tuple is copied only when it is new to the
 /// predicate, so a duplicate or subsumed derivation allocates nothing.
 ///
 /// Antichain backend: a live row whose condition the new one implies makes
@@ -110,18 +121,25 @@ bool Covers(const EvalState& state, CondId live, CondId cond) {
 /// played before. Termination: every non-dropped insert strictly enlarges
 /// the tuple's condition in the finite lattice of boolean functions over the
 /// program's atom universe.
-bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
-  ConditionBackend& backend = *state.backend;
-  if (!backend.SatisfiableWith(state.global_id, cond)) {
-    ++state.stats.unsatisfiable_rows;
-    // Unsatisfiable *demand* dies here, before any guarded rule body could
-    // fire against it.
-    if (state.IsMagicPred(pred)) ++state.stats.demand_pruned;
-    return false;
-  }
+///
+/// While `state.hold` is set, a conditional derivation is not admitted: it
+/// counts as subsumed if its tuple has a live true row, and otherwise goes
+/// on `state.held`. Nothing is admitted after a live true row on either
+/// backend (every condition implies true, and Or-merging into true gives
+/// true), so such a row is the last of its tuple's bucket.
+bool Admit(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
   PredState& ps = state.preds[pred];
   auto [it, inserted] = ps.by_tuple.try_emplace(tuple);
   std::vector<size_t>& bucket = it->second;
+  if (state.hold && cond != ConditionBackend::kTrueCond) {
+    if (!bucket.empty() &&
+        ps.rows[bucket.back()].cond == ConditionBackend::kTrueCond) {
+      ++state.stats.subsumed_rows;
+    } else {
+      state.held.push_back({pred, &it->first, cond});
+    }
+    return false;
+  }
   state.ChargeWork(1 + bucket.size());
   if (!inserted && state.dd) {
     for (size_t idx : bucket) {
@@ -175,6 +193,20 @@ bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
     state.stats.budget_exhausted = true;
   }
   return true;
+}
+
+/// Inserts a derived row: drops it if its condition cannot hold together
+/// with the global condition, else hands it to Admit. Returns true if the
+/// row was added.
+bool Insert(EvalState& state, int pred, const Tuple& tuple, CondId cond) {
+  if (!state.backend->SatisfiableWith(state.global_id, cond)) {
+    ++state.stats.unsatisfiable_rows;
+    // Unsatisfiable *demand* dies here, before any guarded rule body could
+    // fire against it.
+    if (state.IsMagicPred(pred)) ++state.stats.demand_pruned;
+    return false;
+  }
+  return Admit(state, pred, tuple, cond);
 }
 
 /// Matches rule argument terms against a row tuple, extending the flat
@@ -474,6 +506,18 @@ bool SequentialRound(EvalState& state, const DatalogProgram& program,
   return changed;
 }
 
+/// Semi-naive rounds over a recursive stratum's rules until a round adds no
+/// row (or the budget trips).
+void Converge(EvalState& state, const DatalogProgram& program,
+              const std::vector<size_t>& rule_ids) {
+  bool changed = true;
+  while (changed && !state.aborted) {
+    ++state.stats.rounds;
+    changed = SequentialRound(state, program, rule_ids);
+    AdvanceDeltas(state);
+  }
+}
+
 }  // namespace
 
 struct ConditionedFixpoint::Impl {
@@ -518,10 +562,10 @@ struct ConditionedFixpoint::Impl {
   /// antichain of the lower strata rather than intermediate conditions that
   /// later subsumption would kill. A nonrecursive stratum converges in a
   /// single pass; a recursive one runs delta rounds confined to its own
-  /// live rules. The emitted row set does not depend on the schedule: the
-  /// per-tuple antichain (or DD Or-merge) is a function of the set of
-  /// derivable conditions, not of the order they arrive in, and
-  /// CanonicalLeaf makes each combination's emission order-canonical.
+  /// live rules, certain first (below). The emitted row set does not depend
+  /// on the schedule: the per-tuple antichain (or DD Or-merge) is a function
+  /// of the set of derivable conditions, not of the order they arrive in,
+  /// and CanonicalLeaf makes each combination's emission order-canonical.
   void StratifiedRun() {
     EvalState& st = state;
     for (const Stratum& stratum : strata) {
@@ -555,11 +599,24 @@ struct ConditionedFixpoint::Impl {
         ++st.stats.rounds;
         SequentialRound(st, *program, stratum.live);
       } else {
-        bool changed = true;
-        while (changed && !st.aborted) {
-          ++st.stats.rounds;
-          changed = SequentialRound(st, *program, stratum.live);
+        // Certain first: phase 1 holds back every conditional derivation,
+        // so a tuple that also derives unconditionally never gets a
+        // conditional row to propagate and later kill or widen. Phase 2
+        // admits the held derivations in order as one delta and finishes
+        // with plain rounds, which enumerate every combination involving a
+        // held row.
+        st.hold = true;
+        Converge(st, *program, stratum.live);
+        st.hold = false;
+        bool admitted = false;
+        for (const EvalState::HeldRow& h : st.held) {
+          if (st.aborted) break;
+          admitted |= Admit(st, h.pred, *h.tuple, h.cond);
+        }
+        st.held.clear();
+        if (admitted) {
           AdvanceDeltas(st);
+          Converge(st, *program, stratum.live);
         }
       }
     }

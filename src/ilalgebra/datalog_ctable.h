@@ -21,13 +21,18 @@
 // least one row from the previous round's delta — and scheduled stratum by
 // stratum: the program's SCC condensation (datalog/analysis.h) runs in
 // topological order, nonrecursive strata in a single pass and delta rounds
-// confined to the current SCC's rules. The schedule is fixed at
+// confined to the current SCC's rules. A recursive stratum runs certain
+// first: phase 1 runs its rounds while every conditional derivation is held
+// back (or dropped, if its tuple has a true row), phase 2 admits the held
+// ones as one delta and finishes with plain rounds. No conditional row is
+// then propagated only to be killed or widened later by a true row of its
+// tuple; the final rows are the same. The schedule is fixed at
 // construction: rules the analysis marks dead (a rule that does not fit the
 // program, a body predicate no rule chain can derive from the extensional
-// database, or a textual duplicate of an earlier rule) never enter it. Body atoms with bound, constant-valued
-// positions are matched through a per-predicate hash index on those
-// positions (tables/tuple_index.h), built lazily and extended across
-// rounds.
+// database, or a textual duplicate of an earlier rule) never enter it. Body
+// atoms with bound, constant-valued positions are matched through a
+// per-predicate hash index on those positions (tables/tuple_index.h), built
+// lazily and extended across rounds.
 
 #ifndef PW_ILALGEBRA_DATALOG_CTABLE_H_
 #define PW_ILALGEBRA_DATALOG_CTABLE_H_
@@ -142,6 +147,9 @@ struct DatalogCTableOptions {
 /// `Run()` again: the loop fires rules only against combinations involving
 /// the new delta, which is exactly the semi-naive invariant, so a converged
 /// state absorbs an insertion in time proportional to its derivation cone.
+/// Within one Run(), each recursive stratum takes the two phases above; a
+/// held derivation counts once (admitted, subsumed or duplicate), and a
+/// budget trip drops the held list.
 /// Each predicate carries one consumed mark, the row count at the last
 /// converged Run(); a stratum's delta is every predicate's rows past it. A
 /// stratum reads only predicates of its own or lower strata, which no later

@@ -327,7 +327,9 @@ TEST(ConditionBackendTest, ImpliesMemoStableAcrossRebaseGenerations) {
               << ")";
         }
       }
-      if (pass == 1) EXPECT_GT(interner.stats().implies_hits, hits_before);
+      if (pass == 1) {
+        EXPECT_GT(interner.stats().implies_hits, hits_before);
+      }
     }
   }
 }

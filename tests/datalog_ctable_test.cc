@@ -609,8 +609,8 @@ TEST(DatalogCTableTest, ForcedNullClashesAreCutAsUnsatisfiableBranches) {
     size_t pruned, goal_pruned, goal_demand_pruned;  // the interner path's
   };
   const Case cases[] = {
-      {"left-linear", TransitiveClosure(), 421, 57, 0},
-      {"right-linear", right_linear, 787, 6070, 57},
+      {"left-linear", TransitiveClosure(), 57, 5, 0},
+      {"right-linear", right_linear, 103, 1597, 5},
   };
   ConditionInterner& interner = ConditionInterner::Global();
   CDatabase db = SharedNullChain(12, 3);
@@ -642,6 +642,35 @@ TEST(DatalogCTableTest, ForcedNullClashesAreCutAsUnsatisfiableBranches) {
         EXPECT_EQ(goal_stats.demand_pruned, c.goal_demand_pruned);
       }
     }
+  }
+}
+
+TEST(DatalogCTableTest, RecursiveStratumAdmitsUnconditionalRowsFirst) {
+  // The chain 0 -> 1 -> 2 -> 3 -> 4 plus the edge (0, x0): the null hop
+  // derives tc(0, 3) :: x0 = 2 and tc(0, 4) :: x0 = 3 in round 2, before the
+  // chain derives both tuples unconditionally. A recursive stratum admits
+  // every unconditional row before any conditional one, so those two die
+  // as subsumed before admission and no admitted row is ever killed or
+  // widened: 5 seeds plus the 11 tc rows, all unconditional.
+  CTable t(2);
+  for (int i = 0; i < 4; ++i) t.AddRow(Tuple{C(i), C(i + 1)});
+  t.AddRow(Tuple{C(0), V(0)});
+  const CDatabase db{t};
+  for (ConditionBackendKind kind : {ConditionBackendKind::kConjunctions,
+                                    ConditionBackendKind::kDecisionDiagrams}) {
+    SCOPED_TRACE(kind == ConditionBackendKind::kConjunctions ? "antichain"
+                                                             : "dd");
+    DatalogCTableOptions options;
+    options.condition_backend = kind;
+    ConditionedFixpointStats stats;
+    CDatabase out = DatalogOnCTables(TransitiveClosure(), db, &stats, options);
+    EXPECT_EQ(out.table(1).num_rows(), 11u);
+    for (const CRow& row : out.table(1).rows()) {
+      EXPECT_TRUE(row.local().IsTautology()) << ToString(row.tuple);
+    }
+    EXPECT_EQ(stats.derived_rows, 5u + 11u);
+    EXPECT_TRUE(
+        testutil::RepresentsFixpointOfEveryWorld(TransitiveClosure(), db, out));
   }
 }
 

@@ -1760,15 +1760,16 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
   // The decision procedures that run on a view's image (ViewImage,
   // decision/view.h), checked through the identity view and through
   // View::Ra of the bare relation references, on two-table c-databases
-  // with global =/!= atoms and nulls shared across the tables; the last
-  // round has no local condition (a g-table database). MEMB must agree with
+  // with global =/!= atoms and nulls shared across the tables; round 3 has
+  // no local condition (a g-table database), and round 4 is ground and
+  // condition-free, so it has exactly one world. MEMB must agree with
   // comparing against every world (testutil::IsWorld) on every enumerated
   // world, each world minus one fact and each world plus one fact over the
-  // context constants; UNIQ holds exactly for the one world of a
-  // database with one; POSS and CERT of 1-3 facts must agree with
-  // PossibilitySearch and CertaintySearch; and CONT of each table, alone
-  // under the identity, in the union of both tables over the database
-  // (one rhs image for every lhs world) must agree with
+  // context constants; UNIQ holds exactly for the one world of a database
+  // with one (round 4 checks that yes on every seed); POSS and CERT of 1-3
+  // facts must agree with PossibilitySearch and CertaintySearch; and CONT
+  // of each table, alone under the identity, in the union of both tables
+  // over the database (one rhs image for every lhs world) must agree with
   // EveryWorldIsAnImage.
   const unsigned case_seed = 15000 + static_cast<unsigned>(GetParam());
   PW_DIFF_CASE(case_seed);
@@ -1778,12 +1779,14 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
   const View identity = View::Identity();
   const View bare = View::Ra({RaExpr::Rel(0, 2), RaExpr::Rel(1, 2)});
   const RaQuery both = {RaExpr::Union(RaExpr::Rel(0, 2), RaExpr::Rel(1, 2))};
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 5; ++round) {
+    const bool ground = round == 4;
     RandomCTableOptions options = testutil::SmallCTableOptions(
         /*arity=*/2, /*num_rows=*/2 + round % 2, /*num_constants=*/3,
         /*num_variables=*/3,
-        /*num_local_atoms=*/round == 3 ? 0 : 1 + GetParam() % 2,
-        /*num_global_atoms=*/GetParam() % 3);
+        /*num_local_atoms=*/round >= 3 ? 0 : 1 + GetParam() % 2,
+        /*num_global_atoms=*/ground ? 0 : GetParam() % 3);
+    if (ground) options.variable_probability = 0;
     CDatabase db(
         std::vector<CTable>{RandomCTable(options, rng),
                             RandomCTable(options, rng)});
@@ -1801,6 +1804,9 @@ TEST_P(MembershipPossibilityDifferentialTest, SearchesAgreeWithEveryWorld) {
       return true;
     });
     const size_t num_worlds = candidates.size();
+    if (ground) {
+      ASSERT_EQ(num_worlds, 1u) << FormatCDatabase(db);
+    }
     for (size_t w = 0; w < num_worlds; ++w) {
       const Instance world = candidates[w];
       for (size_t k = 0; k < 2; ++k) {
@@ -1993,7 +1999,9 @@ TEST_P(TableFrontEndDifferentialTest, CoddMembershipAgreesWithSearch) {
       Instance instance({relation});
       std::optional<bool> fast = MembershipCoddTables(db, instance);
       ASSERT_TRUE(fast.has_value());
-      if (planted) EXPECT_EQ(*fast, *planted) << relation.ToString();
+      if (planted) {
+        EXPECT_EQ(*fast, *planted) << relation.ToString();
+      }
       EXPECT_EQ(*fast, MembershipSearch(db, instance))
           << "MEMB diverged on\n"
           << relation.ToString() << "in\n"
@@ -2033,7 +2041,9 @@ TEST_P(TableFrontEndDifferentialTest, CoddPossibilityAgreesWithChoiceCnf) {
       Instance instance({pattern});
       std::optional<bool> fast = PossUnboundedCoddTables(db, instance);
       ASSERT_TRUE(fast.has_value());
-      if (planted) EXPECT_TRUE(*fast) << pattern.ToString();
+      if (planted) {
+        EXPECT_TRUE(*fast) << pattern.ToString();
+      }
       EXPECT_EQ(*fast,
                 Possibility(View::Identity(), db, ToLocatedFacts(instance)))
           << "POSS diverged on\n"
@@ -2187,8 +2197,12 @@ TEST_P(TableFrontEndDifferentialTest, GInCoddContainmentAgreesWithSearch) {
     ASSERT_TRUE(fast.has_value());
     // Planted: a constant off the data is never in the frozen world K0; a
     // row-for-row generalization always contains.
-    if (GetParam() % 4 == 0) EXPECT_FALSE(*fast);
-    if (GetParam() % 4 == 3) EXPECT_TRUE(*fast);
+    if (GetParam() % 4 == 0) {
+      EXPECT_FALSE(*fast);
+    }
+    if (GetParam() % 4 == 3) {
+      EXPECT_TRUE(*fast);
+    }
     EXPECT_EQ(*fast, ContainmentSearch(View::Identity(), lhs_db,
                                        View::Identity(), rhs_db))
         << "CONT diverged on\n"

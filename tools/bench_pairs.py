@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
         --workload serve [--workload decide ...] --seeds 4101-4110 \\
-        [--out BENCH_<n>.json]
+        [--traced-seed S] [--out BENCH_<n>.json]
 
 PARENT_DIR and CHANGE_DIR are two git checkouts, each with its own
 pwbench/. A pair runs `python3 pwbench/run.py --workload W --seed S
@@ -35,6 +35,13 @@ A `decide` run also prints each instance family's median op time (its
 `# decide family NAME: ... median X ms ...` lines); the tool keeps them per
 run, as `families`, and prints each side's median of them over the pairs
 and the change's wins, for information only: no verdict.
+
+With --traced-seed S, after a workload's pairs each side runs once more
+with `--trace 1` on seed S (the parent first). The tool keeps each side's
+per-layer metrics (the `per_layer` names of BENCHMARK.json) as the
+workload's `traced` entry and prints them side by side with the change's
+relative difference, for information only: no verdict. They show which
+layer a difference in the end-to-end metrics comes from.
 
 A pair whose sides differ in answers_digest or in the failed count is
 flagged, and so is a side with a failed op, and a report whose two sides
@@ -89,10 +96,11 @@ def parse_run(stdout):
     return run
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     """Runs the benchmark once in `checkout` and parses its output."""
     cmd = [sys.executable, "pwbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     if done.returncode != 0:
@@ -204,6 +212,20 @@ def family_medians(pairs):
     return out
 
 
+def traced_layers(parent, change, workload, seed, seconds, per_layer):
+    """One traced run per side on `seed`, parent first: {"seed", "parent",
+    "change"}, each side's per-layer metrics in BENCHMARK.json's order."""
+    traced = {"seed": seed}
+    for side, checkout in (("parent", parent), ("change", change)):
+        metrics = run_once(checkout, workload, seed, seconds,
+                           trace=1)["metrics"]
+        traced[side] = {spec["name"]: metrics[spec["name"]]
+                        for spec in per_layer if spec["name"] in metrics}
+        print(f"bench_pairs: {workload} traced seed {seed} {side} done",
+              file=sys.stderr)
+    return traced
+
+
 def flags(pairs):
     out = []
     for pair in pairs:
@@ -263,6 +285,16 @@ def print_summary(report):
             delta = relative(f["change"] - f["parent"], f["parent"])
             print(f"{name:<26} {f['parent']:>9.4f} {f['change']:>9.4f} "
                   f"{delta:>+8.1%} {f['wins']:>3}/{f['pairs']:<2}")
+        if "traced" in w:
+            traced = w["traced"]
+            title = f"traced seed {traced['seed']} (no verdict)"
+            print(f"{title:<32} {'parent':>11} {'change':>11} {'delta':>8}")
+            for name, p in traced["parent"].items():
+                if name not in traced["change"]:
+                    continue
+                c = traced["change"][name]
+                print(f"{name:<32} {p:>11.5g} {c:>11.5g} "
+                      f"{relative(c - p, p):>+8.1%}")
         for flag in w["flags"]:
             print(f"FLAG {flag}")
 
@@ -279,6 +311,10 @@ def main():
                         choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--seeds", required=True,
                         help='one seed per pair, e.g. "4101-4110"')
+    parser.add_argument("--traced-seed", type=int,
+                        help="after each workload's pairs, run --trace 1 "
+                             "once per side on this seed and report the "
+                             "per-layer metrics, with no verdict")
     parser.add_argument("--out", help="write the runs and summary as JSON")
     args = parser.parse_args()
 
@@ -293,6 +329,10 @@ def main():
             "pairs": pairs, "flags": flags(pairs),
             "summary": summarize(pairs, benchmark["end_to_end"]),
             "families": family_medians(pairs)}
+        if args.traced_seed is not None:
+            report["workloads"][workload]["traced"] = traced_layers(
+                args.parent, args.change, workload, args.traced_seed,
+                seconds, benchmark["per_layer"])
     first = next(iter(report["workloads"].values()))
     for side in ("parent", "change"):
         report[side], mixed = side_identity(report["workloads"], side,

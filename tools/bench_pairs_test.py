@@ -5,10 +5,11 @@ Checks the verdict rules on synthetic pairs (gain, regression, unresolved,
 no worse, ties, higher-is-better metrics), the parent/change alternation,
 the run length and workload names taken from BENCHMARK.json, the written
 report, each side's HEAD, clean/dirty tree and library size read from its
-checkout, the per-family `decide` medians, and the digest, failed-op and
-same-clean-commit flags. Runs
-nothing: the benchmark runner is replaced by canned pwbench/run.py output
-and git by canned answers. Run directly or through ctest:
+checkout, the per-family `decide` medians, each side's per-layer metrics
+of the --traced-seed run, and the digest, failed-op and same-clean-commit
+flags. Runs nothing: the benchmark runner is replaced by canned
+pwbench/run.py output and git by canned answers. Run directly or through
+ctest:
 
     python3 tools/bench_pairs_test.py
 """
@@ -263,6 +264,50 @@ class PairsTest(unittest.TestCase):
                            "pairs": 3}})
         self.assertRegex(out, r"memb-codd +0\.3200 +0\.2000 +-37\.5% +3/3")
         self.assertRegex(out, r"poss-image +0\.5000 +0\.5000 +\+0\.0% +0/3")
+
+    def test_traced_seed_keeps_each_sides_per_layer_metrics(self):
+        # After the pairs, one --trace 1 run per side (parent first) on the
+        # traced seed; its per-layer metrics are kept in BENCHMARK.json's
+        # order and printed side by side, with no verdict and no effect on
+        # the exit status.
+        calls = []
+
+        def run(checkout, workload, seed, seconds, trace=0):
+            calls.append((checkout, seed, trace))
+            is_change = checkout == "change-dir"
+            if trace:
+                metrics = {"not.declared": 5.0,
+                           "ilalgebra.derived_rows": 219.0 if is_change
+                           else 325.0,
+                           "ilalgebra.run_ms": 0.1 if is_change else 0.2}
+            else:
+                metrics = {"k1_p50_ms": 1.0}
+            return bench_pairs.parse_run(run_output(
+                metrics, CHANGE_SHA if is_change else PARENT_SHA))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCH_test.json")
+            code, out = self.run_main(
+                ["--parent", "parent-dir", "--change", "change-dir",
+                 "--workload", "lineage", "--seeds", "1-2",
+                 "--traced-seed", "9", "--out", path], run)
+            self.assertEqual(code, 0, out)
+            with open(path) as f:
+                lineage = json.load(f)["workloads"]["lineage"]
+        self.assertEqual(calls, [
+            ("parent-dir", 1, 0), ("change-dir", 1, 0),
+            ("change-dir", 2, 0), ("parent-dir", 2, 0),
+            ("parent-dir", 9, 1), ("change-dir", 9, 1)])
+        traced = lineage["traced"]
+        self.assertEqual(traced["seed"], 9)
+        self.assertEqual(list(traced["parent"].items()),
+                         [("ilalgebra.run_ms", 0.2),
+                          ("ilalgebra.derived_rows", 325.0)])
+        self.assertEqual(traced["change"], {"ilalgebra.run_ms": 0.1,
+                                            "ilalgebra.derived_rows": 219.0})
+        self.assertEqual(set(lineage["summary"]), {"k1_p50_ms"})
+        self.assertIn("traced seed 9 (no verdict)", out)
+        self.assertRegex(out, r"ilalgebra\.run_ms +0\.2 +0\.1 +-50\.0%\n")
+        self.assertRegex(out, r"ilalgebra\.derived_rows +325 +219 +-32\.6%\n")
 
     def test_a_workload_the_benchmark_lacks_is_rejected(self):
         with self.assertRaises(SystemExit):
